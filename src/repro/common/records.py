@@ -16,7 +16,7 @@ from typing import Any, Generic, Iterable, Iterator, TypeVar
 K = TypeVar("K")
 V = TypeVar("V")
 
-__all__ = ["KeyValue", "JoinedRecord", "group_by_key", "kv_pairs"]
+__all__ = ["KeyValue", "JoinedRecord", "group_by_key", "kv_pairs", "order_key"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +74,7 @@ def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list[Any]]
 
     Fast path: the engines' hot loops group homogeneous keys (all ints,
     or all strings), where native tuple comparison sorts the bucket list
-    directly in C — no per-item ``_sort_key`` call or tuple allocation.
+    directly in C — no per-item ``order_key`` call or tuple allocation.
     Unorderable key mixes (ints and tuples in the matrix-power job) fall
     back to the type-name-prefixed total order.  The orders agree
     whenever all keys share one type; an orderable *mix* (ints and
@@ -93,12 +93,16 @@ def group_by_key(pairs: Iterable[tuple[Any, Any]]) -> list[tuple[Any, list[Any]]
     except TypeError:
         # A failed sort leaves ``items`` permuted but intact; re-sort
         # under the heterogeneous total order.
-        items.sort(key=lambda item: _sort_key(item[0]))
+        items.sort(key=lambda item: order_key(item[0]))
     return items
 
 
-def _sort_key(key: Any) -> Any:
+def order_key(key: Any) -> Any:
     """Total order over heterogeneous keys: group by type name first.
+
+    The one sort rule every engine uses for record keys — final-state
+    assembly, one2all broadcast order, the accumulative scheduler's
+    tie-break and the ``group_by_key`` fallback.
 
     Real Hadoop sorts serialized bytes; we sort Python values, but keys of
     mixed types (e.g. ints and tuples in the matrix-power job) must not

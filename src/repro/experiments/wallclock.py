@@ -446,7 +446,7 @@ def hotpath_microbench(groups: int = 2_000, repeats: int = 20) -> dict:
     many partitions with few emissions each, where the per-partition
     allocation is the dominant cost.
     """
-    from ..common.records import _sort_key, group_by_key
+    from ..common.records import group_by_key, order_key
     from ..mapreduce.api import Context
 
     pairs = [(i % groups, float(i)) for i in range(groups * 4)]
@@ -455,7 +455,7 @@ def hotpath_microbench(groups: int = 2_000, repeats: int = 20) -> dict:
         buckets: dict[Any, list[Any]] = {}
         for k, v in ps:
             buckets.setdefault(k, []).append(v)
-        return sorted(buckets.items(), key=lambda item: _sort_key(item[0]))
+        return sorted(buckets.items(), key=lambda item: order_key(item[0]))
 
     def _best_of(fn):
         # Best-of-N: min is far more noise-robust than a summed total

@@ -3,13 +3,7 @@
 from .accum import MIN, SUM, AccumJob, AccumPair, AccumRunResult, Accumulator
 from .channels import IterationMailbox, ReliableConfig, StopIteration_
 from .checkpoint import CheckpointError, CheckpointStore, ProcFault
-from .columnar import (
-    AccumKernel,
-    Kernel,
-    KernelContractError,
-    accum_kernel_enabled,
-    kernel_enabled,
-)
+from .columnar import AccumKernel, Kernel, KernelContractError
 from .failure_detector import FailureDetector, FailureDetectorConfig
 from .incremental import (
     ChangePlan,
@@ -24,7 +18,14 @@ from .incremental import (
     run_incremental_parallel,
 )
 from .job import AuxPhase, IterativeJob, IterativeRunResult, Phase
-from .localrun import LocalRunResult, run_accum_local, run_local
+from .localrun import (
+    LocalRunResult,
+    accum_kernel_enabled,
+    kernel_enabled,
+    run_accum_local,
+    run_local,
+    select_executor,
+)
 from .parallel import (
     ParallelExecutionError,
     ParallelRunResult,
@@ -51,6 +52,7 @@ __all__ = [
     "KernelContractError",
     "kernel_enabled",
     "accum_kernel_enabled",
+    "select_executor",
     "FailureDetector",
     "FailureDetectorConfig",
     "ChangePlan",

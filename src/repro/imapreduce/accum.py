@@ -24,11 +24,12 @@ This module holds the pieces every backend shares:
   delta-emitting update function ``update(key, delta, state,
   static_value, emit)`` called once per applied delta.
 * :class:`AccumPair` — one pair's engine state (state dict, pending
-  delta queue, priority scheduling).  The serial executor
-  (:func:`~repro.imapreduce.localrun.run_accum_local`), the
-  multiprocess worker loop and the simulated async schedule all drive
-  the *same* class through the same call sequence, which is what makes
-  serial/parallel runs record-for-record identical per mode.
+  delta queue, priority scheduling).  The record-accum pair executor
+  (:class:`~repro.imapreduce.localrun.RecordAccum`, the same object on
+  the serial and the multiprocess backend) and the simulated async
+  schedule drive the *same* class through the same call sequence,
+  which is what makes serial/parallel runs record-for-record identical
+  per mode.
 
 Scheduling and termination
 --------------------------
@@ -66,6 +67,7 @@ from typing import Any, Callable
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner, bind_partitioner
+from ..common.records import order_key
 
 __all__ = [
     "Accumulator",
@@ -89,11 +91,6 @@ DEFAULT_TOP_FRACTION = 0.25
 #: applied delta whose merge changed the state; ``state`` is the
 #: post-merge value and ``emit(dest_key, delta)`` queues propagation.
 UpdateFn = Callable[[Any, Any, Any, Any, Callable[[Any, Any], None]], None]
-
-
-def _order_key(key: Any) -> tuple:
-    """Total order over mixed-type keys (localrun's sort rule)."""
-    return (type(key).__name__, key)
 
 
 def _agree(a: Any, b: Any) -> bool:
@@ -366,7 +363,7 @@ class AccumPair:
         if not pending:
             return []
         if mode == "sync":
-            return sorted(pending, key=_order_key)
+            return sorted(pending, key=order_key)
         acc = self.acc
         ident = acc.identity
         state_get = self.state.get
@@ -378,7 +375,7 @@ class AccumPair:
                 scored.append((p, k))
         if not scored:
             return []
-        scored.sort(key=lambda t: (-t[0], _order_key(t[1])))
+        scored.sort(key=lambda t: (-t[0], order_key(t[1])))
         count = max(1, math.ceil(top_fraction * len(scored)))
         return [k for _p, k in scored[:count]]
 
@@ -414,7 +411,7 @@ class AccumPair:
         return applied
 
     def final_records(self) -> list:
-        return sorted(self.state.items(), key=lambda kv: _order_key(kv[0]))
+        return sorted(self.state.items(), key=lambda kv: order_key(kv[0]))
 
 
 def partition_accum_inputs(

@@ -38,11 +38,14 @@ the per-record loops:
   divides sums by counts), and ``distance_partial`` supplies the
   vectorized per-pair convergence contribution.
 
-Dispatch rules (:func:`kernel_enabled`): the job must carry a kernel,
-have exactly one phase, no aux phase, a partitioner with ``bind_array``,
-and the phase mapping must match the kernel's ``needs_broadcast``.
-Anything else falls back to the record path, on every backend, so both
-backends always agree on which path runs.
+Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
+the job must carry a kernel, have exactly one phase, no aux phase, a
+partitioner with ``bind_array``, and the phase mapping must match the
+kernel's ``needs_broadcast``.  Anything else falls back to the record
+executor — with the reason — on every backend, so all backends always
+agree on which path runs.  The two columnar pair executors at the end
+of this module (:class:`ColumnarSync`, :class:`ColumnarAccum`) are what
+the shared superstep driver runs, serially and on the mesh alike.
 
 Float-ordering caveat
 ---------------------
@@ -63,19 +66,19 @@ identical numpy reduction.
 
 from __future__ import annotations
 
+import math
+import time
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ..common.errors import JobError
-from ..common.partition import bind_partitioner
+from .engine import SHUFFLE
 
 __all__ = [
     "Kernel",
     "AccumKernel",
     "KernelContractError",
-    "kernel_enabled",
-    "accum_kernel_enabled",
     "encode_columnar",
     "decode_columnar",
     "route_columnar",
@@ -83,8 +86,8 @@ __all__ = [
     "absorb_columnar",
     "pending_priority",
     "concat_broadcast",
-    "run_local_kernel",
-    "run_accum_local_kernel",
+    "ColumnarSync",
+    "ColumnarAccum",
 ]
 
 
@@ -188,41 +191,6 @@ class AccumKernel:
         update function would emit.
         """
         raise NotImplementedError
-
-
-def kernel_enabled(job) -> bool:
-    """Does this job run on the columnar path?  Both backends call this
-    one predicate, so they always agree; anything unsupported falls
-    back to the record path silently."""
-    kernel = getattr(job, "kernel", None)
-    if kernel is None:
-        return False
-    if len(job.phases) != 1 or job.aux is not None:
-        return False
-    if getattr(job.partitioner, "bind_array", None) is None:
-        return False
-    if (job.phases[0].mapping == "one2all") != bool(kernel.needs_broadcast):
-        return False
-    if job.distance_fn is not None and not hasattr(kernel, "distance_partial"):
-        return False
-    return True
-
-
-def accum_kernel_enabled(job) -> bool:
-    """Does this accumulative job run on the columnar delta path?
-
-    The requirements are lighter than :func:`kernel_enabled` — an
-    :class:`~repro.imapreduce.accum.AccumJob` has no phases or aux —
-    but the key universe must be closed (every emission targets a
-    static-table or initial-delta key; true for all bundled graph
-    algorithms, whose emissions follow edges of the loaded graph).
-    """
-    kernel = getattr(job, "kernel", None)
-    if kernel is None or not isinstance(kernel, AccumKernel):
-        return False
-    if getattr(job.partitioner, "bind_array", None) is None:
-        return False
-    return True
 
 
 # ------------------------------------------------------------- layout --
@@ -367,135 +335,6 @@ def concat_broadcast(
     return keys[order], values[order]
 
 
-# ------------------------------------------------------ serial executor --
-def run_local_kernel(
-    job,
-    state_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    keep_history: bool = False,
-):
-    """Serial columnar executor — :func:`run_local`'s kernel dispatch
-    target.  Same result surface (:class:`LocalRunResult`), one
-    ``map_kernel`` + one vectorized merge per pair per iteration.
-    """
-    from .localrun import LocalRunResult, order_key  # avoid import cycle
-
-    kernel: Kernel = job.kernel
-    phase = job.phases[0]
-    one2all = phase.mapping == "one2all"
-    part = bind_partitioner(job.partitioner, num_pairs)
-    part_array = job.partitioner.bind_array(num_pairs)
-
-    g_keys, g_vals = encode_columnar(
-        state_records, kernel.state_dtype, kernel.state_width
-    )
-    empty_keys = g_keys[:0]
-    empty_vals = g_vals[:0]
-    owned: list[np.ndarray] = [empty_keys] * num_pairs
-    values: list[np.ndarray] = [empty_vals] * num_pairs
-    for p, ks, vs in route_columnar(g_keys, g_vals, part_array, num_pairs):
-        owned[p] = ks  # route preserves key order per destination: sorted
-        values[p] = vs
-
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
-    table = static_by_path.get(phase.static_path or "", {})
-    static_tables: list[dict] = [{} for _ in range(num_pairs)]
-    for key, value in table.items():
-        static_tables[part(key)][key] = value
-    prepared = [
-        kernel.prepare(p, owned[p], static_tables[p]) for p in range(num_pairs)
-    ]
-
-    distance_fn = job.distance_fn
-    prev: list[np.ndarray] | None = (
-        [v.copy() for v in values] if distance_fn is not None else None
-    )
-
-    distances: list[float | None] = []
-    history: list[list[tuple[Any, Any]]] = []
-    iterations_run = 0
-    terminated_by = ""
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-
-    for iteration in range(max_iterations):
-        broadcast = None
-        if one2all:
-            broadcast = concat_broadcast(
-                [(owned[p], values[p]) for p in range(num_pairs)]
-            )
-        # ---- map + route: inbox[q] holds batches in ascending src order --
-        inbox: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(num_pairs)
-        ]
-        for p in range(num_pairs):
-            out_keys, out_vals = kernel.map_kernel(
-                p, owned[p], values[p], prepared[p], broadcast
-            )
-            for q, ks, vs in route_columnar(out_keys, out_vals, part_array, num_pairs):
-                inbox[q].append((ks, vs))
-        # ---- vectorized merge + finalize ----
-        for q in range(num_pairs):
-            if owned[q].size == 0:
-                continue
-            acc = merge_columnar(kernel, owned[q], inbox[q])
-            values[q] = kernel.finalize(q, owned[q], acc, values[q], prepared[q])
-        iterations_run = iteration + 1
-
-        if keep_history:
-            history.append(
-                sorted(
-                    (
-                        rec
-                        for p in range(num_pairs)
-                        for rec in decode_columnar(owned[p], values[p])
-                    ),
-                    key=lambda kv: order_key(kv[0]),
-                )
-            )
-
-        distance: float | None = None
-        if distance_fn is not None and prev is not None:
-            distance = 0.0
-            for p in range(num_pairs):
-                if owned[p].size:
-                    distance += kernel.distance_partial(
-                        owned[p], prev[p], values[p]
-                    )
-                prev[p] = values[p].copy()
-        distances.append(distance)
-
-        if (
-            job.threshold is not None
-            and distance is not None
-            and distance <= job.threshold
-        ):
-            terminated_by = "threshold"
-            break
-    else:
-        terminated_by = "maxiter"
-    if not terminated_by:
-        terminated_by = "maxiter"
-
-    final = sorted(
-        (
-            rec
-            for p in range(num_pairs)
-            for rec in decode_columnar(owned[p], values[p])
-        ),
-        key=lambda kv: order_key(kv[0]),
-    )
-    return LocalRunResult(
-        state=final,
-        iterations_run=iterations_run,
-        converged=terminated_by == "threshold",
-        terminated_by=terminated_by,
-        distances=distances,
-        history=history,
-    )
-
-
 # -------------------------------------------- accumulative delta path --
 def absorb_columnar(
     merge: str,
@@ -548,182 +387,272 @@ def pending_priority(
     return np.where(active, pr, 0.0)
 
 
-def run_accum_local_kernel(
-    job,
-    delta_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    mode: str = "async",
-    keep_trace: bool = False,
-    initial_state: Iterable[tuple[Any, Any]] | None = None,
-):
-    """Serial columnar executor for accumulative jobs —
-    :func:`~repro.imapreduce.localrun.run_accum_local`'s kernel
-    dispatch target.  Same round protocol (mass check before the round,
-    pair-ascending sums, ascending-source absorption) over dense
-    state/pending arrays with an active-key mask.  ``initial_state``
-    (incremental warm start) scatters memoized values into the dense
-    state arrays without marking them pending — the record engine's
-    preload semantics.
-    """
-    import math
-
-    from .accum import (
-        AccumRunResult,
-        check_mode,
-        partition_accum_inputs,
-        partition_state,
-    )
-    from .localrun import order_key
-
-    check_mode(mode)
-    kernel: AccumKernel = job.kernel
-    merge = kernel.merge
-    dtype = np.dtype(kernel.state_dtype)
-    identity = kernel.identity
-    part = bind_partitioner(job.partitioner, num_pairs)
-    part_array = job.partitioner.bind_array(num_pairs)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs, part
-    )
-    state_parts = partition_state(initial_state, num_pairs, part)
-
-    # Owned key universe per pair: static keys ∪ initial-delta keys
-    # (∪ warm-start keys), ascending (searchsorted needs sorted sets).
-    owned: list[np.ndarray] = []
-    state: list[np.ndarray] = []
-    pending: list[np.ndarray] = []
-    active: list[np.ndarray] = []
-    for p in range(num_pairs):
-        key_set = set(static_tables[p])
-        key_set.update(k for k, _d in delta_parts[p])
-        key_set.update(k for k, _v in state_parts[p])
-        for k in key_set:
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise KernelContractError(
-                    f"columnar keys must be ints, got {type(k).__name__}"
-                )
-        ks = np.array(sorted(key_set), dtype=np.int64)
-        owned.append(ks)
-        state.append(np.full(ks.size, identity, dtype=dtype))
-        pending.append(np.full(ks.size, identity, dtype=dtype))
-        active.append(np.zeros(ks.size, dtype=bool))
-        if state_parts[p]:
-            wk = np.array([k for k, _v in state_parts[p]], dtype=np.int64)
-            wv = np.array([v for _k, v in state_parts[p]], dtype=dtype)
-            state[p][np.searchsorted(ks, wk)] = wv
-        if delta_parts[p]:
-            dk = np.array([k for k, _d in delta_parts[p]], dtype=np.int64)
-            dv = np.array([d for _k, d in delta_parts[p]], dtype=dtype)
-            absorb_columnar(merge, ks, pending[p], active[p], dk, dv)
-    prepared = [
-        kernel.prepare(p, owned[p], static_tables[p]) for p in range(num_pairs)
-    ]
-
-    threshold = job.threshold if job.threshold is not None else 0.0
-    max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
-    frac = job.top_fraction
-    trace: list[dict] = []
-    rounds = 0
-    updates = 0
-    emitted = 0
-    shipped = 0
-    mass = 0.0
-    terminated_by = ""
-
-    while True:
-        # ---- global accumulated-progress check ----
-        priorities = [
-            pending_priority(merge, state[p], pending[p], active[p])
-            for p in range(num_pairs)
-        ]
-        mass = 0.0
-        for p in range(num_pairs):
-            mass += float(priorities[p].sum())
-        if keep_trace:
-            trace.append(
-                {
-                    "round": rounds,
-                    "pending_mass": mass,
-                    "updates": updates,
-                    "emitted": emitted,
-                    "shipped": shipped,
-                }
+# --------------------------------------------------------- pair executors --
+# The columnar pair executors (see :mod:`.engine` for the interface):
+# wire items are ``(dest_pair, src_pair, keys, values)``, whose arrays
+# ride the mesh's protocol-5 out-of-band buffer frames unpickled.
+def _int_keys(keys: Iterable) -> np.ndarray:
+    for k in keys:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise KernelContractError(
+                f"columnar keys must be ints, got {type(k).__name__}"
             )
-        if mass <= threshold:
-            terminated_by = "progress"
-            break
-        if rounds >= max_rounds:
-            terminated_by = "maxrounds"
-            break
-        # ---- select + apply + emit (pairs ascending) ----
-        inbox: list[list[tuple[int, np.ndarray, np.ndarray]]] = [
-            [] for _ in range(num_pairs)
-        ]
-        for p in range(num_pairs):
-            if mode == "sync":
-                idx = np.flatnonzero(active[p])
-            else:
-                pr = priorities[p]
-                act = np.flatnonzero(pr > 0)
-                if act.size == 0:
-                    continue
-                count = max(1, math.ceil(frac * act.size))
-                # Stable argsort over −priority: ties keep ascending
-                # key order — the record scheduler's exact tie-break.
-                order = np.argsort(-pr[act], kind="stable")[:count]
-                idx = act[order]
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+class ColumnarSync:
+    """Synchronous iterations over per-pair ``(keys, values)`` arrays:
+    one ``map_kernel`` + one vectorized merge per pair per iteration.
+    Merges concatenate batches in ascending source-pair order and the
+    broadcast sorts one unique key array, so results are bit-equal on
+    every transport.  Reports decode to records, so the verdict policy
+    is layout-agnostic."""
+
+    report_lag = 1
+    plan = [(SHUFFLE, 0)]
+
+    def __init__(self, cfg, timings: dict):
+        job = cfg.job
+        kernel = self.kernel = job.kernel
+        self.timings = timings
+        self.num_pairs = cfg.num_pairs
+        self.pairs = sorted(cfg.state_parts)
+        self.one2all = job.phases[0].mapping == "one2all"
+        self.part_array = job.partitioner.bind_array(cfg.num_pairs)
+        self.distance_fn = job.distance_fn
+        self.max_steps = job.max_iterations if job.max_iterations is not None else 10**9
+        # A restored checkpoint already holds the encoded arrays —
+        # loading them back is the ``recover`` phase.
+        started = time.perf_counter()
+        self.owned: dict[int, np.ndarray] = {}
+        self.values: dict[int, np.ndarray] = {}
+        for p in self.pairs:
+            self.owned[p], self.values[p] = (
+                cfg.state_parts[p]
+                if cfg.columnar_state
+                else encode_columnar(
+                    cfg.state_parts[p], kernel.state_dtype, kernel.state_width
+                )
+            )
+        timings["recover" if cfg.columnar_state else "kernel"] += (
+            time.perf_counter() - started
+        )
+        started = time.perf_counter()
+        self.prepared = {
+            p: kernel.prepare(p, self.owned[p], cfg.static_parts[0][p])
+            for p in self.pairs
+        }
+        timings["kernel"] += time.perf_counter() - started
+        self.prev = (
+            {p: self.values[p].copy() for p in self.pairs}
+            if self.distance_fn is not None
+            else None
+        )
+
+    def broadcast_items(self, phase: int):
+        if not self.one2all:
+            return None
+        return [(p, self.owned[p], self.values[p]) for p in self.pairs]
+
+    def assemble(self, items):
+        started = time.perf_counter()
+        broadcast = concat_broadcast([(ks, vs) for _p, ks, vs in items])
+        self.timings["kernel"] += time.perf_counter() - started
+        return broadcast, int(broadcast[0].size)
+
+    def emit(self, kind, phase, broadcast) -> list[tuple]:
+        started = time.perf_counter()
+        items = []
+        for p in self.pairs:
+            out_keys, out_vals = self.kernel.map_kernel(
+                p, self.owned[p], self.values[p], self.prepared[p], broadcast
+            )
+            for q, ks, vs in route_columnar(
+                out_keys, out_vals, self.part_array, self.num_pairs
+            ):
+                items.append((q, p, ks, vs))
+        self.timings["kernel"] += time.perf_counter() - started
+        return items
+
+    def absorb(self, kind, phase, merged) -> None:
+        started = time.perf_counter()
+        kernel = self.kernel
+        for q in self.pairs:
+            if self.owned[q].size == 0:
+                continue
+            batches = [(ks, vs) for _q, _src, ks, vs in merged.get(q, ())]
+            acc = merge_columnar(kernel, self.owned[q], batches)
+            self.values[q] = kernel.finalize(
+                q, self.owned[q], acc, self.values[q], self.prepared[q]
+            )
+        self.timings["kernel"] += time.perf_counter() - started
+
+    def progress(self, send_state: bool) -> dict:
+        started = time.perf_counter()
+        report: dict[str, Any] = {}
+        if self.prev is not None:
+            partials = {}
+            for p in self.pairs:
+                partials[p] = (
+                    self.kernel.distance_partial(
+                        self.owned[p], self.prev[p], self.values[p]
+                    )
+                    if self.owned[p].size
+                    else 0.0
+                )
+                self.prev[p] = self.values[p].copy()
+            report["distance"] = partials
+        if send_state:
+            report["state"] = self.final_state()
+        self.timings["report"] += time.perf_counter() - started
+        return report
+
+    def snapshot(self) -> dict:
+        return {
+            "path": "kernel",
+            "pairs": {p: (self.owned[p], self.values[p]) for p in self.pairs},
+        }
+
+    def final_state(self) -> dict[int, list]:
+        return {p: decode_columnar(self.owned[p], self.values[p]) for p in self.pairs}
+
+    def final_stats(self) -> dict:
+        return {"route_cache_size": 0}  # no per-key routing on this path
+
+
+class ColumnarAccum:
+    """Accumulative (Maiter-mode) rounds over dense per-pair arrays:
+    ``state``, the coalesced ``pending`` delta queue and an ``active``
+    mask over the owned key universe (static keys ∪ initial-delta keys
+    ∪ warm-start keys).  The round protocol is the record executor's —
+    mass before the round, pairs ascending, ascending-source absorption
+    — so both layouts and both transports agree on ``rounds`` and every
+    work counter."""
+
+    report_lag = 0
+    plan = [(SHUFFLE, 0)]
+    max_steps = 10**9  # the verdict policy enforces ``max_rounds``
+
+    def __init__(self, cfg, timings: dict):
+        job = cfg.job
+        kernel = self.kernel = job.kernel
+        self.timings = timings
+        self.num_pairs = cfg.num_pairs
+        self.pairs = sorted(cfg.state_parts)
+        self.mode = cfg.accum_mode
+        self.frac = job.top_fraction
+        self.part_array = job.partitioner.bind_array(cfg.num_pairs)
+        self.updates = self.emitted = self.shipped = 0
+        started = time.perf_counter()
+        merge, dtype = kernel.merge, np.dtype(kernel.state_dtype)
+        warm = cfg.accum_initial_state or {}
+        self.owned, self.state, self.pending, self.active = {}, {}, {}, {}
+        self.prepared = {}
+        for p in self.pairs:
+            table, deltas = cfg.static_parts[0][p], cfg.state_parts[p]
+            preload = warm.get(p) or ()
+            ks = _int_keys(
+                {*table, *(k for k, _d in deltas), *(k for k, _v in preload)}
+            )
+            self.owned[p] = ks
+            self.state[p] = np.full(ks.size, kernel.identity, dtype=dtype)
+            self.pending[p] = np.full(ks.size, kernel.identity, dtype=dtype)
+            self.active[p] = np.zeros(ks.size, dtype=bool)
+            if preload:
+                # Memoized values are scattered in without marking them
+                # pending — the record engine's preload semantics.
+                wk = np.array([k for k, _v in preload], dtype=np.int64)
+                wv = np.array([v for _k, v in preload], dtype=dtype)
+                self.state[p][np.searchsorted(ks, wk)] = wv
+            if deltas:
+                dk = np.array([k for k, _d in deltas], dtype=np.int64)
+                dv = np.array([d for _k, d in deltas], dtype=dtype)
+                absorb_columnar(merge, ks, self.pending[p], self.active[p], dk, dv)
+            self.prepared[p] = kernel.prepare(p, ks, table)
+        timings["kernel"] += time.perf_counter() - started
+
+    def broadcast_items(self, phase: int):
+        return None
+
+    def progress(self, send_state: bool) -> dict:
+        started = time.perf_counter()
+        self.priorities = {
+            p: pending_priority(
+                self.kernel.merge, self.state[p], self.pending[p], self.active[p]
+            )
+            for p in self.pairs
+        }
+        masses = {p: float(self.priorities[p].sum()) for p in self.pairs}
+        self.timings["schedule"] += time.perf_counter() - started
+        return {
+            "mass": masses,
+            "updates": self.updates,
+            "emitted": self.emitted,
+            "shipped": self.shipped,
+        }
+
+    def _select(self, p: int) -> np.ndarray:
+        if self.mode == "sync":
+            return np.flatnonzero(self.active[p])
+        pr = self.priorities[p]
+        act = np.flatnonzero(pr > 0)
+        if act.size == 0:
+            return act
+        count = max(1, math.ceil(self.frac * act.size))
+        # Stable argsort over −priority: ties keep ascending key order —
+        # the record scheduler's exact tie-break.
+        return act[np.argsort(-pr[act], kind="stable")[:count]]
+
+    def emit(self, kind, phase, broadcast) -> list[tuple]:
+        kernel, perf = self.kernel, time.perf_counter
+        items = []
+        for p in self.pairs:
+            started = perf()
+            idx = self._select(p)
+            self.timings["schedule"] += perf() - started
             if idx.size == 0:
                 continue
-            d = pending[p][idx].copy()
-            old = state[p][idx]
-            merged = old + d if merge == "sum" else np.minimum(old, d)
-            state[p][idx] = merged
-            pending[p][idx] = identity
-            active[p][idx] = False
-            updates += int(idx.size)
+            started = perf()
+            state, pending = self.state[p], self.pending[p]
+            d = pending[idx].copy()
+            old = state[idx]
+            merged = old + d if kernel.merge == "sum" else np.minimum(old, d)
+            state[idx] = merged
+            pending[idx] = kernel.identity
+            self.active[p][idx] = False
+            self.updates += int(idx.size)
             changed = merged != old
-            if not changed.any():
-                continue
-            out_keys, out_vals = kernel.emit_deltas(
-                p,
-                owned[p],
-                idx[changed],
-                d[changed],
-                merged[changed],
-                prepared[p],
-            )
-            emitted += int(out_keys.size)
-            for q, ks, vs in route_columnar(
-                out_keys, out_vals, part_array, num_pairs
-            ):
-                inbox[q].append((p, ks, vs))
-                if q != p:
-                    shipped += int(ks.size)
-        # ---- absorb (dest ascending; batches arrive src-ascending) ----
-        for q in range(num_pairs):
-            for _src, ks, vs in inbox[q]:
-                absorb_columnar(merge, owned[q], pending[q], active[q], ks, vs)
-        rounds += 1
+            if changed.any():
+                out_keys, out_vals = kernel.emit_deltas(
+                    p, self.owned[p], idx[changed], d[changed], merged[changed],
+                    self.prepared[p],
+                )
+                self.emitted += int(out_keys.size)
+                for q, ks, vs in route_columnar(
+                    out_keys, out_vals, self.part_array, self.num_pairs
+                ):
+                    items.append((q, p, ks, vs))
+                    if q != p:
+                        self.shipped += int(ks.size)
+            self.timings["delta"] += perf() - started
+        return items
 
-    final = sorted(
-        (
-            rec
-            for p in range(num_pairs)
-            for rec in decode_columnar(owned[p], state[p])
-        ),
-        key=lambda kv: order_key(kv[0]),
-    )
-    return AccumRunResult(
-        state=final,
-        rounds=rounds,
-        converged=terminated_by == "progress",
-        terminated_by=terminated_by,
-        pending_mass=mass,
-        updates_processed=updates,
-        deltas_emitted=emitted,
-        deltas_shipped=shipped,
-        mode=mode,
-        trace=trace,
-    )
+    def absorb(self, kind, phase, merged) -> None:
+        started = time.perf_counter()
+        for q in self.pairs:
+            for _q, _src, ks, vs in merged.get(q, ()):
+                absorb_columnar(
+                    self.kernel.merge, self.owned[q], self.pending[q],
+                    self.active[q], ks, vs,
+                )
+        self.timings["delta"] += time.perf_counter() - started
+
+    def final_state(self) -> dict[int, list]:
+        return {p: decode_columnar(self.owned[p], self.state[p]) for p in self.pairs}
+
+    def final_stats(self) -> dict:
+        return {
+            "updates_processed": self.updates,
+            "deltas_emitted": self.emitted,
+            "deltas_shipped": self.shipped,
+        }

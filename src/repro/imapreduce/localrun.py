@@ -1,9 +1,12 @@
-"""Serial reference executor for :class:`IterativeJob`.
+"""Serial entry points, the record-layout pair executors, and executor
+selection.
 
-Runs the exact same job semantics as the distributed engine — same
-partitioning, same join, same phase chaining, same termination rules —
-but in plain Python with no cluster, no virtual time and no persistence.
-Its uses:
+:func:`run_local` and :func:`run_accum_local` run the exact same job
+semantics as the distributed engine — same partitioning, same join,
+same phase chaining, same termination rules — in one process: they
+partition the inputs, pick a pair executor and drive
+:func:`~repro.imapreduce.engine.run_supersteps` over the loopback
+transport.  Their uses:
 
 * a correctness oracle: the distributed engine's final state must equal
   this executor's, record for record (tests assert it);
@@ -12,9 +15,12 @@ Its uses:
 * the single-core baseline the wall-clock benchmarks compare
   :func:`~repro.imapreduce.parallel.run_parallel` against.
 
-The per-pair map/combine step lives in :func:`map_pair` so the
-multiprocess backend executes byte-for-byte the same user-code path and
-its differential oracle can demand record-for-record equality.
+The multiprocess backend drives the same executors through the same
+driver over the pipe mesh, so it executes byte-for-byte the same
+user-code path (:func:`map_pair`, ``group_by_key``,
+``AccumPair.apply``) and its differential oracle can demand
+record-for-record equality.  :func:`select_executor` is the one
+dispatch rule both backends use.
 """
 
 from __future__ import annotations
@@ -25,10 +31,28 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key
+from ..common.records import group_by_key, order_key
 from ..mapreduce.api import Context
+from .accum import (
+    AccumJob,
+    AccumPair,
+    AccumRunResult,
+    check_mode,
+    partition_accum_inputs,
+    partition_state,
+)
+from .columnar import AccumKernel, ColumnarAccum, ColumnarSync
+from .engine import (
+    REPART,
+    SHUFFLE,
+    AccumVerdict,
+    Loopback,
+    SyncVerdict,
+    host_config,
+    partition_inputs,
+    run_supersteps,
+)
 from .job import IterativeJob, Phase
-from .runtime import AuxContext
 
 __all__ = [
     "LocalRunResult",
@@ -36,6 +60,9 @@ __all__ = [
     "run_accum_local",
     "map_pair",
     "order_key",
+    "select_executor",
+    "kernel_enabled",
+    "accum_kernel_enabled",
 ]
 
 
@@ -50,17 +77,12 @@ class LocalRunResult:
     distances: list[float | None] = field(default_factory=list)
     #: State snapshots per iteration (only if ``keep_history=True``).
     history: list[list[tuple[Any, Any]]] = field(default_factory=list)
+    #: One entry, in the multiprocess workers' vocabulary (same keys and
+    #: ``phase_seconds``; the transport counters are zero).
+    worker_stats: list[dict] = field(default_factory=list)
 
     def state_dict(self) -> dict:
         return dict(self.state)
-
-
-def order_key(key: Any):
-    """Total order over heterogeneous record keys (type name first)."""
-    return (type(key).__name__, key)
-
-
-_order_key = order_key  # backwards-compatible private alias
 
 
 def map_pair(
@@ -79,8 +101,8 @@ def map_pair(
     serial and the multiprocess executor call exactly this function, so
     emission content *and order* are identical across backends.
 
-    ``timings`` is the multiprocess backend's phase profiler: when given,
-    wall-time accumulates into its ``map`` and ``combine`` counters.
+    ``timings`` is the host's phase profiler: when given, wall-time
+    accumulates into its ``map`` and ``combine`` counters.
     """
     started = time.perf_counter() if timings is not None else 0.0
     ctx = Context()
@@ -119,6 +141,303 @@ def sorted_static(static: dict) -> list[tuple[Any, Any]]:
     return sorted(static.items(), key=lambda kv: order_key(kv[0]))
 
 
+# --------------------------------------------------------- pair executors --
+# The record-layout pair executors (see :mod:`.engine` for the
+# interface): wire items are ``(dest_pair, src_pair, records)``.
+class RecordSync:
+    """Synchronous iterations over per-pair record lists: one
+    :func:`map_pair` and one ``group_by_key`` reduce per pair per phase
+    (§3.1); a non-final phase's reduce output is repartitioned to the
+    next phase's maps (§5.2)."""
+
+    report_lag = 1
+
+    def __init__(self, cfg, timings: dict):
+        job = cfg.job
+        self.phases = phases = job.phases
+        self.timings = timings
+        self.num_pairs = cfg.num_pairs
+        self.pairs = sorted(cfg.state_parts)
+        self.part = bind_partitioner(job.partitioner, cfg.num_pairs)
+        self.distance_fn = job.distance_fn
+        self.max_steps = job.max_iterations if job.max_iterations is not None else 10**9
+        self.static = cfg.static_parts
+        # The one2all map iterates its static partition in sorted order;
+        # sorted once here, not per iteration.
+        self.static_sorted = [
+            {p: sorted_static(per_pair[p]) for p in self.pairs}
+            if phase.mapping == "one2all"
+            else None
+            for phase, per_pair in zip(phases, cfg.static_parts)
+        ]
+        self.last = len(phases) - 1
+        # Multi-phase routing (§5.2): every phase but the last hands its
+        # reduce output to the next phase's maps across the transport.
+        self.plan = [
+            hop
+            for i in range(len(phases))
+            for hop in ((SHUFFLE, i), (REPART, i))
+            if hop != (REPART, self.last)
+        ]
+        # part(key) -> pair, memoized for the job's stable key universe:
+        # after iteration 0 the partitioner never runs on the shuffle
+        # hot path again.
+        self.route_cache: dict[Any, int] = {}
+        # State load: the initial partitions, or — after a recovery
+        # respawn — the restored checkpoint's records.  The distance
+        # baseline ``prev`` is rebuilt from the same snapshot, which is
+        # exact: at the start of iteration k+1 ``prev`` is precisely the
+        # state at the end of iteration k, i.e. what the checkpoint holds.
+        started = time.perf_counter()
+        self.current = dict(cfg.state_parts)
+        # Previous-iteration lookup tables exist only when a distance is
+        # measured.  One dict per pair: a key's partition never changes.
+        self.prev = (
+            {p: dict(recs) for p, recs in self.current.items()}
+            if self.distance_fn is not None
+            else None
+        )
+        if cfg.start_iteration:
+            timings["recover"] += time.perf_counter() - started
+
+    def broadcast_items(self, phase: int):
+        if self.phases[phase].mapping != "one2all":
+            return None
+        return [(p, self.current[p]) for p in self.pairs]
+
+    def assemble(self, items):
+        started = time.perf_counter()
+        broadcast = sorted(
+            (rec for _p, recs in items for rec in recs),
+            key=lambda kv: order_key(kv[0]),
+        )
+        self.timings["map"] += time.perf_counter() - started
+        return broadcast, len(broadcast)
+
+    def emit(self, kind, phase, broadcast) -> list[tuple]:
+        phase_sorted = self.static_sorted[phase]
+        part, cache = self.part, self.route_cache
+        cached = cache.get
+        items = []
+        for p in self.pairs:
+            if kind == REPART:
+                records = self.reduced.pop(p)
+            else:
+                records = map_pair(
+                    self.phases[phase],
+                    self.current[p],
+                    self.static[phase][p],
+                    phase_sorted[p] if phase_sorted is not None else None,
+                    broadcast,
+                    part,
+                    timings=self.timings,
+                )
+            by_dest: dict[int, list] = defaultdict(list)
+            for rec in records:
+                key = rec[0]
+                q = cached(key)
+                if q is None:
+                    q = cache[key] = part(key)
+                by_dest[q].append(rec)
+            items.extend((q, p, recs) for q, recs in by_dest.items())
+        return items
+
+    def absorb(self, kind, phase, merged) -> None:
+        started = time.perf_counter()
+        reduce_fn = self.phases[phase].reduce_fn
+        out = {}
+        for q in self.pairs:
+            records: list = []
+            for _q, _src, recs in merged.pop(q, ()):
+                records.extend(recs)
+            if kind == SHUFFLE:
+                ctx = Context()
+                for key, values in group_by_key(records):
+                    reduce_fn(key, values, ctx)
+                records = ctx.take()
+            out[q] = records
+        if kind == REPART:
+            self.current = out
+            return
+        self.timings["reduce"] += time.perf_counter() - started
+        if phase == self.last:
+            # Persistent pair channel: reduce k's output is map k+1's
+            # input for the same pair, never leaving this host.
+            self.current = out
+        else:
+            self.reduced = out
+
+    def progress(self, send_state: bool) -> dict:
+        started = time.perf_counter()
+        report: dict[str, Any] = {}
+        if self.prev is not None:
+            distance_fn = self.distance_fn
+            partials = {}
+            for p in self.pairs:
+                prev_get = self.prev[p].get
+                partial = 0.0
+                new_prev = {}  # built during the distance pass: no
+                for key, value in self.current[p]:  # second rebuild
+                    partial += distance_fn(key, prev_get(key), value)
+                    new_prev[key] = value
+                partials[p] = partial
+                self.prev[p] = new_prev
+            report["distance"] = partials
+        if send_state:
+            report["state"] = self.final_state()
+        self.timings["report"] += time.perf_counter() - started
+        return report
+
+    def snapshot(self) -> dict:
+        return {"path": "record", "pairs": self.final_state()}
+
+    def final_state(self) -> dict[int, list]:
+        return {p: self.current[p] for p in self.pairs}
+
+    def final_stats(self) -> dict:
+        return {"route_cache_size": len(self.route_cache)}
+
+
+class RecordAccum:
+    """Accumulative (Maiter-mode) rounds over one :class:`AccumPair` per
+    hosted pair: drain the priority queues (``accum_mode`` selects sync
+    or top-fraction async scheduling), apply, and exchange only the
+    nonzero delta batches — a silent pair costs the mesh one manifest
+    frame.  Pairs ascending, batches absorbed in ascending source-pair
+    order: one operation sequence on every transport."""
+
+    report_lag = 0
+    plan = [(SHUFFLE, 0)]
+    max_steps = 10**9  # the verdict policy enforces ``max_rounds``
+
+    def __init__(self, cfg, timings: dict):
+        self.job = job = cfg.job
+        self.timings = timings
+        self.num_pairs = cfg.num_pairs
+        self.pairs = sorted(cfg.state_parts)
+        self.mode = cfg.accum_mode
+        self.part = bind_partitioner(job.partitioner, cfg.num_pairs)
+        self.shipped = 0  # cumulative cross-pair delta records
+        tables = cfg.static_parts[0]
+        warm = cfg.accum_initial_state or {}
+        self.engines = {
+            p: AccumPair(
+                p, job.accumulator, tables[p], keys=tables[p],
+                initial_state=warm.get(p),
+            )
+            for p in self.pairs
+        }
+        for p in self.pairs:
+            self.engines[p].absorb(cfg.state_parts[p])
+
+    def broadcast_items(self, phase: int):
+        return None
+
+    def progress(self, send_state: bool) -> dict:
+        started = time.perf_counter()
+        engines = self.engines.values()
+        masses = {p: self.engines[p].mass() for p in self.pairs}
+        self.timings["schedule"] += time.perf_counter() - started
+        return {
+            "mass": masses,
+            "updates": sum(e.updates_processed for e in engines),
+            "emitted": sum(e.deltas_emitted for e in engines),
+            "shipped": self.shipped,
+        }
+
+    def emit(self, kind, phase, broadcast) -> list[tuple]:
+        perf = time.perf_counter
+        started = perf()
+        frac = self.job.top_fraction
+        selections = {p: self.engines[p].select(self.mode, frac) for p in self.pairs}
+        self.timings["schedule"] += perf() - started
+        started = perf()
+        items = []
+        for p in self.pairs:
+            outboxes: list[list] = [[] for _ in range(self.num_pairs)]
+            self.engines[p].apply(self.job, selections[p], self.part, outboxes)
+            for q, recs in enumerate(outboxes):
+                if recs:
+                    items.append((q, p, recs))
+                    if q != p:
+                        self.shipped += len(recs)
+        self.timings["delta"] += perf() - started
+        return items
+
+    def absorb(self, kind, phase, merged) -> None:
+        started = time.perf_counter()
+        for q in self.pairs:
+            for _q, _src, recs in merged.get(q, ()):
+                self.engines[q].absorb(recs)
+        self.timings["delta"] += time.perf_counter() - started
+
+    def final_state(self) -> dict[int, list]:
+        return {p: self.engines[p].final_records() for p in self.pairs}
+
+    def final_stats(self) -> dict:
+        engines = self.engines.values()
+        return {
+            "updates_processed": sum(e.updates_processed for e in engines),
+            "deltas_emitted": sum(e.deltas_emitted for e in engines),
+            "deltas_shipped": self.shipped,
+        }
+
+
+# -------------------------------------------------------------- selection --
+def select_executor(job) -> tuple[type, str | None]:
+    """``(pair executor class, why the job's kernel is not used)``.
+
+    Every backend calls this one function, so they always agree on the
+    path; the reason is ``None`` exactly when a columnar executor runs.
+    Anything a kernel does not support falls back to the record
+    executor — the differential reference — and says why.  An
+    accumulative job's requirements are lighter (no phases or aux), but
+    its key universe must be closed: every emission targets a
+    static-table or initial-delta key.
+    """
+    accum = isinstance(job, AccumJob)
+    record = RecordAccum if accum else RecordSync
+    kernel = getattr(job, "kernel", None)
+    if kernel is None:
+        return record, "no kernel"
+    if getattr(job.partitioner, "bind_array", None) is None:
+        return record, "partitioner has no bind_array"
+    if accum:
+        if not isinstance(kernel, AccumKernel):
+            return record, "not an AccumKernel"
+        return ColumnarAccum, None
+    if len(job.phases) != 1:
+        return record, "multi-phase"
+    if job.aux is not None:
+        return record, "aux phase"
+    if (job.phases[0].mapping == "one2all") != bool(kernel.needs_broadcast):
+        return record, "broadcast mismatch"
+    if job.distance_fn is not None and not hasattr(kernel, "distance_partial"):
+        return record, "no distance_partial"
+    return ColumnarSync, None
+
+
+def kernel_enabled(job) -> bool:
+    """Does this job run on a columnar executor?"""
+    return select_executor(job)[1] is None
+
+
+def accum_kernel_enabled(job) -> bool:
+    """Does this accumulative job run on the columnar delta executor?"""
+    return select_executor(job)[1] is None
+
+
+# ------------------------------------------------------------ entry points --
+def _run_loopback(policy, job, state_parts, static_parts, num_pairs, **fields) -> dict:
+    """Host every pair in this process and drive the supersteps."""
+    cfg = host_config(
+        0, range(num_pairs), state_parts, static_parts,
+        num_workers=1, num_pairs=num_pairs, job=job,
+        send_state=policy.send_state, wait_verdict=policy.wait_verdict, **fields,
+    )
+    return run_supersteps(cfg, select_executor(job)[0], Loopback(policy))
+
+
 def run_local(
     job: IterativeJob,
     state_records: Iterable[tuple[Any, Any]],
@@ -132,183 +451,17 @@ def run_local(
     ``state_records`` is the initial state; ``static_records`` maps each
     phase's ``static_path`` to its records (the DFS is not involved).
 
-    Jobs carrying a vectorized kernel (``job.kernel``) dispatch to the
-    columnar executor when the job shape supports it — same result
-    surface, one ``map_kernel`` + merge per pair per iteration instead
-    of the per-record loops below.
+    Jobs carrying a vectorized kernel (``job.kernel``) run on the
+    columnar executor when the job shape supports it
+    (:func:`select_executor`) — same result surface, one ``map_kernel``
+    + merge per pair per iteration instead of the per-record loops.
     """
-    from .columnar import kernel_enabled, run_local_kernel
-
-    if kernel_enabled(job):
-        return run_local_kernel(
-            job,
-            state_records,
-            static_records,
-            num_pairs=num_pairs,
-            keep_history=keep_history,
-        )
-
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
-    phases = job.phases
-    part = bind_partitioner(job.partitioner, num_pairs)
-
-    def partition(records):
-        parts: list[list] = [[] for _ in range(num_pairs)]
-        for rec in records:
-            parts[part(rec[0])].append(rec)
-        return parts
-
-    state_parts = partition(state_records)
-    static_parts: list[list[dict]] = []  # [phase][pair] -> key->static
-    static_sorted: list[list[list] | None] = []  # one2all iteration order
-    for phase in phases:
-        table = static_by_path.get(phase.static_path or "", {})
-        per_pair: list[dict] = [{} for _ in range(num_pairs)]
-        for key, value in table.items():
-            per_pair[part(key)][key] = value
-        static_parts.append(per_pair)
-        # The one2all map iterates its static partition in sorted order;
-        # sorting once here (not per iteration) is the broadcast hot-path
-        # fix — the K-means user set was re-sorted every iteration.
-        static_sorted.append(
-            [sorted_static(d) for d in per_pair] if phase.mapping == "one2all" else None
-        )
-
-    distance_fn = job.distance_fn
-    # Previous-iteration lookup tables exist only when a distance is
-    # measured; a maxiter-only run no longer rebuilds a dict per
-    # iteration.  One dict per pair: a key's partition never changes, so
-    # the per-pair tables partition the old global one.
-    prev_parts: list[dict] | None = (
-        [dict(p) for p in state_parts] if distance_fn is not None else None
+    state_parts, static_parts = partition_inputs(
+        job, state_records, static_records, num_pairs
     )
-    aux_part = (
-        bind_partitioner(job.partitioner, job.aux.num_tasks) if job.aux else None
-    )
-    aux_map_state: list[dict] = [{} for _ in range((job.aux.num_tasks if job.aux else 0))]
-    aux_reduce_state: list[dict] = [
-        {} for _ in range((job.aux.num_tasks if job.aux else 0))
-    ]
-
-    distances: list[float | None] = []
-    history: list[list[tuple[Any, Any]]] = []
-    iterations_run = 0
-    terminated_by = ""
-    aux_stop = False
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-
-    for iteration in range(max_iterations):
-        current = state_parts
-        for phase_index, phase in enumerate(phases):
-            one2all = phase.mapping == "one2all"
-            broadcast = (
-                sorted(
-                    (rec for part_recs in current for rec in part_recs),
-                    key=lambda kv: order_key(kv[0]),
-                )
-                if one2all
-                else None
-            )
-            # ---- map ----
-            shuffled: list[list] = [[] for _ in range(num_pairs)]
-            phase_sorted = static_sorted[phase_index]
-            for p in range(num_pairs):
-                emitted = map_pair(
-                    phase,
-                    current[p],
-                    static_parts[phase_index][p],
-                    phase_sorted[p] if phase_sorted is not None else None,
-                    broadcast,
-                    part,
-                )
-                for rec in emitted:
-                    shuffled[part(rec[0])].append(rec)
-            # ---- reduce ----
-            new_parts: list[list] = [[] for _ in range(num_pairs)]
-            for q in range(num_pairs):
-                ctx = Context()
-                for key, values in group_by_key(shuffled[q]):
-                    phase.reduce_fn(key, values, ctx)
-                out = ctx.take()
-                if phase_index == len(phases) - 1:
-                    new_parts[q] = out
-                else:
-                    for rec in out:
-                        new_parts[part(rec[0])].append(rec)
-            current = new_parts
-        state_parts = current
-        iterations_run = iteration + 1
-
-        if keep_history:
-            history.append(
-                sorted(
-                    (rec for part_recs in state_parts for rec in part_recs),
-                    key=lambda kv: order_key(kv[0]),
-                )
-            )
-
-        # ---- distance / termination (§3.1.2) ----
-        # Summed as per-pair partials merged in pair order — the same
-        # merge the distributed master performs, and bit-identical to the
-        # multiprocess coordinator's merge of worker partials.
-        distance: float | None = None
-        if distance_fn is not None and prev_parts is not None:
-            distance = 0.0
-            for p in range(num_pairs):
-                prev_get = prev_parts[p].get
-                partial = 0.0
-                new_prev = {}  # built during the distance pass — no
-                for key, value in state_parts[p]:  # second full rebuild
-                    partial += distance_fn(key, prev_get(key), value)
-                    new_prev[key] = value
-                distance += partial
-                prev_parts[p] = new_prev
-        distances.append(distance)
-
-        # ---- auxiliary phase (§5.3) ----
-        if job.aux is not None and aux_part is not None:
-            aux = job.aux
-            flat = [rec for part_recs in state_parts for rec in part_recs]
-            aux_shuffled: list[list] = [[] for _ in range(aux.num_tasks)]
-            parts: list[list] = [[] for _ in range(aux.num_tasks)]
-            for rec in flat:
-                parts[aux_part(rec[0])].append(rec)
-            for t in range(aux.num_tasks):
-                actx = AuxContext(aux_map_state[t])
-                for key, value in parts[t]:
-                    aux.map_fn(key, value, actx)
-                for rec in actx.take():
-                    aux_shuffled[aux_part(rec[0])].append(rec)
-            for t in range(aux.num_tasks):
-                actx = AuxContext(aux_reduce_state[t])
-                for key, values in group_by_key(aux_shuffled[t]):
-                    aux.reduce_fn(key, values, actx)
-                if actx.terminate_requested:
-                    aux_stop = True
-
-        if aux_stop:
-            terminated_by = "aux"
-            break
-        if job.threshold is not None and distance is not None and distance <= job.threshold:
-            terminated_by = "threshold"
-            break
-    else:
-        terminated_by = "maxiter"
-    if not terminated_by:
-        terminated_by = "maxiter"
-
-    final = sorted(
-        (rec for part_recs in state_parts for rec in part_recs),
-        key=lambda kv: order_key(kv[0]),
-    )
-    return LocalRunResult(
-        state=final,
-        iterations_run=iterations_run,
-        converged=terminated_by == "threshold",
-        terminated_by=terminated_by,
-        distances=distances,
-        history=history,
-    )
+    policy = SyncVerdict(job, num_pairs, keep_history)
+    final = _run_loopback(policy, job, state_parts, static_parts, num_pairs)
+    return LocalRunResult(**policy.outcome([final]))
 
 
 def run_accum_local(
@@ -335,118 +488,21 @@ def run_accum_local(
     ``delta_records`` then carry only the change-scoped perturbation —
     see :mod:`~repro.imapreduce.incremental`.
 
-    Rounds are mass-checked *before* executing: the pending-priority
-    mass is summed pair-ascending at the top of each round (round 0
-    sees the initial deltas) and the run stops when it reaches the
-    job's threshold — exactly the verdict protocol the multiprocess
-    coordinator runs, so serial and parallel runs of the same mode are
-    record-for-record identical.
-
-    Jobs carrying a delta kernel (``job.kernel``) dispatch to the
-    columnar twin — dense pending arrays with an active-key mask.
+    Rounds are mass-checked *before* executing
+    (:class:`~repro.imapreduce.engine.AccumVerdict`) — the verdict
+    protocol the multiprocess coordinator runs too, so serial and
+    parallel runs of the same mode are record-for-record identical.
+    Jobs carrying a delta kernel (``job.kernel``) run on the columnar
+    executor — dense pending arrays with an active-key mask.
     """
-    from .accum import (
-        AccumPair,
-        AccumRunResult,
-        check_mode,
-        partition_accum_inputs,
-        partition_state,
-    )
-    from .columnar import accum_kernel_enabled, run_accum_local_kernel
-
     check_mode(mode)
-    if accum_kernel_enabled(job):
-        return run_accum_local_kernel(
-            job,
-            delta_records,
-            static_records,
-            num_pairs=num_pairs,
-            mode=mode,
-            keep_trace=keep_trace,
-            initial_state=initial_state,
-        )
-
     part = bind_partitioner(job.partitioner, num_pairs)
     delta_parts, static_tables = partition_accum_inputs(
         job, delta_records, static_records, num_pairs, part
     )
-    state_parts = partition_state(initial_state, num_pairs, part)
-    pairs = [
-        AccumPair(
-            p,
-            job.accumulator,
-            static_tables[p],
-            keys=static_tables[p],
-            initial_state=state_parts[p],
-        )
-        for p in range(num_pairs)
-    ]
-    for p in range(num_pairs):
-        pairs[p].absorb(delta_parts[p])
-
-    threshold = job.threshold if job.threshold is not None else 0.0
-    max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
-    frac = job.top_fraction
-    trace: list[dict] = []
-    rounds = 0
-    shipped = 0
-    mass = 0.0
-    terminated_by = ""
-
-    while True:
-        # ---- global accumulated-progress check (pair-ascending sum,
-        # the same fold order the parallel coordinator uses) ----
-        mass = 0.0
-        for ps in pairs:
-            mass += ps.mass()
-        if keep_trace:
-            trace.append(
-                {
-                    "round": rounds,
-                    "pending_mass": mass,
-                    "updates": sum(ps.updates_processed for ps in pairs),
-                    "emitted": sum(ps.deltas_emitted for ps in pairs),
-                    "shipped": shipped,
-                }
-            )
-        if mass <= threshold:
-            terminated_by = "progress"
-            break
-        if rounds >= max_rounds:
-            terminated_by = "maxrounds"
-            break
-        # ---- select + apply (pairs ascending) ----
-        outboxes = [
-            [[] for _ in range(num_pairs)] for _ in range(num_pairs)
-        ]  # [src][dst]
-        for ps in pairs:
-            selected = ps.select(mode, frac)
-            ps.apply(job, selected, part, outboxes[ps.pair])
-        # ---- absorb (dest ascending, then source ascending — the
-        # mesh's gather order) ----
-        for dst in range(num_pairs):
-            target = pairs[dst]
-            for src in range(num_pairs):
-                batch = outboxes[src][dst]
-                if batch:
-                    target.absorb(batch)
-                    if src != dst:
-                        shipped += len(batch)
-        rounds += 1
-
-    final = sorted(
-        (rec for ps in pairs for rec in ps.state.items()),
-        key=lambda kv: order_key(kv[0]),
+    policy = AccumVerdict(job, num_pairs, keep_trace)
+    final = _run_loopback(
+        policy, job, delta_parts, [static_tables], num_pairs,
+        accum_mode=mode, warm=partition_state(initial_state, num_pairs, part),
     )
-    return AccumRunResult(
-        state=final,
-        rounds=rounds,
-        converged=terminated_by == "progress",
-        terminated_by=terminated_by,
-        pending_mass=mass,
-        updates_processed=sum(ps.updates_processed for ps in pairs),
-        deltas_emitted=sum(ps.deltas_emitted for ps in pairs),
-        deltas_shipped=shipped,
-        mode=mode,
-        trace=trace,
-    )
+    return AccumRunResult(mode=mode, **policy.outcome([final]))

@@ -23,7 +23,11 @@ The mesh and both control planes run on point-to-point OS pipes
 microseconds and a worker death — any exit code, with or without a
 final report — is detected the instant the OS reaps it instead of on a
 poll interval or timeout.  See :mod:`.workerproc` for the frame format,
-the skip-empty manifest protocol, and the zero-copy buffer path.
+the skip-empty manifest protocol, and the zero-copy buffer path, and
+:mod:`.engine` for the superstep driver the workers run and the verdict
+policies :func:`_coordinate` — the one coordinator frame loop, shared
+by :func:`run_parallel` and :func:`run_accum_parallel` — folds their
+reports through.
 
 Supported job surface: combiners, one2all broadcast (§5.1), multi-phase
 iterations (§5.2), the auxiliary phase (§5.3), and distance/threshold
@@ -32,10 +36,11 @@ paper's master merges reduce-local distances.  The aux phase runs at
 the coordinator (its input is the full, tiny, post-iteration state).
 
 Correctness contract: byte-identical record processing order to
-:func:`run_local` (shared :func:`map_pair` code and ascending
-source-pair assembly), so the final state, ``terminated_by`` and
-iteration count are equal record for record — enforced by the
-differential tests and the chaos campaigns' ``parallel`` mode.
+:func:`run_local` (the same pair executor under the same driver, with
+ascending source-pair assembly on both transports), so the final state,
+``terminated_by`` and iteration count are equal record for record —
+enforced by the differential tests and the chaos campaigns'
+``parallel`` mode.
 
 Fault tolerance (§3.4 / §5 runtime support)
 -------------------------------------------
@@ -88,7 +93,6 @@ from typing import Any, Iterable
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key
 from .accum import (
     AccumJob,
     AccumRunResult,
@@ -97,20 +101,17 @@ from .accum import (
     partition_state,
 )
 from .checkpoint import CheckpointError, CheckpointStore, ProcFault
-from .columnar import kernel_enabled
+from .engine import AccumVerdict, SyncVerdict, host_config, partition_inputs
 from .job import IterativeJob
-from .localrun import order_key
-from .runtime import AuxContext
+from .localrun import kernel_enabled
 from .workerproc import (
     CKPT_REPORT,
-    CONTINUE,
     ERROR_REPORT,
     FINAL_REPORT,
     HEARTBEAT,
     ITER_REPORT,
     PEER_LOST_EXIT,
     VERDICT,
-    WorkerConfig,
     encode_frame,
     worker_main,
 )
@@ -211,10 +212,30 @@ class ParallelRunResult:
 
 def _pick_workers(num_workers: int | None, num_pairs: int) -> int:
     if num_workers is None:
-        num_workers = os.cpu_count() or 1
+        # The CPUs this process may run on, not the host's: a process
+        # pinned (taskset, cgroup cpuset) to 2 CPUs of a 64-CPU host
+        # should spawn 2 workers.
+        if hasattr(os, "sched_getaffinity"):
+            num_workers = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - non-Linux
+            num_workers = os.cpu_count() or 1
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
     return min(num_workers, num_pairs)
+
+
+def _round_robin(num_pairs: int, num_workers: int) -> list[list[int]]:
+    return [
+        [p for p in range(num_pairs) if p % num_workers == w]
+        for w in range(num_workers)
+    ]
+
+
+def _context(start_method: str | None):
+    try:
+        return multiprocessing.get_context(start_method or "fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context(start_method)
 
 
 def run_parallel(
@@ -239,9 +260,10 @@ def run_parallel(
 
     Same signature and semantics as :func:`run_local` (``num_pairs``
     governs partitioning and therefore the exact result; ``num_workers``
-    only distributes pairs over processes, default one per CPU core).
-    The job must be picklable — every ``build_imr_job`` result is, and
-    the pickle guard tests keep it that way.
+    only distributes pairs over processes, default one per CPU this
+    process may run on).  The job must be picklable — every
+    ``build_imr_job`` result is, and the pickle guard tests keep it that
+    way.
 
     ``timeout`` bounds every coordinator wait (a hung worker raises
     :class:`ParallelExecutionError` instead of deadlocking the caller).
@@ -261,38 +283,14 @@ def run_parallel(
     """
     run_started = time.perf_counter()
     num_workers = _pick_workers(num_workers, num_pairs)
-    phases = job.phases
-    part = bind_partitioner(job.partitioner, num_pairs)
-    aux = job.aux
-    # Workers stream per-iteration state only when someone consumes it.
-    send_state = aux is not None or keep_history
-    # Threshold/aux termination is a coordinator decision each
-    # iteration; maxiter-only jobs free-run with no verdict round-trip.
-    wait_verdict = aux is not None or job.threshold is not None
-
     if checkpoint_every is None:
         checkpoint_every = job.parallel_checkpoint_every
     faults = tuple(faults or ())
     recovery_armed = bool(faults) or checkpoint_every is not None
     columnar = kernel_enabled(job)
-
-    # ---- partition state and static exactly like the serial executor --
-    state_parts: list[list] = [[] for _ in range(num_pairs)]
-    for rec in state_records:
-        state_parts[part(rec[0])].append(rec)
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
-    static_parts: list[list[dict]] = []
-    for phase in phases:
-        table = static_by_path.get(phase.static_path or "", {})
-        per_pair: list[dict] = [{} for _ in range(num_pairs)]
-        for key, value in table.items():
-            per_pair[part(key)][key] = value
-        static_parts.append(per_pair)
-
-    try:
-        ctx = multiprocessing.get_context(start_method or "fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context(start_method)
+    state_parts, static_parts = partition_inputs(
+        job, state_records, static_records, num_pairs
+    )
 
     own_spool = False
     store: CheckpointStore | None = None
@@ -302,12 +300,10 @@ def run_parallel(
             own_spool = True
         store = CheckpointStore(spool_dir)
 
-    assignment = [
-        [p for p in range(num_pairs) if p % num_workers == w]
-        for w in range(num_workers)
-    ]
-    coord = _CoordinatorState(job, num_pairs, keep_history)
-    generation = 0
+    assignment = _round_robin(num_pairs, num_workers)
+    policy = SyncVerdict(job, num_pairs, keep_history)
+    commits = _Commits()
+    recovery_events: list[dict] = []
     start_iteration = 0
     restored: dict[int, Any] | None = None
     mesh: _Mesh | None = None
@@ -315,39 +311,26 @@ def run_parallel(
     try:
         while True:
             mesh = _spawn_mesh(
-                ctx,
-                job,
+                _context(start_method),
                 assignment,
-                state_parts,
+                state_parts if restored is None else restored,
                 static_parts,
-                restored,
+                timeout=timeout,
+                heartbeat_interval=heartbeat_interval,
+                suspicion_timeout=suspicion_timeout,
+                faults=faults,
+                job=job,
                 num_pairs=num_pairs,
-                generation=generation,
+                generation=len(recovery_events),
                 start_iteration=start_iteration,
-                send_state=send_state,
-                wait_verdict=wait_verdict,
+                send_state=policy.send_state,
+                wait_verdict=policy.wait_verdict,
                 checkpoint_every=checkpoint_every,
                 spool_dir=spool_dir,
-                heartbeat_interval=heartbeat_interval,
-                faults=faults,
-                columnar=columnar,
-                timeout=timeout,
+                columnar_state=columnar and restored is not None,
             )
             try:
-                outcome = _coordinate(
-                    job,
-                    num_pairs,
-                    mesh,
-                    coord,
-                    keep_history=keep_history,
-                    timeout=timeout,
-                    suspicion_timeout=(
-                        suspicion_timeout if heartbeat_interval is not None else None
-                    ),
-                    store=store,
-                    checkpoint_every=checkpoint_every,
-                    start_iteration=start_iteration,
-                )
+                finals = _coordinate(mesh, policy, store, checkpoint_every, commits)
                 ok = True
                 break
             except _WorkerDeath as death:
@@ -356,10 +339,10 @@ def run_parallel(
                 mesh = None
                 if not recovery_armed:
                     raise ParallelExecutionError(death.reason) from None
-                if len(coord.recovery_events) >= max_recoveries:
+                if len(recovery_events) >= max_recoveries:
                     raise ParallelExecutionError(
                         f"{death.reason}; recovery budget exhausted after "
-                        f"{len(coord.recovery_events)} recoveries"
+                        f"{len(recovery_events)} recoveries"
                     ) from None
                 restore = _load_restore(store, num_pairs, columnar)
                 if restore is None:
@@ -370,11 +353,10 @@ def run_parallel(
                 if reassign_on_failure and len(assignment) > 1:
                     assignment = _reassign(assignment, death.wid)
                     mode = "reassign"
-                coord.rollback(start_iteration)
-                generation += 1
-                coord.recovery_events.append(
+                policy.rollback(start_iteration)
+                recovery_events.append(
                     {
-                        "generation": generation,
+                        "generation": len(recovery_events) + 1,
                         "dead_worker": death.wid,
                         "reason": death.reason,
                         "restored_checkpoint": None if restore is None else restore[0],
@@ -392,15 +374,16 @@ def run_parallel(
         if own_spool and spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
 
-    outcome.num_workers = len(assignment)
-    outcome.num_pairs = num_pairs
-    outcome.worker_stats.sort(key=lambda s: s.get("worker", 0))
-    outcome.checkpoints = sorted(set(coord.committed))
-    outcome.commit_seconds = round(coord.commit_seconds, 6)
-    outcome.recoveries = len(coord.recovery_events)
-    outcome.recovery_events = list(coord.recovery_events)
-    outcome.wall_seconds = time.perf_counter() - run_started
-    return outcome
+    return ParallelRunResult(
+        **policy.outcome(finals),
+        num_workers=len(assignment),
+        num_pairs=num_pairs,
+        checkpoints=sorted(set(commits.iterations)),
+        commit_seconds=round(commits.seconds, 6),
+        recoveries=len(recovery_events),
+        recovery_events=recovery_events,
+        wall_seconds=time.perf_counter() - run_started,
+    )
 
 
 # ---------------------------------------------------------------- mesh --
@@ -413,32 +396,38 @@ class _Mesh:
     report_conns: dict[int, Any]
     verdict_conns: list
     conns: list  # every coordinator-side connection, for cleanup
+    timeout: float | None
+    #: Heartbeat-silence window after which a worker is declared dead.
+    suspicion: float | None
+
+
+@dataclass
+class _Commits:
+    """Committed checkpoint iterations and the seconds spent committing."""
+
+    iterations: list[int] = field(default_factory=list)
+    seconds: float = 0.0
 
 
 def _spawn_mesh(
     ctx,
-    job: IterativeJob,
     assignment: list[list[int]],
-    state_parts: list[list],
+    state_parts,
     static_parts: list[list[dict]],
-    restored: dict[int, Any] | None,
     *,
-    num_pairs: int,
-    generation: int,
-    start_iteration: int,
-    send_state: bool,
-    wait_verdict: bool,
-    checkpoint_every: int | None,
-    spool_dir: str | None,
-    heartbeat_interval: float | None,
-    faults: tuple,
-    columnar: bool,
     timeout: float | None,
-    accum_mode: str = "async",
-    accum_state_parts: list[list] | None = None,
+    heartbeat_interval: float | None,
+    suspicion_timeout: float | None,
+    faults: tuple = (),
+    generation: int = 0,
+    **shared,
 ) -> _Mesh:
+    """Wire the pipes, start one worker per ``assignment`` entry.
+    ``state_parts`` is indexable by pair (the partitioned input, or a
+    restored checkpoint); ``shared`` are the :class:`WorkerConfig`
+    fields every worker gets alike."""
     num_workers = len(assignment)
-    owner_of = [0] * num_pairs
+    owner_of = [0] * shared["num_pairs"]
     for w, pairs in enumerate(assignment):
         for p in pairs:
             owner_of[p] = w
@@ -457,38 +446,19 @@ def _spawn_mesh(
     verdict_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
     report_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
 
-    def pair_state(p: int):
-        if restored is not None:
-            return restored[p]
-        return state_parts[p]
-
     # The blob is pickled explicitly (not via the spawn machinery) so the
     # job's pickle round-trip is exercised under every start method.
     blobs = [
-        WorkerConfig(
-            worker_id=w,
+        host_config(
+            w,
+            assignment[w],
+            state_parts,
+            static_parts,
             num_workers=num_workers,
-            num_pairs=num_pairs,
-            job=job,
-            state_parts={p: pair_state(p) for p in assignment[w]},
-            static_parts=[
-                {p: per_pair[p] for p in assignment[w]} for per_pair in static_parts
-            ],
-            send_state=send_state,
-            wait_verdict=wait_verdict,
-            generation=generation,
-            start_iteration=start_iteration,
             owner_of=owner_of,
-            checkpoint_every=checkpoint_every,
-            spool_dir=spool_dir,
+            generation=generation,
             faults=tuple(f for f in faults if f.worker == w),
-            columnar_state=columnar and restored is not None,
-            accum_mode=accum_mode,
-            accum_initial_state=(
-                None
-                if accum_state_parts is None
-                else {p: accum_state_parts[p] for p in assignment[w]}
-            ),
+            **shared,
         ).to_blob()
         for w in range(num_workers)
     ]
@@ -534,6 +504,8 @@ def _spawn_mesh(
         report_conns=report_conns,
         verdict_conns=verdict_conns,
         conns=[*verdict_conns, *report_conns.values()],
+        timeout=timeout,
+        suspicion=suspicion_timeout if heartbeat_interval is not None else None,
     )
 
 
@@ -809,148 +781,25 @@ class _CoordinatorInbox:
                 self._frames.append(frame)
 
 
-class _CoordinatorState:
-    """Merge state that must survive mesh generations.
-
-    The coordinator folds iteration reports *eagerly and in order*
-    (``merged_through`` counts them), so "the merge state at the end of
-    iteration k" is a well-defined point that :meth:`snapshot` captures
-    whenever k is a checkpoint boundary.  :meth:`rollback` restores that
-    point — in either direction: a second recovery may legally restore a
-    *newer* manifest than the current merge frontier if the first crash
-    predated an already-committed checkpoint.
-    """
-
-    def __init__(self, job: IterativeJob, num_pairs: int, keep_history: bool):
-        self.job = job
-        self.num_pairs = num_pairs
-        self.keep_history = keep_history
-        aux = job.aux
-        self.aux = aux
-        self.aux_part = (
-            bind_partitioner(job.partitioner, aux.num_tasks) if aux else None
-        )
-        self.aux_map_state: list[dict] = [{} for _ in range(aux.num_tasks if aux else 0)]
-        self.aux_reduce_state: list[dict] = [
-            {} for _ in range(aux.num_tasks if aux else 0)
-        ]
-        self.distances: list[float | None] = []
-        self.commit_seconds = 0.0
-        self.history: list[list[tuple[Any, Any]]] = []
-        self.merged_through = 0
-        self.results: dict[int, tuple[float | None, bool]] = {}
-        self.snapshots: dict[int, bytes] = {}  # iteration -> merge state
-        self.committed: list[int] = []
-        self.recovery_events: list[dict] = []
-
-    def merge_iteration(self, reports: dict[int, dict]) -> None:
-        """Merge the next iteration's reports: distance + history + aux."""
-        iteration = self.merged_through
-        aux, aux_part = self.aux, self.aux_part
-        distance: float | None = None
-        if self.job.distance_fn is not None:
-            # Pair-ascending partial merge — the distributed master's
-            # merge rule, bit-identical to run_local's accumulation.
-            partials: dict[int, float] = {}
-            for report in reports.values():
-                partials.update(report.get("distance", {}))
-            distance = 0.0
-            for p in range(self.num_pairs):
-                distance += partials.get(p, 0.0)
-        self.distances.append(distance)
-
-        aux_stop = False
-        if aux is not None or self.keep_history:
-            by_pair: dict[int, list] = {}
-            for report in reports.values():
-                by_pair.update(report.get("state", {}))
-            flat = [
-                rec for p in range(self.num_pairs) for rec in by_pair.get(p, ())
-            ]
-            if self.keep_history:
-                self.history.append(sorted(flat, key=lambda kv: order_key(kv[0])))
-            if aux is not None and aux_part is not None:
-                aux_shuffled: list[list] = [[] for _ in range(aux.num_tasks)]
-                parts: list[list] = [[] for _ in range(aux.num_tasks)]
-                for rec in flat:
-                    parts[aux_part(rec[0])].append(rec)
-                for t in range(aux.num_tasks):
-                    actx = AuxContext(self.aux_map_state[t])
-                    for key, value in parts[t]:
-                        aux.map_fn(key, value, actx)
-                    for rec in actx.take():
-                        aux_shuffled[aux_part(rec[0])].append(rec)
-                for t in range(aux.num_tasks):
-                    actx = AuxContext(self.aux_reduce_state[t])
-                    for key, values in group_by_key(aux_shuffled[t]):
-                        aux.reduce_fn(key, values, actx)
-                    if actx.terminate_requested:
-                        aux_stop = True
-        self.results[iteration] = (distance, aux_stop)
-        self.merged_through = iteration + 1
-
-    def snapshot(self, iteration: int) -> None:
-        """Capture the merge state right after ``iteration`` merged."""
-        self.snapshots[iteration] = pickle.dumps(
-            (
-                list(self.distances),
-                [list(h) for h in self.history],
-                self.aux_map_state,
-                self.aux_reduce_state,
-            ),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    def rollback(self, start_iteration: int) -> None:
-        """Rewind to the barrier before ``start_iteration`` runs."""
-        self.results = {
-            i: r for i, r in self.results.items() if i < start_iteration
-        }
-        blob = None if start_iteration == 0 else self.snapshots.get(start_iteration - 1)
-        if blob is None:
-            # From-scratch restart — or a free-running job that streams
-            # no per-iteration reports, so there is nothing to restore.
-            self.distances = []
-            self.history = []
-            aux = self.aux
-            self.aux_map_state = [{} for _ in range(aux.num_tasks if aux else 0)]
-            self.aux_reduce_state = [{} for _ in range(aux.num_tasks if aux else 0)]
-        else:
-            (
-                self.distances,
-                self.history,
-                self.aux_map_state,
-                self.aux_reduce_state,
-            ) = pickle.loads(blob)
-        self.merged_through = start_iteration
-
-
 def _coordinate(
-    job: IterativeJob,
-    num_pairs: int,
     mesh: _Mesh,
-    coord: _CoordinatorState,
-    *,
-    keep_history: bool,
-    timeout: float | None,
-    suspicion_timeout: float | None,
-    store: CheckpointStore | None,
-    checkpoint_every: int | None,
-    start_iteration: int,
-) -> ParallelRunResult:
-    aux = job.aux
-    distance_fn = job.distance_fn
-    wait_verdict = aux is not None or job.threshold is not None
-    stream_reports = wait_verdict or distance_fn is not None or keep_history
+    policy,
+    store: CheckpointStore | None = None,
+    checkpoint_every: int | None = None,
+    commits: _Commits | None = None,
+) -> list[dict]:
+    """The coordinator's frame loop, one for both algebras: fold every
+    step's ITER_REPORT frames through the verdict ``policy`` the moment
+    all workers' reports are in (eagerly and in order, which keeps
+    ``policy.merged_through`` the single source of truth for verdicts,
+    snapshots and commits), broadcast the verdict when workers wait for
+    one, commit checkpoints, and collect the final reports — returned in
+    worker order."""
     num_workers = len(mesh.procs)
-
     finals: dict[int, dict] = {}
-    pending_iters: dict[int, dict[int, dict]] = {}
+    pending: dict[int, dict[int, dict]] = {}
     ckpt_pending: dict[int, dict[int, dict]] = {}
-    terminated_by = ""
-    inbox = _CoordinatorInbox(
-        mesh.report_conns, mesh.procs, suspicion=suspicion_timeout
-    )
+    inbox = _CoordinatorInbox(mesh.report_conns, mesh.procs, suspicion=mesh.suspicion)
 
     def maybe_commit() -> None:
         """Publish manifests whose spool files all arrived *and* whose
@@ -961,7 +810,7 @@ def _coordinate(
             entries = ckpt_pending[iteration]
             if len(entries) < num_workers:
                 continue
-            if stream_reports and coord.merged_through <= iteration:
+            if policy.streams and policy.merged_through <= iteration:
                 continue
             commit_started = time.perf_counter()
             store.commit(
@@ -969,14 +818,13 @@ def _coordinate(
                 mesh.generation,
                 [entries[w] for w in sorted(entries)],
             )
-            coord.commit_seconds += time.perf_counter() - commit_started
-            if iteration not in coord.committed:
-                coord.committed.append(iteration)
+            commits.seconds += time.perf_counter() - commit_started
+            if iteration not in commits.iterations:
+                commits.iterations.append(iteration)
             del ckpt_pending[iteration]
 
-    def handle(frame) -> bool:
-        """Returns True when the frame was a final report."""
-        kind, iteration, _phase, wid, payload, _nbytes = frame
+    while len(finals) < num_workers:
+        kind, index, _phase, wid, payload, _nbytes = inbox.recv(mesh.timeout)
         if kind == ERROR_REPORT:
             # A deterministic worker exception: recovery would replay
             # straight into the same crash, so this is terminal.
@@ -984,94 +832,34 @@ def _coordinate(
         if kind == FINAL_REPORT:
             finals[wid] = payload
             inbox.mark_final(wid)
-            return True
-        if kind == ITER_REPORT:
-            pending_iters.setdefault(iteration, {})[wid] = payload
-            # Eager in-order merging keeps ``merged_through`` the single
-            # source of truth for both verdict gating and snapshots.
-            while len(pending_iters.get(coord.merged_through, {})) == num_workers:
-                reports = pending_iters.pop(coord.merged_through)
-                merged = coord.merged_through
-                coord.merge_iteration(reports)
+        elif kind == ITER_REPORT:
+            pending.setdefault(index, {})[wid] = payload
+            while len(pending.get(policy.merged_through, ())) == num_workers:
+                merged = policy.merged_through
+                verdict = policy.fold(pending.pop(merged))
                 if store is not None and (merged + 1) % checkpoint_every == 0:
-                    coord.snapshot(merged)
+                    policy.snapshot(merged)
+                if policy.wait_verdict:
+                    parts, _ = encode_frame(VERDICT, merged, 0, -1, verdict)
+                    for conn in mesh.verdict_conns:
+                        try:
+                            for part in parts:
+                                conn.send_bytes(part)
+                        except OSError:  # a dead worker: the next recv reports it
+                            pass
             maybe_commit()
-            return False
-        if kind == CKPT_REPORT:
-            ckpt_pending.setdefault(iteration, {})[wid] = payload
+        elif kind == CKPT_REPORT:
+            ckpt_pending.setdefault(index, {})[wid] = payload
             maybe_commit()
-            return False
-        raise ParallelExecutionError(f"unexpected message kind {kind!r}")
+        else:
+            raise ParallelExecutionError(f"unexpected message kind {kind!r}")
 
-    if wait_verdict:
-        # Lock-step termination protocol (threshold and/or aux).
-        max_iterations = (
-            job.max_iterations if job.max_iterations is not None else 10**9
-        )
-        for iteration in range(start_iteration, max_iterations):
-            while coord.merged_through <= iteration:
-                handle(inbox.recv(timeout))
-            distance, aux_stop = coord.results[iteration]
-            verdict = CONTINUE
-            if aux_stop:
-                verdict = "aux"
-            elif (
-                job.threshold is not None
-                and distance is not None
-                and distance <= job.threshold
-            ):
-                verdict = "threshold"
-            elif iteration == max_iterations - 1:
-                # Let workers fall out of their loop naturally.
-                pass
-            parts, _ = encode_frame(VERDICT, iteration, 0, -1, verdict)
-            for conn in mesh.verdict_conns:
-                try:
-                    for part in parts:
-                        conn.send_bytes(part)
-                except OSError:  # a dead worker: the next recv reports it
-                    pass
-            if verdict != CONTINUE:
-                terminated_by = verdict
-                break
-    # Collect finals (streamed reports and checkpoint receipts keep
-    # merging/committing eagerly through the same handler).
-    while len(finals) < num_workers:
-        handle(inbox.recv(timeout))
-
-    if not terminated_by:
-        terminated_by = "maxiter"
-    iterations_run = max(f["iterations_run"] for f in finals.values())
-    distances = list(coord.distances)
-    # Free-running jobs with no distance to measure send no per-iteration
-    # reports; the serial executor still records one (None) entry per
-    # iteration, so pad for field-compatible results.
-    while len(distances) < iterations_run:
-        distances.append(None)
-    if any(f["iterations_run"] != iterations_run for f in finals.values()):
+    if len({f["iterations_run"] for f in finals.values()}) > 1:
         raise ParallelExecutionError(
-            "workers disagree on the iteration count: "
+            "workers disagree on the step count: "
             f"{sorted((w, f['iterations_run']) for w, f in finals.items())}"
         )
-
-    by_pair: dict[int, list] = {}
-    worker_stats: list[dict] = []
-    for final in finals.values():
-        by_pair.update(final["state"])
-        worker_stats.append(final["stats"])
-    state = sorted(
-        (rec for p in range(num_pairs) for rec in by_pair.get(p, ())),
-        key=lambda kv: order_key(kv[0]),
-    )
-    return ParallelRunResult(
-        state=state,
-        iterations_run=iterations_run,
-        converged=terminated_by == "threshold",
-        terminated_by=terminated_by,
-        distances=distances,
-        history=list(coord.history),
-        worker_stats=worker_stats,
-    )
+    return [finals[w] for w in sorted(finals)]
 
 
 # ------------------------------------------------- accumulative (Maiter) --
@@ -1095,12 +883,13 @@ def run_accum_parallel(
 
     Same semantics as
     :func:`~repro.imapreduce.localrun.run_accum_local` — partitioning,
-    scheduling, and the pre-round mass check follow the identical
-    determinism contract, so for a given ``(job, deltas, num_pairs,
-    mode)`` the parallel result is record-for-record identical to the
-    serial one (floats included) at every worker count and start
-    method.  Only nonzero delta batches cross the mesh; converged
-    pairs cost one manifest frame per peer per round.
+    executor selection (a job carrying a delta kernel runs columnar
+    here too), scheduling, and the pre-round mass check follow the
+    identical determinism contract, so for a given ``(job, deltas,
+    num_pairs, mode)`` the parallel result is record-for-record
+    identical to the serial one (floats included) at every worker count
+    and start method.  Only nonzero delta batches cross the mesh;
+    converged pairs cost one manifest frame per peer per round.
 
     Accumulative runs have no inter-round barrier state worth
     checkpointing (pending deltas are in flight by design), so a worker
@@ -1115,54 +904,25 @@ def run_accum_parallel(
     delta_parts, static_tables = partition_accum_inputs(
         job, delta_records, static_records, num_pairs, part
     )
-    state_parts = (
-        None
-        if initial_state is None
-        else partition_state(initial_state, num_pairs, part)
-    )
-
-    try:
-        ctx = multiprocessing.get_context(start_method or "fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context(start_method)
-
-    assignment = [
-        [p for p in range(num_pairs) if p % num_workers == w]
-        for w in range(num_workers)
-    ]
+    policy = AccumVerdict(job, num_pairs, keep_trace)
     mesh = _spawn_mesh(
-        ctx,
-        job,
-        assignment,
+        _context(start_method),
+        _round_robin(num_pairs, num_workers),
         delta_parts,
         [static_tables],
-        None,
-        num_pairs=num_pairs,
-        generation=0,
-        start_iteration=0,
-        send_state=False,
-        wait_verdict=True,
-        checkpoint_every=None,
-        spool_dir=None,
-        heartbeat_interval=heartbeat_interval,
-        faults=(),
-        columnar=False,
         timeout=timeout,
+        heartbeat_interval=heartbeat_interval,
+        suspicion_timeout=suspicion_timeout,
+        warm=partition_state(initial_state, num_pairs, part),
+        job=job,
+        num_pairs=num_pairs,
+        send_state=policy.send_state,
+        wait_verdict=policy.wait_verdict,
         accum_mode=mode,
-        accum_state_parts=state_parts,
     )
     ok = False
     try:
-        outcome = _coordinate_accum(
-            job,
-            num_pairs,
-            mesh,
-            keep_trace=keep_trace,
-            timeout=timeout,
-            suspicion_timeout=(
-                suspicion_timeout if heartbeat_interval is not None else None
-            ),
-        )
+        finals = _coordinate(mesh, policy)
         ok = True
     except _WorkerDeath as death:
         raise ParallelExecutionError(death.reason) from None
@@ -1171,127 +931,9 @@ def run_accum_parallel(
             _shutdown(mesh)
         else:
             _fence(mesh)
-
-    outcome.mode = mode
-    outcome.num_workers = num_workers
-    outcome.worker_stats.sort(key=lambda s: s.get("worker", 0))
-    outcome.wall_seconds = time.perf_counter() - run_started
-    return outcome
-
-
-def _coordinate_accum(
-    job: AccumJob,
-    num_pairs: int,
-    mesh: _Mesh,
-    *,
-    keep_trace: bool,
-    timeout: float | None,
-    suspicion_timeout: float | None,
-) -> AccumRunResult:
-    """Drive the accumulative verdict protocol.
-
-    Each round: gather every worker's pre-round report (per-pair
-    pending-priority masses + cumulative work counters), fold the
-    masses in ascending pair order (the serial loop's float fold), and
-    broadcast ``"progress"`` / ``"maxrounds"`` / CONTINUE.
-    """
-    num_workers = len(mesh.procs)
-    threshold = job.threshold if job.threshold is not None else 0.0
-    max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
-    inbox = _CoordinatorInbox(
-        mesh.report_conns, mesh.procs, suspicion=suspicion_timeout
-    )
-
-    finals: dict[int, dict] = {}
-    pending_rounds: dict[int, dict[int, dict]] = {}
-    trace: list[dict] = []
-    terminated_by = ""
-    mass = 0.0
-
-    def handle(frame) -> None:
-        kind, iteration, _phase, wid, payload, _nbytes = frame
-        if kind == ERROR_REPORT:
-            raise ParallelExecutionError(f"worker {wid} failed:\n{payload}")
-        if kind == FINAL_REPORT:
-            finals[wid] = payload
-            inbox.mark_final(wid)
-            return
-        if kind == ITER_REPORT:
-            pending_rounds.setdefault(iteration, {})[wid] = payload
-            return
-        raise ParallelExecutionError(f"unexpected message kind {kind!r}")
-
-    rnd = 0
-    while True:
-        while len(pending_rounds.get(rnd, {})) < num_workers:
-            handle(inbox.recv(timeout))
-        reports = pending_rounds.pop(rnd)
-        masses: dict[int, float] = {}
-        updates = emitted = shipped = 0
-        for wid in sorted(reports):
-            report = reports[wid]
-            masses.update(report["mass"])
-            updates += report["updates"]
-            emitted += report["emitted"]
-            shipped += report["shipped"]
-        # Ascending-pair fold — bit-identical to the serial loop's sum.
-        mass = 0.0
-        for p in range(num_pairs):
-            mass += masses.get(p, 0.0)
-        if keep_trace:
-            trace.append(
-                {
-                    "round": rnd,
-                    "pending_mass": mass,
-                    "updates": updates,
-                    "emitted": emitted,
-                    "shipped": shipped,
-                }
-            )
-        verdict = CONTINUE
-        if mass <= threshold:
-            verdict = "progress"
-        elif rnd >= max_rounds:
-            verdict = "maxrounds"
-        parts, _ = encode_frame(VERDICT, rnd, 0, -1, verdict)
-        for conn in mesh.verdict_conns:
-            try:
-                for part in parts:
-                    conn.send_bytes(part)
-            except OSError:  # a dead worker: the next recv reports it
-                pass
-        if verdict != CONTINUE:
-            terminated_by = verdict
-            break
-        rnd += 1
-
-    while len(finals) < num_workers:
-        handle(inbox.recv(timeout))
-    if any(f["iterations_run"] != rnd for f in finals.values()):
-        raise ParallelExecutionError(
-            "workers disagree on the round count: "
-            f"{sorted((w, f['iterations_run']) for w, f in finals.items())}"
-        )
-
-    by_pair: dict[int, list] = {}
-    worker_stats: list[dict] = []
-    for final in finals.values():
-        by_pair.update(final["state"])
-        worker_stats.append(final["stats"])
-    state = sorted(
-        (rec for p in range(num_pairs) for rec in by_pair.get(p, ())),
-        key=lambda kv: order_key(kv[0]),
-    )
     return AccumRunResult(
-        state=state,
-        rounds=rnd,
-        converged=terminated_by == "progress",
-        terminated_by=terminated_by,
-        pending_mass=mass,
-        updates_processed=sum(s["updates_processed"] for s in worker_stats),
-        deltas_emitted=sum(s["deltas_emitted"] for s in worker_stats),
-        deltas_shipped=sum(s["deltas_shipped"] for s in worker_stats),
-        mode="async",
-        trace=trace,
-        worker_stats=worker_stats,
+        **policy.outcome(finals),
+        mode=mode,
+        num_workers=num_workers,
+        wall_seconds=time.perf_counter() - run_started,
     )

@@ -43,7 +43,7 @@ from typing import Any
 
 from ..cluster import Cluster, Machine
 from ..common.errors import SchedulingError, TaskFailure, WorkerFailure
-from ..common.records import group_by_key
+from ..common.records import group_by_key, order_key
 from ..common.serialization import sizeof_records
 from ..dfs import DFS
 from ..mapreduce.api import Context
@@ -1161,9 +1161,9 @@ def _map_task(
                 cctx = Context()
                 if one2all:
                     # One static record + the full broadcast state (§5.1.2).
-                    state_list = sorted(chunk, key=lambda kv: _order_key(kv[0]))
+                    state_list = sorted(chunk, key=lambda kv: order_key(kv[0]))
                     for key, static_value in sorted(
-                        static.items(), key=lambda kv: _order_key(kv[0])
+                        static.items(), key=lambda kv: order_key(kv[0])
                     ):
                         phase.map_fn(key, state_list, static_value, cctx)
                         records_in += 1
@@ -1299,10 +1299,6 @@ def _map_task(
             iteration += 1
     except StopIteration_:
         return ("stopped", phase_index, pair)
-
-
-def _order_key(key: Any):
-    return (type(key).__name__, key)
 
 
 # =============================== reduce task ===============================
@@ -1734,7 +1730,7 @@ def run_accum_simulated(
     assert not inflight or terminated_by == "maxrounds", "lost in-flight deltas"
     final = sorted(
         (rec for ps in pairs for rec in ps.state.items()),
-        key=lambda kv: _order_key(kv[0]),
+        key=lambda kv: order_key(kv[0]),
     )
     return AccumRunResult(
         state=final,

@@ -1,10 +1,16 @@
-"""Worker-process side of the real multiprocess backend.
+"""Worker-process side of the real multiprocess backend: the frame
+protocol and the pipe-mesh transport.
 
 One :func:`worker_main` process hosts a *set* of persistent map/reduce
 task pairs for the whole job (§3.1: tasks are assigned once and live
 for every iteration).  The static-data partitions for its pairs arrive
 in the init blob and are deserialized exactly once; only state batches
 cross process boundaries afterwards (§3.2's static/state separation).
+The loop it runs is the shared superstep driver
+(:func:`~repro.imapreduce.engine.run_supersteps`) with the pair
+executor :func:`~repro.imapreduce.localrun.select_executor` picks; this
+module contributes the transport (:class:`_PipeMesh`), which moves the
+executor's routed batches and knows nothing about what they hold.
 
 Data plane
 ----------
@@ -28,12 +34,10 @@ wire every logical message is a *frame*:
   arrivals (data or manifest) against the peer set instead of timing
   out.  ``batches_sent`` counts only data frames.
 
-Shuffle payloads are a flat ``[(dest_pair, src_pair, records), ...]``
-list — one pickle per destination worker — instead of the old nested
-``pair → src_pair → list`` dict-of-dicts.  Route decisions
-(``part(key) → (owner_worker, pair)``) are memoized per worker: the key
-universe of graph workloads is stable, so after the first iteration the
-partitioner is never re-evaluated on the hot path.
+Shuffle payloads are a flat list of the executor's wire items
+``(dest_pair, src_pair, *columns)`` — records for the record layout,
+``keys, values`` arrays for the columnar one — one pickle per
+destination worker.
 
 The one2all broadcast (§5.1) is hoisted: every worker sends its state
 parts to pair-0's owner, which flattens in ascending pair order, sorts
@@ -51,10 +55,10 @@ history), and the final state.  Jobs that terminate by ``maxiter``
 alone free-run: workers cross zero synchronization points per
 iteration beyond the data mesh itself.
 
-Profiler: every worker accumulates wall-time per phase of its loop —
-``map, combine, serialize, deserialize, send, wait, reduce, report,
-checkpoint, recover`` — into ``stats["phase_seconds"]``, surfaced by
-``repro bench --profile``.
+Profiler: every worker accumulates wall-time per phase of its loop
+(:data:`~repro.imapreduce.engine.PHASE_COUNTERS`; this module owns
+``serialize, deserialize, send, wait``) into
+``stats["phase_seconds"]``, surfaced by ``repro bench --profile``.
 
 Fault tolerance (§3.4): when the coordinator arms checkpointing, each
 worker spools its pair states to disk every ``checkpoint_every``
@@ -65,10 +69,12 @@ detectable.  Respawned workers start at ``cfg.start_iteration`` from
 restored state — see :mod:`.parallel` for the recovery protocol.
 
 Determinism contract: every step processes pairs in ascending pair id
-and assembles incoming batches in ascending source-pair order, so
-reduce value lists — and therefore every float fold — are ordered
-exactly as :func:`~repro.imapreduce.localrun.run_local` orders them.
-The differential oracle can demand record-for-record equality.
+and hands incoming batches to the executor in ascending source-pair
+order (:func:`~repro.imapreduce.engine.by_dest`, shared with the
+loopback transport), so reduce value lists — and therefore every float
+fold — are ordered exactly as
+:func:`~repro.imapreduce.localrun.run_local` orders them.  The
+differential oracle can demand record-for-record equality.
 """
 
 from __future__ import annotations
@@ -81,22 +87,25 @@ import traceback
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any
 
-from ..common.partition import bind_partitioner
-from ..common.records import group_by_key
-from ..mapreduce.api import Context
-from .accum import AccumJob, AccumPair
-from .checkpoint import CheckpointStore, fire_fault
-from .columnar import (
-    concat_broadcast,
-    decode_columnar,
-    encode_columnar,
-    kernel_enabled,
-    merge_columnar,
-    route_columnar,
+from .engine import (
+    MESH_COUNTERS,
+    PHASE_COUNTERS,
+    SHUFFLE,
+    WorkerConfig,
+    by_dest,
+    run_supersteps,
 )
-from .localrun import map_pair, order_key, sorted_static
+from .localrun import select_executor
 
-__all__ = ["WorkerConfig", "worker_main", "PHASE_COUNTERS", "PEER_LOST_EXIT"]
+__all__ = [
+    "WorkerConfig",
+    "worker_main",
+    "encode_frame",
+    "read_frame",
+    "PHASE_COUNTERS",
+    "SHUFFLE",
+    "PEER_LOST_EXIT",
+]
 
 #: Control-plane message kinds (worker → coordinator).
 ITER_REPORT = "iter"
@@ -108,40 +117,13 @@ HEARTBEAT = "hb"
 CKPT_REPORT = "ckpt"
 #: Coordinator → worker.
 VERDICT = "verdict"
-CONTINUE = "continue"
-#: Worker ↔ worker data-plane kinds.
-SHUFFLE = "shuffle"
-REPART = "repart"
+#: Worker ↔ worker data-plane kinds, beside the driver's ``SHUFFLE``
+#: and ``REPART`` exchanges.
 BCAST = "bcast"
 BCAST_SORTED = "bcast+"
 
 #: Wire pickle protocol: 5 for out-of-band buffer support.
 _PROTOCOL = 5
-
-#: The profiler's wall-time counters, in reporting order.  ``kernel``
-#: attributes the columnar path's compute (prepare + map_kernel + merge
-#: + finalize + broadcast assembly); it stays zero on the record path,
-#: whose compute lands in ``map``/``combine``/``reduce``.  ``checkpoint``
-#: is the durable-spool write path (§3.4.1) and ``recover`` the
-#: restore-from-checkpoint load after a respawn; both stay zero on an
-#: unfaulted run without checkpointing.  ``schedule`` (priority scoring
-#: + selection) and ``delta`` (apply/emit/absorb) belong to the
-#: accumulative Maiter-mode loop and stay zero on synchronous jobs.
-PHASE_COUNTERS = (
-    "map",
-    "combine",
-    "kernel",
-    "schedule",
-    "delta",
-    "serialize",
-    "deserialize",
-    "send",
-    "wait",
-    "reduce",
-    "report",
-    "checkpoint",
-    "recover",
-)
 
 #: Exit code for a worker that lost a peer or coordinator pipe (EOF /
 #: EPIPE under the spawn start method when a sibling dies).  It is a
@@ -208,81 +190,6 @@ def read_frame(conn):
     return kind, iteration, phase, src, payload, nbytes
 
 
-class WorkerConfig:
-    """Everything one worker needs, shipped as a single pickle blob.
-
-    The blob is pickled explicitly by the coordinator (not implicitly by
-    the spawn machinery) so the job's pickle round-trip is exercised on
-    every backend start regardless of the multiprocessing start method.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        num_workers: int,
-        num_pairs: int,
-        job,
-        state_parts: dict[int, list],
-        static_parts: list[dict[int, dict]],
-        send_state: bool,
-        wait_verdict: bool,
-        *,
-        generation: int = 0,
-        start_iteration: int = 0,
-        owner_of: list[int] | None = None,
-        checkpoint_every: int | None = None,
-        spool_dir: str | None = None,
-        faults: tuple = (),
-        columnar_state: bool = False,
-        accum_mode: str = "async",
-        accum_initial_state: dict[int, list] | None = None,
-    ):
-        self.worker_id = worker_id
-        self.num_workers = num_workers
-        self.num_pairs = num_pairs
-        self.job = job
-        self.state_parts = state_parts  # pair -> records (this worker's pairs)
-        self.static_parts = static_parts  # [phase] -> pair -> key->static
-        self.send_state = send_state
-        self.wait_verdict = wait_verdict
-        #: Incarnation of the whole mesh; bumped on every recovery so a
-        #: replayed iteration does not re-fire generation-0 fault plans.
-        self.generation = generation
-        #: First iteration this mesh runs (checkpoint iteration + 1).
-        self.start_iteration = start_iteration
-        #: Explicit pair→worker map (round-robin when ``None``); made
-        #: explicit so recovery can reassign a dead worker's pairs.
-        self.owner_of = owner_of
-        self.checkpoint_every = checkpoint_every
-        self.spool_dir = spool_dir
-        #: Seeded self-inflicted process faults (:class:`ProcFault`).
-        self.faults = tuple(faults)
-        #: ``state_parts`` holds restored columnar ``(keys, values)``
-        #: arrays instead of record lists.
-        self.columnar_state = columnar_state
-        #: Accumulative jobs only: the round scheduling mode
-        #: (``"sync"`` drains every pending delta, ``"async"`` the
-        #: top-priority fraction).
-        self.accum_mode = accum_mode
-        #: Accumulative warm start (incremental mode): pair → memoized
-        #: converged records, preloaded into the pairs' state without
-        #: propagation; ``state_parts`` then carries only the
-        #: change-scoped perturbation deltas.
-        self.accum_initial_state = accum_initial_state
-
-    def resolved_owner_of(self) -> list[int]:
-        if self.owner_of is not None:
-            return list(self.owner_of)
-        return [p % self.num_workers for p in range(self.num_pairs)]
-
-    def to_blob(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_blob(blob: bytes) -> "WorkerConfig":
-        return pickle.loads(blob)
-
-
 class _Feeder(threading.Thread):
     """Per-worker sender thread: the main thread frames and enqueues,
     the feeder performs the (possibly blocking) pipe writes.
@@ -333,16 +240,6 @@ class _Feeder(threading.Thread):
         self.join(timeout=10.0)
 
 
-class _PeerLost(Exception):
-    """A mesh or coordinator pipe hit EOF/EPIPE: a peer process died.
-
-    Raised instead of letting the raw OS error bubble into an error
-    frame — the death is the *peer's* story, and the coordinator hears
-    it from that peer's sentinel.  The holder exits quietly with
-    :data:`PEER_LOST_EXIT` so recovery treats it as collateral, not as a
-    deterministic worker bug."""
-
-
 class _Heartbeat(threading.Thread):
     """Liveness beacon: one header-only frame onto the report pipe every
     ``interval`` seconds, routed through the feeder so beacon writes can
@@ -370,13 +267,6 @@ class _Heartbeat(threading.Thread):
 
     def stop(self) -> None:
         self._halt.set()
-
-
-def _fire_faults(cfg: WorkerConfig, iteration: int, phase: int) -> None:
-    """Self-inflict any seeded fault scheduled for this exact point."""
-    for fault in cfg.faults:
-        if fault.matches(cfg.generation, cfg.worker_id, iteration, phase):
-            fire_fault(fault)
 
 
 class _Inbox:
@@ -434,6 +324,100 @@ class _Inbox:
         return self._verdicts.pop(iteration)
 
 
+class _PipeMesh:
+    """The pipe-mesh transport: moves routed batches between worker
+    processes and reports to the coordinator, knowing nothing about
+    what the batches hold beyond the wire-item layout ``(dest_pair,
+    src_pair, *columns)``.  Serialization stays on the calling thread so
+    the profiler can attribute it; the feeder does the pipe writes."""
+
+    def __init__(self, cfg, peer_recv, peer_send, verdict_conn, report_conn,
+                 feeder: _Feeder, timeout: float | None):
+        self.wid = cfg.worker_id
+        self.owner_of = cfg.owner_of
+        self.peers = sorted(peer_recv)
+        self.peer_send = peer_send
+        self.report_conn = report_conn
+        self.feeder = feeder
+        self.timeout = timeout
+        self.timings = dict.fromkeys(PHASE_COUNTERS, 0.0)
+        self.inbox = _Inbox([*peer_recv.values(), verdict_conn], self.timings)
+        self.counters = dict.fromkeys(MESH_COUNTERS, 0)
+
+    def _ship(self, kind: str, step: int, phase: int, dest: int, payload,
+              records: int = 0) -> None:
+        started = time.perf_counter()
+        parts, nbytes = encode_frame(kind, step, phase, self.wid, payload)
+        self.timings["serialize"] += time.perf_counter() - started
+        counters = self.counters
+        counters["bytes_pickled"] += nbytes
+        counters["manifest_frames" if payload is _NO_PAYLOAD else "batches_sent"] += 1
+        counters["records_sent"] += records
+        self.feeder.send(self.peer_send[dest], parts)
+
+    def exchange(self, kind, step, phase, items) -> dict[int, list[tuple]]:
+        """Skip-empty send + gather: one data frame to every worker fed
+        this step, a header-only manifest to the rest."""
+        routed: dict[int, list[tuple]] = {}
+        for item in items:
+            routed.setdefault(self.owner_of[item[0]], []).append(item)
+        for v in self.peers:
+            batch = routed.get(v)
+            if batch:
+                self._ship(
+                    kind, step, phase, v, batch, sum(len(item[2]) for item in batch)
+                )
+            else:
+                self._ship(kind, step, phase, v, _NO_PAYLOAD)
+        arrived = self.inbox.gather(kind, step, phase, self.peers, self.timeout)
+        return by_dest(
+            item
+            for batch in (routed.get(self.wid), *arrived.values())
+            for item in batch or ()
+        )
+
+    def allgather(self, step, phase, mine, assemble):
+        """Hoisted one2all all-gather (§5.1): everyone sends its pairs'
+        state to pair-0's owner, which assembles — flattens in ascending
+        pair order and sorts *once* — and ships the result back."""
+        sorter = self.owner_of[0]
+        if self.wid != sorter:
+            if any(len(item[1]) for item in mine):
+                self._ship(
+                    BCAST, step, phase, sorter, mine, sum(len(item[1]) for item in mine)
+                )
+            else:
+                self._ship(BCAST, step, phase, sorter, _NO_PAYLOAD)
+            got = self.inbox.gather(BCAST_SORTED, step, phase, [sorter], self.timeout)
+            return got[sorter]
+        gathered = self.inbox.gather(BCAST, step, phase, self.peers, self.timeout)
+        by_pair = {item[0]: item for item in mine}
+        for batch in gathered.values():
+            for item in batch or ():
+                by_pair[item[0]] = item
+        broadcast, records = assemble([by_pair[p] for p in sorted(by_pair)])
+        for v in self.peers:
+            self._ship(BCAST_SORTED, step, phase, v, broadcast, records)
+        return broadcast
+
+    def report(self, index: int, report: dict) -> None:
+        parts, nbytes = encode_frame(ITER_REPORT, index, 0, self.wid, report)
+        self.counters["bytes_pickled"] += nbytes
+        self.feeder.send(self.report_conn, parts)
+
+    def receipt(self, index: int, entry: dict) -> None:
+        """Tell the coordinator a checkpoint spool file is durable."""
+        parts, _ = encode_frame(CKPT_REPORT, index, 0, self.wid, entry)
+        self.feeder.send(self.report_conn, parts)
+
+    def verdict(self, index: int) -> str:
+        return self.inbox.verdict(index, self.timeout)
+
+    def finish(self) -> None:
+        self.feeder.flush()  # pick up the feeder's write time
+        self.timings["send"] = self.feeder.seconds
+
+
 def worker_main(
     worker_id: int,
     blob: bytes,
@@ -444,7 +428,7 @@ def worker_main(
     timeout: float | None = None,
     heartbeat_interval: float | None = None,
 ) -> None:
-    """Process entry point: run every iteration for this worker's pairs.
+    """Process entry point: run every superstep for this worker's pairs.
 
     ``worker_id`` and ``heartbeat_interval`` travel as their own
     arguments (not only inside ``blob``) so the error path never has to
@@ -461,24 +445,23 @@ def worker_main(
             heartbeat = _Heartbeat(feeder, report_conn, worker_id, heartbeat_interval)
             heartbeat.start()
         cfg = WorkerConfig.from_blob(blob)
-        if isinstance(cfg.job, AccumJob):
-            loop = _worker_loop_accum
-        elif kernel_enabled(cfg.job):
-            loop = _worker_loop_kernel
-        else:
-            loop = _worker_loop
-        loop(
+        mesh = _PipeMesh(
             cfg, peer_recv, peer_send, verdict_conn, report_conn, feeder, timeout
         )
+        final = run_supersteps(cfg, select_executor(cfg.job)[0], mesh)
+        parts, _ = encode_frame(FINAL_REPORT, final["iterations_run"], 0, worker_id, final)
+        feeder.send(report_conn, parts)
         feeder.flush()
         if heartbeat is not None:
             heartbeat.stop()
         feeder.stop()
-    except (_PeerLost, EOFError, BrokenPipeError, ConnectionResetError):
-        # A peer (or the coordinator) died under us: exit quietly with a
-        # recognizable code.  The coordinator learns the root cause from
-        # the dead peer's own sentinel; an error frame here would turn a
-        # recoverable death into a spurious deterministic failure.
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        # A mesh or coordinator pipe hit EOF/EPIPE: a peer (or the
+        # coordinator) died under us.  That death is the *peer's* story —
+        # the coordinator hears it from the dead peer's own sentinel — so
+        # exit quietly with a recognizable code; an error frame here
+        # would turn a recoverable death into a spurious deterministic
+        # failure.
         raise SystemExit(PEER_LOST_EXIT)
     except BaseException:
         parts, _ = encode_frame(ERROR_REPORT, 0, 0, worker_id, traceback.format_exc())
@@ -491,717 +474,3 @@ def worker_main(
                     report_conn.send_bytes(part)
         except Exception:  # pragma: no cover - coordinator gone; sentinel
             pass  # detection still reports the death
-
-
-def _worker_loop(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    job = cfg.job
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    phases = job.phases
-    last_phase = len(phases) - 1
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    distance_fn = job.distance_fn
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
-
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-    ckpt_store = (
-        CheckpointStore(cfg.spool_dir)
-        if cfg.checkpoint_every and cfg.spool_dir
-        else None
-    )
-
-    # Static data: deserialized from the init blob exactly once for the
-    # whole job; iterations only ever read it (§3.2.1).  ``static_loads``
-    # is the observable the wall-clock benchmark asserts on.
-    static_parts = cfg.static_parts
-    static_sorted = [
-        {p: sorted_static(per_pair[p]) for p in my_pairs}
-        if phase.mapping == "one2all"
-        else None
-        for phase, per_pair in zip(phases, static_parts)
-    ]
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(len(d) for per in static_parts for d in per.values()),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
-
-    # part(key) -> (owner worker, pair), memoized for the job's stable
-    # key universe: after iteration 0 the partitioner never runs again
-    # on the shuffle hot path.
-    route_cache: dict[Any, tuple[int, int]] = {}
-    cached_route = route_cache.get
-
-    def ship(kind: str, iteration: int, phase: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, phase, wid, payload)
-        timings["serialize"] += perf() - started
-        stats["bytes_pickled"] += nbytes
-        if payload is _NO_PAYLOAD:
-            stats["manifest_frames"] += 1
-        else:
-            stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
-
-    def exchange(
-        kind: str, iteration: int, phase_index: int,
-        routed: dict[int, dict[tuple[int, int], list]],
-    ) -> dict[int, dict[int, list]]:
-        """Skip-empty send + gather; returns ``dest_pair → src_pair →
-        records`` merged over local and remote batches."""
-        for v in peers:
-            batch = routed.get(v)
-            if batch:
-                flat = [(q, src, recs) for (q, src), recs in batch.items()]
-                ship(kind, iteration, phase_index, v, flat)
-                stats["records_sent"] += sum(len(recs) for _, _, recs in flat)
-            else:
-                ship(kind, iteration, phase_index, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, list]] = {}
-        local = routed.get(wid)
-        if local:
-            for (q, src), recs in local.items():
-                merged.setdefault(q, {})[src] = recs
-        arrived = inbox.gather(kind, iteration, phase_index, peers, timeout)
-        for batch in arrived.values():
-            if batch:
-                for q, src, recs in batch:
-                    merged.setdefault(q, {})[src] = recs
-        return merged
-
-    def route(out_records: dict[int, list]) -> dict[int, dict[tuple[int, int], list]]:
-        """Group emissions as ``dest_worker → (dest_pair, src_pair) →
-        records`` through the memoized route cache."""
-        routed: dict[int, dict[tuple[int, int], list]] = {}
-        for src_pair, records in out_records.items():
-            for rec in records:
-                key = rec[0]
-                hop = cached_route(key)
-                if hop is None:
-                    q = part(key)
-                    hop = route_cache[key] = (owner_of[q], q)
-                dest = routed.setdefault(hop[0], {})
-                slot = (hop[1], src_pair)
-                bucket = dest.get(slot)
-                if bucket is None:
-                    bucket = dest[slot] = []
-                bucket.append(rec)
-        return routed
-
-    # State load: the initial partitions, or — after a recovery respawn —
-    # the restored checkpoint's records.  The distance baseline ``prev``
-    # is rebuilt from the same snapshot, which is exact: at the start of
-    # iteration k+1 an unfaulted worker's ``prev`` is precisely the
-    # state at the end of iteration k, i.e. what the checkpoint holds.
-    started = perf()
-    current: dict[int, list] = {p: list(recs) for p, recs in cfg.state_parts.items()}
-    prev: dict[int, dict] | None = (
-        {p: dict(recs) for p, recs in current.items()}
-        if distance_fn is not None
-        else None
-    )
-    if cfg.start_iteration:
-        timings["recover"] += perf() - started
-
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-    iterations_run = cfg.start_iteration
-    terminated_by = ""
-    sorter = owner_of[0]  # hoisted one2all sort runs here
-
-    for iteration in range(cfg.start_iteration, max_iterations):
-        for phase_index, phase in enumerate(phases):
-            if cfg.faults:
-                _fire_faults(cfg, iteration, phase_index)
-            broadcast = None
-            if phase.mapping == "one2all":
-                # Hoisted all-gather: pair-0's owner flattens in
-                # ascending pair order and sorts once; everyone else
-                # receives the broadcast pre-sorted (§5.1).
-                mine = [(p, current.get(p, [])) for p in my_pairs]
-                if wid == sorter:
-                    gathered = inbox.gather(BCAST, iteration, phase_index, peers, timeout)
-                    by_pair = dict(mine)
-                    for batch in gathered.values():
-                        if batch:
-                            for p, recs in batch:
-                                by_pair[p] = recs
-                    started = perf()
-                    broadcast = sorted(
-                        (
-                            rec
-                            for p in range(num_pairs)
-                            for rec in by_pair.get(p, ())
-                        ),
-                        key=lambda kv: order_key(kv[0]),
-                    )
-                    timings["map"] += perf() - started
-                    for v in peers:
-                        ship(BCAST_SORTED, iteration, phase_index, v, broadcast)
-                        stats["records_sent"] += len(broadcast)
-                else:
-                    if any(recs for _, recs in mine):
-                        ship(BCAST, iteration, phase_index, sorter, mine)
-                        stats["records_sent"] += sum(len(r) for _, r in mine)
-                    else:
-                        ship(BCAST, iteration, phase_index, sorter, _NO_PAYLOAD)
-                    got = inbox.gather(
-                        BCAST_SORTED, iteration, phase_index, [sorter], timeout
-                    )
-                    broadcast = got[sorter]
-
-            # ---- map (+ combiner), then route to the reduce side ----
-            phase_static = static_parts[phase_index]
-            phase_sorted = static_sorted[phase_index]
-            emitted_by_pair: dict[int, list] = {}
-            for p in my_pairs:
-                emitted_by_pair[p] = map_pair(
-                    phase,
-                    current.get(p, []),
-                    phase_static[p],
-                    phase_sorted[p] if phase_sorted is not None else None,
-                    broadcast,
-                    part,
-                    timings=timings,
-                )
-            merged = exchange(
-                SHUFFLE, iteration, phase_index, route(emitted_by_pair)
-            )
-
-            # ---- reduce ----
-            # Reduce inputs are concatenated in ascending source-pair
-            # order (not arrival order): float folds must see values in
-            # the serial executor's sequence.
-            started = perf()
-            out_parts: dict[int, list] = {}
-            for q in my_pairs:
-                records: list = []
-                by_src = merged.get(q)
-                if by_src:
-                    for src_pair in range(num_pairs):
-                        recs = by_src.get(src_pair)
-                        if recs:
-                            records.extend(recs)
-                ctx = Context()
-                for key, values in group_by_key(records):
-                    phase.reduce_fn(key, values, ctx)
-                out_parts[q] = ctx.take()
-            timings["reduce"] += perf() - started
-
-            if phase_index == last_phase:
-                # Persistent pair channel: reduce k's output is map k+1's
-                # input for the same pair, never leaving this process.
-                current = out_parts
-            else:
-                # Multi-phase routing (§5.2): repartition to the next
-                # phase's maps across the mesh.
-                merged = exchange(REPART, iteration, phase_index, route(out_parts))
-                current = {}
-                for p in my_pairs:
-                    records = []
-                    by_src = merged.get(p)
-                    if by_src:
-                        for src_pair in range(num_pairs):
-                            recs = by_src.get(src_pair)
-                            if recs:
-                                records.extend(recs)
-                    current[p] = records
-
-        iterations_run = iteration + 1
-
-        # ---- per-iteration control-plane report ----
-        started = perf()
-        report: dict[str, Any] = {}
-        if distance_fn is not None and prev is not None:
-            partials = {}
-            for p in my_pairs:
-                prev_get = prev[p].get
-                partial = 0.0
-                new_prev = {}  # built during the distance pass: no
-                for key, value in current.get(p, ()):  # second rebuild
-                    partial += distance_fn(key, prev_get(key), value)
-                    new_prev[key] = value
-                partials[p] = partial
-                prev[p] = new_prev
-            report["distance"] = partials
-        if cfg.send_state:
-            report["state"] = {p: current.get(p, []) for p in my_pairs}
-        if report or cfg.wait_verdict:
-            parts, nbytes = encode_frame(ITER_REPORT, iteration, 0, wid, report)
-            stats["bytes_pickled"] += nbytes
-            feeder.send(report_conn, parts)
-        timings["report"] += perf() - started
-
-        # ---- durable checkpoint (§3.4.1) ----
-        # After the report, before the verdict: the report for iteration
-        # k always reaches the coordinator ahead of the checkpoint
-        # receipt on the same FIFO pipe, so a committed manifest is
-        # never ahead of the merged control-plane state.
-        if ckpt_store is not None and (iteration + 1) % cfg.checkpoint_every == 0:
-            started = perf()
-            entry = ckpt_store.write(
-                cfg.generation, iteration, wid,
-                {"path": "record", "pairs": {p: current.get(p, []) for p in my_pairs}},
-            )
-            stats["ckpt_writes"] += 1
-            stats["ckpt_bytes"] += entry["bytes"]
-            parts, _ = encode_frame(CKPT_REPORT, iteration, 0, wid, entry)
-            feeder.send(report_conn, parts)
-            timings["checkpoint"] += perf() - started
-
-        if cfg.wait_verdict:
-            verdict = inbox.verdict(iteration, timeout)
-            if verdict != CONTINUE:
-                terminated_by = verdict
-                break
-
-    feeder.flush()  # pick up the feeder's write time before reporting
-    timings["send"] = feeder.seconds
-    stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["route_cache_size"] = len(route_cache)
-    final = {
-        "state": {p: current.get(p, []) for p in my_pairs},
-        "iterations_run": iterations_run,
-        "terminated_by": terminated_by,
-        "stats": stats,
-    }
-    parts, _ = encode_frame(FINAL_REPORT, iterations_run, 0, wid, final)
-    feeder.send(report_conn, parts)
-
-
-def _worker_loop_accum(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    """Accumulative (Maiter-mode) worker loop.
-
-    Rounds are mass-checked *before* they execute: at the top of each
-    round the worker reports its per-pair pending-priority masses (round
-    0 reports the initial deltas' mass) plus its cumulative work
-    counters, then blocks on the coordinator's verdict.  On CONTINUE it
-    drains its pairs' priority queues (``cfg.accum_mode`` selects sync
-    or top-fraction async scheduling), applies the deltas, and exchanges
-    only the nonzero delta batches over the skip-empty shuffle — a
-    silent pair costs one manifest frame, and a converged worker's
-    entire round is manifests.
-
-    Determinism contract: pairs ascending, arriving batches absorbed in
-    ascending source-pair order, and the coordinator folds per-pair
-    masses in ascending pair order — the exact operation sequence of
-    :func:`~repro.imapreduce.localrun.run_accum_local`, so serial and
-    parallel runs of the same mode are record-for-record identical
-    (floats included).
-    """
-    job = cfg.job
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    mode = cfg.accum_mode
-    frac = job.top_fraction
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
-
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-
-    static_tables = cfg.static_parts[0]
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(len(d) for d in static_tables.values()),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
-
-    warm = cfg.accum_initial_state or {}
-    pairs = {
-        p: AccumPair(
-            p,
-            job.accumulator,
-            static_tables[p],
-            keys=static_tables[p],
-            initial_state=warm.get(p),
-        )
-        for p in my_pairs
-    }
-    for p in my_pairs:
-        pairs[p].absorb(cfg.state_parts[p])
-
-    def ship(kind: str, iteration: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, 0, wid, payload)
-        timings["serialize"] += perf() - started
-        stats["bytes_pickled"] += nbytes
-        if payload is _NO_PAYLOAD:
-            stats["manifest_frames"] += 1
-        else:
-            stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
-
-    def exchange(
-        iteration: int, routed: dict[int, dict[tuple[int, int], list]]
-    ) -> dict[int, dict[int, list]]:
-        """Skip-empty delta send + gather (the synchronous loop's
-        contract verbatim): data frames only to fed destinations,
-        manifests elsewhere, merged as dest_pair → src_pair → records."""
-        for v in peers:
-            batch = routed.get(v)
-            if batch:
-                flat = [(q, src, recs) for (q, src), recs in batch.items()]
-                ship(SHUFFLE, iteration, v, flat)
-                stats["records_sent"] += sum(len(recs) for _, _, recs in flat)
-            else:
-                ship(SHUFFLE, iteration, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, list]] = {}
-        local = routed.get(wid)
-        if local:
-            for (q, src), recs in local.items():
-                merged.setdefault(q, {})[src] = recs
-        arrived = inbox.gather(SHUFFLE, iteration, 0, peers, timeout)
-        for batch in arrived.values():
-            if batch:
-                for q, src, recs in batch:
-                    merged.setdefault(q, {})[src] = recs
-        return merged
-
-    shipped = 0  # cumulative cross-pair delta records
-    rnd = 0
-    terminated_by = ""
-
-    while True:
-        # ---- pre-round mass report + verdict ----
-        started = perf()
-        masses = {p: pairs[p].mass() for p in my_pairs}
-        timings["schedule"] += perf() - started
-        started = perf()
-        report = {
-            "mass": masses,
-            "updates": sum(pairs[p].updates_processed for p in my_pairs),
-            "emitted": sum(pairs[p].deltas_emitted for p in my_pairs),
-            "shipped": shipped,
-        }
-        parts, nbytes = encode_frame(ITER_REPORT, rnd, 0, wid, report)
-        stats["bytes_pickled"] += nbytes
-        feeder.send(report_conn, parts)
-        timings["report"] += perf() - started
-        verdict = inbox.verdict(rnd, timeout)
-        if verdict != CONTINUE:
-            terminated_by = verdict
-            break
-
-        # ---- select (priority queues) ----
-        started = perf()
-        selections = {p: pairs[p].select(mode, frac) for p in my_pairs}
-        timings["schedule"] += perf() - started
-
-        # ---- apply + emit ----
-        started = perf()
-        outboxes = {p: [[] for _ in range(num_pairs)] for p in my_pairs}
-        for p in my_pairs:
-            pairs[p].apply(job, selections[p], part, outboxes[p])
-        routed: dict[int, dict[tuple[int, int], list]] = {}
-        for p in my_pairs:
-            for q in range(num_pairs):
-                recs = outboxes[p][q]
-                if recs:
-                    routed.setdefault(owner_of[q], {})[(q, p)] = recs
-                    if q != p:
-                        shipped += len(recs)
-        timings["delta"] += perf() - started
-
-        merged = exchange(rnd, routed)
-
-        # ---- absorb (ascending source-pair order) ----
-        started = perf()
-        for q in my_pairs:
-            by_src = merged.get(q)
-            if by_src:
-                target = pairs[q]
-                for src in range(num_pairs):
-                    recs = by_src.get(src)
-                    if recs:
-                        target.absorb(recs)
-        timings["delta"] += perf() - started
-        rnd += 1
-
-    feeder.flush()
-    timings["send"] = feeder.seconds
-    stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["updates_processed"] = sum(pairs[p].updates_processed for p in my_pairs)
-    stats["deltas_emitted"] = sum(pairs[p].deltas_emitted for p in my_pairs)
-    stats["deltas_shipped"] = shipped
-    final = {
-        "state": {p: pairs[p].final_records() for p in my_pairs},
-        "iterations_run": rnd,
-        "terminated_by": terminated_by,
-        "stats": stats,
-    }
-    parts, _ = encode_frame(FINAL_REPORT, rnd, 0, wid, final)
-    feeder.send(report_conn, parts)
-
-
-def _worker_loop_kernel(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    """The columnar twin of :func:`_worker_loop` for kernel-enabled jobs.
-
-    State lives as per-pair ``(keys, values)`` arrays; each iteration is
-    one ``map_kernel`` + one vectorized merge per pair.  Cross-pair
-    traffic stays columnar end-to-end: shuffle payloads are flat
-    ``[(dest_pair, src_pair, keys, values), ...]`` lists whose arrays
-    ride the protocol-5 out-of-band buffer frames without per-record
-    pickling.  The determinism contract is the serial columnar
-    executor's: merges concatenate batches in ascending source-pair
-    order and broadcast assembly sorts the same unique key array, so
-    kernel-parallel results are bit-equal to kernel-serial ones.
-    Control-plane reports decode to records, so the coordinator is
-    path-agnostic.
-    """
-    job = cfg.job
-    kernel = job.kernel
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    phase = job.phases[0]
-    one2all = phase.mapping == "one2all"
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part_array = job.partitioner.bind_array(num_pairs)
-    distance_fn = job.distance_fn
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
-
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-    ckpt_store = (
-        CheckpointStore(cfg.spool_dir)
-        if cfg.checkpoint_every and cfg.spool_dir
-        else None
-    )
-
-    # ---- columnar partition load: encode state, build static columns --
-    # A restored checkpoint already holds the encoded (keys, values)
-    # arrays — loading them back is the ``recover`` phase; the initial
-    # encode from records is ``kernel`` time as before.
-    started = perf()
-    owned: dict[int, Any] = {}
-    values: dict[int, Any] = {}
-    if cfg.columnar_state:
-        for p in my_pairs:
-            owned[p], values[p] = cfg.state_parts[p]
-    else:
-        for p in my_pairs:
-            owned[p], values[p] = encode_columnar(
-                cfg.state_parts[p], kernel.state_dtype, kernel.state_width
-            )
-    timings["recover" if cfg.columnar_state else "kernel"] += perf() - started
-    started = perf()
-    static_tables = cfg.static_parts[0]
-    prepared = {p: kernel.prepare(p, owned[p], static_tables[p]) for p in my_pairs}
-    timings["kernel"] += perf() - started
-
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(
-            len(d) for per in cfg.static_parts for d in per.values()
-        ),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
-
-    def ship(kind: str, iteration: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, 0, wid, payload)
-        timings["serialize"] += perf() - started
-        stats["bytes_pickled"] += nbytes
-        if payload is _NO_PAYLOAD:
-            stats["manifest_frames"] += 1
-        else:
-            stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
-
-    def decoded_state() -> dict[int, list]:
-        return {p: decode_columnar(owned[p], values[p]) for p in my_pairs}
-
-    prev: dict[int, Any] | None = (
-        {p: values[p].copy() for p in my_pairs}
-        if distance_fn is not None
-        else None
-    )
-
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-    iterations_run = cfg.start_iteration
-    terminated_by = ""
-    sorter = owner_of[0]
-
-    for iteration in range(cfg.start_iteration, max_iterations):
-        if cfg.faults:
-            _fire_faults(cfg, iteration, 0)
-        broadcast = None
-        if one2all:
-            # Hoisted all-gather, columnar: pair-0's owner concatenates
-            # every pair's (keys, values) and sorts the unique key array
-            # once; the sorted broadcast ships back as two arrays.
-            mine = [(p, owned[p], values[p]) for p in my_pairs]
-            if wid == sorter:
-                gathered = inbox.gather(BCAST, iteration, 0, peers, timeout)
-                parts_by_pair = {p: (k, v) for p, k, v in mine}
-                for batch in gathered.values():
-                    if batch:
-                        for p, k, v in batch:
-                            parts_by_pair[p] = (k, v)
-                started = perf()
-                broadcast = concat_broadcast(
-                    [parts_by_pair[p] for p in sorted(parts_by_pair)]
-                )
-                timings["kernel"] += perf() - started
-                for v in peers:
-                    ship(BCAST_SORTED, iteration, v, broadcast)
-                    stats["records_sent"] += int(broadcast[0].size)
-            else:
-                if any(k.size for _, k, _ in mine):
-                    ship(BCAST, iteration, sorter, mine)
-                    stats["records_sent"] += sum(int(k.size) for _, k, _ in mine)
-                else:
-                    ship(BCAST, iteration, sorter, _NO_PAYLOAD)
-                got = inbox.gather(BCAST_SORTED, iteration, 0, [sorter], timeout)
-                broadcast = got[sorter]
-
-        # ---- map + route (columnar) ----
-        started = perf()
-        routed: dict[int, list] = {}  # dest worker -> [(q, src, keys, vals)]
-        for p in my_pairs:
-            out_keys, out_vals = kernel.map_kernel(
-                p, owned[p], values[p], prepared[p], broadcast
-            )
-            for q, ks, vs in route_columnar(out_keys, out_vals, part_array, num_pairs):
-                routed.setdefault(owner_of[q], []).append((q, p, ks, vs))
-        timings["kernel"] += perf() - started
-
-        # ---- skip-empty exchange ----
-        for v in peers:
-            batch = routed.get(v)
-            if batch:
-                ship(SHUFFLE, iteration, v, batch)
-                stats["records_sent"] += sum(int(ks.size) for _, _, ks, _ in batch)
-            else:
-                ship(SHUFFLE, iteration, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, tuple]] = {}  # q -> src -> (keys, vals)
-        for q, src, ks, vs in routed.get(wid, ()):
-            merged.setdefault(q, {})[src] = (ks, vs)
-        arrived = inbox.gather(SHUFFLE, iteration, 0, peers, timeout)
-        for batch in arrived.values():
-            if batch:
-                for q, src, ks, vs in batch:
-                    merged.setdefault(q, {})[src] = (ks, vs)
-
-        # ---- vectorized merge + finalize, ascending source order ----
-        started = perf()
-        for q in my_pairs:
-            if owned[q].size == 0:
-                continue
-            by_src = merged.get(q, {})
-            batches = [by_src[s] for s in range(num_pairs) if s in by_src]
-            acc = merge_columnar(kernel, owned[q], batches)
-            values[q] = kernel.finalize(q, owned[q], acc, values[q], prepared[q])
-        timings["kernel"] += perf() - started
-        iterations_run = iteration + 1
-
-        # ---- per-iteration control-plane report ----
-        started = perf()
-        report: dict[str, Any] = {}
-        if distance_fn is not None and prev is not None:
-            partials = {}
-            for p in my_pairs:
-                partials[p] = (
-                    kernel.distance_partial(owned[p], prev[p], values[p])
-                    if owned[p].size
-                    else 0.0
-                )
-                prev[p] = values[p].copy()
-            report["distance"] = partials
-        if cfg.send_state:
-            report["state"] = decoded_state()
-        if report or cfg.wait_verdict:
-            parts, nbytes = encode_frame(ITER_REPORT, iteration, 0, wid, report)
-            stats["bytes_pickled"] += nbytes
-            feeder.send(report_conn, parts)
-        timings["report"] += perf() - started
-
-        # ---- durable checkpoint, columnar (§3.4.1): the encoded
-        # (keys, values) arrays ride the same protocol-5 out-of-band
-        # buffer path to disk that they ride over the mesh ----
-        if ckpt_store is not None and (iteration + 1) % cfg.checkpoint_every == 0:
-            started = perf()
-            entry = ckpt_store.write(
-                cfg.generation, iteration, wid,
-                {
-                    "path": "kernel",
-                    "pairs": {p: (owned[p], values[p]) for p in my_pairs},
-                },
-            )
-            stats["ckpt_writes"] += 1
-            stats["ckpt_bytes"] += entry["bytes"]
-            parts, _ = encode_frame(CKPT_REPORT, iteration, 0, wid, entry)
-            feeder.send(report_conn, parts)
-            timings["checkpoint"] += perf() - started
-
-        if cfg.wait_verdict:
-            verdict = inbox.verdict(iteration, timeout)
-            if verdict != CONTINUE:
-                terminated_by = verdict
-                break
-
-    feeder.flush()
-    timings["send"] = feeder.seconds
-    stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["route_cache_size"] = 0  # no per-key routing on the kernel path
-    final = {
-        "state": decoded_state(),
-        "iterations_run": iterations_run,
-        "terminated_by": terminated_by,
-        "stats": stats,
-    }
-    parts, _ = encode_frame(FINAL_REPORT, iterations_run, 0, wid, final)
-    feeder.send(report_conn, parts)

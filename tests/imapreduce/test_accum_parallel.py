@@ -20,12 +20,19 @@ from repro.imapreduce import run_accum_local, run_accum_parallel
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
 
-def _case(name, n=60, seed=11):
+#: Every workload as its record job and as its columnar-delta-kernel
+#: twin (the ``-kernel`` ids; the bare ids are the record jobs).
+WORKLOADS = ["sssp", "pagerank", "sssp-kernel", "pagerank-kernel"]
+
+
+def _case(workload, n=60, seed=11):
+    name, _, kernel = workload.partition("-")
+    use_kernel = kernel == "kernel"
     if name == "sssp":
         graph = sssp_graph(n, seed=seed)
         job = sssp.build_accum_job(
             state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_rounds=10_000,
+            max_rounds=10_000, use_kernel=use_kernel,
         )
         return job, sssp.accum_initial_deltas(0), {
             STATIC: sssp.static_records(graph)
@@ -33,16 +40,23 @@ def _case(name, n=60, seed=11):
     graph = pagerank_graph(n, seed=seed)
     job = pagerank.build_accum_job(
         state_path=STATE, static_path=STATIC, output_path=OUT,
-        threshold=1e-9, max_rounds=100_000,
+        threshold=1e-9, max_rounds=100_000, use_kernel=use_kernel,
     )
     return job, pagerank.accum_initial_deltas(n, pagerank.DAMPING), {
         STATIC: pagerank.static_records(graph)
     }
 
 
-@pytest.mark.parametrize("workload", ["sssp", "pagerank"])
+def _ran_columnar(result) -> bool:
+    """Only the columnar executors charge the ``kernel`` phase."""
+    return all(s["phase_seconds"]["kernel"] > 0 for s in result.worker_stats)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_parallel_replays_serial_bit_for_bit(workload, mode):
+    """Record executor on both transports, and — the cell the shared
+    executor selection fills — the columnar delta executor on both."""
     job, deltas, static = _case(workload)
     serial = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
                              keep_trace=True)
@@ -57,6 +71,7 @@ def test_parallel_replays_serial_bit_for_bit(workload, mode):
     assert par.deltas_emitted == serial.deltas_emitted
     assert [row["pending_mass"] for row in par.trace] == \
         [row["pending_mass"] for row in serial.trace]
+    assert _ran_columnar(serial) == _ran_columnar(par) == (job.kernel is not None)
 
 
 @pytest.mark.parametrize("num_workers", [1, 3])
@@ -69,7 +84,7 @@ def test_worker_count_is_invisible(num_workers):
     assert par.rounds == serial.rounds
 
 
-@pytest.mark.parametrize("workload", ["sssp", "pagerank"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_spawn_matches_fork(workload):
     """The pinned-seed parity CI leg's contract: both start methods
     produce the identical run (config blobs, jobs and delta frames all
@@ -83,7 +98,10 @@ def test_spawn_matches_fork(workload):
                                start_method="spawn")
     assert spawn.state == fork.state
     assert spawn.rounds == fork.rounds
+    assert spawn.pending_mass == fork.pending_mass
+    assert spawn.updates_processed == fork.updates_processed
     assert spawn.deltas_shipped == fork.deltas_shipped
+    assert _ran_columnar(spawn) == _ran_columnar(fork) == (job.kernel is not None)
 
 
 def test_sparse_async_run_uses_manifests():

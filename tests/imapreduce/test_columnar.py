@@ -15,10 +15,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms import pagerank, sssp
+from repro.algorithms import kmeans, pagerank, sssp
 from repro.common import HashPartitioner, ModPartitioner, RangePartitioner
 from repro.common.records import group_by_key
-from repro.imapreduce import Kernel, KernelContractError, kernel_enabled
+from repro.imapreduce import (
+    Kernel,
+    KernelContractError,
+    kernel_enabled,
+    select_executor,
+)
 from repro.imapreduce.columnar import (
     concat_broadcast,
     decode_columnar,
@@ -223,26 +228,45 @@ def test_kernel_enabled_dispatch_rules():
     )
     assert job.distance_fn is not None  # the NoDistance check needs one
     assert kernel_enabled(job)
+    assert select_executor(job)[1] is None
     # No kernel → record path.
     plain = pagerank.build_imr_job(
         n, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=2,
     )
     assert not kernel_enabled(plain)
+    assert select_executor(plain)[1] == "no kernel"
     # A partitioner without bind_array → record path.
-    assert not kernel_enabled(replace(job, partitioner=HashPartitioner()))
+    hashed = replace(job, partitioner=HashPartitioner())
+    assert not kernel_enabled(hashed)
+    assert select_executor(hashed)[1] == "partitioner has no bind_array"
     # Mapping / needs_broadcast mismatch → record path.
     o2a = replace(
         job, phases=[replace(job.phases[0], mapping="one2all")]
     )
     assert not kernel_enabled(o2a)
+    assert select_executor(o2a)[1] == "broadcast mismatch"
+    # More than one phase, or an aux phase → record path.
+    two_phase = replace(job, phases=[job.phases[0], job.phases[0]])
+    assert not kernel_enabled(two_phase)
+    assert select_executor(two_phase)[1] == "multi-phase"
+    with_aux = replace(job, aux=kmeans.make_convergence_aux(move_threshold=1))
+    assert not kernel_enabled(with_aux)
+    assert select_executor(with_aux)[1] == "aux phase"
 
     # distance_fn without distance_partial → record path.
     class NoDistance(Kernel):
         def map_kernel(self, pair, keys, values, prepared, broadcast):
             return keys, values
 
-    assert not kernel_enabled(replace(job, kernel=NoDistance()))
+    blind = replace(job, kernel=NoDistance())
+    assert not kernel_enabled(blind)
+    assert select_executor(blind)[1] == "no distance_partial"
+    # Every fallback lands on one and the same record executor.
+    assert len({
+        select_executor(j)[0]
+        for j in (plain, hashed, o2a, two_phase, with_aux, blind)
+    }) == 1
 
 
 def test_sssp_kernel_enabled():

@@ -27,8 +27,11 @@ from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import (
     IterativeJob,
     ParallelExecutionError,
+    run_accum_local,
+    run_accum_parallel,
     run_local,
     run_parallel,
+    select_executor,
 )
 from repro.testing.oracles import records_identical
 
@@ -190,6 +193,72 @@ def test_pagerank_threshold_spawn():
     assert par.terminated_by == "threshold"
 
 
+# ------------------------------------------------- executors × transports --
+@pytest.mark.parametrize(
+    "executor", ["RecordSync", "ColumnarSync", "RecordAccum", "ColumnarAccum"]
+)
+def test_loopback_and_mesh_agree_per_executor(executor):
+    """One driver, two transports: each of the four pair executors gives
+    the identical run on the loopback transport and on a 2-worker pipe
+    mesh, and both report in one ``worker_stats`` vocabulary."""
+    graph = pagerank_graph(40, seed=5)
+    static_map = {STATIC: pagerank.static_records(graph)}
+    use_kernel = executor.startswith("Columnar")
+    if executor.endswith("Sync"):
+        job = pagerank.build_imr_job(
+            40, state_path=STATE, static_path=STATIC, output_path=OUT,
+            max_iterations=30, threshold=1e-4, num_pairs=4,
+            use_kernel=use_kernel,
+        )
+        assert select_executor(job)[0].__name__ == executor
+        par = assert_record_identical(
+            job, pagerank.initial_state(graph), static_map,
+            num_pairs=4, num_workers=2,
+        )
+        ref = run_local(job, pagerank.initial_state(graph), static_map, num_pairs=4)
+    else:
+        job = pagerank.build_accum_job(
+            state_path=STATE, static_path=STATIC, output_path=OUT,
+            threshold=1e-9, max_rounds=100_000, use_kernel=use_kernel,
+        )
+        assert select_executor(job)[0].__name__ == executor
+        deltas = pagerank.accum_initial_deltas(40, pagerank.DAMPING)
+        ref = run_accum_local(job, deltas, static_map, num_pairs=4)
+        par = run_accum_parallel(job, deltas, static_map, num_pairs=4, num_workers=2)
+        assert par.state == ref.state  # floats included, no tolerance
+        for name in ("rounds", "terminated_by", "pending_mass",
+                     "updates_processed", "deltas_emitted", "deltas_shipped"):
+            assert getattr(par, name) == getattr(ref, name)
+    (serial_stats,) = ref.worker_stats
+    for stats in par.worker_stats:
+        assert set(stats) == set(serial_stats)
+        assert set(stats["phase_seconds"]) == set(serial_stats["phase_seconds"])
+    assert par.counter("records_sent") > 0
+
+
+def test_serial_worker_stats_use_the_mesh_vocabulary():
+    """``run_local`` reports like a 1-worker ``run_parallel``: same keys,
+    same ``phase_seconds`` phases, transport counters zero."""
+    graph = sssp_graph(16, seed=4)
+    job = sssp.build_imr_job(
+        state_path=STATE, static_path=STATIC, output_path=OUT,
+        max_iterations=3, num_pairs=3,
+    )
+    args = (job, sssp.initial_state(graph, source=0),
+            {STATIC: sssp.static_records(graph)})
+    (serial,) = run_local(*args, num_pairs=3).worker_stats
+    (mesh,) = run_parallel(*args, num_pairs=3, num_workers=1).worker_stats
+    assert set(serial) == set(mesh)
+    assert set(serial["phase_seconds"]) == set(mesh["phase_seconds"])
+    assert serial["pairs"] == mesh["pairs"] == [0, 1, 2]
+    assert serial["static_records"] == mesh["static_records"]
+    for name in ("records_sent", "batches_sent", "manifest_frames",
+                 "bytes_pickled"):
+        assert serial[name] == 0
+    for phase in ("serialize", "deserialize", "send", "wait"):
+        assert serial["phase_seconds"][phase] == 0.0
+
+
 # -------------------------------------------------------------- shapes --
 def test_history_parity():
     graph = pagerank_graph(16, seed=1)
@@ -202,6 +271,24 @@ def test_history_parity():
         {STATIC: pagerank.static_records(graph)},
         num_pairs=3, num_workers=2, keep_history=True,
     )
+
+
+def test_default_worker_count_follows_cpu_affinity():
+    """A process pinned to one CPU of a many-CPU host gets one worker,
+    not ``os.cpu_count()`` of them."""
+    import os
+
+    from repro.imapreduce.parallel import _pick_workers
+
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity API on this platform")
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(allowed)})
+        assert _pick_workers(None, 8) == 1
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert _pick_workers(None, 64) == len(allowed)
 
 
 def test_more_workers_than_pairs_clamps():
