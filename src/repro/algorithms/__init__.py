@@ -3,6 +3,7 @@ reference implementations, plus input-preparation helpers."""
 
 from . import components, inputs, jacobi, kmeans, matrixpower, pagerank, sssp
 from .inputs import prepare_pagerank_inputs, prepare_sssp_inputs
+from .workloads import WORKLOADS, Workload, build_workload
 
 __all__ = [
     "components",
@@ -14,4 +15,7 @@ __all__ = [
     "sssp",
     "prepare_pagerank_inputs",
     "prepare_sssp_inputs",
+    "WORKLOADS",
+    "Workload",
+    "build_workload",
 ]

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import IterKeys, JobConf, stable_seed
 from ..imapreduce import IterativeJob, Phase
 from ..mapreduce import Job
 from ..mapreduce.driver import IterativeSpec
 
 __all__ = [
+    "dataset_matrix",
     "matrix_to_state_records",
     "matrix_to_column_records",
     "records_to_matrix",
@@ -37,6 +38,14 @@ __all__ = [
 
 
 # ----------------------------------------------------------------- data --
+def dataset_matrix(dataset: str, seed: int = 0) -> np.ndarray:
+    """The synthetic ``matrix<N>`` dataset: a seeded uniform N×N matrix
+    (seed 0 keeps the historical fixed draw)."""
+    size = int(dataset.removeprefix("matrix"))
+    rng = np.random.default_rng(stable_seed(seed, "matrix") if seed else 99)
+    return rng.uniform(-0.5, 0.5, size=(size, size))
+
+
 def matrix_to_state_records(matrix: np.ndarray) -> list[tuple[tuple[int, int], float]]:
     """N as element records ``((row, col), value)`` (zeros included, so
     every key persists across iterations)."""

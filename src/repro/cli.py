@@ -14,14 +14,18 @@ Commands
     the paper-style series and statistics.
 
 ``run <algorithm>``
-    Run one workload on the simulated cluster and print the
-    per-iteration breakdown.  Options: ``--dataset``, ``--engine``,
-    ``--cluster``, ``--iterations``, ``--sync``, ``--combiner``; with
-    ``--backend parallel`` also ``--checkpoint-every``, ``--spool-dir``
-    and ``--kill-worker W@I[:stop]`` (fault injection + recovery).
-    ``--mode sync|async`` switches to the accumulative (Maiter)
-    formulation — delta-based rounds instead of full-state iterations —
-    on any backend (sssp and pagerank only).
+    Run one workload.  The flags build an ``ExecutionPlan`` (backend,
+    ``--mode sync|async`` for the accumulative/Maiter formulation,
+    ``--memo-dir``/``--delta`` for incremental refreshes,
+    ``--checkpoint-every``/``--kill-worker`` for fault tolerance) that
+    ``repro.imapreduce.execute`` runs; a combination the support table
+    refuses, a flag the chosen cell ignores, or an out-of-range value
+    exits 2 before anything is loaded.
+
+``modes``
+    Print that support table: every backend × algebra × warm-start ×
+    fault-tolerance cell with the engine entry and test that cover it,
+    or the reason it is refused.
 
 ``report``
     Write EXPERIMENTS.md (optionally reusing ``--results-dir`` output
@@ -64,28 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("algorithm", choices=("sssp", "pagerank", "kmeans", "matrixpower"))
     p_run.add_argument("--dataset", default=None, help="dataset name (default per algorithm)")
     p_run.add_argument("--backend", choices=("simulated", "serial", "parallel"),
-                       default="simulated",
-                       help="simulated cluster (default), serial run_local, "
-                            "or the real multiprocess run_parallel")
+                       default=None,
+                       help="simulated cluster (default; serial with "
+                            "--memo-dir), serial in-process engine, or the "
+                            "real multiprocess mesh — `repro modes` lists "
+                            "what each supports")
     p_run.add_argument("--workers", type=int, default=None,
                        help="worker processes for --backend parallel")
-    p_run.add_argument("--pairs", type=int, default=8,
-                       help="task pairs for the serial/parallel backends")
+    p_run.add_argument("--pairs", type=int, default=None,
+                       help="task pairs for the serial/parallel backends "
+                            "(default 8)")
     p_run.add_argument("--mode", choices=("sync", "async"), default=None,
                        help="run the accumulative (Maiter) formulation "
                             "instead of the classic iterative job: 'sync' "
                             "drains every pending delta each round, 'async' "
                             "drains the highest-priority fraction first "
                             "(sssp and pagerank only)")
-    p_run.add_argument("--engine", choices=("imapreduce", "mapreduce"), default="imapreduce")
-    p_run.add_argument("--cluster", default="local", help="local | single | ec2-<n>")
-    p_run.add_argument("--iterations", type=int, default=10)
+    p_run.add_argument("--engine", choices=("imapreduce", "mapreduce"), default=None,
+                       help="(simulated cluster) default imapreduce")
+    p_run.add_argument("--cluster", default=None,
+                       help="(simulated cluster) local (default) | single | ec2-<n>")
+    p_run.add_argument("--iterations", type=int, default=None,
+                       help="iteration budget of a classic run (default 10)")
     p_run.add_argument("--sync", action="store_true", help="synchronous maps (iMapReduce)")
     p_run.add_argument("--combiner", action="store_true")
     p_run.add_argument("--measure-distance", action="store_true",
                        help="arm per-iteration convergence measurement")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for all stochastic run choices (0 = historical defaults)")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="seed for all stochastic run choices (default "
+                            "0 = historical defaults)")
     p_run.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                        help="(--backend parallel) durable checkpoint every N "
                             "iterations; arms recovery on worker death")
@@ -105,8 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "edges (seeded churn) and refresh "
                             "incrementally from the memoized state, "
                             "printing the warm-vs-cold comparison")
-    p_run.add_argument("--delta-seed", type=int, default=0,
+    p_run.add_argument("--delta-seed", type=int, default=None,
                        help="seed for the --delta churn draw (default 0)")
+
+    sub.add_parser("modes", help="print the supported-mode matrix "
+                                 "(backend x algebra x warm x faults)")
 
     p_rep = sub.add_parser("report", help="write EXPERIMENTS.md")
     p_rep.add_argument("--output", default="EXPERIMENTS.md")
@@ -151,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="log every campaign, not just failures")
 
     p_bench = sub.add_parser(
-        "bench", help="wall-clock benchmark: run_local vs run_parallel"
+        "bench", help="wall-clock benchmark: serial vs multiprocess backend"
     )
     p_bench.add_argument("--out", default="BENCH_PR10.json",
                          help="output JSON path (default BENCH_PR10.json)")
@@ -239,240 +253,271 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+#: ``repro run`` values that apply when the flag is unset — argparse
+#: leaves every option ``None``/``False`` so that a flag the chosen
+#: SUPPORT cell does not consume is detectable, not silently ignored.
+_RUN_DEFAULTS = {"pairs": 8, "iterations": 10, "engine": "imapreduce",
+                 "cluster": "local", "seed": 0, "delta_seed": 0}
+_RUN_MINIMUM = {"workers": 1, "pairs": 1, "iterations": 1,
+                "checkpoint_every": 1}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _plan_run(args):
+    """``repro run`` flags → ``(cell, plan, note)``.
+
+    Everything that can be refused is refused here — an unsupported
+    cell, a flag the cell does not consume, an out-of-range value — as
+    one :class:`PlanError`, before any dataset is loaded, directory
+    created or process spawned.  Fills the unset options of ``args``
+    with their defaults on the way out.
+    """
+    import re
+
+    from .algorithms.workloads import RUN_KMEANS_K, builder_for
+    from .imapreduce import ProcFault
+    from .imapreduce.plan import SUPPORT, ExecutionPlan, PlanError, resolve
+
+    algebra = "iterative" if args.mode is None else "accumulative"
+    memoized = args.memo_dir is not None
+    if args.delta is not None and not memoized:
+        raise PlanError("--delta needs --memo-dir (the memoized state to "
+                        "warm-start from)")
+    # An unset --backend resolves per cell: memoized runs need a real
+    # executor, everything else keeps the simulated default.
+    backend = args.backend or ("serial" if memoized else "simulated")
+    try:
+        builder_for(args.algorithm, algebra)
+    except ValueError as exc:
+        raise PlanError(str(exc)) from None
+    for dest, low in _RUN_MINIMUM.items():
+        value = getattr(args, dest)
+        if value is not None and value < low:
+            raise PlanError(f"{_flag(dest)} must be >= {low}, got {value}")
+    if args.delta is not None and not 0.0 < args.delta <= 1.0:
+        raise PlanError(f"--delta must be in (0, 1], got {args.delta}")
+    if args.combiner and args.algorithm == "matrixpower":
+        raise PlanError("--combiner: matrixpower has no combiner")
+    faults = ()
+    if args.kill_worker is not None:
+        match = re.fullmatch(r"(\d+)@(\d+)(?::(kill|stop))?", args.kill_worker)
+        if match is None:
+            raise PlanError("bad --kill-worker: expected W@I[:stop], got "
+                            f"{args.kill_worker!r}")
+        faults = (ProcFault(worker=int(match[1]), iteration=int(match[2]),
+                            action=match[3] or "kill"),)
+    pairs, note = args.pairs or _RUN_DEFAULTS["pairs"], None
+    if (args.algorithm == "kmeans" and backend != "simulated"
+            and pairs > RUN_KMEANS_K):
+        note = (f"kmeans hosts at most k = {RUN_KMEANS_K} pairs: running "
+                f"{RUN_KMEANS_K}, not {pairs}")
+        pairs = RUN_KMEANS_K
+    plan = ExecutionPlan(
+        backend=backend, num_pairs=pairs, num_workers=args.workers,
+        mode=args.mode, checkpoint_every=args.checkpoint_every,
+        spool_dir=args.spool_dir, faults=faults,
+        seed=(args.seed or 0) if backend == "simulated" else 0,
+    )
+    cell = resolve(algebra, plan, warm=memoized)
+    every_flag = frozenset().union(*(c.flags for c in SUPPORT.values()))
+    ignored = sorted(
+        _flag(dest) for dest in every_flag - cell.flags
+        if getattr(args, dest) not in (None, False)
+    )
+    if ignored:
+        where = " x ".join(filter(None, (
+            algebra, backend, "warm" if memoized else "cold",
+            "fault-tolerant" if plan.fault_tolerant else "")))
+        raise PlanError(f"{', '.join(ignored)} not used by the {where} "
+                        "cell (see `repro modes`)")
+    for dest, default in _RUN_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    return cell, plan, note
+
+
 def _cmd_run(args) -> int:
-    from .experiments.workloads import RunSpec, execute
+    from .imapreduce.plan import PlanError
+
+    try:
+        cell, plan, note = _plan_run(args)
+    except PlanError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    dataset = args.dataset or _DEFAULT_DATASETS[args.algorithm]
+    if (plan.backend, plan.mode) != ("simulated", None):
+        if note:
+            print(note)
+        return _run_engine(args, dataset, plan)
+    # Classic runs on the simulated cluster go through the figure runner
+    # (it also builds the Hadoop-baseline twin); the flags this cell
+    # consumes are exactly RunSpec's other fields.
+    from .experiments.workloads import RunSpec, execute as run_spec
     from .metrics import format_run
 
-    dataset = args.dataset or _DEFAULT_DATASETS[args.algorithm]
-    if args.mode is not None:
-        return _run_accum(args, dataset)
-    if args.backend != "simulated":
-        return _run_real_backend(args, dataset)
-    spec = RunSpec(
-        algorithm=args.algorithm,
-        dataset=dataset,
-        engine=args.engine,
-        cluster=args.cluster,
-        iterations=args.iterations,
-        sync=args.sync,
-        combiner=args.combiner,
-        measure_distance=args.measure_distance,
-        seed=args.seed,
-    )
-    metrics = execute(spec)
-    print(format_run(metrics))
+    args.dataset = dataset
+    spec = RunSpec(algorithm=args.algorithm,
+                   **{dest: getattr(args, dest) for dest in cell.flags})
+    print(format_run(run_spec(spec)))
     return 0
 
 
-def _run_accum(args, dataset: str) -> int:
-    """``repro run --mode sync|async``: the accumulative (Maiter) path.
+def _where(plan, result) -> str:
+    pairs = f"{plan.num_pairs} pairs"
+    if plan.backend == "parallel":
+        return f"parallel ({result.num_workers} workers, {pairs})"
+    if plan.backend == "simulated":
+        return f"simulated ({pairs}, seed {plan.seed})"
+    return f"serial ({pairs})"
 
-    Dispatches on ``--backend``: ``serial`` drives the pairs in-process,
-    ``parallel`` runs the multiprocess mesh (round-synchronized delta
-    exchange), and ``simulated`` adds seeded delivery deferral on top of
-    the async scheduler (the chaos harness's backend).
-    """
-    import time
 
-    from .experiments.wallclock import build_accum_backend_workload
-    from .imapreduce import (
-        run_accum_local,
-        run_accum_parallel,
-        run_accum_simulated,
-    )
-
-    try:
-        job, deltas, static_map, num_pairs = build_accum_backend_workload(
-            args.algorithm, dataset, num_pairs=args.pairs,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.checkpoint_every or args.spool_dir or args.kill_worker:
-        print("--checkpoint-every/--spool-dir/--kill-worker do not apply "
-              "to accumulative runs (deltas are in flight by design; "
-              "worker death is terminal)", file=sys.stderr)
-        return 2
-    if args.delta is not None and args.memo_dir is None:
-        print("--delta needs --memo-dir (the memoized state to "
-              "warm-start from)", file=sys.stderr)
-        return 2
-    if args.memo_dir is not None:
-        if args.algorithm not in ("sssp", "pagerank"):
-            print("--memo-dir supports sssp and pagerank (graph "
-                  "workloads with a static adjacency to mutate)",
-                  file=sys.stderr)
-            return 2
-        if args.backend == "simulated":
-            # The memoized path needs a real executor; the default
-            # backend quietly upgrades to serial rather than erroring
-            # (seeded delivery deferral has no warm-start story).
-            args.backend = "serial"
-        return _run_accum_memoized(
-            args, dataset, job, deltas, static_map, num_pairs,
-        )
-    started = time.perf_counter()
-    if args.backend == "serial":
-        result = run_accum_local(
-            job, deltas, static_map, num_pairs=num_pairs, mode=args.mode,
-        )
-        backend = f"serial ({num_pairs} pairs)"
-    elif args.backend == "parallel":
-        result = run_accum_parallel(
-            job, deltas, static_map, num_pairs=num_pairs,
-            num_workers=args.workers, mode=args.mode,
-        )
-        backend = f"parallel ({result.num_workers} workers, {num_pairs} pairs)"
-    else:
-        if args.mode != "async":
-            print("--backend simulated only supports --mode async "
-                  "(delivery deferral needs the async scheduler)",
-                  file=sys.stderr)
-            return 2
-        result = run_accum_simulated(
-            job, deltas, static_map, num_pairs=num_pairs, seed=args.seed,
-        )
-        backend = f"simulated ({num_pairs} pairs, seed {args.seed})"
-    elapsed = time.perf_counter() - started
-    print(
-        f"{args.algorithm} on {dataset} [{backend}, accumulative "
-        f"{args.mode}]: {result.rounds} rounds, terminated by "
-        f"{result.terminated_by} (pending mass {result.pending_mass:.3g} "
-        f"vs threshold {job.threshold:.3g}), {len(result.state)} records, "
-        f"{elapsed:.2f}s wall"
-    )
-    print(
+def _format_result(title: str, plan, job, result, elapsed: float) -> str:
+    """The one result formatter of every real-engine ``repro run``."""
+    if plan.mode is None:
+        lines = [
+            f"{title} [{_where(plan, result)}]: {result.iterations_run} "
+            f"iterations, terminated by {result.terminated_by}, "
+            f"{len(result.state)} records, {elapsed:.2f}s wall"
+        ]
+        if plan.checkpoint_every:
+            lines.append(
+                f"  checkpoints committed at iterations "
+                f"{result.checkpoints or '[]'} "
+                f"({result.counter('ckpt_writes')} spool writes, "
+                f"{result.counter('ckpt_bytes'):,} bytes)"
+            )
+        lines += [
+            f"  recovery #{event['generation']}: {event['reason']}; "
+            f"restored checkpoint {event['restored_checkpoint']}, "
+            f"resumed from iteration {event['resume_from']} "
+            f"({event['mode']})"
+            for event in getattr(result, "recovery_events", ())
+        ]
+        return "\n".join(lines)
+    return (
+        f"{title} [{_where(plan, result)}, accumulative {plan.mode}]: "
+        f"{result.rounds} rounds, terminated by {result.terminated_by} "
+        f"(pending mass {result.pending_mass:.3g} vs threshold "
+        f"{job.threshold:.3g}), {len(result.state)} records, "
+        f"{elapsed:.2f}s wall\n"
         f"  {result.updates_processed:,} updates, "
         f"{result.deltas_emitted:,} deltas emitted, "
         f"{result.deltas_shipped:,} shipped cross-pair"
     )
+
+
+def _run_engine(args, dataset: str, plan) -> int:
+    """Real-engine ``repro run``: workload-table lookup, ``execute``,
+    one formatter.  With ``--memo-dir`` the converged state is memoized
+    (the i2MapReduce path); with ``--delta`` as well, :func:`_refresh`
+    warm-starts from that memo instead."""
+    import os
+    import time
+
+    from .algorithms.workloads import MAX_ROUNDS, build_workload, load_source
+    from .imapreduce import MemoStore, execute
+
+    accum = plan.mode is not None
+    if args.delta is not None and not (
+            os.path.isdir(args.memo_dir) and MemoStore(args.memo_dir).has()):
+        print(f"no memoized state under {args.memo_dir!r}; run once "
+              "without --delta first", file=sys.stderr)
+        return 2
+    workload = build_workload(
+        args.algorithm, "accumulative" if accum else "iterative",
+        load_source(args.algorithm, dataset, args.seed),
+        steps=MAX_ROUNDS if accum else args.iterations,
+        num_pairs=plan.num_pairs,
+        **({"combiner": True} if args.combiner else {}),
+    )
+    memo = MemoStore(args.memo_dir) if args.memo_dir else None
+    if args.delta is not None:
+        return _refresh(args, dataset, plan, workload, memo)
+    started = time.perf_counter()
+    result = execute(workload.job, workload.inputs, workload.statics, plan)
+    elapsed = time.perf_counter() - started
+    print(_format_result(f"{args.algorithm} on {dataset}", plan,
+                         workload.job, result, elapsed))
+    if memo is not None:
+        version = _memoize(memo, args, dataset, plan, workload, result, [])
+        print(f"  memoized {len(result.state)} records as version "
+              f"{version} under {args.memo_dir}")
     return 0
 
 
-def _run_accum_memoized(args, dataset, job, deltas, static_map,
-                        num_pairs) -> int:
-    """``repro run --mode ... --memo-dir``: the i2MapReduce path.
-
-    Without ``--delta``, runs cold and memoizes the converged state.
-    With ``--delta F``, synthesizes a seeded churn touching ~F of the
-    edges, refreshes incrementally from the memo (warm start + change
-    propagation), reruns cold on the mutated input for comparison, and
-    memoizes the refreshed state so refreshes chain.
-    """
-    import time
-
-    from .algorithms import pagerank
-    from .imapreduce import (
-        MemoStore,
-        patch_static_table,
-        random_edge_churn,
-        run_accum_local,
-        run_accum_parallel,
-        run_incremental_accum,
+def _memoize(memo, args, dataset, plan, workload, result, deltas) -> int:
+    """Save ``result`` with the edit history that produced its graph:
+    ``deltas`` is every ``DataDelta.to_tuple()`` applied to the pristine
+    dataset so far, replayed by the next refresh (refreshes chain)."""
+    return memo.save(
+        result.state, job_name=workload.job.name, num_pairs=plan.num_pairs,
+        partitioner=workload.job.partitioner,
+        meta={"algorithm": args.algorithm, "dataset": dataset,
+              "deltas": deltas, **workload.planner},
     )
-    from .imapreduce.incremental import ADJACENCY_KINDS, cold_initial_deltas
 
-    plan_kwargs = (
-        {"source": 0} if args.algorithm == "sssp"
-        else {"damping": pagerank.DAMPING}
-    )
-    memo = MemoStore(args.memo_dir)
 
-    def run_cold(initial, statics):
-        if args.backend == "parallel":
-            return run_accum_parallel(
-                job, initial, statics, num_pairs=num_pairs,
-                num_workers=args.workers, mode=args.mode,
-            )
-        return run_accum_local(
-            job, initial, statics, num_pairs=num_pairs, mode=args.mode,
-        )
+def _refresh(args, dataset: str, plan, workload, memo) -> int:
+    """``repro run --mode ... --memo-dir D --delta F``: synthesize a
+    seeded churn touching ~F of the edges, refresh incrementally from
+    the memo (warm start + change propagation), rerun cold on the
+    mutated input, and — when the two fixpoints agree within the
+    ``incremental-differential`` oracle's tolerance — memoize the
+    refreshed state.  Disagreement exits 1 and memoizes nothing."""
+    from .experiments.wallclock import refresh_vs_cold
+    from .imapreduce import DataDelta, DeltaError, patch_static_table
+    from .imapreduce.incremental import ADJACENCY_KINDS
 
-    def memoize(state) -> int:
-        return memo.save(
-            state, job_name=job.name, num_pairs=num_pairs,
-            partitioner=job.partitioner,
-            meta={"algorithm": args.algorithm, "dataset": dataset,
-                  **plan_kwargs},
-        )
-
-    if args.delta is None or not memo.has():
-        if args.delta is not None:
-            print(f"no memoized state under {args.memo_dir!r}; run once "
-                  "without --delta first", file=sys.stderr)
-            return 2
-        started = time.perf_counter()
-        result = run_cold(deltas, static_map)
-        elapsed = time.perf_counter() - started
-        version = memoize(result.state)
-        print(
-            f"{args.algorithm} on {dataset} [accumulative {args.mode}, "
-            f"cold]: {result.rounds} rounds, "
-            f"{result.updates_processed:,} updates, {elapsed:.2f}s wall"
-        )
-        print(f"  memoized {len(result.state)} records as version "
-              f"{version} under {args.memo_dir}")
-        return 0
-
-    memo_records, meta = memo.load(job_name=job.name)
-    if meta.get("algorithm") != args.algorithm:
-        print(f"memo under {args.memo_dir!r} holds "
-              f"{meta.get('algorithm')!r} state, not {args.algorithm!r}",
-              file=sys.stderr)
+    job = workload.job
+    try:
+        memo_records, meta = memo.load(job_name=job.name)
+    except DeltaError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    table = dict(static_map[job.static_path])
+    if meta.get("dataset") != dataset:
+        print(f"memo under {args.memo_dir!r} holds {meta.get('dataset')!r} "
+              f"state, not {dataset!r}", file=sys.stderr)
+        return 2
+    # The memo is the fixpoint of the graph *after* every earlier
+    # refresh, so replay those edits before drawing and planning this one.
+    table = dict(workload.statics[job.static_path])
+    history = list(meta.get("deltas", ()))
+    for applied in history:
+        patch_static_table(table, DataDelta.from_tuple(applied),
+                           ADJACENCY_KINDS[args.algorithm])
     num_edges = sum(len(row) for row in table.values())
-    churn = max(2, round(args.delta * num_edges))
-    insert = churn // 2
-    delete = churn - insert
-    # Min-algebra serving workloads refresh fastest on improvement-only
-    # churn (new/faster roads); pagerank takes arbitrary insert+delete.
-    delta = random_edge_churn(
-        table, args.algorithm, insert=insert, delete=delete,
-        seed=args.delta_seed, monotone=args.algorithm == "sssp",
+    delta, (warm, warm_wall), (cold, cold_wall), agree = refresh_vs_cold(
+        workload, args.algorithm, memo_records, table, args.delta,
+        args.delta_seed, plan,
     )
-    started = time.perf_counter()
-    warm = run_incremental_accum(
-        job, args.algorithm, delta, memo_records,
-        {job.static_path: dict(table)}, num_pairs=num_pairs,
-        mode=args.mode,
-        backend="parallel" if args.backend == "parallel" else "local",
-        **({"num_workers": args.workers}
-           if args.backend == "parallel" else {}),
-        **plan_kwargs,
-    )
-    warm_wall = time.perf_counter() - started
-    mutated = dict(table)
-    patch_static_table(mutated, delta, ADJACENCY_KINDS[args.algorithm])
-    started = time.perf_counter()
-    cold = run_cold(
-        cold_initial_deltas(args.algorithm, mutated, **plan_kwargs),
-        {job.static_path: mutated},
-    )
-    cold_wall = time.perf_counter() - started
-    version = memoize(warm.state)
-    frontier = warm.counters.get("incremental", {})
     max_diff = max(
-        (abs(a[1] - b[1]) for a, b in zip(warm.state, cold.state)),
+        (abs(a[1] - b[1]) for a, b in zip(warm.state, cold.state)
+         if a[1] != b[1]),
         default=0.0,
     )
     print(
-        f"{args.algorithm} on {dataset} [accumulative {args.mode}, "
-        f"incremental refresh]: delta {delta.size} edits "
-        f"(~{args.delta:.2%} of {num_edges:,} edges, seed "
-        f"{args.delta_seed})"
+        f"{args.algorithm} on {dataset} [{_where(plan, warm)}, "
+        f"accumulative {plan.mode}, incremental refresh]: delta "
+        f"{delta.size} edits (~{args.delta:.2%} of {num_edges:,} edges, "
+        f"seed {args.delta_seed})"
     )
-    print(
-        f"  warm: {warm.rounds} rounds, "
-        f"{warm.updates_processed:,} updates, "
-        f"{warm.deltas_shipped:,} shipped, {warm_wall:.2f}s "
-        f"(frontier {frontier.get('frontier_keys', '?')} keys)"
-    )
-    print(
-        f"  cold: {cold.rounds} rounds, "
-        f"{cold.updates_processed:,} updates, "
-        f"{cold.deltas_shipped:,} shipped, {cold_wall:.2f}s"
-    )
+    frontier = warm.counters["incremental"]["frontier_keys"]
+    for name, run, tail in (
+        ("warm", warm, f"{warm_wall:.2f}s (frontier {frontier} keys)"),
+        ("cold", cold, f"{cold_wall:.2f}s"),
+    ):
+        print(f"  {name}: {run.rounds} rounds, {run.updates_processed:,} "
+              f"updates, {run.deltas_shipped:,} shipped, {tail}")
+    if not agree:
+        print(f"  warm refresh DISAGREES with the cold rerun (max "
+              f"difference {max_diff:.3g}); nothing memoized",
+              file=sys.stderr)
+        return 1
+    version = _memoize(memo, args, dataset, plan, workload, warm,
+                       history + [delta.to_tuple()])
     speedup = (cold.updates_processed / warm.updates_processed
                if warm.updates_processed else float("inf"))
     print(
@@ -480,89 +525,6 @@ def _run_accum_memoized(args, dataset, job, deltas, static_map,
         f"to {max_diff:.3g}; memoized version {version}"
     )
     return 0
-
-
-def _run_real_backend(args, dataset: str) -> int:
-    """``repro run --backend serial|parallel``: real execution, real time."""
-    import time
-
-    from .experiments.wallclock import build_backend_workload
-    from .imapreduce import run_local, run_parallel
-
-    job, state, static_map, num_pairs = build_backend_workload(
-        args.algorithm,
-        dataset,
-        iterations=args.iterations,
-        num_pairs=args.pairs,
-        combiner=args.combiner,
-        seed=args.seed,
-    )
-    faults = None
-    if args.kill_worker is not None:
-        try:
-            faults = (_parse_kill_worker(args.kill_worker),)
-        except ValueError as exc:
-            print(f"bad --kill-worker: {exc}", file=sys.stderr)
-            return 2
-    if (args.checkpoint_every or args.spool_dir or faults) and args.backend != "parallel":
-        print("--checkpoint-every/--spool-dir/--kill-worker need "
-              "--backend parallel", file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    if args.backend == "serial":
-        result = run_local(job, state, static_map, num_pairs=num_pairs)
-        backend = f"serial ({num_pairs} pairs)"
-    else:
-        result = run_parallel(
-            job, state, static_map, num_pairs=num_pairs,
-            num_workers=args.workers,
-            checkpoint_every=args.checkpoint_every,
-            spool_dir=args.spool_dir,
-            faults=faults,
-        )
-        backend = (
-            f"parallel ({result.num_workers} workers, {num_pairs} pairs)"
-        )
-    elapsed = time.perf_counter() - started
-    print(
-        f"{args.algorithm} on {dataset} [{backend}]: "
-        f"{result.iterations_run} iterations, terminated by "
-        f"{result.terminated_by}, {len(result.state)} records, "
-        f"{elapsed:.2f}s wall"
-    )
-    if args.backend == "parallel" and args.checkpoint_every:
-        print(
-            f"  checkpoints committed at iterations "
-            f"{result.checkpoints or '[]'} "
-            f"({result.counter('ckpt_writes')} spool writes, "
-            f"{result.counter('ckpt_bytes'):,} bytes)"
-        )
-    if args.backend == "parallel" and result.recoveries:
-        for event in result.recovery_events:
-            print(
-                f"  recovery #{event['generation']}: {event['reason']}; "
-                f"restored checkpoint {event['restored_checkpoint']}, "
-                f"resumed from iteration {event['resume_from']} "
-                f"({event['mode']})"
-            )
-    return 0
-
-
-def _parse_kill_worker(text: str):
-    """``W@I`` or ``W@I:stop`` → :class:`ProcFault`."""
-    from .imapreduce import ProcFault
-
-    action = "kill"
-    if ":" in text:
-        text, action = text.split(":", 1)
-        if action not in ("kill", "stop"):
-            raise ValueError(f"action must be 'kill' or 'stop', not {action!r}")
-    try:
-        worker, iteration = text.split("@", 1)
-        return ProcFault(worker=int(worker), iteration=int(iteration),
-                         action=action)
-    except ValueError:
-        raise ValueError(f"expected W@I[:stop], got {text!r}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -612,25 +574,6 @@ def _cmd_bench(args) -> int:
         f"sizeof_value memoization: {micro['speedup']}x over "
         f"{micro['calls']} calls"
     )
-    ck = results.get("checkpoint_overhead")
-    if ck is not None:
-        print(
-            f"checkpoint overhead ({ck['workload']}, every "
-            f"{ck['checkpoint_every']} iters): {ck['overhead_pct']}% "
-            f"wall, {ck['ckpt_writes']} spool writes, "
-            f"{ck['ckpt_bytes']:,} bytes"
-        )
-    ac = results.get("async_convergence")
-    if ac is not None:
-        for row in ac["workloads"]:
-            sync_m = row["modes"]["sync"]
-            async_m = row["modes"]["async"]
-            print(
-                f"{row['name']}: async {async_m['rounds']} rounds / "
-                f"{async_m['deltas_shipped']:,} deltas shipped vs sync "
-                f"{sync_m['rounds']} / {sync_m['deltas_shipped']:,} "
-                f"(states_match={row['states_match']})"
-            )
     hot = results["hotpath_microbench"]
     print(
         f"group_by_key fast path: {hot['group_by_key']['speedup']}x; "
@@ -655,6 +598,13 @@ def _cmd_bench(args) -> int:
                 print(f"  {problem}", file=sys.stderr)
             return 1
         print(f"data-plane counters OK vs {args.check}")
+    return 0
+
+
+def _cmd_modes(args) -> int:
+    from .imapreduce.plan import format_support
+
+    print(format_support())
     return 0
 
 
@@ -802,6 +752,7 @@ _COMMANDS = {
     "list-figures": _cmd_list_figures,
     "figure": _cmd_figure,
     "run": _cmd_run,
+    "modes": _cmd_modes,
     "report": _cmd_report,
     "chaos": _cmd_chaos,
     "bench": _cmd_bench,

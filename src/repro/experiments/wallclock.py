@@ -53,6 +53,7 @@ counters (heartbeat and checkpoint frames live outside ``ship()``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -60,11 +61,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..algorithms import jacobi, kmeans, pagerank, sssp
+from ..algorithms import jacobi
+from ..algorithms.workloads import MAX_ROUNDS, PATHS, build_workload
 from ..common.serialization import sizeof_value
 from ..data.lastfm import load_lastfm
 from ..graph.generators import pagerank_graph, sssp_graph
 from ..imapreduce import (
+    ExecutionPlan,
     run_accum_local,
     run_accum_parallel,
     run_local,
@@ -75,8 +78,6 @@ __all__ = [
     "WallclockCase",
     "build_cases",
     "available_workloads",
-    "build_backend_workload",
-    "build_accum_backend_workload",
     "time_case",
     "dense_batches",
     "sizeof_microbench",
@@ -84,6 +85,7 @@ __all__ = [
     "run_suite",
     "checkpoint_overhead",
     "async_convergence",
+    "refresh_vs_cold",
     "incremental_refresh",
     "compare_counters",
     "format_phase_breakdown",
@@ -113,9 +115,7 @@ GATED_KERNEL_ROWS = ("pagerank-kernel", "kmeans-kernel")
 CHECKPOINT_OVERHEAD_CEILING = 5.0
 CHECKPOINT_EVERY = 5
 
-STATE = "/bench/state"
-STATIC = "/bench/static"
-OUT = "/bench/out"
+STATIC = PATHS["static_path"]
 
 #: Worker counts the acceptance trajectory tracks: serial-equivalent,
 #: one per core on a 2-core runner, one per core on a 4-core runner.
@@ -149,167 +149,44 @@ def build_cases(quick: bool = False) -> list[WallclockCase]:
         pr_nodes, sssp_nodes, users, iters = 30_000, 30_000, 8_000, 8
         artists, k, jac_n = 60, 8, 800
 
-    def _pagerank(use_kernel: bool = False):
-        graph = pagerank_graph(pr_nodes, seed=42)
-        job = pagerank.build_imr_job(
-            pr_nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iters, num_pairs=8, combiner=True,
-            use_kernel=use_kernel,
-        )
-        return job, pagerank.initial_state(graph), {
-            STATIC: pagerank.static_records(graph)
-        }
-
-    def _sssp(use_kernel: bool = False):
-        graph = sssp_graph(sssp_nodes, seed=42)
-        job = sssp.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iters, num_pairs=8, combiner=True,
-            use_kernel=use_kernel,
-        )
-        return job, sssp.initial_state(graph, source=0), {
-            STATIC: sssp.static_records(graph)
-        }
-
-    def _kmeans(use_kernel: bool = False):
+    def lastfm():
         data = load_lastfm(num_users=users, num_artists=artists,
                            num_tastes=min(4, k), seed=42)
-        job = kmeans.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=max(3, iters - 2), num_pairs=4,
-            use_kernel=use_kernel,
-            num_artists=artists if use_kernel else None,
-        )
-        return job, kmeans.initial_centroids(data, k, seed=42), {
-            STATIC: data.user_records()
-        }
+        return data, k, 42
 
-    def _jacobi(use_kernel: bool = False):
+    #: name -> (num_pairs, seeded source data, table options)
+    sources = {
+        "pagerank": (8, lambda: pagerank_graph(pr_nodes, seed=42),
+                     dict(steps=iters, combiner=True)),
+        "sssp": (8, lambda: sssp_graph(sssp_nodes, seed=42),
+                 dict(steps=iters, combiner=True)),
+        "kmeans": (4, lastfm, dict(steps=max(3, iters - 2))),
         # The record map rebuilds a dict of the whole broadcast vector
         # per row — the O(n²) hot spot the kernel's cached column index
         # eliminates (see JacobiKernel).
-        a, b = jacobi.make_system(jac_n, density=0.05, seed=42)
-        job = jacobi.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iters, num_pairs=4, use_kernel=use_kernel,
-        )
-        return job, jacobi.initial_state(jac_n), {
-            STATIC: jacobi.system_to_static_records(a, b)
-        }
+        "jacobi": (4, lambda: jacobi.make_system(jac_n, density=0.05, seed=42),
+                   dict(steps=iters)),
+    }
 
-    def _kernel(build):
-        return lambda: build(use_kernel=True)
+    def case(name: str, use_kernel: bool) -> WallclockCase:
+        num_pairs, source, options = sources[name]
 
-    return [
-        WallclockCase("pagerank", 8, _pagerank),
-        WallclockCase("sssp", 8, _sssp),
-        WallclockCase("kmeans", 4, _kmeans),
-        WallclockCase("jacobi", 4, _jacobi),
-        WallclockCase("pagerank-kernel", 8, _kernel(_pagerank), kernel_of="pagerank"),
-        WallclockCase("sssp-kernel", 8, _kernel(_sssp), kernel_of="sssp"),
-        WallclockCase("kmeans-kernel", 4, _kernel(_kmeans), kernel_of="kmeans"),
-        WallclockCase("jacobi-kernel", 4, _kernel(_jacobi), kernel_of="jacobi"),
-    ]
+        def build():
+            return build_workload(
+                name, "iterative", source(), num_pairs=num_pairs,
+                use_kernel=use_kernel, **options,
+            )[:3]
+
+        if use_kernel:
+            return WallclockCase(f"{name}-kernel", num_pairs, build, kernel_of=name)
+        return WallclockCase(name, num_pairs, build)
+
+    return [case(name, kernel) for kernel in (False, True) for name in sources]
 
 
 def available_workloads() -> list[str]:
     """Names ``run_suite``'s ``workloads`` filter accepts."""
     return [case.name for case in build_cases(quick=True)]
-
-
-def build_backend_workload(
-    algorithm: str,
-    dataset: str,
-    *,
-    iterations: int = 10,
-    num_pairs: int = 8,
-    combiner: bool = False,
-    seed: int = 0,
-) -> tuple[Any, list, dict, int]:
-    """(job, state, static_map, num_pairs) for ``repro run`` on the real
-    backends — same datasets the simulated engine uses."""
-    from ..common import stable_seed
-    from ..data import load_graph
-
-    if algorithm == "sssp":
-        graph = load_graph(dataset)
-        job = sssp.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iterations, num_pairs=num_pairs, combiner=combiner,
-        )
-        return (job, sssp.initial_state(graph, source=0),
-                {STATIC: sssp.static_records(graph)}, num_pairs)
-    if algorithm == "pagerank":
-        graph = load_graph(dataset)
-        job = pagerank.build_imr_job(
-            graph.num_nodes, state_path=STATE, static_path=STATIC,
-            output_path=OUT, max_iterations=iterations, num_pairs=num_pairs,
-            combiner=combiner,
-        )
-        return (job, pagerank.initial_state(graph),
-                {STATIC: pagerank.static_records(graph)}, num_pairs)
-    if algorithm == "kmeans":
-        data = load_lastfm(num_users=800, num_artists=40, num_tastes=4,
-                           seed=stable_seed(seed, "lastfm") % (2**31)
-                           if seed else 1)
-        centroids = kmeans.initial_centroids(
-            data, 4,
-            seed=stable_seed(seed, "centroids") % (2**31) if seed else 1,
-        )
-        job = kmeans.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iterations, num_pairs=min(4, num_pairs),
-            combiner=combiner,
-        )
-        return job, centroids, {STATIC: data.user_records()}, min(4, num_pairs)
-    if algorithm == "matrixpower":
-        from . import workloads
-
-        matrix = workloads._matrix_for(dataset, seed)
-        job = matrixpower.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iterations, num_pairs=num_pairs,
-        )
-        return (job, matrixpower.matrix_to_state_records(matrix),
-                {STATIC: matrixpower.matrix_to_column_records(matrix)},
-                num_pairs)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def build_accum_backend_workload(
-    algorithm: str,
-    dataset: str,
-    *,
-    num_pairs: int = 8,
-    max_rounds: int = 100_000,
-) -> tuple[Any, list, dict, int]:
-    """(job, initial_deltas, static_map, num_pairs) for ``repro run
-    --mode sync|async`` — the accumulative (Maiter) formulation of the
-    workload, on the same datasets the classic iterative path uses."""
-    from ..data import load_graph
-
-    if algorithm == "pagerank":
-        graph = load_graph(dataset)
-        job = pagerank.build_accum_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            threshold=ACCUM_PAGERANK_THRESHOLD, max_rounds=max_rounds,
-            num_pairs=num_pairs,
-        )
-        return (job, pagerank.accum_initial_deltas(graph.num_nodes,
-                                                   pagerank.DAMPING),
-                {STATIC: pagerank.static_records(graph)}, num_pairs)
-    if algorithm == "sssp":
-        graph = load_graph(dataset)
-        job = sssp.build_accum_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_rounds=max_rounds, num_pairs=num_pairs,
-        )
-        return (job, sssp.accum_initial_deltas(0),
-                {STATIC: sssp.static_records(graph)}, num_pairs)
-    raise ValueError(
-        f"no accumulative formulation for {algorithm!r} "
-        "(--mode sync/async supports sssp and pagerank)"
-    )
 
 
 def dense_batches(job, iterations: int, num_workers: int) -> int:
@@ -586,14 +463,13 @@ def checkpoint_overhead(
     }
 
 
-#: Workloads with an accumulative (Maiter-mode) formulation; the
-#: ``async_convergence`` section runs their sync/async A/B.
-ACCUM_WORKLOADS = ("pagerank", "sssp")
+#: Workloads with an accumulative (Maiter-mode) formulation (and their
+#: seeded graph generators); the ``async_convergence`` section runs
+#: their sync/async A/B.
+_ACCUM_GRAPHS = {"pagerank": pagerank_graph, "sssp": sssp_graph}
+ACCUM_WORKLOADS = tuple(_ACCUM_GRAPHS)
 
-#: Pending-mass threshold for the pagerank accumulative A/B — both modes
-#: stop at the same accumulated-progress line, which is what makes the
-#: shipped-data comparison a fair fight.
-ACCUM_PAGERANK_THRESHOLD = 1e-9
+ACCUM_PAIRS = 8
 
 #: Trace rows kept per convergence curve (evenly subsampled, last row
 #: always kept — it carries the final pending mass).
@@ -607,36 +483,21 @@ def _subsample_curve(trace: list[dict]) -> list[dict]:
     return [trace[round(i * step)] for i in range(CURVE_POINTS)]
 
 
-def _build_accum_case(name: str, quick: bool):
-    """(job, initial_deltas, static_map, exact, num_pairs) for the A/B."""
+def _accum_workloads(quick: bool, workloads):
+    """``(name, table workload)`` per accumulative A/B row the
+    ``workloads`` filter keeps (``None`` keeps all)."""
     # The quick size is larger than the record-path quick size on
     # purpose: below ~300 nodes the async mode's extra rounds cost more
     # frame overhead than the skipped deltas save, and the
     # strictly-fewer gates (which CI replays with --quick) would trip on
     # framing noise rather than the scheduling property under test.
     n = 300 if quick else 2_000
-    if name == "pagerank":
-        graph = pagerank_graph(n, seed=42)
-        job = pagerank.build_accum_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            threshold=ACCUM_PAGERANK_THRESHOLD, max_rounds=100_000,
-            num_pairs=8,
-        )
-        deltas = pagerank.accum_initial_deltas(n, pagerank.DAMPING)
-        static_map = {STATIC: pagerank.static_records(graph)}
-        exact = False
-    elif name == "sssp":
-        graph = sssp_graph(n, seed=42)
-        job = sssp.build_accum_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_rounds=100_000, num_pairs=8,
-        )
-        deltas = sssp.accum_initial_deltas(0)
-        static_map = {STATIC: sssp.static_records(graph)}
-        exact = True
-    else:
-        raise ValueError(f"no accumulative formulation for {name!r}")
-    return job, deltas, static_map, exact, 8
+    for name, generator in _ACCUM_GRAPHS.items():
+        if workloads is None or name in workloads:
+            yield name, build_workload(
+                name, "accumulative", generator(n, seed=42),
+                steps=MAX_ROUNDS, num_pairs=ACCUM_PAIRS,
+            )
 
 
 #: Edge-churn fractions for the incremental-refresh speedup-vs-delta
@@ -645,6 +506,41 @@ def _build_accum_case(name: str, quick: bool):
 #: approaches cold-rerun work, so that point stays informational.
 CHURN_LEVELS = (0.001, 0.01, 0.1)
 GATED_CHURN = 0.01
+
+
+def refresh_vs_cold(workload, algorithm, memo_state, table, fraction, seed, plan):
+    """One incremental refresh and the cold rerun it is judged against.
+
+    Draws a seeded churn touching ~``fraction`` of ``table``'s edges,
+    warm-starts ``plan`` from ``memo_state`` (change propagation), and
+    reruns cold on the mutated input.  Returns ``(delta, (warm,
+    seconds), (cold, seconds), agree)`` — ``agree`` at the
+    ``incremental-differential`` oracle's bar (bit-exact for ``min``,
+    tolerance-bounded for ``+``).  ``repro run --delta`` prints one of
+    these; :func:`incremental_refresh` sweeps the churn levels.
+    """
+    from ..imapreduce import WarmStart, execute, random_edge_churn
+    from ..imapreduce.incremental import cold_rerun_inputs
+    from ..testing.oracles import fixpoints_agree
+
+    job, _inputs, _statics, planner, algebra = workload
+    edits = max(2, round(fraction * sum(len(row) for row in table.values())))
+    # Min-algebra serving workloads refresh fastest on improvement-only
+    # churn (new/faster roads); pagerank takes arbitrary insert+delete.
+    delta = random_edge_churn(
+        table, algorithm, insert=edits // 2, delete=edits - edits // 2,
+        seed=seed, monotone=algebra == "min",
+    )
+    started = time.perf_counter()
+    warm = execute(job, memo_state, {job.static_path: table}, dataclasses.replace(
+        plan, warm=WarmStart(algorithm, delta, **planner)))
+    warm_seconds = time.perf_counter() - started
+    cold_deltas, mutated = cold_rerun_inputs(algorithm, table, delta, **planner)
+    started = time.perf_counter()
+    cold = execute(job, cold_deltas, {job.static_path: mutated}, plan)
+    cold_seconds = time.perf_counter() - started
+    agree = fixpoints_agree(warm.state, cold.state, algebra == "min")
+    return delta, (warm, warm_seconds), (cold, cold_seconds), agree
 
 
 def incremental_refresh(quick: bool = False, log=None,
@@ -665,33 +561,17 @@ def incremental_refresh(quick: bool = False, log=None,
     records than the cold rerun, and the two fixpoints must agree
     (bit-exact for ``min``, threshold-bounded for ``+``).
     """
-    from ..imapreduce import (
-        patch_static_table,
-        random_edge_churn,
-        run_incremental_accum,
-    )
-    from ..imapreduce.incremental import ADJACENCY_KINDS, cold_initial_deltas
-    from ..testing.oracles import records_identical, states_match
-
-    if workloads is None:
-        names = ACCUM_WORKLOADS
-    else:
-        names = tuple(n for n in ACCUM_WORKLOADS if n in workloads)
     section: dict[str, Any] = {
         "churn_levels": list(CHURN_LEVELS),
         "gated_churn": GATED_CHURN,
         "workloads": [],
     }
-    for name in names:
-        job, deltas, static_map, exact, num_pairs = _build_accum_case(
-            name, quick
-        )
+    num_pairs = ACCUM_PAIRS
+    plan = ExecutionPlan(num_pairs=num_pairs, mode="async")
+    for name, workload in _accum_workloads(quick, workloads):
+        job, deltas, static_map = workload[:3]
         table = dict(static_map[STATIC])
         num_edges = sum(len(row) for row in table.values())
-        plan_kwargs = (
-            {"source": 0} if name == "sssp"
-            else {"damping": pagerank.DAMPING}
-        )
         base = run_accum_local(
             job, deltas, static_map, num_pairs=num_pairs, mode="sync"
         )
@@ -703,31 +583,10 @@ def incremental_refresh(quick: bool = False, log=None,
             "levels": [],
         }
         for churn in CHURN_LEVELS:
-            edits = max(2, round(churn * num_edges))
-            insert = edits // 2
-            delta = random_edge_churn(
-                table, name, insert=insert, delete=edits - insert,
-                seed=int(churn * 1_000_000) + 13,
-                monotone=name == "sssp",
+            delta, (warm, warm_seconds), (cold, cold_seconds), match = (
+                refresh_vs_cold(workload, name, base.state, table, churn,
+                                int(churn * 1_000_000) + 13, plan)
             )
-            started = time.perf_counter()
-            warm = run_incremental_accum(
-                job, name, delta, base.state, {STATIC: dict(table)},
-                num_pairs=num_pairs, mode="async", **plan_kwargs,
-            )
-            warm_seconds = time.perf_counter() - started
-            mutated = dict(table)
-            patch_static_table(mutated, delta, ADJACENCY_KINDS[name])
-            started = time.perf_counter()
-            cold = run_accum_local(
-                job, cold_initial_deltas(name, mutated, **plan_kwargs),
-                {STATIC: mutated}, num_pairs=num_pairs, mode="async",
-            )
-            cold_seconds = time.perf_counter() - started
-            if exact:
-                match = records_identical(warm.state, cold.state)
-            else:
-                match = not states_match(warm.state, cold.state)
             level = {
                 "churn": churn,
                 "delta_size": delta.size,
@@ -792,17 +651,13 @@ def async_convergence(quick: bool = False, workers: int = 2,
     * the async fixpoint matches the sync fixpoint (bit-exact for the
       ``min`` algebra, within the differential tolerance for ``+``).
     """
-    from ..testing.oracles import records_identical, states_match
+    from ..testing.oracles import fixpoints_agree, records_identical
 
-    if workloads is None:
-        names = ACCUM_WORKLOADS
-    else:
-        names = tuple(n for n in ACCUM_WORKLOADS if n in workloads)
     section: dict[str, Any] = {"workers": workers, "workloads": []}
-    for name in names:
-        job, deltas, static_map, exact, num_pairs = _build_accum_case(
-            name, quick
-        )
+    num_pairs = ACCUM_PAIRS
+    for name, (job, deltas, static_map, _planner, algebra) in _accum_workloads(
+        quick, workloads
+    ):
         row: dict[str, Any] = {
             "name": f"{name}-accum",
             "num_pairs": num_pairs,
@@ -855,14 +710,9 @@ def async_convergence(quick: bool = False, workers: int = 2,
             async_mode["counters"]["bytes_pickled"]
             < sync_mode["counters"]["bytes_pickled"]
         )
-        if exact:
-            row["states_match"] = records_identical(
-                serials["async"].state, serials["sync"].state
-            )
-        else:
-            row["states_match"] = not states_match(
-                serials["async"].state, serials["sync"].state
-            )
+        row["states_match"] = fixpoints_agree(
+            serials["async"].state, serials["sync"].state, algebra == "min"
+        )
         section["workloads"].append(row)
     return section
 
@@ -921,7 +771,7 @@ def run_suite(
             groups=200 if quick else 2_000, repeats=5 if quick else 20
         ),
     }
-    from ..testing.oracles import records_identical, states_match
+    from ..testing.oracles import fixpoints_agree
 
     rows: dict[str, dict] = {}
     refs: dict[str, Any] = {}
@@ -938,15 +788,10 @@ def run_suite(
             )
             # ``min`` merges replay the record path's float ops exactly;
             # ``sum`` merges reorder additions, so compare in tolerance.
-            record_state = refs[case.kernel_of].state
-            if job.kernel.merge == "min":
-                row["kernel_matches_record"] = records_identical(
-                    ref.state, record_state
-                )
-            else:
-                row["kernel_matches_record"] = not states_match(
-                    ref.state, record_state
-                )
+            row["kernel_matches_record"] = fixpoints_agree(
+                ref.state, refs[case.kernel_of].state,
+                job.kernel.merge == "min",
+            )
         results["workloads"].append(row)
         results["phase_breakdown"][row["name"]] = {
             str(point["workers"]): point["phase_seconds"]
@@ -1024,6 +869,23 @@ def run_suite(
 _BYTES_TOLERANCE = 1.02
 
 
+def _counter_regressions(label: str, now: dict, base: dict) -> list[str]:
+    """Data-plane counters of one point that exceed its baseline's."""
+    problems = [
+        f"{label}: {name} {now[name]} > baseline {base[name]}"
+        for name in ("records_sent", "batches_sent")
+        if name in base and now[name] > base[name]
+    ]
+    if "bytes_pickled" in base and (
+        now["bytes_pickled"] > base["bytes_pickled"] * _BYTES_TOLERANCE
+    ):
+        problems.append(
+            f"{label}: bytes_pickled {now['bytes_pickled']} > baseline "
+            f"{base['bytes_pickled']} (+2% headroom)"
+        )
+    return problems
+
+
 def compare_counters(results: dict, baseline: dict) -> list[str]:
     """Gate the data plane against a committed baseline.
 
@@ -1052,21 +914,9 @@ def compare_counters(results: dict, baseline: dict) -> list[str]:
             base = baseline_points.get((row["name"], point["workers"]))
             if base is None:
                 continue
-            now = point["counters"]
-            for name in ("records_sent", "batches_sent"):
-                if name in base and now[name] > base[name]:
-                    problems.append(
-                        f"{row['name']}@{point['workers']}w: {name} "
-                        f"{now[name]} > baseline {base[name]}"
-                    )
-            if "bytes_pickled" in base and (
-                now["bytes_pickled"] > base["bytes_pickled"] * _BYTES_TOLERANCE
-            ):
-                problems.append(
-                    f"{row['name']}@{point['workers']}w: bytes_pickled "
-                    f"{now['bytes_pickled']} > baseline "
-                    f"{base['bytes_pickled']} (+2% headroom)"
-                )
+            problems += _counter_regressions(
+                f"{row['name']}@{point['workers']}w", point["counters"], base
+            )
     quick = bool(results.get("meta", {}).get("quick", False))
     for row in results.get("workloads", ()):
         speedup = row.get("speedup_vs_record")
@@ -1114,23 +964,10 @@ def compare_counters(results: dict, baseline: dict) -> list[str]:
                 base_point = (base_row or {}).get("modes", {}).get(mode)
                 if base_point is None:
                     continue
-                base_counters = base_point.get("counters", {})
-                now = point["counters"]
-                for name in ("records_sent", "batches_sent"):
-                    if name in base_counters and now[name] > base_counters[name]:
-                        problems.append(
-                            f"{row['name']} [{mode}]: {name} {now[name]} > "
-                            f"baseline {base_counters[name]}"
-                        )
-                if "bytes_pickled" in base_counters and (
-                    now["bytes_pickled"]
-                    > base_counters["bytes_pickled"] * _BYTES_TOLERANCE
-                ):
-                    problems.append(
-                        f"{row['name']} [{mode}]: bytes_pickled "
-                        f"{now['bytes_pickled']} > baseline "
-                        f"{base_counters['bytes_pickled']} (+2% headroom)"
-                    )
+                problems += _counter_regressions(
+                    f"{row['name']} [{mode}]", point["counters"],
+                    base_point.get("counters", {}),
+                )
     incr = results.get("incremental_refresh")
     if incr is not None:
         gated_churn = incr.get("gated_churn", GATED_CHURN)

@@ -247,16 +247,8 @@ def _run_kmeans(spec, engine, cluster, dfs, partitions) -> RunMetrics:
 
 
 # --------------------------------------------------------- matrix power --
-def _matrix_for(dataset: str, seed: int = 0):
-    import numpy as np
-
-    size = int(dataset.removeprefix("matrix"))
-    rng = np.random.default_rng(stable_seed(seed, "matrix") if seed else 99)
-    return rng.uniform(-0.5, 0.5, size=(size, size))
-
-
 def _run_matrixpower(spec, engine, cluster, dfs, partitions) -> RunMetrics:
-    matrix = _matrix_for(spec.dataset, spec.seed)
+    matrix = matrixpower.dataset_matrix(spec.dataset, spec.seed)
     if spec.engine == "mapreduce":
         dfs.ingest("/mp/m", matrixpower.matrix_to_mr_records(matrix, "M"))
         dfs.ingest("/mp/n", matrixpower.matrix_to_mr_records(matrix, "N"))

@@ -13,9 +13,6 @@ from .incremental import (
     patch_static_table,
     plan_changes,
     random_edge_churn,
-    run_incremental_accum,
-    run_incremental_local,
-    run_incremental_parallel,
 )
 from .job import AuxPhase, IterativeJob, IterativeRunResult, Phase
 from .localrun import (
@@ -38,6 +35,14 @@ from .runtime import (
     IMapReduceRuntime,
     LoadBalanceConfig,
     run_accum_simulated,
+)
+from .plan import (
+    SUPPORT,
+    ExecutionPlan,
+    PlanError,
+    WarmStart,
+    execute,
+    run_incremental_accum,
 )
 
 __all__ = [
@@ -63,8 +68,11 @@ __all__ = [
     "plan_changes",
     "random_edge_churn",
     "run_incremental_accum",
-    "run_incremental_local",
-    "run_incremental_parallel",
+    "ExecutionPlan",
+    "WarmStart",
+    "PlanError",
+    "SUPPORT",
+    "execute",
     "AuxPhase",
     "IterativeJob",
     "IterativeRunResult",

@@ -27,10 +27,10 @@ from the memo.  This module is that mode for all three executors:
   receive perturbation deltas), the *reset set* (keys whose memoized
   value may no longer be a valid fixpoint component), and the
   perturbation deltas themselves.
-* :func:`run_incremental_accum` / :func:`run_incremental_local` /
-  :func:`run_incremental_parallel` — warm-started execution on the
-  accumulative engines (serial, kernel, multiprocess) and on the
-  synchronous engines.
+* :func:`warm_sync_state` — the memo as a synchronous engine's initial
+  state.  Warm-started *execution* — both algebras, every backend — is
+  :func:`repro.imapreduce.plan.execute` with a
+  :class:`~repro.imapreduce.plan.WarmStart` in the plan.
 
 Change propagation per algebra
 ------------------------------
@@ -71,7 +71,6 @@ from typing import Any, Iterable
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
-from .accum import AccumJob, AccumRunResult
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -84,10 +83,8 @@ __all__ = [
     "patch_static_table",
     "plan_changes",
     "cold_initial_deltas",
+    "cold_rerun_inputs",
     "warm_sync_state",
-    "run_incremental_accum",
-    "run_incremental_local",
-    "run_incremental_parallel",
     "random_edge_churn",
 ]
 
@@ -528,6 +525,16 @@ def cold_initial_deltas(
     raise DeltaError(f"no incremental support for algorithm {algorithm!r}")
 
 
+def cold_rerun_inputs(
+    algorithm: str, table: dict, delta: DataDelta, **planner
+) -> tuple[list, dict]:
+    """``(initial deltas, mutated table)`` of the cold rerun a warm
+    refresh is judged against; ``table`` itself is left untouched."""
+    mutated = dict(table)
+    patch_static_table(mutated, delta, ADJACENCY_KINDS[algorithm])
+    return cold_initial_deltas(algorithm, mutated, **planner), mutated
+
+
 def warm_sync_state(
     memo_state: Iterable[tuple[Any, Any]],
     plan: ChangePlan,
@@ -663,186 +670,6 @@ class MemoStore:
 
     def gc(self, keep: int | None = None) -> dict:
         return self.store.gc(keep=self.keep if keep is None else keep)
-
-
-# ------------------------------------------------------- warm-run drivers --
-def _static_table(job, static_records) -> dict:
-    # AccumJob exposes static_path directly; IterativeJob keeps it on
-    # the phase (sync jobs are single-phase here — plan_changes rejects
-    # the multi-phase shapes anyway).
-    path = getattr(job, "static_path", None)
-    if path is None and getattr(job, "phases", None):
-        path = job.phases[0].static_path
-    table = dict((static_records or {}).get(path or "", {}))
-    return table
-
-
-def _attach(result, plan: ChangePlan, warm_keys: int) -> None:
-    result.counters.update(
-        {
-            "incremental": plan.summary(),
-            "warm_state_keys": warm_keys,
-        }
-    )
-
-
-def run_incremental_accum(
-    job: AccumJob,
-    algorithm: str,
-    delta: DataDelta,
-    memo_state: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    mode: str = "async",
-    backend: str = "local",
-    keep_trace: bool = False,
-    damping: float | None = None,
-    source: Any = None,
-    **backend_kwargs,
-) -> AccumRunResult:
-    """Warm-started accumulative refresh: patch, plan, perturb, drain.
-
-    ``memo_state`` is the prior converged state (the MemoStore's
-    records); ``static_records`` the *pre-delta* static input.  The
-    delta is patched into the static table, the change plan computed,
-    and the chosen backend (``"local"`` — record or kernel path — or
-    ``"parallel"``) runs with the memo preloaded and only the
-    perturbation deltas pending.  The plan summary lands in the
-    result's ``counters["incremental"]``.
-    """
-    from .localrun import run_accum_local
-    from .parallel import run_accum_parallel
-
-    memo_state = list(memo_state)
-    table = _static_table(job, static_records)
-    plan = plan_changes(
-        algorithm, table, delta, dict(memo_state),
-        damping=damping, source=source,
-    )
-    if plan.reset_keys:
-        reset = plan.reset_keys
-        warm = [(k, v) for k, v in memo_state if k not in reset]
-    else:
-        warm = memo_state
-    statics = {job.static_path or "": table}
-    if backend == "local":
-        result = run_accum_local(
-            job,
-            plan.perturbation,
-            statics,
-            num_pairs=num_pairs,
-            mode=mode,
-            keep_trace=keep_trace,
-            initial_state=warm,
-            **backend_kwargs,
-        )
-    elif backend == "parallel":
-        result = run_accum_parallel(
-            job,
-            plan.perturbation,
-            statics,
-            num_pairs=num_pairs,
-            mode=mode,
-            keep_trace=keep_trace,
-            initial_state=warm,
-            **backend_kwargs,
-        )
-    else:
-        raise DeltaError(f"unknown incremental backend {backend!r}")
-    _attach(result, plan, len(warm))
-    return result
-
-
-def _run_incremental_sync(
-    runner,
-    job,
-    algorithm: str,
-    delta: DataDelta,
-    memo_state,
-    static_records,
-    *,
-    num_pairs: int,
-    damping: float | None,
-    source: Any,
-    identity: Any,
-    backend_kwargs: dict,
-):
-    memo_state = list(memo_state)
-    table = _static_table(job, static_records)
-    plan = plan_changes(
-        algorithm, table, delta, dict(memo_state),
-        damping=damping, source=source,
-    )
-    warm = warm_sync_state(memo_state, plan, identity)
-    static_path = job.phases[0].static_path if getattr(job, "phases", None) else None
-    statics = {static_path or "": table}
-    result = runner(
-        job, warm, statics, num_pairs=num_pairs, **backend_kwargs
-    )
-    return result, plan
-
-
-def run_incremental_local(
-    job,
-    algorithm: str,
-    delta: DataDelta,
-    memo_state: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    damping: float | None = None,
-    source: Any = None,
-    identity: Any = None,
-    **backend_kwargs,
-):
-    """Warm-started *synchronous* serial refresh: the memoized state
-    (reset keys knocked back to ``identity``) becomes the initial state
-    on the patched static table, so :func:`run_local` reconverges in a
-    handful of delta-scoped iterations instead of from scratch.  The
-    job must already describe the mutated input where it bakes in
-    global facts (synchronous pagerank's ``1/N`` teleport)."""
-    import math
-
-    from .localrun import run_local
-
-    if identity is None:
-        identity = math.inf if algorithm in ("sssp", "components") else 0.0
-    result, _plan = _run_incremental_sync(
-        run_local, job, algorithm, delta, memo_state, static_records,
-        num_pairs=num_pairs, damping=damping, source=source,
-        identity=identity, backend_kwargs=backend_kwargs,
-    )
-    return result
-
-
-def run_incremental_parallel(
-    job,
-    algorithm: str,
-    delta: DataDelta,
-    memo_state: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    damping: float | None = None,
-    source: Any = None,
-    identity: Any = None,
-    **backend_kwargs,
-):
-    """Warm-started synchronous refresh on the multiprocess backend —
-    :func:`run_incremental_local`'s twin over :func:`run_parallel`."""
-    import math
-
-    from .parallel import run_parallel
-
-    if identity is None:
-        identity = math.inf if algorithm in ("sssp", "components") else 0.0
-    result, _plan = _run_incremental_sync(
-        run_parallel, job, algorithm, delta, memo_state, static_records,
-        num_pairs=num_pairs, damping=damping, source=source,
-        identity=identity, backend_kwargs=backend_kwargs,
-    )
-    return result
 
 
 # ------------------------------------------------------- delta synthesis --

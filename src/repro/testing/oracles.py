@@ -26,6 +26,7 @@ __all__ = [
     "values_identical",
     "records_identical",
     "states_match",
+    "fixpoints_agree",
     "oracle_termination",
     "oracle_differential",
     "oracle_kernel_differential",
@@ -142,6 +143,13 @@ def states_match(
         )
         problems.append(f"{len(mismatches)} value(s) diverge: {detail}")
     return problems
+
+
+def fixpoints_agree(a: list, b: list, exact: bool) -> bool:
+    """Do two runs' final states name the same fixpoint?  ``exact``
+    (min algebras) demands record identity; otherwise :data:`RTOL` /
+    :data:`ATOL` — the bar the fixpoint oracles below enforce."""
+    return records_identical(a, b) if exact else not states_match(a, b)
 
 
 # --------------------------------------------------------------- oracles --

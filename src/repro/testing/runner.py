@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from ..algorithms import kmeans, pagerank, sssp
+from ..algorithms.workloads import build_workload
 from ..cluster import Cluster, heterogeneous_cluster, local_cluster
 from ..common import IterKeys, stable_seed
 from ..data.lastfm import load_lastfm
@@ -25,20 +25,16 @@ from ..dfs import DFS
 from ..graph.generators import pagerank_graph, sssp_graph
 from ..imapreduce import (
     ChaosKnobs,
+    ExecutionPlan,
     FailureDetectorConfig,
     IMapReduceRuntime,
     LoadBalanceConfig,
     ProcFault,
-    patch_static_table,
+    WarmStart,
+    execute,
     random_edge_churn,
-    run_accum_local,
-    run_accum_parallel,
-    run_accum_simulated,
-    run_incremental_accum,
-    run_local,
-    run_parallel,
 )
-from ..imapreduce.incremental import ADJACENCY_KINDS, cold_initial_deltas
+from ..imapreduce.incremental import cold_rerun_inputs
 from ..metrics.trace import TraceEvent, Tracer
 from ..simulation import Engine
 from .campaign import REPLICATION, WORKLOADS, CampaignSpec, generate_campaign
@@ -150,72 +146,8 @@ class ChaosReport:
 
 
 # ------------------------------------------------------------ workloads --
-def _build_workload(spec: CampaignSpec, use_kernel: bool = False):
-    """Spec → (job, state_records, static_records_by_path).
-
-    ``use_kernel`` builds the same workload with its vectorized columnar
-    kernel attached (the ``use_kernels`` campaign dimension); inputs and
-    record-level phases are identical either way.
-    """
-    if spec.workload == "sssp":
-        graph = sssp_graph(spec.input_size, seed=stable_seed(spec.seed, "graph"))
-        state = sssp.initial_state(graph, source=0)
-        static = sssp.static_records(graph)
-        job = sssp.build_imr_job(
-            state_path=STATE_PATH,
-            static_path=STATIC_PATH,
-            output_path=OUTPUT_PATH,
-            max_iterations=spec.max_iterations,
-            num_pairs=spec.num_pairs,
-            sync=spec.sync,
-            combiner=spec.combiner,
-            checkpoint_interval=spec.checkpoint_interval,
-            buffer_records=spec.buffer_records,
-            use_kernel=use_kernel,
-        )
-    elif spec.workload == "pagerank":
-        graph = pagerank_graph(spec.input_size, seed=stable_seed(spec.seed, "graph"))
-        state = pagerank.initial_state(graph)
-        static = pagerank.static_records(graph)
-        job = pagerank.build_imr_job(
-            spec.input_size,
-            state_path=STATE_PATH,
-            static_path=STATIC_PATH,
-            output_path=OUTPUT_PATH,
-            max_iterations=spec.max_iterations,
-            num_pairs=spec.num_pairs,
-            sync=spec.sync,
-            combiner=spec.combiner,
-            checkpoint_interval=spec.checkpoint_interval,
-            buffer_records=spec.buffer_records,
-            use_kernel=use_kernel,
-        )
-    elif spec.workload == "kmeans":
-        data = load_lastfm(
-            num_users=spec.input_size,
-            num_artists=8,
-            num_tastes=2,
-            seed=stable_seed(spec.seed, "lastfm") % (2**31),
-        )
-        k = min(3, max(2, spec.num_pairs))
-        state = kmeans.initial_centroids(data, k, seed=stable_seed(spec.seed, "centroids") % (2**31))
-        static = data.user_records()
-        job = kmeans.build_imr_job(
-            state_path=STATE_PATH,
-            static_path=STATIC_PATH,
-            output_path=OUTPUT_PATH,
-            max_iterations=spec.max_iterations,
-            num_pairs=spec.num_pairs,
-            combiner=spec.combiner,
-            checkpoint_interval=spec.checkpoint_interval,
-            use_kernel=use_kernel,
-            num_artists=8 if use_kernel else None,
-        )
-    else:  # pragma: no cover - validate() rejects earlier
-        raise ValueError(f"unknown workload {spec.workload!r}")
-    job.conf.set_int(IterKeys.SEED, spec.seed or 1)
-    return job, state, {STATIC_PATH: static}
-
+PATHS = {"state_path": STATE_PATH, "static_path": STATIC_PATH,
+         "output_path": OUTPUT_PATH}
 
 #: Pending-mass threshold for ``+``-algebra accumulative twins; ``min``
 #: algebras drain exactly at 0.  Campaign inputs are tiny (≤ 28 nodes),
@@ -226,123 +158,102 @@ ACCUM_SUM_THRESHOLD = 1e-12
 ACCUM_MAX_ROUNDS = 2000
 
 
-def _build_accum_workload(spec: CampaignSpec, use_kernel: bool = False):
-    """Spec → (accum_job, initial_deltas, static_records_by_path, algebra).
-
-    The accumulative (Maiter-mode) twin of :func:`_build_workload` for
-    the workloads that have one: the same seeded input graph, formulated
-    as an :class:`~repro.imapreduce.accum.AccumJob`.
-    """
-    if spec.workload == "sssp":
-        graph = sssp_graph(spec.input_size, seed=stable_seed(spec.seed, "graph"))
-        deltas = sssp.accum_initial_deltas(0)
-        static = sssp.static_records(graph)
-        job = sssp.build_accum_job(
-            state_path=STATE_PATH,
-            static_path=STATIC_PATH,
-            output_path=OUTPUT_PATH,
-            max_rounds=ACCUM_MAX_ROUNDS,
-            num_pairs=spec.num_pairs,
-            use_kernel=use_kernel,
+def _source(spec: CampaignSpec):
+    """The spec's seeded source data, in the workload table's shapes."""
+    if spec.workload == "kmeans":
+        data = load_lastfm(
+            num_users=spec.input_size,
+            num_artists=8,
+            num_tastes=2,
+            seed=stable_seed(spec.seed, "lastfm") % (2**31),
         )
-        algebra = "min"
-    elif spec.workload == "pagerank":
-        graph = pagerank_graph(spec.input_size, seed=stable_seed(spec.seed, "graph"))
-        deltas = pagerank.accum_initial_deltas(spec.input_size, pagerank.DAMPING)
-        static = pagerank.static_records(graph)
-        job = pagerank.build_accum_job(
-            state_path=STATE_PATH,
-            static_path=STATIC_PATH,
-            output_path=OUTPUT_PATH,
-            threshold=ACCUM_SUM_THRESHOLD,
-            max_rounds=ACCUM_MAX_ROUNDS,
-            num_pairs=spec.num_pairs,
-            use_kernel=use_kernel,
-        )
-        algebra = "sum"
-    else:  # pragma: no cover - validate() rejects async_mode elsewhere
-        raise ValueError(f"no accumulative twin for {spec.workload!r}")
-    return job, deltas, {STATIC_PATH: static}, algebra
+        k = min(3, max(2, spec.num_pairs))
+        return data, k, stable_seed(spec.seed, "centroids") % (2**31)
+    generator = sssp_graph if spec.workload == "sssp" else pagerank_graph
+    return generator(spec.input_size, seed=stable_seed(spec.seed, "graph"))
 
 
-def _run_accum_twin(
-    spec: CampaignSpec,
-    outcome: CampaignOutcome,
-    *,
-    parallel: bool,
-    parallel_workers: int,
-    parallel_start_method: str | None,
-) -> None:
+def _build_iterative(spec: CampaignSpec, use_kernel: bool = False):
+    """Spec → the iterative table workload.  ``use_kernel`` attaches the
+    vectorized columnar kernel (the ``use_kernels`` campaign dimension);
+    inputs and record-level phases are identical either way."""
+    options = dict(combiner=spec.combiner, use_kernel=use_kernel,
+                   checkpoint_interval=spec.checkpoint_interval)
+    if spec.workload != "kmeans":  # kmeans is always sync and unbuffered
+        options.update(sync=spec.sync, buffer_records=spec.buffer_records)
+    workload = build_workload(
+        spec.workload, "iterative", _source(spec), paths=PATHS,
+        steps=spec.max_iterations, num_pairs=spec.num_pairs, **options,
+    )
+    workload.job.conf.set_int(IterKeys.SEED, spec.seed or 1)
+    return workload
+
+
+def _build_accumulative(spec: CampaignSpec, use_kernel: bool = False):
+    """The accumulative (Maiter-mode) twin: the same seeded input graph,
+    formulated as an :class:`~repro.imapreduce.accum.AccumJob`."""
+    return build_workload(
+        spec.workload, "accumulative", _source(spec), paths=PATHS,
+        steps=ACCUM_MAX_ROUNDS, num_pairs=spec.num_pairs,
+        sum_threshold=ACCUM_SUM_THRESHOLD, use_kernel=use_kernel,
+    )
+
+
+def _run_schedules(spec, schedules, inputs, statics, results, errors) -> None:
+    """Run every ``(name, use_kernel, plan)`` schedule on the spec's
+    accumulative twin; a run that dies is recorded, not raised (the
+    fixpoint oracles judge it)."""
+    jobs: dict = {}
+    for name, use_kernel, plan in schedules:
+        if use_kernel not in jobs:
+            jobs[use_kernel] = _build_accumulative(spec, use_kernel).job
+        try:
+            results[name] = execute(jobs[use_kernel], inputs, statics, plan)
+        except Exception as exc:
+            errors[name] = exc
+
+
+def _async_schedules(spec, parallel_plan, prefix: str = "") -> list:
+    """The asynchronous schedules a spec asks for, as plans: serial,
+    the kernel twin (``use_kernels``), the real mesh (``parallel``)."""
+    serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="async")
+    schedules = [(f"{prefix}serial-async", False, serial)]
+    if spec.use_kernels:
+        schedules.append((f"{prefix}kernel-async", True, serial))
+    if parallel_plan is not None:
+        schedules.append((
+            f"{prefix}parallel-async", False,
+            replace(parallel_plan, num_pairs=spec.num_pairs, mode="async"),
+        ))
+    return schedules
+
+
+def _run_accum_twin(spec, outcome: CampaignOutcome, parallel_plan) -> None:
     """Run the accumulative twin under every schedule the spec asks for.
 
-    All runs share one job and one input; the ``async-fixpoint`` oracle
-    compares each asynchronous schedule's fixpoint against the
-    synchronous serial reference.
+    All runs share one input; the ``async-fixpoint`` oracle compares
+    each asynchronous schedule's fixpoint against the synchronous
+    serial reference.
     """
-    job, deltas, static_map, algebra = _build_accum_workload(spec)
-    outcome.async_algebra = algebra
+    job, deltas, static_map, _planner, outcome.async_algebra = (
+        _build_accumulative(spec)
+    )
+    serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
     try:
-        outcome.async_reference = run_accum_local(
-            job, deltas, static_map, num_pairs=spec.num_pairs, mode="sync"
-        )
+        outcome.async_reference = execute(job, deltas, static_map, serial)
     except Exception as exc:
         outcome.async_errors["sync-reference"] = exc
         return
-    runs: list[tuple[str, Callable[[], Any]]] = [
-        (
-            "serial-async",
-            lambda: run_accum_local(
-                job, deltas, static_map, num_pairs=spec.num_pairs, mode="async"
-            ),
-        ),
-        (
-            "simulated",
-            lambda: run_accum_simulated(
-                job, deltas, static_map, num_pairs=spec.num_pairs, seed=spec.seed
-            ),
-        ),
-    ]
-    if spec.use_kernels:
-        kjob, _, _, _ = _build_accum_workload(spec, use_kernel=True)
-        runs.append(
-            (
-                "kernel-async",
-                lambda: run_accum_local(
-                    kjob, deltas, static_map, num_pairs=spec.num_pairs,
-                    mode="async",
-                ),
-            )
-        )
-    if parallel:
-        runs.append(
-            (
-                "parallel-async",
-                lambda: run_accum_parallel(
-                    job,
-                    deltas,
-                    static_map,
-                    num_pairs=spec.num_pairs,
-                    num_workers=parallel_workers,
-                    mode="async",
-                    start_method=parallel_start_method,
-                ),
-            )
-        )
-    for name, thunk in runs:
-        try:
-            outcome.async_results[name] = thunk()
-        except Exception as exc:  # judged by the async-fixpoint oracle
-            outcome.async_errors[name] = exc
+    schedules = _async_schedules(spec, parallel_plan)
+    schedules.insert(1, (
+        "simulated", False,
+        replace(serial, backend="simulated", mode="async", seed=spec.seed),
+    ))
+    _run_schedules(spec, schedules, deltas, static_map,
+                   outcome.async_results, outcome.async_errors)
 
 
-def _run_incremental_twin(
-    spec: CampaignSpec,
-    outcome: CampaignOutcome,
-    *,
-    parallel: bool,
-    parallel_workers: int,
-    parallel_start_method: str | None,
-) -> None:
+def _run_incremental_twin(spec, outcome: CampaignOutcome, parallel_plan) -> None:
     """Run the incremental-refresh (i2MapReduce-mode) twin.
 
     One cold base run converges and is memoized; the spec's pinned
@@ -352,84 +263,37 @@ def _run_incremental_twin(
     serial async, the kernel twin, the real multiprocess backend — is
     judged against it by the ``incremental-differential`` oracle.
     """
-    job, deltas, static_map, algebra = _build_accum_workload(spec)
-    outcome.incremental_algebra = algebra
+    job, deltas, static_map, planner, outcome.incremental_algebra = (
+        _build_accumulative(spec)
+    )
     table = dict(static_map[STATIC_PATH])
     insert, delete, churn_seed = spec.input_delta
-    plan_kwargs = (
-        {"source": 0} if spec.workload == "sssp"
-        else {"damping": pagerank.DAMPING}
-    )
+    serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
     try:
         delta = random_edge_churn(
             table, spec.workload, insert=insert, delete=delete,
             seed=churn_seed,
         )
-        memo = run_accum_local(
-            job, deltas, {STATIC_PATH: table}, num_pairs=spec.num_pairs,
-            mode="sync",
+        memo = execute(job, deltas, static_map, serial)
+        cold_deltas, mutated = cold_rerun_inputs(
+            spec.workload, table, delta, **planner
         )
-        mutated = dict(table)
-        patch_static_table(mutated, delta, ADJACENCY_KINDS[spec.workload])
-        outcome.incremental_reference = run_accum_local(
-            job,
-            cold_initial_deltas(spec.workload, mutated, **plan_kwargs),
-            {STATIC_PATH: mutated},
-            num_pairs=spec.num_pairs,
-            mode="sync",
+        outcome.incremental_reference = execute(
+            job, cold_deltas, {STATIC_PATH: mutated}, serial
         )
     except Exception as exc:
         outcome.incremental_errors["cold-base"] = exc
         return
-    runs: list[tuple[str, Callable[[], Any]]] = [
-        (
-            "warm-serial-sync",
-            lambda: run_incremental_accum(
-                job, spec.workload, delta, memo.state,
-                {STATIC_PATH: dict(table)}, num_pairs=spec.num_pairs,
-                mode="sync", **plan_kwargs,
-            ),
-        ),
-        (
-            "warm-serial-async",
-            lambda: run_incremental_accum(
-                job, spec.workload, delta, memo.state,
-                {STATIC_PATH: dict(table)}, num_pairs=spec.num_pairs,
-                mode="async", **plan_kwargs,
-            ),
-        ),
+    warm = WarmStart(spec.workload, delta, **planner)
+    schedules = [
+        (name, use_kernel, replace(plan, warm=warm))
+        for name, use_kernel, plan in [
+            ("warm-serial-sync", False, serial),
+            *_async_schedules(spec, parallel_plan, prefix="warm-"),
+        ]
     ]
-    if spec.use_kernels:
-        kjob, _, _, _ = _build_accum_workload(spec, use_kernel=True)
-        runs.append(
-            (
-                "warm-kernel-async",
-                lambda: run_incremental_accum(
-                    kjob, spec.workload, delta, memo.state,
-                    {STATIC_PATH: dict(table)}, num_pairs=spec.num_pairs,
-                    mode="async", **plan_kwargs,
-                ),
-            )
-        )
-    if parallel:
-        runs.append(
-            (
-                "warm-parallel-async",
-                lambda: run_incremental_accum(
-                    job, spec.workload, delta, memo.state,
-                    {STATIC_PATH: dict(table)}, num_pairs=spec.num_pairs,
-                    mode="async", backend="parallel",
-                    num_workers=parallel_workers,
-                    start_method=parallel_start_method,
-                    **plan_kwargs,
-                ),
-            )
-        )
-    for name, thunk in runs:
-        try:
-            outcome.incremental_results[name] = thunk()
-        except Exception as exc:  # judged by the incremental oracle
-            outcome.incremental_errors[name] = exc
+    _run_schedules(spec, schedules, memo.state, static_map,
+                   outcome.incremental_results, outcome.incremental_errors)
 
 
 def _build_cluster(spec: CampaignSpec, engine: Engine) -> Cluster:
@@ -463,7 +327,7 @@ def run_campaign(
     """
     started = time.perf_counter()
     spec.validate()
-    job, state, static_map = _build_workload(spec)
+    job, state, static_map = _build_iterative(spec)[:3]
     outcome = CampaignOutcome(spec=spec)
 
     engine = Engine()
@@ -504,24 +368,26 @@ def run_campaign(
                 final.extend(dfs.file_info(path).records)
         outcome.final_state = sorted(final, key=lambda kv: repr(kv[0]))
 
-    outcome.reference = run_local(
-        job, state, static_map, num_pairs=spec.num_pairs
-    )
+    serial = ExecutionPlan(num_pairs=spec.num_pairs)
+    outcome.reference = execute(job, state, static_map, serial)
     outcome.reference.state.sort(key=lambda kv: repr(kv[0]))
     kernel_job = None
     if spec.use_kernels:
         # The same workload with its columnar kernel attached: the serial
         # columnar run is judged against the record-path reference by the
         # kernel-differential oracle.
-        kernel_job, _, _ = _build_workload(spec, use_kernel=True)
+        kernel_job = _build_iterative(spec, use_kernel=True).job
         try:
-            outcome.kernel_result = run_local(
-                kernel_job, state, static_map, num_pairs=spec.num_pairs
-            )
+            outcome.kernel_result = execute(kernel_job, state, static_map, serial)
             outcome.kernel_result.state.sort(key=lambda kv: repr(kv[0]))
         except Exception as exc:  # judged by the kernel oracle
             outcome.kernel_error = exc
+    parallel_plan = None
     if parallel:
+        parallel_plan = replace(
+            serial, backend="parallel", num_workers=parallel_workers,
+            start_method=parallel_start_method,
+        )
         # With kernels on, the multiprocess backend runs the kernel job
         # and must reproduce the *serial columnar* run bit-for-bit (both
         # paths order every merge identically); otherwise it runs the
@@ -531,11 +397,12 @@ def run_campaign(
         # seeded kill/stop fires mid-run, recovery restores the durable
         # checkpoint, and the same differential oracle that judges an
         # unfaulted run judges the recovered one.
-        par_kwargs: dict = {}
+        armed = parallel_plan
         if spec.proc_kill is not None:
             victim, at_iteration, action = spec.proc_kill
             mesh_size = max(1, min(parallel_workers, spec.num_pairs))
-            par_kwargs = dict(
+            armed = replace(
+                parallel_plan,
                 checkpoint_every=spec.checkpoint_interval,
                 heartbeat_interval=0.05,
                 # SIGSTOP is only caught by heartbeat silence; give spawn
@@ -552,34 +419,14 @@ def run_campaign(
                 ),
             )
         try:
-            outcome.parallel_result = run_parallel(
-                par_job,
-                state,
-                static_map,
-                num_pairs=spec.num_pairs,
-                num_workers=parallel_workers,
-                start_method=parallel_start_method,
-                **par_kwargs,
-            )
+            outcome.parallel_result = execute(par_job, state, static_map, armed)
             outcome.parallel_result.state.sort(key=lambda kv: repr(kv[0]))
         except Exception as exc:  # judged by the parallel oracle
             outcome.parallel_error = exc
     if spec.async_mode:
-        _run_accum_twin(
-            spec,
-            outcome,
-            parallel=parallel,
-            parallel_workers=parallel_workers,
-            parallel_start_method=parallel_start_method,
-        )
+        _run_accum_twin(spec, outcome, parallel_plan)
     if spec.input_delta is not None:
-        _run_incremental_twin(
-            spec,
-            outcome,
-            parallel=parallel,
-            parallel_workers=parallel_workers,
-            parallel_start_method=parallel_start_method,
-        )
+        _run_incremental_twin(spec, outcome, parallel_plan)
     outcome.trace_events = list(tracer.events)
     outcome.violations = evaluate_oracles(spec, outcome)
     outcome.wall_seconds = time.perf_counter() - started

@@ -20,11 +20,13 @@ from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import (
     DataDelta,
     DeltaError,
+    ExecutionPlan,
     MemoStore,
+    WarmStart,
+    execute,
     patch_static_table,
     plan_changes,
     run_incremental_accum,
-    run_incremental_local,
 )
 from repro.imapreduce.incremental import (
     ADJACENCY_KINDS,
@@ -373,8 +375,8 @@ def test_sync_engine_warm_sssp_matches_cold():
         job, [(u, 0.0 if u == 0 else math.inf) for u in mutated],
         {"/st": mutated}, num_pairs=4,
     )
-    warm = run_incremental_local(job, "sssp", delta, cold.state,
-                                 {"/st": table}, num_pairs=4, source=0)
+    warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
+        num_pairs=4, warm=WarmStart("sssp", delta, source=0)))
     assert dict(warm.state) == dict(ref.state)
 
 
@@ -393,8 +395,8 @@ def test_sync_engine_warm_converges_faster_on_monotone_churn():
         job, [(u, 0.0 if u == 0 else math.inf) for u in mutated],
         {"/st": mutated}, num_pairs=4,
     )
-    warm = run_incremental_local(job, "sssp", delta, cold.state,
-                                 {"/st": table}, num_pairs=4, source=0)
+    warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
+        num_pairs=4, warm=WarmStart("sssp", delta, source=0)))
     assert dict(warm.state) == dict(ref.state)
     assert warm.iterations_run < ref.iterations_run
 
@@ -412,9 +414,9 @@ def test_sync_engine_warm_pagerank_threshold_bounded():
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     ref = run_local(job, [(u, 1.0 / g.num_nodes) for u in mutated],
                     {"/st": mutated}, num_pairs=4)
-    warm = run_incremental_local(job, "pagerank", delta, cold.state,
-                                 {"/st": table}, num_pairs=4,
-                                 damping=pagerank.DAMPING)
+    warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
+        num_pairs=4,
+        warm=WarmStart("pagerank", delta, damping=pagerank.DAMPING)))
     da, db = dict(warm.state), dict(ref.state)
     for k in db:
         assert da[k] == pytest.approx(db[k], rel=1e-6, abs=1e-8)

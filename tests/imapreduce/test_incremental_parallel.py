@@ -8,6 +8,7 @@ too, floats included.  The synchronous twin warm-starts
 :func:`run_parallel` from the reset-and-reseeded memo records.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -15,10 +16,11 @@ import pytest
 from repro.algorithms import pagerank, sssp
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import (
+    ExecutionPlan,
+    WarmStart,
+    execute,
     patch_static_table,
     run_incremental_accum,
-    run_incremental_local,
-    run_incremental_parallel,
 )
 from repro.imapreduce.incremental import ADJACENCY_KINDS
 from repro.imapreduce.localrun import run_accum_local, run_local
@@ -102,11 +104,10 @@ def test_sync_engine_parallel_warm_matches_serial_warm():
     cold = run_local(job, sssp.initial_state(graph, 0), {STATIC: table},
                      num_pairs=4)
     delta = sssp.churn_delta(table, insert=2, delete=2, seed=9)
-    serial = run_incremental_local(job, "sssp", delta, cold.state,
-                                   {STATIC: table}, num_pairs=4, source=0)
-    par = run_incremental_parallel(job, "sssp", delta, cold.state,
-                                   {STATIC: table}, num_pairs=4,
-                                   num_workers=2, source=0)
+    warm = ExecutionPlan(num_pairs=4, warm=WarmStart("sssp", delta, source=0))
+    serial = execute(job, cold.state, {STATIC: table}, warm)
+    par = execute(job, cold.state, {STATIC: table},
+                  dataclasses.replace(warm, backend="parallel", num_workers=2))
     assert dict(par.state) == dict(serial.state)
     # And both sit on the cold-rerun fixpoint.
     mutated = dict(table)
