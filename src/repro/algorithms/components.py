@@ -98,14 +98,13 @@ class ComponentsKernel(Kernel):
             (v for t in neigh for v in t), dtype=np.int64, count=total
         )
         src_local = np.repeat(np.arange(owned_keys.size), counts)
-        return targets, src_local
+        # The emission keys never change: the *same* array is returned
+        # every iteration, so the shuffle plan is reused on an ``is``.
+        return np.concatenate([owned_keys, targets]), src_local
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
-        targets, src_local = prepared
-        return (
-            np.concatenate([keys, targets]),
-            np.concatenate([values, values[src_local]]),
-        )
+        out_keys, src_local = prepared
+        return out_keys, np.concatenate([values, values[src_local]])
 
     def distance_partial(self, keys, prev, curr):
         # Exact integer count of changed labels — safe to compare to the

@@ -131,16 +131,17 @@ class PageRankKernel(Kernel):
             (v for t in neigh for v in t), dtype=np.int64, count=total
         )
         src_local = np.repeat(np.arange(owned_keys.size), counts)
-        return counts, targets, src_local
+        # The emission keys and the retain column never change: built
+        # once, and the *same* key array is returned every iteration, so
+        # the executor's shuffle plan is reused on an identity test.
+        out_keys = np.concatenate([owned_keys, targets])
+        retain = np.full(owned_keys.size, (1.0 - self.damping) / self.num_nodes)
+        return counts[src_local], src_local, out_keys, retain
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
-        counts, targets, src_local = prepared
-        retain = np.full(keys.size, (1.0 - self.damping) / self.num_nodes)
-        shares = self.damping * values[src_local] / counts[src_local]
-        return (
-            np.concatenate([keys, targets]),
-            np.concatenate([retain, shares]),
-        )
+        out_degree, src_local, out_keys, retain = prepared
+        shares = self.damping * values[src_local] / out_degree
+        return out_keys, np.concatenate([retain, shares])
 
     def distance_partial(self, keys, prev, curr):
         return float(np.abs(prev - curr).sum())

@@ -792,6 +792,19 @@ def run_suite(
                 ref.state, refs[case.kernel_of].state,
                 job.kernel.merge == "min",
             )
+            # ROADMAP's shuffle-volume gate: the sender-side combine
+            # ships one value per (source pair, key), like the record
+            # twin's combiner, so the mesh must not carry more records.
+            twin_sent = {
+                point["workers"]: point["counters"]["records_sent"]
+                for point in base["parallel"]
+            }
+            row["records_sent_vs_record"] = {
+                str(point["workers"]): [
+                    point["counters"]["records_sent"], twin_sent[point["workers"]]
+                ]
+                for point in row["parallel"]
+            }
         results["workloads"].append(row)
         results["phase_breakdown"][row["name"]] = {
             str(point["workers"]): point["phase_seconds"]
@@ -803,7 +816,12 @@ def run_suite(
             )
             vs = (
                 f"; {row['speedup_vs_record']}x vs record path "
-                f"(matches={row['kernel_matches_record']})"
+                f"(matches={row['kernel_matches_record']}; mesh records "
+                + ", ".join(
+                    f"{w}w={mine:,} vs {twin:,}"
+                    for w, (mine, twin) in row["records_sent_vs_record"].items()
+                )
+                + ")"
                 if "speedup_vs_record" in row else ""
             )
             log(
@@ -930,6 +948,12 @@ def compare_counters(results: dict, baseline: dict) -> list[str]:
             problems.append(
                 f"{row['name']}: kernel state diverged from the record path"
             )
+        for w, (mine, twin) in row.get("records_sent_vs_record", {}).items():
+            if mine > twin:
+                problems.append(
+                    f"{row['name']}@{w}w: records_sent {mine} > the record "
+                    f"twin's {twin}"
+                )
     accum = results.get("async_convergence")
     if accum is not None:
         baseline_accum = {

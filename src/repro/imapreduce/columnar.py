@@ -31,12 +31,44 @@ the per-record loops:
   iterations (§3.2.1 — the static data is never touched again);
 * ``map_kernel(pair, keys, values, prepared, broadcast)`` returns the
   pair's whole emission set as ``(out_keys, out_values)`` arrays;
-* emissions are routed with one vectorized partition call
-  (``partitioner.bind_array``) and merged at the owning pair with
-  ``np.add.at`` / ``np.minimum.at`` — the reduce;
+* emissions are combined at the sender and folded at the owning pair
+  along a cached **shuffle plan** (below) — the reduce;
 * optional ``finalize`` post-processes the merged accumulator (k-means
   divides sums by counts), and ``distance_partial`` supplies the
   vectorized per-pair convergence contribution.
+
+The shuffle plan
+----------------
+
+What §3.2 does for the static data — place it once, never move it again
+— :class:`ColumnarSync` does for the shuffle *schedule*.  Routing,
+grouping and locating an emission are functions of its keys alone, and
+most kernels emit the same keys every iteration (pagerank and
+components return the very same array object; k-means and jacobi an
+equal one), so per source pair the executor keeps a
+:class:`ShufflePlan`: one ``lexsort`` by (destination, key), the
+``reduceat`` run starts of the distinct keys and each destination's
+slice.  A steady-state iteration is then ``map_kernel`` →
+``ufunc.reduceat`` (the §5 combiner: one value per key leaves the pair)
+→ wire items ``(dest_pair, src_pair, None, values)``.  The receiving
+pair caches, per source, the row of each shipped key in its owned array,
+and folds ``acc[rows] ⊕= values`` source by source.
+
+Keys travel only in a step whose plan was (re)built: the first step,
+any step a kernel's key array changes (the sssp kernel offers from
+*reached* nodes only, so it re-plans while the frontier grows and then
+sticks), and the first step after a recovery — plans and row indices
+are derived state, rebuilt by the respawned executors and never
+checkpointed.  Whether a plan is reused is observed (``out_keys is
+plan.keys``, else an ``array_equal``), never configured; a kernel must
+therefore not mutate a key array it has returned.  The two contract
+checks — no emission outside the destination's owned set, every owned
+key covered — are functions of the keys too, and are evaluated when keys
+arrive or the set of contributing sources changes: once per distinct
+key array, which enforces exactly what checking every step did.
+:func:`route_columnar` and :func:`merge_columnar` remain as the
+plan-free forms (dynamic delta batches, and the reference the plan is
+tested against).
 
 Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
 the job must carry a kernel, have exactly one phase, no aux phase, a
@@ -52,16 +84,18 @@ Float-ordering caveat
 
 ``min`` merges are order-independent, so sssp/components kernels are
 *bit-exact* against the record path.  ``sum`` merges reorder the float
-additions (``np.add.at`` accumulates in routed-concatenation order, the
-record path in ``group_by_key`` emission order), so summation kernels
-are compared with a tolerance oracle.  The worst-case error of summing
-``n`` floats in any order is bounded by ``(n-1)·eps·Σ|xᵢ|`` (Higham,
-*Accuracy and Stability of Numerical Algorithms*, §4.2); with
-``eps = 2⁻⁵³`` and the bench-scale fan-ins (n ≲ 10⁵, values ≲ 1) that is
-≲ 10⁻¹¹ absolute — six orders under the differential oracle's 1e-6
-relative tolerance.  Kernel-serial vs kernel-parallel stays bit-exact:
-both assemble merge inputs in ascending source-pair order and run the
-identical numpy reduction.
+additions — the planned shuffle sums each (source pair, key) run first
+(``np.add.reduceat``, in emission order) and then adds those partials
+in ascending source-pair order at the receiver, the record path sums in
+``group_by_key`` emission order — so summation kernels are compared
+with a tolerance oracle.  The worst-case error of summing ``n`` floats
+in any order is bounded by ``(n-1)·eps·Σ|xᵢ|`` (Higham, *Accuracy and
+Stability of Numerical Algorithms*, §4.2); with ``eps = 2⁻⁵³`` and the
+bench-scale fan-ins (n ≲ 10⁵, values ≲ 1) that is ≲ 10⁻¹¹ absolute —
+six orders under the differential oracle's 1e-6 relative tolerance.
+Kernel-serial vs kernel-parallel stays bit-exact: the same executor
+builds the same plans and folds in the same ascending source-pair
+order on both transports.
 """
 
 from __future__ import annotations
@@ -86,6 +120,7 @@ __all__ = [
     "absorb_columnar",
     "pending_priority",
     "concat_broadcast",
+    "ShufflePlan",
     "ColumnarSync",
     "ColumnarAccum",
 ]
@@ -106,7 +141,7 @@ class Kernel:
     must be picklable — plain classes with ``__slots__`` work.
     """
 
-    #: ``"sum"`` (``np.add.at``) or ``"min"`` (``np.minimum.at``).
+    #: ``"sum"`` (``np.add``) or ``"min"`` (``np.minimum``).
     merge = "sum"
     #: True for one2all jobs: ``map_kernel`` receives the full state as
     #: a globally key-sorted ``(keys, values)`` broadcast.
@@ -128,6 +163,9 @@ class Kernel:
         prepared: Any,
         broadcast: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """The pair's whole emission set.  A returned key array must not
+        be mutated afterwards: returning the same object again tells the
+        executor the keys — hence the shuffle plan — are unchanged."""
         raise NotImplementedError
 
     def finalize(
@@ -194,6 +232,18 @@ class AccumKernel:
 
 
 # ------------------------------------------------------------- layout --
+def _int_keys(keys: Iterable) -> np.ndarray:
+    """Keys → int64 array in the given order; the columnar contract
+    admits Python ints only (a bool or float would silently alias one)."""
+    keys = list(keys)
+    for k in keys:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise KernelContractError(
+                f"columnar keys must be ints, got {type(k).__name__}"
+            )
+    return np.array(keys, dtype=np.int64)
+
+
 def encode_columnar(
     records: Iterable[tuple[int, Any]],
     dtype: str = "float64",
@@ -207,21 +257,10 @@ def encode_columnar(
     """
     recs = list(records)
     n = len(recs)
-    keys = np.empty(n, dtype=np.int64)
-    for i, (k, _v) in enumerate(recs):
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise KernelContractError(
-                f"columnar keys must be ints, got {type(k).__name__}"
-            )
-        keys[i] = k
-    if width == 0:
-        values = np.empty(n, dtype=dtype)
-        for i, (_k, v) in enumerate(recs):
-            values[i] = v
-    else:
-        values = np.empty((n, width), dtype=dtype)
-        for i, (_k, v) in enumerate(recs):
-            values[i] = v
+    keys = _int_keys(k for k, _v in recs)
+    values = np.array([v for _k, v in recs], dtype=dtype).reshape(
+        (n, width) if width else (n,)
+    )
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     if n > 1 and (keys[1:] == keys[:-1]).any():
@@ -243,6 +282,17 @@ def decode_columnar(
 
 
 # ------------------------------------------------------------- routing --
+def _dest_slices(sorted_dest: np.ndarray, num_pairs: int) -> list[tuple[int, int, int]]:
+    """``(dest, lo, hi)`` for every destination present in an ascending
+    destination column (the mesh's skip-empty contract)."""
+    bounds = np.searchsorted(sorted_dest, np.arange(num_pairs + 1)).tolist()
+    return [
+        (q, lo, hi)
+        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        if hi > lo
+    ]
+
+
 def route_columnar(
     out_keys: np.ndarray,
     out_values: np.ndarray,
@@ -263,62 +313,107 @@ def route_columnar(
     ks = out_keys[order]
     vs = out_values[order]
     ds = dest[order]
-    bounds = np.searchsorted(ds, np.arange(num_pairs + 1))
-    return [
-        (q, ks[lo:hi], vs[lo:hi])
-        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-        if hi > lo
-    ]
+    return [(q, ks[lo:hi], vs[lo:hi]) for q, lo, hi in _dest_slices(ds, num_pairs)]
+
+
+class ShufflePlan:
+    """Everything about shuffling one source pair's emission that is a
+    function of its keys alone — what §3.2 does for the static data,
+    done for the shuffle schedule: computed once, reused every iteration
+    the kernel emits the same keys.
+
+    ``order`` sorts the emission by (destination, key) — ``lexsort`` is
+    stable, so duplicates of a key keep emission order; ``starts`` opens
+    each distinct key's run for ``ufunc.reduceat`` (the §5 combiner: one
+    value per key leaves the pair); ``dests`` holds, per non-empty
+    destination, its slice of the combined values and the distinct
+    ascending keys that slice is aligned with.
+    """
+
+    __slots__ = ("keys", "order", "starts", "dests")
+
+    def __init__(self, keys: np.ndarray, part_array, num_pairs: int):
+        dest = part_array(keys)
+        order = np.lexsort((keys, dest))
+        ordered = keys[order]
+        opens = np.ones(keys.size, dtype=bool)
+        opens[1:] = ordered[1:] != ordered[:-1]  # a key has one destination
+        starts = np.flatnonzero(opens)
+        distinct = ordered[starts]
+        self.keys, self.order, self.starts = keys, order, starts
+        self.dests = [
+            (q, lo, hi, distinct[lo:hi])
+            for q, lo, hi in _dest_slices(dest[order][starts], num_pairs)
+        ]
+
+    def covers(self, keys: np.ndarray) -> bool:
+        return keys is self.keys or np.array_equal(keys, self.keys)
 
 
 # --------------------------------------------------------------- merge --
+def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
+    """The merge's ufunc and the identity its accumulators start from."""
+    if merge == "sum":
+        return np.add, 0
+    if merge == "min":
+        return np.minimum, np.iinfo(dtype).max if dtype.kind == "i" else np.inf
+    raise KernelContractError(f"unknown merge {merge!r}")
+
+
+def _locate(owned_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row of each arriving key in ``owned_keys``; an emission to a key
+    outside the owned set violates the closed-universe contract."""
+    idx = np.searchsorted(owned_keys, keys)
+    clipped = np.minimum(idx, owned_keys.size - 1)
+    bad = (idx >= owned_keys.size) | (owned_keys[clipped] != keys)
+    if bad.any():
+        raise KernelContractError(
+            f"kernel emitted to keys outside the owned set: {keys[bad][:5].tolist()}"
+        )
+    return idx
+
+
+def _require_covered(owned_keys: np.ndarray, indices: Iterable[np.ndarray]) -> None:
+    """Every owned key must receive at least one contribution (all
+    bundled kernels self-emit)."""
+    present = np.zeros(owned_keys.size, dtype=bool)
+    for idx in indices:
+        present[idx] = True
+    if not present.all():
+        raise KernelContractError(
+            "owned keys received no contribution: "
+            f"{owned_keys[~present][:5].tolist()}"
+        )
+
+
 def merge_columnar(
     kernel: Kernel,
     owned_keys: np.ndarray,
     batches: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """The vectorized reduce: fold arriving ``(keys, values)`` batches
-    (already in ascending source-pair order) into an accumulator aligned
-    with ``owned_keys``.
+    """The vectorized reduce over *uncombined* batches: fold arriving
+    ``(keys, values)`` (already in ascending source-pair order) into an
+    accumulator aligned with ``owned_keys``.
 
     ``sum`` starts from zero and scatters with ``np.add.at``; ``min``
     starts from the dtype's +∞ and uses ``np.minimum.at``.  Every owned
     key must receive at least one contribution (all bundled kernels
     self-emit), and no emission may target a key outside the owned set —
     both violations raise :class:`KernelContractError`.
+    :class:`ColumnarSync` enforces the same two rules on its planned
+    shuffle; this is the plan-free form of its reduce.
     """
     if not batches:
         raise KernelContractError("no contributions arrived for a non-empty pair")
     all_keys = np.concatenate([b[0] for b in batches])
     all_vals = np.concatenate([b[1] for b in batches])
-    idx = np.searchsorted(owned_keys, all_keys)
-    clipped = np.minimum(idx, owned_keys.size - 1)
-    bad = (idx >= owned_keys.size) | (owned_keys[clipped] != all_keys)
-    if bad.any():
-        stray = all_keys[bad][:5].tolist()
-        raise KernelContractError(
-            f"kernel emitted to keys outside the owned set: {stray}"
-        )
-    shape = (owned_keys.size,) + all_vals.shape[1:]
-    if kernel.merge == "sum":
-        acc = np.zeros(shape, dtype=all_vals.dtype)
-        np.add.at(acc, idx, all_vals)
-    elif kernel.merge == "min":
-        if all_vals.dtype.kind == "i":
-            fill = np.iinfo(all_vals.dtype).max
-        else:
-            fill = np.inf
-        acc = np.full(shape, fill, dtype=all_vals.dtype)
-        np.minimum.at(acc, idx, all_vals)
-    else:
-        raise KernelContractError(f"unknown merge {kernel.merge!r}")
-    present = np.zeros(owned_keys.size, dtype=bool)
-    present[idx] = True
-    if not present.all():
-        missing = owned_keys[~present][:5].tolist()
-        raise KernelContractError(
-            f"owned keys received no contribution: {missing}"
-        )
+    idx = _locate(owned_keys, all_keys)
+    ufunc, identity = _reduction(kernel.merge, all_vals.dtype)
+    acc = np.full(
+        (owned_keys.size,) + all_vals.shape[1:], identity, dtype=all_vals.dtype
+    )
+    ufunc.at(acc, idx, all_vals)
+    _require_covered(owned_keys, [idx])
     return acc
 
 
@@ -349,20 +444,8 @@ def absorb_columnar(
     outside the owned set violate the closed-universe contract."""
     if in_keys.size == 0:
         return
-    idx = np.searchsorted(owned_keys, in_keys)
-    clipped = np.minimum(idx, owned_keys.size - 1)
-    bad = (idx >= owned_keys.size) | (owned_keys[clipped] != in_keys)
-    if bad.any():
-        stray = in_keys[bad][:5].tolist()
-        raise KernelContractError(
-            f"delta kernel emitted to keys outside the owned set: {stray}"
-        )
-    if merge == "sum":
-        np.add.at(pending, idx, in_values)
-    elif merge == "min":
-        np.minimum.at(pending, idx, in_values)
-    else:
-        raise KernelContractError(f"unknown merge {merge!r}")
+    idx = _locate(owned_keys, in_keys)
+    _reduction(merge, pending.dtype)[0].at(pending, idx, in_values)
     active[idx] = True
 
 
@@ -391,22 +474,21 @@ def pending_priority(
 # The columnar pair executors (see :mod:`.engine` for the interface):
 # wire items are ``(dest_pair, src_pair, keys, values)``, whose arrays
 # ride the mesh's protocol-5 out-of-band buffer frames unpickled.
-def _int_keys(keys: Iterable) -> np.ndarray:
-    for k in keys:
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise KernelContractError(
-                f"columnar keys must be ints, got {type(k).__name__}"
-            )
-    return np.array(sorted(keys), dtype=np.int64)
-
-
+# :class:`ColumnarSync` ships ``keys=None`` whenever the receiver already
+# holds them; the values column is always last and always counted, so
+# ``records_sent`` is the number of (key, value) contributions shipped
+# whether or not the keys ride along.
 class ColumnarSync:
     """Synchronous iterations over per-pair ``(keys, values)`` arrays:
-    one ``map_kernel`` + one vectorized merge per pair per iteration.
-    Merges concatenate batches in ascending source-pair order and the
-    broadcast sorts one unique key array, so results are bit-equal on
-    every transport.  Reports decode to records, so the verdict policy
-    is layout-agnostic."""
+    one ``map_kernel``, one sender-side combine and one indexed fold per
+    pair per iteration.  Each source pair keeps a :class:`ShufflePlan`
+    and each destination pair the row index of every source's shipped
+    keys; both are derived from the keys alone, rebuilt whenever a
+    kernel's emission keys change (keys then ride along for that step)
+    and never checkpointed.  Folds run in ascending source-pair order
+    and the broadcast sorts one unique key array, so results are
+    bit-equal on every transport.  Reports decode to records, so the
+    verdict policy is layout-agnostic."""
 
     report_lag = 1
     plan = [(SHUFFLE, 0)]
@@ -421,6 +503,12 @@ class ColumnarSync:
         self.part_array = job.partitioner.bind_array(cfg.num_pairs)
         self.distance_fn = job.distance_fn
         self.max_steps = job.max_iterations if job.max_iterations is not None else 10**9
+        #: source pair → its current shuffle plan.
+        self.shuffle_plans: dict[int, ShufflePlan] = {}
+        #: dest pair → source pair → rows of the source's keys in ``owned``.
+        self.rows: dict[int, dict[int, np.ndarray]] = {p: {} for p in self.pairs}
+        #: dest pair → the contributing sources its coverage was judged on.
+        self.sources: dict[int, tuple] = {}
         # A restored checkpoint already holds the encoded arrays —
         # loading them back is the ``recover`` phase.
         started = time.perf_counter()
@@ -467,10 +555,20 @@ class ColumnarSync:
             out_keys, out_vals = self.kernel.map_kernel(
                 p, self.owned[p], self.values[p], self.prepared[p], broadcast
             )
-            for q, ks, vs in route_columnar(
-                out_keys, out_vals, self.part_array, self.num_pairs
-            ):
-                items.append((q, p, ks, vs))
+            if out_keys.size == 0:
+                # Nothing to ship; whatever is emitted next is re-planned.
+                self.shuffle_plans.pop(p, None)
+                continue
+            plan = self.shuffle_plans.get(p)
+            replanned = plan is None or not plan.covers(out_keys)
+            if replanned:
+                plan = self.shuffle_plans[p] = ShufflePlan(
+                    out_keys, self.part_array, self.num_pairs
+                )
+            ufunc = _reduction(self.kernel.merge, out_vals.dtype)[0]
+            combined = ufunc.reduceat(out_vals[plan.order], plan.starts, axis=0)
+            for q, lo, hi, keys in plan.dests:
+                items.append((q, p, keys if replanned else None, combined[lo:hi]))
         self.timings["kernel"] += time.perf_counter() - started
         return items
 
@@ -478,12 +576,32 @@ class ColumnarSync:
         started = time.perf_counter()
         kernel = self.kernel
         for q in self.pairs:
-            if self.owned[q].size == 0:
+            owned, rows = self.owned[q], self.rows[q]
+            if owned.size == 0:
                 continue
-            batches = [(ks, vs) for _q, _src, ks, vs in merged.get(q, ())]
-            acc = merge_columnar(kernel, self.owned[q], batches)
+            items = merged.get(q, ())
+            sources = tuple(item[1] for item in items)
+            rejudge = sources != self.sources.get(q)
+            for _q, src, keys, _vs in items:
+                if keys is not None:
+                    rows[src] = _locate(owned, keys)
+                    rejudge = True
+            if rejudge:
+                # Both contract checks are functions of the keys alone,
+                # so they are re-evaluated exactly when some source's
+                # keys, or the set of contributing sources, changed.
+                _require_covered(owned, [rows[src] for src in sources])
+                self.sources[q] = sources
+            first = items[0][3]
+            ufunc, identity = _reduction(kernel.merge, first.dtype)
+            acc = np.full((owned.size,) + first.shape[1:], identity, dtype=first.dtype)
+            for _q, src, _keys, vals in items:
+                # Rows are distinct within a source (the sender combined),
+                # so a plain indexed update folds exactly.
+                idx = rows[src]
+                acc[idx] = ufunc(acc[idx], vals)
             self.values[q] = kernel.finalize(
-                q, self.owned[q], acc, self.values[q], self.prepared[q]
+                q, owned, acc, self.values[q], self.prepared[q]
             )
         self.timings["kernel"] += time.perf_counter() - started
 
@@ -551,9 +669,9 @@ class ColumnarAccum:
         for p in self.pairs:
             table, deltas = cfg.static_parts[0][p], cfg.state_parts[p]
             preload = warm.get(p) or ()
-            ks = _int_keys(
+            ks = np.sort(_int_keys(
                 {*table, *(k for k, _d in deltas), *(k for k, _v in preload)}
-            )
+            ))
             self.owned[p] = ks
             self.state[p] = np.full(ks.size, kernel.identity, dtype=dtype)
             self.pending[p] = np.full(ks.size, kernel.identity, dtype=dtype)

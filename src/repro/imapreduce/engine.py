@@ -34,7 +34,12 @@ The driver is parameterised by
   ``broadcast_items(phase)`` / ``assemble(items)``  the hoisted one2all
                   all-gather's inputs and its one sort;
   ``emit(kind, phase, broadcast)``  routed batches as flat wire items
-                  ``(dest_pair, src_pair, *columns)``;
+                  ``(dest_pair, src_pair, *columns)``; the last column
+                  holds the values, and its length is what a transport
+                  counts as ``records_sent`` — the (key, value)
+                  contributions shipped, whether or not the keys ride
+                  along (the columnar sync executor ships ``None`` keys
+                  once the receiver holds them);
   ``absorb(kind, phase, merged)``  ``dest_pair → items`` in ascending
                   source-pair order (the determinism contract);
   ``progress(send_state)``  the report payload (distance partials or
@@ -42,8 +47,8 @@ The driver is parameterised by
   ``snapshot()``, ``final_state()``, ``final_stats()``.
 
   Executor methods run per host per step, never per record: the hot
-  paths (``map_pair``, ``group_by_key``, ``map_kernel``,
-  ``merge_columnar``, ``AccumPair.apply``) are untouched;
+  paths (``map_pair``, ``group_by_key``, ``map_kernel``, the planned
+  ``reduceat`` combine, ``AccumPair.apply``) are untouched;
 * a **transport**, which owns moving batches and nothing about
   algorithms: :class:`Loopback` here, the pipe mesh in
   :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,

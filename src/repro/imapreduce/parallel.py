@@ -79,6 +79,7 @@ way); only process death and heartbeat suspicion trigger recovery.
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
 import os
 import pickle
@@ -229,6 +230,26 @@ def _round_robin(num_pairs: int, num_workers: int) -> list[list[int]]:
         [p for p in range(num_pairs) if p % num_workers == w]
         for w in range(num_workers)
     ]
+
+
+#: Capacity asked for each worker→worker pipe (Linux's unprivileged
+#: ceiling).  At the default 64 KiB a feeder's write of one step's
+#: batch — hundreds of KB of column buffers — is a lock-step ping-pong
+#: with the reading worker, so a step's cost depends on how the two are
+#: scheduled against each other; a pipe that holds the whole batch takes
+#: it in one pass, whenever the reader gets to it.
+_MESH_PIPE_BYTES = 1 << 20
+
+
+def _mesh_pipe(ctx):
+    """A one-way pipe for the data plane, widened where the OS allows
+    (best effort: refused or unknown, the default capacity stands)."""
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    try:
+        fcntl.fcntl(send_end.fileno(), fcntl.F_SETPIPE_SZ, _MESH_PIPE_BYTES)
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux / over quota
+        pass
+    return recv_end, send_end
 
 
 def _context(start_method: str | None):
@@ -440,7 +461,7 @@ def _spawn_mesh(
         for dst in range(num_workers):
             if src == dst:
                 continue
-            recv_end, send_end = ctx.Pipe(duplex=False)
+            recv_end, send_end = _mesh_pipe(ctx)
             peer_recv[dst][src] = recv_end
             peer_send[src][dst] = send_end
     verdict_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]

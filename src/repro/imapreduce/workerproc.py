@@ -36,8 +36,10 @@ wire every logical message is a *frame*:
 
 Shuffle payloads are a flat list of the executor's wire items
 ``(dest_pair, src_pair, *columns)`` — records for the record layout,
-``keys, values`` arrays for the columnar one — one pickle per
-destination worker.
+``keys | None, values`` arrays for the columnar one — one pickle per
+destination worker.  The values column is last in every layout and
+``records_sent`` counts its length: the (key, value) contributions
+shipped, whether or not their keys ride along.
 
 The one2all broadcast (§5.1) is hoisted: every worker sends its state
 parts to pair-0's owner, which flattens in ascending pair order, sorts
@@ -365,7 +367,7 @@ class _PipeMesh:
             batch = routed.get(v)
             if batch:
                 self._ship(
-                    kind, step, phase, v, batch, sum(len(item[2]) for item in batch)
+                    kind, step, phase, v, batch, sum(len(item[-1]) for item in batch)
                 )
             else:
                 self._ship(kind, step, phase, v, _NO_PAYLOAD)

@@ -34,6 +34,10 @@ def test_quick_suite_writes_json(tmp_path):
     for twin in twins:
         assert twin["kernel_matches_record"] is True, twin["name"]
         assert twin["speedup_vs_record"] > 0.0
+        # The sender-side combine ships no more than the twin's combiner.
+        assert set(twin["records_sent_vs_record"]) == {"1", "2"}
+        for mine, record in twin["records_sent_vs_record"].values():
+            assert mine <= record, twin["name"]
     assert set(loaded["phase_breakdown"]) == {
         w["name"] for w in loaded["workloads"]
     }
@@ -132,6 +136,15 @@ def test_compare_counters_gates_checkpoint_overhead():
     problems = compare_counters(broken, {"workloads": []})
     assert any("diverged" in p for p in problems)
     assert any("data-plane counters" in p for p in problems)
+
+
+def test_compare_counters_gates_kernel_shuffle_volume():
+    row = {"name": "pagerank-kernel", "parallel": [],
+           "records_sent_vs_record": {"1": [0, 0], "2": [213, 213]}}
+    assert compare_counters({"workloads": [row]}, {"workloads": []}) == []
+    row["records_sent_vs_record"]["2"] = [214, 213]
+    problems = compare_counters({"workloads": [row]}, {"workloads": []})
+    assert len(problems) == 1 and "pagerank-kernel@2w" in problems[0]
 
 
 def test_compare_counters_gates_incremental_refresh():

@@ -18,6 +18,13 @@ from hypothesis import strategies as st
 from repro.algorithms import kmeans, pagerank, sssp
 from repro.common import HashPartitioner, ModPartitioner, RangePartitioner
 from repro.common.records import group_by_key
+from repro.imapreduce.engine import (
+    PHASE_COUNTERS,
+    SHUFFLE,
+    by_dest,
+    host_config,
+    partition_inputs,
+)
 from repro.imapreduce import (
     Kernel,
     KernelContractError,
@@ -25,6 +32,7 @@ from repro.imapreduce import (
     select_executor,
 )
 from repro.imapreduce.columnar import (
+    ColumnarSync,
     concat_broadcast,
     decode_columnar,
     encode_columnar,
@@ -217,6 +225,218 @@ def test_concat_broadcast_is_key_sorted():
     ks, vs = concat_broadcast(parts)
     assert ks.tolist() == [1, 4, 5, 8]
     assert vs.tolist() == [3.0, 1.0, 4.0, 2.0]
+
+
+# -------------------------------------------------------- shuffle plan --
+class _Scripted(Kernel):
+    """Emits what the test scripts next: ``script[pair] = (keys, values)``."""
+
+    def __init__(self, merge):
+        self.merge = merge
+        self.script = {}
+
+    def map_kernel(self, pair, keys, values, prepared, broadcast):
+        return self.script[pair]
+
+
+def _planned_executor(merge, universe, num_pairs, partitioner=None):
+    """A :class:`ColumnarSync` hosting every pair, whose owned sets are
+    ``universe`` split by the partitioner, plus its scripted kernel."""
+    kernel = _Scripted(merge)
+    job = replace(
+        pagerank.build_imr_job(
+            1, state_path=STATE, static_path=STATIC, output_path=OUT,
+            max_iterations=9,
+        ),
+        kernel=kernel, partitioner=partitioner or ModPartitioner(),
+    )
+    state_parts, static_parts = partition_inputs(
+        job, [(k, 0.0) for k in universe], None, num_pairs
+    )
+    cfg = host_config(
+        0, range(num_pairs), state_parts, static_parts, num_workers=1,
+        num_pairs=num_pairs, job=job, send_state=False, wait_verdict=False,
+    )
+    return ColumnarSync(cfg, dict.fromkeys(PHASE_COUNTERS, 0.0)), kernel
+
+
+def _emission(keys, values):
+    return np.array(keys, dtype=np.int64), np.array(values)
+
+
+def _step(executor):
+    items = executor.emit(SHUFFLE, 0, None)
+    executor.absorb(SHUFFLE, 0, by_dest(items))
+    return items
+
+
+def test_plan_ships_keys_once_and_combines_at_the_sender():
+    ex, kernel = _planned_executor("sum", range(4), 2)
+    kernel.script = {
+        0: _emission([0, 2, 1, 1, 0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+        1: _emission([1, 3, 2], [10.0, 20.0, 30.0]),
+    }
+    first = _step(ex)
+    # One item per (dest, src); distinct ascending keys, combined values.
+    assert [(q, p, ks.tolist(), vs.tolist()) for q, p, ks, vs in first] == [
+        (0, 0, [0, 2], [6.0, 2.0]), (1, 0, [1], [7.0]),
+        (0, 1, [2], [30.0]), (1, 1, [1, 3], [10.0, 20.0]),
+    ]
+    assert ex.values[0].tolist() == [6.0, 32.0]
+    assert ex.values[1].tolist() == [17.0, 20.0]
+    # Equal keys (a fresh but equal array, and the identical object):
+    # values only, folded through the cached rows.
+    kernel.script[0] = _emission([0, 2, 1, 1, 0], [1.0, 1.0, 1.0, 1.0, 1.0])
+    second = _step(ex)
+    assert [item[2] for item in second] == [None] * 4
+    assert ex.values[0].tolist() == [2.0, 31.0]
+    assert ex.values[1].tolist() == [12.0, 20.0]
+    plans = dict(ex.shuffle_plans)
+    _step(ex)
+    assert ex.shuffle_plans == plans  # same plan objects: nothing rebuilt
+
+
+def test_changed_keys_replan_and_reship_to_every_destination():
+    ex, kernel = _planned_executor("min", range(4), 2)
+    kernel.script = {
+        0: _emission([0, 2], [5.0, 6.0]),
+        1: _emission([1, 3, 0], [7.0, 8.0, 1.0]),
+    }
+    _step(ex)
+    # Pair 1's frontier grows by key 2: both of its destinations get
+    # keys again, pair 0's items stay values-only.
+    kernel.script[1] = _emission([1, 3, 0, 2], [7.0, 8.0, 9.0, 2.0])
+    items = _step(ex)
+    shipped = {(q, p): ks for q, p, ks, _vs in items}
+    assert shipped[0, 0] is None and (1, 0) not in shipped
+    assert shipped[0, 1].tolist() == [0, 2] and shipped[1, 1].tolist() == [1, 3]
+    assert ex.values[0].tolist() == [5.0, 2.0]
+    assert ex.values[1].tolist() == [7.0, 8.0]
+    # Same size, different keys: the array_equal arm, not just the size.
+    kernel.script[1] = _emission([1, 3, 2, 2], [7.0, 8.0, 4.0, 3.0])
+    items = _step(ex)
+    assert {(q, p): ks is None for q, p, ks, _vs in items} == {
+        (0, 0): True, (0, 1): False, (1, 1): False,
+    }
+    assert ex.values[0].tolist() == [5.0, 3.0]
+
+
+def test_emptied_emission_drops_the_plan():
+    ex, kernel = _planned_executor("sum", range(4), 2)
+    full = {
+        0: _emission([0, 2, 1, 3], [1.0, 1.0, 1.0, 1.0]),
+        1: _emission([1], [1.0]),
+    }
+    kernel.script = dict(full)
+    _step(ex)
+    kernel.script[1] = _emission([], [])
+    items = _step(ex)
+    assert 1 not in ex.shuffle_plans and {p for _q, p, *_ in items} == {0}
+    assert ex.values[1].tolist() == [1.0, 1.0]
+    # Emitting again is a first emission: re-planned, keys attached.
+    kernel.script = dict(full)
+    items = _step(ex)
+    assert [ks.tolist() for _q, p, ks, _vs in items if p == 1] == [[1]]
+    assert ex.values[1].tolist() == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first-step", "re-planned"])
+def test_plan_rejects_stray_key(later):
+    ex, kernel = _planned_executor("sum", range(4), 2)
+    good = {0: _emission([0, 2], [1.0, 1.0]), 1: _emission([1, 3], [1.0, 1.0])}
+    if later:
+        kernel.script = good
+        _step(ex)
+        _step(ex)
+    kernel.script = {**good, 1: _emission([1, 3, 6], [1.0, 1.0, 1.0])}
+    with pytest.raises(KernelContractError, match="outside the owned set"):
+        _step(ex)
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first-step", "re-planned"])
+def test_plan_rejects_uncovered_owned_key(later):
+    ex, kernel = _planned_executor("sum", range(4), 2)
+    good = {0: _emission([0, 2], [1.0, 1.0]), 1: _emission([1, 3], [1.0, 1.0])}
+    if later:
+        kernel.script = good
+        _step(ex)
+        _step(ex)
+    kernel.script = {**good, 0: _emission([0], [1.0])}
+    with pytest.raises(KernelContractError, match="no contribution"):
+        _step(ex)
+
+
+def test_source_that_stops_contributing_retriggers_coverage():
+    """No keys arrive at pair 0 in the failing step — only the set of
+    contributing sources changes, and that alone re-judges coverage."""
+    ex, kernel = _planned_executor("sum", range(4), 2)
+    kernel.script = {
+        0: _emission([0, 1, 3], [1.0, 1.0, 1.0]),
+        1: _emission([2], [1.0]),
+    }
+    _step(ex)
+    _step(ex)
+    kernel.script[1] = _emission([], [])
+    items = ex.emit(SHUFFLE, 0, None)
+    assert all(ks is None for _q, _p, ks, _vs in items)
+    with pytest.raises(KernelContractError, match=r"no contribution: \[2\]"):
+        ex.absorb(SHUFFLE, 0, by_dest(items))
+
+
+@given(
+    st.data(),
+    st.sampled_from(["sum", "min"]),
+    st.sampled_from(["float64", "int64"]),
+    st.sampled_from([0, 3]),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_planned_shuffle_equals_unplanned_merge(
+    data, merge, dtype, width, num_pairs, ranged
+):
+    """Sender combine + indexed fold against ``merge_columnar`` over the
+    uncombined ``route_columnar`` batches: exact for ``min`` and for
+    int64, within the reordering bound ``(n−1)·eps·Σ|xᵢ|`` for float
+    sums — on the keyed step and on the values-only step after it."""
+    universe = 24
+    keys = data.draw(st.lists(st.integers(0, universe - 1), min_size=1, max_size=60))
+    srcs = data.draw(
+        st.lists(st.integers(0, num_pairs - 1), min_size=len(keys), max_size=len(keys))
+    )
+    partitioner = RangePartitioner(universe) if ranged else ModPartitioner()
+    ex, kernel = _planned_executor(merge, sorted(set(keys)), num_pairs, partitioner)
+    shape = (len(keys), width) if width else (len(keys),)
+    element = (
+        st.integers(-(2**40), 2**40) if dtype == "int64"
+        else st.floats(-1e6, 1e6, width=32)
+    )
+    for _ in range(2):  # the second round reuses every plan
+        flat = data.draw(
+            st.lists(element, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+        )
+        vals = np.array(flat, dtype=dtype).reshape(shape)
+        all_keys = np.array(keys, dtype=np.int64)
+        mask = {p: np.array(srcs) == p for p in range(num_pairs)}
+        kernel.script = {p: (all_keys[m], vals[m]) for p, m in mask.items()}
+        _step(ex)
+        inbox = {}
+        for p in range(num_pairs):
+            for q, ks, vs in route_columnar(
+                *kernel.script[p], ex.part_array, num_pairs
+            ):
+                inbox.setdefault(q, []).append((ks, vs))
+        for q, batches in inbox.items():
+            want = merge_columnar(kernel, ex.owned[q], batches)
+            got = ex.values[q]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if merge == "min" or dtype == "int64":
+                assert np.array_equal(got, want)
+            else:
+                mass = merge_columnar(
+                    kernel, ex.owned[q], [(ks, np.abs(vs)) for ks, vs in batches]
+                )
+                bound = (len(keys) - 1) * np.finfo(np.float64).eps * mass
+                assert (np.abs(got - want) <= bound).all()
 
 
 # ------------------------------------------------------ dispatch rules --

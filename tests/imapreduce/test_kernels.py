@@ -18,6 +18,7 @@ Two promises, tested separately:
    num_pairs × workers × fork/spawn.
 """
 
+import math
 import pickle
 
 import pytest
@@ -169,6 +170,44 @@ def test_kernel_parallel_start_methods(start_method):
                        start_method=start_method)
     assert records_identical(par.state, ref.state)
     assert par.distances == ref.distances
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("name", ["kmeans", "sssp"])
+def test_replanned_shuffle_identical_on_mesh(name, start_method):
+    """The two kernels whose shuffle plans are not a one-off: sssp's
+    emission keys change while the frontier grows (re-planned, keys
+    re-shipped, receiver rows re-located every such step) and kmeans
+    emits a fresh copy of the one2all broadcast keys with ``(n, width)``
+    values (the ``array_equal`` arm).  Bit-identical state, distances
+    and per-iteration history against the serial executor."""
+    build, _ = WORKLOADS[name]
+    ker_job, state, static = build(True)
+    ref = run_local(ker_job, state, static, num_pairs=4, keep_history=True)
+    if name == "sssp":
+        reached = [sum(math.isfinite(d) for _k, d in h) for h in ref.history]
+        assert len(set(reached)) >= 4  # the key set really changes
+    par = run_parallel(ker_job, state, static, num_pairs=4, num_workers=2,
+                       start_method=start_method, keep_history=True)
+    assert records_identical(par.state, ref.state)
+    assert par.distances == ref.distances
+    assert len(par.history) == len(ref.history)
+    for mine, theirs in zip(par.history, ref.history):
+        assert records_identical(mine, theirs)
+
+
+@pytest.mark.parametrize("name", ["components", "pagerank", "sssp"])
+def test_kernel_ships_what_its_record_twin_ships(name):
+    """ROADMAP's shuffle-volume gate: the sender-side combine ships one
+    value per (source pair, key), exactly what the record twin's
+    combiner ships — and counts them whether or not keys ride along."""
+    build, _ = WORKLOADS[name]
+    sent = {}
+    for use_kernel in (False, True):
+        job, state, static = build(use_kernel)
+        par = run_parallel(job, state, static, num_pairs=4, num_workers=2)
+        sent[use_kernel] = par.counter("records_sent")
+    assert 0 < sent[True] == sent[False]
 
 
 # ----------------------------------------------------------- job shape --

@@ -291,6 +291,35 @@ def test_default_worker_count_follows_cpu_affinity():
     assert _pick_workers(None, 64) == len(allowed)
 
 
+def test_mesh_pipes_are_widened_best_effort(monkeypatch):
+    """Data-plane pipes hold a whole step's batch where the OS allows;
+    a refusal leaves a working default-size pipe."""
+    import fcntl
+    import multiprocessing
+
+    from repro.imapreduce import parallel
+
+    ctx = multiprocessing.get_context("fork")
+    if hasattr(fcntl, "F_GETPIPE_SZ"):
+        recv_end, send_end = parallel._mesh_pipe(ctx)
+        assert (
+            fcntl.fcntl(send_end.fileno(), fcntl.F_GETPIPE_SZ)
+            >= parallel._MESH_PIPE_BYTES
+        )
+        recv_end.close()
+        send_end.close()
+
+    def refuse(*_args):
+        raise PermissionError("over the per-user pipe quota")
+
+    monkeypatch.setattr(parallel.fcntl, "fcntl", refuse)
+    recv_end, send_end = parallel._mesh_pipe(ctx)
+    send_end.send_bytes(b"still a pipe")
+    assert recv_end.recv_bytes() == b"still a pipe"
+    recv_end.close()
+    send_end.close()
+
+
 def test_more_workers_than_pairs_clamps():
     graph = sssp_graph(12, seed=2)
     job = sssp.build_imr_job(

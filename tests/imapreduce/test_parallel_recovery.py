@@ -9,6 +9,7 @@ termination reason, same per-iteration distance folds.  Recovery that
 merely "works" is not enough; it must be invisible in the results.
 """
 
+import math
 import multiprocessing
 import os
 
@@ -130,6 +131,30 @@ def test_kernel_path_kill_recovery_bit_exact():
         s["phase_seconds"]["recover"] for s in par.worker_stats
     )
     assert recover > 0.0  # the respawned generation loaded a checkpoint
+
+
+def test_kernel_growing_frontier_kill_recovery_bit_exact():
+    """The sssp kernel's twin of the test above, killed while its
+    frontier — hence every shuffle plan and receiver index — is still
+    changing: the respawned generation rebuilds them from the restored
+    arrays (keys ride along again) on both sides of the restore."""
+    graph = sssp_graph(36, seed=5)
+    job = sssp.build_imr_job(
+        state_path=STATE, static_path=STATIC, output_path=OUT,
+        max_iterations=12, threshold=0.0, num_pairs=4, use_kernel=True,
+    )
+    state = sssp.initial_state(graph, source=0)
+    static = {STATIC: sssp.static_records(graph)}
+    history = run_local(job, state, static, num_pairs=4, keep_history=True).history
+    reached = [sum(math.isfinite(d) for _k, d in h) for h in history]
+    assert reached[1] < reached[2] < reached[3] < reached[4]  # brackets the kill
+    par = assert_recovered_identical(
+        job, state, static,
+        faults=[ProcFault(worker=1, iteration=3, action="kill")],
+        num_pairs=4, num_workers=2,
+    )
+    assert par.terminated_by == "threshold"
+    assert par.recovery_events[0]["resume_from"] == 2
 
 
 def test_spawn_kill_recovery():
