@@ -17,7 +17,6 @@ from .incremental import (
 from .job import AuxPhase, IterativeJob, IterativeRunResult, Phase
 from .localrun import (
     LocalRunResult,
-    accum_kernel_enabled,
     kernel_enabled,
     run_accum_local,
     run_local,
@@ -56,7 +55,6 @@ __all__ = [
     "AccumKernel",
     "KernelContractError",
     "kernel_enabled",
-    "accum_kernel_enabled",
     "select_executor",
     "FailureDetector",
     "FailureDetectorConfig",

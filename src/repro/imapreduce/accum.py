@@ -45,6 +45,24 @@ global accumulated-progress check instead of the iteration-distance
 barrier: stop when the summed priority of every pending delta is at or
 below ``mapred.iterjob.disthresh``.
 
+The priority queue is kept between rounds (Maiter's state table holds a
+priority field per key, updated when a delta is received).  Priority is
+a pure function of ``(state[k], pending[k])``; ``pending[k]`` changes
+only in ``absorb`` and ``state[k]`` only in ``apply``, which pops ``k``
+— so :class:`AccumPair` caches each pending key's priority, ``absorb``
+invalidates the slots it touches, and one refresh step re-scores those
+alone.  That matters because async mode never pops a delta whose
+priority is 0 (an offer that no longer improves the state): such dead
+entries stay in ``pending`` until a better delta revives them or the
+run ends, and on sssp they come to outnumber the live ones about four
+to one.  Cached, a dead entry costs a dict step per round where it used
+to cost two ``priority()`` evaluations.  The mass is folded with an
+explicit left-to-right loop over the cache, zeros included — the float
+sequence a from-scratch fold adds, so traces do not move; builtin
+``sum`` would not do, its float algorithm differs across Python
+versions.  ``priority_evals`` counts the evaluations: each is caused by
+at least one absorbed record.
+
 Correctness: for ``min`` algebras the fixpoint is unique and every
 schedule reaches it exactly, so async results are *bit-equal* to the
 synchronous reference.  For ``+`` algebras the fixpoint of a
@@ -305,6 +323,9 @@ class AccumPair:
         "static",
         "updates_processed",
         "deltas_emitted",
+        "priority_evals",
+        "_prio",
+        "_mass",
     )
 
     def __init__(self, pair: int, accumulator: Accumulator, static_table: dict,
@@ -326,8 +347,15 @@ class AccumPair:
         if initial_state is not None:
             self.state.update(initial_state)
         self.pending: dict[Any, Any] = {}
+        #: The priority queue kept between rounds: ``pending``'s keys in
+        #: ``pending``'s insertion order, each with the cached priority
+        #: of its pending delta (``None`` once ``absorb`` changed the
+        #: delta), and their fold (``None`` once any slot changed).
+        self._prio: dict[Any, Any] = {}
+        self._mass: float | None = 0.0
         self.updates_processed = 0
         self.deltas_emitted = 0
+        self.priority_evals = 0
 
     def absorb(self, records) -> None:
         """Coalesce arriving deltas into the pending queue with ``⊕``
@@ -336,20 +364,45 @@ class AccumPair:
         ident = self.acc.identity
         pending = self.pending
         get = pending.get
+        prio = self._prio
         for k, d in records:
             pending[k] = merge(get(k, ident), d)
+            prio[k] = None
+        self._mass = None
 
-    def mass(self) -> float:
-        """Summed priority of every pending delta — this pair's
-        contribution to the global accumulated-progress check."""
+    def _refresh(self) -> None:
+        """Score the pending deltas ``absorb`` changed since the last
+        call and re-fold the mass — an explicit left-to-right add, not
+        builtin ``sum`` (see the module docstring)."""
+        if self._mass is not None:
+            return
         acc = self.acc
         ident = acc.identity
         state_get = self.state.get
         priority = acc.priority
+        pending = self.pending
+        prio = self._prio
+        evals = 0
         total = 0.0
-        for k, d in self.pending.items():
-            total += priority(state_get(k, ident), d)
-        return total
+        for k, p in prio.items():
+            if p is None:
+                p = priority(state_get(k, ident), pending[k])
+                if not p >= 0:  # NaN or negative: the mass check could never fire
+                    raise ConfigError(
+                        f"accumulator {acc.name!r}: priority of key {k!r} "
+                        f"is {p!r}; priorities must be >= 0"
+                    )
+                prio[k] = p
+                evals += 1
+            total += p
+        self._mass = total
+        self.priority_evals += evals
+
+    def mass(self) -> float:
+        """Summed priority of every pending delta — this pair's
+        contribution to the global accumulated-progress check."""
+        self._refresh()
+        return self._mass
 
     def select(self, mode: str, top_fraction: float) -> list:
         """Keys to drain this round.
@@ -364,20 +417,13 @@ class AccumPair:
             return []
         if mode == "sync":
             return sorted(pending, key=order_key)
-        acc = self.acc
-        ident = acc.identity
-        state_get = self.state.get
-        priority = acc.priority
-        scored = []
-        for k, d in pending.items():
-            p = priority(state_get(k, ident), d)
-            if p > 0:
-                scored.append((p, k))
+        self._refresh()
+        scored = [(-p, order_key(k), k) for k, p in self._prio.items() if p > 0]
         if not scored:
             return []
-        scored.sort(key=lambda t: (-t[0], order_key(t[1])))
+        scored.sort()
         count = max(1, math.ceil(top_fraction * len(scored)))
-        return [k for _p, k in scored[:count]]
+        return [k for _p, _o, k in scored[:count]]
 
     def apply(self, job: AccumJob, selected: list, part, outboxes: list) -> int:
         """Pop and apply the selected pending deltas in order; emissions
@@ -387,6 +433,7 @@ class AccumPair:
         ident = acc.identity
         state = self.state
         pending = self.pending
+        prio = self._prio
         static_get = self.static.get
         update = job.update_fn
         emitted = 0
@@ -399,6 +446,7 @@ class AccumPair:
         applied = 0
         for k in selected:
             d = pending.pop(k)
+            del prio[k]
             old = state.get(k, ident)
             new = merge(old, d)
             state[k] = new
@@ -406,6 +454,8 @@ class AccumPair:
             if new == old:
                 continue  # no-op delta: nothing to propagate
             update(k, d, new, static_get(k), emit)
+        if applied:
+            self._mass = None
         self.updates_processed += applied
         self.deltas_emitted += emitted
         return applied

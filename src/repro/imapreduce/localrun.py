@@ -62,7 +62,6 @@ __all__ = [
     "order_key",
     "select_executor",
     "kernel_enabled",
-    "accum_kernel_enabled",
 ]
 
 
@@ -380,6 +379,7 @@ class RecordAccum:
             "updates_processed": sum(e.updates_processed for e in engines),
             "deltas_emitted": sum(e.deltas_emitted for e in engines),
             "deltas_shipped": self.shipped,
+            "priority_evals": sum(e.priority_evals for e in engines),
         }
 
 
@@ -419,11 +419,6 @@ def select_executor(job) -> tuple[type, str | None]:
 
 def kernel_enabled(job) -> bool:
     """Does this job run on a columnar executor?"""
-    return select_executor(job)[1] is None
-
-
-def accum_kernel_enabled(job) -> bool:
-    """Does this accumulative job run on the columnar delta executor?"""
     return select_executor(job)[1] is None
 
 

@@ -2,6 +2,7 @@
 sync/async fixpoint equivalence, external references, and the counters
 the bench gates rest on."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,21 @@ def test_job_requires_termination_condition():
     with pytest.raises(ConfigError, match="terminate"):
         AccumJob(name="forever", accumulator=MIN,
                  update_fn=lambda *a: None, output_path=OUT, conf=conf)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+def test_bad_priority_is_refused_not_spun_on(value):
+    """A NaN priority makes the pending mass NaN — never ``<=`` the
+    threshold, never selected — so a threshold-only job would spin
+    forever; a negative one subtracts from the termination mass."""
+    _g, job, deltas, static = _sssp_case(n=20)
+    # max_rounds stays set so a lost check fails here instead of hanging.
+    job.accumulator = Accumulator(
+        "skewed", math.inf, min, samples=MIN.samples,
+        priority_fn=lambda state, delta: value,
+    )
+    with pytest.raises(ConfigError, match=r"'skewed'.*key 0\b.*>= 0"):
+        run_accum_local(job, deltas, static, num_pairs=2)
 
 
 def test_top_fraction_bounds():
@@ -221,6 +237,37 @@ def test_trace_is_cumulative_and_mass_terminates():
     assert result.trace[0]["pending_mass"] > job.threshold
     assert result.trace[-1]["pending_mass"] <= job.threshold
     assert result.trace[-1]["shipped"] == result.deltas_shipped
+
+
+#: ``sha256(repr((state, trace)))`` with ``keep_trace=True``, printed by
+#: the commit before the scheduler cached priorities (78ccec3).
+PINNED = {
+    "sssp-async": (_sssp_case, {}, "async",
+                   "4e07fa7c3e9c962827cb088b31fa0466250d2a5919191c696a2cbb957b31c6d6"),
+    "pagerank-async": (_pagerank_case, {"threshold": 1e-6}, "async",
+                       "ba017b482c64d30acd646e15f38d9ed376dd07b1a170c098245d8c18bd99322d"),
+    "components-sync": (_components_case, {}, "sync",
+                        "bb082e04e7b2d0b97349067514a0a3a0a764bc4e1d7dcc7dea8206c716883bc3"),
+    "pagerank-simulated": (_pagerank_case, {"threshold": 1e-6}, "simulated",
+                           "40725bba7b58d427ff03d96697a333063822a56a6b16e19911eb30613dd56e83"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_schedule_is_pinned_bit_for_bit(name):
+    """Final state and every trace row — ``pending_mass`` floats
+    included — are exactly what re-scoring every pending key each round
+    produced.  A change that alters the schedule on purpose re-pins."""
+    case, kwargs, mode, digest = PINNED[name]
+    _g, job, deltas, static = case(**kwargs)
+    if mode == "simulated":
+        result = run_accum_simulated(job, deltas, static, num_pairs=4, seed=3,
+                                     keep_trace=True)
+    else:
+        result = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
+                                 keep_trace=True)
+    got = hashlib.sha256(repr((result.state, result.trace)).encode()).hexdigest()
+    assert got == digest
 
 
 def test_maxrounds_termination():

@@ -104,6 +104,23 @@ def test_spawn_matches_fork(workload):
     assert _ran_columnar(spawn) == _ran_columnar(fork) == (job.kernel is not None)
 
 
+def test_priority_evals_bounded_by_absorbed_records():
+    """The scheduler scores a pending delta when ``absorb`` changed it,
+    not every round: each ``priority()`` evaluation is caused by at
+    least one absorbed record, so the count cannot exceed the records
+    absorbed — and it is the same count on either transport.  (The
+    benchmark's ``--quick`` shape: sssp, 800 nodes, 8 pairs, async:
+    8,969 evaluations for 12,718 absorbed records.  Re-scoring every
+    pending key twice a round, as before the cache, took 47,656.)"""
+    job, deltas, static = _case("sssp", n=800, seed=42)
+    serial = run_accum_local(job, deltas, static, num_pairs=8, mode="async")
+    par = run_accum_parallel(job, deltas, static, num_pairs=8,
+                             num_workers=2, mode="async")
+    evals = serial.counter("priority_evals")
+    assert 0 < evals <= serial.deltas_emitted + len(deltas)
+    assert par.counter("priority_evals") == evals
+
+
 def test_sparse_async_run_uses_manifests():
     """sssp deltas start at a single source: most peer pairs see no
     traffic most rounds, so the skip-empty exchange must ship

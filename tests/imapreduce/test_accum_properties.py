@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import ConfigError
+from repro.common import ConfigError, IterKeys, JobConf
+from repro.common.records import order_key
 from repro.imapreduce import MIN, SUM, Accumulator, AccumJob
 from repro.imapreduce.accum import AccumPair
 
@@ -139,6 +140,13 @@ def test_min_absorb_is_order_invariant(deltas, seed):
     assert permuted.pending == ordered.pending
 
 
+def _conf():
+    conf = JobConf()
+    conf.set(IterKeys.STATE_PATH, "/dfs/deltas")
+    conf.set_int(IterKeys.MAX_ITER, 5)
+    return conf
+
+
 # ----------------------------------------------- deliberate-bug tests --
 @pytest.mark.parametrize("bad,pattern", [
     # Averaging: commutative but not associative, and 0.0 is no identity.
@@ -156,11 +164,7 @@ def test_min_absorb_is_order_invariant(deltas, seed):
 def test_broken_algebras_rejected_at_build(bad, pattern):
     """Self-test: every class of law violation is caught when the job
     is constructed, before a single delta flows."""
-    from repro.common import IterKeys, JobConf
-
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, "/dfs/deltas")
-    conf.set_int(IterKeys.MAX_ITER, 5)
+    conf = _conf()
     with pytest.raises(ConfigError, match=pattern):
         AccumJob(name="broken", accumulator=bad,
                  update_fn=lambda *a: None, output_path="/dfs/out",
@@ -181,3 +185,143 @@ def test_float_mean_never_sneaks_past_validation(data):
                        samples=samples)
     with pytest.raises(ConfigError):
         mean.validate()
+
+
+# ------------------------------------- the scheduler's priority cache --
+class _FromScratch(AccumPair):
+    """The reference scheduler: ``mass`` and ``select`` as they were
+    before priorities were cached (bodies verbatim from 78ccec3) —
+    every pending key re-scored on every call, nothing remembered."""
+
+    __slots__ = ()
+
+    def mass(self):
+        acc = self.acc
+        ident = acc.identity
+        state_get = self.state.get
+        priority = acc.priority
+        total = 0.0
+        for k, d in self.pending.items():
+            total += priority(state_get(k, ident), d)
+        return total
+
+    def select(self, mode, top_fraction):
+        pending = self.pending
+        if not pending:
+            return []
+        if mode == "sync":
+            return sorted(pending, key=order_key)
+        acc = self.acc
+        ident = acc.identity
+        state_get = self.state.get
+        priority = acc.priority
+        scored = []
+        for k, d in pending.items():
+            p = priority(state_get(k, ident), d)
+            if p > 0:
+                scored.append((p, k))
+        if not scored:
+            return []
+        scored.sort(key=lambda t: (-t[0], order_key(t[1])))
+        count = max(1, math.ceil(top_fraction * len(scored)))
+        return [k for _p, k in scored[:count]]
+
+
+#: Mixed int/tuple/str keys, so the ``order_key`` tie-break is in play;
+#: each key's static value is the keys its applied delta propagates to.
+_KEYS = [0, 1, 2, 3, (0,), (1, 2), "a"]
+_STATIC = {k: [_KEYS[(i + 1) % 7], _KEYS[(i + 3) % 7]] for i, k in enumerate(_KEYS)}
+
+#: name -> (accumulator, value strategy, value an update emits).  Small
+#: value domains make equal priorities, dead offers (``min`` of a larger
+#: delta, a sum back at 0.0) and their later revival all common.
+_small_dyadic = st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0)
+_small_min = st.one_of(st.just(math.inf), st.integers(0, 12).map(float))
+_SCHEDULES = {
+    "sum": (SUM, _small_dyadic, lambda d, new: d / 2.0),
+    "min": (MIN, _small_min, lambda d, new: new + 1.0),
+    "custom": (
+        Accumulator("sum-by-delta", 0.0, SUM.merge, samples=SUM.samples,
+                    priority_fn=lambda state, delta: abs(delta) / (1.0 + abs(state))),
+        _small_dyadic, lambda d, new: d / 2.0,
+    ),
+}
+
+
+def _schedule_job(acc, emitted):
+    def update(key, delta, state, targets, emit):
+        for dest in targets:
+            emit(dest, emitted(delta, state))
+
+    return AccumJob(name="cache", accumulator=acc, update_fn=update,
+                    output_path="/dfs/out", conf=_conf())
+
+
+def _steps(values):
+    records = st.lists(st.tuples(st.sampled_from(_KEYS), values), max_size=6)
+    fracs = st.sampled_from([0.1, 0.25, 0.5, 1.0])
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("absorb"), records),
+            st.tuples(st.just("mass")),
+            # select, apply the first ``keep`` of the selection, and feed
+            # the emissions back (or drop them: a deferred batch).
+            st.tuples(st.just("drain"), st.sampled_from(["sync", "async"]),
+                      fracs, st.integers(0, 7), st.booleans()),
+        ),
+        max_size=25,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEDULES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_scheduler_matches_from_scratch(name, data):
+    """Any interleaving of absorb / mass / select / apply — select before
+    mass, mass twice running, partial drains, a warm start — leaves the
+    cached scheduler indistinguishable from re-scoring everything: the
+    mass is the same float (``==`` and ``repr``), the selection the same
+    list, ``pending`` (order included) and ``state`` the same dicts."""
+    acc, values, emitted = _SCHEDULES[name]
+    job = _schedule_job(acc, emitted)
+    warm = data.draw(st.dictionaries(st.sampled_from(_KEYS), values, max_size=3))
+    cached, scratch = (
+        cls(0, acc, _STATIC, keys=_STATIC, initial_state=warm)
+        for cls in (AccumPair, _FromScratch)
+    )
+    for step in data.draw(_steps(values)):
+        if step[0] == "absorb":
+            cached.absorb(step[1])
+            scratch.absorb(step[1])
+        elif step[0] == "mass":
+            got, want = cached.mass(), scratch.mass()
+            assert got == want and repr(got) == repr(want)
+        else:
+            _op, mode, frac, keep, feed_back = step
+            selected = cached.select(mode, frac)
+            assert selected == scratch.select(mode, frac)
+            outs = [[]], [[]]
+            cached.apply(job, selected[:keep], lambda key: 0, outs[0])
+            scratch.apply(job, selected[:keep], lambda key: 0, outs[1])
+            assert outs[0] == outs[1]
+            if feed_back:
+                cached.absorb(outs[0][0])
+                scratch.absorb(outs[1][0])
+        assert list(cached.pending.items()) == list(scratch.pending.items())
+        assert cached.state == scratch.state
+    assert cached.mass() == scratch.mass()
+    assert cached.updates_processed == scratch.updates_processed
+
+
+def test_dead_offer_is_kept_scored_once_and_revived():
+    """Async mode never pops an offer that no longer improves the state:
+    it stays in ``pending`` at priority 0, costs no further evaluation,
+    and a later, better delta on the same key brings it back."""
+    pair = AccumPair(0, MIN, {}, initial_state={"k": 5.0})
+    pair.absorb([("k", 7.0)])
+    assert pair.mass() == 0.0 and pair.select("async", 0.25) == []
+    assert pair.mass() == 0.0 and pair.pending == {"k": 7.0}
+    assert pair.priority_evals == 1
+    pair.absorb([("k", 3.0)])
+    assert pair.select("async", 0.25) == ["k"] and pair.mass() == 2.0
+    assert pair.priority_evals == 2
