@@ -13,6 +13,7 @@ the symmetrised adjacency (labels must flow both ways); the helper
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -94,9 +95,7 @@ class ComponentsKernel(Kernel):
         neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
         counts = np.array([len(t) for t in neigh], dtype=np.int64)
         total = int(counts.sum())
-        targets = np.fromiter(
-            (v for t in neigh for v in t), dtype=np.int64, count=total
-        )
+        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
         src_local = np.repeat(np.arange(owned_keys.size), counts)
         # The emission keys never change: the *same* array is returned
         # every iteration, so the shuffle plan is reused on an ``is``.
@@ -168,9 +167,7 @@ class ComponentsAccumKernel(AccumKernel):
         neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
         counts = np.array([len(t) for t in neigh], dtype=np.int64)
         total = int(counts.sum())
-        targets = np.fromiter(
-            (v for t in neigh for v in t), dtype=np.int64, count=total
-        )
+        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return counts, indptr, targets
 

@@ -8,6 +8,7 @@ none; the generators default to min out-degree 1).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -127,9 +128,7 @@ class PageRankKernel(Kernel):
         neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
         counts = np.array([len(t) for t in neigh], dtype=np.int64)
         total = int(counts.sum())
-        targets = np.fromiter(
-            (v for t in neigh for v in t), dtype=np.int64, count=total
-        )
+        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
         src_local = np.repeat(np.arange(owned_keys.size), counts)
         # The emission keys and the retain column never change: built
         # once, and the *same* key array is returned every iteration, so
@@ -234,9 +233,7 @@ class PageRankAccumKernel(AccumKernel):
         neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
         counts = np.array([len(t) for t in neigh], dtype=np.int64)
         total = int(counts.sum())
-        targets = np.fromiter(
-            (v for t in neigh for v in t), dtype=np.int64, count=total
-        )
+        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return counts, indptr, targets
 

@@ -18,6 +18,8 @@ Three implementations, all with identical per-iteration semantics:
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -117,10 +119,10 @@ class SsspKernel(Kernel):
         counts = np.array([len(t) for t in adj], dtype=np.int64)
         total = int(counts.sum())
         targets = np.fromiter(
-            (vw[0] for t in adj for vw in t), dtype=np.int64, count=total
+            map(itemgetter(0), chain.from_iterable(adj)), dtype=np.int64, count=total
         )
         weights = np.fromiter(
-            (vw[1] for t in adj for vw in t), dtype=np.float64, count=total
+            map(itemgetter(1), chain.from_iterable(adj)), dtype=np.float64, count=total
         )
         src_local = np.repeat(np.arange(owned_keys.size), counts)
         return targets, weights, src_local
@@ -214,10 +216,10 @@ class SsspAccumKernel(AccumKernel):
         counts = np.array([len(t) for t in adj], dtype=np.int64)
         total = int(counts.sum())
         targets = np.fromiter(
-            (vw[0] for t in adj for vw in t), dtype=np.int64, count=total
+            map(itemgetter(0), chain.from_iterable(adj)), dtype=np.int64, count=total
         )
         weights = np.fromiter(
-            (vw[1] for t in adj for vw in t), dtype=np.float64, count=total
+            map(itemgetter(1), chain.from_iterable(adj)), dtype=np.float64, count=total
         )
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return counts, indptr, targets, weights

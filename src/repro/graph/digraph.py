@@ -99,18 +99,15 @@ class Digraph:
         ``(u, (v, ...))``.  Every node appears, including sinks (empty
         adjacency) — the join in §3.2.2 needs a static record per key.
         """
-        indptr, targets = self.indptr, self.targets
-        if self.weights is None:
-            for u in range(self.num_nodes):
-                lo, hi = indptr[u], indptr[u + 1]
-                yield u, tuple(int(v) for v in targets[lo:hi])
-        else:
-            weights = self.weights
-            for u in range(self.num_nodes):
-                lo, hi = indptr[u], indptr[u + 1]
-                yield u, tuple(
-                    (int(v), float(w)) for v, w in zip(targets[lo:hi], weights[lo:hi])
-                )
+        # One ``tolist`` per column makes every target a Python int and
+        # every weight a Python float (numpy scalars would pickle larger);
+        # a record is then a slice.
+        bounds = self.indptr.tolist()
+        row = self.targets.tolist()
+        if self.weights is not None:
+            row = list(zip(row, self.weights.tolist()))
+        for u in range(self.num_nodes):
+            yield u, tuple(row[bounds[u] : bounds[u + 1]])
 
     def edge_list(self) -> list[tuple[int, int]]:
         sources = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))

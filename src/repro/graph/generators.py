@@ -15,6 +15,39 @@ Facebook, Google web, Berkeley–Stanford) we keep the paper's σ and solve
 Targets are sampled uniformly, excluding self-loops, without duplicate
 edges per node (simple directed graphs, like the paper's web/social
 graphs).  Generation is seeded and fully deterministic.
+
+Which graph a seed means is defined sequentially: after the degrees, the
+nodes take their targets in id order from the one generator, each by
+:func:`_node_targets` — a saturated node (``deg >= n-1``) draws nothing, a
+dense one (``deg > (n-1)//4``) calls ``rng.choice``, and a sparse one
+calls ``rng.integers(0, n-1, size=deg)`` and, while that gave fewer than
+``deg`` distinct values, again for the shortfall.  Every ``integers`` call
+has the same bounds, and numpy's ``Generator.integers`` returns the same
+values for ``a + b`` draws at once as for ``a`` then ``b`` (a bounded draw
+takes what it needs from the bit generator and buffers nothing outside
+``bit_generator.state``).  So sparse nodes read consecutive windows of one
+stream of draws: ``deg`` long, or longer by the top-ups of a node that
+drew a value twice.
+
+:func:`_sample_targets` reads that stream a chunk at a time instead of a
+node at a time.  It draws the windows of a run of sparse nodes in one
+call as if none needed a top-up; one sort of ``owner * n + draw`` sorts
+every window (what ``np.unique`` did per node) and puts a repeated draw
+next to its twin.  No adjacent equals: the chunk is the sequential
+sampler's output and the generator is where it would be.  Otherwise the
+windows before the first node with a repeat stand, the generator is put
+where they end (restore the state saved before the chunk, draw exactly
+that many again) and that one node is sampled by :func:`_node_targets` on
+the generator itself; the next chunk starts after it.  Dense and
+saturated nodes end a chunk the same way, as do nodes with more than √n
+draws, which repeat a value more often than not.  Invariant: at every
+chunk boundary ``rng`` is in the state the sequential sampler had on
+reaching that node — so ``rng.choice`` sees the state it always saw, and
+so do the SSSP weights drawn after the last node.
+``tests/graph/test_generators.py`` keeps the sequential sampler as the
+oracle (targets and final generator state) and pins the benchmark graphs'
+hashes: a numpy that consumed the stream differently would fail there
+rather than silently change every seeded graph.
 """
 
 from __future__ import annotations
@@ -68,33 +101,67 @@ def lognormal_out_degrees(
     return np.minimum(degrees, max(num_nodes - 1, min_degree))
 
 
+#: Draws per chunk of :func:`_sample_targets`.  A chunk is discarded from
+#: its first repeat on, so it should not be much longer than the distance
+#: between repeats, and long enough to amortise a dozen numpy calls; on
+#: the benchmark graphs anything from 2k to 16k measures the same.
+_CHUNK = 8192
+
+
+def _node_targets(n: int, deg: int, rng: np.random.Generator) -> np.ndarray:
+    """One node's sorted distinct picks from ``[0, n-2]`` — the scalar rule."""
+    if deg >= n - 1:
+        # Saturated: connect to everyone else.
+        return np.arange(n - 1, dtype=np.int64)
+    if deg > (n - 1) // 4:
+        # Dense node: exact sampling without replacement.
+        return rng.choice(n - 1, size=deg, replace=False)
+    # Sparse node: rejection via unique, top-up as needed.
+    chosen = np.unique(rng.integers(0, n - 1, size=deg))
+    while len(chosen) < deg:
+        extra = rng.integers(0, n - 1, size=deg - len(chosen))
+        chosen = np.unique(np.concatenate([chosen, extra]))
+    return chosen
+
+
 def _sample_targets(num_nodes: int, degrees: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Pick each node's distinct non-self targets; returns (indptr, targets)."""
+    """Pick each node's distinct non-self targets; returns (indptr, targets).
+
+    Equal, draw for draw, to :func:`_node_targets` applied node by node
+    (module docstring): same targets, same ``rng`` state afterwards.
+    """
+    n = num_nodes
     indptr = np.concatenate(([0], np.cumsum(degrees)))
     targets = np.empty(indptr[-1], dtype=np.int64)
-    n = num_nodes
-    for u in range(n):
-        deg = degrees[u]
-        if deg == 0:
-            continue
-        lo, hi = indptr[u], indptr[u + 1]
-        if deg >= n - 1:
-            # Saturated: connect to everyone else.
-            chosen = np.arange(n - 1, dtype=np.int64)
-        elif deg > (n - 1) // 4:
-            # Dense node: exact sampling without replacement.
-            chosen = rng.choice(n - 1, size=deg, replace=False)
-        else:
-            # Sparse node: rejection via unique, top-up as needed.
-            chosen = np.unique(rng.integers(0, n - 1, size=deg))
-            while len(chosen) < deg:
-                extra = rng.integers(0, n - 1, size=deg - len(chosen))
-                chosen = np.unique(np.concatenate([chosen, extra]))
-            chosen = chosen[:deg]
-        # Map [0, n-2] onto node ids skipping u (no self-loops).
-        mapped = np.where(chosen >= u, chosen + 1, chosen)
-        targets[lo:hi] = mapped
-    return indptr, targets
+    owner = np.repeat(np.arange(n), degrees)
+    # Nodes no chunk may hold: dense and saturated ones do not read the
+    # stream, and past sqrt(n) draws a repeat is the likely outcome.
+    scalar = np.append(np.flatnonzero(degrees > min((n - 1) // 4, math.isqrt(n), _CHUNK)), n)
+    u = 0
+    while u < n:
+        lo = indptr[u]
+        stop = scalar[np.searchsorted(scalar, u)]
+        v = min(np.searchsorted(indptr, lo + _CHUNK, side="right") - 1, stop)
+        hi = indptr[v]
+        state = rng.bit_generator.state
+        base = owner[lo:hi] * n
+        keys = base + rng.integers(0, n - 1, size=hi - lo)
+        keys.sort()
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(dup):
+            # Keep the windows before the first node that drew a value
+            # twice, put the generator where they end, replay that node.
+            v = stop = owner[lo + dup[0]]
+            hi = indptr[v]
+            rng.bit_generator.state = state
+            rng.integers(0, n - 1, size=hi - lo)
+        targets[lo:hi] = keys[: hi - lo] - base[: hi - lo]
+        if v == stop < n:
+            targets[hi : indptr[v + 1]] = _node_targets(n, degrees[v], rng)
+            v += 1
+        u = v
+    # Map [0, n-2] onto node ids skipping the owner (no self-loops).
+    return indptr, np.where(targets >= owner, targets + 1, targets)
 
 
 def lognormal_graph(

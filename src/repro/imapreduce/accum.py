@@ -85,7 +85,7 @@ from typing import Any, Callable
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner, bind_partitioner
-from ..common.records import order_key
+from ..common.records import order_key, sort_records
 
 __all__ = [
     "Accumulator",
@@ -461,7 +461,7 @@ class AccumPair:
         return applied
 
     def final_records(self) -> list:
-        return sorted(self.state.items(), key=lambda kv: order_key(kv[0]))
+        return sort_records(self.state.items())
 
 
 def partition_accum_inputs(

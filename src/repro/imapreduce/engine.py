@@ -65,9 +65,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key, order_key
+from ..common.records import group_by_key, sort_records
 from .checkpoint import CheckpointStore, fire_fault
-from .runtime import AuxContext
+from .job import AuxContext
 
 __all__ = [
     "CONTINUE",
@@ -215,10 +215,7 @@ def _final_state(finals: list[dict], num_pairs: int) -> list[tuple[Any, Any]]:
     by_pair: dict[int, list] = {}
     for final in finals:
         by_pair.update(final["state"])
-    return sorted(
-        (rec for p in range(num_pairs) for rec in by_pair.get(p, ())),
-        key=lambda kv: order_key(kv[0]),
-    )
+    return sort_records(rec for p in range(num_pairs) for rec in by_pair.get(p, ()))
 
 
 # ------------------------------------------------------- verdict policies --
@@ -281,7 +278,7 @@ class SyncVerdict:
                 rec for p in range(self.num_pairs) for rec in by_pair.get(p, ())
             ]
             if self.keep_history:
-                self.history.append(sorted(flat, key=lambda kv: order_key(kv[0])))
+                self.history.append(sort_records(flat))
             if aux is not None and aux_part is not None:
                 # The auxiliary phase (§5.3): its input is the full,
                 # tiny, post-iteration state.

@@ -71,6 +71,7 @@ from typing import Any, Iterable
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
+from ..common.records import sort_records
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -662,8 +663,7 @@ class MemoStore:
         records: list = []
         for p in sorted(payloads):
             records.extend(payloads[p]["state"])
-        records.sort(key=lambda kv: (type(kv[0]).__name__, kv[0]))
-        return records, meta
+        return sort_records(records), meta
 
     def has(self) -> bool:
         return bool(self.store.manifests())
@@ -697,17 +697,23 @@ def random_edge_churn(
     nodes = sorted(table)
     if len(nodes) < 2:
         raise DeltaError("churn needs at least two nodes")
-    existing: list[tuple] = []
-    present: set = set()
-    for u in nodes:
-        for entry in table[u]:
-            v = _row_target(entry, kind.weighted)
-            if kind.symmetric and (v, u) in present:
-                continue
-            existing.append((u, entry))
-            present.add((u, v))
+    existing = [(u, entry) for u in nodes for entry in table[u]]
     if kind.symmetric:
-        present |= {(v, u) for u, v in list(present)}
+        # One entry per undirected edge, the direction met first
+        # (``set.add`` returns None: the filter records what it keeps).
+        met: set = set()
+        existing = [
+            (u, entry) for u, entry in existing
+            if (_row_target(entry, kind.weighted), u) not in met
+            and not met.add((u, _row_target(entry, kind.weighted)))
+        ]
+
+    def linked(u, v) -> bool:
+        """Does the table hold ``u -> v`` (or ``v -> u``, if symmetric)?"""
+        rows = ((u, v), (v, u)) if kind.symmetric else ((u, v),)
+        return any(
+            _row_target(entry, kind.weighted) == b for a, b in rows for entry in table[a]
+        )
 
     def weight() -> float:
         return round(rng.uniform(0.5, 4.0), 3)
@@ -744,14 +750,12 @@ def random_edge_churn(
     while len(insert_edges) < insert and attempts < insert * 50 + 100:
         attempts += 1
         u, v = rng.sample(nodes, 2)
-        if (u, v) in present or (u, v) in mutated:
+        if (u, v) in mutated or linked(u, v):
             continue
         insert_edges.append((u, v, weight()) if kind.weighted else (u, v))
         mutated.add((u, v))
-        present.add((u, v))
         if kind.symmetric:
             mutated.add((v, u))
-            present.add((v, u))
     return DataDelta(
         insert_edges=tuple(insert_edges),
         delete_edges=tuple(delete_edges),

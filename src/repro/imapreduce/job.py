@@ -28,6 +28,7 @@ from typing import Any, Callable
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner
+from ..mapreduce.api import Context
 from ..metrics import RunMetrics
 
 # Re-exported for discoverability: the accumulative (Maiter-mode) job
@@ -37,6 +38,7 @@ from .accum import AccumJob, AccumRunResult, Accumulator  # noqa: E402
 __all__ = [
     "Phase",
     "AuxPhase",
+    "AuxContext",
     "IterativeJob",
     "IterativeRunResult",
     "AccumJob",
@@ -92,6 +94,18 @@ class AuxPhase:
     reduce_fn: ReduceFn
     num_tasks: int = 1
     name: str = "aux"
+
+
+class AuxContext(Context):
+    """Context handed to auxiliary-phase user code (§5.3)."""
+
+    def __init__(self, task_state: dict):
+        super().__init__()
+        self.task_state = task_state
+        self.terminate_requested = False
+
+    def signal_terminate(self) -> None:
+        self.terminate_requested = True
 
 
 @dataclass

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key, order_key
+from ..common.records import group_by_key, order_key, sort_records
 from ..mapreduce.api import Context
 from .accum import (
     AccumJob,
@@ -137,7 +137,7 @@ def map_pair(
 
 def sorted_static(static: dict) -> list[tuple[Any, Any]]:
     """The one2all map's iteration order over a static partition."""
-    return sorted(static.items(), key=lambda kv: order_key(kv[0]))
+    return sort_records(static.items())
 
 
 # --------------------------------------------------------- pair executors --
@@ -206,10 +206,7 @@ class RecordSync:
 
     def assemble(self, items):
         started = time.perf_counter()
-        broadcast = sorted(
-            (rec for _p, recs in items for rec in recs),
-            key=lambda kv: order_key(kv[0]),
-        )
+        broadcast = sort_records(rec for _p, recs in items for rec in recs)
         self.timings["map"] += time.perf_counter() - started
         return broadcast, len(broadcast)
 

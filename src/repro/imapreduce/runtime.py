@@ -43,7 +43,7 @@ from typing import Any
 
 from ..cluster import Cluster, Machine
 from ..common.errors import SchedulingError, TaskFailure, WorkerFailure
-from ..common.records import group_by_key, order_key
+from ..common.records import group_by_key, sort_records
 from ..common.serialization import sizeof_records
 from ..dfs import DFS
 from ..mapreduce.api import Context
@@ -53,7 +53,7 @@ from ..metrics.trace import Tracer
 from ..simulation import Store
 from .channels import IterationMailbox, ReliableConfig, StopIteration_
 from .failure_detector import FailureDetector, FailureDetectorConfig
-from .job import IterativeJob, IterativeRunResult, Phase
+from .job import AuxContext, IterativeJob, IterativeRunResult, Phase
 
 __all__ = [
     "LoadBalanceConfig",
@@ -111,18 +111,6 @@ class ChaosKnobs:
             or self.ignore_heartbeat_timeout
             or self.skip_retransmit
         )
-
-
-class AuxContext(Context):
-    """Context handed to auxiliary-phase user code (§5.3)."""
-
-    def __init__(self, task_state: dict):
-        super().__init__()
-        self.task_state = task_state
-        self.terminate_requested = False
-
-    def signal_terminate(self) -> None:
-        self.terminate_requested = True
 
 
 @dataclass
@@ -1161,10 +1149,8 @@ def _map_task(
                 cctx = Context()
                 if one2all:
                     # One static record + the full broadcast state (§5.1.2).
-                    state_list = sorted(chunk, key=lambda kv: order_key(kv[0]))
-                    for key, static_value in sorted(
-                        static.items(), key=lambda kv: order_key(kv[0])
-                    ):
+                    state_list = sort_records(chunk)
+                    for key, static_value in sort_records(static.items()):
                         phase.map_fn(key, state_list, static_value, cctx)
                         records_in += 1
                 else:
@@ -1728,10 +1714,7 @@ def run_accum_simulated(
         rounds += 1
 
     assert not inflight or terminated_by == "maxrounds", "lost in-flight deltas"
-    final = sorted(
-        (rec for ps in pairs for rec in ps.state.items()),
-        key=lambda kv: order_key(kv[0]),
-    )
+    final = sort_records(rec for ps in pairs for rec in ps.state.items())
     return AccumRunResult(
         state=final,
         rounds=rounds,

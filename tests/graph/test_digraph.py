@@ -1,9 +1,11 @@
 """Unit tests for the CSR digraph."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.graph import Digraph
+from repro.graph import Digraph, lognormal_graph
 
 
 def triangle(weighted=False):
@@ -65,6 +67,43 @@ def test_static_records_weighted():
 def test_static_records_cover_sink_nodes():
     g = Digraph.from_edges(5, [(0, 1)])
     assert len(list(g.static_records())) == 5
+
+
+def _static_records_per_element(g):
+    """``Digraph.static_records`` at commit 5002b67, verbatim: one
+    ``int(v)`` / ``float(w)`` per element."""
+    indptr, targets = g.indptr, g.targets
+    if g.weights is None:
+        for u in range(g.num_nodes):
+            lo, hi = indptr[u], indptr[u + 1]
+            yield u, tuple(int(v) for v in targets[lo:hi])
+    else:
+        weights = g.weights
+        for u in range(g.num_nodes):
+            lo, hi = indptr[u], indptr[u + 1]
+            yield u, tuple(
+                (int(v), float(w)) for v, w in zip(targets[lo:hi], weights[lo:hi])
+            )
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_static_records_are_the_per_element_ones(weighted):
+    """Slices of ``tolist()`` columns give the records the per-element
+    conversion gave — equal, pickled to the same bytes (numpy scalars
+    would inflate the mesh's ``bytes_pickled``), sinks included."""
+    weights = dict(weight_mu=0.4, weight_sigma=1.2) if weighted else {}
+    g = lognormal_graph(400, degree_mu=0.5, degree_sigma=1.5, seed=9, min_degree=0, **weights)
+    assert (g.out_degree() == 0).any()
+    records = list(g.static_records())
+    expected = list(_static_records_per_element(g))
+    assert records == expected
+    assert pickle.dumps(records) == pickle.dumps(expected)
+    flat = [entry for _u, row in records for entry in row]
+    if weighted:
+        assert {(type(v), type(w)) for v, w in flat} == {(int, float)}
+    else:
+        assert {type(v) for v in flat} == {int}
+    assert {type(u) for u, _row in records} == {int}
 
 
 def test_edge_list_roundtrip():

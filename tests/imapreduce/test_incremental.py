@@ -11,6 +11,7 @@ components), threshold-bounded for the sum algebra (pagerank) — while
 touching strictly fewer pairs at small deltas.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -184,6 +185,30 @@ class TestChangePlan:
             plan_changes("sssp", {0: ()}, DataDelta(), {})  # no source
         with pytest.raises(DeltaError):
             plan_changes("tsp", {0: ()}, DataDelta(), {})
+
+
+# -------------------------------------------------------- churn synthesis --
+@pytest.mark.parametrize(
+    "records, build, algorithm, kwargs, pin",
+    [
+        # sha256(repr(delta))[:16] at commit 5002b67, whose churn walked
+        # every edge in a statement loop; one pin per adjacency kind.
+        pytest.param(pagerank.static_records, pagerank_graph, "pagerank",
+                     {}, "fc0c47f2ad764e69", id="pagerank"),
+        pytest.param(sssp.static_records, sssp_graph, "sssp",
+                     {"monotone": True}, "9004f12d3f4f0bb0", id="sssp-monotone"),
+        pytest.param(sssp.static_records, sssp_graph, "sssp",
+                     {"update": 9}, "685200e492a38586", id="sssp-update"),
+        pytest.param(components.static_records, pagerank_graph, "components",
+                     {}, "bf751bc60aeddf6a", id="components"),
+    ],
+)
+def test_random_edge_churn_is_pinned(records, build, algorithm, kwargs, pin):
+    table = dict(records(build(300, seed=1)))
+    delta = random_edge_churn(table, algorithm, insert=12, delete=12, seed=5, **kwargs)
+    assert hashlib.sha256(repr(delta).encode()).hexdigest()[:16] == pin
+    delta.validate(ADJACENCY_KINDS[algorithm])
+    patch_static_table(table, delta, ADJACENCY_KINDS[algorithm])
 
 
 # ----------------------------------------------- warm-vs-cold: pagerank --
