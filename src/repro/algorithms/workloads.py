@@ -1,11 +1,11 @@
 """The workload table: ``(algorithm, formulation)`` → one builder.
 
 Every caller that runs a shipped algorithm on a real backend — ``repro
-run``, the wall-clock bench, the chaos harness — used to carry its own
-``if algorithm == ...`` ladder from source data to ``(job, inputs,
-statics)``.  They differ only in where the data comes from (a dataset,
-a seeded generator) and in a few job options, so the ladder lives here
-once: :func:`build_workload` looks the builder up and hands back a
+run``, the chaos harness — used to carry its own ``if algorithm == ...``
+ladder from source data to ``(job, inputs, statics)``.  They differ
+only in where the data comes from (a dataset, a seeded generator) and
+in a few job options, so the ladder lives here once:
+:func:`build_workload` looks the builder up and hands back a
 :class:`Workload`.  ``formulation`` is ``"iterative"`` (the paper's
 state/static job, :func:`build_imr_job`) or ``"accumulative"`` (the
 Maiter delta formulation, :func:`build_accum_job`).
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from . import jacobi, kmeans, matrixpower, pagerank, sssp
+from . import kmeans, matrixpower, pagerank, sssp
 
 __all__ = [
     "SOURCE",
@@ -114,15 +114,8 @@ def _matrixpower(matrix, paths, steps, *, num_pairs=None):
             matrixpower.matrix_to_column_records(matrix))
 
 
-def _jacobi(system, paths, steps, **options):
-    a, b = system
-    job = jacobi.build_imr_job(**paths, max_iterations=steps, **options)
-    return job, jacobi.initial_state(len(b)), jacobi.system_to_static_records(a, b)
-
-
 #: Source data per row: a ``Digraph`` (sssp, pagerank); ``(LastFmDataset,
-#: k, centroid_seed)`` (kmeans); a square matrix (matrixpower); ``(A, b)``
-#: (jacobi).
+#: k, centroid_seed)`` (kmeans); a square matrix (matrixpower).
 WORKLOADS = {
     ("sssp", "iterative"): _sssp,
     ("sssp", "accumulative"): _sssp_accum,
@@ -130,7 +123,6 @@ WORKLOADS = {
     ("pagerank", "accumulative"): _pagerank_accum,
     ("kmeans", "iterative"): _kmeans,
     ("matrixpower", "iterative"): _matrixpower,
-    ("jacobi", "iterative"): _jacobi,
 }
 
 

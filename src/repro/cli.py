@@ -164,38 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--verbose", action="store_true",
                          help="log every campaign, not just failures")
 
-    p_bench = sub.add_parser(
-        "bench", help="wall-clock benchmark: serial vs multiprocess backend"
-    )
-    p_bench.add_argument("--out", default="BENCH_PR10.json",
-                         help="output JSON path (default BENCH_PR10.json)")
-    p_bench.add_argument("--workers", default=None,
-                         help="comma-separated worker counts, e.g. 1,2,4")
-    p_bench.add_argument("--workloads", default=None, metavar="NAME,...",
-                         help="run only the named workloads (e.g. "
-                              "pagerank-kernel); unknown names list the "
-                              "available set")
-    p_bench.add_argument("--backend-only", default=None,
-                         choices=("serial", "parallel"),
-                         help="serial: skip the multiprocess backend; "
-                              "parallel: time only the backend (the serial "
-                              "reference still runs once for the identity "
-                              "check)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="tiny problem sizes (CI smoke)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="print the phase-level profiler breakdown "
-                              "(map/combine/kernel/serialize/send/wait/"
-                              "reduce)")
-    p_bench.add_argument("--check", default=None, metavar="BASELINE.json",
-                         help="gate data-plane counters (records/batches/"
-                              "bytes pickled) against a committed baseline; "
-                              "exit 1 on any regression")
-    p_bench.add_argument("--history", action="store_true",
-                         help="print the benchmark trajectory across every "
-                              "committed BENCH_PR*.json baseline and exit "
-                              "(no suite run)")
-
     p_gc = sub.add_parser(
         "gc", help="prune stale checkpoint spools / memo versions"
     )
@@ -467,9 +435,9 @@ def _refresh(args, dataset: str, plan, workload, memo) -> int:
     mutated input, and — when the two fixpoints agree within the
     ``incremental-differential`` oracle's tolerance — memoize the
     refreshed state.  Disagreement exits 1 and memoizes nothing."""
-    from .experiments.wallclock import refresh_vs_cold
     from .imapreduce import DataDelta, DeltaError, patch_static_table
     from .imapreduce.incremental import ADJACENCY_KINDS
+    from .imapreduce.plan import refresh_vs_cold
 
     job = workload.job
     try:
@@ -518,86 +486,14 @@ def _refresh(args, dataset: str, plan, workload, memo) -> int:
         return 1
     version = _memoize(memo, args, dataset, plan, workload, warm,
                        history + [delta.to_tuple()])
-    speedup = (cold.updates_processed / warm.updates_processed
-               if warm.updates_processed else float("inf"))
-    print(
-        f"  {speedup:.1f}x fewer updates than cold rerun; states agree "
-        f"to {max_diff:.3g}; memoized version {version}"
+    # A churn that misses everything reachable leaves nothing to redo.
+    saved = (
+        f"{cold.updates_processed / warm.updates_processed:.1f}x fewer "
+        "updates than cold rerun" if warm.updates_processed
+        else f"no updates needed (cold rerun: {cold.updates_processed:,})"
     )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from .experiments.wallclock import (
-        DEFAULT_WORKERS,
-        available_workloads,
-        compare_counters,
-        format_history,
-        format_phase_breakdown,
-        load_history,
-        run_suite,
-    )
-
-    if args.history:
-        print(format_history(load_history()))
-        return 0
-
-    workers = DEFAULT_WORKERS
-    if args.workers:
-        try:
-            workers = tuple(
-                int(w) for w in args.workers.split(",") if w.strip()
-            )
-        except ValueError:
-            print(f"bad --workers list: {args.workers!r}", file=sys.stderr)
-            return 2
-    workloads = None
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        unknown = [w for w in workloads if w not in available_workloads()]
-        if unknown:
-            print(f"unknown workload(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"available: {', '.join(available_workloads())}",
-                  file=sys.stderr)
-            return 2
-    results = run_suite(
-        out_path=args.out, workers=workers, quick=args.quick, log=print,
-        workloads=workloads, backend_only=args.backend_only,
-    )
-    if args.profile:
-        print(format_phase_breakdown(results))
-    micro = results["sizeof_microbench"]
-    print(
-        f"sizeof_value memoization: {micro['speedup']}x over "
-        f"{micro['calls']} calls"
-    )
-    hot = results["hotpath_microbench"]
-    print(
-        f"group_by_key fast path: {hot['group_by_key']['speedup']}x; "
-        f"combiner context reuse: {hot['combiner_context']['speedup']}x"
-    )
-    print(
-        f"wrote {args.out} (cpu_count={results['meta']['cpu_count']})"
-    )
-    if args.check:
-        try:
-            with open(args.check) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.check!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = compare_counters(results, baseline)
-        if problems:
-            print(f"data-plane counter regressions vs {args.check}:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print(f"data-plane counters OK vs {args.check}")
+    print(f"  {saved}; states agree to {max_diff:.3g}; memoized version "
+          f"{version}")
     return 0
 
 
@@ -755,7 +651,6 @@ _COMMANDS = {
     "modes": _cmd_modes,
     "report": _cmd_report,
     "chaos": _cmd_chaos,
-    "bench": _cmd_bench,
     "gc": _cmd_gc,
 }
 

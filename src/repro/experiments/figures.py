@@ -364,7 +364,7 @@ def fig20() -> FigureResult:
     return result
 
 
-#: Registry used by the EXPERIMENTS.md generator and the bench suite.
+#: Registry used by the EXPERIMENTS.md generator and the CLI.
 ALL_FIGURES = {
     "table1": table1,
     "table2": table2,

@@ -283,7 +283,7 @@ class AccumRunResult:
     updates_processed: int
     deltas_emitted: int
     #: Cross-pair delta records (the data the synchronous mode would
-    #: have shipped as full state; the bench gate compares these).
+    #: have shipped as full state; async must ship strictly fewer).
     deltas_shipped: int
     mode: str  # "sync" | "async" | "simulated"
     #: Per-round convergence-vs-work rows (``keep_trace=True``):

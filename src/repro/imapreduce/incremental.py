@@ -150,7 +150,7 @@ class DataDelta:
 
     @property
     def size(self) -> int:
-        """Total mutation count (the bench's delta-size axis)."""
+        """Total mutation count."""
         return (
             len(self.insert_edges)
             + len(self.delete_edges)

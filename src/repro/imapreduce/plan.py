@@ -19,12 +19,19 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..common.errors import JobError
 from .accum import AccumJob, AccumRunResult
-from .incremental import DataDelta, plan_changes, warm_sync_state
+from .incremental import (
+    DataDelta,
+    cold_rerun_inputs,
+    plan_changes,
+    random_edge_churn,
+    warm_sync_state,
+)
 from .localrun import run_accum_local, run_local
 from .parallel import run_accum_parallel, run_parallel
 from .runtime import run_accum_simulated
@@ -38,6 +45,7 @@ __all__ = [
     "resolve",
     "execute",
     "run_incremental_accum",
+    "refresh_vs_cold",
     "format_support",
 ]
 
@@ -305,6 +313,40 @@ def run_incremental_accum(
         warm=WarmStart(algorithm, delta, damping=damping, source=source),
         **backend_kwargs,
     ))
+
+
+def refresh_vs_cold(workload, algorithm, memo_state, table, fraction, seed, plan):
+    """One incremental refresh and the cold rerun it is judged against
+    — what ``repro run --delta`` prints.
+
+    Draws a seeded churn touching ~``fraction`` of ``table``'s edges,
+    warm-starts ``plan`` from ``memo_state`` (change propagation), and
+    reruns cold on the mutated input.  ``workload`` is a
+    :class:`~repro.algorithms.workloads.Workload`.  Returns ``(delta,
+    (warm, seconds), (cold, seconds), agree)`` — ``agree`` at the
+    ``incremental-differential`` oracle's bar (bit-exact for ``min``,
+    tolerance-bounded for ``+``).
+    """
+    from ..testing.oracles import fixpoints_agree
+
+    job, _inputs, _statics, planner, algebra = workload
+    edits = max(2, round(fraction * sum(len(row) for row in table.values())))
+    # Min-algebra serving workloads refresh fastest on improvement-only
+    # churn (new/faster roads); pagerank takes arbitrary insert+delete.
+    delta = random_edge_churn(
+        table, algorithm, insert=edits // 2, delete=edits - edits // 2,
+        seed=seed, monotone=algebra == "min",
+    )
+    started = time.perf_counter()
+    warm = execute(job, memo_state, {job.static_path: table}, dataclasses.replace(
+        plan, warm=WarmStart(algorithm, delta, **planner)))
+    warm_seconds = time.perf_counter() - started
+    cold_deltas, mutated = cold_rerun_inputs(algorithm, table, delta, **planner)
+    started = time.perf_counter()
+    cold = execute(job, cold_deltas, {job.static_path: mutated}, plan)
+    cold_seconds = time.perf_counter() - started
+    agree = fixpoints_agree(warm.state, cold.state, algebra == "min")
+    return delta, (warm, warm_seconds), (cold, cold_seconds), agree
 
 
 def format_support() -> str:

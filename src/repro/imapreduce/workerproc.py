@@ -60,7 +60,8 @@ iteration beyond the data mesh itself.
 Profiler: every worker accumulates wall-time per phase of its loop
 (:data:`~repro.imapreduce.engine.PHASE_COUNTERS`; this module owns
 ``serialize, deserialize, send, wait``) into
-``stats["phase_seconds"]``, surfaced by ``repro bench --profile``.
+``stats["phase_seconds"]``, summed over workers by
+``ParallelRunResult.phase_breakdown()``.
 
 Fault tolerance (§3.4): when the coordinator arms checkpointing, each
 worker spools its pair states to disk every ``checkpoint_every``

@@ -94,6 +94,26 @@ def _sum_reduce(key, values, ctx):
     ctx.emit(key, sum(values))
 
 
+def dense_batches(job, iterations: int, num_workers: int) -> int:
+    """Reference: the batches the first (dense) mesh protocol shipped for
+    the same run — every worker messaged every peer on every phase of
+    every iteration (shuffle + per-phase repartition + all-gather
+    broadcast), empty or not.  The skip-empty plane must never ship
+    more data frames than this."""
+    if num_workers <= 1:
+        return 0
+    edges = num_workers * (num_workers - 1)
+    per_iter = 0
+    last = len(job.phases) - 1
+    for index, phase in enumerate(job.phases):
+        per_iter += edges  # shuffle
+        if index != last:
+            per_iter += edges  # repartition
+        if phase.mapping == "one2all":
+            per_iter += edges  # all-gather broadcast
+    return per_iter * iterations
+
+
 def _hot_pair_job(max_iterations=3):
     return IterativeJob.single_phase(
         "hot-pair", _hot_map, _sum_reduce,
@@ -115,8 +135,6 @@ def test_single_hot_pair_skips_empty_batches(start_method):
                        start_method=start_method)
     assert records_identical(par.state, ref.state)
     assert par.iterations_run == ref.iterations_run
-
-    from repro.experiments.wallclock import dense_batches
 
     dense = dense_batches(job, par.iterations_run, par.num_workers)
     batches = par.counter("batches_sent")
@@ -156,7 +174,6 @@ def test_counters_and_profiler_surface_in_stats():
 
 def test_dense_batches_formula():
     from repro.algorithms import kmeans
-    from repro.experiments.wallclock import dense_batches
 
     job = _hot_pair_job(max_iterations=5)  # 1 phase, one2one
     assert dense_batches(job, 5, 1) == 0

@@ -20,6 +20,7 @@ Two promises, tested separately:
 
 import math
 import pickle
+import time
 
 import pytest
 
@@ -28,17 +29,18 @@ from repro.data.lastfm import load_lastfm
 from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import kernel_enabled, run_local, run_parallel
 from repro.testing.oracles import records_identical, states_match
+from tests.imapreduce.support import assert_mesh_counters
 
 STATE = "/t/state"
 STATIC = "/t/static"
 OUT = "/t/out"
 
 
-def _pagerank(use_kernel):
-    graph = pagerank_graph(40, seed=7)
+def _pagerank(use_kernel, nodes=40, seed=7, iterations=5, threshold=1e-4):
+    graph = pagerank_graph(nodes, seed=seed)
     job = pagerank.build_imr_job(
-        40, state_path=STATE, static_path=STATIC, output_path=OUT,
-        max_iterations=5, threshold=1e-4, combiner=True,
+        nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
+        max_iterations=iterations, threshold=threshold, combiner=True,
         use_kernel=use_kernel,
     )
     return job, pagerank.initial_state(graph), {
@@ -68,14 +70,16 @@ def _components(use_kernel):
     }
 
 
-def _kmeans(use_kernel):
-    data = load_lastfm(num_users=50, num_artists=8, num_tastes=3, seed=13)
+def _kmeans(use_kernel, users=50, artists=8, tastes=3, k=3, seed=13,
+            iterations=4):
+    data = load_lastfm(num_users=users, num_artists=artists,
+                       num_tastes=tastes, seed=seed)
     job = kmeans.build_imr_job(
         state_path=STATE, static_path=STATIC, output_path=OUT,
-        max_iterations=4, use_kernel=use_kernel,
-        num_artists=8 if use_kernel else None,
+        max_iterations=iterations, use_kernel=use_kernel,
+        num_artists=artists if use_kernel else None,
     )
-    return job, kmeans.initial_centroids(data, 3, seed=13), {
+    return job, kmeans.initial_centroids(data, k, seed=seed), {
         STATIC: data.user_records()
     }
 
@@ -196,18 +200,64 @@ def test_replanned_shuffle_identical_on_mesh(name, start_method):
         assert records_identical(mine, theirs)
 
 
-@pytest.mark.parametrize("name", ["components", "pagerank", "sssp"])
+#: ``(records_sent, batches_sent, manifest_frames, bytes_pickled)`` of
+#: each builder above at 4 pairs / 2 workers: (record twin, kernel).
+MESH_PINS = {
+    "components": ((177, 6, 0, 2076), (177, 6, 0, 3974)),
+    "jacobi": ((288, 16, 16, 6424), (288, 16, 16, 10080)),
+    "kmeans": ((118, 16, 0, 19481), (40, 16, 0, 6743)),
+    "pagerank": ((125, 10, 0, 3310), (125, 10, 0, 4654)),
+    "sssp": ((118, 11, 1, 2400), (118, 11, 1, 5023)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_kernel_ships_what_its_record_twin_ships(name):
     """ROADMAP's shuffle-volume gate: the sender-side combine ships one
     value per (source pair, key), exactly what the record twin's
-    combiner ships — and counts them whether or not keys ride along."""
+    combiner ships — and counts them whether or not keys ride along.
+    (kmeans' kernel ships per-pair centroid partials where its record
+    twin, which has no combiner, ships one record per user: fewer.)
+    Each run's mesh counters are pinned on the way."""
     build, _ = WORKLOADS[name]
     sent = {}
     for use_kernel in (False, True):
         job, state, static = build(use_kernel)
         par = run_parallel(job, state, static, num_pairs=4, num_workers=2)
+        assert_mesh_counters(par, MESH_PINS[name][use_kernel], (name, use_kernel))
         sent[use_kernel] = par.counter("records_sent")
-    assert 0 < sent[True] == sent[False]
+    if name == "kmeans":
+        assert 0 < sent[True] <= sent[False]
+    else:
+        assert 0 < sent[True] == sent[False]
+
+
+#: PR 6's acceptance floor: the serial columnar executor beats the
+#: serial record path by at least this factor.
+KERNEL_SPEEDUP_FLOOR = 5.0
+
+
+@pytest.mark.parametrize("name,num_pairs,size", [
+    ("pagerank", 8,
+     dict(nodes=6_000, seed=42, iterations=8, threshold=None)),
+    ("kmeans", 4,
+     dict(users=2_000, artists=60, tastes=4, k=8, seed=42, iterations=6)),
+], ids=["pagerank", "kmeans"])
+def test_kernel_speedup_floor(name, num_pairs, size):
+    """A ratio of two timings taken in one process, interleaved and best
+    of 3 per side — load-tolerant in a way absolute seconds are not.
+    Measures 20–28× (pagerank) and 19–21× (kmeans) on the 2-core dev
+    container: four times the floor."""
+    build, _ = WORKLOADS[name]
+    runs = {use_kernel: build(use_kernel, **size) for use_kernel in (False, True)}
+    best = {}
+    for _ in range(3):
+        for use_kernel, (job, state, static) in runs.items():
+            started = time.perf_counter()
+            run_local(job, state, static, num_pairs=num_pairs)
+            elapsed = time.perf_counter() - started
+            best[use_kernel] = min(best.get(use_kernel, elapsed), elapsed)
+    assert best[False] / best[True] >= KERNEL_SPEEDUP_FLOOR
 
 
 # ----------------------------------------------------------- job shape --

@@ -255,6 +255,7 @@ def test_serial_worker_stats_use_the_mesh_vocabulary():
     for name in ("records_sent", "batches_sent", "manifest_frames",
                  "bytes_pickled"):
         assert serial[name] == 0
+    assert mesh["batches_sent"] == 0  # a lone worker has no peer to feed
     for phase in ("serialize", "deserialize", "send", "wait"):
         assert serial["phase_seconds"][phase] == 0.0
 

@@ -81,51 +81,8 @@ def test_run_parallel_backend(capsys):
     assert "parallel (2 workers, 4 pairs)" in out and "2 iterations" in out
 
 
-def test_bench_quick(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--workers", "1,2",
-                 "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert out_path.exists()
-    assert "sizeof_value memoization" in out
-
-
-def test_bench_rejects_bad_workers(tmp_path, capsys):
-    assert main(["bench", "--quick", "--workers", "two",
-                 "--out", str(tmp_path / "b.json")]) == 2
-    assert "bad --workers" in capsys.readouterr().err
-
-
 def test_chaos_parallel_replay(capsys):
     assert main([
         "chaos", "--campaign-seed", "97", "--no-net-faults", "--parallel",
     ]) == 0
     assert "all oracles passed" in capsys.readouterr().out
-
-
-def test_bench_workloads_filter(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--workers", "1",
-                 "--workloads", "sssp,sssp-kernel",
-                 "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "sssp-kernel" in out and "pagerank" not in out
-    assert "vs record path" in out  # the kernel row cross-links its twin
-
-
-def test_bench_rejects_unknown_workload(tmp_path, capsys):
-    assert main(["bench", "--quick", "--workloads", "nope",
-                 "--out", str(tmp_path / "b.json")]) == 2
-    err = capsys.readouterr().err
-    assert "unknown workload" in err and "pagerank-kernel" in err
-
-
-def test_bench_backend_only_serial(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--workloads", "jacobi",
-                 "--backend-only", "serial", "--out", str(out_path)]) == 0
-    import json as _json
-
-    results = _json.loads(out_path.read_text())
-    (row,) = results["workloads"]
-    assert row["parallel"] == []  # the multiprocess backend never ran

@@ -12,6 +12,8 @@ row that covers each cell; the last tests hold the two in step.
 import dataclasses
 import multiprocessing.process
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -193,6 +195,37 @@ def test_chained_refreshes(backend, tmp_path, capsys):
                             out[3])
     # Each refresh sees the graph the previous ones left (inserts grow it).
     assert edges[0] == 75_424 and edges[0] < edges[1] < edges[2]
+
+
+#: argv[1] is the memo dir: memoize, refresh with a 2-edit churn, then
+#: report the exit codes and whether the experiments package got loaded.
+_REACHES_NOTHING = """
+import sys
+from repro.cli import main
+base = ["run", "sssp", "--dataset", "dblp", "--mode", "async", "--memo-dir", sys.argv[1]]
+codes = [main(base), main(base + ["--delta", "0.00003", "--delta-seed", "3"])]
+print(codes, "repro.experiments" in sys.modules)
+"""
+
+
+def test_refresh_that_reaches_nothing(tmp_path):
+    """A churn that misses everything reachable from the source leaves
+    the warm run nothing to redo: the summary says so (it printed ``infx
+    fewer updates``), exits 0 and memoizes the refreshed state.  Run in
+    a fresh interpreter to see what the refresh path imports: printing
+    one comparison must not load the experiments package (figures, the
+    simulated-cluster harness)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACHES_NOTHING, str(tmp_path / "memo")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _WALL.sub("<t>s", proc.stdout).splitlines()[-4:] == [
+        "  warm: 0 rounds, 0 updates, 0 shipped, <t>s (frontier 0 keys)",
+        "  cold: 82 rounds, 47,450 updates, 202,218 shipped, <t>s",
+        "  no updates needed (cold rerun: 47,450); states agree to 0; "
+        "memoized version 1",
+        "[0, 0] False",
+    ]
 
 
 def test_refresh_disagreement_exits_1(tmp_path, capsys, monkeypatch):
