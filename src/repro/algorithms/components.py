@@ -35,8 +35,6 @@ __all__ = [
     "accum_update",
     "ComponentsAccumKernel",
     "accum_initial_deltas",
-    "plan_delta",
-    "churn_delta",
     "build_accum_job",
     "reference_components",
     "reference_iterations",
@@ -186,28 +184,6 @@ class ComponentsAccumKernel(AccumKernel):
 def accum_initial_deltas(graph_nodes: int) -> list[tuple[int, int]]:
     """Initial deltas: every node proposes its own id as its label."""
     return [(u, u) for u in range(graph_nodes)]
-
-
-# ---------------------------------------------------- incremental (i2MR) --
-def plan_delta(static_table: dict, delta, memo_state: dict):
-    """Connected components' delta builder: patch the symmetric
-    adjacency (both endpoint rows, re-sorted) and derive the min-algebra
-    plan — label offers across inserted edges; a deleted edge may split
-    its component, so the whole old component is conservatively reset
-    and relabelled (see :mod:`repro.imapreduce.incremental`)."""
-    from ..imapreduce.incremental import plan_changes
-
-    return plan_changes("components", static_table, delta, memo_state)
-
-
-def churn_delta(static_table: dict, *, insert: int = 0, delete: int = 0,
-                seed: int = 0):
-    """Seeded undirected edge churn against a components adjacency."""
-    from ..imapreduce.incremental import random_edge_churn
-
-    return random_edge_churn(
-        static_table, "components", insert=insert, delete=delete, seed=seed
-    )
 
 
 def build_accum_job(

@@ -33,8 +33,6 @@ __all__ = [
     "PageRankAccumUpdate",
     "PageRankAccumKernel",
     "accum_initial_deltas",
-    "plan_delta",
-    "churn_delta",
     "build_accum_job",
     "mr_initial_records",
     "make_mr_mapper",
@@ -261,29 +259,6 @@ def accum_initial_deltas(
 ) -> list[tuple[int, float]]:
     """Initial deltas: every node's retained rank ``(1−d)/N``."""
     return [(u, (1.0 - damping) / graph_nodes) for u in range(graph_nodes)]
-
-
-# ---------------------------------------------------- incremental (i2MR) --
-def plan_delta(static_table: dict, delta, memo_state: dict, *,
-               damping: float = DAMPING):
-    """PageRank's delta builder: patch the adjacency table in place and
-    derive the residual-injection plan ``d·(M_new − M_old)ᵀ·x*`` (see
-    :mod:`repro.imapreduce.incremental` — sum-algebra propagation)."""
-    from ..imapreduce.incremental import plan_changes
-
-    return plan_changes(
-        "pagerank", static_table, delta, memo_state, damping=damping
-    )
-
-
-def churn_delta(static_table: dict, *, insert: int = 0, delete: int = 0,
-                seed: int = 0):
-    """Seeded edge churn against a PageRank adjacency table."""
-    from ..imapreduce.incremental import random_edge_churn
-
-    return random_edge_churn(
-        static_table, "pagerank", insert=insert, delete=delete, seed=seed
-    )
 
 
 def build_accum_job(

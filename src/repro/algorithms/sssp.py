@@ -44,8 +44,6 @@ __all__ = [
     "accum_update",
     "SsspAccumKernel",
     "accum_initial_deltas",
-    "plan_delta",
-    "churn_delta",
     "build_accum_job",
     "mr_initial_records",
     "mr_mapper",
@@ -240,29 +238,6 @@ def accum_initial_deltas(source: int) -> list[tuple[int, float]]:
     """One initial delta: the source at distance 0 (everything else
     starts at the ``min`` identity, ∞)."""
     return [(source, 0.0)]
-
-
-# ---------------------------------------------------- incremental (i2MR) --
-def plan_delta(static_table: dict, delta, memo_state: dict, *, source: int = 0):
-    """SSSP's delta builder: patch the weighted adjacency in place and
-    derive the min-algebra plan — monotone offers for inserted/cheaper
-    edges, conservative forward-reachable invalidation for deleted or
-    costlier ones (see :mod:`repro.imapreduce.incremental`)."""
-    from ..imapreduce.incremental import plan_changes
-
-    return plan_changes("sssp", static_table, delta, memo_state, source=source)
-
-
-def churn_delta(static_table: dict, *, insert: int = 0, delete: int = 0,
-                update: int = 0, seed: int = 0, monotone: bool = False):
-    """Seeded edge churn against an SSSP adjacency table
-    (``monotone=True`` turns deletions into weight decreases)."""
-    from ..imapreduce.incremental import random_edge_churn
-
-    return random_edge_churn(
-        static_table, "sssp", insert=insert, delete=delete, update=update,
-        seed=seed, monotone=monotone,
-    )
 
 
 def build_accum_job(

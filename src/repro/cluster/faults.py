@@ -70,20 +70,6 @@ class FaultSchedule:
         )
         return self
 
-    def delay_links(
-        self,
-        start: float,
-        end: float,
-        extra: float,
-        group_a: tuple[str, ...] = (),
-        group_b: tuple[str, ...] = (),
-    ) -> "FaultSchedule":
-        """Add ``extra`` seconds of one-way latency during the window."""
-        self.link_faults.append(
-            LinkFault(start, end, extra_delay=extra, group_a=group_a, group_b=group_b)
-        )
-        return self
-
     def partition(
         self,
         start: float,
@@ -128,13 +114,6 @@ class FaultSchedule:
         return FaultSchedule(
             [e for i, e in enumerate(self.events) if i != index],
             list(self.link_faults),
-        )
-
-    def without_link(self, index: int) -> "FaultSchedule":
-        """A copy with the ``index``-th link fault dropped (shrinking aid)."""
-        return FaultSchedule(
-            list(self.events),
-            [f for i, f in enumerate(self.link_faults) if i != index],
         )
 
     def describe(self) -> str:

@@ -26,7 +26,6 @@ the overhead of a SequenceFile record.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Iterable
 
 import numpy as np
@@ -128,11 +127,6 @@ def sizeof_record(key: Any, value: Any) -> int:
 def sizeof_records(pairs: Iterable[tuple[Any, Any]]) -> int:
     """Total framed size of an iterable of key/value pairs."""
     return sum(sizeof_record(k, v) for k, v in pairs)
-
-
-@lru_cache(maxsize=None)
-def _digits(n: int) -> int:
-    return len(str(n))
 
 
 def sizeof_text_line(key: Any, value: Any) -> int:

@@ -73,11 +73,6 @@ class RunSpec:
     #: historical fixed seeds, so all calibrated figures are unchanged.
     seed: int = 0
 
-    def variant_label(self) -> str:
-        if self.engine == "mapreduce":
-            return "MapReduce"
-        return "iMapReduce (sync.)" if self.sync else "iMapReduce"
-
 
 def make_cluster(engine: Engine, name: str) -> Cluster:
     if name == "local":

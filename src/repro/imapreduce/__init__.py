@@ -19,6 +19,7 @@ from .localrun import (
     LocalRunResult,
     kernel_enabled,
     run_accum_local,
+    run_accum_simulated,
     run_local,
     select_executor,
 )
@@ -33,7 +34,6 @@ from .runtime import (
     ChaosKnobs,
     IMapReduceRuntime,
     LoadBalanceConfig,
-    run_accum_simulated,
 )
 from .plan import (
     SUPPORT,

@@ -245,11 +245,6 @@ class AccumJob:
 
     # -- derived configuration --------------------------------------------
     @property
-    def delta_path(self) -> str:
-        """DFS path of the initial delta records (the state input)."""
-        return self.conf.get_required(IterKeys.STATE_PATH)
-
-    @property
     def static_path(self) -> str | None:
         return self.conf.get(IterKeys.STATIC_PATH)
 

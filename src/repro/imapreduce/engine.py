@@ -1,4 +1,4 @@
-"""The superstep engine: one driver × four pair executors × two transports.
+"""The superstep engine: one driver × four pair executors × three transports.
 
 The paper's engine is one loop — persistent map/reduce pairs run
 compute → shuffle → reduce → termination check until the master says
@@ -14,8 +14,10 @@ do not depend on where the pairs live:
   mass fold, then the progress/maxrounds rule).  The multiprocess
   coordinator feeds them ITER_REPORT frames; the loopback transport
   calls them inline — one copy of the rule either way;
-* the **loopback transport** (:class:`Loopback`): every pair is hosted
-  here, so an exchange is a regrouping and a report is a method call.
+* the **loopback transports**: every pair is hosted here, so an
+  exchange is a regrouping and a report is a method call.
+  :class:`Loopback` delivers at once; :class:`DeferringLoopback` holds
+  cross-pair batches back under a seed (the simulated backend).
 
 The driver is parameterised by
 
@@ -49,21 +51,27 @@ The driver is parameterised by
   Executor methods run per host per step, never per record: the hot
   paths (``map_pair``, ``group_by_key``, ``map_kernel``, the planned
   ``reduceat`` combine, ``AccumPair.apply``) are untouched;
-* a **transport**, which owns moving batches and nothing about
-  algorithms: :class:`Loopback` here, the pipe mesh in
-  :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,
+* a **transport**, which owns moving batches — and *when* they land —
+  and nothing about algorithms: the two loopbacks here, the pipe mesh
+  in :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,
   ``report``, ``verdict``, ``finish``, its ``counters`` and the host's
   ``timings`` (one wall-time slot per :data:`PHASE_COUNTERS` entry,
-  which executor, transport and driver all charge).
+  which executor, transport and driver all charge).  The delivery-order
+  rule, on every transport: a destination's batches arrive in ascending
+  source-pair order; a transport that delivers late hands over the
+  destination's own batch first, then the rest by ``(source pair, send
+  sequence)`` — each exactly once.
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ..common.config import stable_seed
 from ..common.partition import bind_partitioner
 from ..common.records import group_by_key, sort_records
 from .checkpoint import CheckpointStore, fire_fault
@@ -79,6 +87,7 @@ __all__ = [
     "SyncVerdict",
     "AccumVerdict",
     "Loopback",
+    "DeferringLoopback",
     "run_supersteps",
     "partition_inputs",
     "host_config",
@@ -453,6 +462,66 @@ class Loopback:
 
     def finish(self) -> None:
         pass
+
+
+#: :class:`DeferringLoopback`'s coin: a cross-pair batch is held with
+#: this probability, for 1 to ``MAX_DEFER`` extra rounds.
+DEFER_PROBABILITY = 0.35
+MAX_DEFER = 2
+
+
+class DeferringLoopback(Loopback):
+    """A loopback under seeded delivery chaos, for accumulative jobs: a
+    pair's own batch passes through at once, every cross-pair batch may
+    be held in flight (one coin per batch in emission order, all from
+    ``rng`` — which the simulated entry's schedule jitter shares), and
+    due batches are released per the module's delivery-order rule.
+    Deltas arrive late and reordered, as on a loaded mesh, but exactly
+    once: a ``+`` algebra cannot absorb a delta twice or lose one.
+
+    A held batch is unaccumulated progress, so :meth:`report` stamps
+    ``in_flight`` on the verdict's trace row and withholds
+    ``"progress"`` while anything is held (``max_rounds`` still stops
+    the run, with batches in flight).
+
+    ``exchange`` cannot route through :func:`by_dest`: that helper keys
+    batches by ``(dest, src)`` and would silently drop the older of two
+    same-source batches released in one step — a lost delta, which a
+    ``min`` algebra can mask (a later offer may cover it) and only the
+    ``+`` fixpoint test is certain to see.
+    """
+
+    def __init__(self, policy, seed: int):
+        super().__init__(policy)
+        self.rng = random.Random(stable_seed(seed, "accum-sim"))
+        #: Cross-pair batches in flight: (dest, src, due step, item).
+        self._held: list[tuple] = []
+
+    def exchange(self, kind, step, phase, items) -> dict[int, list[tuple]]:
+        merged: dict[int, list[tuple]] = {}
+        for item in items:
+            dest, src = item[:2]
+            if dest == src:
+                merged[dest] = [item]
+            else:
+                late = self.rng.random() < DEFER_PROBABILITY
+                due = step + (self.rng.randint(1, MAX_DEFER) if late else 0)
+                self._held.append((dest, src, due, item))
+        # Stable, so same-(dest, src) batches stay in send order.
+        self._held.sort(key=lambda b: b[:2])
+        for dest, _src, due, item in self._held:
+            if due <= step:
+                merged.setdefault(dest, []).append(item)
+        self._held = [b for b in self._held if b[2] > step]
+        return merged
+
+    def report(self, index: int, report: dict) -> None:
+        super().report(index, report)
+        policy = self._policy
+        if policy.keep_trace:
+            policy.trace[-1]["in_flight"] = len(self._held)
+        if self._verdict == "progress" and self._held:
+            self._verdict = "maxrounds" if index >= policy.max_rounds else CONTINUE
 
 
 # ----------------------------------------------------------------- driver --

@@ -128,16 +128,6 @@ class FailureDetector:
     def detach(self) -> None:
         self._sink = None
 
-    # -- views --------------------------------------------------------------
-    def alive_names(self) -> list[str]:
-        """Workers the master may schedule onto: not confirmed dead (and
-        not known-down to the resource manager)."""
-        return [
-            m.name
-            for m in self.cluster.alive_workers()
-            if m.name not in self.confirmed
-        ]
-
     # -- internals ----------------------------------------------------------
     def _spawn_sender(self, machine: Machine) -> None:
         boot = self._boot.get(machine.name, 0) + 1

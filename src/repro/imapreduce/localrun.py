@@ -6,7 +6,8 @@ semantics as the distributed engine — same partitioning, same join,
 same phase chaining, same termination rules — in one process: they
 partition the inputs, pick a pair executor and drive
 :func:`~repro.imapreduce.engine.run_supersteps` over the loopback
-transport.  Their uses:
+transport (:func:`run_accum_simulated`: over the seeded deferring
+one).  Their uses:
 
 * a correctness oracle: the distributed engine's final state must equal
   this executor's, record for record (tests assert it);
@@ -46,6 +47,7 @@ from .engine import (
     REPART,
     SHUFFLE,
     AccumVerdict,
+    DeferringLoopback,
     Loopback,
     SyncVerdict,
     host_config,
@@ -58,6 +60,7 @@ __all__ = [
     "LocalRunResult",
     "run_local",
     "run_accum_local",
+    "run_accum_simulated",
     "map_pair",
     "order_key",
     "select_executor",
@@ -329,6 +332,10 @@ class RecordAccum:
     def broadcast_items(self, phase: int):
         return None
 
+    def fraction(self, pair: int) -> float:
+        """The top-priority fraction ``pair`` drains this round (async)."""
+        return self.job.top_fraction
+
     def progress(self, send_state: bool) -> dict:
         started = time.perf_counter()
         engines = self.engines.values()
@@ -344,8 +351,9 @@ class RecordAccum:
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         perf = time.perf_counter
         started = perf()
-        frac = self.job.top_fraction
-        selections = {p: self.engines[p].select(self.mode, frac) for p in self.pairs}
+        selections = {
+            p: self.engines[p].select(self.mode, self.fraction(p)) for p in self.pairs
+        }
         self.timings["schedule"] += perf() - started
         started = perf()
         items = []
@@ -420,14 +428,16 @@ def kernel_enabled(job) -> bool:
 
 
 # ------------------------------------------------------------ entry points --
-def _run_loopback(policy, job, state_parts, static_parts, num_pairs, **fields) -> dict:
+def _run_loopback(policy, job, state_parts, static_parts, num_pairs, *,
+                  executor=None, transport=None, **fields) -> dict:
     """Host every pair in this process and drive the supersteps."""
     cfg = host_config(
         0, range(num_pairs), state_parts, static_parts,
         num_workers=1, num_pairs=num_pairs, job=job,
         send_state=policy.send_state, wait_verdict=policy.wait_verdict, **fields,
     )
-    return run_supersteps(cfg, select_executor(job)[0], Loopback(policy))
+    executor = executor or select_executor(job)[0]
+    return run_supersteps(cfg, executor, transport or Loopback(policy))
 
 
 def run_local(
@@ -498,3 +508,39 @@ def run_accum_local(
         accum_mode=mode, warm=partition_state(initial_state, num_pairs, part),
     )
     return AccumRunResult(mode=mode, **policy.outcome([final]))
+
+
+#: The simulated backend's schedule jitter: each round scales each
+#: pair's top fraction by one seeded draw (async only).
+_JITTER = (0.5, 1.0, 1.5, 2.0)
+
+
+def run_accum_simulated(
+    job, delta_records, static_records=None, *, num_pairs: int = 4, seed: int = 0,
+    mode: str = "async", keep_trace: bool = False,
+):
+    """Accumulative execution under seeded network chaos: the chaos twin
+    of :func:`run_accum_local` — the same driver, verdict policy and
+    record executor — over a
+    :class:`~repro.imapreduce.engine.DeferringLoopback`, which holds
+    cross-pair delta batches in flight, with each pair's top-fraction
+    knob jittered per round.  All randomness flows from the transport's
+    ``rng`` (jitter first, pairs ascending, then the exchange's coins),
+    so a chaos-campaign spec replays byte-identically.
+    """
+    check_mode(mode)
+    delta_parts, static_tables = partition_accum_inputs(
+        job, delta_records, static_records, num_pairs
+    )
+    policy = AccumVerdict(job, num_pairs, keep_trace)
+    transport = DeferringLoopback(policy, seed)
+
+    class Jittered(RecordAccum):
+        def fraction(self, pair: int) -> float:
+            return min(1.0, self.job.top_fraction * transport.rng.choice(_JITTER))
+
+    final = _run_loopback(
+        policy, job, delta_parts, [static_tables], num_pairs, accum_mode=mode,
+        executor=Jittered if mode == "async" else RecordAccum, transport=transport,
+    )
+    return AccumRunResult(mode="simulated", **policy.outcome([final]))

@@ -916,7 +916,8 @@ def run_accum_parallel(
     checkpointing (pending deltas are in flight by design), so a worker
     death is terminal here: it raises :class:`ParallelExecutionError`
     rather than recovering.  Chaos coverage for the async mode rides
-    the simulated backend's seeded delivery deferral instead.
+    the seeded deferring transport
+    (:class:`~repro.imapreduce.engine.DeferringLoopback`) instead.
     """
     run_started = time.perf_counter()
     check_mode(mode)

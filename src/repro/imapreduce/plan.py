@@ -32,9 +32,8 @@ from .incremental import (
     random_edge_churn,
     warm_sync_state,
 )
-from .localrun import run_accum_local, run_local
+from .localrun import run_accum_local, run_accum_simulated, run_local
 from .parallel import run_accum_parallel, run_parallel
-from .runtime import run_accum_simulated
 
 __all__ = [
     "PlanError",

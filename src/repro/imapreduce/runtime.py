@@ -60,7 +60,6 @@ __all__ = [
     "ChaosKnobs",
     "IMapReduceRuntime",
     "AuxContext",
-    "run_accum_simulated",
 ]
 
 
@@ -103,14 +102,6 @@ class ChaosKnobs:
     #: drop is never retransmitted and some gather starves forever
     #: (livelock), again only the stall watchdog can surface it.
     skip_retransmit: bool = False
-
-    def any_active(self) -> bool:
-        return (
-            self.skip_checkpoint_write
-            or self.stale_checkpoint_content
-            or self.ignore_heartbeat_timeout
-            or self.skip_retransmit
-        )
 
 
 @dataclass
@@ -1136,6 +1127,46 @@ def _map_task(
                 (yield from ctx.dfs.read_all(f"{prefix}/part-{pair:05d}", worker))
             ]
 
+    def trace_start() -> None:
+        ctx.trace(
+            "map-iteration-start",
+            worker=worker.name, task=f"map{phase_index}.{pair}",
+            pair=pair, iteration=iteration,
+        )
+
+    def map_chunk(chunk: list):
+        """Eager join + map on one chunk (§3.3), charged before and its
+        emissions after."""
+        nonlocal records_in, emitted
+        yield from worker.compute(
+            cost.noisy(
+                cost.join_record_cpu * len(chunk)
+                + cost.map_record_cpu * len(chunk),
+                "imr-map", phase_index, pair, iteration,
+            )
+        )
+        before = emitted
+        cctx = Context()
+        if one2all:
+            # One static record + the full broadcast state (§5.1.2).
+            state_list = sort_records(chunk)
+            for key, static_value in sort_records(static.items()):
+                phase.map_fn(key, state_list, static_value, cctx)
+                records_in += 1
+        else:
+            for key, state_value in chunk:
+                phase.map_fn(key, state_value, static.get(key), cctx)
+                records_in += 1
+        for key, value in cctx.take():
+            out_parts[job.partitioner(key, num_pairs)].append((key, value))
+            emitted += 1
+        yield from worker.compute(
+            cost.noisy(
+                cost.emit_record_cpu * (emitted - before),
+                "imr-emit", phase_index, pair, iteration,
+            )
+        )
+
     iteration = start
     try:
         while True:
@@ -1144,46 +1175,11 @@ def _map_task(
             emitted = 0
             work_start = engine.now
 
-            def process_chunk(chunk: list) -> None:
-                nonlocal records_in, emitted
-                cctx = Context()
-                if one2all:
-                    # One static record + the full broadcast state (§5.1.2).
-                    state_list = sort_records(chunk)
-                    for key, static_value in sort_records(static.items()):
-                        phase.map_fn(key, state_list, static_value, cctx)
-                        records_in += 1
-                else:
-                    for key, state_value in chunk:
-                        phase.map_fn(key, state_value, static.get(key), cctx)
-                        records_in += 1
-                for key, value in cctx.take():
-                    out_parts[job.partitioner(key, num_pairs)].append((key, value))
-                    emitted += 1
-
             if initial_chunks is not None:
                 chunks, initial_chunks = initial_chunks, None
-                ctx.trace(
-                    "map-iteration-start",
-                    worker=worker.name, task=f"map{phase_index}.{pair}",
-                    pair=pair, iteration=iteration,
-                )
+                trace_start()
                 for chunk in chunks:
-                    yield from worker.compute(
-                        cost.noisy(
-                            cost.join_record_cpu * len(chunk)
-                            + cost.map_record_cpu * len(chunk),
-                            "imr-map", phase_index, pair, iteration,
-                        )
-                    )
-                    before = emitted
-                    process_chunk(chunk)
-                    yield from worker.compute(
-                        cost.noisy(
-                            cost.emit_record_cpu * (emitted - before),
-                            "imr-emit", phase_index, pair, iteration,
-                        )
-                    )
+                    yield from map_chunk(chunk)
             else:
                 if synchronous and iteration > start:
                     # Global barrier: previous iteration fully reported.
@@ -1199,11 +1195,7 @@ def _map_task(
                         # not while waiting for the paired reduce.
                         work_start = engine.now
                         first_chunk = False
-                        ctx.trace(
-                            "map-iteration-start",
-                            worker=worker.name, task=f"map{phase_index}.{pair}",
-                            pair=pair, iteration=iteration,
-                        )
+                        trace_start()
                     _, _, sender, chunk, last = message
                     if last:
                         finished.add(sender)
@@ -1214,22 +1206,7 @@ def _map_task(
                         if len(finished) < senders:
                             continue
                         chunk = broadcast_pending
-                    # Eager join + map on each arriving chunk (§3.3).
-                    yield from worker.compute(
-                        cost.noisy(
-                            cost.join_record_cpu * len(chunk)
-                            + cost.map_record_cpu * len(chunk),
-                            "imr-map", phase_index, pair, iteration,
-                        )
-                    )
-                    before = emitted
-                    process_chunk(chunk)
-                    yield from worker.compute(
-                        cost.noisy(
-                            cost.emit_record_cpu * (emitted - before),
-                            "imr-emit", phase_index, pair, iteration,
-                        )
-                    )
+                    yield from map_chunk(chunk)
 
             # ---- combiner (map-side aggregation) ----
             if phase.combiner is not None:
@@ -1576,156 +1553,3 @@ def _aux_reduce_task(ctx: _GenContext, task: int, worker: Machine):
             iteration += 1
     except StopIteration_:
         return ("stopped", "auxred", task)
-
-
-# ------------------------------------------------- accumulative (Maiter) --
-def run_accum_simulated(
-    job,
-    delta_records,
-    static_records=None,
-    *,
-    num_pairs: int = 4,
-    seed: int = 0,
-    mode: str = "async",
-    defer_probability: float = 0.35,
-    max_defer: int = 2,
-    keep_trace: bool = False,
-):
-    """Asynchronous accumulative execution under seeded network chaos.
-
-    The chaos twin of
-    :func:`~repro.imapreduce.localrun.run_accum_local`: the same
-    :class:`~repro.imapreduce.accum.AccumPair` engine, but every
-    cross-pair delta batch may be *deferred* — held in flight for 1 to
-    ``max_defer`` rounds with probability ``defer_probability`` — and
-    each pair's top-fraction knob is jittered per round, so deltas
-    arrive late and out of schedule exactly as they would on a loaded
-    mesh.  Delivery stays exactly-once (never duplicated, never
-    dropped): the accumulative model tolerates reordering but a ``+``
-    algebra cannot absorb the same delta twice, and the
-    fixpoint-equivalence oracle leans on that.
-
-    All randomness flows from ``stable_seed(seed, "accum-sim")``, so a
-    chaos-campaign spec replays byte-identically.  Termination needs
-    the pending mass at threshold *and* an empty in-flight set — a
-    deferred batch still counts as unaccumulated progress.
-    """
-    import random
-
-    from ..common.config import stable_seed
-    from ..common.partition import bind_partitioner
-    from .accum import (
-        AccumPair,
-        AccumRunResult,
-        check_mode,
-        partition_accum_inputs,
-    )
-
-    check_mode(mode)
-    if not 0.0 <= defer_probability <= 1.0:
-        raise ValueError("defer_probability must be in [0, 1]")
-    if max_defer < 1:
-        raise ValueError("max_defer must be >= 1")
-    rng = random.Random(stable_seed(seed, "accum-sim"))
-
-    part = bind_partitioner(job.partitioner, num_pairs)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs, part
-    )
-    pairs = [
-        AccumPair(p, job.accumulator, static_tables[p], keys=static_tables[p])
-        for p in range(num_pairs)
-    ]
-    for p in range(num_pairs):
-        pairs[p].absorb(delta_parts[p])
-
-    threshold = job.threshold if job.threshold is not None else 0.0
-    max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
-    frac = job.top_fraction
-    #: In-flight cross-pair batches: (due_round, dst, src, seq, records).
-    inflight: list[tuple[int, int, int, int, list]] = []
-    seq = 0
-    trace: list[dict] = []
-    rounds = 0
-    shipped = 0
-    mass = 0.0
-    terminated_by = ""
-
-    while True:
-        # ---- deliver batches whose deferral expired (dest ascending,
-        # then source ascending, then send order — the mesh's gather
-        # order under reordering) ----
-        due = sorted(
-            (b for b in inflight if b[0] <= rounds),
-            key=lambda b: (b[1], b[2], b[3]),
-        )
-        if due:
-            inflight = [b for b in inflight if b[0] > rounds]
-            for _due, dst, _src, _seq, records in due:
-                pairs[dst].absorb(records)
-
-        # ---- accumulated-progress check: mass at threshold AND no
-        # delta still in flight ----
-        mass = 0.0
-        for ps in pairs:
-            mass += ps.mass()
-        if keep_trace:
-            trace.append(
-                {
-                    "round": rounds,
-                    "pending_mass": mass,
-                    "updates": sum(ps.updates_processed for ps in pairs),
-                    "emitted": sum(ps.deltas_emitted for ps in pairs),
-                    "shipped": shipped,
-                    "in_flight": len(inflight),
-                }
-            )
-        if mass <= threshold and not inflight:
-            terminated_by = "progress"
-            break
-        if rounds >= max_rounds:
-            terminated_by = "maxrounds"
-            break
-
-        # ---- select + apply with a per-pair jittered schedule ----
-        outboxes = [[[] for _ in range(num_pairs)] for _ in range(num_pairs)]
-        for ps in pairs:
-            pair_frac = frac
-            if mode == "async":
-                pair_frac = min(1.0, frac * rng.choice((0.5, 1.0, 1.5, 2.0)))
-            ps.apply(job, ps.select(mode, pair_frac), part, outboxes[ps.pair])
-
-        # ---- route: local batches land now; cross-pair batches may be
-        # deferred (seeded coin per batch, src then dst ascending) ----
-        for src in range(num_pairs):
-            for dst in range(num_pairs):
-                batch = outboxes[src][dst]
-                if not batch:
-                    continue
-                if dst == src:
-                    pairs[dst].absorb(batch)
-                    continue
-                shipped += len(batch)
-                delay = 0
-                if rng.random() < defer_probability:
-                    delay = rng.randint(1, max_defer)
-                inflight.append((rounds + 1 + delay, dst, src, seq, batch))
-                seq += 1
-        rounds += 1
-
-    assert not inflight or terminated_by == "maxrounds", "lost in-flight deltas"
-    final = sort_records(rec for ps in pairs for rec in ps.state.items())
-    return AccumRunResult(
-        state=final,
-        rounds=rounds,
-        converged=terminated_by == "progress",
-        terminated_by=terminated_by,
-        pending_mass=mass,
-        updates_processed=sum(ps.updates_processed for ps in pairs),
-        deltas_emitted=sum(ps.deltas_emitted for ps in pairs),
-        deltas_shipped=shipped,
-        mode="simulated",
-        trace=trace,
-        counters={"seed": seed, "defer_probability": defer_probability,
-                  "max_defer": max_defer},
-    )

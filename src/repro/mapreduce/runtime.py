@@ -97,10 +97,6 @@ class MapReduceRuntime:
         proc = self.engine.process(self._job_proc(job), name=f"mr-job:{job.name}")
         return self.engine.run(proc)
 
-    def submit_async(self, job: Job):
-        """Start a job and return its process (waitable event)."""
-        return self.engine.process(self._job_proc(job), name=f"mr-job:{job.name}")
-
     # -- job orchestration ----------------------------------------------------
     def _job_proc(self, job: Job):
         engine = self.engine

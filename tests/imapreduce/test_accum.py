@@ -20,6 +20,7 @@ from repro.imapreduce import (
     run_accum_simulated,
 )
 from repro.imapreduce.accum import check_mode
+from repro.testing.oracles import fixpoints_agree
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
@@ -35,11 +36,11 @@ def _sssp_case(n=80, seed=3, **kwargs):
     }
 
 
-def _pagerank_case(n=80, seed=3, threshold=1e-10, **kwargs):
+def _pagerank_case(n=80, seed=3, threshold=1e-10, max_rounds=100_000, **kwargs):
     graph = pagerank_graph(n, seed=seed)
     job = pagerank.build_accum_job(
         state_path=STATE, static_path=STATIC, output_path=OUT,
-        threshold=threshold, max_rounds=100_000, **kwargs,
+        threshold=threshold, max_rounds=max_rounds, **kwargs,
     )
     return graph, job, pagerank.accum_initial_deltas(n, pagerank.DAMPING), {
         STATIC: pagerank.static_records(graph)
@@ -240,7 +241,9 @@ def test_trace_is_cumulative_and_mass_terminates():
 
 
 #: ``sha256(repr((state, trace)))`` with ``keep_trace=True``, printed by
-#: the commit before the scheduler cached priorities (78ccec3).
+#: the commit before the scheduler cached priorities (78ccec3); the
+#: ``simulated`` rows (``mode`` is then the run's keywords) by the last
+#: commit whose simulated backend was its own round loop (53c59c8).
 PINNED = {
     "sssp-async": (_sssp_case, {}, "async",
                    "4e07fa7c3e9c962827cb088b31fa0466250d2a5919191c696a2cbb957b31c6d6"),
@@ -248,8 +251,19 @@ PINNED = {
                        "ba017b482c64d30acd646e15f38d9ed376dd07b1a170c098245d8c18bd99322d"),
     "components-sync": (_components_case, {}, "sync",
                         "bb082e04e7b2d0b97349067514a0a3a0a764bc4e1d7dcc7dea8206c716883bc3"),
-    "pagerank-simulated": (_pagerank_case, {"threshold": 1e-6}, "simulated",
+    "pagerank-simulated": (_pagerank_case, {"threshold": 1e-6}, {"seed": 3},
                            "40725bba7b58d427ff03d96697a333063822a56a6b16e19911eb30613dd56e83"),
+    "sssp-simulated": (_sssp_case, {}, {"seed": 17},
+                       "2633a43ac3ddfaf9999abff8e3dc440591287f520a6558f82c1a78debbe84902"),
+    # No schedule jitter: deferral alone.
+    "pagerank-simulated-sync": (_pagerank_case, {"threshold": 1e-6},
+                                {"seed": 5, "mode": "sync"},
+                                "bc2972b6271982abb1cee8f5fe8b65f821b38df6c55b3e40a1559dde9e98d802"),
+    # Stops on maxrounds with six batches still in flight.
+    "pagerank-simulated-maxrounds": (_pagerank_case,
+                                     {"threshold": 1e-6, "max_rounds": 3},
+                                     {"seed": 1},
+                                     "12d822a05bc6bcf82d62e2790ea91e128b26a3206f5b552da0838c47bcbc007a"),
 }
 
 
@@ -260,9 +274,9 @@ def test_schedule_is_pinned_bit_for_bit(name):
     produced.  A change that alters the schedule on purpose re-pins."""
     case, kwargs, mode, digest = PINNED[name]
     _g, job, deltas, static = case(**kwargs)
-    if mode == "simulated":
-        result = run_accum_simulated(job, deltas, static, num_pairs=4, seed=3,
-                                     keep_trace=True)
+    if isinstance(mode, dict):
+        result = run_accum_simulated(job, deltas, static, num_pairs=4,
+                                     keep_trace=True, **mode)
     else:
         result = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
                                  keep_trace=True)
@@ -305,12 +319,19 @@ def test_simulated_is_seed_deterministic():
     assert a.rounds == b.rounds
 
 
-def test_simulated_bad_knobs_rejected():
-    _g, job, deltas, static = _sssp_case()
-    with pytest.raises(ValueError):
-        run_accum_simulated(job, deltas, static, defer_probability=1.5)
-    with pytest.raises(ValueError):
-        run_accum_simulated(job, deltas, static, max_defer=0)
+def test_simulated_deferral_delivers_exactly_once():
+    """A ``+`` algebra absorbs a duplicated delta and misses a dropped
+    one — either of which the min fixpoint above can mask — so every
+    deferred run must land on the synchronous serial fixpoint within
+    the ``async-fixpoint`` oracle's sum tolerance."""
+    _g, job, deltas, static = _pagerank_case()
+    serial = run_accum_local(job, deltas, static, num_pairs=4, mode="sync")
+    for seed in range(8):
+        sim = run_accum_simulated(job, deltas, static, num_pairs=4, seed=seed)
+        assert sim.terminated_by == "progress"
+        assert fixpoints_agree(sim.state, serial.state, exact=False)
+        # One worker_stats entry, in the workers' vocabulary.
+        assert sim.counter("priority_evals") > 0
 
 
 def test_state_covers_key_universe_at_identity():

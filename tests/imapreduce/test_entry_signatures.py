@@ -118,18 +118,19 @@ def test_every_plan_field_is_an_existing_keyword_with_its_default():
 def test_real_backends_do_not_import_the_simulator():
     """``AuxContext`` has one home, beside ``Phase``/``AuxPhase``, and the
     old import paths give the same class; no module of the serial or
-    multiprocess backend imports ``runtime.py`` (the engine used to, for
-    that ten-line class)."""
+    multiprocess backend — nor ``plan``, which every ``repro run``
+    imports — imports ``runtime.py`` (the engine used to, for that
+    ten-line class; ``plan`` for ``run_accum_simulated``)."""
     import repro.imapreduce as package
     from repro.imapreduce import (
-        accum, checkpoint, columnar, engine, job, localrun, parallel, runtime,
-        workerproc,
+        accum, checkpoint, columnar, engine, job, localrun, parallel, plan,
+        runtime, workerproc,
     )
 
     assert job.AuxContext.__module__ == job.__name__
     assert runtime.AuxContext is package.AuxContext is job.AuxContext
     for module in (accum, checkpoint, columnar, engine, job, localrun, parallel,
-                   workerproc):
+                   plan, workerproc):
         imported = {
             node.module
             for node in ast.walk(ast.parse(inspect.getsource(module)))

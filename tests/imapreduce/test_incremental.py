@@ -232,7 +232,7 @@ def _pagerank_setup(n=120, seed=3, use_kernel=False):
 @pytest.mark.parametrize("mode", ["async", "sync"])
 def test_pagerank_warm_matches_cold_fixpoint(mode, use_kernel):
     table, job, cold = _pagerank_setup(use_kernel=use_kernel)
-    delta = pagerank.churn_delta(table, insert=3, delete=3, seed=7)
+    delta = random_edge_churn(table, "pagerank", insert=3, delete=3, seed=7)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     cold2 = run_accum_local(
@@ -249,7 +249,7 @@ def test_pagerank_warm_matches_cold_fixpoint(mode, use_kernel):
 
 def test_pagerank_warm_touches_strictly_less():
     table, job, cold = _pagerank_setup(n=300, seed=11)
-    delta = pagerank.churn_delta(table, insert=2, delete=2, seed=13)
+    delta = random_edge_churn(table, "pagerank", insert=2, delete=2, seed=13)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     cold2 = run_accum_local(
@@ -305,7 +305,7 @@ def _sssp_setup(n=100, seed=5, use_kernel=False):
 @pytest.mark.parametrize("mode", ["async", "sync"])
 def test_sssp_warm_bit_exact_with_deletions(mode, use_kernel):
     table, job, cold = _sssp_setup(use_kernel=use_kernel)
-    delta = sssp.churn_delta(table, insert=4, delete=4, seed=11)
+    delta = random_edge_churn(table, "sssp", insert=4, delete=4, seed=11)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["sssp"])
     cold2 = run_accum_local(job, [(0, 0.0)], {"/st": mutated},
@@ -319,8 +319,8 @@ def test_sssp_warm_bit_exact_with_deletions(mode, use_kernel):
 
 def test_sssp_monotone_churn_is_cheap_and_exact():
     table, job, cold = _sssp_setup(n=200, seed=8)
-    delta = sssp.churn_delta(table, insert=3, delete=3, seed=13,
-                             monotone=True)
+    delta = random_edge_churn(table, "sssp", insert=3, delete=3, seed=13,
+                              monotone=True)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["sssp"])
     cold2 = run_accum_local(job, [(0, 0.0)], {"/st": mutated},
@@ -422,7 +422,7 @@ def test_sync_engine_warm_sssp_matches_cold():
                              output_path="/o", threshold=0.0)
     cold = run_local(job, sssp.initial_state(g, 0), {"/st": table},
                      num_pairs=4)
-    delta = sssp.churn_delta(table, insert=3, delete=3, seed=4)
+    delta = random_edge_churn(table, "sssp", insert=3, delete=3, seed=4)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["sssp"])
     ref = run_local(
@@ -441,8 +441,8 @@ def test_sync_engine_warm_converges_faster_on_monotone_churn():
                              output_path="/o", threshold=0.0)
     cold = run_local(job, sssp.initial_state(g, 0), {"/st": table},
                      num_pairs=4)
-    delta = sssp.churn_delta(table, insert=2, delete=2, seed=3,
-                             monotone=True)
+    delta = random_edge_churn(table, "sssp", insert=2, delete=2, seed=3,
+                              monotone=True)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["sssp"])
     ref = run_local(
@@ -463,7 +463,7 @@ def test_sync_engine_warm_pagerank_threshold_bounded():
                                  threshold=1e-10)
     cold = run_local(job, pagerank.initial_state(g), {"/st": table},
                      num_pairs=4)
-    delta = pagerank.churn_delta(table, insert=2, delete=2, seed=3)
+    delta = random_edge_churn(table, "pagerank", insert=2, delete=2, seed=3)
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     ref = run_local(job, [(u, 1.0 / g.num_nodes) for u in mutated],
@@ -521,7 +521,7 @@ class TestMemoStore:
                    partitioner=job.partitioner,
                    meta={"algorithm": "sssp", "source": 0})
         memo, meta = store.load(job_name=job.name)
-        delta = sssp.churn_delta(table, insert=2, delete=2, seed=6)
+        delta = random_edge_churn(table, "sssp", insert=2, delete=2, seed=6)
         mutated = dict(table)
         patch_static_table(mutated, delta, ADJACENCY_KINDS["sssp"])
         cold2 = run_accum_local(job, [(0, 0.0)], {"/st": mutated},

@@ -20,6 +20,7 @@ from repro.imapreduce import (
     WarmStart,
     execute,
     patch_static_table,
+    random_edge_churn,
     run_incremental_accum,
 )
 from repro.imapreduce.incremental import ADJACENCY_KINDS
@@ -37,7 +38,7 @@ def _sssp_case(n=60, seed=11):
     table = dict(sssp.static_records(graph))
     cold = run_accum_local(job, sssp.accum_initial_deltas(0),
                            {STATIC: table}, num_pairs=4, mode="async")
-    delta = sssp.churn_delta(table, insert=3, delete=3, seed=5)
+    delta = random_edge_churn(table, "sssp", insert=3, delete=3, seed=5)
     return job, table, cold, delta
 
 
@@ -50,7 +51,7 @@ def _pagerank_case(n=60, seed=11):
     table = dict(pagerank.static_records(graph))
     cold = run_accum_local(job, pagerank.accum_initial_deltas(n),
                            {STATIC: table}, num_pairs=4, mode="async")
-    delta = pagerank.churn_delta(table, insert=2, delete=2, seed=5)
+    delta = random_edge_churn(table, "pagerank", insert=2, delete=2, seed=5)
     return job, table, cold, delta
 
 
@@ -103,7 +104,7 @@ def test_sync_engine_parallel_warm_matches_serial_warm():
                              output_path=OUT, threshold=0.0)
     cold = run_local(job, sssp.initial_state(graph, 0), {STATIC: table},
                      num_pairs=4)
-    delta = sssp.churn_delta(table, insert=2, delete=2, seed=9)
+    delta = random_edge_churn(table, "sssp", insert=2, delete=2, seed=9)
     warm = ExecutionPlan(num_pairs=4, warm=WarmStart("sssp", delta, source=0))
     serial = execute(job, cold.state, {STATIC: table}, warm)
     par = execute(job, cold.state, {STATIC: table},

@@ -18,7 +18,6 @@ import tempfile
 
 import pytest
 
-from repro.algorithms import sssp
 from repro.algorithms.workloads import build_workload
 from repro.cli import build_parser, main
 from repro.data.datasets import load_graph
@@ -32,7 +31,7 @@ from repro.imapreduce import (
     WarmStart,
     execute,
 )
-from repro.imapreduce.incremental import cold_rerun_inputs
+from repro.imapreduce.incremental import cold_rerun_inputs, random_edge_churn
 from repro.imapreduce.plan import format_support, resolve
 
 _WALL = re.compile(r"\d+\.\d\ds(?= wall| \(frontier|$)", re.MULTILINE)
@@ -356,7 +355,7 @@ def test_refused(case, capsys, nothing_happens):
 def test_every_refused_cell_raises_before_anything_runs(nothing_happens):
     job = build_workload("sssp", "iterative", sssp_graph(8, seed=1), steps=2).job
     accum = build_workload("sssp", "accumulative", sssp_graph(8, seed=1)).job
-    delta = sssp.churn_delta({0: (), 1: ()}, insert=1, seed=1)
+    delta = random_edge_churn({0: (), 1: ()}, "sssp", insert=1, seed=1)
     refused = {key: cell for key, cell in SUPPORT.items() if cell.entry is None}
     assert len(refused) == 12
     for (algebra, backend, warm, armed), cell in refused.items():
@@ -404,7 +403,7 @@ def _warm_case(formulation, **options):
     memo = execute(job, inputs, statics, plan)
     (path, records), = statics.items()
     table = dict(records)
-    delta = sssp.churn_delta(table, insert=3, delete=3, seed=5)
+    delta = random_edge_churn(table, "sssp", insert=3, delete=3, seed=5)
     cold_deltas, mutated = cold_rerun_inputs("sssp", table, delta, **planner)
     if formulation == "iterative":
         cold_deltas = [(u, 0.0 if u == 0 else float("inf")) for u in mutated]
