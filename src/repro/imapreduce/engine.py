@@ -49,8 +49,8 @@ The driver is parameterised by
   ``snapshot()``, ``final_state()``, ``final_stats()``.
 
   Executor methods run per host per step, never per record: the hot
-  paths (``map_pair``, ``group_by_key``, ``map_kernel``, the planned
-  ``reduceat`` combine, ``AccumPair.apply``) are untouched;
+  paths (``run_map``, ``group_by_dest`` / ``GroupPlan``, ``map_kernel``,
+  the planned ``reduceat`` combine, ``AccumPair.apply``) are untouched;
 * a **transport**, which owns moving batches — and *when* they land —
   and nothing about algorithms: the two loopbacks here, the pipe mesh
   in :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,

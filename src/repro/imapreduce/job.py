@@ -63,6 +63,11 @@ class Phase:
     how the *previous* phase's reduce output reaches this phase's map —
     ``"one2one"`` through the paired persistent socket, ``"one2all"``
     broadcast from every reduce task (§5.1).
+
+    ``combiner`` runs map-side over each output partition's key groups,
+    and its output stays in the partition it was grouped for (Hadoop's
+    contract): it is delivered to that partition's reduce task on every
+    backend, never re-partitioned by whatever key the combiner emitted.
     """
 
     map_fn: MapFn

@@ -18,10 +18,10 @@ one).  Their uses:
 
 The multiprocess backend drives the same executors through the same
 driver over the pipe mesh, so it executes byte-for-byte the same
-user-code path (:func:`map_pair`, ``group_by_key``,
-``AccumPair.apply``) and its differential oracle can demand
-record-for-record equality.  :func:`select_executor` is the one
-dispatch rule both backends use.
+user-code path (:func:`run_map`, ``group_by_dest`` or the
+``GroupPlan`` that replays it, ``AccumPair.apply``) and its
+differential oracle can demand record-for-record equality.
+:func:`select_executor` is the one dispatch rule both backends use.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key, order_key, sort_records
+from ..common.records import GroupPlan, group_by_dest, order_key, plannable, sort_records
 from ..mapreduce.api import Context
 from .accum import (
     AccumJob,
@@ -87,6 +88,41 @@ class LocalRunResult:
         return dict(self.state)
 
 
+def run_map(
+    phase: Phase,
+    records: list[tuple[Any, Any]],
+    static: dict,
+    static_sorted: list[tuple[Any, Any]] | None,
+    broadcast: list | None,
+) -> list[tuple[Any, Any]]:
+    """One pair's map task for one phase, before any combiner: its raw
+    emissions.  ``static_sorted``/``broadcast`` are set for one2all
+    phases."""
+    ctx = Context()
+    if broadcast is not None:
+        for key, static_value in static_sorted or ():
+            phase.map_fn(key, broadcast, static_value, ctx)
+    else:
+        static_get = static.get
+        for key, state_value in records:
+            phase.map_fn(key, state_value, static_get(key), ctx)
+    return ctx.take()
+
+
+def reduce_groups(fn, grouped) -> Iterable[tuple[Any, list[tuple[Any, Any]]]]:
+    """Run a combiner or reducer over ``(destination, groups)`` — what
+    :func:`~repro.common.records.group_by_dest` or a ``GroupPlan``
+    yields — giving ``(destination, its output)``: a combiner's output
+    stays in the partition it was grouped for."""
+    # One Context reused across all destinations: ``take()`` drains the
+    # buffer between them, and no combiner reads the context counters.
+    ctx = Context()
+    for dest, groups in grouped:
+        for key, values in groups:
+            fn(key, values, ctx)
+        yield dest, ctx.take()
+
+
 def map_pair(
     phase: Phase,
     records: list[tuple[Any, Any]],
@@ -96,45 +132,27 @@ def map_pair(
     part: Callable[[Any], int],
     timings: dict[str, float] | None = None,
 ) -> list[tuple[Any, Any]]:
-    """Run one pair's map task for one phase; returns its emissions.
+    """:func:`run_map` plus the reference (unplanned) combine; returns
+    the pair's emissions as one flat list, destinations in order of
+    first appearance.
 
-    ``part`` is the pre-bound partitioner (combiner grouping only);
-    ``static_sorted``/``broadcast`` are set for one2all phases.  Both the
-    serial and the multiprocess executor call exactly this function, so
-    emission content *and order* are identical across backends.
+    ``part`` is the pre-bound partitioner (combiner grouping only).
+    This is the function :class:`RecordSync`'s planned combine must
+    equal record for record *and in order* — the tests' reference and
+    the benchmark's probe, not what the executor calls.
 
     ``timings`` is the host's phase profiler: when given, wall-time
     accumulates into its ``map`` and ``combine`` counters.
     """
-    started = time.perf_counter() if timings is not None else 0.0
-    ctx = Context()
-    if broadcast is not None:
-        for key, static_value in static_sorted or ():
-            phase.map_fn(key, broadcast, static_value, ctx)
-    else:
-        static_get = static.get
-        for key, state_value in records:
-            phase.map_fn(key, state_value, static_get(key), ctx)
-    emitted = ctx.take()
-    if timings is not None:
-        timings["map"] += time.perf_counter() - started
+    started = time.perf_counter()
+    emitted = run_map(phase, records, static, static_sorted, broadcast)
+    mapped = time.perf_counter()
     if phase.combiner is not None:
-        started = time.perf_counter() if timings is not None else 0.0
-        parts: dict[int, list] = defaultdict(list)
-        for rec in emitted:
-            parts[part(rec[0])].append(rec)
-        # One Context reused across all destination groups: ``take()``
-        # drains the buffer between groups, and no combiner reads the
-        # context counters, so the emission stream is unchanged while the
-        # per-group allocation disappears from the hot path.
-        cctx = Context()
-        emitted = []
-        for part_recs in parts.values():
-            for key, values in group_by_key(part_recs):
-                phase.combiner(key, values, cctx)
-            emitted.extend(cctx.take())
-        if timings is not None:
-            timings["combine"] += time.perf_counter() - started
+        grouped = group_by_dest(emitted, part)
+        emitted = [rec for _q, out in reduce_groups(phase.combiner, grouped) for rec in out]
+    if timings is not None:
+        timings["map"] += mapped - started
+        timings["combine"] += time.perf_counter() - mapped
     return emitted
 
 
@@ -148,9 +166,11 @@ def sorted_static(static: dict) -> list[tuple[Any, Any]]:
 # interface): wire items are ``(dest_pair, src_pair, records)``.
 class RecordSync:
     """Synchronous iterations over per-pair record lists: one
-    :func:`map_pair` and one ``group_by_key`` reduce per pair per phase
-    (§3.1); a non-final phase's reduce output is repartitioned to the
-    next phase's maps (§5.2)."""
+    :func:`run_map`, one combine and one reduce per pair per phase
+    (§3.1), both over ``group_by_dest``'s grouping — replayed from a
+    ``GroupPlan`` once a pair's key sequence repeats; a non-final
+    phase's reduce output is repartitioned to the next phase's maps
+    (§5.2)."""
 
     report_lag = 1
 
@@ -185,6 +205,12 @@ class RecordSync:
         # after iteration 0 the partitioner never runs on the shuffle
         # hot path again.
         self.route_cache: dict[Any, int] = {}
+        # Loop-invariant groupings, per ("send" | "recv", phase, pair):
+        # at most one plan and one candidate key sequence each.  Derived
+        # state — not in ``snapshot()``, rebuilt after a respawn.
+        self.group_plans: dict[tuple, GroupPlan] = {}
+        self.key_seqs: dict[tuple, list] = {}
+        self.plans_built = self.plan_hits = 0
         # State load: the initial partitions, or — after a recovery
         # respawn — the restored checkpoint's records.  The distance
         # baseline ``prev`` is rebuilt from the same snapshot, which is
@@ -213,32 +239,66 @@ class RecordSync:
         self.timings["map"] += time.perf_counter() - started
         return broadcast, len(broadcast)
 
+    def _grouped(self, slot: tuple, records: list, part=None):
+        """``group_by_dest(records, part)`` — replayed from ``slot``'s
+        :class:`~repro.common.records.GroupPlan` when it covers this key
+        sequence.  A plan is built the first time a slot's sequence
+        equals the previous step's, so a job whose keys never repeat
+        pays one key extract and one list compare per step."""
+        keys = list(map(itemgetter(0), records))
+        plan = self.group_plans.get(slot)
+        if plan is not None and plan.covers(keys):
+            self.plan_hits += 1
+        elif keys == self.key_seqs.get(slot) and plannable(keys):
+            del self.key_seqs[slot]  # the plan holds the sequence now
+            plan = self.group_plans[slot] = GroupPlan(keys, part)
+            self.plans_built += 1
+        else:
+            self.key_seqs[slot] = keys
+            return group_by_dest(records, part)
+        return plan.apply(keys, records)
+
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         phase_sorted = self.static_sorted[phase]
+        combiner = self.phases[phase].combiner if kind == SHUFFLE else None
         part, cache = self.part, self.route_cache
         cached = cache.get
         items = []
+        # One running clock, so the time between two charges — the
+        # release of the previous pair's records, say — is somebody's.
+        clock = time.perf_counter()
         for p in self.pairs:
             if kind == REPART:
                 records = self.reduced.pop(p)
             else:
-                records = map_pair(
+                records = run_map(
                     self.phases[phase],
                     self.current[p],
                     self.static[phase][p],
                     phase_sorted[p] if phase_sorted is not None else None,
                     broadcast,
-                    part,
-                    timings=self.timings,
                 )
-            by_dest: dict[int, list] = defaultdict(list)
-            for rec in records:
-                key = rec[0]
-                q = cached(key)
-                if q is None:
-                    q = cache[key] = part(key)
-                by_dest[q].append(rec)
-            items.extend((q, p, recs) for q, recs in by_dest.items())
+            if combiner is None:
+                by_dest: dict[int, list] = defaultdict(list)
+                for rec in records:
+                    key = rec[0]
+                    q = cached(key)
+                    if q is None:
+                        q = cache[key] = part(key)
+                    by_dest[q].append(rec)
+                items.extend((q, p, recs) for q, recs in by_dest.items())
+            mapped = time.perf_counter()
+            self.timings["map"] += mapped - clock
+            clock = mapped
+            if combiner is not None:
+                # Plan check and build included.  The output is already
+                # per destination: nothing re-partitions it.
+                grouped = self._grouped(("send", phase, p), records, part)
+                items.extend(
+                    (q, p, out) for q, out in reduce_groups(combiner, grouped) if out
+                )
+                clock = time.perf_counter()
+                self.timings["combine"] += clock - mapped
         return items
 
     def absorb(self, kind, phase, merged) -> None:
@@ -250,21 +310,16 @@ class RecordSync:
             for _q, _src, recs in merged.pop(q, ()):
                 records.extend(recs)
             if kind == SHUFFLE:
-                ctx = Context()
-                for key, values in group_by_key(records):
-                    reduce_fn(key, values, ctx)
-                records = ctx.take()
+                grouped = self._grouped(("recv", phase, q), records)
+                ((_none, records),) = reduce_groups(reduce_fn, grouped)
             out[q] = records
-        if kind == REPART:
-            self.current = out
-            return
-        self.timings["reduce"] += time.perf_counter() - started
-        if phase == self.last:
+        if kind == REPART or phase == self.last:
             # Persistent pair channel: reduce k's output is map k+1's
             # input for the same pair, never leaving this host.
             self.current = out
         else:
             self.reduced = out
+        self.timings["reduce"] += time.perf_counter() - started
 
     def progress(self, send_state: bool) -> dict:
         started = time.perf_counter()
@@ -294,7 +349,11 @@ class RecordSync:
         return {p: self.current[p] for p in self.pairs}
 
     def final_stats(self) -> dict:
-        return {"route_cache_size": len(self.route_cache)}
+        return {
+            "route_cache_size": len(self.route_cache),
+            "plans_built": self.plans_built,
+            "plan_hits": self.plan_hits,
+        }
 
 
 class RecordAccum:

@@ -4,9 +4,9 @@ Covers the wire layer introduced with the fast data plane: protocol-5
 frames with out-of-band buffers (numpy state never copied into the
 pickle stream, received writable), header-only manifest frames, the
 skip-empty contract under a single-hot-pair workload where most workers
-feed no peers, route-cache observability, immediate detection of a
-worker that dies with exit code 0 before its final report, and the
-phase-level profiler's counters.
+feed no peers, route-cache and plan-counter observability, immediate
+detection of a worker that dies with exit code 0 before its final
+report, and the phase-level profiler's counters.
 """
 
 import multiprocessing
@@ -164,9 +164,15 @@ def test_counters_and_profiler_surface_in_stats():
     for stats in par.worker_stats:
         assert set(stats["phase_seconds"]) == set(PHASE_COUNTERS)
         assert all(v >= 0.0 for v in stats["phase_seconds"].values())
-        # The route cache covers the worker's emitted key universe and
-        # is bounded by the number of distinct keys in the workload.
-        assert 0 < stats["route_cache_size"] <= 20
+        # A combiner's output stays in the partition it was grouped for:
+        # nothing on this job consults the route cache (no-combiner
+        # shuffles and REPART hops do).
+        assert stats["route_cache_size"] == 0
+    # Three steps on a frontier that grows through step 1: every slot's
+    # key sequence first repeats at step 2 — 4 send + 4 receive plans
+    # built, and no step left to replay them (test_group_plan.py pins
+    # the replays).
+    assert (par.counter("plans_built"), par.counter("plan_hits")) == (8, 0)
     assert set(par.phase_breakdown()) == set(PHASE_COUNTERS)
     assert par.counter("bytes_pickled") > 0
     assert par.counter("batches_sent") > 0

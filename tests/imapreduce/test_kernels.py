@@ -246,8 +246,10 @@ KERNEL_SPEEDUP_FLOOR = 5.0
 def test_kernel_speedup_floor(name, num_pairs, size):
     """A ratio of two timings taken in one process, interleaved and best
     of 3 per side — load-tolerant in a way absolute seconds are not.
-    Measures 20–28× (pagerank) and 19–21× (kmeans) on the 2-core dev
-    container: four times the floor."""
+    Measures 14–23× (pagerank; 23–26× before ISSUE 22's grouping plans
+    sped the record side up) and 15–21× (kmeans, whose record side
+    plans nothing) on the 2-core dev container, six alternating runs in
+    a slow host period: about three times the floor."""
     build, _ = WORKLOADS[name]
     runs = {use_kernel: build(use_kernel, **size) for use_kernel in (False, True)}
     best = {}

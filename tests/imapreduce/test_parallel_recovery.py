@@ -89,6 +89,13 @@ def test_pagerank_kill_recovery_bit_exact():
     assert "SIGKILL" in event["reason"]
     assert event["restored_checkpoint"] == 3  # newest boundary before 5
     assert event["resume_from"] == 4
+    # Grouping plans are derived state: not in the snapshot — the
+    # checkpoints are byte for byte the size they were before plans
+    # existed — and rebuilt by the respawned mesh (steps 4 and 5 repeat,
+    # 6–19 replay: 8 slots × 14).
+    assert par.recoveries == 1
+    assert (par.counter("ckpt_writes"), par.counter("ckpt_bytes")) == (16, 4736)
+    assert (par.counter("plans_built"), par.counter("plan_hits")) == (8, 8 * 14)
 
 
 def test_sssp_free_run_kill_recovery():
