@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import signal
 from dataclasses import dataclass
 from typing import Any
@@ -91,26 +90,21 @@ def fire_fault(fault: ProcFault) -> None:
     os.kill(os.getpid(), sig)
 
 
-def _frame_parts(iteration: int, worker: int, payload) -> tuple[list, int]:
-    # Imported lazily: workerproc imports this module for ProcFault.
-    from .workerproc import CKPT_REPORT, encode_frame
-
-    return encode_frame(CKPT_REPORT, iteration, 0, worker, payload)
-
-
-def _read_parts(raw: bytes) -> list[bytes]:
-    """Split a spool file back into its length-prefixed parts."""
-    parts: list[bytes] = []
+def _read_parts(raw) -> list[memoryview]:
+    """Split a spool file back into its length-prefixed parts — slices
+    of ``raw``, writable when it is."""
+    view = memoryview(raw)
+    parts: list[memoryview] = []
     offset = 0
-    total = len(raw)
+    total = len(view)
     while offset < total:
         if offset + _LEN_BYTES > total:
             raise CheckpointError("torn spool file: truncated length prefix")
-        size = int.from_bytes(raw[offset:offset + _LEN_BYTES], "big")
+        size = int.from_bytes(view[offset:offset + _LEN_BYTES], "big")
         offset += _LEN_BYTES
         if offset + size > total:
             raise CheckpointError("torn spool file: truncated part")
-        parts.append(raw[offset:offset + size])
+        parts.append(view[offset:offset + size])
         offset += size
     if not parts:
         raise CheckpointError("torn spool file: empty")
@@ -130,7 +124,10 @@ class CheckpointStore:
         entry (file name, byte count, digest) to report upstream."""
         name = f"ckpt-g{generation:03d}-i{iteration:06d}-w{worker:03d}.bin"
         path = os.path.join(self.root, name)
-        parts, _ = _frame_parts(iteration, worker, payload)
+        # Imported lazily: workerproc imports this module for ProcFault.
+        from .workerproc import CKPT_REPORT, encode_frame
+
+        parts, _ = encode_frame(CKPT_REPORT, iteration, 0, worker, payload)
         digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
         tmp = f"{path}.tmp.{os.getpid()}"
         total = 0
@@ -158,10 +155,12 @@ class CheckpointStore:
     def read_payload(self, entry: dict) -> Any:
         """Decode one spool file, validating size and digest; raises
         :class:`CheckpointError` on any torn or tampered content."""
+        from .workerproc import decode_frame
+
         path = os.path.join(self.root, entry["file"])
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
+                raw = bytearray(fh.read())  # writable: arrays are views of it
         except OSError as exc:
             raise CheckpointError(f"missing spool file {entry['file']}: {exc}")
         if len(raw) != entry["bytes"]:
@@ -172,20 +171,22 @@ class CheckpointStore:
         if hashlib.blake2b(raw, digest_size=_DIGEST_SIZE).hexdigest() != entry["digest"]:
             raise CheckpointError(f"digest mismatch in {entry['file']}")
         parts = _read_parts(raw)
+        # The spool format *is* the wire format, so the wire's decoder
+        # reads it: a part is the next slice of the file.
+        supply = iter(parts)
         try:
-            kind, iteration, _phase, _src, sizes = pickle.loads(parts[0])
+            payload = decode_frame(lambda size: next(supply))[4]
+            complete = next(supply, None) is None
+        except StopIteration:
+            complete = False
         except Exception as exc:
-            raise CheckpointError(f"bad header in {entry['file']}: {exc}")
-        expected = 2 + (len(sizes) if sizes else 0)
-        if len(parts) != expected:
+            raise CheckpointError(f"bad frame in {entry['file']}: {exc}")
+        if not complete:
             raise CheckpointError(
                 f"torn spool file {entry['file']}: "
-                f"{len(parts)} parts, header promises {expected}"
+                f"{len(parts)} parts are not what its header promises"
             )
-        try:
-            return pickle.loads(parts[1], buffers=[bytearray(b) for b in parts[2:]])
-        except Exception as exc:
-            raise CheckpointError(f"bad payload in {entry['file']}: {exc}")
+        return payload
 
     def commit(self, iteration: int, generation: int, entries: list[dict]) -> str:
         """Atomically publish the manifest that makes ``iteration``'s

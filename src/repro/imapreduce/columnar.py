@@ -61,7 +61,15 @@ sticks), and the first step after a recovery — plans and row indices
 are derived state, rebuilt by the respawned executors and never
 checkpointed.  Whether a plan is reused is observed (``out_keys is
 plan.keys``, else an ``array_equal``), never configured; a kernel must
-therefore not mutate a key array it has returned.  The two contract
+therefore not mutate a key array it has returned.  Nor should a kernel
+(or a record job's reducer) *keep* an array it was handed from the mesh
+— a ``broadcast`` column, a received value — without copying it: the
+arrays decoded from one frame are views of one shared region
+(:func:`~repro.imapreduce.workerproc.decode_frame`), so one survivor
+keeps the whole frame alive.  The executors here obey it: received keys
+become fresh row indices, received values are folded or scattered into
+owned arrays and dropped, and a restored checkpoint keeps *all* of its
+spool file's arrays.  The two contract
 checks — no emission outside the destination's owned set, every owned
 key covered — are functions of the keys too, and are evaluated when keys
 arrive or the set of contributing sources changes: once per distinct
@@ -165,7 +173,9 @@ class Kernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The pair's whole emission set.  A returned key array must not
         be mutated afterwards: returning the same object again tells the
-        executor the keys — hence the shuffle plan — are unchanged."""
+        executor the keys — hence the shuffle plan — are unchanged.
+        ``broadcast`` is on loan (views of one received frame): copy
+        what outlives the call."""
         raise NotImplementedError
 
     def finalize(

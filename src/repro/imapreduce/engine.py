@@ -135,9 +135,9 @@ MESH_COUNTERS = ("records_sent", "batches_sent", "manifest_frames", "bytes_pickl
 @dataclass
 class WorkerConfig:
     """Everything one host of pairs needs.  The multiprocess backend
-    ships it as a single explicitly pickled blob (not implicitly through
-    the spawn machinery), so the job's pickle round-trip is exercised on
-    every start method; the serial backend builds one for all pairs."""
+    hands one to each worker process as an argument — inherited under
+    ``fork``, pickled by ``multiprocessing`` under ``spawn`` — and the
+    serial backend builds one for all pairs."""
 
     worker_id: int
     num_workers: int
@@ -170,13 +170,6 @@ class WorkerConfig:
     #: propagation; ``state_parts`` then carries only the change-scoped
     #: perturbation deltas.
     accum_initial_state: dict[int, list] | None = None
-
-    def to_blob(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_blob(blob: bytes) -> "WorkerConfig":
-        return pickle.loads(blob)
 
 
 def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fields):

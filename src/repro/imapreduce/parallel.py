@@ -9,9 +9,12 @@ core mechanisms for real:
 
 * **persistent tasks** (§3.1) — workers are spawned once and loop over
   every iteration; no per-iteration process/task setup;
-* **static/state separation** (§3.2) — each worker deserializes its
-  static-data partitions once at start and keeps them resident; only
-  protocol-5 state frames cross process boundaries afterwards;
+* **static/state separation** (§3.2) — each worker starts with its
+  static-data partitions in hand and keeps them resident: a forked
+  worker inherits the coordinator's partitioned tables (nothing is
+  serialised), a spawned one has them pickled once by
+  ``multiprocessing`` with its other arguments; only protocol-5 state
+  frames cross process boundaries afterwards;
 * **asynchronous map start** (§3.3) — the data plane is a worker mesh
   with no global barrier: a pair's map for iteration k+1 starts as soon
   as its own reduce for k finished and its peer batches arrived.
@@ -22,7 +25,8 @@ The mesh and both control planes run on point-to-point OS pipes
 *and their process sentinels*, so a verdict round-trip costs
 microseconds and a worker death — any exit code, with or without a
 final report — is detected the instant the OS reaps it instead of on a
-poll interval or timeout.  See :mod:`.workerproc` for the frame format,
+poll interval or timeout.  See :mod:`.workerproc` for the frame format
+(three pipe messages at most, one decoder for pipes and spool files),
 the skip-empty manifest protocol, and the zero-copy buffer path, and
 :mod:`.engine` for the superstep driver the workers run and the verdict
 policies :func:`_coordinate` — the one coordinator frame loop, shared
@@ -89,6 +93,7 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Iterable
 
@@ -113,6 +118,8 @@ from .workerproc import (
     ITER_REPORT,
     PEER_LOST_EXIT,
     VERDICT,
+    conn_parts,
+    decode_frame,
     encode_frame,
     worker_main,
 )
@@ -179,7 +186,9 @@ class ParallelRunResult:
     #: Number of mesh respawns after confirmed worker deaths.
     recoveries: int = 0
     #: One dict per recovery: generation, dead worker, reason, restored
-    #: checkpoint iteration, resume point, and recovery mode.
+    #: checkpoint iteration, the newer manifests it was preferred to
+    #: (``rejected_manifests``: ``(iteration, reason)``, empty unless a
+    #: committed checkpoint failed validation), resume point, and mode.
     recovery_events: list[dict] = field(default_factory=list)
     #: Coordinator-side checkpoint cost: seconds spent committing
     #: manifests (snapshot pickling rides the merge and is counted
@@ -365,7 +374,7 @@ def run_parallel(
                         f"{death.reason}; recovery budget exhausted after "
                         f"{len(recovery_events)} recoveries"
                     ) from None
-                restore = _load_restore(store, num_pairs, columnar)
+                restore, rejected = _load_restore(store, num_pairs, columnar)
                 if restore is None:
                     start_iteration, restored = 0, None
                 else:
@@ -381,6 +390,7 @@ def run_parallel(
                         "dead_worker": death.wid,
                         "reason": death.reason,
                         "restored_checkpoint": None if restore is None else restore[0],
+                        "rejected_manifests": rejected,
                         "resume_from": start_iteration,
                         "mode": mode,
                         "fence_seconds": round(time.perf_counter() - death_at, 6),
@@ -447,6 +457,13 @@ def _spawn_mesh(
     ``state_parts`` is indexable by pair (the partitioned input, or a
     restored checkpoint); ``shared`` are the :class:`WorkerConfig`
     fields every worker gets alike."""
+    # The job alone takes an explicit pickle round trip (bytes, not the
+    # tables), first: every start method runs the job a spawned worker
+    # would, and an unpicklable one fails here, before any pipe or
+    # process exists.
+    shared["job"] = pickle.loads(
+        pickle.dumps(shared["job"], protocol=pickle.HIGHEST_PROTOCOL)
+    )
     num_workers = len(assignment)
     owner_of = [0] * shared["num_pairs"]
     for w, pairs in enumerate(assignment):
@@ -467,67 +484,68 @@ def _spawn_mesh(
     verdict_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
     report_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
 
-    # The blob is pickled explicitly (not via the spawn machinery) so the
-    # job's pickle round-trip is exercised under every start method.
-    blobs = [
-        host_config(
-            w,
-            assignment[w],
-            state_parts,
-            static_parts,
-            num_workers=num_workers,
-            owner_of=owner_of,
-            generation=generation,
-            faults=tuple(f for f in faults if f.worker == w),
-            **shared,
-        ).to_blob()
-        for w in range(num_workers)
-    ]
-
-    suffix = "" if generation == 0 else f"-g{generation}"
-    procs = [
-        ctx.Process(
-            target=worker_main,
-            args=(
-                w,
-                blobs[w],
-                peer_recv[w],
-                peer_send[w],
-                verdict_pipes[w][0],
-                report_pipes[w][1],
-                timeout,
-                heartbeat_interval,
-            ),
-            name=f"imr-worker-{w}{suffix}",
-            daemon=True,
-        )
-        for w in range(num_workers)
-    ]
-    for proc in procs:
-        proc.start()
-
-    # The coordinator only ever writes verdicts and reads reports; its
-    # copies of the workers' pipe ends can go immediately (start() has
-    # already shipped them, under fork and spawn alike).
     worker_ends = [
         *(conn for ends in peer_recv for conn in ends.values()),
         *(conn for ends in peer_send for conn in ends.values()),
         *(recv for recv, _ in verdict_pipes),
         *(send for _, send in report_pipes),
     ]
-    for conn in worker_ends:
-        conn.close()
     verdict_conns = [send for _, send in verdict_pipes]
     report_conns = {w: recv for w, (recv, _) in enumerate(report_pipes)}
-    return _Mesh(
+    mesh = _Mesh(
         generation=generation,
-        procs=procs,
+        procs=[],
         report_conns=report_conns,
         verdict_conns=verdict_conns,
         conns=[*verdict_conns, *report_conns.values()],
         timeout=timeout,
         suspicion=suspicion_timeout if heartbeat_interval is not None else None,
     )
+
+    # Each worker gets its config as an *object*: a forked worker reads
+    # the coordinator's partitioned tables through copy-on-write pages,
+    # and under spawn/forkserver ``start()`` pickles the arguments
+    # itself, as it does the pipes — an unpicklable input raises there,
+    # in the coordinator, and whatever had started is fenced.
+    suffix = "" if generation == 0 else f"-g{generation}"
+    try:
+        for w in range(num_workers):
+            cfg = host_config(
+                w,
+                assignment[w],
+                state_parts,
+                static_parts,
+                num_workers=num_workers,
+                owner_of=owner_of,
+                generation=generation,
+                faults=tuple(f for f in faults if f.worker == w),
+                **shared,
+            )
+            proc = ctx.Process(
+                target=worker_main,
+                args=(
+                    cfg,
+                    peer_recv[w],
+                    peer_send[w],
+                    verdict_pipes[w][0],
+                    report_pipes[w][1],
+                    timeout,
+                    heartbeat_interval,
+                ),
+                name=f"imr-worker-{w}{suffix}",
+                daemon=True,
+            )
+            proc.start()
+            mesh.procs.append(proc)
+    except BaseException:
+        _fence(mesh)
+        raise
+    finally:
+        # The coordinator only ever writes verdicts and reads reports;
+        # its copies of the workers' pipe ends go as soon as start() has
+        # shipped them (under fork and spawn alike).
+        _close_all(worker_ends)
+    return mesh
 
 
 def _reassign(assignment: list[list[int]], dead: int) -> list[list[int]]:
@@ -543,11 +561,14 @@ def _reassign(assignment: list[list[int]], dead: int) -> list[list[int]]:
 
 def _load_restore(
     store: CheckpointStore | None, num_pairs: int, columnar: bool
-) -> tuple[int, dict[int, Any]] | None:
+) -> tuple[tuple[int, dict[int, Any]] | None, list[tuple[int, str]]]:
     """Newest *valid* committed checkpoint as ``(iteration, pair →
-    state)``; torn or path-mismatched manifests fall back to older ones."""
+    state)`` — ``None`` when there is none — and the newer manifests it
+    was preferred to, as ``(iteration, reason)``: a torn or
+    path-mismatched manifest falls back to an older one, and says so."""
+    rejected: list[tuple[int, str]] = []
     if store is None:
-        return None
+        return None, rejected
     expected = "kernel" if columnar else "record"
     for manifest in store.manifests():
         try:
@@ -565,10 +586,10 @@ def _load_restore(
                     f"manifest i{manifest['iteration']} covers pairs "
                     f"{sorted(pairs)} of {num_pairs}"
                 )
-            return manifest["iteration"], pairs
-        except CheckpointError:
-            continue
-    return None
+            return (manifest["iteration"], pairs), rejected
+        except CheckpointError as exc:
+            rejected.append((manifest["iteration"], str(exc)))
+    return None, rejected
 
 
 def _fence(mesh: _Mesh) -> None:
@@ -611,7 +632,8 @@ class _TornFrame(Exception):
 
 
 def _poll_frame(conn):
-    """Read one frame from a *dead* worker's pipe without ever blocking.
+    """Read one frame from a *dead* worker's pipe without ever blocking;
+    ``None`` when no complete frame is left.
 
     A SIGKILL can land between a frame's parts; under fork the write end
     stays open in sibling processes, so a blocking ``recv_bytes`` on the
@@ -619,26 +641,15 @@ def _poll_frame(conn):
     further part can arrive, so "part not immediately readable" is
     definitive: the frame is torn and discarded.
     """
-    if not conn.poll(0):
-        return None
-    header = conn.recv_bytes()
-    kind, iteration, phase, src, sizes = pickle.loads(header)
-    if sizes is None:
-        return kind, iteration, phase, src, None, len(header)
-    if not conn.poll(0):
-        return None
-    data = conn.recv_bytes()
-    nbytes = len(header) + len(data)
-    buffers = []
-    for size in sizes:
+
+    def ready() -> None:
         if not conn.poll(0):
-            return None
-        buf = bytearray(size)
-        conn.recv_bytes_into(buf)
-        buffers.append(buf)
-        nbytes += size
-    payload = pickle.loads(data, buffers=buffers) if sizes else pickle.loads(data)
-    return kind, iteration, phase, src, payload, nbytes
+            raise _TornFrame()
+
+    try:
+        return decode_frame(conn_parts(conn, ready))
+    except _TornFrame:
+        return None
 
 
 class _CoordinatorInbox:
@@ -672,34 +683,16 @@ class _CoordinatorInbox:
         self._last_seen = {w: now for w in report_conns}
 
     def _await_part(self, conn, wid: int) -> None:
-        """Wait for the next part of a frame whose header already
-        arrived.  A live writer delivers it promptly (parts are
-        consecutive ``send_bytes`` on one pipe); a writer SIGKILLed
-        mid-frame never will — and under fork the pipe shows no EOF
-        either, so liveness, not the pipe, is the stop condition."""
+        """Wait for the next part of a frame.  A live writer delivers it
+        promptly (parts are consecutive ``send_bytes`` on one pipe; the
+        header's readiness was established by ``wait()``); a writer
+        SIGKILLed mid-frame never will — and under fork the pipe shows
+        no EOF either, so liveness, not the pipe, is the stop
+        condition."""
         while not conn.poll(0.05):
             proc = self._procs.get(wid)
             if proc is None or not proc.is_alive():
                 raise _TornFrame()
-
-    def _read_frame_from(self, conn, wid: int):
-        """Torn-frame-safe :func:`read_frame` for the report pipes."""
-        header = conn.recv_bytes()  # readiness established by wait()
-        kind, iteration, phase, src, sizes = pickle.loads(header)
-        if sizes is None:
-            return kind, iteration, phase, src, None, len(header)
-        self._await_part(conn, wid)
-        data = conn.recv_bytes()
-        nbytes = len(header) + len(data)
-        buffers = []
-        for size in sizes:
-            self._await_part(conn, wid)
-            buf = bytearray(size)
-            conn.recv_bytes_into(buf)
-            buffers.append(buf)
-            nbytes += size
-        payload = pickle.loads(data, buffers=buffers) if sizes else pickle.loads(data)
-        return kind, iteration, phase, src, payload, nbytes
 
     def mark_final(self, wid: int) -> None:
         """A worker's final report arrived: stop supervising it."""
@@ -785,7 +778,9 @@ class _CoordinatorInbox:
                 if wid is None:
                     continue  # a sentinel: handled at the top of the loop
                 try:
-                    frame = self._read_frame_from(obj, wid)
+                    frame = decode_frame(
+                        conn_parts(obj, partial(self._await_part, obj, wid))
+                    )
                 except _TornFrame:
                     # Died mid-write: discard the pipe (its remaining
                     # bytes are unframed garbage); the sentinel check at

@@ -4,8 +4,10 @@ protocol and the pipe-mesh transport.
 One :func:`worker_main` process hosts a *set* of persistent map/reduce
 task pairs for the whole job (§3.1: tasks are assigned once and live
 for every iteration).  The static-data partitions for its pairs arrive
-in the init blob and are deserialized exactly once; only state batches
-cross process boundaries afterwards (§3.2's static/state separation).
+with the process — inherited from the coordinator under ``fork``,
+pickled once by ``multiprocessing`` itself under ``spawn`` — and stay
+resident; only state batches cross process boundaries afterwards
+(§3.2's static/state separation).
 The loop it runs is the shared superstep driver
 (:func:`~repro.imapreduce.engine.run_supersteps`) with the pair
 executor :func:`~repro.imapreduce.localrun.select_executor` picks; this
@@ -21,12 +23,16 @@ plus a verdict pipe from and a report pipe to the coordinator.  On the
 wire every logical message is a *frame*:
 
 * a small pickled header ``(kind, iteration, phase, src, buf_sizes)``;
-* for data frames, one payload pickle (protocol 5) whose large leaves
-  (numpy state: centroids, coordinate vectors) are split out by
-  ``buffer_callback`` and written as raw out-of-band parts straight from
-  the array memory — the array bytes are never copied into the pickle
-  stream, and the receiver reads them into fresh writable storage with
-  ``recv_bytes_into`` (one unavoidable pipe copy, nothing else);
+* for data frames, one payload pickle (protocol 5) whose array leaves
+  (numpy state: centroids, coordinate vectors, a record's id/count
+  columns) are split out by ``buffer_callback`` and never copied into
+  the pickle stream;
+* all of those buffers as *one* contiguous region — so a frame is at
+  most three pipe messages however many arrays it holds, and what the
+  boundary charges is per byte, not per object.  The receiver reads the
+  region with one ``recv_bytes_into`` a fresh ``bytearray`` and rebuilds
+  the arrays over writable ``memoryview`` slices of it
+  (:func:`decode_frame`, the one decoder of the wire and the spool);
 * header-only *manifest* frames (``buf_sizes is None``) replace the
   empty batches the dense protocol used to pickle and ship to every
   peer on every phase: a sender that feeds a destination ships data, a
@@ -104,6 +110,8 @@ __all__ = [
     "WorkerConfig",
     "worker_main",
     "encode_frame",
+    "decode_frame",
+    "conn_parts",
     "read_frame",
     "PHASE_COUNTERS",
     "SHUFFLE",
@@ -143,9 +151,12 @@ def encode_frame(kind, iteration: int, phase: int, src: int, payload):
     """Build one wire frame; returns ``(parts, nbytes)``.
 
     ``parts`` is the list of byte-likes to ship with consecutive
-    ``send_bytes`` calls on one connection: header, then (for data
-    frames) the payload pickle, then each out-of-band buffer written
-    directly from its source memory.
+    ``send_bytes`` calls on one connection — at most three, however many
+    arrays the payload holds: header, then (for data frames) the payload
+    pickle, then the out-of-band buffers as one contiguous *region* (a
+    lone buffer is written directly from its source memory; several are
+    joined once).  The header lists every buffer's size, so the receiver
+    can slice the region apart again.
     """
     if payload is _NO_PAYLOAD:
         header = pickle.dumps(
@@ -164,33 +175,72 @@ def encode_frame(kind, iteration: int, phase: int, src: int, payload):
         (kind, iteration, phase, src, sizes), protocol=_PROTOCOL
     )
     nbytes = len(header) + len(data) + sum(sizes)
+    if len(raws) > 1:
+        raws = [b"".join(raws)]
     return [header, data, *raws], nbytes
 
 
-def read_frame(conn):
-    """Read one frame; returns ``(kind, iteration, phase, src, payload,
-    nbytes)`` — ``payload is None`` for header-only manifest frames.
+def decode_frame(take):
+    """Decode one frame — the only place a frame body is unpickled, on
+    the wire and in the spool alike; returns ``(kind, iteration, phase,
+    src, payload, nbytes)``, ``payload is None`` for a header-only
+    manifest frame.
 
-    Out-of-band buffers are received into fresh ``bytearray`` storage so
-    reconstructed numpy arrays stay writable.
+    ``take(size)`` obtains the frame's next part and is all a caller
+    chooses (block, poll and give up, poll until the writer is dead,
+    slice a spool file): ``take(None)`` returns a byte-like (header,
+    payload pickle); ``take(n)`` returns the ``n``-byte buffer region in
+    *fresh writable* storage.  The out-of-band arrays are rebuilt over
+    writable ``memoryview`` slices of that one region — no copy, and
+    writing one array never touches a neighbour.
+
+    Retention rule: the arrays decoded from one frame share its region,
+    so keeping one of them alive keeps the whole region alive.  A
+    kernel or reducer that wants to keep one received array copies it.
     """
-    header = conn.recv_bytes()
+    header = take(None)
     kind, iteration, phase, src, sizes = pickle.loads(header)
     if sizes is None:
         return kind, iteration, phase, src, None, len(header)
-    data = conn.recv_bytes()
+    data = take(None)
     nbytes = len(header) + len(data)
+    buffers = None
     if sizes:
-        buffers = []
+        total = sum(sizes)
+        region = memoryview(take(total))
+        if len(region) != total:
+            raise ValueError(
+                f"frame region is {len(region)} bytes, its header promises {total}"
+            )
+        nbytes += total
+        buffers, offset = [], 0
         for size in sizes:
-            buf = bytearray(size)
-            conn.recv_bytes_into(buf)
-            buffers.append(buf)
-            nbytes += size
-        payload = pickle.loads(data, buffers=buffers)
-    else:
-        payload = pickle.loads(data)
+            buffers.append(region[offset:offset + size])
+            offset += size
+    payload = pickle.loads(data, buffers=buffers)
     return kind, iteration, phase, src, payload, nbytes
+
+
+def conn_parts(conn, ready=None):
+    """A :func:`decode_frame` part source over a pipe: each part is one
+    ``recv_bytes`` / ``recv_bytes_into``, after ``ready()`` — which
+    raises to give up on a frame whose writer died — when one is given."""
+
+    def take(size):
+        if ready is not None:
+            ready()
+        if size is None:
+            return conn.recv_bytes()
+        region = bytearray(size)
+        conn.recv_bytes_into(region)
+        return region
+
+    return take
+
+
+def read_frame(conn):
+    """Read one frame from a live peer, blocking for each part."""
+    return decode_frame(conn_parts(conn))
 
 
 class _Feeder(threading.Thread):
@@ -422,8 +472,7 @@ class _PipeMesh:
 
 
 def worker_main(
-    worker_id: int,
-    blob: bytes,
+    cfg: WorkerConfig,
     peer_recv: dict[int, Any],
     peer_send: dict[int, Any],
     verdict_conn,
@@ -433,12 +482,15 @@ def worker_main(
 ) -> None:
     """Process entry point: run every superstep for this worker's pairs.
 
-    ``worker_id`` and ``heartbeat_interval`` travel as their own
-    arguments (not only inside ``blob``) so the error path never has to
-    re-unpickle the whole config just to label a traceback — and so the
-    liveness beacon starts *before* the potentially large blob unpickle,
-    keeping startup inside the coordinator's suspicion window.
+    ``cfg`` arrives as an object, like the pipes.  Under ``fork`` it is
+    the coordinator's own, read through copy-on-write pages: nothing was
+    serialised and there is nothing to unpickle.  Under ``spawn`` /
+    ``forkserver`` ``multiprocessing`` unpickled the arguments before
+    calling this function, so the liveness beacon starts after that —
+    the coordinator's suspicion clock covers interpreter start-up and
+    the unpickle together.
     """
+    worker_id = cfg.worker_id
     feeder: _Feeder | None = None
     heartbeat: _Heartbeat | None = None
     try:
@@ -447,7 +499,6 @@ def worker_main(
         if heartbeat_interval is not None:
             heartbeat = _Heartbeat(feeder, report_conn, worker_id, heartbeat_interval)
             heartbeat.start()
-        cfg = WorkerConfig.from_blob(blob)
         mesh = _PipeMesh(
             cfg, peer_recv, peer_send, verdict_conn, report_conn, feeder, timeout
         )

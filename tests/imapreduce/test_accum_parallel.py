@@ -88,8 +88,8 @@ def test_worker_count_is_invisible(num_workers):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_spawn_matches_fork(workload):
     """The pinned-seed parity CI leg's contract: both start methods
-    produce the identical run (config blobs, jobs and delta frames all
-    survive the spawn machinery)."""
+    produce the identical run (worker configs — inherited under fork,
+    pickled by the spawn machinery — jobs and delta frames alike)."""
     job, deltas, static = _case(workload)
     fork = run_accum_parallel(job, deltas, static, num_pairs=4,
                               num_workers=2, mode="async",

@@ -8,6 +8,7 @@ flavor of torn write is *detected* and falls back to the previous
 committed manifest instead of restoring garbage.
 """
 
+import hashlib
 import json
 import os
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imapreduce import CheckpointError, CheckpointStore
+from repro.imapreduce.checkpoint import _read_parts
 from repro.imapreduce.columnar import decode_columnar, encode_columnar
 from repro.imapreduce.parallel import _load_restore
 
@@ -68,6 +70,80 @@ def test_columnar_payload_round_trip_identity(tmp_path_factory, keys, width, see
     assert len(decode_columnar(rk, rv)) == len(records)
 
 
+_DTYPES = ["int32", "float64", "uint8", "float32"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(0, 12), st.sampled_from(_DTYPES), st.sampled_from(_DTYPES)),
+        max_size=60,
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_many_small_arrays_round_trip_identity(tmp_path_factory, shapes, seed):
+    """kmeans' shape: a record payload of many ``("pt", uid, ids,
+    counts)`` values, two small arrays each (zero-length and odd byte
+    sizes included).  However many there are the file is three parts,
+    and every array comes back exact, writable and independent of its
+    neighbours in the shared region."""
+    rng = np.random.default_rng(seed)
+    records = [
+        (uid, ("pt", uid, rng.integers(0, 200, n).astype(ids_dtype),
+               rng.standard_normal(n).astype(counts_dtype)))
+        for uid, (n, ids_dtype, counts_dtype) in enumerate(shapes)
+    ]
+    store = CheckpointStore(str(tmp_path_factory.mktemp("spool")))
+    entry = store.write(0, 2, 1, {"path": "record", "pairs": {3: records}})
+    with open(os.path.join(store.root, entry["file"]), "rb") as fh:
+        assert len(_read_parts(fh.read())) == (3 if shapes else 2)
+    got = store.read_payload(entry)["pairs"][3]
+    arrays = [a for _uid, (_tag, _u, ids, counts) in got for a in (ids, counts)]
+    for a in arrays:
+        a[...] = 0  # writable — and must not reach into a neighbour
+    again = store.read_payload(entry)["pairs"][3]
+    assert [uid for uid, _ in again] == [uid for uid, _ in records]
+    for (_, (_, _, ids, counts)), (_, (_, _, want_ids, want_counts)) in zip(again, records):
+        assert ids.dtype == want_ids.dtype and counts.dtype == want_counts.dtype
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(counts, want_counts)
+    assert all(not a.any() for a in arrays)
+
+
+def _many_arrays_entry(store):
+    records = [(u, ("pt", u, np.arange(u % 5, dtype="int32"), np.ones(3))) for u in range(40)]
+    return store.write(0, 3, 0, {"path": "record", "pairs": {0: records}})
+
+
+def _rewrite(store, entry, parts):
+    """Replace a spool file with ``parts`` re-framed *consistently*
+    (prefixes, byte count and digest all agree), as a buggy writer
+    would leave it: only the decoder can tell."""
+    raw = b"".join(len(p).to_bytes(8, "big") + bytes(p) for p in parts)
+    with open(os.path.join(store.root, entry["file"]), "wb") as fh:
+        fh.write(raw)
+    digest = hashlib.blake2b(raw, digest_size=16).hexdigest()
+    return {**entry, "bytes": len(raw), "digest": digest}
+
+
+@pytest.mark.parametrize("corruption", ["region-truncated", "region-missing", "part-extra"])
+def test_miscounted_frame_detected(tmp_path, corruption):
+    """Past the byte count and the digest, the decoder itself refuses a
+    file whose parts are not the ones its header lists — it never builds
+    arrays over a short region."""
+    store = CheckpointStore(str(tmp_path))
+    entry = _many_arrays_entry(store)
+    with open(os.path.join(store.root, entry["file"]), "rb") as fh:
+        header, data, region = _read_parts(fh.read())
+    entry = _rewrite(store, entry, {
+        "region-truncated": [header, data, region[:-1]],
+        "region-missing": [header, data],
+        "part-extra": [header, data, region, b"x"],
+    }[corruption])
+    with pytest.raises(CheckpointError, match="header promises"):
+        store.read_payload(entry)
+
+
 @pytest.mark.parametrize("corruption", ["truncate", "flip", "unlink", "lenprefix"])
 def test_torn_spool_file_detected(tmp_path, corruption):
     store = CheckpointStore(str(tmp_path))
@@ -101,11 +177,11 @@ def test_restore_falls_back_to_previous_committed_checkpoint(tmp_path):
     # kill -9 after the rename but with a dirty page lost: truncate.
     with open(os.path.join(store.root, new["file"]), "r+b") as fh:
         fh.truncate(10)
-    restore = _load_restore(store, num_pairs=2, columnar=False)
-    assert restore is not None
-    iteration, pairs = restore
-    assert iteration == 1
-    assert pairs == {0: [(7, 1.5)], 1: []}
+    restore, rejected = _load_restore(store, num_pairs=2, columnar=False)
+    assert restore == (1, {0: [(7, 1.5)], 1: []})
+    # The fallback is not silent: the manifest it skipped, and why.
+    assert [iteration for iteration, _ in rejected] == [3]
+    assert "10 bytes on disk" in rejected[0][1]
 
 
 def test_restore_rejects_incomplete_pair_coverage(tmp_path):
@@ -114,8 +190,12 @@ def test_restore_rejects_incomplete_pair_coverage(tmp_path):
     store = CheckpointStore(str(tmp_path))
     entry = store.write(0, 2, 0, {"path": "record", "pairs": {0: [(1, 1.0)]}})
     store.commit(2, 0, [entry])
-    assert _load_restore(store, num_pairs=2, columnar=False) is None
-    assert _load_restore(store, num_pairs=1, columnar=False) is not None
+    restore, rejected = _load_restore(store, num_pairs=2, columnar=False)
+    assert restore is None
+    assert rejected == [(2, "manifest i2 covers pairs [0] of 2")]
+    assert _load_restore(store, num_pairs=1, columnar=False) == (
+        (2, {0: [(1, 1.0)]}), []
+    )
 
 
 def test_restore_rejects_wrong_executor_path(tmp_path):
@@ -123,7 +203,10 @@ def test_restore_rejects_wrong_executor_path(tmp_path):
     store = CheckpointStore(str(tmp_path))
     entry = store.write(0, 0, 0, {"path": "record", "pairs": {0: []}})
     store.commit(0, 0, [entry])
-    assert _load_restore(store, num_pairs=1, columnar=True) is None
+    restore, rejected = _load_restore(store, num_pairs=1, columnar=True)
+    assert restore is None
+    assert [iteration for iteration, _ in rejected] == [0]
+    assert "does not match the job's 'kernel' executor" in rejected[0][1]
 
 
 def test_manifest_commit_is_atomic_and_torn_manifest_skipped(tmp_path):

@@ -11,6 +11,7 @@ report, and the phase-level profiler's counters.
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import numpy as np
@@ -73,6 +74,43 @@ def test_frame_numpy_state_goes_out_of_band():
     # Buffers are received into fresh bytearray storage: still writable.
     assert arr.flags.writeable
     arr[0] = -1.0  # must not raise
+
+
+@pytest.mark.parametrize("count", [1, 2, 500])
+def test_frame_is_three_parts_however_many_arrays(count):
+    """All out-of-band buffers leave as one region: the part count does
+    not grow with the array count, ``nbytes`` is still header + pickle +
+    the buffers' bytes, and the arrays rebuilt over slices of the one
+    received region are writable and do not alias each other."""
+    dtypes = ["float64", "int32", "uint8", "float32", "int64"]
+    arrays = [
+        np.arange(7 * i % 13, dtype=dtypes[i % 5])  # lengths 0..12, mixed widths
+        for i in range(count - 1)
+    ] + [np.linspace(0.0, 1.0, 9)]
+    payload = [(1, 0, [(i, ("pt", i, a)) for i, a in enumerate(arrays)])]
+    buffers = []
+    data = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
+    assert len(buffers) == count  # every array, empty ones too, is out of band
+    parts, nbytes = encode_frame("shuffle", 3, 0, 1, payload)
+    assert len(parts) == 3
+    assert nbytes == len(parts[0]) + len(data) + sum(a.nbytes for a in arrays)
+    assert nbytes == sum(len(p) for p in parts)
+    assert pickle.loads(parts[0])[4] == tuple(a.nbytes for a in arrays)
+
+    *_, got, read_bytes = _pipe_roundtrip(parts)
+    assert read_bytes == nbytes
+    decoded = [value[2] for _key, value in got[0][2]]
+    for mine, theirs in zip(decoded, arrays):
+        assert mine.dtype == theirs.dtype
+        np.testing.assert_array_equal(mine, theirs)
+        assert mine.flags.writeable
+    for victim in range(0, count, 61):
+        decoded[victim][...] = 99  # one array written ...
+        assert all(  # ... every other one untouched
+            np.array_equal(mine, theirs)
+            for i, (mine, theirs) in enumerate(zip(decoded, arrays)) if i != victim
+        )
+        decoded[victim][...] = arrays[victim]
 
 
 def test_manifest_frame_is_header_only():

@@ -9,6 +9,8 @@ multi-phase iterations, and combiners.  These tests pin that promise on
 all five algorithms plus the worker-count edge cases.
 """
 
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -27,6 +29,7 @@ from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import (
     IterativeJob,
     ParallelExecutionError,
+    ProcFault,
     run_accum_local,
     run_accum_parallel,
     run_local,
@@ -163,9 +166,9 @@ def test_components_zero_threshold():
 # ---------------------------------------------------------- start methods --
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_sssp_free_run_spawn_matrix(start_method):
-    """The differential promise holds under ``spawn`` (pipes, config
-    blobs and jobs all travel through the spawn machinery) exactly as
-    under ``fork``."""
+    """The differential promise holds under ``spawn`` (pipes, worker
+    configs and jobs all travel through the spawn machinery) exactly as
+    under ``fork`` (where the configs are inherited, not shipped)."""
     graph = sssp_graph(20, seed=8)
     job = sssp.build_imr_job(
         state_path=STATE, static_path=STATIC, output_path=OUT,
@@ -387,12 +390,111 @@ def _every_job():
 @pytest.mark.parametrize("name,job", list(_every_job()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_every_job_is_picklable(name, job):
-    """The parallel backend ships jobs as pickle blobs: every algorithm's
-    ``build_imr_job`` result must survive the round trip."""
+    """The parallel backend round-trips the job through pickle once per
+    mesh spawn, under every start method: every algorithm's
+    ``build_imr_job`` result must survive it."""
     clone = pickle.loads(pickle.dumps(job))
     assert clone.name == job.name
     assert len(clone.phases) == len(job.phases)
     assert (clone.aux is None) == (job.aux is None)
+
+
+# ----------------------------------------------------------- inheritance --
+class _Unshippable:
+    """A static value that refuses to cross a process boundary: a mesh
+    run that succeeds with it in its static data pickled no input."""
+
+    def __init__(self, weight: float):
+        self.weight = weight
+
+    def __reduce__(self):
+        raise TypeError("_Unshippable static value was pickled")
+
+
+def _weigh_map(key, state, static, ctx):
+    ctx.emit((key + 1) % 6, state * static.weight)  # read, never emitted
+
+
+def _sum_reduce(key, values, ctx):
+    ctx.emit(key, sum(values))
+
+
+def _moved(key, prev, cur):
+    return abs(cur - prev)
+
+
+def _inherit_setup(map_fn=_weigh_map):
+    # A distance and an unreachable threshold: the run is lock-step, so
+    # which checkpoints are committed when the fault fires is exact.
+    job = IterativeJob.single_phase(
+        "inherit", map_fn, _sum_reduce,
+        conf=JobConf({IterKeys.STATE_PATH: STATE, IterKeys.STATIC_PATH: STATIC,
+                      IterKeys.MAX_ITER: 8, IterKeys.DIST_THRESH: 0.0}),
+        output_path=OUT, distance_fn=_moved,
+    )
+    state = [(k, 1.0 + k) for k in range(6)]
+    static = {STATIC: [(k, _Unshippable(0.5 + k / 8)) for k in range(6)]}
+    return job, state, static
+
+
+def _mesh_leftovers():
+    workers = [p for p in multiprocessing.active_children()
+               if p.name.startswith("imr-worker")]
+    return workers, len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("recover", [False, True], ids=["clean", "respawn"])
+def test_forked_workers_inherit_their_inputs(recover):
+    """Under ``fork`` a worker reads the coordinator's partitioned
+    tables in place — nothing of the inputs is serialised, at the first
+    spawn or at a respawn after a kill."""
+    job, state, static = _inherit_setup()
+    ref = run_local(job, state, static, num_pairs=4)
+    armed = dict(
+        checkpoint_every=2, faults=[ProcFault(worker=1, iteration=5)],
+        heartbeat_interval=0.05,
+    ) if recover else {}
+    par = run_parallel(job, state, static, num_pairs=4, num_workers=2,
+                       start_method="fork", **armed)
+    assert records_identical(par.state, ref.state)
+    assert par.iterations_run == ref.iterations_run == 8
+    assert par.distances == ref.distances
+    assert par.recoveries == (1 if recover else 0)
+    if recover:
+        assert par.recovery_events[0]["restored_checkpoint"] == 3
+        assert par.recovery_events[0]["rejected_manifests"] == []
+
+
+def test_unshippable_input_fails_in_the_coordinator_under_spawn():
+    """``spawn`` has to pickle the inputs (``multiprocessing`` does it,
+    in ``Process.start``): the value's own error surfaces in the
+    coordinator, and no worker or pipe is left behind."""
+    job, state, static = _inherit_setup()
+
+    def attempt():
+        with pytest.raises(TypeError, match="_Unshippable static value was pickled"):
+            run_parallel(job, state, static, num_pairs=4, num_workers=2,
+                         start_method="spawn")
+        return _mesh_leftovers()
+
+    # A process's first spawn start also launches multiprocessing's own
+    # resource tracker (one pipe, kept for good): count after it.
+    workers, fds = attempt()
+    assert workers == []
+    assert attempt() == ([], fds)
+
+
+def test_unpicklable_job_fails_before_any_process_starts():
+    """The job itself still takes an explicit pickle round trip under
+    ``fork``, before any pipe or process exists."""
+    job, state, static = _inherit_setup(
+        map_fn=lambda key, state, static, ctx: ctx.emit(key, state)
+    )
+    _workers, fds_before = _mesh_leftovers()
+    with pytest.raises((pickle.PicklingError, AttributeError), match="lambda"):
+        run_parallel(job, state, static, num_pairs=4, num_workers=2,
+                     start_method="fork")
+    assert _mesh_leftovers() == ([], fds_before)
 
 
 # ----------------------------------------------------------- campaigns --

@@ -72,6 +72,9 @@ def assert_recovered_identical(job, state, static, *, faults, num_pairs,
     assert par.distances == ref.distances
     for event in par.recovery_events:
         assert event["resume_from"] <= faults[0].iteration + 1
+        # Every committed checkpoint restores: a fallback to an older
+        # one (or to iteration 0) would still be bit-exact, only slower.
+        assert event["rejected_manifests"] == []
     return par
 
 
