@@ -560,15 +560,9 @@ def _cmd_chaos(args) -> int:
             spec, knobs, parallel=args.parallel,
             parallel_start_method=args.parallel_start_method,
         )
-        par = outcome.parallel_result
-        if args.recovery_log and par is not None and par.recoveries:
-            _append_recovery_log(args.recovery_log, [{
-                "campaign_seed": args.campaign_seed,
-                "proc_kill": list(spec.proc_kill)
-                if spec.proc_kill is not None else None,
-                "recoveries": par.recoveries,
-                "events": list(par.recovery_events),
-            }])
+        record = outcome.recovery_record()
+        if args.recovery_log and record is not None:
+            _append_recovery_log(args.recovery_log, [record])
         if outcome.ok:
             print(f"all oracles passed ({outcome.wall_seconds:.2f}s)")
             return 0

@@ -645,7 +645,7 @@ class ColumnarSync:
         return {p: decode_columnar(self.owned[p], self.values[p]) for p in self.pairs}
 
     def final_stats(self) -> dict:
-        return {"route_cache_size": 0}  # no per-key routing on this path
+        return {}
 
 
 class ColumnarAccum:

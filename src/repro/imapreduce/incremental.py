@@ -64,6 +64,7 @@ exact* against the cold rerun — the bar the
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,7 +72,7 @@ from typing import Any, Iterable
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
-from ..common.records import sort_records
+from ..common.records import order_key, sort_records
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -389,8 +390,6 @@ def _plan_min(
     initial_delta_fn,
 ) -> ChangePlan:
     """Invalidate-and-reseed for min algebras (see module doc)."""
-    import math
-
     kind = ADJACENCY_KINDS[algorithm]
     inf = math.inf
     old_table = dict(table)
@@ -426,14 +425,14 @@ def _plan_min(
         old = pert.get(key)
         pert[key] = value if old is None else min(old, value)
 
-    for k in sorted(reset, key=lambda k: (type(k).__name__, k)):
+    for k in sorted(reset, key=order_key):
         seed = initial_delta_fn(k)
         if seed is not None:
             offer(k, seed)
     if reset:
         # Boundary offers: every surviving in-edge from a non-reset
         # source re-seeds its reset target from the standing memo.
-        for a in sorted(table, key=lambda k: (type(k).__name__, k)):
+        for a in sorted(table, key=order_key):
             if a in reset:
                 continue
             sa = state.get(a, inf)
@@ -455,12 +454,9 @@ def _plan_min(
         candidate = su + w
         if candidate < state.get(v, inf):
             offer(v, candidate)
-    perturbation = sorted(
-        pert.items(), key=lambda kv: (type(kv[0]).__name__, kv[0])
-    )
     return ChangePlan(
         algorithm=algorithm,
-        perturbation=perturbation,
+        perturbation=sort_records(pert.items()),
         reset_keys=frozenset(reset),
         dirty_sources=frozenset(dirty),
         delta_size=delta.size,
@@ -559,12 +555,9 @@ def warm_sync_state(
             (k, min(v, offers[k]) if k in offers else v) for k, v in state
         ]
         # Inserted nodes have no memo record yet — seed them fresh.
-        state.extend(
-            (k, offers[k]) for k in sorted(
-                (k for k in offers if k not in known),
-                key=lambda k: (type(k).__name__, k),
-            )
-        )
+        state.extend(sort_records(
+            (k, offers[k]) for k in offers if k not in known
+        ))
     return state
 
 

@@ -201,10 +201,6 @@ class RecordSync:
             for hop in ((SHUFFLE, i), (REPART, i))
             if hop != (REPART, self.last)
         ]
-        # part(key) -> pair, memoized for the job's stable key universe:
-        # after iteration 0 the partitioner never runs on the shuffle
-        # hot path again.
-        self.route_cache: dict[Any, int] = {}
         # Loop-invariant groupings, per ("send" | "recv", phase, pair):
         # at most one plan and one candidate key sequence each.  Derived
         # state — not in ``snapshot()``, rebuilt after a respawn.
@@ -261,8 +257,7 @@ class RecordSync:
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         phase_sorted = self.static_sorted[phase]
         combiner = self.phases[phase].combiner if kind == SHUFFLE else None
-        part, cache = self.part, self.route_cache
-        cached = cache.get
+        part = self.part
         items = []
         # One running clock, so the time between two charges — the
         # release of the previous pair's records, say — is somebody's.
@@ -281,11 +276,7 @@ class RecordSync:
             if combiner is None:
                 by_dest: dict[int, list] = defaultdict(list)
                 for rec in records:
-                    key = rec[0]
-                    q = cached(key)
-                    if q is None:
-                        q = cache[key] = part(key)
-                    by_dest[q].append(rec)
+                    by_dest[part(rec[0])].append(rec)
                 items.extend((q, p, recs) for q, recs in by_dest.items())
             mapped = time.perf_counter()
             self.timings["map"] += mapped - clock
@@ -350,7 +341,6 @@ class RecordSync:
 
     def final_stats(self) -> dict:
         return {
-            "route_cache_size": len(self.route_cache),
             "plans_built": self.plans_built,
             "plan_hits": self.plan_hits,
         }

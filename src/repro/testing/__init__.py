@@ -11,16 +11,26 @@ runtime instead of one hand-written test per bug:
     reference execution, and the path it took must satisfy the runtime's
     own invariants.
 
+A campaign is a table of rows, one per run — the serial reference, the
+simulated cluster, and every twin the spec's dimensions ask for (kernel,
+mesh, Maiter async schedules, i2MapReduce warm refreshes) — each naming
+the run it is compared with; one judge applies one rule set to every
+row, so a new execution mode joins the harness as rows, not as a new
+oracle.
+
 Entry points: :func:`generate_campaign` (seed → spec),
-:func:`run_campaign` (spec → judged outcome), :func:`run_chaos`
-(battery + shrinking), and the ``repro chaos`` CLI.
+:func:`campaign_rows` (spec → table), :func:`run_campaign` (spec →
+judged outcome), :func:`run_chaos` (battery + shrinking), and the
+``repro chaos`` CLI.
 """
 
 from .campaign import WORKLOADS, CampaignSpec, generate_campaign
 from .oracles import (
     ALL_ORACLES,
     OracleViolation,
+    Row,
     evaluate_oracles,
+    judge,
     records_identical,
     states_match,
     values_close,
@@ -31,6 +41,7 @@ from .runner import (
     CampaignOutcome,
     ChaosReport,
     campaign_fails,
+    campaign_rows,
     run_campaign,
     run_chaos,
 )
@@ -42,7 +53,9 @@ __all__ = [
     "generate_campaign",
     "ALL_ORACLES",
     "OracleViolation",
+    "Row",
     "evaluate_oracles",
+    "judge",
     "records_identical",
     "states_match",
     "values_close",
@@ -51,6 +64,7 @@ __all__ = [
     "CampaignOutcome",
     "ChaosReport",
     "campaign_fails",
+    "campaign_rows",
     "run_campaign",
     "run_chaos",
     "shrink",

@@ -1,22 +1,24 @@
 """Differential and invariant oracles for chaos campaigns.
 
-Each oracle inspects one completed campaign run and returns a list of
-violations (empty == pass).  The headline check is *differential*: the
-distributed engine's final state must match the serial reference
-executor's (:func:`repro.imapreduce.run_local`) within a small floating
-tolerance — the same result-equivalence methodology Stratosphere and
-i2MapReduce use to validate their iterative runtimes — regardless of
-which faults, migrations or asynchronous run-ahead the campaign threw at
-the engine.  The invariant oracles then cross-check the *path* the
-engine took: it terminated cleanly, recoveries rolled back no further
+A campaign is a table of :class:`Row` s — one per run it makes, each
+naming the run it is compared with — and :func:`judge` is the one
+differential oracle over all of them: the simulated cluster against the
+serial reference, the kernel twin against the record path, the mesh
+against its serial twin bit for bit, every asynchronous schedule against
+the synchronous fixpoint, every warm refresh against the cold rerun.
+That is the result-equivalence methodology Stratosphere and i2MapReduce
+use to validate their iterative runtimes, applied regardless of which
+faults, migrations or asynchronous run-ahead the campaign threw at the
+engine.  The invariant oracles then cross-check the *path* the engine
+took: it terminated cleanly, recoveries fired and rolled back no further
 forward than the last durable checkpoint, and the trace is structurally
-well-formed.
+well-formed.  Every oracle returns a list of violations (empty == pass).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..metrics.trace import check_well_formed
 
@@ -27,13 +29,11 @@ __all__ = [
     "records_identical",
     "states_match",
     "fixpoints_agree",
+    "CLUSTER",
+    "Row",
+    "judge",
     "oracle_termination",
-    "oracle_differential",
-    "oracle_kernel_differential",
-    "oracle_parallel_differential",
     "oracle_parallel_recovery",
-    "oracle_async_fixpoint",
-    "oracle_incremental_differential",
     "oracle_checkpoint_rollback",
     "oracle_trace_well_formed",
     "ALL_ORACLES",
@@ -148,177 +148,108 @@ def states_match(
 def fixpoints_agree(a: list, b: list, exact: bool) -> bool:
     """Do two runs' final states name the same fixpoint?  ``exact``
     (min algebras) demands record identity; otherwise :data:`RTOL` /
-    :data:`ATOL` — the bar the fixpoint oracles below enforce."""
+    :data:`ATOL` — the bar :func:`judge` enforces."""
     return records_identical(a, b) if exact else not states_match(a, b)
 
 
+# ------------------------------------------------------------- the table --
+#: The simulated-cluster run's name.  Its failure is the termination
+#: oracle's to report; its state is the DFS readback.
+CLUSTER = "cluster"
+
+
+@dataclass(frozen=True)
+class Row:
+    """One run a campaign makes, and how it is judged.
+
+    ``inputs`` is the state (iterative jobs) or the initial deltas
+    (accumulative jobs) — or the *name* of an earlier row, whose final
+    state seeds this run (a warm refresh starts from the cold base's
+    memo).  ``plan`` is ``None`` only on the simulated-cluster row.  The
+    run is compared with the run named ``reference`` — record for record
+    when ``exact``, within :data:`RTOL`/:data:`ATOL` otherwise — and
+    every violation carries ``oracle``.  A row without a reference is
+    only checked to run (and, with ``progress``, to stop by accumulated
+    progress).
+    """
+
+    name: str
+    job: Any = None
+    inputs: Any = None
+    statics: Any = None
+    plan: Any = None
+    reference: str | None = None
+    oracle: str = ""
+    exact: bool = False
+    progress: bool = False
+
+
+def _row_problems(row: Row, runs: dict) -> list[str]:
+    run = runs.get(row.name)
+    if run is None or (row.name == CLUSTER and isinstance(run, BaseException)):
+        return []  # not run (its input run raised), or termination's to report
+    if isinstance(run, BaseException):
+        return [f"run raised {type(run).__name__}: {run}"]
+    if row.progress and run.terminated_by != "progress":
+        return [f"terminated by {run.terminated_by!r}, not accumulated progress"]
+    ref = runs.get(row.reference)
+    if ref is None or isinstance(ref, BaseException):
+        return []  # a reference row, or its reference raised (reported there)
+    problems = []
+    if not row.progress:  # accumulative schedules differ in their rounds
+        for attr in ("terminated_by", "iterations_run"):
+            ours, theirs = getattr(run, attr), getattr(ref, attr)
+            if ours != theirs:
+                problems.append(f"{attr}={ours!r}, {row.reference} says {theirs!r}")
+    problems += states_match(run.state, ref.state)
+    if row.exact and not problems and not records_identical(run.state, ref.state):
+        problems.append("states compare close but not record-identical")
+    return problems
+
+
+def judge(rows, runs: dict) -> list[OracleViolation]:
+    """The differential oracles: one rule set over every row of the table.
+
+    A run that raised is reported once, under its own name, and a row
+    whose reference raised is skipped.  Accumulative rows (``progress``)
+    must stop by accumulated progress; iterative rows must match their
+    reference's ``terminated_by`` and ``iterations_run``.  Then the
+    states: ``exact`` rows record for record (the mesh, whose merge
+    order is the serial executor's; ``min`` algebras, whose fixpoint is
+    unique and drains exactly), the rest within tolerance (``+``
+    algebras reorder float additions and stop at a pending-mass
+    threshold).  One violation per failing row, prefixed with its name.
+    """
+    return [
+        OracleViolation(row.oracle, f"{row.name}: " + "; ".join(problems))
+        for row in rows
+        if (problems := _row_problems(row, runs))
+    ]
+
+
 # --------------------------------------------------------------- oracles --
-# Every oracle has the signature (spec, outcome) -> list[OracleViolation];
-# ``outcome`` is the CampaignOutcome the runner assembled.
+# The invariant oracles have the signature (spec, outcome) ->
+# list[OracleViolation]; ``outcome`` is the CampaignOutcome the runner
+# assembled.
 
 
 def oracle_termination(spec, outcome) -> list[OracleViolation]:
-    """Every campaign terminates cleanly, within its iteration budget."""
-    v: list[OracleViolation] = []
-    if outcome.error is not None:
-        v.append(
-            OracleViolation(
-                "termination",
-                f"run raised {type(outcome.error).__name__}: {outcome.error}",
-            )
-        )
-        return v
-    result = outcome.result
-    if result is None:
-        v.append(OracleViolation("termination", "run produced no result"))
-        return v
-    if result.iterations_run > spec.max_iterations:
-        v.append(
-            OracleViolation(
-                "termination",
-                f"ran {result.iterations_run} iterations, budget was "
-                f"{spec.max_iterations}",
-            )
-        )
-    return v
-
-
-def oracle_differential(spec, outcome) -> list[OracleViolation]:
-    """Final state equals the serial reference execution within tolerance."""
-    if outcome.error is not None or outcome.result is None:
-        return []  # termination oracle owns this failure
-    v: list[OracleViolation] = []
-    ref = outcome.reference
-    if outcome.result.terminated_by != ref.terminated_by:
-        v.append(
-            OracleViolation(
-                "differential",
-                f"terminated_by={outcome.result.terminated_by!r}, reference "
-                f"says {ref.terminated_by!r}",
-            )
-        )
-    if outcome.result.iterations_run != ref.iterations_run:
-        v.append(
-            OracleViolation(
-                "differential",
-                f"ran {outcome.result.iterations_run} iterations, reference "
-                f"ran {ref.iterations_run}",
-            )
-        )
-    for problem in states_match(outcome.final_state, ref.state):
-        v.append(OracleViolation("differential", problem))
-    return v
-
-
-def oracle_kernel_differential(spec, outcome) -> list[OracleViolation]:
-    """The columnar kernel run agrees with the record-path reference.
-
-    ``min``-merge workloads (sssp) must match record for record — the
-    kernel performs the identical float additions and ``min`` is
-    order-independent.  ``sum``-merge workloads (pagerank, kmeans) are
-    compared within :data:`RTOL`/:data:`ATOL`: vectorized accumulation
-    reorders the float additions, bounded by ``(n−1)·eps·Σ|xᵢ|`` — orders
-    of magnitude inside the tolerance at campaign scale.  Inert unless
-    ``spec.use_kernels``.
-    """
-    if not getattr(spec, "use_kernels", False):
-        return []
-    v: list[OracleViolation] = []
-    if outcome.kernel_error is not None:
-        v.append(
-            OracleViolation(
-                "kernel-differential",
-                f"kernel run raised {type(outcome.kernel_error).__name__}: "
-                f"{outcome.kernel_error}",
-            )
-        )
-        return v
-    ker = outcome.kernel_result
-    if ker is None:
-        return v
-    ref = outcome.reference
-    if ker.terminated_by != ref.terminated_by:
-        v.append(
-            OracleViolation(
-                "kernel-differential",
-                f"terminated_by={ker.terminated_by!r}, reference says "
-                f"{ref.terminated_by!r}",
-            )
-        )
-    if ker.iterations_run != ref.iterations_run:
-        v.append(
-            OracleViolation(
-                "kernel-differential",
-                f"ran {ker.iterations_run} iterations, reference ran "
-                f"{ref.iterations_run}",
-            )
-        )
-    if spec.workload == "sssp":
-        if not records_identical(ker.state, ref.state):
-            detail = "; ".join(states_match(ker.state, ref.state)) or (
-                "states compare close but not record-identical"
-            )
-            v.append(OracleViolation("kernel-differential", detail))
-    else:
-        for problem in states_match(ker.state, ref.state):
-            v.append(OracleViolation("kernel-differential", problem))
-    return v
-
-
-def oracle_parallel_differential(spec, outcome) -> list[OracleViolation]:
-    """The real multiprocess backend reproduces its serial twin
-    *record for record* — no float tolerance.
-
-    ``run_parallel`` shares the per-pair map/combine code path with
-    ``run_local`` and orders every reduce input and distance fold
-    identically, so its results are bit-equal by construction; any
-    drift, however small, is a routing or ordering bug.  With
-    ``spec.use_kernels`` the backend ran the kernel job, and the serial
-    twin is the *columnar* run (same ordering argument, vectorized); the
-    comparison stays bit-exact.  The oracle is inert unless the campaign
-    ran in ``parallel`` mode.
-    """
-    v: list[OracleViolation] = []
-    if outcome.parallel_error is not None:
-        v.append(
-            OracleViolation(
-                "parallel-differential",
-                f"run_parallel raised "
-                f"{type(outcome.parallel_error).__name__}: "
-                f"{outcome.parallel_error}",
-            )
-        )
-        return v
-    par = outcome.parallel_result
-    if par is None:
-        return v
-    ref = outcome.reference
-    if getattr(spec, "use_kernels", False):
-        ref = outcome.kernel_result
-        if ref is None:  # kernel run failed; its own oracle reports that
-            return v
-    if par.terminated_by != ref.terminated_by:
-        v.append(
-            OracleViolation(
-                "parallel-differential",
-                f"terminated_by={par.terminated_by!r}, reference says "
-                f"{ref.terminated_by!r}",
-            )
-        )
-    if par.iterations_run != ref.iterations_run:
-        v.append(
-            OracleViolation(
-                "parallel-differential",
-                f"ran {par.iterations_run} iterations, reference ran "
-                f"{ref.iterations_run}",
-            )
-        )
-    if not records_identical(par.state, ref.state):
-        detail = "; ".join(states_match(par.state, ref.state)) or (
-            "states compare close but not record-identical"
-        )
-        v.append(OracleViolation("parallel-differential", detail))
-    return v
+    """The simulated-cluster run terminates cleanly, within its
+    iteration budget."""
+    run = outcome.runs.get(CLUSTER)
+    if run is None:
+        return [OracleViolation("termination", f"{CLUSTER}: produced no result")]
+    if isinstance(run, BaseException):
+        return [OracleViolation(
+            "termination", f"{CLUSTER}: run raised {type(run).__name__}: {run}"
+        )]
+    if run.iterations_run > spec.max_iterations:
+        return [OracleViolation(
+            "termination",
+            f"{CLUSTER}: ran {run.iterations_run} iterations, budget was "
+            f"{spec.max_iterations}",
+        )]
+    return []
 
 
 def oracle_parallel_recovery(spec, outcome) -> list[OracleViolation]:
@@ -336,9 +267,9 @@ def oracle_parallel_recovery(spec, outcome) -> list[OracleViolation]:
     """
     if getattr(spec, "proc_kill", None) is None:
         return []
-    par = outcome.parallel_result
-    if par is None:  # parallel mode off, or the run died: other oracles own it
-        return []
+    par = outcome.runs.get("parallel")
+    if par is None or isinstance(par, BaseException):
+        return []  # parallel mode off, or the run died: the judge reports it
     v: list[OracleViolation] = []
     _victim, at_iteration, action = spec.proc_kill
     if par.recoveries < 1:
@@ -368,147 +299,6 @@ def oracle_parallel_recovery(spec, outcome) -> list[OracleViolation]:
                     f"interrupted iteration {at_iteration}",
                 )
             )
-    return v
-
-
-def oracle_async_fixpoint(spec, outcome) -> list[OracleViolation]:
-    """Fixpoint equivalence for the accumulative (Maiter-mode) twin.
-
-    Every asynchronous schedule of the same accumulative job — serial
-    top-fraction, seeded-deferral simulated, delta kernel, real
-    multiprocess — must land on the synchronous reference's fixpoint:
-    record-identical for ``min`` algebras (the fixpoint is unique and
-    the deltas drain exactly), within :data:`RTOL`/:data:`ATOL` for
-    ``+`` algebras (every run stops at pending mass ≤ the job threshold,
-    so each sits within a threshold-sized ball of the true fixpoint —
-    the campaign thresholds leave orders of magnitude of headroom).
-    Every run must terminate by accumulated progress, not the round
-    budget.  Inert unless ``spec.async_mode``.
-    """
-    if not getattr(spec, "async_mode", False):
-        return []
-    v: list[OracleViolation] = []
-    for name, error in outcome.async_errors.items():
-        v.append(
-            OracleViolation(
-                "async-fixpoint",
-                f"{name} run raised {type(error).__name__}: {error}",
-            )
-        )
-    ref = outcome.async_reference
-    if ref is None:
-        if not outcome.async_errors:
-            v.append(
-                OracleViolation("async-fixpoint", "no sync reference was run")
-            )
-        return v
-    if ref.terminated_by != "progress":
-        v.append(
-            OracleViolation(
-                "async-fixpoint",
-                f"sync reference terminated by {ref.terminated_by!r}, "
-                "not accumulated progress",
-            )
-        )
-    exact = outcome.async_algebra == "min"
-    for name, result in outcome.async_results.items():
-        if result.terminated_by != "progress":
-            v.append(
-                OracleViolation(
-                    "async-fixpoint",
-                    f"{name} run terminated by {result.terminated_by!r}, "
-                    "not accumulated progress",
-                )
-            )
-            continue
-        if exact:
-            if not records_identical(result.state, ref.state):
-                detail = "; ".join(states_match(result.state, ref.state)) or (
-                    "states compare close but not record-identical"
-                )
-                v.append(
-                    OracleViolation(
-                        "async-fixpoint",
-                        f"{name} (min algebra, must be bit-exact): {detail}",
-                    )
-                )
-        else:
-            for problem in states_match(result.state, ref.state):
-                v.append(OracleViolation("async-fixpoint", f"{name}: {problem}"))
-    return v
-
-
-def oracle_incremental_differential(spec, outcome) -> list[OracleViolation]:
-    """Warm-refresh equivalence for the incremental (i2MapReduce-mode)
-    twin.
-
-    Every warm-started refresh of the mutated input — memoized state
-    plus change-propagated perturbation deltas, on any engine — must
-    land on the *cold rerun's* fixpoint: record-identical for ``min``
-    algebras (surviving memo values are the same left-folded path sums
-    the cold rerun computes, invalidated keys re-derive them), within
-    :data:`RTOL`/:data:`ATOL` for ``+`` algebras (the residual-injected
-    warm run stops at the same pending-mass threshold the cold run
-    does).  Every run must terminate by accumulated progress, not the
-    round budget.  Inert unless ``spec.input_delta``.
-    """
-    if getattr(spec, "input_delta", None) is None:
-        return []
-    v: list[OracleViolation] = []
-    for name, error in outcome.incremental_errors.items():
-        v.append(
-            OracleViolation(
-                "incremental-differential",
-                f"{name} run raised {type(error).__name__}: {error}",
-            )
-        )
-    ref = outcome.incremental_reference
-    if ref is None:
-        if not outcome.incremental_errors:
-            v.append(
-                OracleViolation(
-                    "incremental-differential", "no cold rerun was run"
-                )
-            )
-        return v
-    if ref.terminated_by != "progress":
-        v.append(
-            OracleViolation(
-                "incremental-differential",
-                f"cold rerun terminated by {ref.terminated_by!r}, "
-                "not accumulated progress",
-            )
-        )
-    exact = outcome.incremental_algebra == "min"
-    for name, result in outcome.incremental_results.items():
-        if result.terminated_by != "progress":
-            v.append(
-                OracleViolation(
-                    "incremental-differential",
-                    f"{name} run terminated by {result.terminated_by!r}, "
-                    "not accumulated progress",
-                )
-            )
-            continue
-        if exact:
-            if not records_identical(result.state, ref.state):
-                detail = "; ".join(states_match(result.state, ref.state)) or (
-                    "states compare close but not record-identical"
-                )
-                v.append(
-                    OracleViolation(
-                        "incremental-differential",
-                        f"{name} (min algebra, warm must be bit-exact "
-                        f"against the cold rerun): {detail}",
-                    )
-                )
-        else:
-            for problem in states_match(result.state, ref.state):
-                v.append(
-                    OracleViolation(
-                        "incremental-differential", f"{name}: {problem}"
-                    )
-                )
     return v
 
 
@@ -562,22 +352,21 @@ def oracle_trace_well_formed(spec, outcome) -> list[OracleViolation]:
     return [OracleViolation("trace", p) for p in problems]
 
 
-ALL_ORACLES: dict[str, Callable] = {
-    "termination": oracle_termination,
-    "differential": oracle_differential,
-    "kernel-differential": oracle_kernel_differential,
-    "parallel-differential": oracle_parallel_differential,
-    "parallel-recovery": oracle_parallel_recovery,
-    "async-fixpoint": oracle_async_fixpoint,
-    "incremental-differential": oracle_incremental_differential,
-    "checkpoint": oracle_checkpoint_rollback,
-    "trace": oracle_trace_well_formed,
-}
+#: Every oracle name a violation can carry: the invariant oracles and
+#: the differential ones table rows are judged under.
+ALL_ORACLES = (
+    "termination", "differential", "kernel-differential",
+    "parallel-differential", "parallel-recovery", "async-fixpoint",
+    "incremental-differential", "checkpoint", "trace",
+)
 
 
 def evaluate_oracles(spec, outcome) -> list[OracleViolation]:
     """Run every oracle; concatenated violations, [] == all pass."""
-    violations: list[OracleViolation] = []
-    for oracle in ALL_ORACLES.values():
-        violations.extend(oracle(spec, outcome))
-    return violations
+    return [
+        *oracle_termination(spec, outcome),
+        *judge(outcome.rows, outcome.runs),
+        *oracle_parallel_recovery(spec, outcome),
+        *oracle_checkpoint_rollback(spec, outcome),
+        *oracle_trace_well_formed(spec, outcome),
+    ]

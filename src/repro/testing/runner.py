@@ -1,9 +1,13 @@
-"""Campaign execution: build the world a spec describes, run it, judge it.
+"""Campaign execution: build the table a spec describes, run it, judge it.
 
-``run_campaign`` is the single entry the smoke tests, the shrinker and
-the CLI all share: spec in, :class:`CampaignOutcome` out — the
-distributed run (or the exception it died with), the serial reference
-execution, the trace, and every oracle violation.
+A campaign is a table of rows (:func:`campaign_rows`): one per run —
+the serial reference, the simulated cluster, and every twin the spec's
+dimensions ask for — each naming the run it is compared with and the
+oracle that judges it.  ``run_campaign`` is the single entry the smoke
+tests, the shrinker and the CLI all share: spec in, every row run
+through :func:`~repro.imapreduce.execute` (the cluster through the
+simulated runtime), :class:`CampaignOutcome` out — each run's result or
+the exception it died with, the trace, and every oracle violation.
 
 ``run_chaos`` drives a whole seeded campaign battery: generate K specs
 from a master seed, run each, greedily shrink the failures, and return a
@@ -15,10 +19,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from ..algorithms.workloads import build_workload
-from ..cluster import Cluster, heterogeneous_cluster, local_cluster
+from ..cluster import heterogeneous_cluster, local_cluster
 from ..common import IterKeys, stable_seed
 from ..data.lastfm import load_lastfm
 from ..dfs import DFS
@@ -38,13 +43,14 @@ from ..imapreduce.incremental import cold_rerun_inputs
 from ..metrics.trace import TraceEvent, Tracer
 from ..simulation import Engine
 from .campaign import REPLICATION, WORKLOADS, CampaignSpec, generate_campaign
-from .oracles import OracleViolation, evaluate_oracles
+from .oracles import CLUSTER, OracleViolation, Row, evaluate_oracles
 from .shrink import shrink
 
 __all__ = [
     "CampaignOutcome",
     "CampaignFailure",
     "ChaosReport",
+    "campaign_rows",
     "run_campaign",
     "campaign_fails",
     "run_chaos",
@@ -53,58 +59,47 @@ __all__ = [
 STATE_PATH = "/chaos/state"
 STATIC_PATH = "/chaos/static"
 OUTPUT_PATH = "/chaos/out"
+#: The serial record-path run every iterative twin is judged against.
+REFERENCE = "reference"
 
 
 @dataclass
 class CampaignOutcome:
-    """Everything one campaign produced, plus the oracles' verdict."""
+    """Everything one campaign produced, plus the oracles' verdict.
+
+    ``rows`` is the campaign's table (:func:`campaign_rows`) and ``runs``
+    maps each row's name to its run's result, or to the exception it
+    died with; a row absent from ``runs`` was not run, because the run
+    its inputs come from raised.  The ``cluster`` entry carries the
+    simulated runtime's result fields plus ``state``, the DFS readback,
+    and ``trace_events`` is that run's trace.
+    """
 
     spec: CampaignSpec
-    result: Any = None  # IterativeRunResult | None
-    reference: Any = None  # LocalRunResult | None
-    final_state: list = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
+    runs: dict[str, Any] = field(default_factory=dict)
     trace_events: list[TraceEvent] = field(default_factory=list)
-    error: BaseException | None = None
     violations: list[OracleViolation] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Set when the campaign also ran the real multiprocess backend
-    #: (``parallel`` mode): its result, or the exception it died with.
-    parallel_result: Any = None  # ParallelRunResult | None
-    parallel_error: BaseException | None = None
-    #: Set when ``spec.use_kernels``: the kernel-enabled job's serial
-    #: columnar run (or the exception it died with).  In ``parallel``
-    #: mode the multiprocess backend runs the kernel job too, and the
-    #: parallel oracle compares against this result bit-for-bit.
-    kernel_result: Any = None  # LocalRunResult | None
-    kernel_error: BaseException | None = None
-    #: Set when ``spec.async_mode``: the accumulative (Maiter-mode)
-    #: twin's runs, judged by the ``async-fixpoint`` oracle.
-    #: ``async_reference`` is the synchronous serial run;
-    #: ``async_results`` maps schedule name (``"serial-async"``,
-    #: ``"simulated"``, ``"kernel-async"``, ``"parallel-async"``) to its
-    #: result; ``async_errors`` maps the name to the exception instead
-    #: when a run died.  ``async_algebra`` is ``"min"`` or ``"sum"``.
-    async_reference: Any = None  # AccumRunResult | None
-    async_results: dict = field(default_factory=dict)
-    async_errors: dict = field(default_factory=dict)
-    async_algebra: str = ""
-    #: Set when ``spec.input_delta``: the incremental-refresh
-    #: (i2MapReduce-mode) twin's runs, judged by the
-    #: ``incremental-differential`` oracle.  ``incremental_reference``
-    #: is the cold rerun on the *mutated* input;
-    #: ``incremental_results`` maps schedule name
-    #: (``"warm-serial-sync"``, ``"warm-serial-async"``,
-    #: ``"warm-kernel-async"``, ``"warm-parallel-async"``) to its
-    #: warm-started run; ``incremental_errors`` maps the name to the
-    #: exception instead when a run died.
-    incremental_reference: Any = None  # AccumRunResult | None
-    incremental_results: dict = field(default_factory=dict)
-    incremental_errors: dict = field(default_factory=dict)
-    incremental_algebra: str = ""
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def recovery_record(self) -> dict | None:
+        """The mesh run's recovery trace — campaign seed, the seeded
+        ``proc_kill`` and the backend's ``recovery_events`` verbatim —
+        or ``None`` unless it took the recovery path."""
+        par = self.runs.get("parallel")
+        if par is None or isinstance(par, BaseException) or not par.recoveries:
+            return None
+        kill = self.spec.proc_kill
+        return {
+            "campaign_seed": self.spec.seed,
+            "proc_kill": list(kill) if kill is not None else None,
+            "recoveries": par.recoveries,
+            "events": list(par.recovery_events),
+        }
 
 
 @dataclass
@@ -134,10 +129,9 @@ class ChaosReport:
     passed: int = 0
     failures: list[CampaignFailure] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: One dict per campaign whose parallel run took the recovery path:
-    #: campaign seed, the seeded ``proc_kill``, and the backend's
-    #: ``recovery_events`` verbatim.  ``repro chaos --recovery-log``
-    #: serializes these as JSONL for CI artifacts.
+    #: :meth:`CampaignOutcome.recovery_record` of every campaign whose
+    #: parallel run took the recovery path.  ``repro chaos
+    #: --recovery-log`` serializes these as JSONL for CI artifacts.
     recovery_events: list[dict] = field(default_factory=list)
 
     @property
@@ -199,149 +193,135 @@ def _build_accumulative(spec: CampaignSpec, use_kernel: bool = False):
     )
 
 
-def _run_schedules(spec, schedules, inputs, statics, results, errors) -> None:
-    """Run every ``(name, use_kernel, plan)`` schedule on the spec's
-    accumulative twin; a run that dies is recorded, not raised (the
-    fixpoint oracles judge it)."""
-    jobs: dict = {}
-    for name, use_kernel, plan in schedules:
-        if use_kernel not in jobs:
-            jobs[use_kernel] = _build_accumulative(spec, use_kernel).job
-        try:
-            results[name] = execute(jobs[use_kernel], inputs, statics, plan)
-        except Exception as exc:
-            errors[name] = exc
+def _armed(spec: CampaignSpec, parallel_plan: ExecutionPlan) -> ExecutionPlan:
+    """The mesh plan; process-death campaigns arm its fault tolerance —
+    the seeded kill/stop fires mid-run, recovery restores the durable
+    checkpoint, and the recovered run is judged like an unfaulted one."""
+    if spec.proc_kill is None:
+        return parallel_plan
+    victim, at_iteration, action = spec.proc_kill
+    mesh_size = max(1, min(parallel_plan.num_workers, spec.num_pairs))
+    return replace(
+        parallel_plan,
+        checkpoint_every=spec.checkpoint_interval,
+        heartbeat_interval=0.05,
+        # SIGSTOP is only caught by heartbeat silence; give spawn
+        # meshes headroom for their interpreter startup.
+        suspicion_timeout=30.0 if parallel_plan.start_method == "spawn" else 8.0,
+        faults=(ProcFault(worker=victim % mesh_size, iteration=at_iteration,
+                          action=action),),
+    )
 
 
-def _async_schedules(spec, parallel_plan, prefix: str = "") -> list:
-    """The asynchronous schedules a spec asks for, as plans: serial,
-    the kernel twin (``use_kernels``), the real mesh (``parallel``)."""
+def _schedules(spec: CampaignSpec, parallel_plan, simulated: bool) -> list:
+    """``(name, use_kernel, plan)`` for every asynchronous schedule of
+    the accumulative twin the spec asks for: serial, the seeded-deferral
+    simulated one, the delta kernel (``use_kernels``), the mesh."""
     serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="async")
-    schedules = [(f"{prefix}serial-async", False, serial)]
+    schedules = [("serial-async", False, serial)]
+    if simulated:
+        schedules.append(("simulated", False,
+                          replace(serial, backend="simulated", seed=spec.seed)))
     if spec.use_kernels:
-        schedules.append((f"{prefix}kernel-async", True, serial))
+        schedules.append(("kernel-async", True, serial))
     if parallel_plan is not None:
-        schedules.append((
-            f"{prefix}parallel-async", False,
-            replace(parallel_plan, num_pairs=spec.num_pairs, mode="async"),
-        ))
+        schedules.append(("parallel-async", False,
+                          replace(parallel_plan, mode="async")))
     return schedules
 
 
-def _run_accum_twin(spec, outcome: CampaignOutcome, parallel_plan) -> None:
-    """Run the accumulative twin under every schedule the spec asks for.
+def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
+    """The campaign as a table: every run it makes, in order, and what
+    each is judged against.  A new execution mode joins as rows.
 
-    All runs share one input; the ``async-fixpoint`` oracle compares
-    each asynchronous schedule's fixpoint against the synchronous
-    serial reference.
+    The iterative workload runs on the simulated cluster, the serial
+    reference, the kernel twin (``use_kernels``) and the mesh
+    (``parallel_plan``; with kernels on it runs the kernel job and must
+    reproduce the serial columnar run bit for bit).  ``async_mode``
+    adds the accumulative (Maiter-mode) twin: a synchronous serial
+    reference and every asynchronous schedule.  ``input_delta`` adds
+    the incremental-refresh (i2MapReduce-mode) twin: a cold base run,
+    the spec's churn applied to the campaign graph, a cold rerun on the
+    mutated input, and every warm refresh of the base's memo.
     """
-    job, deltas, static_map, _planner, outcome.async_algebra = (
-        _build_accumulative(spec)
-    )
-    serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
-    try:
-        outcome.async_reference = execute(job, deltas, static_map, serial)
-    except Exception as exc:
-        outcome.async_errors["sync-reference"] = exc
-        return
-    schedules = _async_schedules(spec, parallel_plan)
-    schedules.insert(1, (
-        "simulated", False,
-        replace(serial, backend="simulated", mode="async", seed=spec.seed),
-    ))
-    _run_schedules(spec, schedules, deltas, static_map,
-                   outcome.async_results, outcome.async_errors)
-
-
-def _run_incremental_twin(spec, outcome: CampaignOutcome, parallel_plan) -> None:
-    """Run the incremental-refresh (i2MapReduce-mode) twin.
-
-    One cold base run converges and is memoized; the spec's pinned
-    churn parameters synthesize a :class:`DataDelta` against the
-    campaign graph; a cold rerun on the mutated input becomes the
-    reference fixpoint; and every warm-started refresh — serial sync,
-    serial async, the kernel twin, the real multiprocess backend — is
-    judged against it by the ``incremental-differential`` oracle.
-    """
-    job, deltas, static_map, planner, outcome.incremental_algebra = (
-        _build_accumulative(spec)
-    )
-    table = dict(static_map[STATIC_PATH])
-    insert, delete, churn_seed = spec.input_delta
-    serial = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
-    try:
-        delta = random_edge_churn(
-            table, spec.workload, insert=insert, delete=delete,
-            seed=churn_seed,
-        )
-        memo = execute(job, deltas, static_map, serial)
-        cold_deltas, mutated = cold_rerun_inputs(
-            spec.workload, table, delta, **planner
-        )
-        outcome.incremental_reference = execute(
-            job, cold_deltas, {STATIC_PATH: mutated}, serial
-        )
-    except Exception as exc:
-        outcome.incremental_errors["cold-base"] = exc
-        return
-    warm = WarmStart(spec.workload, delta, **planner)
-    schedules = [
-        (name, use_kernel, replace(plan, warm=warm))
-        for name, use_kernel, plan in [
-            ("warm-serial-sync", False, serial),
-            *_async_schedules(spec, parallel_plan, prefix="warm-"),
-        ]
-    ]
-    _run_schedules(spec, schedules, memo.state, static_map,
-                   outcome.incremental_results, outcome.incremental_errors)
-
-
-def _build_cluster(spec: CampaignSpec, engine: Engine) -> Cluster:
-    if spec.speeds is not None:
-        return heterogeneous_cluster(engine, list(spec.speeds))
-    return local_cluster(engine, spec.cluster_nodes)
-
-
-# -------------------------------------------------------------- running --
-def run_campaign(
-    spec: CampaignSpec,
-    knobs: ChaosKnobs | None = None,
-    *,
-    parallel: bool = False,
-    parallel_workers: int = 2,
-    parallel_start_method: str | None = None,
-) -> CampaignOutcome:
-    """Run one campaign end to end and evaluate every oracle.
-
-    ``knobs`` deliberately breaks the runtime (harness self-test): a
-    correct harness must report violations for a broken runtime.
-
-    ``parallel`` is a run-time dimension, not part of the spec (pinned
-    campaign seeds keep generating byte-identical specs): the same
-    workload additionally runs on the real multiprocess backend and the
-    ``parallel-differential`` oracle demands record-for-record equality
-    with the serial reference.  Campaign workloads never use thresholds
-    or aux phases, so the comparison is float-exact by construction.
-    ``parallel_start_method`` pins the multiprocessing start method
-    (the differential matrix exercises ``spawn`` as well as ``fork``).
-    """
-    started = time.perf_counter()
-    spec.validate()
     job, state, static_map = _build_iterative(spec)[:3]
-    outcome = CampaignOutcome(spec=spec)
+    serial = ExecutionPlan(num_pairs=spec.num_pairs)
+    rows = [
+        Row(CLUSTER, job, state, static_map, None, REFERENCE, "differential"),
+        Row(REFERENCE, job, state, static_map, serial, oracle="differential"),
+    ]
+    twin, mesh_job = REFERENCE, job
+    if spec.use_kernels:
+        twin, mesh_job = "kernel", _build_iterative(spec, use_kernel=True).job
+        rows.append(Row(twin, mesh_job, state, static_map, serial, REFERENCE,
+                        "kernel-differential", exact=spec.workload == "sssp"))
+    if parallel_plan is not None:
+        rows.append(Row("parallel", mesh_job, state, static_map,
+                        _armed(spec, parallel_plan), twin,
+                        "parallel-differential", exact=True))
+    if not spec.async_mode and spec.input_delta is None:
+        return rows
 
+    jobs = {False: _build_accumulative(spec)}
+    if spec.use_kernels:
+        jobs[True] = _build_accumulative(spec, use_kernel=True)
+    _job, deltas, static_map, planner, algebra = jobs[False]
+    sync = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
+
+    def accum(name, kernel, plan, inputs, statics, reference, oracle):
+        return Row(name, jobs[kernel].job, inputs, statics, plan, reference,
+                   oracle, exact=algebra == "min", progress=True)
+
+    if spec.async_mode:
+        oracle = "async-fixpoint"
+        rows.append(accum("sync-reference", False, sync, deltas, static_map,
+                          None, oracle))
+        rows += [
+            accum(name, kernel, plan, deltas, static_map, "sync-reference", oracle)
+            for name, kernel, plan in _schedules(spec, parallel_plan, True)
+        ]
+    if spec.input_delta is not None:
+        oracle = "incremental-differential"
+        table = dict(static_map[STATIC_PATH])
+        insert, delete, churn_seed = spec.input_delta
+        delta = random_edge_churn(table, spec.workload, insert=insert,
+                                  delete=delete, seed=churn_seed)
+        cold_deltas, mutated = cold_rerun_inputs(spec.workload, table, delta,
+                                                 **planner)
+        warm = WarmStart(spec.workload, delta, **planner)
+        rows += [
+            accum("cold-base", False, sync, deltas, static_map, None, oracle),
+            accum("cold-rerun", False, sync, cold_deltas,
+                  {STATIC_PATH: mutated}, None, oracle),
+        ]
+        rows += [
+            accum(f"warm-{name}", kernel, replace(plan, warm=warm), "cold-base",
+                  static_map, "cold-rerun", oracle)
+            for name, kernel, plan in [
+                ("serial-sync", False, sync),
+                *_schedules(spec, parallel_plan, False),
+            ]
+        ]
+    return rows
+
+
+def _run_cluster(spec: CampaignSpec, row: Row, knobs, tracer: Tracer):
+    """The simulated-cluster row: the spec's topology, faults and mode
+    matrix on :class:`IMapReduceRuntime`.  Its result carries ``state``,
+    the DFS readback, or is the exception the run died with."""
     engine = Engine()
-    cluster = _build_cluster(spec, engine)
+    if spec.speeds is not None:
+        cluster = heterogeneous_cluster(engine, list(spec.speeds))
+    else:
+        cluster = local_cluster(engine, spec.cluster_nodes)
     dfs = DFS(cluster, replication=REPLICATION)
-    dfs.ingest(STATE_PATH, state)
-    for path, records in static_map.items():
+    dfs.ingest(STATE_PATH, row.inputs)
+    for path, records in row.statics.items():
         dfs.ingest(path, records)
     # Link-fault draws are keyed off the campaign seed, so the whole
     # scenario — workload, faults, and every per-message loss verdict —
     # replays from one integer.
     spec.fault_schedule().arm(engine, cluster, net_seed=spec.seed)
-
-    tracer = Tracer()
     runtime = IMapReduceRuntime(
         cluster,
         dfs,
@@ -354,79 +334,66 @@ def run_campaign(
         failure_detector=FailureDetectorConfig(),
     )
     try:
-        outcome.result = runtime.submit(job)
+        result = runtime.submit(row.job)
     except Exception as exc:  # judged by the termination oracle
-        outcome.error = exc
-
+        return exc
     # Read the final partitions straight from the DFS metadata — no
     # simulated I/O, so a fault event pending after the job's completion
     # cannot interfere with the readback.
-    if outcome.result is not None:
-        final: list = []
-        for path in outcome.result.final_paths:
-            if dfs.exists(path):
-                final.extend(dfs.file_info(path).records)
-        outcome.final_state = sorted(final, key=lambda kv: repr(kv[0]))
+    state = [
+        record
+        for path in result.final_paths
+        if dfs.exists(path)
+        for record in dfs.file_info(path).records
+    ]
+    return SimpleNamespace(**vars(result), state=state)
 
-    serial = ExecutionPlan(num_pairs=spec.num_pairs)
-    outcome.reference = execute(job, state, static_map, serial)
-    outcome.reference.state.sort(key=lambda kv: repr(kv[0]))
-    kernel_job = None
-    if spec.use_kernels:
-        # The same workload with its columnar kernel attached: the serial
-        # columnar run is judged against the record-path reference by the
-        # kernel-differential oracle.
-        kernel_job = _build_iterative(spec, use_kernel=True).job
-        try:
-            outcome.kernel_result = execute(kernel_job, state, static_map, serial)
-            outcome.kernel_result.state.sort(key=lambda kv: repr(kv[0]))
-        except Exception as exc:  # judged by the kernel oracle
-            outcome.kernel_error = exc
+
+# -------------------------------------------------------------- running --
+def run_campaign(
+    spec: CampaignSpec,
+    knobs: ChaosKnobs | None = None,
+    *,
+    parallel: bool = False,
+    parallel_workers: int = 2,
+    parallel_start_method: str | None = None,
+) -> CampaignOutcome:
+    """Run every row of one campaign's table and evaluate every oracle.
+
+    ``knobs`` deliberately breaks the simulated runtime (harness
+    self-test): a correct harness must report violations for a broken
+    runtime.
+
+    ``parallel`` is a run-time dimension, not part of the spec (pinned
+    campaign seeds keep generating byte-identical specs): it adds the
+    real multiprocess backend's rows, judged record for record against
+    their serial twins.  ``parallel_start_method`` pins the
+    multiprocessing start method (the differential matrix exercises
+    ``spawn`` as well as ``fork``).
+    """
+    started = time.perf_counter()
+    spec.validate()
     parallel_plan = None
     if parallel:
-        parallel_plan = replace(
-            serial, backend="parallel", num_workers=parallel_workers,
-            start_method=parallel_start_method,
+        parallel_plan = ExecutionPlan(
+            num_pairs=spec.num_pairs, backend="parallel",
+            num_workers=parallel_workers, start_method=parallel_start_method,
         )
-        # With kernels on, the multiprocess backend runs the kernel job
-        # and must reproduce the *serial columnar* run bit-for-bit (both
-        # paths order every merge identically); otherwise it runs the
-        # record job against the record reference, as before.
-        par_job = kernel_job if (spec.use_kernels and kernel_job is not None) else job
-        # Process-death campaigns arm the backend's fault tolerance: the
-        # seeded kill/stop fires mid-run, recovery restores the durable
-        # checkpoint, and the same differential oracle that judges an
-        # unfaulted run judges the recovered one.
-        armed = parallel_plan
-        if spec.proc_kill is not None:
-            victim, at_iteration, action = spec.proc_kill
-            mesh_size = max(1, min(parallel_workers, spec.num_pairs))
-            armed = replace(
-                parallel_plan,
-                checkpoint_every=spec.checkpoint_interval,
-                heartbeat_interval=0.05,
-                # SIGSTOP is only caught by heartbeat silence; give spawn
-                # meshes headroom for their interpreter startup.
-                suspicion_timeout=(
-                    30.0 if parallel_start_method == "spawn" else 8.0
-                ),
-                faults=(
-                    ProcFault(
-                        worker=victim % mesh_size,
-                        iteration=at_iteration,
-                        action=action,
-                    ),
-                ),
-            )
+    outcome = CampaignOutcome(spec=spec, rows=campaign_rows(spec, parallel_plan))
+    runs, tracer = outcome.runs, Tracer()
+    for row in outcome.rows:
+        if row.plan is None:
+            runs[row.name] = _run_cluster(spec, row, knobs, tracer)
+            continue
+        inputs = row.inputs
+        if isinstance(inputs, str):  # an earlier run's final state
+            if isinstance(runs[inputs], BaseException):
+                continue  # not run: the judge reports its source's failure
+            inputs = runs[inputs].state
         try:
-            outcome.parallel_result = execute(par_job, state, static_map, armed)
-            outcome.parallel_result.state.sort(key=lambda kv: repr(kv[0]))
-        except Exception as exc:  # judged by the parallel oracle
-            outcome.parallel_error = exc
-    if spec.async_mode:
-        _run_accum_twin(spec, outcome, parallel_plan)
-    if spec.input_delta is not None:
-        _run_incremental_twin(spec, outcome, parallel_plan)
+            runs[row.name] = execute(row.job, inputs, row.statics, row.plan)
+        except Exception as exc:  # judged by the row's oracle
+            runs[row.name] = exc
     outcome.trace_events = list(tracer.events)
     outcome.violations = evaluate_oracles(spec, outcome)
     outcome.wall_seconds = time.perf_counter() - started
@@ -483,18 +450,9 @@ def run_chaos(
             parallel_start_method=parallel_start_method,
         )
         report.campaigns += 1
-        par = outcome.parallel_result
-        if par is not None and getattr(par, "recoveries", 0):
-            report.recovery_events.append(
-                {
-                    "campaign_seed": campaign_seed,
-                    "proc_kill": list(spec.proc_kill)
-                    if spec.proc_kill is not None
-                    else None,
-                    "recoveries": par.recoveries,
-                    "events": list(par.recovery_events),
-                }
-            )
+        record = outcome.recovery_record()
+        if record is not None:
+            report.recovery_events.append(record)
         if outcome.ok:
             report.passed += 1
             if log:

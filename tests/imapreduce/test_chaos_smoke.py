@@ -171,10 +171,8 @@ def test_async_campaign_passes_fixpoint_oracle():
     outcome = run_campaign(spec)
     details = "; ".join(map(str, outcome.violations))
     assert outcome.ok, details
-    assert outcome.async_reference is not None
-    assert "serial-async" in outcome.async_results
-    assert "simulated" in outcome.async_results
-    assert outcome.async_errors == {}
+    for name in ("sync-reference", "serial-async", "simulated"):
+        assert not isinstance(outcome.runs[name], BaseException)
 
 
 # -------------------------------------------- incremental (i2MR) twin --
@@ -209,7 +207,5 @@ def test_input_delta_campaign_passes_incremental_oracle():
     outcome = run_campaign(spec)
     details = "; ".join(map(str, outcome.violations))
     assert outcome.ok, details
-    assert outcome.incremental_reference is not None
-    assert "warm-serial-sync" in outcome.incremental_results
-    assert "warm-serial-async" in outcome.incremental_results
-    assert outcome.incremental_errors == {}
+    for name in ("cold-rerun", "warm-serial-sync", "warm-serial-async"):
+        assert not isinstance(outcome.runs[name], BaseException)

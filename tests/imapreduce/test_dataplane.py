@@ -202,10 +202,6 @@ def test_counters_and_profiler_surface_in_stats():
     for stats in par.worker_stats:
         assert set(stats["phase_seconds"]) == set(PHASE_COUNTERS)
         assert all(v >= 0.0 for v in stats["phase_seconds"].values())
-        # A combiner's output stays in the partition it was grouped for:
-        # nothing on this job consults the route cache (no-combiner
-        # shuffles and REPART hops do).
-        assert stats["route_cache_size"] == 0
     # Three steps on a frontier that grows through step 1: every slot's
     # key sequence first repeats at step 2 — 4 send + 4 receive plans
     # built, and no step left to replay them (test_group_plan.py pins

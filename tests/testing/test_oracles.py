@@ -1,17 +1,25 @@
-"""Unit tests for each chaos oracle and the comparison helpers."""
+"""Unit tests for the judge, the invariant oracles and the comparison
+helpers — and one campaign whose every row is checked to be wired to
+its oracle."""
 
+import copy
+import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
+from repro.imapreduce import ExecutionPlan
 from repro.metrics.trace import TraceEvent
+from repro.testing import generate_campaign
 from repro.testing.oracles import (
     ALL_ORACLES,
+    CLUSTER,
+    Row,
     evaluate_oracles,
+    judge,
     oracle_checkpoint_rollback,
-    oracle_differential,
-    oracle_parallel_differential,
+    oracle_parallel_recovery,
     oracle_termination,
     oracle_trace_well_formed,
     records_identical,
@@ -19,28 +27,57 @@ from repro.testing.oracles import (
     values_close,
     values_identical,
 )
+from repro.testing.runner import CampaignOutcome, campaign_rows, run_campaign
 
 
-def spec(max_iterations=5, checkpoint_interval=2):
+def spec(max_iterations=5, checkpoint_interval=2, proc_kill=None):
     return SimpleNamespace(
-        max_iterations=max_iterations, checkpoint_interval=checkpoint_interval
+        max_iterations=max_iterations, checkpoint_interval=checkpoint_interval,
+        proc_kill=proc_kill,
     )
 
 
-def outcome(**kw):
-    base = dict(
-        error=None,
-        result=SimpleNamespace(iterations_run=3, terminated_by="max-iterations"),
-        reference=SimpleNamespace(
-            iterations_run=3, terminated_by="max-iterations", state=[]
-        ),
-        final_state=[],
-        trace_events=[],
-        parallel_result=None,
-        parallel_error=None,
+def res(state=(), iterations_run=3, terminated_by="max-iterations"):
+    """An iterative run's result, as the judge reads it."""
+    return SimpleNamespace(
+        state=list(state), iterations_run=iterations_run,
+        terminated_by=terminated_by,
     )
-    base.update(kw)
-    return SimpleNamespace(**base)
+
+
+def acc(state, terminated_by="progress"):
+    """An accumulative run's result, as the judge reads it."""
+    return SimpleNamespace(state=list(state), terminated_by=terminated_by)
+
+
+def outcome(runs=None, rows=(), trace_events=()):
+    return CampaignOutcome(
+        spec=None, rows=list(rows), runs={CLUSTER: res()} if runs is None else runs,
+        trace_events=list(trace_events),
+    )
+
+
+#: The iterative rows every campaign has, and its two iterative twins.
+ITERATIVE = [
+    Row(CLUSTER, reference="reference", oracle="differential"),
+    Row("reference", oracle="differential"),
+]
+KERNEL = Row("kernel", reference="reference", oracle="kernel-differential")
+MESH = Row("parallel", reference="reference", oracle="parallel-differential",
+           exact=True)
+
+
+def table(seed=38, parallel=False, **dims):
+    """A real campaign table (nothing is run to build one)."""
+    base = dict(use_kernels=False, async_mode=False, input_delta=None,
+                proc_kill=None)
+    plan = ExecutionPlan(num_pairs=2, backend="parallel", num_workers=2)
+    return campaign_rows(generate_campaign(seed).but(**{**base, **dims}),
+                         plan if parallel else None)
+
+
+def by_name(rows):
+    return {row.name: row for row in rows}
 
 
 # ---------------------------------------------------------- values_close --
@@ -88,44 +125,42 @@ def test_termination_passes_clean_run():
 
 
 def test_termination_flags_error_and_missing_result():
-    v = oracle_termination(spec(), outcome(error=RuntimeError("boom")))
+    v = oracle_termination(spec(), outcome({CLUSTER: RuntimeError("boom")}))
     assert [x.oracle for x in v] == ["termination"]
-    v = oracle_termination(spec(), outcome(result=None))
+    assert v[0].detail.startswith("cluster: run raised RuntimeError: boom")
+    v = oracle_termination(spec(), outcome({}))
     assert [x.oracle for x in v] == ["termination"]
 
 
 def test_termination_flags_budget_overrun():
-    over = outcome(result=SimpleNamespace(iterations_run=9, terminated_by="x"))
+    over = outcome({CLUSTER: res(iterations_run=9, terminated_by="x")})
     assert oracle_termination(spec(max_iterations=5), over)
 
 
-# --------------------------------------------------- oracle: differential --
+# ------------------------------------------------ the judge: differential --
 def test_differential_passes_matching_states():
-    ok = outcome(
-        final_state=[(0, 1.0)],
-        reference=SimpleNamespace(
-            iterations_run=3, terminated_by="max-iterations", state=[(0, 1.0)]
-        ),
-    )
-    assert oracle_differential(spec(), ok) == []
+    runs = {CLUSTER: res([(0, 1.0)]), "reference": res([(0, 1.0)])}
+    assert judge(ITERATIVE, runs) == []
 
 
 def test_differential_defers_to_termination_on_error():
-    assert oracle_differential(spec(), outcome(error=RuntimeError("x"))) == []
+    """The cluster's failure is reported once, by the termination oracle."""
+    runs = {CLUSTER: RuntimeError("x"), "reference": res()}
+    assert judge(ITERATIVE, runs) == []
+    v = evaluate_oracles(spec(), outcome(runs, ITERATIVE))
+    assert [x.oracle for x in v] == ["termination"]
 
 
 def test_differential_flags_metadata_and_state_divergence():
-    bad = outcome(
-        result=SimpleNamespace(iterations_run=2, terminated_by="threshold"),
-        final_state=[(0, 1.0)],
-        reference=SimpleNamespace(
-            iterations_run=3, terminated_by="max-iterations", state=[(0, 2.0)]
-        ),
-    )
-    details = [v.detail for v in oracle_differential(spec(), bad)]
-    assert any("terminated_by" in d for d in details)
-    assert any("iterations" in d for d in details)
-    assert any("diverge" in d for d in details)
+    runs = {
+        CLUSTER: res([(0, 1.0)], iterations_run=2, terminated_by="threshold"),
+        "reference": res([(0, 2.0)]),
+    }
+    (v,) = judge(ITERATIVE, runs)
+    assert v.oracle == "differential" and v.detail.startswith("cluster: ")
+    assert "terminated_by" in v.detail
+    assert "iterations" in v.detail
+    assert "diverge" in v.detail
 
 
 # ----------------------------------------------------- oracle: checkpoint --
@@ -188,64 +223,51 @@ def test_evaluate_runs_every_oracle():
         "parallel-differential", "parallel-recovery", "async-fixpoint",
         "incremental-differential", "checkpoint", "trace",
     }
-    v = evaluate_oracles(spec(), outcome(error=RuntimeError("boom")))
+    rows = table(parallel=True, use_kernels=True, async_mode=True,
+                 input_delta=(1, 1, 7))
+    assert {row.oracle for row in rows} < set(ALL_ORACLES)
+    v = evaluate_oracles(spec(), outcome({CLUSTER: RuntimeError("boom")}, rows))
     assert [x.oracle for x in v] == ["termination"]
 
 
-# -------------------------------------------- parallel-differential oracle --
-def _par(state, iterations_run=3, terminated_by="max-iterations"):
-    return SimpleNamespace(
-        state=state, iterations_run=iterations_run, terminated_by=terminated_by
-    )
-
-
+# ------------------------------------------------------------ the mesh row --
 def test_parallel_oracle_inert_without_parallel_run():
-    assert oracle_parallel_differential(spec(), outcome()) == []
+    assert "parallel" not in by_name(table())
+    runs = {CLUSTER: res(), "reference": res(), "parallel": RuntimeError("x")}
+    assert judge(ITERATIVE, runs) == []
 
 
 def test_parallel_oracle_reports_backend_error():
-    v = oracle_parallel_differential(
-        spec(), outcome(parallel_error=RuntimeError("worker died"))
-    )
-    assert len(v) == 1 and "worker died" in v[0].detail
+    runs = {CLUSTER: res(), "reference": res(),
+            "parallel": RuntimeError("worker died")}
+    (v,) = judge(ITERATIVE + [MESH], runs)
+    assert v.oracle == "parallel-differential"
+    assert v.detail == "parallel: run raised RuntimeError: worker died"
 
 
 def test_parallel_oracle_demands_exact_equality():
-    ref = SimpleNamespace(
-        iterations_run=3, terminated_by="max-iterations",
-        state=[(0, 1.0), (1, 2.0)],
-    )
-    ok = outcome(reference=ref, parallel_result=_par([(0, 1.0), (1, 2.0)]))
-    assert oracle_parallel_differential(spec(), ok) == []
+    ref = res([(0, 1.0), (1, 2.0)])
+    ok = {"reference": ref, "parallel": res([(0, 1.0), (1, 2.0)])}
+    assert judge([MESH], ok) == []
     # Even a 1-ulp float drift is a violation: no tolerance.
-    drift = outcome(
-        reference=ref,
-        parallel_result=_par([(0, 1.0), (1, 2.0 + 2**-50)]),
-    )
-    v = oracle_parallel_differential(spec(), drift)
-    assert v and v[0].oracle == "parallel-differential"
+    drift = {"reference": ref, "parallel": res([(0, 1.0), (1, 2.0 + 2**-50)])}
+    (v,) = judge([MESH], drift)
+    assert v.oracle == "parallel-differential"
+    assert "record-identical" in v.detail
 
 
 def test_parallel_oracle_checks_iterations_and_termination():
-    ref = SimpleNamespace(
-        iterations_run=3, terminated_by="max-iterations", state=[]
-    )
-    v = oracle_parallel_differential(
-        spec(),
-        outcome(reference=ref,
-                parallel_result=_par([], iterations_run=2,
-                                     terminated_by="threshold")),
-    )
-    assert {x.oracle for x in v} == {"parallel-differential"}
-    assert len(v) == 2
+    runs = {"reference": res(),
+            "parallel": res(iterations_run=2, terminated_by="threshold")}
+    (v,) = judge([MESH], runs)  # one violation per diverging run
+    assert v.oracle == "parallel-differential"
+    assert "terminated_by='threshold'" in v.detail
+    assert "iterations_run=2" in v.detail
 
 
 # ------------------------------------------------ parallel-recovery oracle --
 def _kill_spec(at_iteration=2, action="kill"):
-    return SimpleNamespace(
-        max_iterations=5, checkpoint_interval=2,
-        proc_kill=(0, at_iteration, action),
-    )
+    return spec(proc_kill=(0, at_iteration, action))
 
 
 def _recovered(recoveries=1, events=None):
@@ -259,37 +281,33 @@ def _recovered(recoveries=1, events=None):
 
 
 def test_recovery_oracle_inert_without_proc_kill_or_parallel_run():
-    from repro.testing.oracles import oracle_parallel_recovery
-
-    assert oracle_parallel_recovery(spec(), outcome()) == []
+    assert oracle_parallel_recovery(spec(), outcome({"parallel": _recovered(0)})) == []
     assert oracle_parallel_recovery(_kill_spec(), outcome()) == []
+    died = outcome({"parallel": RuntimeError("x")})
+    assert oracle_parallel_recovery(_kill_spec(), died) == []
 
 
 def test_recovery_oracle_flags_fault_that_never_fired():
-    from repro.testing.oracles import oracle_parallel_recovery
-
     v = oracle_parallel_recovery(
-        _kill_spec(), outcome(parallel_result=_recovered(recoveries=0))
+        _kill_spec(), outcome({"parallel": _recovered(recoveries=0)})
     )
     assert len(v) == 1 and "never triggered a recovery" in v[0].detail
 
 
 def test_recovery_oracle_checks_resume_barrier():
-    from repro.testing.oracles import oracle_parallel_recovery
-
-    ok = outcome(parallel_result=_recovered())
+    ok = outcome({"parallel": _recovered()})
     assert oracle_parallel_recovery(_kill_spec(), ok) == []
     # Resuming *past* the interrupted iteration means state was skipped.
-    late = outcome(parallel_result=_recovered(
+    late = outcome({"parallel": _recovered(
         events=[{"resume_from": 4, "restored_checkpoint": 3}]
-    ))
+    )})
     v = oracle_parallel_recovery(_kill_spec(at_iteration=2), late)
     assert {x.oracle for x in v} == {"parallel-recovery"}
     assert len(v) == 2  # resume too late + checkpoint too new
     # A from-scratch restart (no checkpoint armed) is a legal recovery.
-    scratch = outcome(parallel_result=_recovered(
+    scratch = outcome({"parallel": _recovered(
         events=[{"resume_from": 0, "restored_checkpoint": None}]
-    ))
+    )})
     assert oracle_parallel_recovery(_kill_spec(), scratch) == []
 
 
@@ -307,149 +325,148 @@ def test_values_identical_is_exact_and_numpy_safe():
                                  [(0, np.array([2.0]))])
 
 
-# ---------------------------------------------------- kernel differential --
-def _kspec(**kw):
-    base = dict(max_iterations=5, checkpoint_interval=2,
-                use_kernels=True, workload="pagerank")
-    base.update(kw)
-    return SimpleNamespace(**base)
-
-
+# ---------------------------------------------------------- the kernel row --
 def test_kernel_oracle_inert_without_dimension():
-    from repro.testing.oracles import oracle_kernel_differential
-
-    v = oracle_kernel_differential(
-        _kspec(use_kernels=False),
-        outcome(kernel_result=None, kernel_error=RuntimeError("boom")),
-    )
-    assert v == []
+    rows = table(parallel=True)
+    assert "kernel" not in by_name(rows)
+    assert by_name(rows)["parallel"].reference == "reference"
+    runs = {CLUSTER: res(), "reference": res(), "kernel": RuntimeError("boom")}
+    assert judge(ITERATIVE, runs) == []
 
 
 def test_kernel_oracle_reports_kernel_error():
-    from repro.testing.oracles import oracle_kernel_differential
-
-    v = oracle_kernel_differential(
-        _kspec(),
-        outcome(kernel_result=None, kernel_error=RuntimeError("boom")),
-    )
-    assert len(v) == 1 and v[0].oracle == "kernel-differential"
-    assert "boom" in v[0].detail
+    """Reported once, under the kernel's name; the mesh row, whose
+    reference it is, is skipped rather than reported again."""
+    mesh = dataclasses.replace(MESH, reference="kernel")
+    runs = {CLUSTER: res(), "reference": res(), "kernel": RuntimeError("boom"),
+            "parallel": res([(0, 9.0)])}
+    (v,) = judge(ITERATIVE + [KERNEL, mesh], runs)
+    assert v.oracle == "kernel-differential"
+    assert v.detail == "kernel: run raised RuntimeError: boom"
 
 
 def test_kernel_oracle_tolerant_for_sum_exact_for_min():
-    from repro.testing.oracles import oracle_kernel_differential
-
-    ref = SimpleNamespace(iterations_run=3, terminated_by="maxiter",
-                          state=[(0, 1.0)])
-    close = SimpleNamespace(iterations_run=3, terminated_by="maxiter",
-                            state=[(0, 1.0 + 1e-12)])
-    # Sum merge (pagerank): within tolerance passes.
-    assert oracle_kernel_differential(
-        _kspec(), outcome(reference=ref, kernel_error=None,
-                          kernel_result=close)) == []
-    # Min merge (sssp): the same drift is a violation — bit-exact demanded.
-    v = oracle_kernel_differential(
-        _kspec(workload="sssp"),
-        outcome(reference=ref, kernel_error=None, kernel_result=close))
-    assert v and v[0].oracle == "kernel-differential"
+    # The table decides: sum merges (pagerank) are tolerant, min (sssp) exact.
+    assert not by_name(table(38, use_kernels=True))["kernel"].exact
+    assert by_name(table(8, use_kernels=True))["kernel"].exact
+    runs = {"reference": res([(0, 1.0)]), "kernel": res([(0, 1.0 + 1e-12)])}
+    assert judge([KERNEL], runs) == []
+    # The same drift under an exact row is a violation.
+    (v,) = judge([dataclasses.replace(KERNEL, exact=True)], runs)
+    assert v.oracle == "kernel-differential"
 
 
 def test_parallel_oracle_compares_against_kernel_twin():
-    """With use_kernels, the backend ran the kernel job — the bit-exact
+    """With use_kernels, the backend runs the kernel job — the bit-exact
     twin is the serial columnar run, not the record reference."""
-    record_ref = SimpleNamespace(iterations_run=3, terminated_by="maxiter",
-                                 state=[(0, 1.0)])
-    kernel_ref = SimpleNamespace(iterations_run=3, terminated_by="maxiter",
-                                 state=[(0, 1.0 + 1e-12)])
-    par = SimpleNamespace(iterations_run=3, terminated_by="maxiter",
-                          state=[(0, 1.0 + 1e-12)])
-    v = oracle_parallel_differential(
-        _kspec(),
-        outcome(reference=record_ref, kernel_result=kernel_ref,
-                kernel_error=None, parallel_result=par,
-                parallel_error=None),
-    )
-    assert v == []  # bit-equal to the kernel twin, despite record drift
+    rows = table(parallel=True, use_kernels=True)
+    mesh = by_name(rows)["parallel"]
+    assert (mesh.reference, mesh.exact) == ("kernel", True)
+    assert mesh.job is by_name(rows)["kernel"].job
+    runs = {
+        CLUSTER: res([(0, 1.0)]),
+        "reference": res([(0, 1.0)]),
+        "kernel": res([(0, 1.0 + 1e-12)]),
+        "parallel": res([(0, 1.0 + 1e-12)]),
+    }
+    # Bit-equal to the kernel twin, despite the record drift.
+    assert judge(rows, runs) == []
+    (v,) = judge([dataclasses.replace(mesh, reference="reference")], runs)
+    assert v.oracle == "parallel-differential"
 
 
-# ------------------------------------------------- async-fixpoint oracle --
-def _aspec(async_mode=True, workload="pagerank"):
-    return SimpleNamespace(async_mode=async_mode, workload=workload)
-
-
-def _accum(state, terminated_by="progress"):
-    return SimpleNamespace(state=state, terminated_by=terminated_by)
-
-
-def _aoutcome(reference, results=None, errors=None, algebra="sum"):
-    return outcome(
-        async_reference=reference,
-        async_results=results or {},
-        async_errors=errors or {},
-        async_algebra=algebra,
-    )
+# ----------------------------------------------- the accumulative rows --
+ASYNC = [
+    Row("sync-reference", oracle="async-fixpoint", progress=True),
+    Row("serial-async", reference="sync-reference", oracle="async-fixpoint",
+        progress=True),
+    Row("simulated", reference="sync-reference", oracle="async-fixpoint",
+        progress=True),
+]
 
 
 def test_async_oracle_inert_without_dimension():
-    from repro.testing.oracles import oracle_async_fixpoint
-
-    v = oracle_async_fixpoint(
-        _aspec(async_mode=False),
-        _aoutcome(None, errors={"serial-async": RuntimeError("boom")}),
-    )
-    assert v == []
+    assert "async-fixpoint" not in {row.oracle for row in table()}
+    runs = {CLUSTER: res(), "reference": res(),
+            "serial-async": RuntimeError("boom")}
+    assert judge(ITERATIVE, runs) == []
 
 
 def test_async_oracle_reports_run_errors_and_missing_reference():
-    from repro.testing.oracles import oracle_async_fixpoint
-
-    v = oracle_async_fixpoint(
-        _aspec(), _aoutcome(None, errors={"simulated": RuntimeError("boom")})
-    )
-    assert len(v) == 1 and "boom" in v[0].detail
-    v = oracle_async_fixpoint(_aspec(), _aoutcome(None))
-    assert len(v) == 1 and "reference" in v[0].detail
+    runs = {"sync-reference": acc([(0, 1.0)]), "serial-async": acc([(0, 1.0)]),
+            "simulated": RuntimeError("boom")}
+    (v,) = judge(ASYNC, runs)
+    assert v.detail == "simulated: run raised RuntimeError: boom"
+    # A reference that raised is reported once; its rows are skipped.
+    runs["sync-reference"] = RuntimeError("no reference")
+    runs["simulated"] = acc([(0, 9.0)])
+    (v,) = judge(ASYNC, runs)
+    assert v.oracle == "async-fixpoint"
+    assert v.detail.startswith("sync-reference: run raised")
 
 
 def test_async_oracle_demands_progress_termination():
-    from repro.testing.oracles import oracle_async_fixpoint
-
-    ref = _accum([(0, 1.0)])
-    budget = _accum([(0, 1.0)], terminated_by="maxrounds")
-    v = oracle_async_fixpoint(
-        _aspec(), _aoutcome(ref, results={"serial-async": budget})
-    )
-    assert len(v) == 1 and "maxrounds" in v[0].detail
-    v = oracle_async_fixpoint(_aspec(), _aoutcome(budget))
-    assert v and "sync reference" in v[0].detail
+    ref = acc([(0, 1.0)])
+    budget = acc([(0, 1.0)], terminated_by="maxrounds")
+    (v,) = judge(ASYNC[:2], {"sync-reference": ref, "serial-async": budget})
+    assert v.detail.startswith("serial-async") and "maxrounds" in v.detail
+    # The reference is held to it too.
+    (v,) = judge(ASYNC[:2], {"sync-reference": budget, "serial-async": ref})
+    assert v.detail.startswith("sync-reference") and "maxrounds" in v.detail
 
 
 def test_async_oracle_tolerant_for_sum_exact_for_min():
-    from repro.testing.oracles import oracle_async_fixpoint
-
-    ref = _accum([(0, 1.0)])
-    close = _accum([(0, 1.0 + 1e-12)])
+    assert not any(r.exact for r in table(38, async_mode=True)[2:])
+    assert all(r.exact for r in table(8, async_mode=True)[2:])
+    runs = {"sync-reference": acc([(0, 1.0)]),
+            "serial-async": acc([(0, 1.0 + 1e-12)])}
     # Sum algebra: schedule-order float drift within tolerance passes.
-    assert oracle_async_fixpoint(
-        _aspec(), _aoutcome(ref, results={"serial-async": close})
-    ) == []
+    assert judge(ASYNC[:2], runs) == []
     # Min algebra: the same drift is a violation — the fixpoint is
     # unique, so every schedule must land bit-exactly.
-    v = oracle_async_fixpoint(
-        _aspec(),
-        _aoutcome(ref, results={"serial-async": close}, algebra="min"),
-    )
-    assert len(v) == 1 and "bit-exact" in v[0].detail
+    exact = [dataclasses.replace(r, exact=True) for r in ASYNC[:2]]
+    (v,) = judge(exact, runs)
+    assert "record-identical" in v.detail
 
 
 def test_async_oracle_flags_real_divergence_per_run():
-    from repro.testing.oracles import oracle_async_fixpoint
+    runs = {"sync-reference": acc([(0, 1.0)]), "serial-async": acc([(0, 1.0)]),
+            "simulated": acc([(0, 2.0)])}
+    (v,) = judge(ASYNC, runs)
+    assert v.detail.startswith("simulated")
 
-    ref = _accum([(0, 1.0)])
-    wrong = _accum([(0, 2.0)])
-    v = oracle_async_fixpoint(
-        _aspec(),
-        _aoutcome(ref, results={"simulated": wrong,
-                                "parallel-async": _accum([(0, 1.0)])}),
+
+# ---------------------------------------------------------- the wiring --
+def test_every_row_is_wired_to_its_oracle():
+    """One campaign with every dimension on.  Corrupting one value of
+    one run's state must fire exactly the oracles of the rows that read
+    that run — as the run under test or as its reference — and nothing
+    else: each row compares what it claims to, under its own name."""
+    spec_ = generate_campaign(38).but(
+        use_kernels=True, async_mode=True, input_delta=(1, 1, 7)
     )
-    assert len(v) == 1 and v[0].detail.startswith("simulated")
+    assert spec_.workload == "pagerank" and spec_.proc_kill is None
+    clean = run_campaign(spec_, parallel=True)
+    assert clean.ok, clean.violations
+    assert list(clean.runs) == [row.name for row in clean.rows]
+    assert set(clean.runs) == {
+        "cluster", "reference", "kernel", "parallel",
+        "sync-reference", "serial-async", "simulated", "kernel-async",
+        "parallel-async", "cold-base", "cold-rerun", "warm-serial-sync",
+        "warm-serial-async", "warm-kernel-async", "warm-parallel-async",
+    }
+    for name, run in clean.runs.items():
+        at = next(i for i, (_k, v) in enumerate(run.state) if math.isfinite(v))
+        key, value = run.state[at]
+        broken = copy.copy(run)
+        broken.state = [*run.state[:at], (key, value + 1.0), *run.state[at + 1:]]
+        corrupted = dataclasses.replace(clean, runs={**clean.runs, name: broken})
+        fired = {v.oracle for v in evaluate_oracles(spec_, corrupted)}
+        readers = {
+            row.oracle for row in clean.rows
+            if row.reference is not None and name in (row.name, row.reference)
+        }
+        assert fired == readers, name
+    kernel_readers = {r.oracle for r in clean.rows if "kernel" in (r.name, r.reference)}
+    assert kernel_readers == {"kernel-differential", "parallel-differential"}
+
