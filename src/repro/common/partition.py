@@ -81,8 +81,26 @@ class HashPartitioner:
         return stable_hash(key) % num_partitions
 
     def bind(self, num_partitions: int) -> Callable[[Any], int]:
-        def part(key: Any, _n: int = num_partitions) -> int:
-            return stable_hash(key) % _n
+        # Memoized, since the FNV byte loop is pure Python and a job's
+        # key universe is stable across iterations.  Only exact ints and
+        # strs, and flat tuples of them, are looked up: they equal no key
+        # of another stable hash, whereas ``True`` and ``1.0`` equal
+        # ``1`` as dict keys but hash apart.
+        memo: dict[Any, int] = {}
+
+        def part(key: Any, _n: int = num_partitions, _memo=memo) -> int:
+            t = type(key)
+            if t is tuple:
+                for x in key:  # an explicit loop: ~2x faster than all()
+                    t = type(x)
+                    if t is not int and t is not str:
+                        return stable_hash(key) % _n
+            elif t is not int and t is not str:
+                return stable_hash(key) % _n
+            q = _memo.get(key)
+            if q is None:
+                q = _memo[key] = stable_hash(key) % _n
+            return q
 
         return part
 

@@ -153,8 +153,7 @@ def fixpoints_agree(a: list, b: list, exact: bool) -> bool:
 
 
 # ------------------------------------------------------------- the table --
-#: The simulated-cluster run's name.  Its failure is the termination
-#: oracle's to report; its state is the DFS readback.
+#: The simulated-cluster run's name; its state is the DFS readback.
 CLUSTER = "cluster"
 
 
@@ -163,14 +162,16 @@ class Row:
     """One run a campaign makes, and how it is judged.
 
     ``inputs`` is the state (iterative jobs) or the initial deltas
-    (accumulative jobs) — or the *name* of an earlier row, whose final
-    state seeds this run (a warm refresh starts from the cold base's
-    memo).  ``plan`` is ``None`` only on the simulated-cluster row.  The
-    run is compared with the run named ``reference`` — record for record
-    when ``exact``, within :data:`RTOL`/:data:`ATOL` otherwise — and
-    every violation carries ``oracle``.  A row without a reference is
-    only checked to run (and, with ``progress``, to stop by accumulated
-    progress).
+    (accumulative jobs); with ``seed_from`` set, the named earlier run's
+    final state is the input instead (a warm refresh starts from the
+    cold base's memo).  ``plan`` is ``None`` only on the simulated-
+    cluster row, which runs on the simulated runtime, not ``execute``.
+    The run is compared with the run named ``reference`` — record for
+    record when ``exact``, within :data:`RTOL`/:data:`ATOL` otherwise —
+    and every violation carries ``oracle``; a raise carries
+    ``crash_oracle`` when set (the cluster's is ``termination``).  A row
+    without a reference is only checked to run (and, with ``progress``,
+    to stop by accumulated progress).
     """
 
     name: str
@@ -182,14 +183,11 @@ class Row:
     oracle: str = ""
     exact: bool = False
     progress: bool = False
+    seed_from: str | None = None
+    crash_oracle: str | None = None
 
 
-def _row_problems(row: Row, runs: dict) -> list[str]:
-    run = runs.get(row.name)
-    if run is None or (row.name == CLUSTER and isinstance(run, BaseException)):
-        return []  # not run (its input run raised), or termination's to report
-    if isinstance(run, BaseException):
-        return [f"run raised {type(run).__name__}: {run}"]
+def _row_problems(row: Row, run, runs: dict) -> list[str]:
     if row.progress and run.terminated_by != "progress":
         return [f"terminated by {run.terminated_by!r}, not accumulated progress"]
     ref = runs.get(row.reference)
@@ -219,12 +217,22 @@ def judge(rows, runs: dict) -> list[OracleViolation]:
     unique and drains exactly), the rest within tolerance (``+``
     algebras reorder float additions and stop at a pending-mass
     threshold).  One violation per failing row, prefixed with its name.
+    A row absent from ``runs`` was not run: a run it reads raised, and
+    that run is the one reported.
     """
-    return [
-        OracleViolation(row.oracle, f"{row.name}: " + "; ".join(problems))
-        for row in rows
-        if (problems := _row_problems(row, runs))
-    ]
+    violations = []
+    for row in rows:
+        run = runs.get(row.name)
+        if isinstance(run, BaseException):
+            violations.append(OracleViolation(
+                row.crash_oracle or row.oracle,
+                f"{row.name}: run raised {type(run).__name__}: {run}",
+            ))
+        elif run is not None and (problems := _row_problems(row, run, runs)):
+            violations.append(OracleViolation(
+                row.oracle, f"{row.name}: " + "; ".join(problems)
+            ))
+    return violations
 
 
 # --------------------------------------------------------------- oracles --
@@ -234,15 +242,12 @@ def judge(rows, runs: dict) -> list[OracleViolation]:
 
 
 def oracle_termination(spec, outcome) -> list[OracleViolation]:
-    """The simulated-cluster run terminates cleanly, within its
-    iteration budget."""
+    """The simulated-cluster run stays within its iteration budget.  (A
+    raise is the judge's to report, under this oracle's name: the
+    cluster row's ``crash_oracle``.)"""
     run = outcome.runs.get(CLUSTER)
-    if run is None:
-        return [OracleViolation("termination", f"{CLUSTER}: produced no result")]
-    if isinstance(run, BaseException):
-        return [OracleViolation(
-            "termination", f"{CLUSTER}: run raised {type(run).__name__}: {run}"
-        )]
+    if run is None or isinstance(run, BaseException):
+        return []  # not run (the reference raised), or raised: judged
     if run.iterations_run > spec.max_iterations:
         return [OracleViolation(
             "termination",

@@ -69,10 +69,11 @@ class CampaignOutcome:
 
     ``rows`` is the campaign's table (:func:`campaign_rows`) and ``runs``
     maps each row's name to its run's result, or to the exception it
-    died with; a row absent from ``runs`` was not run, because the run
-    its inputs come from raised.  The ``cluster`` entry carries the
-    simulated runtime's result fields plus ``state``, the DFS readback,
-    and ``trace_events`` is that run's trace.
+    died with; a row absent from ``runs`` was not run, because a run it
+    is seeded from or compared with raised (directly, or upstream of a
+    row that was not run).  The ``cluster`` entry
+    carries the simulated runtime's result fields plus ``state``, the
+    DFS readback, and ``trace_events`` is that run's trace.
     """
 
     spec: CampaignSpec
@@ -232,10 +233,11 @@ def _schedules(spec: CampaignSpec, parallel_plan, simulated: bool) -> list:
 
 def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     """The campaign as a table: every run it makes, in order, and what
-    each is judged against.  A new execution mode joins as rows.
+    each is judged against.  A new execution mode joins as rows, listed
+    after the runs it is seeded from or compared with.
 
-    The iterative workload runs on the simulated cluster, the serial
-    reference, the kernel twin (``use_kernels``) and the mesh
+    The iterative workload runs on the serial reference, the simulated
+    cluster, the kernel twin (``use_kernels``) and the mesh
     (``parallel_plan``; with kernels on it runs the kernel job and must
     reproduce the serial columnar run bit for bit).  ``async_mode``
     adds the accumulative (Maiter-mode) twin: a synchronous serial
@@ -247,8 +249,9 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     job, state, static_map = _build_iterative(spec)[:3]
     serial = ExecutionPlan(num_pairs=spec.num_pairs)
     rows = [
-        Row(CLUSTER, job, state, static_map, None, REFERENCE, "differential"),
         Row(REFERENCE, job, state, static_map, serial, oracle="differential"),
+        Row(CLUSTER, job, state, static_map, None, REFERENCE, "differential",
+            crash_oracle="termination"),
     ]
     twin, mesh_job = REFERENCE, job
     if spec.use_kernels:
@@ -268,9 +271,11 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     _job, deltas, static_map, planner, algebra = jobs[False]
     sync = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
 
-    def accum(name, kernel, plan, inputs, statics, reference, oracle):
+    def accum(name, kernel, plan, inputs, statics, reference, oracle,
+              seed_from=None):
         return Row(name, jobs[kernel].job, inputs, statics, plan, reference,
-                   oracle, exact=algebra == "min", progress=True)
+                   oracle, exact=algebra == "min", progress=True,
+                   seed_from=seed_from)
 
     if spec.async_mode:
         oracle = "async-fixpoint"
@@ -295,8 +300,8 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
                   {STATIC_PATH: mutated}, None, oracle),
         ]
         rows += [
-            accum(f"warm-{name}", kernel, replace(plan, warm=warm), "cold-base",
-                  static_map, "cold-rerun", oracle)
+            accum(f"warm-{name}", kernel, replace(plan, warm=warm), None,
+                  static_map, "cold-rerun", oracle, seed_from="cold-base")
             for name, kernel, plan in [
                 ("serial-sync", False, sync),
                 *_schedules(spec, parallel_plan, False),
@@ -382,14 +387,15 @@ def run_campaign(
     outcome = CampaignOutcome(spec=spec, rows=campaign_rows(spec, parallel_plan))
     runs, tracer = outcome.runs, Tracer()
     for row in outcome.rows:
+        sources = [runs.get(s) for s in (row.seed_from, row.reference) if s]
+        if any(s is None or isinstance(s, BaseException) for s in sources):
+            continue  # not run: the judge reports the raise it stems from
         if row.plan is None:
             runs[row.name] = _run_cluster(spec, row, knobs, tracer)
             continue
         inputs = row.inputs
-        if isinstance(inputs, str):  # an earlier run's final state
-            if isinstance(runs[inputs], BaseException):
-                continue  # not run: the judge reports its source's failure
-            inputs = runs[inputs].state
+        if row.seed_from is not None:  # an earlier run's final state
+            inputs = runs[row.seed_from].state
         try:
             runs[row.name] = execute(row.job, inputs, row.statics, row.plan)
         except Exception as exc:  # judged by the row's oracle
@@ -407,12 +413,17 @@ def campaign_fails(
     *,
     parallel: bool = False,
 ) -> bool:
-    """Shrinking predicate: does ``spec`` still violate (the given) oracles?"""
+    """Shrinking predicate: does ``spec`` still violate (the given) oracles?
+
+    A run that raised is a violation of its row's oracle like any other,
+    reference rows included: a spec on which the serial reference
+    crashes reproduces a ``differential`` failure.  Only a spec the
+    runner cannot build (the shrinker stepped outside the envelope
+    ``CampaignSpec.validate`` checks) does not count.
+    """
     try:
         outcome = run_campaign(spec, knobs, parallel=parallel)
     except Exception:
-        # A spec the runner itself cannot execute (shrinker stepped
-        # outside the envelope) does not count as a reproduction.
         return False
     if oracles is None:
         return bool(outcome.violations)

@@ -117,6 +117,20 @@ def test_bind_partitioner_wraps_plain_callables():
     assert bound(3) == 0
 
 
+def test_hash_bind_memo_tells_equal_keys_apart():
+    """The bound hash partitioner memoizes; keys that compare equal to a
+    memoized key (``True == 1``, ``-0.0 == 0.0``, ``(1.0, 2) == (1, 2)``)
+    must still land where ``stable_hash`` sends them, in either order."""
+    from repro.common import bind_partitioner
+
+    part = HashPartitioner()
+    keys = [1, 0, 0.0, (1, 2), ("a", 0), True, False, 1.0, -0.0, (True, 2), (1.0, 2),
+            ("a", False), 1, (1, 2)]
+    for order in (keys, keys[::-1]):
+        bound = bind_partitioner(part, 64)
+        assert [bound(k) for k in order] == [part(k, 64) for k in order]
+
+
 def test_mod_bind_int_fast_path_excludes_bool():
     """``True % n`` would be valid Python but bools must keep going
     through ``stable_hash`` so they land where they always landed."""

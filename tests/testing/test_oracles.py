@@ -59,8 +59,9 @@ def outcome(runs=None, rows=(), trace_events=()):
 
 #: The iterative rows every campaign has, and its two iterative twins.
 ITERATIVE = [
-    Row(CLUSTER, reference="reference", oracle="differential"),
     Row("reference", oracle="differential"),
+    Row(CLUSTER, reference="reference", oracle="differential",
+        crash_oracle="termination"),
 ]
 KERNEL = Row("kernel", reference="reference", oracle="kernel-differential")
 MESH = Row("parallel", reference="reference", oracle="parallel-differential",
@@ -125,11 +126,14 @@ def test_termination_passes_clean_run():
 
 
 def test_termination_flags_error_and_missing_result():
-    v = oracle_termination(spec(), outcome({CLUSTER: RuntimeError("boom")}))
+    """The cluster's raise is judged under ``termination``; a cluster
+    that was not run (its reference raised) is reported as that raise."""
+    v = evaluate_oracles(spec(), outcome({CLUSTER: RuntimeError("boom")}, ITERATIVE))
     assert [x.oracle for x in v] == ["termination"]
-    assert v[0].detail.startswith("cluster: run raised RuntimeError: boom")
-    v = oracle_termination(spec(), outcome({}))
-    assert [x.oracle for x in v] == ["termination"]
+    assert v[0].detail == "cluster: run raised RuntimeError: boom"
+    v = evaluate_oracles(spec(), outcome({"reference": RuntimeError("x")}, ITERATIVE))
+    assert [(x.oracle, x.detail) for x in v] == [
+        ("differential", "reference: run raised RuntimeError: x")]
 
 
 def test_termination_flags_budget_overrun():
@@ -144,9 +148,12 @@ def test_differential_passes_matching_states():
 
 
 def test_differential_defers_to_termination_on_error():
-    """The cluster's failure is reported once, by the termination oracle."""
+    """The cluster's failure is reported once, under the termination
+    oracle (its row's ``crash_oracle``), not as a differential."""
     runs = {CLUSTER: RuntimeError("x"), "reference": res()}
-    assert judge(ITERATIVE, runs) == []
+    (v,) = judge(ITERATIVE, runs)
+    assert v.oracle == "termination"
+    assert oracle_termination(spec(), outcome(runs, ITERATIVE)) == []
     v = evaluate_oracles(spec(), outcome(runs, ITERATIVE))
     assert [x.oracle for x in v] == ["termination"]
 
@@ -470,3 +477,25 @@ def test_every_row_is_wired_to_its_oracle():
     kernel_readers = {r.oracle for r in clean.rows if "kernel" in (r.name, r.reference)}
     assert kernel_readers == {"kernel-differential", "parallel-differential"}
 
+
+
+def test_rows_reading_a_raised_run_are_not_run(monkeypatch):
+    """A serial reference that raises is reported once, as a
+    ``differential`` violation; every row that reads it, directly or
+    through a row that was not run, is skipped — the mesh is never
+    spawned — and the shrink predicate counts the raise."""
+    from repro.testing import runner
+
+    def broken_reference(spec_, plan=None):
+        return [dataclasses.replace(row, job=None) if row.name == "reference"
+                else row for row in campaign_rows(spec_, plan)]
+
+    monkeypatch.setattr(runner, "campaign_rows", broken_reference)
+    spec_ = generate_campaign(38).but(use_kernels=True, async_mode=False,
+                                      input_delta=None, proc_kill=None)
+    out = run_campaign(spec_, parallel=True)
+    assert [row.name for row in out.rows] == ["reference", CLUSTER, "kernel", "parallel"]
+    assert list(out.runs) == ["reference"]
+    (v,) = out.violations
+    assert v.oracle == "differential" and v.detail.startswith("reference: run raised")
+    assert runner.campaign_fails(spec_, oracles={"differential"}, parallel=True)
