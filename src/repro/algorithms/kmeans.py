@@ -66,20 +66,38 @@ def _sq_norm(ids: np.ndarray, counts: np.ndarray) -> float:
     return float(np.dot(counts, counts))
 
 
+def _prepare_centroids(
+    centroids: Sequence[tuple[int, np.ndarray]],
+) -> list[tuple[int, np.ndarray, float]]:
+    """What :func:`_nearest` needs of the centroids, computed once per set
+    rather than per user: ``(cid, vec, ‖vec‖²)`` in ascending cid."""
+    return [
+        (cid, vec, float(vec @ vec)) for cid, vec in sorted(centroids, key=lambda kv: kv[0])
+    ]
+
+
+def _nearest(
+    ids: np.ndarray, counts: np.ndarray, prepared: list[tuple[int, np.ndarray, float]]
+) -> int:
+    """Nearest-centroid id over :func:`_prepare_centroids`' output; ties
+    break to the lowest cid."""
+    x_norm = _sq_norm(ids, counts)
+    best_cid = -1
+    best_dist = np.inf
+    for cid, vec, c_norm in prepared:
+        dist = c_norm - 2.0 * float(vec[ids] @ counts) + x_norm
+        if dist < best_dist:
+            best_cid, best_dist = cid, dist
+    return best_cid
+
+
 def assign(
     ids: np.ndarray,
     counts: np.ndarray,
     centroids: Sequence[tuple[int, np.ndarray]],
 ) -> int:
     """Nearest-centroid id; ties break to the lowest cid."""
-    x_norm = _sq_norm(ids, counts)
-    best_cid = -1
-    best_dist = np.inf
-    for cid, vec in sorted(centroids, key=lambda kv: kv[0]):
-        dist = float(vec @ vec) - 2.0 * float(vec[ids] @ counts) + x_norm
-        if dist < best_dist:
-            best_cid, best_dist = cid, dist
-    return best_cid
+    return _nearest(ids, counts, _prepare_centroids(centroids))
 
 
 def _centroid_of(value: Any) -> np.ndarray:
@@ -104,19 +122,32 @@ def _offer_keeps(ctx, pairs) -> None:
 
 class KMeansImrMap:
     """Nearest-centroid assignment map as a picklable callable (the
-    multiprocess backend ships jobs to workers by pickle)."""
+    multiprocess backend ships jobs to workers by pickle).
 
-    __slots__ = ("track_membership",)
+    Every user of one pair-iteration receives the same broadcast list
+    object, and every backend builds a fresh one per iteration, so the
+    centroid invariants (:func:`_prepare_centroids`) are computed once
+    per broadcast, keyed on its identity.  The cache is derived state
+    and is not pickled."""
+
+    __slots__ = ("track_membership", "_broadcast", "_pairs", "_prepared")
 
     def __init__(self, track_membership: bool = False):
         # Same map either way; the reduce differs on membership.
         self.track_membership = track_membership
+        self._broadcast = self._pairs = self._prepared = None
+
+    def __reduce__(self):
+        return type(self), (self.track_membership,)
 
     def __call__(self, uid: int, centroids: list, prefs: tuple, ctx) -> None:
-        pairs = [(cid, _centroid_of(v)) for cid, v in centroids]
-        _offer_keeps(ctx, pairs)
+        if centroids is not self._broadcast:
+            self._broadcast = centroids
+            self._pairs = [(cid, _centroid_of(v)) for cid, v in centroids]
+            self._prepared = _prepare_centroids(self._pairs)
+        _offer_keeps(ctx, self._pairs)
         ids, counts = prefs
-        best = assign(ids, counts, pairs)
+        best = _nearest(ids, counts, self._prepared)
         ctx.emit(best, ("pt", uid, ids, counts))
 
 
@@ -356,17 +387,19 @@ class KMeansMapper:
 
     def __init__(self):
         self._centroids: list[tuple[int, np.ndarray]] = []
+        self._prepared: list[tuple[int, np.ndarray, float]] = []
 
     def configure(self, side_data: dict) -> None:
         centroids: list[tuple[int, np.ndarray]] = []
         for records in side_data.values():
             centroids.extend((cid, _centroid_of(v)) for cid, v in records)
         self._centroids = sorted(centroids, key=lambda kv: kv[0])
+        self._prepared = _prepare_centroids(self._centroids)
 
     def map(self, uid: int, prefs: tuple, ctx) -> None:
         _offer_keeps(ctx, self._centroids)
         ids, counts = prefs
-        best = assign(ids, counts, self._centroids)
+        best = _nearest(ids, counts, self._prepared)
         ctx.emit(best, ("pt", uid, ids, counts))
 
 
@@ -497,8 +530,9 @@ def reference_lloyd(
     for _ in range(iterations):
         sums = {cid: np.zeros(data.num_artists) for cid, _ in current}
         counts = {cid: 0 for cid, _ in current}
+        prepared = _prepare_centroids(current)
         for uid, (ids, play_counts) in enumerate(data.records):
-            best = assign(ids, play_counts, current)
+            best = _nearest(ids, play_counts, prepared)
             assignment[uid] = best
             np.add.at(sums[best], ids, play_counts)
             counts[best] += 1

@@ -130,7 +130,8 @@ def plannable(keys: list) -> bool:
 
 class GroupPlan:
     """:func:`group_by_dest`'s answer for one remembered key sequence,
-    replayed on later records that carry exactly that sequence.
+    replayed on later emissions — a keys and a values column — that
+    carry exactly that sequence.
 
     A map that walks a fixed static partition emits the same keys in the
     same order every iteration (pagerank, jacobi; not kmeans, whose key
@@ -138,12 +139,12 @@ class GroupPlan:
     while its frontier grows), so the map-output → reduce-input grouping
     — the edges i2MapReduce preserves on disk, here in memory — is
     loop-invariant, and iMapReduce's rule for loop-invariant work is to
-    do it once (§3.1, §3.2).  Two ``array`` columns of 4 bytes an entry
-    — ``order``, the permutation that puts the values in the
+    do it once (§3.1, §3.2).  Three ``array`` columns of 4 bytes an
+    entry — ``order``, the permutation that puts the values in the
     reference's order (destination by first appearance, then key, then
-    emission order), and ``bounds``, each group's end in it (a group's
-    first entry is its key's first occurrence) — plus ``dests``, each
-    destination with its number of groups.
+    emission order); ``bounds``, each group's end in it; and ``firsts``,
+    each group's first emission position (its key's first occurrence)
+    — plus ``dests``, each destination with its number of groups.
 
     The plan is *derived from the reference, not a second sort* — built
     by running the partitioner and :func:`group_by_key` over ``(key,
@@ -158,7 +159,7 @@ class GroupPlan:
     checkpointed, rebuilt after a respawn.
     """
 
-    __slots__ = ("keys", "order", "bounds", "dests")
+    __slots__ = ("keys", "order", "bounds", "firsts", "dests")
 
     def __init__(self, keys: list, part: Callable[[Any], int] | None = None):
         self.keys = keys
@@ -171,11 +172,12 @@ class GroupPlan:
             parts = defaultdict(lambda: array("I"))
             for position, key in enumerate(keys):
                 parts[part(key)].append(position)
-        self.order, sizes, self.dests = array("I"), array("I"), []
+        self.order, self.firsts, sizes, self.dests = array("I"), array("I"), array("I"), []
         for dest, where in parts.items():
             groups = group_by_key(zip(map(keys.__getitem__, where), where))
             positions = list(map(itemgetter(1), groups))
             self.order.extend(chain.from_iterable(positions))
+            self.firsts.extend(map(itemgetter(0), positions))
             sizes.extend(map(len, positions))
             self.dests.append((dest, len(positions)))
         self.bounds = array("I", accumulate(sizes))
@@ -183,17 +185,16 @@ class GroupPlan:
     def covers(self, keys: list) -> bool:
         return keys == self.keys and plannable(keys)
 
-    def apply(self, keys: list, records: list[tuple[Any, Any]]):
-        """What ``group_by_dest(records, part)`` yields, given that
-        ``keys`` — ``records``' keys — are covered: one gather, then one
-        slice (a fresh list) per group, each group's key object taken
-        from this emission's first occurrence, as ``setdefault`` does.
-        Consume each destination's groups before asking for the next."""
-        values = list(map(itemgetter(1), records))
+    def apply(self, keys: list, values: list):
+        """What ``group_by_dest(zip(keys, values), part)`` yields, given
+        that ``keys`` are covered: one gather from the values column,
+        then one slice (a fresh list) per group, each group's key object
+        taken from this emission's first occurrence, as ``setdefault``
+        does.  Consume each destination's groups before asking for the
+        next."""
         gathered = list(map(values.__getitem__, self.order))
-        firsts = map(self.order.__getitem__, chain((0,), self.bounds[:-1]))
         groups = zip(
-            map(keys.__getitem__, firsts),
+            map(keys.__getitem__, self.firsts),
             map(gathered.__getitem__, map(slice, chain((0,), self.bounds), self.bounds)),
         )
         for dest, num_groups in self.dests:

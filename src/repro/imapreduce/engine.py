@@ -40,8 +40,13 @@ The driver is parameterised by
                   holds the values, and its length is what a transport
                   counts as ``records_sent`` — the (key, value)
                   contributions shipped, whether or not the keys ride
-                  along (the columnar sync executor ships ``None`` keys
-                  once the receiver holds them);
+                  along.  Record-sync ships ``keys, values`` lists (the
+                  map's emissions stay two columns from ``Context`` to
+                  the reducer; only state is ``(key, value)`` records),
+                  record-accum one list of delta records, and the
+                  columnar executors ``keys | None, values`` arrays (the
+                  sync one ships ``None`` keys once the receiver holds
+                  them);
   ``absorb(kind, phase, merged)``  ``dest_pair → items`` in ascending
                   source-pair order (the determinism contract);
   ``progress(send_state)``  the report payload (distance partials or
@@ -61,10 +66,19 @@ The driver is parameterised by
   source-pair order; a transport that delivers late hands over the
   destination's own batch first, then the rest by ``(source pair, send
   sequence)`` — each exactly once.
+
+:func:`run_supersteps` also owns **cyclic garbage collection** for its run
+(*BSP vs MapReduce*: the superstep barrier is where a step's garbage is
+dead): automatic collection is paused, and one young-generation
+``gc.collect(1)`` runs at each step boundary, charged to ``gc``.  It
+never walks the old generation, so forked workers keep their inherited
+pages shared; the caller's setting comes back on every exit path, and a
+caller that disabled collection gets none.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 import time
@@ -108,10 +122,13 @@ REPART = "repart"
 #: ``schedule`` (priority scoring + selection) and ``delta``
 #: (apply/emit/absorb) belong to the accumulative executors and stay
 #: zero on synchronous jobs.  ``serialize``/``deserialize``/``send``/
-#: ``wait`` are the pipe mesh's and stay zero on the loopback
-#: transport.  ``checkpoint`` is the durable-spool write path (§3.4.1)
-#: and ``recover`` the restore-from-checkpoint load after a respawn;
-#: both stay zero on an unfaulted run without checkpointing.
+#: ``wait``/``verdict`` are the pipe mesh's and stay zero on the
+#: loopback transport: ``wait`` is blocking for peer data, ``verdict``
+#: for the coordinator's ruling on a step.  ``checkpoint`` is the
+#: durable-spool write path (§3.4.1) and ``recover`` the
+#: restore-from-checkpoint load after a respawn; both stay zero on an
+#: unfaulted run without checkpointing.  ``gc`` is the per-step
+#: young-generation collection :func:`run_supersteps` runs.
 PHASE_COUNTERS = (
     "map",
     "combine",
@@ -122,10 +139,12 @@ PHASE_COUNTERS = (
     "deserialize",
     "send",
     "wait",
+    "verdict",
     "reduce",
     "report",
     "checkpoint",
     "recover",
+    "gc",
 )
 
 #: What a transport counts; all zero on the loopback transport.
@@ -524,7 +543,21 @@ def run_supersteps(cfg: WorkerConfig, executor_cls, transport) -> dict:
 
     Returns the host's final report: its pairs' state, the steps it
     ran, why it stopped and its stats (one ``worker_stats`` entry).
+
+    Automatic garbage collection is paused for the run and replaced by
+    one young-generation collection per step (module docstring); the
+    caller's setting is restored however the run ends.
     """
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        return _supersteps(cfg, executor_cls, transport, collect)
+    finally:
+        if collect:
+            gc.enable()
+
+
+def _supersteps(cfg: WorkerConfig, executor_cls, transport, collect: bool) -> dict:
     perf = time.perf_counter
     timings = transport.timings
     executor = executor_cls(cfg, timings)
@@ -586,6 +619,10 @@ def run_supersteps(cfg: WorkerConfig, executor_cls, transport) -> dict:
                     kind, step, phase, executor.emit(kind, phase, broadcast)
                 ),
             )
+        if collect:
+            started = perf()
+            gc.collect(1)
+            timings["gc"] += perf() - started
         step += 1
 
     transport.finish()

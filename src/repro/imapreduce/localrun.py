@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from ..common.partition import bind_partitioner
@@ -94,10 +93,10 @@ def run_map(
     static: dict,
     static_sorted: list[tuple[Any, Any]] | None,
     broadcast: list | None,
-) -> list[tuple[Any, Any]]:
+) -> tuple[list, list]:
     """One pair's map task for one phase, before any combiner: its raw
-    emissions.  ``static_sorted``/``broadcast`` are set for one2all
-    phases."""
+    emissions as ``(keys, values)`` columns.  ``static_sorted``/
+    ``broadcast`` are set for one2all phases."""
     ctx = Context()
     if broadcast is not None:
         for key, static_value in static_sorted or ():
@@ -106,21 +105,32 @@ def run_map(
         static_get = static.get
         for key, state_value in records:
             phase.map_fn(key, state_value, static_get(key), ctx)
-    return ctx.take()
+    return ctx.take_columns()
 
 
-def reduce_groups(fn, grouped) -> Iterable[tuple[Any, list[tuple[Any, Any]]]]:
+def reduce_groups(fn, grouped) -> Iterable[tuple[Any, tuple[list, list]]]:
     """Run a combiner or reducer over ``(destination, groups)`` — what
     :func:`~repro.common.records.group_by_dest` or a ``GroupPlan``
-    yields — giving ``(destination, its output)``: a combiner's output
-    stays in the partition it was grouped for."""
-    # One Context reused across all destinations: ``take()`` drains the
+    yields — giving ``(destination, its output's (keys, values))``: a
+    combiner's output stays in the partition it was grouped for."""
+    # One Context reused across all destinations: each take drains the
     # buffer between them, and no combiner reads the context counters.
     ctx = Context()
     for dest, groups in grouped:
         for key, values in groups:
             fn(key, values, ctx)
-        yield dest, ctx.take()
+        yield dest, ctx.take_columns()
+
+
+def route_columns(keys: list, values: list, part) -> dict[int, tuple[list, list]]:
+    """``destination → (keys, values)`` by ``part(key)``, destinations in
+    order of first appearance, emission order within each."""
+    routed: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for key, value in zip(keys, values):
+        dest_keys, dest_values = routed[part(key)]
+        dest_keys.append(key)
+        dest_values.append(value)
+    return routed
 
 
 def map_pair(
@@ -145,11 +155,13 @@ def map_pair(
     accumulates into its ``map`` and ``combine`` counters.
     """
     started = time.perf_counter()
-    emitted = run_map(phase, records, static, static_sorted, broadcast)
+    emitted = list(zip(*run_map(phase, records, static, static_sorted, broadcast)))
     mapped = time.perf_counter()
     if phase.combiner is not None:
         grouped = group_by_dest(emitted, part)
-        emitted = [rec for _q, out in reduce_groups(phase.combiner, grouped) for rec in out]
+        emitted = [
+            rec for _q, out in reduce_groups(phase.combiner, grouped) for rec in zip(*out)
+        ]
     if timings is not None:
         timings["map"] += mapped - started
         timings["combine"] += time.perf_counter() - mapped
@@ -163,14 +175,15 @@ def sorted_static(static: dict) -> list[tuple[Any, Any]]:
 
 # --------------------------------------------------------- pair executors --
 # The record-layout pair executors (see :mod:`.engine` for the
-# interface): wire items are ``(dest_pair, src_pair, records)``.
+# interface and their wire items).
 class RecordSync:
     """Synchronous iterations over per-pair record lists: one
     :func:`run_map`, one combine and one reduce per pair per phase
     (§3.1), both over ``group_by_dest``'s grouping — replayed from a
     ``GroupPlan`` once a pair's key sequence repeats; a non-final
     phase's reduce output is repartitioned to the next phase's maps
-    (§5.2)."""
+    (§5.2).  Emissions move as ``(keys, values)`` columns from the map
+    to the reduce; state (``current``) is ``(key, value)`` records."""
 
     report_lag = 1
 
@@ -235,13 +248,12 @@ class RecordSync:
         self.timings["map"] += time.perf_counter() - started
         return broadcast, len(broadcast)
 
-    def _grouped(self, slot: tuple, records: list, part=None):
-        """``group_by_dest(records, part)`` — replayed from ``slot``'s
-        :class:`~repro.common.records.GroupPlan` when it covers this key
-        sequence.  A plan is built the first time a slot's sequence
-        equals the previous step's, so a job whose keys never repeat
-        pays one key extract and one list compare per step."""
-        keys = list(map(itemgetter(0), records))
+    def _grouped(self, slot: tuple, keys: list, values: list, part=None):
+        """``group_by_dest(zip(keys, values), part)`` — replayed from
+        ``slot``'s :class:`~repro.common.records.GroupPlan` when it
+        covers this key sequence.  A plan is built the first time a
+        slot's sequence equals the previous step's, so a job whose keys
+        never repeat pays one list compare per step."""
         plan = self.group_plans.get(slot)
         if plan is not None and plan.covers(keys):
             self.plan_hits += 1
@@ -251,22 +263,21 @@ class RecordSync:
             self.plans_built += 1
         else:
             self.key_seqs[slot] = keys
-            return group_by_dest(records, part)
-        return plan.apply(keys, records)
+            return group_by_dest(zip(keys, values), part)
+        return plan.apply(keys, values)
 
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         phase_sorted = self.static_sorted[phase]
         combiner = self.phases[phase].combiner if kind == SHUFFLE else None
-        part = self.part
         items = []
         # One running clock, so the time between two charges — the
-        # release of the previous pair's records, say — is somebody's.
+        # release of the previous pair's columns, say — is somebody's.
         clock = time.perf_counter()
         for p in self.pairs:
             if kind == REPART:
-                records = self.reduced.pop(p)
+                keys, values = self.reduced.pop(p)
             else:
-                records = run_map(
+                keys, values = run_map(
                     self.phases[phase],
                     self.current[p],
                     self.static[phase][p],
@@ -274,19 +285,17 @@ class RecordSync:
                     broadcast,
                 )
             if combiner is None:
-                by_dest: dict[int, list] = defaultdict(list)
-                for rec in records:
-                    by_dest[part(rec[0])].append(rec)
-                items.extend((q, p, recs) for q, recs in by_dest.items())
+                routed = route_columns(keys, values, self.part)
+                items.extend((q, p, ks, vs) for q, (ks, vs) in routed.items())
             mapped = time.perf_counter()
             self.timings["map"] += mapped - clock
             clock = mapped
             if combiner is not None:
                 # Plan check and build included.  The output is already
                 # per destination: nothing re-partitions it.
-                grouped = self._grouped(("send", phase, p), records, part)
+                grouped = self._grouped(("send", phase, p), keys, values, self.part)
                 items.extend(
-                    (q, p, out) for q, out in reduce_groups(combiner, grouped) if out
+                    (q, p, ks, vs) for q, (ks, vs) in reduce_groups(combiner, grouped) if ks
                 )
                 clock = time.perf_counter()
                 self.timings["combine"] += clock - mapped
@@ -297,17 +306,19 @@ class RecordSync:
         reduce_fn = self.phases[phase].reduce_fn
         out = {}
         for q in self.pairs:
-            records: list = []
-            for _q, _src, recs in merged.pop(q, ()):
-                records.extend(recs)
+            keys: list = []
+            values: list = []
+            for _q, _src, ks, vs in merged.pop(q, ()):
+                keys += ks
+                values += vs
             if kind == SHUFFLE:
-                grouped = self._grouped(("recv", phase, q), records)
-                ((_none, records),) = reduce_groups(reduce_fn, grouped)
-            out[q] = records
+                grouped = self._grouped(("recv", phase, q), keys, values)
+                ((_none, (keys, values)),) = reduce_groups(reduce_fn, grouped)
+            out[q] = keys, values
         if kind == REPART or phase == self.last:
             # Persistent pair channel: reduce k's output is map k+1's
             # input for the same pair, never leaving this host.
-            self.current = out
+            self.current = {q: list(zip(*columns)) for q, columns in out.items()}
         else:
             self.reduced = out
         self.timings["reduce"] += time.perf_counter() - started

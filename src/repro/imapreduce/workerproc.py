@@ -41,9 +41,9 @@ wire every logical message is a *frame*:
   out.  ``batches_sent`` counts only data frames.
 
 Shuffle payloads are a flat list of the executor's wire items
-``(dest_pair, src_pair, *columns)`` — records for the record layout,
-``keys | None, values`` arrays for the columnar one — one pickle per
-destination worker.  The values column is last in every layout and
+``(dest_pair, src_pair, *columns)`` — ``keys, values`` lists for
+record-sync, records for record-accum, ``keys | None, values`` arrays
+for the columnar layouts — one pickle per destination worker.  The values column is last in every layout and
 ``records_sent`` counts its length: the (key, value) contributions
 shipped, whether or not their keys ride along.
 
@@ -65,7 +65,7 @@ iteration beyond the data mesh itself.
 
 Profiler: every worker accumulates wall-time per phase of its loop
 (:data:`~repro.imapreduce.engine.PHASE_COUNTERS`; this module owns
-``serialize, deserialize, send, wait``) into
+``serialize, deserialize, send, wait, verdict``) into
 ``stats["phase_seconds"]``, summed over workers by
 ``ParallelRunResult.phase_breakdown()``.
 
@@ -340,11 +340,13 @@ class _Inbox:
         self._stash: dict[tuple, dict[int, Any]] = {}
         self._verdicts: dict[int, str] = {}
 
-    def _pump(self, timeout: float | None) -> None:
+    def _pump(self, timeout: float | None, waiting_for: str = "wait") -> None:
+        """Block until a frame is ready and file it; the blocked time is
+        charged to ``waiting_for`` — ``wait`` (peer data) or ``verdict``."""
         timings = self._timings
         started = time.perf_counter()
         ready = _conn_wait(self._conns, timeout)
-        timings["wait"] += time.perf_counter() - started
+        timings[waiting_for] += time.perf_counter() - started
         if not ready:
             raise TimeoutError(f"no mesh message within {timeout}s")
         for conn in ready:
@@ -373,7 +375,7 @@ class _Inbox:
 
     def verdict(self, iteration: int, timeout: float | None) -> str:
         while iteration not in self._verdicts:
-            self._pump(timeout)
+            self._pump(timeout, "verdict")
         return self._verdicts.pop(iteration)
 
 

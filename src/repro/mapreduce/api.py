@@ -27,23 +27,38 @@ __all__ = ["Context", "Mapper", "Reducer", "Combiner", "as_mapper", "as_reducer"
 
 
 class Context:
-    """Collects emissions and counter updates from user code."""
+    """Collects emissions and counter updates from user code.
 
-    __slots__ = ("emitted", "counters")
+    Emissions are kept as two parallel columns, ``keys`` and ``values``
+    — no object per pair, as Hadoop's map output buffer keeps bytes plus
+    index arrays.  :meth:`take_columns` hands both over; :meth:`take`
+    pairs them up for callers that want records.
+    """
+
+    __slots__ = ("keys", "values", "counters")
 
     def __init__(self):
-        self.emitted: list[tuple[Any, Any]] = []
+        self.keys: list[Any] = []
+        self.values: list[Any] = []
         self.counters: dict[str, float] = {}
 
     def emit(self, key: Any, value: Any) -> None:
-        self.emitted.append((key, value))
+        self.keys.append(key)
+        self.values.append(value)
 
     def increment(self, counter: str, amount: float = 1.0) -> None:
         self.counters[counter] = self.counters.get(counter, 0.0) + amount
 
+    def take_columns(self) -> tuple[list[Any], list[Any]]:
+        """``(keys, values)`` emitted since the last take, in emission
+        order; the buffer starts over empty."""
+        columns = self.keys, self.values
+        self.keys, self.values = [], []
+        return columns
+
     def take(self) -> list[tuple[Any, Any]]:
-        emitted, self.emitted = self.emitted, []
-        return emitted
+        """The emissions as ``(key, value)`` records, in emission order."""
+        return list(zip(*self.take_columns()))
 
 
 @runtime_checkable

@@ -1,11 +1,14 @@
 """K-means correctness: engines vs the Lloyd reference, combiner
 equivalence, and the §5.3 convergence-detection variants."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.algorithms import kmeans
 from repro.data import load_lastfm
+from repro.mapreduce.api import Context
 
 from tests.algorithms.support import Rig
 
@@ -100,6 +103,30 @@ def test_clusters_recover_ground_truth_tastes(rig):
         _, counts = np.unique(members, return_counts=True)
         agreement += counts.max()
     assert agreement / DATA.num_users > 0.7
+
+
+def test_imr_map_assigns_like_assign_once_per_broadcast():
+    """The map computes each broadcast's centroid invariants once; every
+    user's assignment still equals per-user ``assign`` — on the initial
+    centroids, on a later broadcast, and after a pickle round trip, which
+    drops the cache."""
+    later, _ = kmeans.reference_lloyd(DATA, CENTROIDS, 2)
+
+    def assignments(kmap, broadcast):
+        ctx = Context()
+        for uid, prefs in DATA.user_records():
+            kmap(uid, broadcast, prefs, ctx)
+        return {value[1]: cid for cid, value in ctx.take() if value[0] == "pt"}
+
+    kmap = kmeans.KMeansImrMap()
+    for broadcast in (list(CENTROIDS), later):
+        want = {uid: kmeans.assign(ids, counts, broadcast)
+                for uid, (ids, counts) in DATA.user_records()}
+        assert len(set(want.values())) > 1
+        assert assignments(kmap, broadcast) == want
+    clone = pickle.loads(pickle.dumps(kmap))
+    assert clone._broadcast is None and clone.track_membership is False
+    assert assignments(clone, later) == assignments(kmap, later)
 
 
 def test_membership_tracking_state(rig):

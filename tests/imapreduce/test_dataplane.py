@@ -23,6 +23,8 @@ from repro.graph.generators import sssp_graph
 from repro.imapreduce import (
     IterativeJob,
     ParallelExecutionError,
+    run_accum_local,
+    run_accum_parallel,
     run_local,
     run_parallel,
 )
@@ -210,6 +212,23 @@ def test_counters_and_profiler_surface_in_stats():
     assert set(par.phase_breakdown()) == set(PHASE_COUNTERS)
     assert par.counter("bytes_pickled") > 0
     assert par.counter("batches_sent") > 0
+
+
+def test_verdict_wait_has_its_own_phase():
+    """An accumulative mesh blocks on the coordinator's verdict every
+    round: that time lands in ``verdict``, not in ``wait`` (peer data).
+    A loopback run hears its verdict inline: zero."""
+    from repro.algorithms import sssp
+
+    job = sssp.build_accum_job(
+        state_path=STATE, static_path="/dp/static", output_path=OUT, max_rounds=1_000,
+    )
+    static = {"/dp/static": sssp.static_records(sssp_graph(40, seed=3))}
+    deltas = sssp.accum_initial_deltas(0)
+    par = run_accum_parallel(job, deltas, static, num_pairs=4, num_workers=2)
+    assert all(s["phase_seconds"]["verdict"] > 0.0 for s in par.worker_stats)
+    (serial,) = run_accum_local(job, deltas, static, num_pairs=4).worker_stats
+    assert serial["phase_seconds"]["verdict"] == serial["phase_seconds"]["wait"] == 0.0
 
 
 def test_dense_batches_formula():

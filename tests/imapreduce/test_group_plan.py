@@ -1,13 +1,16 @@
-"""The record path's remembered shuffle grouping (``GroupPlan``).
+"""The record path's column data plane and its remembered shuffle
+grouping (``GroupPlan``).
 
-``RecordSync`` replays a slot's grouping only under exact key-sequence
-equality, so with or without a plan it must hand the combiner and the
-reducer what the reference does — ``map_pair`` / ``group_by_key`` —
+``RecordSync`` moves emissions as ``(keys, values)`` columns and
+replays a slot's grouping only under exact key-sequence equality, so
+with or without a plan it must ship and reduce what the reference does
+— ``map_pair`` / ``group_by_dest`` over ``(key, value)`` tuples —
 record for record *and in order*.  The property test drives one
-executor through sequences that repeat, change in one position and
-repeat again, comparing ``repr`` (which tells ``1`` / ``1.0`` / ``True``
-and ``0.0`` / ``-0.0`` apart where ``==`` does not); the rest pins the
-exact plan counters, the combiner-destination contract on all three
+executor, single-phase or two-phase (a ``REPART`` hop between), through
+sequences that repeat, change in one position and repeat again,
+comparing ``repr`` (which tells ``1`` / ``1.0`` / ``True`` and ``0.0`` /
+``-0.0`` apart where ``==`` does not); the rest pins ``Context.take``,
+the exact plan counters, the combiner-destination contract on all three
 backends and the profiler's coverage of the wall clock.
 """
 
@@ -24,9 +27,10 @@ from repro.common.partition import HashPartitioner, ModPartitioner, bind_partiti
 from repro.common.records import GroupPlan, group_by_dest, group_by_key, plannable
 from repro.dfs import DFS
 from repro.graph.generators import pagerank_graph
-from repro.imapreduce import IMapReduceRuntime, IterativeJob, run_local, run_parallel
-from repro.imapreduce.engine import PHASE_COUNTERS, SHUFFLE, by_dest, host_config
+from repro.imapreduce import IMapReduceRuntime, IterativeJob, Phase, run_local, run_parallel
+from repro.imapreduce.engine import PHASE_COUNTERS, REPART, SHUFFLE, by_dest, host_config
 from repro.imapreduce.localrun import RecordSync, map_pair
+from repro.mapreduce.api import Context
 from repro.simulation import Engine
 from tests.imapreduce.test_runtime_basic import read_final
 
@@ -49,37 +53,62 @@ def ordered_fold(key, values, ctx):
     values.clear()
 
 
-def scripted_executor(partitioner, num_pairs, combiner):
+def relay_map(key, value, static, ctx):
+    """The second phase's map: re-emits what ``REPART`` delivered."""
+    ctx.emit(key, value)
+
+
+def scripted_executor(partitioner, num_pairs, combiner, two_phase=False):
+    combiner = ordered_fold if combiner else None
     job = IterativeJob.single_phase(
         "scripted", scripted_map, ordered_fold,
         conf=JobConf({IterKeys.STATE_PATH: STATE, IterKeys.MAX_ITER: 1}),
-        output_path=OUT, partitioner=partitioner,
-        combiner=ordered_fold if combiner else None,
+        output_path=OUT, partitioner=partitioner, combiner=combiner,
     )
+    if two_phase:
+        job.add_successor(Phase(relay_map, ordered_fold, combiner=combiner))
     cfg = host_config(
-        0, range(num_pairs), [[] for _ in range(num_pairs)], [[{}] * num_pairs],
+        0, range(num_pairs), [[] for _ in range(num_pairs)],
+        [[{}] * num_pairs for _ in job.phases],
         num_workers=1, num_pairs=num_pairs, job=job,
         send_state=False, wait_verdict=False,
     )
-    return job.phases[0], RecordSync(cfg, dict.fromkeys(PHASE_COUNTERS, 0.0))
+    return job, RecordSync(cfg, dict.fromkeys(PHASE_COUNTERS, 0.0))
 
 
-def reference_step(phase, part, current):
-    """The unplanned path: ``map_pair`` per pair, its output routed by
-    key in order of first appearance, then ``group_by_key`` at each
-    destination over its batches in ascending source order."""
+def reference_exchange(kind, phase, part, inputs):
+    """The unplanned path over ``(key, value)`` tuples: per pair,
+    ``map_pair`` (a ``SHUFFLE``) or the reduce output as it stands (a
+    ``REPART``), routed by key in order of first appearance; then, at
+    each destination over its batches in ascending source order,
+    ``group_by_key`` and the reduce (a ``SHUFFLE``) or nothing."""
     items = []
-    for p, records in current.items():
+    for p, records in inputs.items():
+        if kind == SHUFFLE:
+            records = map_pair(phase, records, {}, None, None, part)
         routed: dict[int, list] = {}
-        for rec in map_pair(phase, records, {}, None, None, part):
+        for rec in records:
             routed.setdefault(part(rec[0]), []).append(rec)
         items += [(q, p, recs) for q, recs in routed.items()]
     merged = by_dest(items)
-    reduced = {}
-    for q in current:
+    out = {}
+    for q in inputs:
         arrived = [rec for _q, _p, recs in merged.get(q, ()) for rec in recs]
-        reduced[q] = [(k, tuple(vs)) for k, vs in group_by_key(arrived)]
-    return items, reduced
+        if kind == SHUFFLE:
+            arrived = [(k, tuple(vs)) for k, vs in group_by_key(arrived)]
+        out[q] = arrived
+    return items, out
+
+
+def as_records(items):
+    """Column wire items ``(dest, src, keys, values)`` as the reference's
+    ``(dest, src, records)``."""
+    out = []
+    for q, p, keys, values in items:
+        assert type(keys) is list and type(values) is list
+        assert len(keys) == len(values) > 0
+        out.append((q, p, list(zip(keys, values))))
+    return out
 
 
 INT_KEYS = st.integers(min_value=-3, max_value=9)
@@ -114,31 +143,55 @@ def scripts(draw):
     steps=scripts(),
     partitioner=st.sampled_from([ModPartitioner(), HashPartitioner()]),
     combiner=st.booleans(),
+    two_phase=st.booleans(),
 )
-def test_planned_equals_reference_in_order(steps, partitioner, combiner):
+def test_planned_equals_reference_in_order(steps, partitioner, combiner, two_phase):
     num_pairs = len(steps[0])
 
     def part(key):  # unbound, so a memo in ``bind`` is held to the traps
         return partitioner(key, num_pairs)
 
-    phase, executor = scripted_executor(partitioner, num_pairs, combiner)
+    job, executor = scripted_executor(partitioner, num_pairs, combiner, two_phase)
+    assert executor.plan == (
+        [(SHUFFLE, 0), (REPART, 0), (SHUFFLE, 1)] if two_phase else [(SHUFFLE, 0)]
+    )
     for step, seqs in enumerate(steps):
         # Values differ at every step and position: order is visible.
-        current = {
+        state = {
             p: [(p, [(k, (step, p, i)) for i, k in enumerate(seq)])]
             for p, seq in enumerate(seqs)
         }
-        want_items, want_reduced = reference_step(phase, part, current)
-        executor.current = dict(current)
-        items = executor.emit(SHUFFLE, 0, None)
-        assert repr(items) == repr(want_items)
-        executor.absorb(SHUFFLE, 0, by_dest(items))
-        assert repr(executor.current) == repr(want_reduced)
+        executor.current = dict(state)
+        for kind, phase in executor.plan:
+            want_items, state = reference_exchange(kind, job.phases[phase], part, state)
+            items = executor.emit(kind, phase, None)
+            assert repr(as_records(items)) == repr(want_items)
+            executor.absorb(kind, phase, by_dest(items))
+        assert repr(executor.current) == repr(state)
     stats = executor.final_stats()
     # At most one plan and one candidate per (side, phase, pair).
-    assert len(executor.group_plans) <= 2 * num_pairs
-    assert len(executor.key_seqs) <= 2 * num_pairs
+    slots = 2 * num_pairs * len(job.phases)
+    assert len(executor.group_plans) <= slots
+    assert len(executor.key_seqs) <= slots
     assert stats["plans_built"] >= len(executor.group_plans)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(TRAP_KEYS, st.integers()), max_size=20))
+def test_context_take_returns_tuples_in_emission_order(emissions):
+    """``take()`` gives the records a list of tuples would have held;
+    ``take_columns()`` the same emissions as two columns."""
+    ctx = Context()
+    for key, value in emissions:
+        ctx.emit(key, value)
+    taken = ctx.take()
+    assert repr(taken) == repr(emissions)
+    assert all(type(rec) is tuple for rec in taken)
+    assert ctx.take() == [] and ctx.take_columns() == ([], [])
+    for key, value in emissions:
+        ctx.emit(key, value)
+    keys, values = ctx.take_columns()
+    assert repr(list(zip(keys, values))) == repr(emissions)
 
 
 @pytest.mark.parametrize("other", [1.0, True])
@@ -160,15 +213,16 @@ def test_replay_takes_each_key_object_from_the_current_emission():
     big = 10**6  # ints this large are not interned: equal, not identical
     plan = GroupPlan([big, 7, big + 0])
     keys = [int("1000000"), 7, int("1000000")]
-    records = [(k, i) for i, k in enumerate(keys)]
+    values = list(range(len(keys)))
+    records = list(zip(keys, values))
     assert plan.covers(keys)
-    ((_dest, groups),) = plan.apply(keys, records)
+    ((_dest, groups),) = plan.apply(keys, values)
     groups = list(groups)
     assert groups == group_by_key(records) == [(7, [1]), (big, [0, 2])]
     assert groups[1][0] is keys[0]
     # The same shape the reference yields, destination by destination.
     part = bind_partitioner(ModPartitioner(), 2)
-    planned = [(d, list(g)) for d, g in GroupPlan(keys, part).apply(keys, records)]
+    planned = [(d, list(g)) for d, g in GroupPlan(keys, part).apply(keys, values)]
     assert planned == [(d, list(g)) for d, g in group_by_dest(records, part)]
 
 

@@ -348,7 +348,7 @@ def test_unfaulted_checkpoints_are_cheap_and_invisible():
     assert ckpt.checkpoints == [4] and ckpt.recoveries == 0
     assert records_identical(ckpt.state, plain.state)
     assert mesh_counters(ckpt) == mesh_counters(plain)
-    assert_mesh_counters(plain, (442_200, 16, 0, 6_191_640))
+    assert_mesh_counters(plain, (442_200, 16, 0, 5_308_888))
     attributed = ckpt.phase_breakdown()["checkpoint"] + ckpt.commit_seconds
     assert 0.0 < attributed / ckpt.wall_seconds <= CHECKPOINT_OVERHEAD_CEILING
 
