@@ -50,18 +50,25 @@ priority field per key, updated when a delta is received).  Priority is
 a pure function of ``(state[k], pending[k])``; ``pending[k]`` changes
 only in ``absorb`` and ``state[k]`` only in ``apply``, which pops ``k``
 — so :class:`AccumPair` caches each pending key's priority, ``absorb``
-invalidates the slots it touches, and one refresh step re-scores those
-alone.  That matters because async mode never pops a delta whose
-priority is 0 (an offer that no longer improves the state): such dead
-entries stay in ``pending`` until a better delta revives them or the
-run ends, and on sssp they come to outnumber the live ones about four
-to one.  Cached, a dead entry costs a dict step per round where it used
-to cost two ``priority()`` evaluations.  The mass is folded with an
-explicit left-to-right loop over the cache, zeros included — the float
-sequence a from-scratch fold adds, so traces do not move; builtin
-``sum`` would not do, its float algorithm differs across Python
-versions.  ``priority_evals`` counts the evaluations: each is caused by
-at least one absorbed record.
+marks the keys it touches dirty, and one refresh step re-scores those
+alone, never walking the queue.  ``priority_evals`` counts the
+evaluations: each is caused by at least one absorbed record.
+
+The queue holds live deltas only when the algebra is idempotent
+(:attr:`Accumulator.idempotent`: ``x ⊕ x = x`` on every sample, which
+with commutativity and associativity makes ``⊕`` a semilattice join —
+``min`` is one, ``+`` is not).  There ``absorb`` drops an offer ``d``
+with ``s ⊕ d = s`` for the key's state ``s``: ``s`` only moves while
+the key is popped, to ``s' = s ⊕ p`` for some pending ``p``, and
+``s ⊕ (p ⊕ d) = (s ⊕ d) ⊕ p = s'`` — with ``d`` or without, the same
+state, so the same updates and the same default priorities.  Under a
+total order (``min``) the pending value itself is unchanged too: a live
+``p`` beats ``s``, hence beats ``d``.  Keeping ``d`` would only park a
+priority-0 entry that async rounds never pop (on sssp, four for every
+live one) and sync rounds drain for nothing.  The mass is
+``math.fsum`` over the cached priorities — exactly rounded, so it does
+not depend on the order keys entered the queue — and ``inf`` once the
+exact sum leaves the float range.
 
 Correctness: for ``min`` algebras the fixpoint is unique and every
 schedule reaches it exactly, so async results are *bit-equal* to the
@@ -80,12 +87,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner, bind_partitioner
-from ..common.records import order_key, sort_records
+from ..common.records import sort_records
 
 __all__ = [
     "Accumulator",
@@ -144,7 +153,8 @@ class Accumulator:
         Associativity subsumes the delta-composition law the pending
         queues rely on: ``merge(s, d1 ⊕ d2) == merge(merge(s, d1), d2)``
         is exactly associativity with ``s, d1, d2`` drawn from the same
-        sample set.
+        sample set.  Idempotence is not a law: :attr:`idempotent` reads
+        it off the same samples.
         """
         samples = tuple(self.samples)
         if len(samples) < 3:
@@ -174,6 +184,12 @@ class Accumulator:
                     "cannot be coalesced"
                 )
 
+    @cached_property
+    def idempotent(self) -> bool:
+        """``merge(x, x) == x`` exactly on every sample: a semilattice,
+        whose pending queue drops no-op offers (module docstring)."""
+        return bool(self.samples) and all(self.merge(x, x) == x for x in self.samples)
+
     def priority(self, state: Any, delta: Any) -> float:
         """Impact of applying ``delta`` to ``state`` (0 = no-op)."""
         if self.priority_fn is not None:
@@ -189,6 +205,15 @@ class Accumulator:
 
 def _merge_sum(a, b):
     return a + b
+
+
+def fold_mass(priorities) -> float:
+    """The pending mass: ``math.fsum`` of non-negative priorities, ``inf``
+    when the exact sum overflows."""
+    try:
+        return math.fsum(priorities)
+    except OverflowError:
+        return math.inf
 
 
 #: The two algebras the shipped workloads use.  ``SUM`` samples are
@@ -320,6 +345,7 @@ class AccumPair:
         "deltas_emitted",
         "priority_evals",
         "_prio",
+        "_dirty",
         "_mass",
     )
 
@@ -342,11 +368,12 @@ class AccumPair:
         if initial_state is not None:
             self.state.update(initial_state)
         self.pending: dict[Any, Any] = {}
-        #: The priority queue kept between rounds: ``pending``'s keys in
-        #: ``pending``'s insertion order, each with the cached priority
-        #: of its pending delta (``None`` once ``absorb`` changed the
-        #: delta), and their fold (``None`` once any slot changed).
-        self._prio: dict[Any, Any] = {}
+        #: The priority queue kept between rounds: the cached priority of
+        #: each scored pending delta, the keys ``absorb`` touched since
+        #: (an insertion-ordered set), and the mass (``None`` once
+        #: either changed).
+        self._prio: dict[Any, float] = {}
+        self._dirty: dict[Any, None] = {}
         self._mass: float | None = 0.0
         self.updates_processed = 0
         self.deltas_emitted = 0
@@ -354,21 +381,28 @@ class AccumPair:
 
     def absorb(self, records) -> None:
         """Coalesce arriving deltas into the pending queue with ``⊕``
-        (exact by the delta-composition law)."""
-        merge = self.acc.merge
-        ident = self.acc.identity
+        (exact by the delta-composition law); under an idempotent
+        algebra an offer the state already absorbed is dropped."""
+        acc = self.acc
+        merge = acc.merge
+        ident = acc.identity
+        drop = acc.idempotent
+        state_get = self.state.get
         pending = self.pending
         get = pending.get
-        prio = self._prio
+        dirty = self._dirty
         for k, d in records:
+            if drop:
+                s = state_get(k, ident)
+                if merge(s, d) == s:
+                    continue
             pending[k] = merge(get(k, ident), d)
-            prio[k] = None
-        self._mass = None
+            dirty[k] = None
+        if dirty:
+            self._mass = None
 
     def _refresh(self) -> None:
-        """Score the pending deltas ``absorb`` changed since the last
-        call and re-fold the mass — an explicit left-to-right add, not
-        builtin ``sum`` (see the module docstring)."""
+        """Score the dirty keys still pending and re-fold the mass."""
         if self._mass is not None:
             return
         acc = self.acc
@@ -378,20 +412,20 @@ class AccumPair:
         pending = self.pending
         prio = self._prio
         evals = 0
-        total = 0.0
-        for k, p in prio.items():
-            if p is None:
-                p = priority(state_get(k, ident), pending[k])
-                if not p >= 0:  # NaN or negative: the mass check could never fire
-                    raise ConfigError(
-                        f"accumulator {acc.name!r}: priority of key {k!r} "
-                        f"is {p!r}; priorities must be >= 0"
-                    )
-                prio[k] = p
-                evals += 1
-            total += p
-        self._mass = total
+        for k in self._dirty:
+            if k not in pending:
+                continue  # applied before it was scored
+            p = priority(state_get(k, ident), pending[k])
+            if not p >= 0:  # NaN or negative: the mass check could never fire
+                raise ConfigError(
+                    f"accumulator {acc.name!r}: priority of key {k!r} "
+                    f"is {p!r}; priorities must be >= 0"
+                )
+            prio[k] = p
+            evals += 1
+        self._dirty.clear()
         self.priority_evals += evals
+        self._mass = fold_mass(prio.values())
 
     def mass(self) -> float:
         """Summed priority of every pending delta — this pair's
@@ -402,27 +436,30 @@ class AccumPair:
     def select(self, mode: str, top_fraction: float) -> list:
         """Keys to drain this round.
 
-        ``sync``: every pending key.  ``async``: the top
+        ``sync``: every pending key, in key order.  ``async``: the top
         ``top_fraction`` of *active* keys (priority > 0) by descending
         priority, ties broken by key order — the per-pair priority
-        queue keyed by pending-delta magnitude.
+        queue keyed by pending-delta magnitude.  Both sort like
+        :func:`~repro.common.records.sort_records`: natively when the
+        keys share one type, by ``order_key`` otherwise.
         """
         pending = self.pending
         if not pending:
             return []
         if mode == "sync":
-            return sorted(pending, key=order_key)
+            return [k for k, _d in sort_records(pending.items())]
         self._refresh()
-        scored = [(-p, order_key(k), k) for k, p in self._prio.items() if p > 0]
-        if not scored:
+        ranked = sort_records(kp for kp in self._prio.items() if kp[1] > 0)
+        if not ranked:
             return []
-        scored.sort()
-        count = max(1, math.ceil(top_fraction * len(scored)))
-        return [k for _p, _o, k in scored[:count]]
+        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties stay in key order
+        count = max(1, math.ceil(top_fraction * len(ranked)))
+        return [k for k, _p in ranked[:count]]
 
     def apply(self, job: AccumJob, selected: list, part, outboxes: list) -> int:
         """Pop and apply the selected pending deltas in order; emissions
-        append to ``outboxes[dest_pair]`` in application order."""
+        append to the ``(keys, values)`` columns ``outboxes[dest_pair]``
+        in application order."""
         acc = self.acc
         merge = acc.merge
         ident = acc.identity
@@ -431,17 +468,17 @@ class AccumPair:
         prio = self._prio
         static_get = self.static.get
         update = job.update_fn
-        emitted = 0
+        before = sum(len(vs) for _ks, vs in outboxes)
 
         def emit(dest, d):
-            nonlocal emitted
-            outboxes[part(dest)].append((dest, d))
-            emitted += 1
+            keys, values = outboxes[part(dest)]
+            keys.append(dest)
+            values.append(d)
 
         applied = 0
         for k in selected:
             d = pending.pop(k)
-            del prio[k]
+            prio.pop(k, None)
             old = state.get(k, ident)
             new = merge(old, d)
             state[k] = new
@@ -452,7 +489,7 @@ class AccumPair:
         if applied:
             self._mass = None
         self.updates_processed += applied
-        self.deltas_emitted += emitted
+        self.deltas_emitted += sum(len(vs) for _ks, vs in outboxes) - before
         return applied
 
     def final_records(self) -> list:

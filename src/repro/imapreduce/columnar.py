@@ -115,6 +115,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..common.errors import JobError
+from .accum import fold_mass
 from .engine import SHUFFLE
 
 __all__ = [
@@ -696,11 +697,19 @@ class ColumnarAccum:
                 dk = np.array([k for k, _d in deltas], dtype=np.int64)
                 dv = np.array([d for _k, d in deltas], dtype=dtype)
                 absorb_columnar(merge, ks, self.pending[p], self.active[p], dk, dv)
+                self._drop_dead(p)
             self.prepared[p] = kernel.prepare(p, ks, table)
         timings["kernel"] += time.perf_counter() - started
 
     def broadcast_items(self, phase: int):
         return None
+
+    def _drop_dead(self, q: int) -> None:
+        """``AccumPair.absorb``'s drop rule: under ``min`` an offer the
+        state already absorbed is no delta, so a key stays active only
+        while its pending value beats the state."""
+        if self.kernel.merge == "min":
+            self.active[q] &= self.pending[q] < self.state[q]
 
     def progress(self, send_state: bool) -> dict:
         started = time.perf_counter()
@@ -710,7 +719,7 @@ class ColumnarAccum:
             )
             for p in self.pairs
         }
-        masses = {p: float(self.priorities[p].sum()) for p in self.pairs}
+        masses = {p: fold_mass(pr[self.active[p]].tolist()) for p, pr in self.priorities.items()}
         self.timings["schedule"] += time.perf_counter() - started
         return {
             "mass": masses,
@@ -773,6 +782,7 @@ class ColumnarAccum:
                     self.kernel.merge, self.owned[q], self.pending[q],
                     self.active[q], ks, vs,
                 )
+            self._drop_dead(q)
         self.timings["delta"] += time.perf_counter() - started
 
     def final_state(self) -> dict[int, list]:

@@ -43,7 +43,7 @@ The driver is parameterised by
                   along.  Record-sync ships ``keys, values`` lists (the
                   map's emissions stay two columns from ``Context`` to
                   the reducer; only state is ``(key, value)`` records),
-                  record-accum one list of delta records, and the
+                  record-accum ``keys, values`` lists of deltas, and the
                   columnar executors ``keys | None, values`` arrays (the
                   sync one ships ``None`` keys once the receiver holds
                   them);

@@ -361,9 +361,10 @@ class RecordAccum:
     """Accumulative (Maiter-mode) rounds over one :class:`AccumPair` per
     hosted pair: drain the priority queues (``accum_mode`` selects sync
     or top-fraction async scheduling), apply, and exchange only the
-    nonzero delta batches — a silent pair costs the mesh one manifest
-    frame.  Pairs ascending, batches absorbed in ascending source-pair
-    order: one operation sequence on every transport."""
+    nonzero delta batches, as ``(dest, src, keys, values)`` columns — a
+    silent pair costs the mesh one manifest frame.  Pairs ascending,
+    batches absorbed in ascending source-pair order: one operation
+    sequence on every transport."""
 
     report_lag = 0
     plan = [(SHUFFLE, 0)]
@@ -418,21 +419,21 @@ class RecordAccum:
         started = perf()
         items = []
         for p in self.pairs:
-            outboxes: list[list] = [[] for _ in range(self.num_pairs)]
+            outboxes = [([], []) for _ in range(self.num_pairs)]
             self.engines[p].apply(self.job, selections[p], self.part, outboxes)
-            for q, recs in enumerate(outboxes):
-                if recs:
-                    items.append((q, p, recs))
+            for q, (keys, values) in enumerate(outboxes):
+                if values:
+                    items.append((q, p, keys, values))
                     if q != p:
-                        self.shipped += len(recs)
+                        self.shipped += len(values)
         self.timings["delta"] += perf() - started
         return items
 
     def absorb(self, kind, phase, merged) -> None:
         started = time.perf_counter()
         for q in self.pairs:
-            for _q, _src, recs in merged.get(q, ()):
-                self.engines[q].absorb(recs)
+            for _q, _src, keys, values in merged.get(q, ()):
+                self.engines[q].absorb(zip(keys, values))
         self.timings["delta"] += time.perf_counter() - started
 
     def final_state(self) -> dict[int, list]:

@@ -41,9 +41,9 @@ wire every logical message is a *frame*:
   out.  ``batches_sent`` counts only data frames.
 
 Shuffle payloads are a flat list of the executor's wire items
-``(dest_pair, src_pair, *columns)`` — ``keys, values`` lists for
-record-sync, records for record-accum, ``keys | None, values`` arrays
-for the columnar layouts — one pickle per destination worker.  The values column is last in every layout and
+``(dest_pair, src_pair, *columns)`` — ``keys, values`` lists for the
+record layouts, ``keys | None, values`` arrays for the columnar ones —
+one pickle per destination worker.  The values column is last in every layout and
 ``records_sent`` counts its length: the (key, value) contributions
 shipped, whether or not their keys ride along.
 

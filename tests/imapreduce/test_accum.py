@@ -215,6 +215,31 @@ def test_kernel_twin_parity(case, exact, mode):
                            rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", [_sssp_case, _components_case],
+                         ids=["sssp", "components"])
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_min_kernel_twin_does_the_record_work(case, mode):
+    """Both layouts hold live ``min`` deltas only — an offer the state
+    already absorbed is dropped by ``AccumPair.absorb`` and deactivated
+    by ``ColumnarAccum`` — so the kernel twin does exactly the record
+    path's work.  sssp's state is float64 in both layouts, so every
+    traced ``pending_mass`` is the same float as well (both fold with
+    ``fsum``).  Components' masses differ by construction: its kernel
+    holds int64 labels with an int64-max stand-in for ∞, so a first
+    offer scores ``max − label`` where the record path scores ``inf``."""
+    _g, job, deltas, static = case()
+    _g, kjob, _d, _s = case(use_kernel=True)
+    rec = run_accum_local(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
+    ker = run_accum_local(kjob, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
+    assert ker.state == rec.state
+    for name in ("rounds", "updates_processed", "deltas_emitted", "deltas_shipped"):
+        assert getattr(ker, name) == getattr(rec, name), name
+    if case is _sssp_case:
+        assert [r["pending_mass"] for r in ker.trace] == [
+            r["pending_mass"] for r in rec.trace
+        ]
+
+
 # ------------------------------------------------- counters and trace --
 def test_async_ships_fewer_deltas_than_sync_pagerank():
     """The tentpole's headline property at unit scale: to the same
@@ -240,38 +265,43 @@ def test_trace_is_cumulative_and_mass_terminates():
     assert result.trace[-1]["shipped"] == result.deltas_shipped
 
 
-#: ``sha256(repr((state, trace)))`` with ``keep_trace=True``, printed by
-#: the commit before the scheduler cached priorities (78ccec3); the
-#: ``simulated`` rows (``mode`` is then the run's keywords) by the last
-#: commit whose simulated backend was its own round loop (53c59c8).
+#: ``sha256(repr((state, trace)))`` with ``keep_trace=True`` (for the
+#: ``simulated`` rows ``mode`` is the run's keywords).  First printed by
+#: the commit before the scheduler cached priorities (78ccec3) and by the
+#: last commit whose simulated backend was its own round loop (53c59c8);
+#: re-printed when the queue began dropping dead ``min`` offers and
+#: folding the mass with ``fsum``.  That re-pin moved only the last bits
+#: of some ``pending_mass`` floats and components-sync's ``updates``
+#: (240 → 194: sync rounds no longer drain dead offers); every state,
+#: round count and other trace field stayed identical.
 PINNED = {
     "sssp-async": (_sssp_case, {}, "async",
-                   "4e07fa7c3e9c962827cb088b31fa0466250d2a5919191c696a2cbb957b31c6d6"),
+                   "9fea59a377e4694f3bfdfc1f58d6f12c4238779f363c152939f10cb2bafa61f8"),
     "pagerank-async": (_pagerank_case, {"threshold": 1e-6}, "async",
-                       "ba017b482c64d30acd646e15f38d9ed376dd07b1a170c098245d8c18bd99322d"),
+                       "9208262935a590d4d6c4241c3deb78cd9d5229398d19582a017021755edec766"),
     "components-sync": (_components_case, {}, "sync",
-                        "bb082e04e7b2d0b97349067514a0a3a0a764bc4e1d7dcc7dea8206c716883bc3"),
+                        "3c22389d01fa87bd704f844b4932b5b78a2c891f4ef374c3b421fa800bc3cdcd"),
     "pagerank-simulated": (_pagerank_case, {"threshold": 1e-6}, {"seed": 3},
-                           "40725bba7b58d427ff03d96697a333063822a56a6b16e19911eb30613dd56e83"),
+                           "8705c4ebbd5c4d1f90bc5e60c6a3c51d6e495641457e4763bb456b7968144c0a"),
     "sssp-simulated": (_sssp_case, {}, {"seed": 17},
-                       "2633a43ac3ddfaf9999abff8e3dc440591287f520a6558f82c1a78debbe84902"),
+                       "4a1bae33fec07f228615c16cc716ee73b198acbcf9861969a94aa7a9d4bc1bb2"),
     # No schedule jitter: deferral alone.
     "pagerank-simulated-sync": (_pagerank_case, {"threshold": 1e-6},
                                 {"seed": 5, "mode": "sync"},
-                                "bc2972b6271982abb1cee8f5fe8b65f821b38df6c55b3e40a1559dde9e98d802"),
+                                "0f5e649bed2da031aa290e4c8c8801c63b50fc5f38084f7593d8373ddde55dd3"),
     # Stops on maxrounds with six batches still in flight.
     "pagerank-simulated-maxrounds": (_pagerank_case,
                                      {"threshold": 1e-6, "max_rounds": 3},
                                      {"seed": 1},
-                                     "12d822a05bc6bcf82d62e2790ea91e128b26a3206f5b552da0838c47bcbc007a"),
+                                     "6fe0d7d0675a810a887b27b0192e2f81ddc6836587d1e1e922e7e690b7374eb2"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_schedule_is_pinned_bit_for_bit(name):
     """Final state and every trace row — ``pending_mass`` floats
-    included — are exactly what re-scoring every pending key each round
-    produced.  A change that alters the schedule on purpose re-pins."""
+    included — are pinned.  A change that alters the schedule on purpose
+    re-pins."""
     case, kwargs, mode, digest = PINNED[name]
     _g, job, deltas, static = case(**kwargs)
     if isinstance(mode, dict):

@@ -111,8 +111,9 @@ def test_priority_evals_bounded_by_absorbed_records():
     least one absorbed record, so the count cannot exceed the records
     absorbed — and it is the same count on either transport.  (The
     benchmark's ``--quick`` shape: sssp, 800 nodes, 8 pairs, async:
-    8,969 evaluations for 12,718 absorbed records.  Re-scoring every
-    pending key twice a round, as before the cache, took 47,656.)"""
+    3,778 evaluations for 12,718 absorbed records.  Scoring the dead
+    offers too, before ``min`` dropped them, took 8,969; re-scoring
+    every pending key twice a round, before the cache, 47,656.)"""
     job, deltas, static = _case("sssp", n=800, seed=42)
     serial = run_accum_local(job, deltas, static, num_pairs=8, mode="async")
     par = run_accum_parallel(job, deltas, static, num_pairs=8,
@@ -137,8 +138,8 @@ def test_sparse_async_run_uses_manifests():
 #: manifest_frames, bytes_pickled)`` of the sync and of the async run
 #: at 4 pairs / 2 workers.
 SYNC_VS_ASYNC = {
-    ("pagerank", 200, 11): ((28825, 172, 0, 410208), (13000, 304, 0, 231478)),
-    ("sssp", 300, 42): ((4346, 26, 2, 62893), (3189, 78, 2, 58023)),
+    ("pagerank", 200, 11): ((28825, 172, 0, 355998), (13000, 304, 0, 211534)),
+    ("sssp", 300, 42): ((4346, 26, 2, 54658), (3189, 78, 2, 52993)),
 }
 
 

@@ -189,21 +189,33 @@ def test_float_mean_never_sneaks_past_validation(data):
 
 # ------------------------------------- the scheduler's priority cache --
 class _FromScratch(AccumPair):
-    """The reference scheduler: ``mass`` and ``select`` as they were
-    before priorities were cached (bodies verbatim from 78ccec3) —
-    every pending key re-scored on every call, nothing remembered."""
+    """The reference scheduler: nothing remembered.  ``absorb`` drops an
+    offer the state already absorbed under an idempotent algebra and
+    queues everything else; ``mass`` and ``select`` re-score every
+    pending key on every call, ``mass`` folding with ``fsum``."""
 
     __slots__ = ()
 
-    def mass(self):
+    def absorb(self, records):
         acc = self.acc
-        ident = acc.identity
-        state_get = self.state.get
-        priority = acc.priority
-        total = 0.0
-        for k, d in self.pending.items():
-            total += priority(state_get(k, ident), d)
-        return total
+        for k, d in records:
+            s = self.state.get(k, acc.identity)
+            if acc.idempotent and acc.merge(s, d) == s:
+                continue
+            self.pending[k] = acc.merge(self.pending.get(k, acc.identity), d)
+
+    def _scored(self):
+        acc = self.acc
+        return [
+            (acc.priority(self.state.get(k, acc.identity), d), k)
+            for k, d in self.pending.items()
+        ]
+
+    def mass(self):
+        try:
+            return math.fsum(p for p, _k in self._scored())
+        except OverflowError:
+            return math.inf
 
     def select(self, mode, top_fraction):
         pending = self.pending
@@ -211,20 +223,24 @@ class _FromScratch(AccumPair):
             return []
         if mode == "sync":
             return sorted(pending, key=order_key)
-        acc = self.acc
-        ident = acc.identity
-        state_get = self.state.get
-        priority = acc.priority
-        scored = []
-        for k, d in pending.items():
-            p = priority(state_get(k, ident), d)
-            if p > 0:
-                scored.append((p, k))
+        scored = [(p, k) for p, k in self._scored() if p > 0]
         if not scored:
             return []
         scored.sort(key=lambda t: (-t[0], order_key(t[1])))
         count = max(1, math.ceil(top_fraction * len(scored)))
         return [k for _p, k in scored[:count]]
+
+
+class _KeepsDead(_FromScratch):
+    """The queue before it dropped anything: every offer is coalesced,
+    one that no longer improves the state waits at priority 0."""
+
+    __slots__ = ()
+
+    def absorb(self, records):
+        acc = self.acc
+        for k, d in records:
+            self.pending[k] = acc.merge(self.pending.get(k, acc.identity), d)
 
 
 #: Mixed int/tuple/str keys, so the ``order_key`` tie-break is in play;
@@ -273,6 +289,13 @@ def _steps(values):
     )
 
 
+def _drain(pair, job, selected):
+    """Apply ``selected``; the emitted ``(keys, values)`` columns."""
+    outboxes = [([], [])]
+    pair.apply(job, selected, lambda key: 0, outboxes)
+    return outboxes[0]
+
+
 @pytest.mark.parametrize("name", sorted(_SCHEDULES))
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
@@ -300,28 +323,107 @@ def test_cached_scheduler_matches_from_scratch(name, data):
             _op, mode, frac, keep, feed_back = step
             selected = cached.select(mode, frac)
             assert selected == scratch.select(mode, frac)
-            outs = [[]], [[]]
-            cached.apply(job, selected[:keep], lambda key: 0, outs[0])
-            scratch.apply(job, selected[:keep], lambda key: 0, outs[1])
-            assert outs[0] == outs[1]
+            out = _drain(cached, job, selected[:keep])
+            assert out == _drain(scratch, job, selected[:keep])
             if feed_back:
-                cached.absorb(outs[0][0])
-                scratch.absorb(outs[1][0])
+                cached.absorb(zip(*out))
+                scratch.absorb(zip(*out))
         assert list(cached.pending.items()) == list(scratch.pending.items())
         assert cached.state == scratch.state
     assert cached.mass() == scratch.mass()
     assert cached.updates_processed == scratch.updates_processed
 
 
-def test_dead_offer_is_kept_scored_once_and_revived():
-    """Async mode never pops an offer that no longer improves the state:
-    it stays in ``pending`` at priority 0, costs no further evaluation,
-    and a later, better delta on the same key brings it back."""
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_dropping_dead_min_offers_changes_nothing(data):
+    """The semilattice argument as a property: under ``min`` an offer
+    ``d`` with ``s ⊕ d = s`` can never change a later state, selection
+    or emission.  For every absorb / drain interleaving, the live-only
+    queue and one that keeps such offers at priority 0 hold the same
+    state, make the same async selections, emit the same deltas and
+    report the same mass; the live-only queue is exactly the other's
+    live entries.  (A sync drain applies its whole selection: the old
+    queue's includes its dead keys, whose application is a no-op.)"""
+    acc, values, emitted = _SCHEDULES["min"]
+    job = _schedule_job(acc, emitted)
+    warm = data.draw(st.dictionaries(st.sampled_from(_KEYS), values, max_size=3))
+    live, dead = (
+        cls(0, acc, _STATIC, keys=_STATIC, initial_state=warm)
+        for cls in (AccumPair, _KeepsDead)
+    )
+    for step in data.draw(_steps(values)):
+        if step[0] == "absorb":
+            live.absorb(step[1])
+            dead.absorb(step[1])
+        elif step[0] == "mass":
+            assert live.mass() == dead.mass()
+        else:
+            _op, mode, frac, keep, feed_back = step
+            selected = live.select(mode, frac)
+            if mode == "async":
+                assert selected == dead.select(mode, frac)
+                selected = selected[:keep]
+                out = _drain(dead, job, selected)
+            else:
+                out = _drain(dead, job, dead.select(mode, frac))
+            assert _drain(live, job, selected) == out
+            if feed_back:
+                live.absorb(zip(*out))
+                dead.absorb(zip(*out))
+        assert live.state == dead.state
+        assert live.pending == {
+            k: d for k, d in dead.pending.items() if min(dead.state[k], d) != dead.state[k]
+        }
+    assert live.mass() == dead.mass()
+
+
+def test_dead_offer_is_dropped_unscored_and_a_better_one_taken():
+    """Under ``min`` an offer that does not improve the state never
+    enters the queue — no entry, no evaluation, nothing to drain in
+    either mode — and a later, better delta on the same key is taken."""
     pair = AccumPair(0, MIN, {}, initial_state={"k": 5.0})
     pair.absorb([("k", 7.0)])
-    assert pair.mass() == 0.0 and pair.select("async", 0.25) == []
-    assert pair.mass() == 0.0 and pair.pending == {"k": 7.0}
-    assert pair.priority_evals == 1
-    pair.absorb([("k", 3.0)])
+    assert pair.pending == {} and pair.mass() == 0.0
+    assert pair.select("async", 0.25) == [] and pair.select("sync", 1.0) == []
+    assert pair.priority_evals == 0
+    pair.absorb([("k", 3.0), ("k", 9.0)])
+    assert pair.pending == {"k": 3.0}
     assert pair.select("async", 0.25) == ["k"] and pair.mass() == 2.0
-    assert pair.priority_evals == 2
+    assert pair.priority_evals == 1
+
+
+def test_sum_keeps_a_zero_offer():
+    """``+`` is not idempotent: a zero-priority delta still queues (a
+    later delta on the key adds to it, so it cannot be dropped)."""
+    pair = AccumPair(0, SUM, {}, initial_state={"k": 5.0})
+    pair.absorb([("k", 0.0)])
+    assert pair.pending == {"k": 0.0} and pair.mass() == 0.0
+    assert pair.select("async", 1.0) == [] and pair.select("sync", 1.0) == ["k"]
+    assert SUM.idempotent is False and MIN.idempotent is True
+
+
+def test_mass_overflow_is_inf():
+    """Two finite priorities whose exact sum leaves the float range:
+    ``fsum`` raises, the mass is ``inf`` — never a termination."""
+    pair = AccumPair(0, SUM, {})
+    pair.absorb([("a", 1e308), ("b", 1e308)])
+    assert pair.mass() == math.inf
+    assert pair.select("async", 1.0) == ["a", "b"]
+
+
+@pytest.mark.parametrize("keys", [
+    [1, "a", (1,)], [True, "a", (1,)], [1.0, "a", (1,)], [True, 0.5],
+], ids=repr)
+def test_select_orders_mixed_key_types_by_order_key(keys):
+    """Keys of more than one type rank by ``order_key`` — type name
+    first — even where a native sort would not raise (``True`` and
+    ``0.5``: natively ``0.5 < True``, by type name ``bool < float``)."""
+    pair = AccumPair(0, MIN, {}, initial_state={k: 10.0 for k in keys})
+    pair.absorb([(k, 3.0) for k in keys])  # one priority: all tie
+    want = sorted(keys, key=order_key)
+    assert pair.select("async", 1.0) == want
+    assert pair.select("sync", 1.0) == want
+    lead = want[-1]
+    pair.absorb([(lead, 1.0)])  # a larger priority ranks first
+    assert pair.select("async", 1.0) == [lead] + want[:-1]

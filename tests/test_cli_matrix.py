@@ -45,7 +45,7 @@ def run_cli(capsys, *argv):
 
 
 SSSP = ("sssp", "--dataset", "dblp")
-SYNC_TAIL = "  111,519 updates, 248,737 deltas emitted, 186,802 shipped cross-pair"
+SYNC_TAIL = "  51,170 updates, 248,737 deltas emitted, 186,802 shipped cross-pair"
 ASYNC_TAIL = "  47,479 updates, 230,664 deltas emitted, 173,375 shipped cross-pair"
 PROGRESS = "terminated by progress (pending mass 0 vs threshold 0), 15527 records, <t>s wall"
 
@@ -187,7 +187,7 @@ def test_chained_refreshes(backend, tmp_path, capsys):
         edges.append(int(head[1].replace(",", "")))
         assert re.fullmatch(r"  warm: \d+ rounds, [\d,]+ updates, [\d,]+ "
                             r"shipped, <t>s \(frontier \d+ keys\)", out[1])
-        assert re.fullmatch(r"  cold: 2\d rounds, 11\d,\d+ updates, [\d,]+ "
+        assert re.fullmatch(r"  cold: 2\d rounds, 5\d,\d+ updates, [\d,]+ "
                             r"shipped, <t>s", out[2])
         assert re.fullmatch(rf"  \d+\.\dx fewer updates than cold rerun; "
                             rf"states agree to 0; memoized version {seed}",
