@@ -81,7 +81,17 @@ def _memo_key(value: Any):
 
 
 def sizeof_value(value: Any) -> int:
-    """Size in bytes of one value under the encoding table above."""
+    """Size in bytes of one value under the encoding table above.
+
+    Exact scalars are answered before a memo key is built (the key costs
+    more than the answer); tuples and strings keep the memo."""
+    t = value.__class__
+    if t is int:
+        return _INT_SIZE
+    if t is float:
+        return _FLOAT_SIZE
+    if t is bool or value is None:
+        return 1
     key = _memo_key(value)
     if key is not None:
         cached = _memo.get(key)

@@ -15,20 +15,8 @@ from .incremental import (
     random_edge_churn,
 )
 from .job import AuxPhase, IterativeJob, IterativeRunResult, Phase
-from .localrun import (
-    LocalRunResult,
-    kernel_enabled,
-    run_accum_local,
-    run_accum_simulated,
-    run_local,
-    select_executor,
-)
-from .parallel import (
-    ParallelExecutionError,
-    ParallelRunResult,
-    run_accum_parallel,
-    run_parallel,
-)
+from .localrun import LocalRunResult, kernel_enabled, select_executor
+from .parallel import ParallelExecutionError, ParallelRunResult
 from .runtime import (
     AuxContext,
     ChaosKnobs,
@@ -41,7 +29,11 @@ from .plan import (
     PlanError,
     WarmStart,
     execute,
+    run_accum_local,
+    run_accum_parallel,
     run_incremental_accum,
+    run_local,
+    run_parallel,
 )
 
 __all__ = [
@@ -92,5 +84,4 @@ __all__ = [
     "ChaosKnobs",
     "IMapReduceRuntime",
     "LoadBalanceConfig",
-    "run_accum_simulated",
 ]

@@ -93,7 +93,7 @@ from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
-from ..common.partition import HashPartitioner, Partitioner, bind_partitioner
+from ..common.partition import HashPartitioner, Partitioner
 from ..common.records import sort_records
 
 __all__ = [
@@ -105,7 +105,6 @@ __all__ = [
     "MIN",
     "TOP_FRACTION_KEY",
     "DEFAULT_TOP_FRACTION",
-    "partition_accum_inputs",
     "partition_state",
 ]
 
@@ -272,6 +271,12 @@ class AccumJob:
     @property
     def static_path(self) -> str | None:
         return self.conf.get(IterKeys.STATIC_PATH)
+
+    @property
+    def static_paths(self) -> list[str | None]:
+        """The one static input, as :attr:`IterativeJob.static_paths`
+        lists them."""
+        return [self.static_path]
 
     @property
     def max_rounds(self) -> int | None:
@@ -496,32 +501,10 @@ class AccumPair:
         return sort_records(self.state.items())
 
 
-def partition_accum_inputs(
-    job: AccumJob,
-    delta_records,
-    static_records,
-    num_pairs: int,
-    part=None,
-) -> tuple[list[list], list[dict]]:
-    """Partition the initial deltas and the static table exactly like
-    the synchronous executors (same loop, same insertion order — the
-    determinism contract's first link)."""
-    if part is None:
-        part = bind_partitioner(job.partitioner, num_pairs)
-    delta_parts: list[list] = [[] for _ in range(num_pairs)]
-    for rec in delta_records:
-        delta_parts[part(rec[0])].append(rec)
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
-    table = static_by_path.get(job.static_path or "", {})
-    static_tables: list[dict] = [{} for _ in range(num_pairs)]
-    for key, value in table.items():
-        static_tables[part(key)][key] = value
-    return delta_parts, static_tables
-
-
 def partition_state(records, num_pairs: int, part) -> list[list]:
     """Partition warm-start state records with the same loop (and
-    therefore insertion order) as the initial deltas."""
+    therefore insertion order) as the initial deltas
+    (:func:`~repro.imapreduce.engine.partition_inputs`)."""
     parts: list[list] = [[] for _ in range(num_pairs)]
     if records is not None:
         for rec in records:

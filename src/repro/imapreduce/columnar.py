@@ -1,6 +1,6 @@
 """Columnar execution path: vectorized per-pair kernels.
 
-The record-level executors (:func:`~repro.imapreduce.localrun.run_local`
+The record-level executors (:func:`~repro.imapreduce.plan.run_local`
 and the multiprocess backend) spend their time in per-record Python —
 ``map_pair`` → ``group_by_key`` → ``reduce`` — which the PR5 phase
 profiler showed dominating wall clock by ~30× over serialization.  The

@@ -203,20 +203,25 @@ def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fie
 
 
 def partition_inputs(
-    job, state_records: Iterable, static_records: dict | None, num_pairs: int
+    job, state_records: Iterable, static_records: dict | None, num_pairs: int,
+    part=None,
 ) -> tuple[list[list], list[list[dict]]]:
-    """Partition the state and each phase's static table with one loop —
-    and therefore one insertion order — for every backend (§3.2.1: the
-    static data is partitioned with the function that shuffles state)."""
-    part = bind_partitioner(job.partitioner, num_pairs)
+    """Partition the state (an accumulative job's initial deltas) and the
+    table at each of ``job.static_paths`` — one per phase, or an
+    accumulative job's single one — with one loop, and therefore one
+    insertion order, for every backend and both algebras (§3.2.1: the
+    static data is partitioned with the function that shuffles state).
+    ``part`` is the job's bound partitioner, if the caller holds one."""
+    if part is None:
+        part = bind_partitioner(job.partitioner, num_pairs)
     state_parts: list[list] = [[] for _ in range(num_pairs)]
     for rec in state_records:
         state_parts[part(rec[0])].append(rec)
     static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
     static_parts: list[list[dict]] = []  # [phase][pair] -> key->static
-    for phase in job.phases:
+    for path in job.static_paths:
         per_pair: list[dict] = [{} for _ in range(num_pairs)]
-        for key, value in static_by_path.get(phase.static_path or "", {}).items():
+        for key, value in static_by_path.get(path or "", {}).items():
             per_pair[part(key)][key] = value
         static_parts.append(per_pair)
     return state_parts, static_parts

@@ -211,6 +211,11 @@ class IterativeJob:
         return self.conf.get_required(IterKeys.STATE_PATH)
 
     @property
+    def static_paths(self) -> list[str | None]:
+        """The static input each phase's map joins, in phase order."""
+        return [phase.static_path for phase in self.phases]
+
+    @property
     def max_iterations(self) -> int | None:
         return self.conf.get_int(IterKeys.MAX_ITER)
 

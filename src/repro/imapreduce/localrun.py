@@ -1,20 +1,21 @@
-"""Serial entry points, the record-layout pair executors, and executor
+"""In-process hosts, the record-layout pair executors, and executor
 selection.
 
-:func:`run_local` and :func:`run_accum_local` run the exact same job
-semantics as the distributed engine — same partitioning, same join,
-same phase chaining, same termination rules — in one process: they
-partition the inputs, pick a pair executor and drive
+:func:`host_loopback` hosts every pair in this process and drives
 :func:`~repro.imapreduce.engine.run_supersteps` over the loopback
-transport (:func:`run_accum_simulated`: over the seeded deferring
-one).  Their uses:
+transport (:func:`host_simulated`: over the seeded deferring one) — the
+hosts of :func:`~repro.imapreduce.plan.execute`'s serial and simulated
+cells.  A serial run (``run_local``, ``run_accum_local``) therefore has
+the exact same job semantics as the distributed engine — same
+partitioning, same join, same phase chaining, same termination rules.
+Its uses:
 
 * a correctness oracle: the distributed engine's final state must equal
   this executor's, record for record (tests assert it);
 * a zero-setup way for library users to run an iterative job on small
   data (the quickstart example);
 * the single-core baseline the wall-clock benchmarks compare
-  :func:`~repro.imapreduce.parallel.run_parallel` against.
+  ``run_parallel`` against.
 
 The multiprocess backend drives the same executors through the same
 driver over the pipe mesh, so it executes byte-for-byte the same
@@ -34,33 +35,22 @@ from typing import Any, Callable, Iterable
 from ..common.partition import bind_partitioner
 from ..common.records import GroupPlan, group_by_dest, order_key, plannable, sort_records
 from ..mapreduce.api import Context
-from .accum import (
-    AccumJob,
-    AccumPair,
-    AccumRunResult,
-    check_mode,
-    partition_accum_inputs,
-    partition_state,
-)
+from .accum import AccumJob, AccumPair
 from .columnar import AccumKernel, ColumnarAccum, ColumnarSync
 from .engine import (
     REPART,
     SHUFFLE,
-    AccumVerdict,
     DeferringLoopback,
     Loopback,
-    SyncVerdict,
     host_config,
-    partition_inputs,
     run_supersteps,
 )
-from .job import IterativeJob, Phase
+from .job import Phase
 
 __all__ = [
     "LocalRunResult",
-    "run_local",
-    "run_accum_local",
-    "run_accum_simulated",
+    "host_loopback",
+    "host_simulated",
     "map_pair",
     "order_key",
     "select_executor",
@@ -488,87 +478,20 @@ def kernel_enabled(job) -> bool:
     return select_executor(job)[1] is None
 
 
-# ------------------------------------------------------------ entry points --
-def _run_loopback(policy, job, state_parts, static_parts, num_pairs, *,
-                  executor=None, transport=None, **fields) -> dict:
-    """Host every pair in this process and drive the supersteps."""
+# ------------------------------------------------------------------ hosts --
+def host_loopback(job, policy, state_parts, static_parts, plan, fields,
+                  transport=None, executor=None):
+    """Host every pair in this process and drive the supersteps over
+    ``transport`` (default :class:`~repro.imapreduce.engine.Loopback`)
+    with ``executor`` (default :func:`select_executor`'s).  Returns the
+    one final report and no mesh result fields."""
     cfg = host_config(
-        0, range(num_pairs), state_parts, static_parts,
-        num_workers=1, num_pairs=num_pairs, job=job,
+        0, range(plan.num_pairs), state_parts, static_parts,
+        num_workers=1, num_pairs=plan.num_pairs, job=job,
         send_state=policy.send_state, wait_verdict=policy.wait_verdict, **fields,
     )
     executor = executor or select_executor(job)[0]
-    return run_supersteps(cfg, executor, transport or Loopback(policy))
-
-
-def run_local(
-    job: IterativeJob,
-    state_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    keep_history: bool = False,
-) -> LocalRunResult:
-    """Execute ``job`` serially.
-
-    ``state_records`` is the initial state; ``static_records`` maps each
-    phase's ``static_path`` to its records (the DFS is not involved).
-
-    Jobs carrying a vectorized kernel (``job.kernel``) run on the
-    columnar executor when the job shape supports it
-    (:func:`select_executor`) — same result surface, one ``map_kernel``
-    + merge per pair per iteration instead of the per-record loops.
-    """
-    state_parts, static_parts = partition_inputs(
-        job, state_records, static_records, num_pairs
-    )
-    policy = SyncVerdict(job, num_pairs, keep_history)
-    final = _run_loopback(policy, job, state_parts, static_parts, num_pairs)
-    return LocalRunResult(**policy.outcome([final]))
-
-
-def run_accum_local(
-    job,
-    delta_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    mode: str = "async",
-    keep_trace: bool = False,
-    initial_state: Iterable[tuple[Any, Any]] | None = None,
-):
-    """Execute an :class:`~repro.imapreduce.accum.AccumJob` serially.
-
-    ``delta_records`` are the initial deltas (state starts at the
-    algebra's identity); ``static_records`` maps the job's static path
-    to its records, as in :func:`run_local`.  ``mode="sync"`` drains
-    every pending delta each round — the synchronous reference the
-    fixpoint-equivalence oracle compares async runs against;
-    ``mode="async"`` drains only the top-priority fraction.
-
-    ``initial_state`` (incremental mode) preloads memoized converged
-    values into the pairs' state *without* propagation; the
-    ``delta_records`` then carry only the change-scoped perturbation —
-    see :mod:`~repro.imapreduce.incremental`.
-
-    Rounds are mass-checked *before* executing
-    (:class:`~repro.imapreduce.engine.AccumVerdict`) — the verdict
-    protocol the multiprocess coordinator runs too, so serial and
-    parallel runs of the same mode are record-for-record identical.
-    Jobs carrying a delta kernel (``job.kernel``) run on the columnar
-    executor — dense pending arrays with an active-key mask.
-    """
-    check_mode(mode)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs, part
-    )
-    policy = AccumVerdict(job, num_pairs, keep_trace)
-    final = _run_loopback(
-        policy, job, delta_parts, [static_tables], num_pairs,
-        accum_mode=mode, warm=partition_state(initial_state, num_pairs, part),
-    )
-    return AccumRunResult(mode=mode, **policy.outcome([final]))
+    return [run_supersteps(cfg, executor, transport or Loopback(policy))], None
 
 
 #: The simulated backend's schedule jitter: each round scales each
@@ -576,32 +499,22 @@ def run_accum_local(
 _JITTER = (0.5, 1.0, 1.5, 2.0)
 
 
-def run_accum_simulated(
-    job, delta_records, static_records=None, *, num_pairs: int = 4, seed: int = 0,
-    mode: str = "async", keep_trace: bool = False,
-):
-    """Accumulative execution under seeded network chaos: the chaos twin
-    of :func:`run_accum_local` — the same driver, verdict policy and
-    record executor — over a
-    :class:`~repro.imapreduce.engine.DeferringLoopback`, which holds
-    cross-pair delta batches in flight, with each pair's top-fraction
-    knob jittered per round.  All randomness flows from the transport's
-    ``rng`` (jitter first, pairs ascending, then the exchange's coins),
-    so a chaos-campaign spec replays byte-identically.
+def host_simulated(job, policy, state_parts, static_parts, plan, fields):
+    """Accumulative execution under seeded network chaos: the loopback
+    host with the record executor over a
+    :class:`~repro.imapreduce.engine.DeferringLoopback` seeded by
+    ``plan.seed``, which holds cross-pair delta batches in flight, with
+    each pair's top-fraction knob jittered per round.  All randomness
+    flows from the transport's ``rng`` (jitter first, pairs ascending,
+    then the exchange's coins), so a chaos-campaign spec replays
+    byte-identically.
     """
-    check_mode(mode)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs
-    )
-    policy = AccumVerdict(job, num_pairs, keep_trace)
-    transport = DeferringLoopback(policy, seed)
+    transport = DeferringLoopback(policy, plan.seed)
 
     class Jittered(RecordAccum):
         def fraction(self, pair: int) -> float:
             return min(1.0, self.job.top_fraction * transport.rng.choice(_JITTER))
 
-    final = _run_loopback(
-        policy, job, delta_parts, [static_tables], num_pairs, accum_mode=mode,
-        executor=Jittered if mode == "async" else RecordAccum, transport=transport,
-    )
-    return AccumRunResult(mode="simulated", **policy.outcome([final]))
+    executor = Jittered if plan.mode == "async" else RecordAccum
+    return host_loopback(job, policy, state_parts, static_parts, plan, fields,
+                         transport, executor)

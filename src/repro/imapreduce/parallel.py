@@ -1,4 +1,4 @@
-"""Real multiprocess execution backend: ``run_parallel``.
+"""Real multiprocess execution backend: the pipe-mesh host.
 
 Everything else in this repository executes iterative jobs either in
 virtual time (the simulated :class:`IMapReduceRuntime`) or serially
@@ -29,9 +29,10 @@ poll interval or timeout.  See :mod:`.workerproc` for the frame format
 (three pipe messages at most, one decoder for pipes and spool files),
 the skip-empty manifest protocol, and the zero-copy buffer path, and
 :mod:`.engine` for the superstep driver the workers run and the verdict
-policies :func:`_coordinate` — the one coordinator frame loop, shared
-by :func:`run_parallel` and :func:`run_accum_parallel` — folds their
-reports through.
+policies :func:`_coordinate` — the one coordinator frame loop, run by
+the one supervisor, :func:`host_mesh`, for both algebras — folds their
+reports through.  ``run_parallel`` and ``run_accum_parallel``
+(:mod:`.plan`) are this host's cells.
 
 Supported job surface: combiners, one2all broadcast (§5.1), multi-phase
 iterations (§5.2), the auxiliary phase (§5.3), and distance/threshold
@@ -79,6 +80,8 @@ survives real worker death:
 A worker that dies on a *deterministic exception* ships its traceback
 in an error frame and is never recovered (replay would die the same
 way); only process death and heartbeat suspicion trigger recovery.
+Accumulative runs go through the same supervisor unarmed, so a death
+there is terminal: :class:`ParallelExecutionError` naming the worker.
 """
 
 from __future__ import annotations
@@ -95,20 +98,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Iterable
+from typing import Any
 
 from ..common.errors import JobError
-from ..common.partition import bind_partitioner
-from .accum import (
-    AccumJob,
-    AccumRunResult,
-    check_mode,
-    partition_accum_inputs,
-    partition_state,
-)
-from .checkpoint import CheckpointError, CheckpointStore, ProcFault
-from .engine import AccumVerdict, SyncVerdict, host_config, partition_inputs
-from .job import IterativeJob
+from .checkpoint import CheckpointError, CheckpointStore
+from .engine import host_config
 from .localrun import kernel_enabled
 from .workerproc import (
     CKPT_REPORT,
@@ -127,9 +121,7 @@ from .workerproc import (
 __all__ = [
     "ParallelRunResult",
     "ParallelExecutionError",
-    "ProcFault",
-    "run_parallel",
-    "run_accum_parallel",
+    "host_mesh",
 ]
 
 
@@ -268,59 +260,32 @@ def _context(start_method: str | None):
         return multiprocessing.get_context(start_method)
 
 
-def run_parallel(
-    job: IterativeJob,
-    state_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    num_workers: int | None = None,
-    keep_history: bool = False,
-    start_method: str | None = None,
-    timeout: float | None = 600.0,
-    checkpoint_every: int | None = None,
-    spool_dir: str | None = None,
-    heartbeat_interval: float | None = 0.5,
-    suspicion_timeout: float | None = 30.0,
-    max_recoveries: int = 2,
-    reassign_on_failure: bool = False,
-    faults: Iterable[ProcFault] | None = None,
-) -> ParallelRunResult:
-    """Execute ``job`` on ``num_workers`` persistent worker processes.
+def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
+              max_recoveries: int = 2, reassign_on_failure: bool = False):
+    """The mesh host: one supervisor for both algebras.
 
-    Same signature and semantics as :func:`run_local` (``num_pairs``
-    governs partitioning and therefore the exact result; ``num_workers``
-    only distributes pairs over processes, default one per CPU this
-    process may run on).  The job must be picklable — every
-    ``build_imr_job`` result is, and the pickle guard tests keep it that
-    way.
+    Spawns one generation of ``plan.num_workers`` workers (default one
+    per CPU this process may run on, at most one per pair), folds their
+    reports through ``policy`` in :func:`_coordinate`, and on a confirmed
+    worker death fences the generation, then restores and respawns (the
+    module docstring's recovery) — or raises
+    :class:`ParallelExecutionError` when recovery is unarmed or its
+    ``max_recoveries`` budget is spent.  The last generation is shut
+    down (or fenced) however the run ends.  ``plan.checkpoint_every`` or
+    ``plan.faults`` arms recovery; nothing arms it for an accumulative
+    job, whose fault-tolerant cells the plan table refuses.  ``fields``
+    are the algebra's extra :class:`~repro.imapreduce.engine.WorkerConfig`
+    fields.
 
-    ``timeout`` bounds every coordinator wait (a hung worker raises
-    :class:`ParallelExecutionError` instead of deadlocking the caller).
-
-    Fault tolerance: ``checkpoint_every`` arms durable per-pair
-    checkpoints every that many iterations (``None`` falls back to the
-    job's ``mapred.iterjob.parallelcheckpoint`` conf, default off) into
-    ``spool_dir`` (a private temp dir, cleaned up, when unset).
-    ``faults`` injects seeded :class:`ProcFault` kills/stops for the
-    chaos harness.  When either is armed, a confirmed worker death is
-    recovered — up to ``max_recoveries`` times — by restoring the
-    newest committed checkpoint and respawning the mesh (or, with
-    ``reassign_on_failure``, redistributing the dead worker's pairs to
-    the survivors, least-loaded first).  ``suspicion_timeout`` declares
-    a worker dead when its heartbeat (every ``heartbeat_interval``
-    seconds) goes quiet — the only way to catch a SIGSTOPped worker.
+    Returns the workers' final reports, in worker order, and the mesh's
+    result fields (workers, checkpoints, commit seconds, recoveries).
     """
-    run_started = time.perf_counter()
-    num_workers = _pick_workers(num_workers, num_pairs)
-    if checkpoint_every is None:
-        checkpoint_every = job.parallel_checkpoint_every
-    faults = tuple(faults or ())
+    num_pairs = plan.num_pairs
+    checkpoint_every, spool_dir = plan.checkpoint_every, plan.spool_dir
+    faults = tuple(plan.faults or ())
     recovery_armed = bool(faults) or checkpoint_every is not None
     columnar = kernel_enabled(job)
-    state_parts, static_parts = partition_inputs(
-        job, state_records, static_records, num_pairs
-    )
+    assignment = _round_robin(num_pairs, _pick_workers(plan.num_workers, num_pairs))
 
     own_spool = False
     store: CheckpointStore | None = None
@@ -330,8 +295,6 @@ def run_parallel(
             own_spool = True
         store = CheckpointStore(spool_dir)
 
-    assignment = _round_robin(num_pairs, num_workers)
-    policy = SyncVerdict(job, num_pairs, keep_history)
     commits = _Commits()
     recovery_events: list[dict] = []
     start_iteration = 0
@@ -341,13 +304,13 @@ def run_parallel(
     try:
         while True:
             mesh = _spawn_mesh(
-                _context(start_method),
+                _context(plan.start_method),
                 assignment,
                 state_parts if restored is None else restored,
                 static_parts,
-                timeout=timeout,
-                heartbeat_interval=heartbeat_interval,
-                suspicion_timeout=suspicion_timeout,
+                timeout=plan.timeout,
+                heartbeat_interval=plan.heartbeat_interval,
+                suspicion_timeout=plan.suspicion_timeout,
                 faults=faults,
                 job=job,
                 num_pairs=num_pairs,
@@ -358,6 +321,7 @@ def run_parallel(
                 checkpoint_every=checkpoint_every,
                 spool_dir=spool_dir,
                 columnar_state=columnar and restored is not None,
+                **fields,
             )
             try:
                 finals = _coordinate(mesh, policy, store, checkpoint_every, commits)
@@ -405,15 +369,12 @@ def run_parallel(
         if own_spool and spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
 
-    return ParallelRunResult(
-        **policy.outcome(finals),
+    return finals, dict(
         num_workers=len(assignment),
-        num_pairs=num_pairs,
         checkpoints=sorted(set(commits.iterations)),
         commit_seconds=round(commits.seconds, 6),
         recoveries=len(recovery_events),
         recovery_events=recovery_events,
-        wall_seconds=time.perf_counter() - run_started,
     )
 
 
@@ -594,28 +555,29 @@ def _load_restore(
 
 def _fence(mesh: _Mesh) -> None:
     """Hard-stop a generation: SIGKILL every worker (a SIGSTOPped one
-    cannot run cleanup anyway), reap, and drop the pipes."""
+    cannot run cleanup anyway), reap, and drop the pipes — each reaped
+    worker's sentinel too, now rather than when its ``Process`` object
+    is collected (a raised error's traceback can hold that a while)."""
     for proc in mesh.procs:
         if proc.is_alive():
             proc.kill()
     for proc in mesh.procs:
         proc.join(timeout=5.0)
+        if proc.exitcode is not None:
+            proc.close()
     _close_all(mesh.conns)
 
 
 def _shutdown(mesh: _Mesh) -> None:
-    """Reap workers and release pipe resources without ever hanging."""
+    """Reap workers that finished, terminate the rest, then fence — so
+    pipe resources are released without ever hanging."""
     for proc in mesh.procs:
         proc.join(timeout=5.0)
     for proc in mesh.procs:
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=5.0)
-    for proc in mesh.procs:
-        if proc.is_alive():  # pragma: no cover - terminate ignored
-            proc.kill()
-            proc.join(timeout=5.0)
-    _close_all(mesh.conns)
+    _fence(mesh)
 
 
 def _close_all(conns) -> None:
@@ -877,80 +839,3 @@ def _coordinate(
         )
     return [finals[w] for w in sorted(finals)]
 
-
-# ------------------------------------------------- accumulative (Maiter) --
-def run_accum_parallel(
-    job: AccumJob,
-    delta_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    num_workers: int | None = None,
-    mode: str = "async",
-    keep_trace: bool = False,
-    start_method: str | None = None,
-    timeout: float | None = 600.0,
-    heartbeat_interval: float | None = 0.5,
-    suspicion_timeout: float | None = 30.0,
-    initial_state: Iterable[tuple[Any, Any]] | None = None,
-) -> AccumRunResult:
-    """Execute an :class:`~repro.imapreduce.accum.AccumJob` on real
-    worker processes.
-
-    Same semantics as
-    :func:`~repro.imapreduce.localrun.run_accum_local` — partitioning,
-    executor selection (a job carrying a delta kernel runs columnar
-    here too), scheduling, and the pre-round mass check follow the
-    identical determinism contract, so for a given ``(job, deltas,
-    num_pairs, mode)`` the parallel result is record-for-record
-    identical to the serial one (floats included) at every worker count
-    and start method.  Only nonzero delta batches cross the mesh;
-    converged pairs cost one manifest frame per peer per round.
-
-    Accumulative runs have no inter-round barrier state worth
-    checkpointing (pending deltas are in flight by design), so a worker
-    death is terminal here: it raises :class:`ParallelExecutionError`
-    rather than recovering.  Chaos coverage for the async mode rides
-    the seeded deferring transport
-    (:class:`~repro.imapreduce.engine.DeferringLoopback`) instead.
-    """
-    run_started = time.perf_counter()
-    check_mode(mode)
-    num_workers = _pick_workers(num_workers, num_pairs)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs, part
-    )
-    policy = AccumVerdict(job, num_pairs, keep_trace)
-    mesh = _spawn_mesh(
-        _context(start_method),
-        _round_robin(num_pairs, num_workers),
-        delta_parts,
-        [static_tables],
-        timeout=timeout,
-        heartbeat_interval=heartbeat_interval,
-        suspicion_timeout=suspicion_timeout,
-        warm=partition_state(initial_state, num_pairs, part),
-        job=job,
-        num_pairs=num_pairs,
-        send_state=policy.send_state,
-        wait_verdict=policy.wait_verdict,
-        accum_mode=mode,
-    )
-    ok = False
-    try:
-        finals = _coordinate(mesh, policy)
-        ok = True
-    except _WorkerDeath as death:
-        raise ParallelExecutionError(death.reason) from None
-    finally:
-        if ok:
-            _shutdown(mesh)
-        else:
-            _fence(mesh)
-    return AccumRunResult(
-        **policy.outcome(finals),
-        mode=mode,
-        num_workers=num_workers,
-        wall_seconds=time.perf_counter() - run_started,
-    )

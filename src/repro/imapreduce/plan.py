@@ -1,30 +1,52 @@
-"""One entry point above the engine: ``execute(job, inputs, statics, plan)``.
+"""One runner under every cell: ``execute(job, inputs, statics, plan)``.
 
 A job is described once and submitted once (paper §3.5); *how* it runs
 — which backend, which accumulative schedule, warm or cold, with or
 without fault tolerance — is an :class:`ExecutionPlan`, and which of
 those combinations exist is the :data:`SUPPORT` table: one row per
 (job algebra × backend × start × fault-tolerance) cell, holding either
-the engine entry that runs it and the test that judges it, or the
-reason it is refused.  :func:`execute` resolves the cell first — a
-refused or malformed plan raises :class:`PlanError` before anything is
+the function that runs it and the test that judges it, or the reason it
+is refused.  :func:`execute` resolves the cell first — a refused or
+malformed plan raises :class:`PlanError` before anything is
 partitioned, spooled or spawned — then applies the warm start (both
-algebras, one place) and calls the entry with the plan fields that
-entry takes.  ``repro run`` builds a plan and calls this; ``repro
-modes`` prints the table.
+algebras, one place) and runs the cell as two halves composed:
+
+* the job's **algebra** — its verdict policy
+  (:class:`~repro.imapreduce.engine.SyncVerdict` or
+  :class:`~repro.imapreduce.engine.AccumVerdict`), the fields every host
+  of its pairs gets, and its result type.  One partition loop serves
+  both (:func:`~repro.imapreduce.engine.partition_inputs` over the job's
+  ``static_paths``: one per phase, or the accumulative job's one);
+* the plan's **host** (:data:`_HOSTS`) — every pair in this process over
+  the loopback transport, the same over the seeded deferring loopback
+  with per-round jitter (the simulated backend), or the pipe mesh under
+  its one supervisor (:func:`~repro.imapreduce.parallel.host_mesh`:
+  spawn → coordinate → on a worker death fence, then restore or raise →
+  shut down).  Accumulative runs pass through that supervisor with
+  recovery unarmed, since :data:`SUPPORT` refuses their fault-tolerant
+  cells.
+
+``run_local``, ``run_parallel``, ``run_accum_local`` and
+``run_accum_parallel`` are thin wrappers over the same runner, with the
+signatures the benchmark calls and the keywords no plan field carries
+(``initial_state``, ``max_recoveries``, ``reassign_on_failure``);
+``run_incremental_accum`` wraps :func:`execute`.  ``repro run`` builds a
+plan and calls :func:`execute`; ``repro modes`` prints the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..common.errors import JobError
-from .accum import AccumJob, AccumRunResult
+from ..common.partition import bind_partitioner
+from .accum import AccumJob, AccumRunResult, check_mode, partition_state
+from .checkpoint import ProcFault
+from .engine import AccumVerdict, SyncVerdict, partition_inputs
 from .incremental import (
     DataDelta,
     cold_rerun_inputs,
@@ -32,8 +54,9 @@ from .incremental import (
     random_edge_churn,
     warm_sync_state,
 )
-from .localrun import run_accum_local, run_accum_simulated, run_local
-from .parallel import run_accum_parallel, run_parallel
+from .job import IterativeJob
+from .localrun import LocalRunResult, host_loopback, host_simulated
+from .parallel import ParallelRunResult, host_mesh
 
 __all__ = [
     "PlanError",
@@ -43,6 +66,10 @@ __all__ = [
     "SUPPORT",
     "resolve",
     "execute",
+    "run_local",
+    "run_parallel",
+    "run_accum_local",
+    "run_accum_parallel",
     "run_incremental_accum",
     "refresh_vs_cold",
     "format_support",
@@ -97,10 +124,10 @@ class ExecutionPlan:
 
 @dataclass(frozen=True)
 class Cell:
-    """One :data:`SUPPORT` row: ``entry`` names the engine function that
-    runs the cell (``refusal`` says why nothing does), ``oracle`` the
-    test that exercises it, ``flags`` the ``repro run`` options it
-    consumes beyond ``--backend``/``--mode``, ``modes`` the accumulative
+    """One :data:`SUPPORT` row: ``entry`` names the function that runs
+    the cell (``refusal`` says why nothing does), ``oracle`` the test
+    that exercises it, ``flags`` the ``repro run`` options it consumes
+    beyond ``--backend``/``--mode``, ``modes`` the accumulative
     schedules it accepts."""
 
     entry: str | None = None
@@ -176,7 +203,7 @@ SUPPORT: dict[tuple[str, str, bool, bool], Cell] = {
         "test_execute_parallel_cell[iterative-warm-parallel-kill-fork]",
         _CLASSIC | _WORKERS | _FAULTS),
     (ACCUMULATIVE, "simulated", False, False): _run(
-        "run_accum_simulated", "test_run_cell[async-simulated]",
+        "execute", "test_run_cell[async-simulated]",
         _ACCUM | {"seed"}, modes=("async",)),
     (ACCUMULATIVE, "simulated", False, True): _NO_ACCUM_FT,
     (ACCUMULATIVE, "simulated", True, False): _NO_SIM_WARM,
@@ -197,9 +224,6 @@ SUPPORT: dict[tuple[str, str, bool, bool], Cell] = {
     (ACCUMULATIVE, "parallel", True, True): _NO_ACCUM_FT,
 }
 
-_ENTRIES = {fn.__name__: fn for fn in (
-    run_local, run_parallel, run_accum_local, run_accum_parallel, run_accum_simulated)}
-
 
 def resolve(algebra: str, plan: ExecutionPlan, *, warm: bool | None = None) -> Cell:
     """The :data:`SUPPORT` cell ``plan`` lands in, or :class:`PlanError`.
@@ -216,7 +240,7 @@ def resolve(algebra: str, plan: ExecutionPlan, *, warm: bool | None = None) -> C
         raise PlanError(cell.refusal)
     if algebra == ITERATIVE and plan.mode is not None:
         raise PlanError(f"mode={plan.mode!r} needs an accumulative job (AccumJob)")
-    # (An unknown mode name is left to the entry's own check_mode.)
+    # (An unknown mode name is left to the runner's check_mode.)
     if plan.mode == "sync" and "sync" not in cell.modes:
         raise PlanError(SIMULATED_SYNC)
     return cell
@@ -229,7 +253,7 @@ def _warm_inputs(job, memo_state, statics, warm: WarmStart, accumulative: bool):
     (preloaded, not propagated); for iterative jobs the memo with reset
     keys at the identity and the min-algebra offers folded in."""
     memo_state = list(memo_state)
-    path = (job.static_path if accumulative else job.phases[0].static_path) or ""
+    path = job.static_paths[0] or ""
     table = dict((statics or {}).get(path, {}))
     change = plan_changes(
         warm.algorithm, table, warm.delta, dict(memo_state),
@@ -249,8 +273,8 @@ def execute(
     statics: dict[str, Iterable[tuple[Any, Any]]] | None = None,
     plan: ExecutionPlan = ExecutionPlan(),
 ):
-    """Run ``job`` the way ``plan`` says; returns the entry's own result
-    type (``LocalRunResult`` / ``ParallelRunResult`` / ``AccumRunResult``).
+    """Run ``job`` the way ``plan`` says; returns the cell's result type
+    (``LocalRunResult`` / ``ParallelRunResult`` / ``AccumRunResult``).
 
     ``inputs`` is the initial state of an iterative job, the initial
     deltas of an accumulative one, or — with ``plan.warm`` — the
@@ -262,29 +286,222 @@ def execute(
     if accumulative and plan.mode is None:
         plan = dataclasses.replace(plan, mode="async")
     cell = resolve(ACCUMULATIVE if accumulative else ITERATIVE, plan)
-    entry = _ENTRIES.get(cell.entry)
-    if entry is None:
+    if plan.backend == "simulated" and not accumulative:
         raise PlanError(
             f"iterative jobs run on the simulated cluster through "
             f"repro.{cell.entry}(RunSpec), not execute()"
         )
-    accepted = inspect.signature(entry).parameters
-    kwargs = {
-        f.name: getattr(plan, f.name)
-        for f in dataclasses.fields(plan) if f.name in accepted
-    }
     if plan.warm is None:
-        return entry(job, inputs, statics, **kwargs)
+        return _execute(job, inputs, statics, plan)
     inputs, statics, change, kept = _warm_inputs(
         job, inputs, statics, plan.warm, accumulative
     )
-    if not accumulative:
-        return entry(job, inputs, statics, **kwargs)
-    result = entry(job, inputs, statics, initial_state=kept, **kwargs)
-    result.counters.update(
-        {"incremental": change.summary(), "warm_state_keys": len(kept)}
-    )
+    result = _execute(job, inputs, statics, plan, initial_state=kept)
+    if accumulative:
+        result.counters.update(
+            {"incremental": change.summary(), "warm_state_keys": len(kept)}
+        )
     return result
+
+
+#: backend -> host: ``(job, policy, state_parts, static_parts, plan,
+#: fields, **supervision) -> (final reports, mesh result fields | None)``.
+_HOSTS = {"serial": host_loopback, "simulated": host_simulated, "parallel": host_mesh}
+
+
+def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
+             **supervision):
+    """The one runner: the job's algebra × the plan's host (module
+    docstring), no cell check.  ``initial_state`` is an accumulative
+    warm start's preloaded state; ``supervision`` (``max_recoveries``,
+    ``reassign_on_failure``) goes to the mesh supervisor."""
+    started = time.perf_counter()
+    num_pairs = plan.num_pairs
+    part = bind_partitioner(job.partitioner, num_pairs)
+    accumulative = isinstance(job, AccumJob)
+    if accumulative:
+        check_mode(plan.mode)
+        policy = AccumVerdict(job, num_pairs, plan.keep_trace)
+        fields = {"accum_mode": plan.mode,
+                  "warm": partition_state(initial_state, num_pairs, part)}
+    else:
+        policy = SyncVerdict(job, num_pairs, plan.keep_history)
+        fields = {}
+        if plan.checkpoint_every is None:  # the job's conf may arm them
+            plan = dataclasses.replace(
+                plan, checkpoint_every=job.parallel_checkpoint_every)
+    state_parts, static_parts = partition_inputs(job, inputs, statics, num_pairs, part)
+    finals, mesh = _HOSTS[plan.backend](
+        job, policy, state_parts, static_parts, plan, fields, **supervision)
+    outcome = policy.outcome(finals)
+    if mesh is not None:
+        mesh["wall_seconds"] = time.perf_counter() - started
+    if not accumulative:
+        if mesh is None:
+            return LocalRunResult(**outcome)
+        return ParallelRunResult(**outcome, num_pairs=num_pairs, **mesh)
+    mode = "simulated" if plan.backend == "simulated" else plan.mode
+    if mesh is None:
+        return AccumRunResult(mode=mode, **outcome)
+    return AccumRunResult(mode=mode, num_workers=mesh["num_workers"],
+                          wall_seconds=mesh["wall_seconds"], **outcome)
+
+
+# ------------------------------------------------------------- wrappers --
+# The signatures benchmarks/e2e calls (pinned in
+# tests/imapreduce/test_entry_signatures.py), each one plan on the runner.
+def run_local(
+    job: IterativeJob,
+    state_records: Iterable[tuple[Any, Any]],
+    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
+    *,
+    num_pairs: int = 4,
+    keep_history: bool = False,
+) -> LocalRunResult:
+    """Execute ``job`` serially.
+
+    ``state_records`` is the initial state; ``static_records`` maps each
+    phase's ``static_path`` to its records (the DFS is not involved).
+
+    Jobs carrying a vectorized kernel (``job.kernel``) run on the
+    columnar executor when the job shape supports it
+    (:func:`~repro.imapreduce.localrun.select_executor`) — same result
+    surface, one ``map_kernel`` + merge per pair per iteration instead
+    of the per-record loops.
+    """
+    return _execute(job, state_records, static_records, ExecutionPlan(
+        num_pairs=num_pairs, keep_history=keep_history))
+
+
+def run_parallel(
+    job: IterativeJob,
+    state_records: Iterable[tuple[Any, Any]],
+    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
+    *,
+    num_pairs: int = 4,
+    num_workers: int | None = None,
+    keep_history: bool = False,
+    start_method: str | None = None,
+    timeout: float | None = 600.0,
+    checkpoint_every: int | None = None,
+    spool_dir: str | None = None,
+    heartbeat_interval: float | None = 0.5,
+    suspicion_timeout: float | None = 30.0,
+    max_recoveries: int = 2,
+    reassign_on_failure: bool = False,
+    faults: Iterable[ProcFault] | None = None,
+) -> ParallelRunResult:
+    """Execute ``job`` on ``num_workers`` persistent worker processes.
+
+    Same signature and semantics as :func:`run_local` (``num_pairs``
+    governs partitioning and therefore the exact result; ``num_workers``
+    only distributes pairs over processes, default one per CPU this
+    process may run on).  The job must be picklable — every
+    ``build_imr_job`` result is, and the pickle guard tests keep it that
+    way.
+
+    ``timeout`` bounds every coordinator wait (a hung worker raises
+    :class:`~repro.imapreduce.parallel.ParallelExecutionError` instead
+    of deadlocking the caller).
+
+    Fault tolerance: ``checkpoint_every`` arms durable per-pair
+    checkpoints every that many iterations (``None`` falls back to the
+    job's ``mapred.iterjob.parallelcheckpoint`` conf, default off) into
+    ``spool_dir`` (a private temp dir, cleaned up, when unset).
+    ``faults`` injects seeded :class:`ProcFault` kills/stops for the
+    chaos harness.  When either is armed, a confirmed worker death is
+    recovered — up to ``max_recoveries`` times — by restoring the
+    newest committed checkpoint and respawning the mesh (or, with
+    ``reassign_on_failure``, redistributing the dead worker's pairs to
+    the survivors, least-loaded first).  ``suspicion_timeout`` declares
+    a worker dead when its heartbeat (every ``heartbeat_interval``
+    seconds) goes quiet — the only way to catch a SIGSTOPped worker.
+    """
+    return _execute(job, state_records, static_records, ExecutionPlan(
+        backend="parallel", num_pairs=num_pairs, num_workers=num_workers,
+        keep_history=keep_history, start_method=start_method, timeout=timeout,
+        checkpoint_every=checkpoint_every, spool_dir=spool_dir,
+        heartbeat_interval=heartbeat_interval, suspicion_timeout=suspicion_timeout,
+        faults=tuple(faults or ()),
+    ), max_recoveries=max_recoveries, reassign_on_failure=reassign_on_failure)
+
+
+def run_accum_local(
+    job,
+    delta_records: Iterable[tuple[Any, Any]],
+    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
+    *,
+    num_pairs: int = 4,
+    mode: str = "async",
+    keep_trace: bool = False,
+    initial_state: Iterable[tuple[Any, Any]] | None = None,
+):
+    """Execute an :class:`~repro.imapreduce.accum.AccumJob` serially.
+
+    ``delta_records`` are the initial deltas (state starts at the
+    algebra's identity); ``static_records`` maps the job's static path
+    to its records, as in :func:`run_local`.  ``mode="sync"`` drains
+    every pending delta each round — the synchronous reference the
+    fixpoint-equivalence oracle compares async runs against;
+    ``mode="async"`` drains only the top-priority fraction.
+
+    ``initial_state`` (incremental mode) preloads memoized converged
+    values into the pairs' state *without* propagation; the
+    ``delta_records`` then carry only the change-scoped perturbation —
+    see :mod:`~repro.imapreduce.incremental`.
+
+    Rounds are mass-checked *before* executing
+    (:class:`~repro.imapreduce.engine.AccumVerdict`) — the verdict
+    protocol the multiprocess coordinator runs too, so serial and
+    parallel runs of the same mode are record-for-record identical.
+    Jobs carrying a delta kernel (``job.kernel``) run on the columnar
+    executor — dense pending arrays with an active-key mask.
+    """
+    return _execute(job, delta_records, static_records, ExecutionPlan(
+        num_pairs=num_pairs, mode=mode, keep_trace=keep_trace,
+    ), initial_state=initial_state)
+
+
+def run_accum_parallel(
+    job: AccumJob,
+    delta_records: Iterable[tuple[Any, Any]],
+    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
+    *,
+    num_pairs: int = 4,
+    num_workers: int | None = None,
+    mode: str = "async",
+    keep_trace: bool = False,
+    start_method: str | None = None,
+    timeout: float | None = 600.0,
+    heartbeat_interval: float | None = 0.5,
+    suspicion_timeout: float | None = 30.0,
+    initial_state: Iterable[tuple[Any, Any]] | None = None,
+) -> AccumRunResult:
+    """Execute an :class:`~repro.imapreduce.accum.AccumJob` on real
+    worker processes.
+
+    Same semantics as :func:`run_accum_local` — partitioning, executor
+    selection (a job carrying a delta kernel runs columnar here too),
+    scheduling, and the pre-round mass check follow the identical
+    determinism contract, so for a given ``(job, deltas, num_pairs,
+    mode)`` the parallel result is record-for-record identical to the
+    serial one (floats included) at every worker count and start
+    method.  Only nonzero delta batches cross the mesh; converged pairs
+    cost one manifest frame per peer per round.
+
+    Nothing arms checkpoints for an accumulative run (pending deltas are
+    in flight by design), so the mesh supervisor runs it with recovery
+    unarmed: a worker death raises
+    :class:`~repro.imapreduce.parallel.ParallelExecutionError`.  Chaos
+    coverage for the async mode rides the seeded deferring transport
+    (``execute`` with ``backend="simulated"``) instead.
+    """
+    return _execute(job, delta_records, static_records, ExecutionPlan(
+        backend="parallel", num_pairs=num_pairs, num_workers=num_workers,
+        mode=mode, keep_trace=keep_trace, start_method=start_method,
+        timeout=timeout, heartbeat_interval=heartbeat_interval,
+        suspicion_timeout=suspicion_timeout,
+    ), initial_state=initial_state)
 
 
 def run_incremental_accum(

@@ -82,7 +82,7 @@ and hands incoming batches to the executor in ascending source-pair
 order (:func:`~repro.imapreduce.engine.by_dest`, shared with the
 loopback transport), so reduce value lists — and therefore every float
 fold — are ordered exactly as
-:func:`~repro.imapreduce.localrun.run_local` orders them.  The
+:func:`~repro.imapreduce.plan.run_local` orders them.  The
 differential oracle can demand record-for-record equality.
 """
 

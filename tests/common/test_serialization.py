@@ -93,7 +93,12 @@ def test_total_size_additive_over_concatenation(pairs):
 
 @given(value_strategy)
 def test_size_is_deterministic(value):
+    """Repeatable, and equal to the unmemoized model whichever path
+    (scalar shortcut, memo hit, memo miss) answers."""
+    from repro.common import serialization
+
     assert sizeof_value(value) == sizeof_value(value)
+    assert sizeof_value(value) == serialization._sizeof_uncached(value)
 
 
 # ------------------------------------------------------------ memoization --

@@ -61,3 +61,25 @@ def test_paper_claims_cover_all_figures():
     from repro.experiments.report import PAPER_CLAIMS
 
     assert set(PAPER_CLAIMS) == set(ALL_FIGURES)
+
+
+def test_real_backend_section_survives_a_rerender(tmp_path, monkeypatch):
+    """The hand-recorded real-backend section has one copy, the file
+    itself: a re-render (figures stubbed out) carries it over byte for
+    byte, from the first ``## Real backend`` heading to the end."""
+    import pathlib
+
+    from repro.experiments import report
+
+    monkeypatch.setattr(report, "ALL_FIGURES", {})
+    original = (pathlib.Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
+    section = report.real_backend_section(original)
+    assert section.startswith("\n## Real backend: the cached shuffle plan")
+    assert original.endswith(section)
+    target = tmp_path / "EXPERIMENTS.md"
+    target.write_text(original)
+    report.main(str(target))
+    rewritten = target.read_text()
+    assert rewritten == report.HEADER + "\n" + section
+    report.main(str(target))
+    assert target.read_text() == rewritten

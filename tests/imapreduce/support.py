@@ -6,6 +6,9 @@ to the protocol, not the host, so tier-1 pins them instead of bounding
 them.  A change that moves one names the new value in the test.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.imapreduce.engine import MESH_COUNTERS
@@ -22,3 +25,11 @@ def assert_mesh_counters(result, pinned, label=None):
     *counts, nbytes = mesh_counters(result)
     assert counts == list(pinned[:3]), (label, counts)
     assert nbytes == pytest.approx(pinned[3], rel=0.02), (label, nbytes)
+
+
+def mesh_leftovers() -> tuple[list, int]:
+    """Live mesh worker processes and this process's open fd count —
+    equal before and after a run that cleaned up after itself."""
+    workers = [p for p in multiprocessing.active_children()
+               if p.name.startswith("imr-worker")]
+    return workers, len(os.listdir("/proc/self/fd"))

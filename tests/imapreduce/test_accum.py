@@ -16,10 +16,12 @@ from repro.imapreduce import (
     SUM,
     Accumulator,
     AccumJob,
+    ExecutionPlan,
+    execute,
     run_accum_local,
-    run_accum_simulated,
 )
 from repro.imapreduce.accum import check_mode
+from repro.imapreduce.plan import _execute
 from repro.testing.oracles import fixpoints_agree
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
@@ -305,8 +307,11 @@ def test_schedule_is_pinned_bit_for_bit(name):
     case, kwargs, mode, digest = PINNED[name]
     _g, job, deltas, static = case(**kwargs)
     if isinstance(mode, dict):
-        result = run_accum_simulated(job, deltas, static, num_pairs=4,
-                                     keep_trace=True, **mode)
+        plan = ExecutionPlan(backend="simulated", num_pairs=4, keep_trace=True, **mode)
+        # ``execute`` refuses --mode sync on the simulated backend (no
+        # repro-run cell offers it); the runner beneath it takes it.
+        run = _execute if plan.mode == "sync" else execute
+        result = run(job, deltas, static, plan)
     else:
         result = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
                                  keep_trace=True)
@@ -326,6 +331,11 @@ def test_maxrounds_termination():
 
 
 # --------------------------------------------------- simulated backend --
+def _simulated(job, deltas, static, seed, **fields):
+    return execute(job, deltas, static, ExecutionPlan(
+        backend="simulated", num_pairs=4, seed=seed, **fields))
+
+
 def test_simulated_deferral_reaches_the_min_fixpoint():
     """Seeded delivery deferral reorders delta batches but never drops
     or duplicates them, so the (unique) min fixpoint still lands
@@ -333,17 +343,15 @@ def test_simulated_deferral_reaches_the_min_fixpoint():
     _g, job, deltas, static = _sssp_case()
     serial = run_accum_local(job, deltas, static, num_pairs=4, mode="sync")
     for seed in (0, 1, 17):
-        sim = run_accum_simulated(job, deltas, static, num_pairs=4, seed=seed)
+        sim = _simulated(job, deltas, static, seed)
         assert sim.terminated_by == "progress"
         assert sim.state == serial.state
 
 
 def test_simulated_is_seed_deterministic():
     _g, job, deltas, static = _pagerank_case()
-    a = run_accum_simulated(job, deltas, static, num_pairs=4, seed=7,
-                            keep_trace=True)
-    b = run_accum_simulated(job, deltas, static, num_pairs=4, seed=7,
-                            keep_trace=True)
+    a = _simulated(job, deltas, static, 7, keep_trace=True)
+    b = _simulated(job, deltas, static, 7, keep_trace=True)
     assert a.state == b.state
     assert a.trace == b.trace
     assert a.rounds == b.rounds
@@ -357,7 +365,7 @@ def test_simulated_deferral_delivers_exactly_once():
     _g, job, deltas, static = _pagerank_case()
     serial = run_accum_local(job, deltas, static, num_pairs=4, mode="sync")
     for seed in range(8):
-        sim = run_accum_simulated(job, deltas, static, num_pairs=4, seed=seed)
+        sim = _simulated(job, deltas, static, seed)
         assert sim.terminated_by == "progress"
         assert fixpoints_agree(sim.state, serial.state, exact=False)
         # One worker_stats entry, in the workers' vocabulary.

@@ -10,13 +10,26 @@ tests pin that contract — it is what lets the chaos oracle use the
 serial run as the reference for parallel runs.
 """
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.algorithms import pagerank, sssp
-from repro.common import ConfigError
+from repro.common import ConfigError, IterKeys, JobConf
+from repro.common.partition import bind_partitioner
 from repro.graph import pagerank_graph, sssp_graph
-from repro.imapreduce import run_accum_local, run_accum_parallel
-from tests.imapreduce.support import assert_mesh_counters
+from repro.imapreduce import (
+    MIN,
+    AccumJob,
+    ExecutionPlan,
+    ParallelExecutionError,
+    execute,
+    run_accum_local,
+    run_accum_parallel,
+)
+from tests.imapreduce.support import assert_mesh_counters, mesh_leftovers
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
@@ -184,6 +197,40 @@ def test_bad_mode_rejected_before_spawning():
     job, deltas, static = _case("sssp")
     with pytest.raises(ConfigError, match="mode"):
         run_accum_parallel(job, deltas, static, mode="eventual")
+
+
+#: The key whose update SIGKILLs the worker process applying it.
+VICTIM = 5
+
+
+def _die_at_victim(key, delta, state, successors, emit):
+    """Walk a chain; inside a mesh worker (never in the test process),
+    applying ``VICTIM``'s delta kills the worker."""
+    if key == VICTIM and multiprocessing.current_process().name.startswith("imr-worker"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    for dest in successors:
+        emit(dest, state + 1.0)
+
+
+def test_worker_death_is_terminal_and_leaves_nothing_behind():
+    """The one mesh supervisor runs accumulative jobs with recovery
+    unarmed: a worker killed mid-run fails the run with an error naming
+    it, and the fence leaves no worker process or pipe behind (fork)."""
+    job = AccumJob("die-at-victim", MIN, _die_at_victim, OUT, conf=JobConf(
+        {IterKeys.STATIC_PATH: STATIC, IterKeys.MAX_ITER: 100}))
+    static = {STATIC: [(k, (k + 1,) if k < 9 else ()) for k in range(10)]}
+    victim = bind_partitioner(job.partitioner, 4)(VICTIM) % 2  # round robin
+    plan = ExecutionPlan(backend="parallel", num_pairs=4, num_workers=2,
+                         start_method="fork")
+
+    def attempt() -> str:
+        with pytest.raises(ParallelExecutionError, match="without a final report") as failure:
+            execute(job, [(0, 0.0)], static, plan)
+        return str(failure.value)  # the traceback holds the Process objects
+
+    _workers, fds_before = mesh_leftovers()
+    assert f"worker imr-worker-{victim} exited" in attempt()
+    assert mesh_leftovers() == ([], fds_before)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from repro.imapreduce import (
     random_edge_churn,
     run_accum_local,
     run_accum_parallel,
-    run_accum_simulated,
     run_incremental_accum,
     run_local,
     run_parallel,
@@ -97,22 +96,24 @@ def test_signature_is_pinned(entry):
     assert str(inspect.signature(entry)) == PINNED[entry]
 
 
+#: ``ExecutionPlan``'s fields and defaults, in order.  When the plan was
+#: introduced each was a keyword (with that default) of a ``run_*``
+#: entry; ``backend``/``warm`` bundle ``run_incremental_accum``'s.
+PLAN_FIELDS = (
+    ("backend", "serial"), ("num_pairs", 4), ("num_workers", None),
+    ("mode", None), ("warm", None), ("checkpoint_every", None),
+    ("spool_dir", None), ("faults", ()), ("start_method", None),
+    ("timeout", 600.0), ("heartbeat_interval", 0.5),
+    ("suspicion_timeout", 30.0), ("keep_history", False),
+    ("keep_trace", False), ("seed", 0),
+)
+
+
 def test_every_plan_field_is_an_existing_keyword_with_its_default():
-    """No new option: each ExecutionPlan field is a keyword (with the
-    same default) of a ``run_*`` entry — ``backend``/``warm`` of
-    ``run_incremental_accum``, whose (algorithm, delta, damping, source)
-    a WarmStart bundles."""
-    keywords = {}
-    for entry in (run_local, run_parallel, run_accum_local,
-                  run_accum_parallel, run_accum_simulated):
-        for name, param in inspect.signature(entry).parameters.items():
-            keywords.setdefault(name, param.default)
-    for field in dataclasses.fields(ExecutionPlan):
-        if field.name in ("backend", "warm"):
-            continue
-        assert field.name in keywords, field.name
-        if field.name not in ("mode", "faults"):  # None/() stand for "async"/None
-            assert field.default == keywords[field.name], field.name
+    """No new option: the plan's fields are pinned, like the entry
+    signatures above — a new field fails here, not in review."""
+    fields = tuple((f.name, f.default) for f in dataclasses.fields(ExecutionPlan))
+    assert fields == PLAN_FIELDS
 
 
 def test_real_backends_do_not_import_the_simulator():
@@ -120,7 +121,7 @@ def test_real_backends_do_not_import_the_simulator():
     old import paths give the same class; no module of the serial or
     multiprocess backend — nor ``plan``, which every ``repro run``
     imports — imports ``runtime.py`` (the engine used to, for that
-    ten-line class; ``plan`` for ``run_accum_simulated``)."""
+    ten-line class; ``plan`` for the simulated accumulative run)."""
     import repro.imapreduce as package
     from repro.imapreduce import (
         accum, checkpoint, columnar, engine, job, localrun, parallel, plan,

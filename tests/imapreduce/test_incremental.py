@@ -35,7 +35,7 @@ from repro.imapreduce.incremental import (
     cold_initial_deltas,
     random_edge_churn,
 )
-from repro.imapreduce.localrun import run_accum_local, run_local
+from repro.imapreduce.plan import run_accum_local, run_local
 from repro.imapreduce.plan import refresh_vs_cold
 
 RTOL, ATOL = 1e-9, 1e-12

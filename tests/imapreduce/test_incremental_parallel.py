@@ -24,7 +24,7 @@ from repro.imapreduce import (
     run_incremental_accum,
 )
 from repro.imapreduce.incremental import ADJACENCY_KINDS
-from repro.imapreduce.localrun import run_accum_local, run_local
+from repro.imapreduce.plan import run_accum_local, run_local
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 

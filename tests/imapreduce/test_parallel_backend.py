@@ -9,7 +9,6 @@ multi-phase iterations, and combiners.  These tests pin that promise on
 all five algorithms plus the worker-count edge cases.
 """
 
-import multiprocessing
 import os
 import pickle
 
@@ -37,6 +36,7 @@ from repro.imapreduce import (
     select_executor,
 )
 from repro.testing.oracles import records_identical
+from tests.imapreduce.support import mesh_leftovers
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -437,12 +437,6 @@ def _inherit_setup(map_fn=_weigh_map):
     return job, state, static
 
 
-def _mesh_leftovers():
-    workers = [p for p in multiprocessing.active_children()
-               if p.name.startswith("imr-worker")]
-    return workers, len(os.listdir("/proc/self/fd"))
-
-
 @pytest.mark.parametrize("recover", [False, True], ids=["clean", "respawn"])
 def test_forked_workers_inherit_their_inputs(recover):
     """Under ``fork`` a worker reads the coordinator's partitioned
@@ -475,7 +469,7 @@ def test_unshippable_input_fails_in_the_coordinator_under_spawn():
         with pytest.raises(TypeError, match="_Unshippable static value was pickled"):
             run_parallel(job, state, static, num_pairs=4, num_workers=2,
                          start_method="spawn")
-        return _mesh_leftovers()
+        return mesh_leftovers()
 
     # A process's first spawn start also launches multiprocessing's own
     # resource tracker (one pipe, kept for good): count after it.
@@ -490,11 +484,11 @@ def test_unpicklable_job_fails_before_any_process_starts():
     job, state, static = _inherit_setup(
         map_fn=lambda key, state, static, ctx: ctx.emit(key, state)
     )
-    _workers, fds_before = _mesh_leftovers()
+    _workers, fds_before = mesh_leftovers()
     with pytest.raises((pickle.PicklingError, AttributeError), match="lambda"):
         run_parallel(job, state, static, num_pairs=4, num_workers=2,
                      start_method="fork")
-    assert _mesh_leftovers() == ([], fds_before)
+    assert mesh_leftovers() == ([], fds_before)
 
 
 # ----------------------------------------------------------- campaigns --
