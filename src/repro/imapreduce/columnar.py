@@ -32,7 +32,8 @@ the per-record loops:
 * ``map_kernel(pair, keys, values, prepared, broadcast)`` returns the
   pair's whole emission set as ``(out_keys, out_values)`` arrays;
 * emissions are combined at the sender and folded at the owning pair
-  along a cached **shuffle plan** (below) — the reduce;
+  along a cached **shuffle plan** (below) — the reduce, by one fold
+  rule: ``ufunc.at`` into an accumulator filled with the identity;
 * optional ``finalize`` post-processes the merged accumulator (k-means
   divides sums by counts), and ``distance_partial`` supplies the
   vectorized per-pair convergence contribution.
@@ -46,13 +47,16 @@ grouping and locating an emission are functions of its keys alone, and
 most kernels emit the same keys every iteration (pagerank and
 components return the very same array object; k-means and jacobi an
 equal one), so per source pair the executor keeps a
-:class:`ShufflePlan`: one ``lexsort`` by (destination, key), the
-``reduceat`` run starts of the distinct keys and each destination's
-slice.  A steady-state iteration is then ``map_kernel`` →
-``ufunc.reduceat`` (the §5 combiner: one value per key leaves the pair)
-→ wire items ``(dest_pair, src_pair, None, values)``.  The receiving
-pair caches, per source, the row of each shipped key in its owned array,
-and folds ``acc[rows] ⊕= values`` source by source.
+:class:`ShufflePlan`: ``np.unique(return_inverse=True)`` over the keys,
+a stable sort of the distinct keys by destination, and each emission's
+slot in that (destination, key) order.  A steady-state iteration is then
+``map_kernel`` → one ``ufunc.at(acc, plan.inverse, values)`` into an
+accumulator filled with the identity (the §5 combiner: one value per key
+leaves the pair) → wire items ``(dest_pair, src_pair, None, values)``.
+The receiving pair caches, per source, the row of each shipped key in
+its owned array, and folds ``ufunc.at(acc, rows[src], values)`` source
+by source into an accumulator filled with the identity — the rule
+:func:`merge_columnar` and :func:`absorb_columnar` use too.
 
 Keys travel only in a step whose plan was (re)built: the first step,
 any step a kernel's key array changes (the sssp kernel offers from
@@ -69,7 +73,11 @@ arrays decoded from one frame are views of one shared region
 keeps the whole frame alive.  The executors here obey it: received keys
 become fresh row indices, received values are folded or scattered into
 owned arrays and dropped, and a restored checkpoint keeps *all* of its
-spool file's arrays.  The two contract
+spool file's arrays.  An unpickled array also carries a fresh dtype
+instance, which keeps ``ufunc.at`` off numpy's fast path (25–30×
+slower) and spreads to whatever is computed from it, so received values
+and restored state are viewed with the canonical dtype as they enter
+(the wire is unchanged).  The two contract
 checks — no emission outside the destination's owned set, every owned
 key covered — are functions of the keys too, and are evaluated when keys
 arrive or the set of contributing sources changes: once per distinct
@@ -92,14 +100,15 @@ Float-ordering caveat
 
 ``min`` merges are order-independent, so sssp/components kernels are
 *bit-exact* against the record path.  ``sum`` merges reorder the float
-additions — the planned shuffle sums each (source pair, key) run first
-(``np.add.reduceat``, in emission order) and then adds those partials
-in ascending source-pair order at the receiver, the record path sums in
-``group_by_key`` emission order — so summation kernels are compared
-with a tolerance oracle.  The worst-case error of summing ``n`` floats
-in any order is bounded by ``(n-1)·eps·Σ|xᵢ|`` (Higham, *Accuracy and
-Stability of Numerical Algorithms*, §4.2); with ``eps = 2⁻⁵³`` and the
-bench-scale fan-ins (n ≲ 10⁵, values ≲ 1) that is ≲ 10⁻¹¹ absolute —
+additions — every columnar fold runs from the identity in arrival
+order, ``((0+a₀)+a₁)+…`` like Python's ``sum``, so the planned shuffle
+sums each (source pair, key) in emission order first and then adds
+those partials in ascending source-pair order at the receiver, while
+the record path sums in ``group_by_key`` emission order — so summation
+kernels are compared with a tolerance oracle.  The worst-case error of
+summing ``n`` floats in any order is bounded by ``(n-1)·eps·Σ|xᵢ|``
+(Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2); with
+``eps = 2⁻⁵³`` and the bench-scale fan-ins (n ≲ 10⁵, values ≲ 1) that is ≲ 10⁻¹¹ absolute —
 six orders under the differential oracle's 1e-6 relative tolerance.
 Kernel-serial vs kernel-parallel stays bit-exact: the same executor
 builds the same plans and folds in the same ascending source-pair
@@ -110,6 +119,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -245,13 +255,17 @@ class AccumKernel:
 # ------------------------------------------------------------- layout --
 def _int_keys(keys: Iterable) -> np.ndarray:
     """Keys → int64 array in the given order; the columnar contract
-    admits Python ints only (a bool or float would silently alias one)."""
+    admits Python ints only (a bool or float would silently alias one).
+    The check runs over the set of key types, not over the keys."""
     keys = list(keys)
-    for k in keys:
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise KernelContractError(
-                f"columnar keys must be ints, got {type(k).__name__}"
-            )
+    bad = {
+        t for t in set(map(type, keys)) if issubclass(t, bool) or not issubclass(t, int)
+    }
+    if bad:
+        first = next(k for k in keys if type(k) in bad)
+        raise KernelContractError(
+            f"columnar keys must be ints, got {type(first).__name__}"
+        )
     return np.array(keys, dtype=np.int64)
 
 
@@ -268,10 +282,9 @@ def encode_columnar(
     """
     recs = list(records)
     n = len(recs)
-    keys = _int_keys(k for k, _v in recs)
-    values = np.array([v for _k, v in recs], dtype=dtype).reshape(
-        (n, width) if width else (n,)
-    )
+    keys = _int_keys(map(itemgetter(0), recs))
+    values = list(map(itemgetter(1), recs))
+    values = np.array(values, dtype=dtype).reshape((n, width) if width else (n,))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     if n > 1 and (keys[1:] == keys[:-1]).any():
@@ -283,13 +296,14 @@ def decode_columnar(
     keys: np.ndarray, values: np.ndarray
 ) -> list[tuple[int, Any]]:
     """``(keys, values)`` → records with the record path's value types:
-    Python ints/floats for scalar state, per-row ndarray copies for
-    vector state (what the record-path reducers emit)."""
+    Python ints for int64 state, Python floats for any other scalar
+    state, per-row ndarray copies for vector state (what the record-path
+    reducers emit)."""
+    keys = keys.tolist()
     if values.ndim == 1:
-        if values.dtype.kind == "i":
-            return [(int(k), int(v)) for k, v in zip(keys.tolist(), values.tolist())]
-        return [(int(k), float(v)) for k, v in zip(keys.tolist(), values.tolist())]
-    return [(int(k), values[i].copy()) for i, k in enumerate(keys.tolist())]
+        cast = np.int64 if values.dtype.kind == "i" else np.float64
+        return list(zip(keys, values.astype(cast, copy=False).tolist()))
+    return [(k, values[i].copy()) for i, k in enumerate(keys)]
 
 
 # ------------------------------------------------------------- routing --
@@ -333,28 +347,27 @@ class ShufflePlan:
     done for the shuffle schedule: computed once, reused every iteration
     the kernel emits the same keys.
 
-    ``order`` sorts the emission by (destination, key) — ``lexsort`` is
-    stable, so duplicates of a key keep emission order; ``starts`` opens
-    each distinct key's run for ``ufunc.reduceat`` (the §5 combiner: one
-    value per key leaves the pair); ``dests`` holds, per non-empty
-    destination, its slice of the combined values and the distinct
-    ascending keys that slice is aligned with.
+    The combined values live in one array of ``size`` slots, one per
+    distinct key, laid out by (destination, key); ``inverse`` maps each
+    emission to its slot, so the §5 combiner — one value per key leaves
+    the pair — is one ``ufunc.at`` into an array filled with the
+    identity.  ``dests`` holds, per non-empty destination, its slice of
+    the slots and the distinct ascending keys that slice is aligned with.
     """
 
-    __slots__ = ("keys", "order", "starts", "dests")
+    __slots__ = ("keys", "inverse", "size", "dests")
 
     def __init__(self, keys: np.ndarray, part_array, num_pairs: int):
-        dest = part_array(keys)
-        order = np.lexsort((keys, dest))
-        ordered = keys[order]
-        opens = np.ones(keys.size, dtype=bool)
-        opens[1:] = ordered[1:] != ordered[:-1]  # a key has one destination
-        starts = np.flatnonzero(opens)
-        distinct = ordered[starts]
-        self.keys, self.order, self.starts = keys, order, starts
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        dest = part_array(distinct)
+        order = np.argsort(dest, kind="stable")  # keys stay ascending per dest
+        # A distinct key's slot is its rank in (destination, key) order.
+        self.keys, self.size = keys, distinct.size
+        self.inverse = np.argsort(order)[inverse]
+        distinct = distinct[order]
         self.dests = [
             (q, lo, hi, distinct[lo:hi])
-            for q, lo, hi in _dest_slices(dest[order][starts], num_pairs)
+            for q, lo, hi in _dest_slices(dest[order], num_pairs)
         ]
 
     def covers(self, keys: np.ndarray) -> bool:
@@ -369,6 +382,29 @@ def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
     if merge == "min":
         return np.minimum, np.iinfo(dtype).max if dtype.kind == "i" else np.inf
     raise KernelContractError(f"unknown merge {merge!r}")
+
+
+def _fold(merge: str, size: int, batches) -> np.ndarray:
+    """The one columnar fold rule: an accumulator of ``size`` rows filled
+    with the merge's identity, then ``ufunc.at(acc, idx, vals)`` for each
+    ``(idx, vals)`` batch in order — so a float sum adds in arrival
+    order, ``((0+a₀)+a₁)+…``, like Python's ``sum``."""
+    acc = None
+    for idx, vals in batches:
+        vals = _canonical(vals)
+        if acc is None:
+            ufunc, identity = _reduction(merge, vals.dtype)
+            acc = np.full((size,) + vals.shape[1:], identity, dtype=vals.dtype)
+        ufunc.at(acc, idx, vals)
+    return acc
+
+
+def _canonical(a: np.ndarray) -> np.ndarray:
+    """``a`` viewed with its dtype's canonical instance.  An array
+    unpickled from a frame carries a fresh dtype object, which keeps
+    ``ufunc.at`` off its fast path (25–30× slower), and indexing and
+    ufuncs pass that dtype on to everything computed from the array."""
+    return a.view(np.dtype(a.dtype.str))
 
 
 def _locate(owned_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -419,11 +455,7 @@ def merge_columnar(
     all_keys = np.concatenate([b[0] for b in batches])
     all_vals = np.concatenate([b[1] for b in batches])
     idx = _locate(owned_keys, all_keys)
-    ufunc, identity = _reduction(kernel.merge, all_vals.dtype)
-    acc = np.full(
-        (owned_keys.size,) + all_vals.shape[1:], identity, dtype=all_vals.dtype
-    )
-    ufunc.at(acc, idx, all_vals)
+    acc = _fold(kernel.merge, owned_keys.size, [(idx, all_vals)])
     _require_covered(owned_keys, [idx])
     return acc
 
@@ -456,7 +488,7 @@ def absorb_columnar(
     if in_keys.size == 0:
         return
     idx = _locate(owned_keys, in_keys)
-    _reduction(merge, pending.dtype)[0].at(pending, idx, in_values)
+    _reduction(merge, pending.dtype)[0].at(pending, idx, _canonical(in_values))
     active[idx] = True
 
 
@@ -527,7 +559,7 @@ class ColumnarSync:
         self.values: dict[int, np.ndarray] = {}
         for p in self.pairs:
             self.owned[p], self.values[p] = (
-                cfg.state_parts[p]
+                map(_canonical, cfg.state_parts[p])
                 if cfg.columnar_state
                 else encode_columnar(
                     cfg.state_parts[p], kernel.state_dtype, kernel.state_width
@@ -576,8 +608,7 @@ class ColumnarSync:
                 plan = self.shuffle_plans[p] = ShufflePlan(
                     out_keys, self.part_array, self.num_pairs
                 )
-            ufunc = _reduction(self.kernel.merge, out_vals.dtype)[0]
-            combined = ufunc.reduceat(out_vals[plan.order], plan.starts, axis=0)
+            combined = _fold(self.kernel.merge, plan.size, [(plan.inverse, out_vals)])
             for q, lo, hi, keys in plan.dests:
                 items.append((q, p, keys if replanned else None, combined[lo:hi]))
         self.timings["kernel"] += time.perf_counter() - started
@@ -603,14 +634,10 @@ class ColumnarSync:
                 # keys, or the set of contributing sources, changed.
                 _require_covered(owned, [rows[src] for src in sources])
                 self.sources[q] = sources
-            first = items[0][3]
-            ufunc, identity = _reduction(kernel.merge, first.dtype)
-            acc = np.full((owned.size,) + first.shape[1:], identity, dtype=first.dtype)
-            for _q, src, _keys, vals in items:
-                # Rows are distinct within a source (the sender combined),
-                # so a plain indexed update folds exactly.
-                idx = rows[src]
-                acc[idx] = ufunc(acc[idx], vals)
+            acc = _fold(
+                kernel.merge, owned.size,
+                [(rows[src], vals) for _q, src, _keys, vals in items],
+            )
             self.values[q] = kernel.finalize(
                 q, owned, acc, self.values[q], self.prepared[q]
             )
@@ -632,7 +659,8 @@ class ColumnarSync:
                 self.prev[p] = self.values[p].copy()
             report["distance"] = partials
         if send_state:
-            report["state"] = self.final_state()
+            cols = self.final_state()
+            report["state"] = {p: decode_columnar(*c) for p, c in cols.items()}
         self.timings["report"] += time.perf_counter() - started
         return report
 
@@ -642,8 +670,8 @@ class ColumnarSync:
             "pairs": {p: (self.owned[p], self.values[p]) for p in self.pairs},
         }
 
-    def final_state(self) -> dict[int, list]:
-        return {p: decode_columnar(self.owned[p], self.values[p]) for p in self.pairs}
+    def final_state(self) -> dict[int, tuple]:
+        return {p: (self.owned[p], self.values[p]) for p in self.pairs}
 
     def final_stats(self) -> dict:
         return {}
@@ -785,8 +813,8 @@ class ColumnarAccum:
             self._drop_dead(q)
         self.timings["delta"] += time.perf_counter() - started
 
-    def final_state(self) -> dict[int, list]:
-        return {p: decode_columnar(self.owned[p], self.state[p]) for p in self.pairs}
+    def final_state(self) -> dict[int, tuple]:
+        return {p: (self.owned[p], self.state[p]) for p in self.pairs}
 
     def final_stats(self) -> dict:
         return {

@@ -55,7 +55,7 @@ The driver is parameterised by
 
   Executor methods run per host per step, never per record: the hot
   paths (``run_map``, ``group_by_dest`` / ``GroupPlan``, ``map_kernel``,
-  the planned ``reduceat`` combine, ``AccumPair.apply``) are untouched;
+  the planned ``ufunc.at`` combine, ``AccumPair.apply``) are untouched;
 * a **transport**, which owns moving batches — and *when* they land —
   and nothing about algorithms: the two loopbacks here, the pipe mesh
   in :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,
@@ -238,10 +238,18 @@ def by_dest(items: Iterable[tuple]) -> dict[int, list[tuple]]:
 
 
 def _final_state(finals: list[dict], num_pairs: int) -> list[tuple[Any, Any]]:
-    by_pair: dict[int, list] = {}
+    """The job's final records, key-sorted.  Columnar hosts hand over
+    ``(keys, values)`` per pair: one concatenate, one stable argsort on
+    the unique int keys (``sort_records``'s order) and one decode."""
+    by_pair: dict[int, Any] = {}
     for final in finals:
         by_pair.update(final["state"])
-    return sort_records(rec for p in range(num_pairs) for rec in by_pair.get(p, ()))
+    parts = [by_pair[p] for p in range(num_pairs) if p in by_pair]
+    if parts and isinstance(parts[0], tuple):  # record hosts hand over lists
+        from .columnar import concat_broadcast, decode_columnar  # imports engine
+
+        return decode_columnar(*concat_broadcast(parts))
+    return sort_records(rec for part in parts for rec in part)
 
 
 # ------------------------------------------------------- verdict policies --

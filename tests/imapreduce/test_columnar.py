@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from repro.algorithms import kmeans, pagerank, sssp
 from repro.common import HashPartitioner, ModPartitioner, RangePartitioner
-from repro.common.records import group_by_key
+from repro.common.records import group_by_key, sort_records
 from repro.imapreduce.engine import (
     PHASE_COUNTERS,
     SHUFFLE,
+    _final_state,
     by_dest,
     host_config,
     partition_inputs,
@@ -109,6 +110,65 @@ def test_encode_rejects_non_int_keys():
         encode_columnar([("a", 1.0)], "float64", 0)
     with pytest.raises(KernelContractError):
         encode_columnar([(True, 1.0)], "float64", 0)  # bools are not keys
+
+
+def test_int_keys_judges_key_types():
+    class Key(int):
+        pass
+
+    ks, _vs = encode_columnar([(Key(3), 1.0), (1, 2.0)], "float64", 0)
+    assert ks.tolist() == [1, 3]  # an int subclass other than bool is an int
+    with pytest.raises(KernelContractError, match="got str$"):
+        encode_columnar([(1, 1.0), ("a", 1.0), (2.5, 1.0)], "float64", 0)
+
+
+def _decode_per_element(keys, values):
+    """``decode_columnar`` as one Python call per element — the
+    reference for the vectorized decode."""
+    if values.ndim == 1:
+        scalar = int if values.dtype.kind == "i" else float
+        return [(int(k), scalar(v)) for k, v in zip(keys.tolist(), values.tolist())]
+    return [(int(k), values[i].copy()) for i, k in enumerate(keys.tolist())]
+
+
+@given(
+    unique_keys,
+    st.sampled_from(["int64", "float64", "float32", "uint8", "bool"]),
+    st.sampled_from([0, 2]),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_columnar_final_state_equals_sorted_records(keys, dtype, width, num_pairs, data):
+    """``_final_state``'s columnar branch — concatenate, one stable
+    argsort, one decode — equals sorting the per-element decode of every
+    pair's columns, value types included."""
+    shape = (len(keys), width) if width else (len(keys),)
+    values = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape) * 7 - 11
+    values = values.astype(dtype)
+    pair_of = data.draw(
+        st.lists(st.integers(0, num_pairs - 1), min_size=len(keys), max_size=len(keys))
+    )
+    ks = np.array(keys, dtype=np.int64)
+    finals = [
+        {"state": {p: (ks[np.array(pair_of, dtype=int) == p],
+                       values[np.array(pair_of, dtype=int) == p])
+                   for p in range(num_pairs) if p % 2 == w}}
+        for w in range(2)
+    ]
+    got = _final_state(finals, num_pairs)
+    want = sort_records(
+        rec for p in range(num_pairs)
+        for final in finals if p in final["state"]
+        for rec in _decode_per_element(*final["state"][p])
+    )
+    assert [k for k, _v in got] == [k for k, _v in want]
+    assert all(type(k) is int for k, _v in got)
+    if width:
+        for (_k, row), (_k2, want_row) in zip(got, want):
+            assert np.array_equal(row, want_row) and row.base is None
+    else:
+        assert got == want
+        assert [type(v) for _k, v in got] == [type(v) for _k, v in want]
 
 
 def test_encode_rejects_duplicate_keys():
@@ -383,6 +443,26 @@ def test_source_that_stops_contributing_retriggers_coverage():
         ex.absorb(SHUFFLE, 0, by_dest(items))
 
 
+def _left_fold(merge, owned, batches, dtype, row_shape):
+    """The columnar fold rule in plain Python: per key, each source
+    batch's values folded from the identity in emission order, then
+    those partials folded from the identity in batch (source) order."""
+    ufunc = np.add if merge == "sum" else np.minimum
+    identity = 0 if merge == "sum" else (
+        np.iinfo(dtype).max if dtype.kind == "i" else np.inf
+    )
+    def fold(values):
+        acc = np.full(row_shape, identity, dtype=dtype)
+        for value in values:
+            acc = ufunc(acc, value)
+        return acc
+    return np.array([
+        fold([fold([v for k, v in zip(ks.tolist(), vs) if k == key])
+              for ks, vs in batches if key in ks.tolist()])
+        for key in owned.tolist()
+    ], dtype=dtype).reshape((owned.size,) + row_shape)
+
+
 @given(
     st.data(),
     st.sampled_from(["sum", "min"]),
@@ -394,10 +474,19 @@ def test_source_that_stops_contributing_retriggers_coverage():
 def test_planned_shuffle_equals_unplanned_merge(
     data, merge, dtype, width, num_pairs, ranged
 ):
-    """Sender combine + indexed fold against ``merge_columnar`` over the
-    uncombined ``route_columnar`` batches: exact for ``min`` and for
-    int64, within the reordering bound ``(n−1)·eps·Σ|xᵢ|`` for float
-    sums — on the keyed step and on the values-only step after it."""
+    """Sender combine + indexed fold against two references, on the
+    keyed step and on the values-only step after it:
+
+    * the fold rule itself, as a plain-Python left fold from the
+      identity per (destination, key) — each source's emissions in
+      emission order, then those partials in ascending source order —
+      bit for bit, float sums included;
+    * ``merge_columnar`` over the uncombined ``route_columnar`` batches:
+      exact for ``min`` and for int64, within the reordering bound
+      ``(n−1)·eps·Σ|xᵢ|`` for float sums.
+
+    Each plan's per-destination keys are ``route_columnar``'s distinct
+    keys."""
     universe = 24
     keys = data.draw(st.lists(st.integers(0, universe - 1), min_size=1, max_size=60))
     srcs = data.draw(
@@ -406,26 +495,34 @@ def test_planned_shuffle_equals_unplanned_merge(
     partitioner = RangePartitioner(universe) if ranged else ModPartitioner()
     ex, kernel = _planned_executor(merge, sorted(set(keys)), num_pairs, partitioner)
     shape = (len(keys), width) if width else (len(keys),)
-    element = (
-        st.integers(-(2**40), 2**40) if dtype == "int64"
-        else st.floats(-1e6, 1e6, width=32)
-    )
     for _ in range(2):  # the second round reuses every plan
-        flat = data.draw(
-            st.lists(element, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
-        )
-        vals = np.array(flat, dtype=dtype).reshape(shape)
+        if dtype == "int64":
+            flat = data.draw(st.lists(
+                st.integers(-(2**40), 2**40),
+                min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+            ))
+            vals = np.array(flat, dtype=dtype).reshape(shape)
+        else:
+            # Mixed magnitudes, so any other association of a sum shows.
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+            vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         all_keys = np.array(keys, dtype=np.int64)
         mask = {p: np.array(srcs) == p for p in range(num_pairs)}
         kernel.script = {p: (all_keys[m], vals[m]) for p, m in mask.items()}
         _step(ex)
         inbox = {}
         for p in range(num_pairs):
-            for q, ks, vs in route_columnar(
-                *kernel.script[p], ex.part_array, num_pairs
-            ):
+            routed = route_columnar(*kernel.script[p], ex.part_array, num_pairs)
+            planned = ex.shuffle_plans[p].dests if p in ex.shuffle_plans else []
+            assert [(q, ks.tolist()) for q, _lo, _hi, ks in planned] == [
+                (q, np.unique(ks).tolist()) for q, ks, _vs in routed
+            ]
+            for q, ks, vs in routed:
                 inbox.setdefault(q, []).append((ks, vs))
         for q, batches in inbox.items():
+            assert ex.values[q].tobytes() == _left_fold(
+                merge, ex.owned[q], batches, vals.dtype, vals.shape[1:]
+            ).tobytes()
             want = merge_columnar(kernel, ex.owned[q], batches)
             got = ex.values[q]
             assert got.dtype == want.dtype and got.shape == want.shape

@@ -12,7 +12,9 @@ merely "works" is not enough; it must be invisible in the results.
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.algorithms import kmeans, pagerank, sssp
@@ -167,6 +169,31 @@ def test_kernel_growing_frontier_kill_recovery_bit_exact():
     )
     assert par.terminated_by == "threshold"
     assert par.recovery_events[0]["resume_from"] == 2
+
+
+class _CanonicalStateKernel(pagerank.PageRankKernel):
+    """PageRank that fails the run unless its state carries numpy's
+    canonical dtype instance."""
+
+    __slots__ = ()
+
+    def map_kernel(self, pair, keys, values, prepared, broadcast):
+        if values.dtype is not np.dtype(self.state_dtype):
+            raise AssertionError(f"pair {pair}: state dtype is not canonical")
+        return super().map_kernel(pair, keys, values, prepared, broadcast)
+
+
+def test_kernel_state_keeps_the_canonical_dtype():
+    """An array unpickled from a frame carries a fresh dtype instance,
+    which keeps ``ufunc.at`` off its fast path.  Values folded in from
+    peers and state restored from the spool are viewed with the
+    canonical one, so the state never carries a fresh instance."""
+    job, state, static = _pagerank_setup(n=40, seed=7, use_kernel=True)
+    assert_recovered_identical(
+        replace(job, kernel=_CanonicalStateKernel(40)), state, static,
+        faults=[ProcFault(worker=0, iteration=4, action="kill")],
+        num_pairs=4, num_workers=2, checkpoint_every=3,
+    )
 
 
 def test_spawn_kill_recovery():
