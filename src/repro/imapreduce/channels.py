@@ -12,7 +12,8 @@ Message vocabulary (tuples, first element is the kind):
 
 * ``("state", k, sender, records, last)`` — reduce→map state chunk;
   ``last`` marks the sender's final chunk for iteration ``k``;
-* ``("mapout", k, sender, records)`` — map→reduce shuffle data;
+* ``("mapout", k, sender, keys, values)`` — map→reduce shuffle data,
+  as two columns;
 * ``("mapdone", k, sender)`` — map ``sender`` finished shuffling ``k``;
 * ``("sync", k)`` — master: global barrier for iteration ``k`` passed;
 * ``("proceed", k)`` — master: reports for ``k`` accepted, reduces may
@@ -126,39 +127,43 @@ class IterationMailbox:
             self._early[(kind, message[1])].append(message)
 
     # -- gather patterns -----------------------------------------------------------
+    # A gather hands over what it collected in ascending sender order,
+    # each sender's messages in arrival order — the engine's
+    # delivery-order rule (:mod:`.engine`): a reduce folds its values in
+    # one fixed sequence however the senders' traffic interleaved.
     def gather_state_chunks(self, iteration: int, senders: int):
-        """Reduce→map gather (generator).
-
-        Yields chunk record-lists as they arrive; returns when ``senders``
-        distinct senders have delivered their ``last`` chunk.  This
-        streaming shape is what lets the map join/process eagerly (§3.3).
-        Use ``yield from`` and iterate the returned list.
-        """
+        """Reduce→map gather (generator): the ``state`` chunks for
+        ``iteration``, once ``senders`` distinct senders have delivered
+        their ``last`` chunk.  Use ``yield from``."""
         finished: set[Any] = set()
-        chunks: list[list] = []
+        chunks: dict[Any, list[list]] = defaultdict(list)
         while len(finished) < senders:
             message = yield from self.next_message(("state",), iteration)
             _, _, sender, records, last = message
-            chunks.append(records)
+            chunks[sender].append(records)
             if last:
                 finished.add(sender)
-        return chunks
+        return [chunk for sender in sorted(chunks) for chunk in chunks[sender]]
 
     def gather_map_outputs(self, iteration: int, num_maps: int):
-        """Map→reduce gather (generator): all shuffle data for ``iteration``.
-
-        Returns the concatenated records once every map task has sent its
-        ``mapdone`` marker.
-        """
+        """Map→reduce gather (generator): all shuffle data for
+        ``iteration`` as ``(keys, values)`` columns, once every map task
+        has sent its ``mapdone`` marker."""
         done: set[Any] = set()
-        records: list = []
+        outputs: dict[Any, list[tuple]] = defaultdict(list)
         while len(done) < num_maps:
             message = yield from self.next_message(("mapout", "mapdone"), iteration)
             if message[0] == "mapdone":
                 done.add(message[2])
             else:
-                records.extend(message[3])
-        return records
+                outputs[message[2]].append(message[3:])
+        keys: list = []
+        values: list = []
+        for sender in sorted(outputs):
+            for sender_keys, sender_values in outputs[sender]:
+                keys += sender_keys
+                values += sender_values
+        return keys, values
 
     def wait_control(self, kind: str, iteration: int):
         """Wait for a master control token (``sync``/``proceed``)."""

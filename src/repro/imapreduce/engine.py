@@ -9,11 +9,14 @@ module holds the loop, :func:`run_supersteps`, and the two pieces that
 do not depend on where the pairs live:
 
 * the **verdict policy**, one per algebra — :class:`SyncVerdict`
-  (pair-ascending distance merge, history, the aux phase, then the
-  aux/threshold rule) and :class:`AccumVerdict` (pair-ascending pending
-  mass fold, then the progress/maxrounds rule).  The multiprocess
-  coordinator feeds them ITER_REPORT frames; the loopback transport
-  calls them inline — one copy of the rule either way;
+  (pair-ascending distance merge, :func:`merge_partials`; history; the
+  aux phase's ``AuxPhase.map_step``/``reduce_step``; then
+  :func:`sync_rule`, aux before threshold) and :class:`AccumVerdict`
+  (pair-ascending pending mass fold, then the progress/maxrounds rule).
+  The multiprocess coordinator feeds them ITER_REPORT frames; the
+  loopback transport calls them inline; the simulated cluster's master
+  (:mod:`.runtime`) merges and rules with the same two functions — one
+  copy of the rule everywhere;
 * the **loopback transports**: every pair is hosted here, so an
   exchange is a regrouping and a report is a method call.
   :class:`Loopback` delivers at once; :class:`DeferringLoopback` holds
@@ -65,7 +68,12 @@ The driver is parameterised by
   rule, on every transport: a destination's batches arrive in ascending
   source-pair order; a transport that delivers late hands over the
   destination's own batch first, then the rest by ``(source pair, send
-  sequence)`` — each exactly once.
+  sequence)`` — each exactly once.  The simulated cluster's mailboxes
+  keep the same rule: ``IterationMailbox.gather_map_outputs`` and
+  ``gather_state_chunks`` (:mod:`.channels`) hand a gather over in
+  ascending sender order, each sender's messages in arrival order, so
+  a simulated reduce folds its values in the serial executor's
+  sequence however the virtual network interleaved them.
 
 :func:`run_supersteps` also owns **cyclic garbage collection** for its run
 (*BSP vs MapReduce*: the superstep barrier is where a step's garbage is
@@ -87,9 +95,8 @@ from typing import Any, Iterable
 
 from ..common.config import stable_seed
 from ..common.partition import bind_partitioner
-from ..common.records import group_by_key, sort_records
+from ..common.records import sort_records
 from .checkpoint import CheckpointStore, fire_fault
-from .job import AuxContext
 
 __all__ = [
     "CONTINUE",
@@ -100,6 +107,8 @@ __all__ = [
     "WorkerConfig",
     "SyncVerdict",
     "AccumVerdict",
+    "merge_partials",
+    "sync_rule",
     "Loopback",
     "DeferringLoopback",
     "run_supersteps",
@@ -253,6 +262,31 @@ def _final_state(finals: list[dict], num_pairs: int) -> list[tuple[Any, Any]]:
 
 
 # ------------------------------------------------------- verdict policies --
+def merge_partials(partials: dict[int, float], num_pairs: int) -> float:
+    """The iteration's distance: per-pair partials folded pair-ascending
+    from ``0.0`` — one float sequence on every backend, the simulated
+    master included, whatever order the reports arrived in."""
+    distance = 0.0
+    for p in range(num_pairs):
+        distance += partials.get(p, 0.0)
+    return distance
+
+
+def sync_rule(job, aux_stop: bool, distance: float | None) -> str:
+    """The synchronous algebra's termination rule for one merged
+    iteration: the aux phase's signal (§5.3), then the distance
+    threshold (§3.1.2).  The iteration budget is checked after it — by
+    :func:`run_supersteps` through ``max_steps``, by the simulated
+    master directly — so a threshold met on the last allowed iteration
+    is ``"threshold"``, converged."""
+    if aux_stop:
+        return "aux"
+    threshold = job.threshold
+    if threshold is not None and distance is not None and distance <= threshold:
+        return "threshold"
+    return CONTINUE
+
+
 class SyncVerdict:
     """The synchronous algebra's termination policy and the merge state
     behind it (§3.1.2): per-iteration distances, history and the aux
@@ -293,14 +327,10 @@ class SyncVerdict:
         aux, aux_part = self.aux, self.aux_part
         distance: float | None = None
         if self.job.distance_fn is not None:
-            # Pair-ascending partial merge — the distributed master's
-            # merge rule, one float sequence on every backend.
             partials: dict[int, float] = {}
             for report in reports.values():
                 partials.update(report.get("distance", {}))
-            distance = 0.0
-            for p in range(self.num_pairs):
-                distance += partials.get(p, 0.0)
+            distance = merge_partials(partials, self.num_pairs)
         self.distances.append(distance)
 
         aux_stop = False
@@ -321,24 +351,14 @@ class SyncVerdict:
                 for rec in flat:
                     parts[aux_part(rec[0])].append(rec)
                 for t in range(aux.num_tasks):
-                    actx = AuxContext(self.aux_map_state[t])
-                    for key, value in parts[t]:
-                        aux.map_fn(key, value, actx)
-                    for rec in actx.take():
+                    keys, values = aux.map_step(self.aux_map_state[t], parts[t])
+                    for rec in zip(keys, values):
                         aux_shuffled[aux_part(rec[0])].append(rec)
                 for t in range(aux.num_tasks):
-                    actx = AuxContext(self.aux_reduce_state[t])
-                    for key, values in group_by_key(aux_shuffled[t]):
-                        aux.reduce_fn(key, values, actx)
-                    if actx.terminate_requested:
+                    if aux.reduce_step(self.aux_reduce_state[t], aux_shuffled[t]):
                         aux_stop = True
         self.merged_through += 1
-        if aux_stop:
-            return "aux"
-        threshold = self.job.threshold
-        if threshold is not None and distance is not None and distance <= threshold:
-            return "threshold"
-        return CONTINUE
+        return sync_rule(self.job, aux_stop, distance)
 
     def snapshot(self, iteration: int) -> None:
         """Capture the merge state right after ``iteration`` merged."""

@@ -28,6 +28,7 @@ from typing import Any, Callable
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner
+from ..common.records import group_by_key
 from ..mapreduce.api import Context
 from ..metrics import RunMetrics
 
@@ -99,6 +100,24 @@ class AuxPhase:
     reduce_fn: ReduceFn
     num_tasks: int = 1
     name: str = "aux"
+
+    def map_step(self, task_state: dict, records) -> tuple[list, list]:
+        """One aux map task's iteration: ``map_fn`` over ``records`` in
+        order, with the task's persistent state; its emissions as
+        ``(keys, values)`` columns."""
+        ctx = AuxContext(task_state)
+        for key, value in records:
+            self.map_fn(key, value, ctx)
+        return ctx.take_columns()
+
+    def reduce_step(self, task_state: dict, records) -> bool:
+        """One aux reduce task's iteration over its shuffled ``records``
+        (values in arrival order within a key): did it signal
+        termination?"""
+        ctx = AuxContext(task_state)
+        for key, values in group_by_key(records):
+            self.reduce_fn(key, values, ctx)
+        return ctx.terminate_requested
 
 
 class AuxContext(Context):

@@ -21,7 +21,11 @@ The multiprocess backend drives the same executors through the same
 driver over the pipe mesh, so it executes byte-for-byte the same
 user-code path (:func:`run_map`, ``group_by_dest`` or the
 ``GroupPlan`` that replays it, ``AccumPair.apply``) and its
-differential oracle can demand record-for-record equality.
+differential oracle can demand record-for-record equality.  The
+simulated cluster's persistent tasks (:mod:`.runtime`) compute with the
+same functions — :func:`run_map`, :class:`Grouping`,
+:func:`reduce_groups`, :func:`route_columns`, :func:`distance_partial`
+— so its results equal them bit for bit as well.
 :func:`select_executor` is the one dispatch rule both backends use.
 """
 
@@ -110,6 +114,51 @@ def reduce_groups(fn, grouped) -> Iterable[tuple[Any, tuple[list, list]]]:
         for key, values in groups:
             fn(key, values, ctx)
         yield dest, ctx.take_columns()
+
+
+class Grouping:
+    """``group_by_dest(zip(keys, values), part)`` per slot — replayed
+    from the slot's :class:`~repro.common.records.GroupPlan` when it
+    covers the key sequence.  A plan is built the first time a slot's
+    sequence equals its previous one, so keys that never repeat cost one
+    list compare per call.  Every host that groups records holds one:
+    :class:`RecordSync` per host, each simulated persistent task per
+    incarnation.  Derived state — never checkpointed, rebuilt after a
+    respawn."""
+
+    __slots__ = ("plans", "key_seqs", "built", "hits")
+
+    def __init__(self):
+        # At most one plan and one candidate key sequence per slot.
+        self.plans: dict[Any, GroupPlan] = {}
+        self.key_seqs: dict[Any, list] = {}
+        self.built = self.hits = 0
+
+    def __call__(self, slot, keys: list, values: list, part=None):
+        plan = self.plans.get(slot)
+        if plan is not None and plan.covers(keys):
+            self.hits += 1
+        elif keys == self.key_seqs.get(slot) and plannable(keys):
+            del self.key_seqs[slot]  # the plan holds the sequence now
+            plan = self.plans[slot] = GroupPlan(keys, part)
+            self.built += 1
+        else:
+            self.key_seqs[slot] = keys
+            return group_by_dest(zip(keys, values), part)
+        return plan.apply(keys, values)
+
+
+def distance_partial(distance_fn, prev: dict, records) -> tuple[float, dict]:
+    """One pair's distance partial (§3.1.2): ``distance_fn(key, previous
+    value, value)`` summed in record order from ``0.0``, and the table
+    the next partial compares against — built in the same pass."""
+    prev_get = prev.get
+    partial = 0.0
+    new_prev = {}
+    for key, value in records:
+        partial += distance_fn(key, prev_get(key), value)
+        new_prev[key] = value
+    return partial, new_prev
 
 
 def route_columns(keys: list, values: list, part) -> dict[int, tuple[list, list]]:
@@ -204,12 +253,8 @@ class RecordSync:
             for hop in ((SHUFFLE, i), (REPART, i))
             if hop != (REPART, self.last)
         ]
-        # Loop-invariant groupings, per ("send" | "recv", phase, pair):
-        # at most one plan and one candidate key sequence each.  Derived
-        # state — not in ``snapshot()``, rebuilt after a respawn.
-        self.group_plans: dict[tuple, GroupPlan] = {}
-        self.key_seqs: dict[tuple, list] = {}
-        self.plans_built = self.plan_hits = 0
+        # Loop-invariant groupings, per ("send" | "recv", phase, pair).
+        self.grouping = Grouping()
         # State load: the initial partitions, or — after a recovery
         # respawn — the restored checkpoint's records.  The distance
         # baseline ``prev`` is rebuilt from the same snapshot, which is
@@ -238,24 +283,6 @@ class RecordSync:
         self.timings["map"] += time.perf_counter() - started
         return broadcast, len(broadcast)
 
-    def _grouped(self, slot: tuple, keys: list, values: list, part=None):
-        """``group_by_dest(zip(keys, values), part)`` — replayed from
-        ``slot``'s :class:`~repro.common.records.GroupPlan` when it
-        covers this key sequence.  A plan is built the first time a
-        slot's sequence equals the previous step's, so a job whose keys
-        never repeat pays one list compare per step."""
-        plan = self.group_plans.get(slot)
-        if plan is not None and plan.covers(keys):
-            self.plan_hits += 1
-        elif keys == self.key_seqs.get(slot) and plannable(keys):
-            del self.key_seqs[slot]  # the plan holds the sequence now
-            plan = self.group_plans[slot] = GroupPlan(keys, part)
-            self.plans_built += 1
-        else:
-            self.key_seqs[slot] = keys
-            return group_by_dest(zip(keys, values), part)
-        return plan.apply(keys, values)
-
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         phase_sorted = self.static_sorted[phase]
         combiner = self.phases[phase].combiner if kind == SHUFFLE else None
@@ -283,7 +310,7 @@ class RecordSync:
             if combiner is not None:
                 # Plan check and build included.  The output is already
                 # per destination: nothing re-partitions it.
-                grouped = self._grouped(("send", phase, p), keys, values, self.part)
+                grouped = self.grouping(("send", phase, p), keys, values, self.part)
                 items.extend(
                     (q, p, ks, vs) for q, (ks, vs) in reduce_groups(combiner, grouped) if ks
                 )
@@ -302,7 +329,7 @@ class RecordSync:
                 keys += ks
                 values += vs
             if kind == SHUFFLE:
-                grouped = self._grouped(("recv", phase, q), keys, values)
+                grouped = self.grouping(("recv", phase, q), keys, values)
                 ((_none, (keys, values)),) = reduce_groups(reduce_fn, grouped)
             out[q] = keys, values
         if kind == REPART or phase == self.last:
@@ -317,17 +344,11 @@ class RecordSync:
         started = time.perf_counter()
         report: dict[str, Any] = {}
         if self.prev is not None:
-            distance_fn = self.distance_fn
             partials = {}
             for p in self.pairs:
-                prev_get = self.prev[p].get
-                partial = 0.0
-                new_prev = {}  # built during the distance pass: no
-                for key, value in self.current[p]:  # second rebuild
-                    partial += distance_fn(key, prev_get(key), value)
-                    new_prev[key] = value
-                partials[p] = partial
-                self.prev[p] = new_prev
+                partials[p], self.prev[p] = distance_partial(
+                    self.distance_fn, self.prev[p], self.current[p]
+                )
             report["distance"] = partials
         if send_state:
             report["state"] = self.final_state()
@@ -342,8 +363,8 @@ class RecordSync:
 
     def final_stats(self) -> dict:
         return {
-            "plans_built": self.plans_built,
-            "plan_hits": self.plan_hits,
+            "plans_built": self.grouping.built,
+            "plan_hits": self.grouping.hits,
         }
 
 

@@ -26,6 +26,31 @@ Execution model (paper §3):
   completion reports show a worker lagging beyond the deviation
   threshold, its slowest pair migrates to the fastest worker.
 
+One copy of the per-pair code: the tasks compute with the functions the
+serial and multiprocess backends' record executor and verdict policy are
+built from, and price the result here.  A map task runs
+:func:`~repro.imapreduce.localrun.run_map` on each arriving chunk (a
+one2all task sorts its static partition once, with
+``sorted_static``) and routes with the job's bound partitioner; the
+combine is ``reduce_groups(combiner, …)`` and the streaming reduce walks
+the groups of a :class:`~repro.imapreduce.localrun.Grouping` — the
+``GroupPlan`` replay ``RecordSync`` holds; a final-phase reduce measures
+its partial with ``distance_partial``; the aux tasks call
+:meth:`AuxPhase.map_step` / :meth:`AuxPhase.reduce_step`; the master
+folds partials with ``merge_partials`` and decides through
+``sync_rule`` (aux, then threshold), then the iteration budget; and
+every gather hands over in ascending sender order (:mod:`.channels`),
+the engine's delivery-order rule.  The only user call left here is the
+streaming reduce's ``reduce_fn``, because its buffer flushes interleave
+with the groups.  What stays the simulator's own is the discrete-event
+part: mailboxes, chunk streaming, the virtual-time charges (a pure
+function of record and byte counts), the DFS, checkpoints, recovery
+and migration.  A run's final state, iteration count, termination
+reason and per-iteration distances therefore equal the serial
+backend's bit for bit (``test_random_job_equivalence.py``), except that
+an aux phase's stop lands up to an iteration late (it runs beside the
+main phase, §5.3).
+
 Consistency note: asynchronous tasks may run up to one iteration past
 the master's termination decision (a reduce cannot *complete* iteration
 k+1 at the instant the last report of k arrives, because its processing
@@ -43,7 +68,8 @@ from typing import Any
 
 from ..cluster import Cluster, Machine
 from ..common.errors import SchedulingError, TaskFailure, WorkerFailure
-from ..common.records import group_by_key, sort_records
+from ..common.partition import bind_partitioner
+from ..common.records import sort_records
 from ..common.serialization import sizeof_records
 from ..dfs import DFS
 from ..mapreduce.api import Context
@@ -52,8 +78,17 @@ from ..metrics import IterationMetrics, RunMetrics
 from ..metrics.trace import Tracer
 from ..simulation import Store
 from .channels import IterationMailbox, ReliableConfig, StopIteration_
+from .engine import CONTINUE, merge_partials, sync_rule
 from .failure_detector import FailureDetector, FailureDetectorConfig
-from .job import AuxContext, IterativeJob, IterativeRunResult, Phase
+from .job import AuxContext, IterativeJob, IterativeRunResult
+from .localrun import (
+    Grouping,
+    distance_partial,
+    reduce_groups,
+    route_columns,
+    run_map,
+    sorted_static,
+)
 
 __all__ = [
     "LoadBalanceConfig",
@@ -115,6 +150,9 @@ class _Checkpoint:
 
 @dataclass
 class _IterAccount:
+    """One iteration's byte and record counts; each field is the
+    :class:`IterationMetrics` field it is folded into."""
+
     shuffle_bytes: int = 0
     state_bytes: int = 0
     map_records: int = 0
@@ -267,12 +305,8 @@ class IMapReduceRuntime:
         metrics.network_bytes = self.cluster.network_bytes - net_before
         # Fold byte accounting into the recorded iterations.
         for it in metrics.iterations:
-            acct = accounts.get(it.index)
-            if acct:
-                it.shuffle_bytes = acct.shuffle_bytes
-                it.state_bytes = acct.state_bytes
-                it.map_records = acct.map_records
-                it.reduce_records = acct.reduce_records
+            if it.index in accounts:
+                vars(it).update(vars(accounts[it.index]))
         metrics.extras["migrations"] = migrations
         metrics.extras["recoveries"] = recoveries
         metrics.extras["pair_recoveries"] = pair_recoveries
@@ -337,10 +371,10 @@ class IMapReduceRuntime:
 
     # ------------------------------------------------------- one-time loading --
     def _partition_file(self, path: str, job: IterativeJob, num_pairs: int):
-        records = self.dfs.file_info(path).records
+        part = bind_partitioner(job.partitioner, num_pairs)
         parts: list[list] = [[] for _ in range(num_pairs)]
-        for pair in records:
-            parts[job.partitioner(pair[0], num_pairs)].append(pair)
+        for record in self.dfs.file_info(path).records:
+            parts[part(record[0])].append(record)
         return parts
 
     def _initial_load(self, job: IterativeJob, assignment: dict[int, str], num_pairs: int):
@@ -400,10 +434,6 @@ class IMapReduceRuntime:
             return f"{self._state_prefix(job, 0)}/part-{pair:05d}"
         return f"/_imr/{job.name}/static{source}/part-{pair:05d}"
 
-    def _static_part(self, job: IterativeJob, phase: Phase, pair: int) -> str:
-        assert phase.static_path is not None
-        return f"/_imr/{job.name}/static{phase.static_path}/part-{pair:05d}"
-
     def _state_prefix(self, job: IterativeJob, state_index: int) -> str:
         return f"/_imr/{job.name}/state-{state_index:05d}"
 
@@ -420,8 +450,7 @@ class IMapReduceRuntime:
         """Spawn all persistent tasks and coordinate until the job stops,
         a worker fails, or a migration is ordered."""
         engine = self.engine
-        phases = job.phases
-        F = len(phases)
+        F = len(job.phases)
         start_iter = checkpoint.state_index
 
         map_boxes = [
@@ -435,18 +464,13 @@ class IMapReduceRuntime:
         master_box = Store(engine)
 
         aux = job.aux
-        aux_map_boxes: list[IterationMailbox] = []
-        aux_reduce_boxes: list[IterationMailbox] = []
         aux_workers: list[Machine] = []
         if aux is not None:
             alive = self.cluster.alive_workers()
             aux_workers = [alive[t % len(alive)] for t in range(aux.num_tasks)]
-            aux_map_boxes = [
-                IterationMailbox(engine, f"auxmap.{t}") for t in range(aux.num_tasks)
-            ]
-            aux_reduce_boxes = [
-                IterationMailbox(engine, f"auxred.{t}") for t in range(aux.num_tasks)
-            ]
+        aux_tasks = range(len(aux_workers))
+        aux_map_boxes = [IterationMailbox(engine, f"auxmap.{t}") for t in aux_tasks]
+        aux_reduce_boxes = [IterationMailbox(engine, f"auxred.{t}") for t in aux_tasks]
 
         ctx = _GenContext(
             runtime=self,
@@ -463,50 +487,30 @@ class IMapReduceRuntime:
             aux_map_boxes=aux_map_boxes,
             aux_reduce_boxes=aux_reduce_boxes,
             accounts=accounts,
+            part=bind_partitioner(job.partitioner, num_pairs),
+            aux_part=bind_partitioner(job.partitioner, aux.num_tasks) if aux else None,
             aux_workers=[w.name for w in aux_workers],
             reliable=self.reliable,
         )
 
-        procs = []
-        map_procs = []
         aux_procs = []
         try:
             for j in range(F):
                 for p in range(num_pairs):
-                    worker = self.cluster[assignment[p]]
-                    map_proc = worker.spawn(
-                        _map_task(ctx, j, p, worker), name=f"map{j}.{p}"
-                    )
-                    procs.append(map_proc)
-                    map_procs.append(map_proc)
-                    ctx.pair_procs[("map", j, p)] = map_proc
-                    red_proc = worker.spawn(
-                        _reduce_task(ctx, j, p, worker), name=f"red{j}.{p}"
-                    )
-                    procs.append(red_proc)
-                    ctx.pair_procs[("red", j, p)] = red_proc
-            if aux is not None:
-                for t in range(aux.num_tasks):
-                    worker = aux_workers[t]
-                    aux_map_proc = worker.spawn(
-                        _aux_map_task(ctx, t, worker), name=f"auxmap.{t}"
-                    )
-                    procs.append(aux_map_proc)
-                    map_procs.append(aux_map_proc)
-                    aux_procs.append(aux_map_proc)
-                    aux_red_proc = worker.spawn(
-                        _aux_reduce_task(ctx, t, worker), name=f"auxred.{t}"
-                    )
-                    procs.append(aux_red_proc)
-                    aux_procs.append(aux_red_proc)
+                    self._spawn_pair(ctx, j, p)
+            for t, worker in enumerate(aux_workers):
+                for kind, task in (("auxmap", _aux_map_task), ("auxred", _aux_reduce_task)):
+                    proc = worker.spawn(task(ctx, t, worker), name=f"{kind}.{t}")
+                    ctx.procs.append(proc)
+                    aux_procs.append(proc)
+                    if kind == "auxmap":
+                        ctx.map_procs.append(proc)
         except WorkerFailure as failure:
             # A worker died between assignment and spawn: recover.
-            for proc in procs:
+            for proc in ctx.procs:
                 proc.interrupt("shutdown")
             yield engine.timeout(0.0)
             return _GenOutcome(kind="recover", failed_worker=failure.worker)
-        ctx.procs = procs
-        ctx.map_procs = map_procs
 
         # Failure monitors: translate a dead task into a master message.
         # With the failure detector armed, a task killed by its machine's
@@ -683,8 +687,8 @@ class IMapReduceRuntime:
             ctx.completed.add(iteration)
             distance: float | None = None
             if job.distance_fn is not None:
-                distance = sum(
-                    d for d, _ in pair_reports.values() if d is not None
+                distance = merge_partials(
+                    {p: d for p, (d, _t) in pair_reports.items()}, num_pairs
                 )
             metrics.iterations.append(
                 IterationMetrics(
@@ -698,20 +702,15 @@ class IMapReduceRuntime:
             self._emit("iteration-complete", iteration=iteration, distance=distance)
             iter_start = engine.now
 
-            completed = iteration + 1
-            terminated_by = ""
-            if aux_stop:
-                terminated_by = "aux"
-            elif job.max_iterations is not None and completed >= job.max_iterations:
-                terminated_by = "maxiter"
-            elif (
-                job.threshold is not None
-                and distance is not None
-                and distance <= job.threshold
+            # The engine's rule, then the iteration budget — the order
+            # run_supersteps checks them in.
+            terminated_by = sync_rule(job, aux_stop, distance)
+            if terminated_by == CONTINUE and (
+                job.max_iterations is not None and iteration + 1 >= job.max_iterations
             ):
-                terminated_by = "threshold"
+                terminated_by = "maxiter"
 
-            if terminated_by:
+            if terminated_by != CONTINUE:
                 self._emit("terminate", iteration=iteration, reason=terminated_by)
                 # Stop at the decision instant: tasks can then be at most
                 # one iteration ahead (completing k+1 requires virtual
@@ -835,28 +834,28 @@ class IMapReduceRuntime:
         # 6) Spawn the replacement incarnations: static data reloads from
         #    the DFS replica, state from the last durable checkpoint.
         for p in affected:
-            worker = self.cluster[ctx.assignment[p]]
             try:
                 for j in range(F):
-                    map_proc = worker.spawn(
-                        _map_task(ctx, j, p, worker, start=resume),
-                        name=f"map{j}.{p}",
-                    )
-                    ctx.pair_procs[("map", j, p)] = map_proc
-                    ctx.procs.append(map_proc)
-                    ctx.map_procs.append(map_proc)
-                    self._watch(ctx, map_proc, pair=p)
-                    red_proc = worker.spawn(
-                        _reduce_task(ctx, j, p, worker, start=resume),
-                        name=f"red{j}.{p}",
-                    )
-                    ctx.pair_procs[("red", j, p)] = red_proc
-                    ctx.procs.append(red_proc)
-                    self._watch(ctx, red_proc, pair=p)
+                    for proc in self._spawn_pair(ctx, j, p, start=resume):
+                        self._watch(ctx, proc, pair=p)
             except WorkerFailure as wf:
                 # The chosen survivor died in the window: report it and
                 # let the resulting failure message re-recover this pair.
                 ctx.master_box.put(("failure", wf.worker))
+
+    def _spawn_pair(self, ctx: "_GenContext", j: int, p: int, start: int | None = None):
+        """Spawn phase ``j``'s persistent map and reduce task of pair ``p``
+        on its assigned worker and register them for fencing; returns
+        both processes."""
+        worker = self.cluster[ctx.assignment[p]]
+        procs = []
+        for kind, task in (("map", _map_task), ("red", _reduce_task)):
+            proc = worker.spawn(task(ctx, j, p, worker, start), name=f"{kind}{j}.{p}")
+            ctx.pair_procs[(kind, j, p)] = proc
+            ctx.procs.append(proc)
+            procs.append(proc)
+        ctx.map_procs.append(procs[0])
+        return procs
 
     def _plan_migration(self, ctx: "_GenContext", pair_reports) -> dict | None:
         """The paper's policy: average processing time excluding the
@@ -917,6 +916,9 @@ class _GenContext:
     aux_map_boxes: list[IterationMailbox]
     aux_reduce_boxes: list[IterationMailbox]
     accounts: dict[int, _IterAccount]
+    #: The job's partitioner bound to the pair count / aux task count.
+    part: Any = None
+    aux_part: Any = None
     aux_workers: list[str] = field(default_factory=list)
     procs: list = field(default_factory=list)
     map_procs: list = field(default_factory=list)
@@ -1050,13 +1052,10 @@ class _GenContext:
         # is abandoned, as when the paper's master notifies termination).
         for proc in self.map_procs:
             proc.interrupt("stop")
-        for rows in (self.map_boxes, self.reduce_boxes):
-            for row in rows:
-                for box in row:
-                    box.stop(final_iteration)
-        for box in self.aux_map_boxes:
-            box.stop(final_iteration)
-        for box in self.aux_reduce_boxes:
+        for row in self.map_boxes + self.reduce_boxes:
+            for box in row:
+                box.stop(final_iteration)
+        for box in self.aux_map_boxes + self.aux_reduce_boxes:
             box.stop(final_iteration)
 
     def trace(self, kind: str, **fields) -> None:
@@ -1099,33 +1098,25 @@ def _map_task(
     box = ctx.map_boxes[phase_index][pair]
     num_pairs = ctx.num_pairs
     one2all = phase.mapping == "one2all"
-    synchronous = job.synchronous
     start = ctx.start_iter if start is None else start
+    grouping = Grouping()
 
     yield engine.timeout(cost.task_launch)
 
     # ---- one-time static load: DFS → local FS (§3.2) ----
     static: dict[Any, Any] = {}
     if phase.static_path is not None:
-        part = ctx.runtime._static_part(job, phase, pair)
-        records = yield from ctx.dfs.read_all(part, worker)
-        static = dict(records)
+        part = ctx.runtime._part_file(phase.static_path, job, pair)
+        static = dict((yield from ctx.dfs.read_all(part, worker)))
+    static_sorted = sorted_static(static) if one2all else None
 
     # ---- initial state (phase 0 only; later phases receive in-iteration) ----
     initial_chunks: list[list] | None = None
     if phase_index == 0:
-        prefix = ctx.checkpoint.path_prefix
-        if one2all:
-            gathered: list = []
-            for q in range(num_pairs):
-                gathered.extend(
-                    (yield from ctx.dfs.read_all(f"{prefix}/part-{q:05d}", worker))
-                )
-            initial_chunks = [gathered]
-        else:
-            initial_chunks = [
-                (yield from ctx.dfs.read_all(f"{prefix}/part-{pair:05d}", worker))
-            ]
+        gathered: list = []
+        for q in range(num_pairs) if one2all else (pair,):
+            gathered += yield from ctx.dfs.read_all(ctx.checkpoint.part(q), worker)
+        initial_chunks = [gathered]
 
     def trace_start() -> None:
         ctx.trace(
@@ -1137,7 +1128,7 @@ def _map_task(
     def map_chunk(chunk: list):
         """Eager join + map on one chunk (§3.3), charged before and its
         emissions after."""
-        nonlocal records_in, emitted
+        nonlocal records_in
         yield from worker.compute(
             cost.noisy(
                 cost.join_record_cpu * len(chunk)
@@ -1145,24 +1136,15 @@ def _map_task(
                 "imr-map", phase_index, pair, iteration,
             )
         )
-        before = emitted
-        cctx = Context()
-        if one2all:
-            # One static record + the full broadcast state (§5.1.2).
-            state_list = sort_records(chunk)
-            for key, static_value in sort_records(static.items()):
-                phase.map_fn(key, state_list, static_value, cctx)
-                records_in += 1
-        else:
-            for key, state_value in chunk:
-                phase.map_fn(key, state_value, static.get(key), cctx)
-                records_in += 1
-        for key, value in cctx.take():
-            out_parts[job.partitioner(key, num_pairs)].append((key, value))
-            emitted += 1
+        # One static record + the full broadcast state (§5.1.2).
+        broadcast = sort_records(chunk) if one2all else None
+        chunk_keys, chunk_values = run_map(phase, chunk, static, static_sorted, broadcast)
+        records_in += len(static_sorted) if one2all else len(chunk)
+        keys.extend(chunk_keys)
+        values.extend(chunk_values)
         yield from worker.compute(
             cost.noisy(
-                cost.emit_record_cpu * (emitted - before),
+                cost.emit_record_cpu * len(chunk_keys),
                 "imr-emit", phase_index, pair, iteration,
             )
         )
@@ -1170,9 +1152,9 @@ def _map_task(
     iteration = start
     try:
         while True:
-            out_parts: dict[int, list] = defaultdict(list)
+            keys: list = []
+            values: list = []
             records_in = 0
-            emitted = 0
             work_start = engine.now
 
             if initial_chunks is not None:
@@ -1181,12 +1163,14 @@ def _map_task(
                 for chunk in chunks:
                     yield from map_chunk(chunk)
             else:
-                if synchronous and iteration > start:
+                if job.synchronous and phase_index == 0 and iteration > start:
                     # Global barrier: previous iteration fully reported.
+                    # The master releases it to phase 0's maps; a later
+                    # phase's maps are paced by the earlier phases' data.
                     yield from box.wait_control("sync", iteration - 1)
                 senders = num_pairs if one2all else 1
                 finished: set = set()
-                broadcast_pending: list = []
+                broadcast_pending: dict[int, list] = defaultdict(list)
                 first_chunk = True
                 while len(finished) < senders:
                     message = yield from box.next_message(("state",), iteration)
@@ -1201,32 +1185,33 @@ def _map_task(
                         finished.add(sender)
                     if one2all:
                         # Cannot start before every reducer's output arrives
-                        # (§5.1.2: the map needs the intact state set).
-                        broadcast_pending.extend(chunk)
+                        # (§5.1.2: the map needs the intact state set),
+                        # which it then takes in ascending sender order.
+                        broadcast_pending[sender] += chunk
                         if len(finished) < senders:
                             continue
-                        chunk = broadcast_pending
+                        chunk = [
+                            rec for q in sorted(broadcast_pending)
+                            for rec in broadcast_pending[q]
+                        ]
                     yield from map_chunk(chunk)
 
-            # ---- combiner (map-side aggregation) ----
+            # ---- combiner (map-side aggregation), then routing ----
             if phase.combiner is not None:
-                combined: dict[int, list] = {}
-                combine_in = 0
-                for part, pairs_ in out_parts.items():
-                    cctx = Context()
-                    for key, values in group_by_key(pairs_):
-                        combine_in += len(values)
-                        phase.combiner(key, values, cctx)
-                    combined[part] = cctx.take()
-                out_parts = combined
-                yield from worker.compute(cost.combine_value_cpu * combine_in)
+                grouped = grouping("send", keys, values, ctx.part)
+                out = {
+                    q: columns
+                    for q, columns in reduce_groups(phase.combiner, grouped)
+                    if columns[0]
+                }
+                yield from worker.compute(cost.combine_value_cpu * len(keys))
+            else:
+                out = route_columns(keys, values, ctx.part)
 
             # ---- shuffle to this phase's reduce tasks ----
             acct = ctx.accounts[iteration]
             acct.map_records += records_in
-            part_sizes = {
-                q: sizeof_records(pairs_) for q, pairs_ in out_parts.items() if pairs_
-            }
+            part_sizes = {q: sizeof_records(zip(*columns)) for q, columns in out.items()}
             yield from worker.compute(
                 cost.serialize_byte_cpu * sum(part_sizes.values())
             )
@@ -1234,13 +1219,12 @@ def _map_task(
             # partitioned map output to local disk before serving it.
             yield from worker.disk_write(sum(part_sizes.values()))
             for q in range(num_pairs):
-                pairs_ = out_parts.get(q)
-                if pairs_:
+                if q in out:
                     nbytes = part_sizes[q]
                     acct.shuffle_bytes += nbytes
                     yield from ctx.send(
                         "red", phase_index, q,
-                        ("mapout", iteration, pair, pairs_),
+                        ("mapout", iteration, pair, *out[q]),
                         nbytes, worker, src_pair=pair,
                     )
             for q in range(num_pairs):
@@ -1286,13 +1270,13 @@ def _reduce_task(
     track_distance = is_last_phase and job.distance_fn is not None
     interval = job.checkpoint_interval
     start = ctx.start_iter if start is None else start
+    grouping = Grouping()
 
     yield engine.timeout(cost.task_launch)
 
     prev_state: dict[Any, Any] = {}
     if track_distance:
-        part = f"{ctx.checkpoint.path_prefix}/part-{pair:05d}"
-        prev_state = dict((yield from ctx.dfs.read_all(part, worker)))
+        prev_state = dict((yield from ctx.dfs.read_all(ctx.checkpoint.part(pair), worker)))
 
     iteration = start
     # The final-phase reduce keeps its last two iterations' outputs so it
@@ -1301,7 +1285,7 @@ def _reduce_task(
     state_history: dict[int, list[tuple[Any, Any]]] = {}
     try:
         while True:
-            records = yield from box.gather_map_outputs(iteration, num_pairs)
+            keys, values = yield from box.gather_map_outputs(iteration, num_pairs)
             gather_end = engine.now
             ctx.trace(
                 "reduce-iteration-start",
@@ -1309,30 +1293,32 @@ def _reduce_task(
                 pair=pair, iteration=iteration,
             )
 
-            merge_bytes = sizeof_records(records)
+            merge_bytes = sizeof_records(zip(keys, values))
             yield from worker.disk_read(merge_bytes)
             yield from worker.compute(
                 cost.noisy(
-                    cost.sort_cost(len(records))
+                    cost.sort_cost(len(values))
                     + cost.merge_byte_cpu * merge_bytes,
                     "imr-shuffle", phase_index, pair, iteration,
                 )
             )
             acct = ctx.accounts[iteration]
-            acct.reduce_records += len(records)
+            acct.reduce_records += len(values)
 
             next_phase = (phase_index + 1) % len(job.phases)
             next_iteration = iteration + (1 if next_phase == 0 else 0)
-            next_mapping = job.phases[next_phase].mapping
-            streaming = next_mapping == "one2one"
+            streaming = job.phases[next_phase].mapping == "one2one"
             buffer = max(1, job.buffer_records)
             target_box = ctx.map_boxes[next_phase][pair]
 
-            def flush(chunk: list, last: bool):
-                """Stream a buffer of state to the paired map (§3.3):
-                the eager trigger the paper amortises with the buffer."""
+            def flush(last: bool):
+                """Stream the records emitted since the last flush to the
+                paired map (§3.3): the eager trigger the paper amortises
+                with the buffer."""
+                chunk = list(zip(rctx.keys[len(output):], rctx.values[len(output):]))
+                output.extend(chunk)
                 for rec in chunk:
-                    q = job.partitioner(rec[0], num_pairs)
+                    q = ctx.part(rec[0])
                     if q != pair:
                         raise TaskFailure(
                             f"reduce{phase_index}.{pair}",
@@ -1349,34 +1335,34 @@ def _reduce_task(
 
             # ---- reduce, streaming buffers out as they fill (§3.3) ----
             rctx = Context()
-            output: list = []
-            flushed = 0
+            output: list = []  # the records flushed so far
             charged_values = 0
             consumed = 0
-            for key, values in group_by_key(records):
-                phase.reduce_fn(key, values, rctx)
-                consumed += len(values)
-                output.extend(rctx.take())
-                if streaming and len(output) - flushed >= buffer:
+            ((_none, groups),) = grouping("recv", keys, values)
+            for key, group in groups:
+                phase.reduce_fn(key, group, rctx)
+                consumed += len(group)
+                if streaming and len(rctx.values) - len(output) >= buffer:
                     yield from worker.compute(
                         cost.noisy(
                             cost.reduce_value_cpu * (consumed - charged_values)
-                            + cost.emit_record_cpu * (len(output) - flushed),
-                            "imr-reduce", phase_index, pair, iteration, flushed,
+                            + cost.emit_record_cpu * (len(rctx.values) - len(output)),
+                            "imr-reduce", phase_index, pair, iteration, len(output),
                         )
                     )
-                    yield from flush(output[flushed:], last=False)
+                    yield from flush(last=False)
                     charged_values = consumed
-                    flushed = len(output)
             yield from worker.compute(
                 cost.noisy(
                     cost.reduce_value_cpu * (consumed - charged_values)
-                    + cost.emit_record_cpu * (len(output) - flushed),
-                    "imr-reduce", phase_index, pair, iteration, flushed,
+                    + cost.emit_record_cpu * (len(rctx.values) - len(output)),
+                    "imr-reduce", phase_index, pair, iteration, len(output),
                 )
             )
             if streaming:
-                yield from flush(output[flushed:], last=True)
+                yield from flush(last=True)
+            else:
+                output = list(zip(rctx.keys, rctx.values))
 
             if is_last_phase:
                 state_history[iteration] = output
@@ -1385,12 +1371,9 @@ def _reduce_task(
                 local_distance: float | None = None
                 if track_distance:
                     yield from worker.compute(cost.distance_record_cpu * len(output))
-                    local_distance = 0.0
-                    for key, value in output:
-                        local_distance += job.distance_fn(
-                            key, prev_state.get(key), value
-                        )
-                    prev_state = dict(output)
+                    local_distance, prev_state = distance_partial(
+                        job.distance_fn, prev_state, output
+                    )
 
                 # ---- checkpoint (§3.4.1, parallel with the iteration) ----
                 state_index = iteration + 1
@@ -1441,12 +1424,11 @@ def _reduce_task(
                     aux_n = len(ctx.aux_map_boxes)
                     aux_parts: dict[int, list] = defaultdict(list)
                     for rec in output:
-                        aux_parts[job.partitioner(rec[0], aux_n)].append(rec)
+                        aux_parts[ctx.aux_part(rec[0])].append(rec)
                     for t in range(aux_n):
                         recs = aux_parts.get(t, [])
                         nbytes = sizeof_records(recs)
-                        if nbytes:
-                            acct.state_bytes += nbytes
+                        acct.state_bytes += nbytes
                         yield from ctx.send(
                             "auxmap", 0, t,
                             ("state", iteration, pair, recs, True),
@@ -1502,25 +1484,18 @@ def _aux_map_task(ctx: _GenContext, task: int, worker: Machine):
         while True:
             chunks = yield from box.gather_state_chunks(iteration, ctx.num_pairs)
             records = [rec for chunk in chunks for rec in chunk]
-            actx = AuxContext(task_state)
-            for key, value in records:
-                aux.map_fn(key, value, actx)
-            emitted = actx.take()
+            keys, values = aux.map_step(task_state, records)
             yield from worker.compute(
                 cost.map_record_cpu * len(records)
-                + cost.emit_record_cpu * len(emitted)
+                + cost.emit_record_cpu * len(keys)
             )
-            aux_n = len(ctx.aux_reduce_boxes)
-            parts: dict[int, list] = defaultdict(list)
-            for rec in emitted:
-                parts[job.partitioner(rec[0], aux_n)].append(rec)
+            routed = route_columns(keys, values, ctx.aux_part)
             for t in range(len(ctx.aux_reduce_boxes)):
-                recs = parts.get(t)
-                if recs:
+                if t in routed:
                     yield from ctx.send(
                         "auxred", 0, t,
-                        ("mapout", iteration, task, recs),
-                        sizeof_records(recs), worker, src_pair=task,
+                        ("mapout", iteration, task, *routed[t]),
+                        sizeof_records(zip(*routed[t])), worker, src_pair=task,
                     )
                 yield from ctx.send(
                     "auxred", 0, t,
@@ -1542,13 +1517,11 @@ def _aux_reduce_task(ctx: _GenContext, task: int, worker: Machine):
     yield engine.timeout(cost.task_launch)
     try:
         while True:
-            records = yield from box.gather_map_outputs(iteration, aux.num_tasks)
-            yield from worker.compute(cost.sort_cost(len(records)))
-            actx = AuxContext(task_state)
-            for key, values in group_by_key(records):
-                aux.reduce_fn(key, values, actx)
-            yield from worker.compute(cost.reduce_value_cpu * len(records))
-            if actx.terminate_requested:
+            keys, values = yield from box.gather_map_outputs(iteration, aux.num_tasks)
+            yield from worker.compute(cost.sort_cost(len(values)))
+            stop = aux.reduce_step(task_state, zip(keys, values))
+            yield from worker.compute(cost.reduce_value_cpu * len(values))
+            if stop:
                 ctx.master_box.put(("aux-terminate", iteration))
             iteration += 1
     except StopIteration_:

@@ -40,8 +40,9 @@ __all__ = [
     "evaluate_oracles",
 ]
 
-#: Float tolerance for the differential comparison.  Arrival order of
-#: shuffled values can differ between the engines (reduction order of
+#: Float tolerance for the differential comparison of rows that are not
+#: ``exact``: a kernel twin and the ``+``-algebra accumulative schedules
+#: add floats in another order than their reference (reduction order of
 #: float sums), so bit-equality is too strict; measured discrepancies are
 #: ~1e-16, so 1e-6 relative leaves six orders of headroom while still
 #: catching any real divergence.
@@ -212,11 +213,12 @@ def judge(rows, runs: dict) -> list[OracleViolation]:
     whose reference raised is skipped.  Accumulative rows (``progress``)
     must stop by accumulated progress; iterative rows must match their
     reference's ``terminated_by`` and ``iterations_run``.  Then the
-    states: ``exact`` rows record for record (the mesh, whose merge
-    order is the serial executor's; ``min`` algebras, whose fixpoint is
-    unique and drains exactly), the rest within tolerance (``+``
-    algebras reorder float additions and stop at a pending-mass
-    threshold).  One violation per failing row, prefixed with its name.
+    states: ``exact`` rows record for record (the simulated cluster and
+    the mesh, whose per-pair code and merge order are the serial
+    executor's; ``min`` algebras, whose fixpoint is unique and drains
+    exactly), the rest within tolerance (``+`` algebras reorder float
+    additions and stop at a pending-mass threshold; a kernel twin folds
+    in its own order).  One violation per failing row, prefixed with its name.
     A row absent from ``runs`` was not run: a run it reads raised, and
     that run is the one reported.
     """

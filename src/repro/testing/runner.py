@@ -25,6 +25,7 @@ from typing import Any, Callable
 from ..algorithms.workloads import build_workload
 from ..cluster import heterogeneous_cluster, local_cluster
 from ..common import IterKeys, stable_seed
+from ..common.records import sort_records
 from ..data.lastfm import load_lastfm
 from ..dfs import DFS
 from ..graph.generators import pagerank_graph, sssp_graph
@@ -73,7 +74,7 @@ class CampaignOutcome:
     is seeded from or compared with raised (directly, or upstream of a
     row that was not run).  The ``cluster`` entry
     carries the simulated runtime's result fields plus ``state``, the
-    DFS readback, and ``trace_events`` is that run's trace.
+    key-sorted DFS readback, and ``trace_events`` is that run's trace.
     """
 
     spec: CampaignSpec
@@ -250,8 +251,10 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     serial = ExecutionPlan(num_pairs=spec.num_pairs)
     rows = [
         Row(REFERENCE, job, state, static_map, serial, oracle="differential"),
+        # The simulated tasks run the engine's per-pair functions in its
+        # delivery order: the cluster reproduces the reference bit for bit.
         Row(CLUSTER, job, state, static_map, None, REFERENCE, "differential",
-            crash_oracle="termination"),
+            exact=True, crash_oracle="termination"),
     ]
     twin, mesh_job = REFERENCE, job
     if spec.use_kernels:
@@ -313,7 +316,7 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
 def _run_cluster(spec: CampaignSpec, row: Row, knobs, tracer: Tracer):
     """The simulated-cluster row: the spec's topology, faults and mode
     matrix on :class:`IMapReduceRuntime`.  Its result carries ``state``,
-    the DFS readback, or is the exception the run died with."""
+    the key-sorted DFS readback, or is the exception the run died with."""
     engine = Engine()
     if spec.speeds is not None:
         cluster = heterogeneous_cluster(engine, list(spec.speeds))
@@ -344,13 +347,14 @@ def _run_cluster(spec: CampaignSpec, row: Row, knobs, tracer: Tracer):
         return exc
     # Read the final partitions straight from the DFS metadata — no
     # simulated I/O, so a fault event pending after the job's completion
-    # cannot interfere with the readback.
-    state = [
+    # cannot interfere with the readback — key-sorted, as the serial
+    # backends hand their state over.
+    state = sort_records(
         record
         for path in result.final_paths
         if dfs.exists(path)
         for record in dfs.file_info(path).records
-    ]
+    )
     return SimpleNamespace(**vars(result), state=state)
 
 

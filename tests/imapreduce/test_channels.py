@@ -13,7 +13,7 @@ def run(engine, gen):
 def test_map_outputs_gather_waits_for_all_done_markers():
     engine = Engine()
     box = IterationMailbox(engine)
-    box.put(("mapout", 0, 0, [(1, "a")]))
+    box.put(("mapout", 0, 0, [1], ["a"]))
     box.put(("mapdone", 0, 0))
     box.put(("mapdone", 0, 1))
 
@@ -21,14 +21,14 @@ def test_map_outputs_gather_waits_for_all_done_markers():
         return (yield from box.gather_map_outputs(0, 2))
 
     got = run(engine, consumer())
-    assert got == [(1, "a")]
+    assert got == ([1], ["a"])
 
 
 def test_early_messages_for_later_iteration_are_buffered():
     engine = Engine()
     box = IterationMailbox(engine)
     # Iteration 1 traffic arrives before iteration 0 completes.
-    box.put(("mapout", 1, 0, [(9, "late")]))
+    box.put(("mapout", 1, 0, [9], ["late"]))
     box.put(("mapdone", 1, 0))
     box.put(("mapdone", 0, 0))
 
@@ -38,8 +38,8 @@ def test_early_messages_for_later_iteration_are_buffered():
         return first, second
 
     first, second = run(engine, consumer())
-    assert first == []
-    assert second == [(9, "late")]
+    assert first == ([], [])
+    assert second == ([9], ["late"])
 
 
 def test_state_chunks_gather_until_last_from_each_sender():
@@ -63,7 +63,8 @@ def test_state_chunks_multiple_senders():
     def consumer():
         return (yield from box.gather_state_chunks(0, 2))
 
-    assert run(engine, consumer()) == [["b"], ["a"]]
+    # Ascending sender order, not arrival order (the delivery-order rule).
+    assert run(engine, consumer()) == [["a"], ["b"]]
 
 
 def test_stop_sentinel_raises():

@@ -59,7 +59,7 @@ def test_data_before_stop_still_consumed():
     """Messages queued ahead of the sentinel are delivered first."""
     engine = Engine()
     box = IterationMailbox(engine)
-    box.put(("mapout", 0, 0, [(1, "x")]))
+    box.put(("mapout", 0, 0, [1], ["x"]))
     box.put(("mapdone", 0, 0))
     box.stop(0)
 
@@ -71,7 +71,7 @@ def test_data_before_stop_still_consumed():
             return data, exc.final_iteration
 
     data, final = run(engine, consumer())
-    assert data == [(1, "x")]
+    assert data == ([1], ["x"])
     assert final == 0
 
 
@@ -85,7 +85,7 @@ def test_buffered_early_arrivals_survive_the_stop_sentinel():
     box = IterationMailbox(engine)
     # An async run-ahead sender delivered iteration 1 (the final
     # iteration) before the master's stop landed.
-    box.put(("mapout", 1, 0, [(9, "late")]))
+    box.put(("mapout", 1, 0, [9], ["late"]))
     box.put(("mapdone", 1, 0))
     box.stop(1)
 
@@ -102,7 +102,7 @@ def test_buffered_early_arrivals_survive_the_stop_sentinel():
         return data, final
 
     data, final = run(engine, consumer())
-    assert data == [(9, "late")]
+    assert data == ([9], ["late"])
     assert final == 1
 
 
@@ -111,7 +111,7 @@ def test_stop_still_raises_when_no_early_arrivals_match():
     gathers hit the sticky sentinel again."""
     engine = Engine()
     box = IterationMailbox(engine)
-    box.put(("mapout", 1, 0, [(9, "late")]))
+    box.put(("mapout", 1, 0, [9], ["late"]))
     box.put(("mapdone", 1, 0))
     box.stop(1)
 

@@ -171,9 +171,9 @@ def test_planned_equals_reference_in_order(steps, partitioner, combiner, two_pha
     stats = executor.final_stats()
     # At most one plan and one candidate per (side, phase, pair).
     slots = 2 * num_pairs * len(job.phases)
-    assert len(executor.group_plans) <= slots
-    assert len(executor.key_seqs) <= slots
-    assert stats["plans_built"] >= len(executor.group_plans)
+    assert len(executor.grouping.plans) <= slots
+    assert len(executor.grouping.key_seqs) <= slots
+    assert stats["plans_built"] >= len(executor.grouping.plans)
 
 
 @settings(max_examples=60, deadline=None)

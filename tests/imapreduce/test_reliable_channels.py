@@ -40,7 +40,7 @@ def test_mailbox_dedup_ignores_duplication_and_reorder(data):
             st.lists(st.integers(), min_size=0, max_size=3), label=f"recs{sender}"
         )
         flows[sender] = [
-            (("mapout", 0, sender, [(sender, r) for r in records]), ("mapout", sender)),
+            (("mapout", 0, sender, [sender] * len(records), records), ("mapout", sender)),
             (("mapdone", 0, sender), ("mapdone", sender)),
         ]
     total = sum(len(flow) for flow in flows.values())
@@ -79,26 +79,26 @@ def test_mailbox_dedup_ignores_duplication_and_reorder(data):
         for flow in flows.values()
         for (message, _) in flow
         if message[0] == "mapout"
-        for rec in message[3]
+        for rec in zip(message[3], message[4])
     )
-    assert sorted(gathered) == expected
+    assert sorted(zip(*gathered)) == expected
 
 
 def test_early_arrivals_preserve_first_delivery_order():
-    """Duplicates never reorder content: the consumer sees first-arrival
-    order for messages of one iteration."""
+    """Duplicates never reorder content: the consumer sees each sender's
+    messages once, senders in ascending order."""
     engine = Engine()
     box = IterationMailbox(engine)
-    box.deliver(("mapout", 0, 0, [(0, "a")]), dedup_key="a")
-    box.deliver(("mapout", 0, 1, [(1, "b")]), dedup_key="b")
-    box.deliver(("mapout", 0, 0, [(0, "a")]), dedup_key="a")  # retransmit
+    box.deliver(("mapout", 0, 0, [0], ["a"]), dedup_key="a")
+    box.deliver(("mapout", 0, 1, [1], ["b"]), dedup_key="b")
+    box.deliver(("mapout", 0, 0, [0], ["a"]), dedup_key="a")  # retransmit
     box.deliver(("mapdone", 0, 0), dedup_key="d0")
     box.deliver(("mapdone", 0, 1), dedup_key="d1")
 
     def consumer():
         return (yield from box.gather_map_outputs(0, 2))
 
-    assert engine.run(engine.process(consumer())) == [(0, "a"), (1, "b")]
+    assert engine.run(engine.process(consumer())) == ([0, 1], ["a", "b"])
 
 
 # ------------------------------------------------------- retransmission --
