@@ -22,6 +22,9 @@ Sizes (bytes):
 A serialized key/value *record* additionally pays
 :data:`RECORD_OVERHEAD` bytes (framing: lengths + sync markers), matching
 the overhead of a SequenceFile record.
+
+A size is a pure function of a value's types and lengths, so it is
+computed afresh every time, with no cache.
 """
 
 from __future__ import annotations
@@ -44,67 +47,19 @@ RECORD_OVERHEAD = 8
 _INT_SIZE = 9
 _FLOAT_SIZE = 9
 
-# ---------------------------------------------------------- memoization --
-# The figure benchmarks price the same values over and over: a graph's
-# adjacency tuples are priced once per iteration per record, and string /
-# tuple keys recur every time a record crosses a pipe.  Sizes of
-# immutable values never change, so small ones are memoized.  The cache
-# key embeds the type of every component: ``1``, ``1.0`` and ``True``
-# are equal as dict keys but have different modelled sizes.
-
-_MEMO_MAX_ENTRIES = 1 << 16
-_MEMO_MAX_TUPLE = 16
-_MEMO_MAX_STR = 64
-_memo: dict = {}
-
-
-def _memo_key(value: Any):
-    """A type-aware cache key for small immutable values, else ``None``."""
-    t = value.__class__
-    if t is int or t is float or t is bool:
-        return (t, value)
-    if t is str:
-        return (t, value) if len(value) <= _MEMO_MAX_STR else None
-    if value is None:
-        return (type(None),)
-    if t is tuple:
-        if len(value) > _MEMO_MAX_TUPLE:
-            return None
-        parts = []
-        for item in value:
-            part = _memo_key(item)
-            if part is None:
-                return None
-            parts.append(part)
-        return (t, tuple(parts))
-    return None
-
 
 def sizeof_value(value: Any) -> int:
     """Size in bytes of one value under the encoding table above.
 
-    Exact scalars are answered before a memo key is built (the key costs
-    more than the answer); tuples and strings keep the memo."""
+    The exact builtin types nearly every record is made of are answered
+    first; their subclasses and everything else go by ``isinstance``."""
     t = value.__class__
     if t is int:
         return _INT_SIZE
     if t is float:
         return _FLOAT_SIZE
-    if t is bool or value is None:
-        return 1
-    key = _memo_key(value)
-    if key is not None:
-        cached = _memo.get(key)
-        if cached is not None:
-            return cached
-        size = _sizeof_uncached(value)
-        if len(_memo) < _MEMO_MAX_ENTRIES:
-            _memo[key] = size
-        return size
-    return _sizeof_uncached(value)
-
-
-def _sizeof_uncached(value: Any) -> int:
+    if t is tuple or t is list:
+        return 2 + sum(map(sizeof_value, value))
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, int):
@@ -122,10 +77,10 @@ def _sizeof_uncached(value: Any) -> int:
     if isinstance(value, dict):
         return 2 + sum(sizeof_value(k) + sizeof_value(v) for k, v in value.items())
     if isinstance(value, (tuple, list, set, frozenset)):
-        return 2 + sum(sizeof_value(item) for item in value)
+        return 2 + sum(map(sizeof_value, value))
     # Dataclass-ish objects with __dict__: price their fields.
     if hasattr(value, "__dict__"):
-        return 2 + sum(sizeof_value(v) for v in vars(value).values())
+        return 2 + sum(map(sizeof_value, vars(value).values()))
     raise TypeError(f"no size model for {type(value).__name__}")
 
 

@@ -61,11 +61,16 @@ Known deviations (and why):
   paper itself observes ("iMapReduce performs better when the input is
   small", §4.3.1), pushing the DBLP speedup toward the paper's headline
   "up to 5×" rather than the 2–3× of Fig 4.
-* **Fig 11's communication ratio** comes out near 30% rather than 12%:
-  both engines shuffle one state record per edge, and with our framed
-  record encoding those small records weigh relatively more against the
-  adjacency data than in the paper's measurement.  The reduction is
-  still a large factor in the same direction.
+* **Fig 11's communication ratio** comes out at 30% for SSSP-l
+  (`comm_ratio[sssp-l] = 0.302`) and 53% for PageRank-l
+  (`comm_ratio[pagerank-l] = 0.527`) rather than the paper's ≈12%: both
+  engines shuffle one state record per edge, and with our framed record
+  encoding those small records weigh relatively more against the
+  adjacency data than in the paper's measurement.  PageRank's adjacency
+  is bare node ids (9 bytes per edge, SSSP's 20 with its weight), so
+  the static data iMapReduce stops shuffling is a smaller share of its
+  traffic.  iMapReduce still exchanges less on both, in the paper's
+  direction.
 * **The async share** is reproduced via the synchronous variant's
   control-plane barrier latency plus seeded service-time jitter
   (DESIGN.md §3.5); a deterministic work-conserving simulator has no

@@ -25,7 +25,9 @@ differential oracle can demand record-for-record equality.  The
 simulated cluster's persistent tasks (:mod:`.runtime`) compute with the
 same functions — :func:`run_map`, :class:`Grouping`,
 :func:`reduce_groups`, :func:`route_columns`, :func:`distance_partial`
-— so its results equal them bit for bit as well.
+— so its results equal them bit for bit as well; the Hadoop baseline's
+tasks (:mod:`repro.mapreduce.runtime`) use :func:`route_columns` and
+:func:`reduce_groups` too.
 :func:`select_executor` is the one dispatch rule both backends use.
 """
 

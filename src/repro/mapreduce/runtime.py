@@ -19,7 +19,16 @@ rescheduled on surviving workers (map outputs on a dead machine are
 recomputed by re-running those map tasks).
 
 The user's map/reduce functions really execute; every modelled cost is
-charged from the :class:`~repro.mapreduce.costmodel.CostModel`.
+charged from the :class:`~repro.mapreduce.costmodel.CostModel`.  The
+tasks compute with the iMapReduce engine's per-pair functions: a map
+task takes its emissions as columns (``Context.take_columns``) and
+routes them with :func:`~repro.common.partition.bind_partitioner` and
+:func:`~repro.imapreduce.localrun.route_columns` — or combines them per
+partition with :func:`~repro.imapreduce.localrun.reduce_groups` over
+:func:`~repro.common.records.group_by_dest` — and a reduce task groups
+what it fetched, in map order, with
+:func:`~repro.common.records.group_by_key`.  No grouping plan is kept:
+every job is a fresh Hadoop job.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ from typing import Any, Iterable
 
 from ..cluster import Cluster, Machine
 from ..common.errors import SchedulingError, TaskFailure, WorkerFailure
-from ..common.records import group_by_key
+from ..common.partition import bind_partitioner
+from ..common.records import group_by_dest, group_by_key
 from ..common.serialization import sizeof_records
 from ..dfs import DFS, Split
 from ..simulation import Store
@@ -47,7 +57,7 @@ class _MapOutput:
 
     map_id: int
     worker: str
-    partitions: dict[int, list[tuple[Any, Any]]]
+    partitions: dict[int, tuple[list, list]]  # reduce -> (keys, values)
     sizes: dict[int, int]
     records_in: int
     op_start: float  # when the map operation began (init-time accounting)
@@ -299,6 +309,9 @@ class MapReduceRuntime:
 
     # -- tasks -----------------------------------------------------------------
     def _map_task(self, job: Job, map_id: int, split: Split, worker: Machine):
+        # Imported here: repro.imapreduce imports this package (Context).
+        from ..imapreduce.localrun import reduce_groups, route_columns
+
         engine = self.engine
         cost = self.cost
         yield engine.timeout(cost.task_launch)
@@ -311,35 +324,26 @@ class MapReduceRuntime:
         op_start = engine.now
         records = yield from self.dfs.read_block(split.path, split.block_index, worker)
 
+        # One Context per task: a mapper may use its counters as a
+        # once-per-task flag (kmeans offers its centroids once).
         ctx = Context()
         mapper = job.mapper
         for key, value in records:
             mapper.map(key, value, ctx)
-        emitted = ctx.take()
+        keys, values = ctx.take_columns()
 
-        partitions: dict[int, list[tuple[Any, Any]]] = {}
-        partitioner = job.partitioner
-        nparts = job.num_reduces
-        for pair in emitted:
-            partitions.setdefault(partitioner(pair[0], nparts), []).append(pair)
+        part = bind_partitioner(job.partitioner, job.num_reduces)
+        work = cost.map_record_cpu * len(records) + cost.emit_record_cpu * len(keys)
+        if job.combiner is None:
+            partitions = route_columns(keys, values, part)
+        else:
+            partitions = dict(reduce_groups(
+                job.combiner.reduce, group_by_dest(zip(keys, values), part)
+            ))
+            work += cost.combine_value_cpu * len(keys)
 
-        work = cost.map_record_cpu * len(records) + cost.emit_record_cpu * len(emitted)
-
-        if job.combiner is not None:
-            combined: dict[int, list[tuple[Any, Any]]] = {}
-            combine_in = 0
-            for part, pairs in partitions.items():
-                cctx = Context()
-                for key, values in group_by_key(pairs):
-                    combine_in += len(values)
-                    job.combiner.reduce(key, values, cctx)
-                combined[part] = cctx.take()
-                for name, value in cctx.counters.items():
-                    ctx.counters[name] = ctx.counters.get(name, 0.0) + value
-            partitions = combined
-            work += cost.combine_value_cpu * combine_in
-
-        sizes = {part: sizeof_records(pairs) for part, pairs in partitions.items()}
+        sizes = {dest: sizeof_records(zip(*columns))
+                 for dest, columns in partitions.items()}
         work += cost.serialize_byte_cpu * sum(sizes.values())
         yield from worker.compute(cost.noisy(work, "map", job.name, map_id))
 
@@ -361,34 +365,36 @@ class MapReduceRuntime:
         cost = self.cost
         yield engine.timeout(cost.task_launch)
 
-        fetched: list[tuple[Any, Any]] = []
+        keys: list = []
+        values: list = []
         shuffled_bytes = 0
         for output in map_outputs:
-            pairs = output.partitions.get(reduce_id)
-            if not pairs:
+            part_keys, part_values = output.partitions.get(reduce_id, ((), ()))
+            if not part_keys:
                 continue
-            nbytes = output.sizes.get(reduce_id, 0)
+            nbytes = output.sizes[reduce_id]
             yield from self.cluster.transfer(output.worker, worker, nbytes)
             yield from worker.disk_write(nbytes)
-            fetched.extend(pairs)
+            keys.extend(part_keys)
+            values.extend(part_values)
             shuffled_bytes += nbytes
 
         yield from worker.disk_read(shuffled_bytes)
         yield from worker.compute(
             cost.noisy(
-                cost.sort_cost(len(fetched)) + cost.merge_byte_cpu * shuffled_bytes,
+                cost.sort_cost(len(keys)) + cost.merge_byte_cpu * shuffled_bytes,
                 "shuffle", job.name, reduce_id,
             )
         )
 
         ctx = Context()
         reducer = job.reducer
-        for key, values in group_by_key(fetched):
-            reducer.reduce(key, values, ctx)
+        for key, group in group_by_key(zip(keys, values)):
+            reducer.reduce(key, group, ctx)
         out = ctx.take()
         yield from worker.compute(
             cost.noisy(
-                cost.reduce_value_cpu * len(fetched)
+                cost.reduce_value_cpu * len(keys)
                 + cost.emit_record_cpu * len(out),
                 "reduce", job.name, reduce_id,
             )
@@ -401,7 +407,7 @@ class MapReduceRuntime:
                 reduce_id=reduce_id,
                 counters=dict(ctx.counters),
                 records_out=len(out),
-                shuffled_records=len(fetched),
+                shuffled_records=len(keys),
                 shuffled_bytes=shuffled_bytes,
             ),
         )

@@ -62,15 +62,46 @@ def test_text_line_size():
 
 # -- properties -------------------------------------------------------------
 
+def reference_size(value) -> int:
+    """The module docstring's encoding table, written out once."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 9
+    if isinstance(value, str):
+        return 2 + len(value.encode("utf-8"))
+    if isinstance(value, np.ndarray):
+        return 8 + value.nbytes
+    if isinstance(value, np.generic):
+        return 1 + value.dtype.itemsize
+    if isinstance(value, dict):
+        return 2 + sum(reference_size(k) + reference_size(v) for k, v in value.items())
+    return 2 + sum(map(reference_size, value))
+
+
+leaf_strategy = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=20),
+    st.text(min_size=65, max_size=80),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False)),
+    st.builds(np.int64, st.integers(-(2**62), 2**62)),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.zeros, st.integers(0, 6), st.sampled_from([np.float64, np.int32, np.bool_])),
+)
+
+#: Tuples, lists and dicts of the leaves, nested; strings longer than 64
+#: and tuples longer than 16 (once a size cache's cut-offs) included.
 value_strategy = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(min_value=-(2**40), max_value=2**40),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.text(max_size=20),
+    leaf_strategy,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.lists(leaf_strategy, min_size=17, max_size=20).map(tuple),
+        st.dictionaries(st.integers() | st.text(max_size=5), children, max_size=3),
     ),
-    lambda children: st.lists(children, max_size=4).map(tuple),
     max_leaves=10,
 )
 
@@ -93,52 +124,11 @@ def test_total_size_additive_over_concatenation(pairs):
 
 @given(value_strategy)
 def test_size_is_deterministic(value):
-    """Repeatable, and equal to the unmemoized model whichever path
-    (scalar shortcut, memo hit, memo miss) answers."""
-    from repro.common import serialization
-
-    assert sizeof_value(value) == sizeof_value(value)
-    assert sizeof_value(value) == serialization._sizeof_uncached(value)
+    """Repeatable, and equal to the encoding table's reference."""
+    assert sizeof_value(value) == sizeof_value(value) == reference_size(value)
 
 
-# ------------------------------------------------------------ memoization --
-def test_memo_distinguishes_equal_but_differently_typed_values():
-    """``1 == 1.0 == True`` yet their sizes differ by type: the memo key
-    must never collide them."""
-    assert sizeof_value(1) == 9
-    assert sizeof_value(1.0) == 9
-    assert sizeof_value(True) == 1
-    # Repeat in reverse order: cached answers must stay type-correct.
-    assert sizeof_value(True) == 1
-    assert sizeof_value(1.0) == 9
-    assert sizeof_value(1) == 9
-
-
-def test_memo_hits_return_identical_sizes():
-    from repro.common import serialization
-
-    probes = [7, 3.14, "node", ("a", 1, 2.0), None, (), ("x", (1, 2))]
-    first = [sizeof_value(p) for p in probes]
-    second = [sizeof_value(p) for p in probes]
-    assert first == second
-    assert first == [serialization._sizeof_uncached(p) for p in probes]
-
-
-def test_memo_skips_uncacheable_values():
-    from repro.common import serialization
-
-    long_string = "x" * 1000
-    big_tuple = tuple(range(100))
-    array = np.arange(8)
-    for value in (long_string, big_tuple, array):
-        assert serialization._memo_key(value) is None
-        assert sizeof_value(value) == serialization._sizeof_uncached(value)
-
-
-def test_memo_nested_tuple_keys_recurse():
-    from repro.common import serialization
-
-    key = serialization._memo_key((1, (2.0, "s")))
-    assert key is not None
-    # A tuple containing an uncacheable leaf is itself uncacheable.
-    assert serialization._memo_key((1, "y" * 1000)) is None
+def test_equal_values_of_different_types_size_by_type():
+    """``1 == 1.0 == True`` yet their sizes differ by type, in any order."""
+    assert [sizeof_value(v) for v in (1, 1.0, True, 1.0, 1)] == [9, 9, 1, 9, 9]
+    assert sizeof_value((True, (1, 1.0))) == 2 + 1 + 2 + 9 + 9
