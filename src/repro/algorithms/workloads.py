@@ -1,14 +1,14 @@
 """The workload table: ``(algorithm, formulation)`` → one builder.
 
-Every caller that runs a shipped algorithm on a real backend — ``repro
-run``, the chaos harness — used to carry its own ``if algorithm == ...``
-ladder from source data to ``(job, inputs, statics)``.  They differ
+Every caller that runs a shipped algorithm builds it here, from source
+data to a :class:`Workload`: the figure runner and the simulated ``repro
+run`` cell (:func:`repro.experiments.workloads.execute`), ``repro run``
+on the serial and parallel backends, and the chaos harness.  They differ
 only in where the data comes from (a dataset, a seeded generator) and
-in a few job options, so the ladder lives here once:
-:func:`build_workload` looks the builder up and hands back a
-:class:`Workload`.  ``formulation`` is ``"iterative"`` (the paper's
-state/static job, :func:`build_imr_job`) or ``"accumulative"`` (the
-Maiter delta formulation, :func:`build_accum_job`).
+in a few job options.  ``formulation`` is ``"iterative"`` (the paper's
+state/static job, :func:`build_imr_job`), ``"accumulative"`` (the
+Maiter delta formulation, :func:`build_accum_job`) or ``"baseline"``
+(the Hadoop job chain the paper compares against, :func:`build_mr_spec`).
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ __all__ = [
     "SUM_THRESHOLD",
     "MAX_ROUNDS",
     "RUN_KMEANS_K",
+    "FORMULATIONS",
     "Workload",
     "WORKLOADS",
-    "builder_for",
+    "row_for",
+    "run_options",
     "build_workload",
     "load_source",
 ]
@@ -42,6 +44,20 @@ PATHS = {"state_path": "/bench/state", "static_path": "/bench/static",
 SUM_THRESHOLD = 1e-9
 #: Round budget no converging accumulative run reaches.
 MAX_ROUNDS = 100_000
+#: An always-false termination threshold: distances are non-negative, so
+#: the computation measures them every iteration but never stops early.
+NEVER = -1.0
+#: Convergence-detecting kmeans stops when fewer users than this move
+#: between clusters (Fig. 20).
+MOVE_THRESHOLD = 40
+#: Simulated engine (``RunSpec.engine``, ``repro run --engine``) -> the
+#: formulation it runs.
+FORMULATIONS = {"imapreduce": "iterative", "mapreduce": "baseline"}
+#: Run flag (``RunSpec`` field, ``repro run`` option) -> the row option
+#: it sets when on.
+FLAG_OPTIONS = {"sync": ("sync", True), "combiner": ("combiner", True),
+                "measure_distance": ("threshold", NEVER),
+                "convergence_detection": ("move_threshold", MOVE_THRESHOLD)}
 #: Centroids ``repro run kmeans`` starts from — and so the most task
 #: pairs it can host (one2all state is partitioned by centroid id).
 RUN_KMEANS_K = 4
@@ -49,11 +65,13 @@ RUN_KMEANS_K = 4
 
 class Workload(NamedTuple):
     """What :func:`build_workload` returns.  ``inputs`` is the initial
-    state (iterative) or the initial deltas (accumulative); ``planner``
-    holds the change-planner keywords a warm start of this workload
-    needs (``None``: no incremental support); ``algebra`` is ``"min"``
-    / ``"sum"`` for jobs whose fixpoints the oracles compare (min
-    bit-exactly, sum within tolerance), else ``""``."""
+    state (iterative), the initial deltas (accumulative) or the paths
+    the first job reads (baseline); ``statics`` maps each DFS path to
+    its records: the static file, or every file a baseline chain reads.
+    ``planner`` holds the change-planner keywords a warm start of this
+    workload needs (``None``: no incremental support); ``algebra`` is
+    ``"min"`` / ``"sum"`` for jobs whose fixpoints the oracles compare
+    (min bit-exactly, sum within tolerance), else ``""``."""
 
     job: Any
     inputs: list
@@ -69,8 +87,19 @@ _INCREMENTAL = {
 }
 
 
+def _parts(prefix: str, records: list, parts: int) -> dict:
+    """``records`` as ``parts`` contiguous part files — the shape a
+    previous job's output has on the DFS, so the baseline's first
+    iteration schedules a full map wave."""
+    chunk = -(-len(records) // parts)
+    return {f"{prefix}/part-{i:05d}": records[i * chunk:(i + 1) * chunk]
+            for i in range(parts)}
+
+
 # Builders: (source data, paths, steps, **job options) -> (job, inputs,
-# static records).
+# static records) — for the baseline, (IterativeSpec, input paths,
+# {path: records}).  A baseline's ``num_pairs`` is its reduce count and
+# the number of part files its initial records are split into.
 def _sssp(graph, paths, steps, **options):
     job = sssp.build_imr_job(**paths, max_iterations=steps, **options)
     return job, sssp.initial_state(graph, SOURCE), sssp.static_records(graph)
@@ -79,6 +108,13 @@ def _sssp(graph, paths, steps, **options):
 def _sssp_accum(graph, paths, steps, *, sum_threshold=None, **options):
     job = sssp.build_accum_job(**paths, max_rounds=steps, **options)
     return job, sssp.accum_initial_deltas(SOURCE), sssp.static_records(graph)
+
+
+def _sssp_mr(graph, paths, steps, *, num_pairs, **options):
+    spec = sssp.build_mr_spec(output_prefix=paths["output_path"],
+                              max_iterations=steps, num_reduces=num_pairs, **options)
+    files = _parts(paths["state_path"], sssp.mr_initial_records(graph, SOURCE), num_pairs)
+    return spec, list(files), files
 
 
 def _pagerank(graph, paths, steps, **options):
@@ -96,14 +132,34 @@ def _pagerank_accum(graph, paths, steps, *, sum_threshold=SUM_THRESHOLD, **optio
     return job, deltas, pagerank.static_records(graph)
 
 
-def _kmeans(source, paths, steps, *, use_kernel=False, **options):
+def _pagerank_mr(graph, paths, steps, *, num_pairs, **options):
+    spec = pagerank.build_mr_spec(graph.num_nodes, output_prefix=paths["output_path"],
+                                  max_iterations=steps, num_reduces=num_pairs, **options)
+    files = _parts(paths["state_path"], pagerank.mr_initial_records(graph), num_pairs)
+    return spec, list(files), files
+
+
+def _kmeans(source, paths, steps, *, use_kernel=False, move_threshold=None,
+            **options):
     data, k, centroid_seed = source
+    detect = move_threshold is not None  # §5.3: stop when few users move
     job = kmeans.build_imr_job(
         **paths, max_iterations=steps, use_kernel=use_kernel,
-        num_artists=data.num_artists if use_kernel else None, **options,
+        num_artists=data.num_artists if use_kernel else None, track_membership=detect,
+        aux=kmeans.make_convergence_aux(move_threshold) if detect else None,
+        **options,
     )
     centroids = kmeans.initial_centroids(data, k, seed=centroid_seed)
     return job, centroids, data.user_records()
+
+
+def _kmeans_mr(source, paths, steps, *, num_pairs, **options):
+    data, k, centroid_seed = source
+    files = _parts(paths["static_path"], data.user_records(), num_pairs)
+    spec = kmeans.build_mr_spec(points_path=list(files), output_prefix=paths["output_path"],
+                                max_iterations=steps, num_reduces=num_pairs, **options)
+    files[paths["state_path"]] = kmeans.initial_centroids(data, k, seed=centroid_seed)
+    return spec, [paths["state_path"]], files
 
 
 def _matrixpower(matrix, paths, steps, *, num_pairs=None):
@@ -114,20 +170,37 @@ def _matrixpower(matrix, paths, steps, *, num_pairs=None):
             matrixpower.matrix_to_column_records(matrix))
 
 
-#: Source data per row: a ``Digraph`` (sssp, pagerank); ``(LastFmDataset,
-#: k, centroid_seed)`` (kmeans); a square matrix (matrixpower).
+def _matrixpower_mr(matrix, paths, steps, *, num_pairs):
+    m, n = paths["static_path"], paths["state_path"]
+    spec = matrixpower.build_mr_spec(m_path=m, output_prefix=paths["output_path"],
+                                     max_iterations=steps, num_reduces=num_pairs)
+    return spec, [n], {m: matrixpower.matrix_to_mr_records(matrix, "M"),
+                       n: matrixpower.matrix_to_mr_records(matrix, "N")}
+
+
+#: (algorithm, formulation) -> (builder, the run options it takes).  A
+#: run option is one a ``RunSpec`` / ``repro run`` flag sets
+#: (:data:`FLAG_OPTIONS`); :func:`run_options` refuses a flag whose
+#: option the row does not take, so none is dropped.  Source data per
+#: row: a ``Digraph`` (sssp, pagerank); ``(LastFmDataset, k,
+#: centroid_seed)`` (kmeans); a square matrix (matrixpower).
 WORKLOADS = {
-    ("sssp", "iterative"): _sssp,
-    ("sssp", "accumulative"): _sssp_accum,
-    ("pagerank", "iterative"): _pagerank,
-    ("pagerank", "accumulative"): _pagerank_accum,
-    ("kmeans", "iterative"): _kmeans,
-    ("matrixpower", "iterative"): _matrixpower,
+    ("sssp", "iterative"): (_sssp, ("sync", "combiner", "threshold")),
+    ("sssp", "accumulative"): (_sssp_accum, ()),
+    ("sssp", "baseline"): (_sssp_mr, ("combiner", "threshold")),
+    ("pagerank", "iterative"): (_pagerank, ("sync", "combiner", "threshold")),
+    ("pagerank", "accumulative"): (_pagerank_accum, ()),
+    ("pagerank", "baseline"): (_pagerank_mr, ("combiner", "threshold")),
+    ("kmeans", "iterative"): (_kmeans, ("combiner", "move_threshold")),
+    ("kmeans", "baseline"): (_kmeans_mr, ("combiner", "move_threshold")),
+    ("matrixpower", "iterative"): (_matrixpower, ()),
+    ("matrixpower", "baseline"): (_matrixpower_mr, ()),
 }
 
 
-def builder_for(algorithm: str, formulation: str):
-    """The table row, or a ``ValueError`` naming the rows that exist."""
+def row_for(algorithm: str, formulation: str):
+    """The table row ``(builder, run options)``, or a ``ValueError``
+    naming the rows that exist."""
     try:
         return WORKLOADS[algorithm, formulation]
     except KeyError:
@@ -138,25 +211,42 @@ def builder_for(algorithm: str, formulation: str):
         ) from None
 
 
+def run_options(algorithm: str, formulation: str, flags: dict, spell=str) -> dict:
+    """The row options the run flags in ``flags`` (flag -> value) set,
+    or a ``ValueError`` naming the first flag that is on but whose
+    option the row does not take — ``spell`` writes the flag's name."""
+    takes = row_for(algorithm, formulation)[1]
+    on = {flag: FLAG_OPTIONS[flag] for flag in FLAG_OPTIONS if flags.get(flag)}
+    for flag, (option, _) in on.items():
+        if option not in takes:
+            raise ValueError(f"{spell(flag)}: {algorithm} has no {option} "
+                             f"(its {formulation} formulation)")
+    return dict(on.values())
+
+
 def build_workload(
     algorithm: str, formulation: str, source, *,
     paths: dict = PATHS, steps: int | None = None, **options,
 ) -> Workload:
     """Build one table row's workload from its source data.
 
-    ``paths`` holds ``state_path``/``static_path``/``output_path``;
-    ``steps`` is the iteration (or round) budget; ``options`` go to the
-    algorithm's job builder unchanged (``num_pairs``, ``combiner``,
-    ``use_kernel``, ``threshold``, …), so an option the algorithm does
-    not have is a ``TypeError``, not a silent no-op — except
-    ``sum_threshold`` (default :data:`SUM_THRESHOLD`), which only the
-    ``+``-algebra accumulative rows read.
+    ``paths`` holds ``state_path``/``static_path``/``output_path`` (a
+    baseline splits its initial records into part files under the state
+    path — kmeans' points under the static path — and writes its jobs'
+    output under the output path); ``steps`` is the iteration (or round)
+    budget; ``options`` go to the algorithm's job builder unchanged
+    (``num_pairs``, ``combiner``, ``use_kernel``, ``threshold``, …), so
+    an option the algorithm does not have is a ``TypeError``, not a
+    silent no-op — except ``sum_threshold`` (default
+    :data:`SUM_THRESHOLD`), which only the ``+``-algebra accumulative
+    rows read.
     """
-    job, inputs, static_records = builder_for(algorithm, formulation)(
+    job, inputs, statics = row_for(algorithm, formulation)[0](
         source, paths, steps, **options
     )
-    return Workload(job, inputs, {paths["static_path"]: static_records},
-                    *_INCREMENTAL.get(algorithm, ()))
+    if formulation != "baseline":  # one static file
+        statics = {paths["static_path"]: statics}
+    return Workload(job, inputs, statics, *_INCREMENTAL.get(algorithm, ()))
 
 
 def load_source(algorithm: str, dataset: str, seed: int = 0):

@@ -245,7 +245,7 @@ def _plan_run(args):
     """
     import re
 
-    from .algorithms.workloads import RUN_KMEANS_K, builder_for
+    from .algorithms.workloads import FORMULATIONS, RUN_KMEANS_K, row_for, run_options
     from .imapreduce import ProcFault
     from .imapreduce.plan import SUPPORT, ExecutionPlan, PlanError, resolve
 
@@ -258,7 +258,7 @@ def _plan_run(args):
     # executor, everything else keeps the simulated default.
     backend = args.backend or ("serial" if memoized else "simulated")
     try:
-        builder_for(args.algorithm, algebra)
+        row_for(args.algorithm, algebra)
     except ValueError as exc:
         raise PlanError(str(exc)) from None
     for dest, low in _RUN_MINIMUM.items():
@@ -267,8 +267,6 @@ def _plan_run(args):
             raise PlanError(f"{_flag(dest)} must be >= {low}, got {value}")
     if args.delta is not None and not 0.0 < args.delta <= 1.0:
         raise PlanError(f"--delta must be in (0, 1], got {args.delta}")
-    if args.combiner and args.algorithm == "matrixpower":
-        raise PlanError("--combiner: matrixpower has no combiner")
     faults = ()
     if args.kill_worker is not None:
         match = re.fullmatch(r"(\d+)@(\d+)(?::(kill|stop))?", args.kill_worker)
@@ -301,6 +299,15 @@ def _plan_run(args):
             "fault-tolerant" if plan.fault_tolerant else "")))
         raise PlanError(f"{', '.join(ignored)} not used by the {where} "
                         "cell (see `repro modes`)")
+    # A consumed flag must be an option of the workload-table row the
+    # cell builds (the figure runner's cell picks it by --engine).
+    formulation = algebra
+    if "engine" in cell.flags:
+        formulation = FORMULATIONS[args.engine or _RUN_DEFAULTS["engine"]]
+    try:
+        run_options(args.algorithm, formulation, vars(args), spell=_flag)
+    except ValueError as exc:
+        raise PlanError(str(exc)) from None
     for dest, default in _RUN_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -320,9 +327,10 @@ def _cmd_run(args) -> int:
         if note:
             print(note)
         return _run_engine(args, dataset, plan)
-    # Classic runs on the simulated cluster go through the figure runner
-    # (it also builds the Hadoop-baseline twin); the flags this cell
-    # consumes are exactly RunSpec's other fields.
+    # Classic runs on the simulated cluster go through the figure runner,
+    # which builds from the same workload table (the --engine mapreduce
+    # twin is the table's baseline row); the flags this cell consumes
+    # are exactly RunSpec's other fields.
     from .experiments.workloads import RunSpec, execute as run_spec
     from .metrics import format_run
 
@@ -385,21 +393,22 @@ def _run_engine(args, dataset: str, plan) -> int:
     import os
     import time
 
-    from .algorithms.workloads import MAX_ROUNDS, build_workload, load_source
+    from .algorithms.workloads import MAX_ROUNDS, build_workload, load_source, run_options
     from .imapreduce import MemoStore, execute
 
     accum = plan.mode is not None
+    formulation = "accumulative" if accum else "iterative"
     if args.delta is not None and not (
             os.path.isdir(args.memo_dir) and MemoStore(args.memo_dir).has()):
         print(f"no memoized state under {args.memo_dir!r}; run once "
               "without --delta first", file=sys.stderr)
         return 2
     workload = build_workload(
-        args.algorithm, "accumulative" if accum else "iterative",
+        args.algorithm, formulation,
         load_source(args.algorithm, dataset, args.seed),
         steps=MAX_ROUNDS if accum else args.iterations,
         num_pairs=plan.num_pairs,
-        **({"combiner": True} if args.combiner else {}),
+        **run_options(args.algorithm, formulation, vars(args)),
     )
     memo = MemoStore(args.memo_dir) if args.memo_dir else None
     if args.delta is not None:

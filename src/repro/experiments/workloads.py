@@ -2,21 +2,28 @@
 
 A :class:`RunSpec` names one (algorithm, dataset, engine, cluster,
 variant) combination; :func:`execute` builds a fresh simulated cluster,
-ingests the dataset, runs the job and returns its
-:class:`~repro.metrics.RunMetrics`.  Results are cached per spec so
-figures that share a run (e.g. Figs. 8, 11, 12 all use SSSP-l on the
-20-instance cluster) pay for it once per process.
+builds the run through the one workload table
+(:func:`repro.algorithms.workloads.build_workload`: the ``iterative``
+row for iMapReduce, the ``baseline`` row for its Hadoop twin — the same
+table ``repro run`` on the real backends and the chaos harness build
+through), ingests its files, runs it and returns its
+:class:`~repro.metrics.RunMetrics`.  A ``RunSpec`` flag either sets an
+option the row takes or is refused
+(:func:`~repro.algorithms.workloads.run_options`).  Results are
+cached per spec so figures that share a run (e.g. Figs. 8, 11, 12 all
+use SSSP-l on the 20-instance cluster) pay for it once per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from ..algorithms import kmeans, matrixpower, pagerank, sssp
+from ..algorithms.workloads import FORMULATIONS, PATHS, build_workload
+from ..algorithms.workloads import load_source, run_options
 from ..cluster import Cluster, ec2_cluster, local_cluster
 from ..common import stable_seed
-from ..data import load_graph, load_lastfm
+from ..data import load_lastfm
 from ..dfs import DFS
 from ..imapreduce import IMapReduceRuntime
 from ..mapreduce import IterativeDriver, MapReduceRuntime
@@ -84,198 +91,73 @@ def make_cluster(engine: Engine, name: str) -> Cluster:
     raise ValueError(f"unknown cluster {name!r}")
 
 
-def _default_partitions(cluster: Cluster) -> int:
-    # One task (pair) per core across the cluster, within the slot limit.
-    return sum(m.cores for m in cluster.workers())
+#: Fig. 16 workload scale (paper: 359,347 users, 48.9 artists/user).
+KMEANS_USERS = 4000
+KMEANS_ARTISTS = 500
+KMEANS_K = 10
+
+#: (algorithm, engine) -> (state, static, output) DFS paths.  Block
+#: placement is offset by a path's hash, so these are part of every
+#: figure's virtual time.  A baseline splits its initial records into
+#: part files under the state path (kmeans' points: the static path).
+_PATHS = {
+    ("sssp", "imapreduce"): ("/in/state", "/in/static", "/out/sssp"),
+    ("sssp", "mapreduce"): ("/in/sssp", None, "/mr/sssp"),
+    ("pagerank", "imapreduce"): ("/in/state", "/in/static", "/out/pr"),
+    ("pagerank", "mapreduce"): ("/in/pr", None, "/mr/pr"),
+    ("kmeans", "imapreduce"): ("/km/centroids", "/km/points", "/out/km"),
+    ("kmeans", "mapreduce"): ("/km/centroids", "/km/points", "/mr/km"),
+    ("matrixpower", "imapreduce"): ("/mp/state", "/mp/static", "/out/mp"),
+    ("matrixpower", "mapreduce"): ("/mp/n", "/mp/m", "/mr/mp"),
+}
 
 
-#: An always-false termination threshold: distances are non-negative, so
-#: the computation measures them every iteration but never stops early.
-NEVER = -1.0
-
-
-def _ingest_parts(dfs: DFS, prefix: str, records: list, parts: int) -> list[str]:
-    """Ingest ``records`` as ``parts`` contiguous part files — the shape a
-    previous job's output (or a pre-partitioned upload) has on the DFS,
-    so the baseline's first iteration schedules a full map wave."""
-    chunk = -(-len(records) // parts)
-    paths = []
-    for i in range(parts):
-        path = f"{prefix}/part-{i:05d}"
-        dfs.ingest(path, records[i * chunk : (i + 1) * chunk])
-        paths.append(path)
-    return paths
+def _source(spec: RunSpec):
+    """The row's source data: registry graphs and matrices as ``repro
+    run`` loads them; kmeans at Fig. 16's scale, centroids salted by
+    the spec's seed."""
+    if spec.algorithm != "kmeans":
+        return load_source(spec.algorithm, spec.dataset, spec.seed)
+    data = load_lastfm(num_users=KMEANS_USERS, num_artists=KMEANS_ARTISTS,
+                       num_tastes=KMEANS_K)
+    return data, KMEANS_K, stable_seed(spec.seed, "centroids") % (2**31) if spec.seed else 1
 
 
 @lru_cache(maxsize=None)
 def execute(spec: RunSpec) -> RunMetrics:
     """Run one spec on a fresh simulated cluster (cached)."""
+    formulation = FORMULATIONS.get(spec.engine)
+    if formulation is None:
+        raise ValueError(f"unknown engine {spec.engine!r} (one of "
+                         f"{', '.join(FORMULATIONS)})")
+    options = run_options(spec.algorithm, formulation, vars(spec))
     engine = Engine()
     cluster = make_cluster(engine, spec.cluster)
     # Replication 3 (Hadoop's default): the baseline pays it on every
     # per-iteration output dump; iMapReduce only for checkpoints.
     dfs = DFS(cluster, replication=min(3, len(cluster)))
-    partitions = spec.partitions or _default_partitions(cluster)
-
-    if spec.algorithm == "sssp":
-        return _run_sssp(spec, engine, cluster, dfs, partitions)
-    if spec.algorithm == "pagerank":
-        return _run_pagerank(spec, engine, cluster, dfs, partitions)
-    if spec.algorithm == "kmeans":
-        return _run_kmeans(spec, engine, cluster, dfs, partitions)
+    paths = dict(zip(PATHS, _PATHS[spec.algorithm, spec.engine]))  # keyed like PATHS
+    # One task (pair) per core across the cluster, within the slot limit.
+    pairs = spec.partitions or sum(m.cores for m in cluster.workers())
+    workload = build_workload(spec.algorithm, formulation, _source(spec), paths=paths,
+                              steps=spec.iterations, num_pairs=pairs, **options)
+    for path, records in workload.statics.items():
+        dfs.ingest(path, records)
+    cost = _cost_for(spec)
+    if formulation == "iterative":
+        dfs.ingest(paths["state_path"], workload.inputs)
+        return IMapReduceRuntime(cluster, dfs, cost=cost).submit(workload.job).metrics
+    runtime = MapReduceRuntime(cluster, dfs, cost=cost)
+    metrics = IterativeDriver(runtime).run(workload.job, workload.inputs).metrics
     if spec.algorithm == "matrixpower":
-        return _run_matrixpower(spec, engine, cluster, dfs, partitions)
-    raise ValueError(f"unknown algorithm {spec.algorithm!r}")
-
-
-# ----------------------------------------------------------------- SSSP --
-def _run_sssp(spec, engine, cluster, dfs, partitions) -> RunMetrics:
-    graph = load_graph(spec.dataset)
-    if spec.engine == "mapreduce":
-        inputs = _ingest_parts(
-            dfs, "/in/sssp", sssp.mr_initial_records(graph, 0), partitions
-        )
-        runtime = MapReduceRuntime(cluster, dfs, cost=_cost_for(spec))
-        driver = IterativeDriver(runtime)
-        mr_spec = sssp.build_mr_spec(
-            output_prefix="/mr/sssp",
-            max_iterations=spec.iterations,
-            num_reduces=partitions,
-            threshold=NEVER if spec.measure_distance else None,
-        )
-        return driver.run(mr_spec, inputs).metrics
-    dfs.ingest("/in/state", sssp.initial_state(graph, 0))
-    dfs.ingest("/in/static", sssp.static_records(graph))
-    job = sssp.build_imr_job(
-        state_path="/in/state",
-        static_path="/in/static",
-        output_path="/out/sssp",
-        max_iterations=spec.iterations,
-        threshold=NEVER if spec.measure_distance else None,
-        num_pairs=partitions,
-        sync=spec.sync,
-        combiner=spec.combiner,
-    )
-    return IMapReduceRuntime(cluster, dfs, cost=_cost_for(spec)).submit(job).metrics
-
-
-# ------------------------------------------------------------- PageRank --
-def _run_pagerank(spec, engine, cluster, dfs, partitions) -> RunMetrics:
-    graph = load_graph(spec.dataset)
-    if spec.engine == "mapreduce":
-        inputs = _ingest_parts(
-            dfs, "/in/pr", pagerank.mr_initial_records(graph), partitions
-        )
-        runtime = MapReduceRuntime(cluster, dfs, cost=_cost_for(spec))
-        driver = IterativeDriver(runtime)
-        mr_spec = pagerank.build_mr_spec(
-            graph.num_nodes,
-            output_prefix="/mr/pr",
-            max_iterations=spec.iterations,
-            num_reduces=partitions,
-            threshold=NEVER if spec.measure_distance else None,
-        )
-        return driver.run(mr_spec, inputs).metrics
-    dfs.ingest("/in/state", pagerank.initial_state(graph))
-    dfs.ingest("/in/static", pagerank.static_records(graph))
-    job = pagerank.build_imr_job(
-        graph.num_nodes,
-        state_path="/in/state",
-        static_path="/in/static",
-        output_path="/out/pr",
-        max_iterations=spec.iterations,
-        threshold=NEVER if spec.measure_distance else None,
-        num_pairs=partitions,
-        sync=spec.sync,
-        combiner=spec.combiner,
-    )
-    return IMapReduceRuntime(cluster, dfs, cost=_cost_for(spec)).submit(job).metrics
-
-
-# -------------------------------------------------------------- K-means --
-#: Fig. 16 workload scale (paper: 359,347 users, 48.9 artists/user).
-KMEANS_USERS = 4000
-KMEANS_ARTISTS = 500
-KMEANS_K = 10
-#: Fig. 20: stop when fewer users than this move between clusters.
-KMEANS_MOVE_THRESHOLD = 40
-
-
-def _run_kmeans(spec, engine, cluster, dfs, partitions) -> RunMetrics:
-    data = load_lastfm(num_users=KMEANS_USERS, num_artists=KMEANS_ARTISTS, num_tastes=KMEANS_K)
-    centroid_seed = (
-        stable_seed(spec.seed, "centroids") % (2**31) if spec.seed else 1
-    )
-    centroids = kmeans.initial_centroids(data, KMEANS_K, seed=centroid_seed)
-    point_parts = _ingest_parts(dfs, "/km/points", data.user_records(), partitions)
-    dfs.ingest("/km/points", data.user_records())
-    dfs.ingest("/km/centroids", centroids)
-    track = spec.convergence_detection
-    if spec.engine == "mapreduce":
-        runtime = MapReduceRuntime(cluster, dfs, cost=_cost_for(spec))
-        driver = IterativeDriver(runtime)
-        mr_spec = kmeans.build_mr_spec(
-            points_path=point_parts,
-            output_prefix="/mr/km",
-            max_iterations=spec.iterations,
-            num_reduces=partitions,
-            combiner=spec.combiner,
-            move_threshold=KMEANS_MOVE_THRESHOLD if track else None,
-        )
-        return driver.run(mr_spec, ["/km/centroids"]).metrics
-    aux = (
-        kmeans.make_convergence_aux(KMEANS_MOVE_THRESHOLD, num_tasks=1)
-        if track
-        else None
-    )
-    job = kmeans.build_imr_job(
-        state_path="/km/centroids",
-        static_path="/km/points",
-        output_path="/out/km",
-        max_iterations=spec.iterations,
-        num_pairs=partitions,
-        combiner=spec.combiner,
-        track_membership=track,
-        aux=aux,
-    )
-    return IMapReduceRuntime(cluster, dfs, cost=_cost_for(spec)).submit(job).metrics
-
-
-# --------------------------------------------------------- matrix power --
-def _run_matrixpower(spec, engine, cluster, dfs, partitions) -> RunMetrics:
-    matrix = matrixpower.dataset_matrix(spec.dataset, spec.seed)
-    if spec.engine == "mapreduce":
-        dfs.ingest("/mp/m", matrixpower.matrix_to_mr_records(matrix, "M"))
-        dfs.ingest("/mp/n", matrixpower.matrix_to_mr_records(matrix, "N"))
-        runtime = MapReduceRuntime(cluster, dfs, cost=_cost_for(spec))
-        driver = IterativeDriver(runtime)
-        mr_spec = matrixpower.build_mr_spec(
-            m_path="/mp/m",
-            output_prefix="/mr/mp",
-            max_iterations=spec.iterations,
-            num_reduces=partitions,
-        )
-        metrics = driver.run(mr_spec, ["/mp/n"]).metrics
         # The baseline runs two jobs per logical iteration; merge the
         # per-job iteration entries pairwise so both engines report the
         # same logical iteration count.
-        merged = []
-        for a, b in zip(metrics.iterations[0::2], metrics.iterations[1::2]):
-            a.end = b.end
-            a.init_time += b.init_time
-            a.shuffle_bytes += b.shuffle_bytes
-            a.network_bytes += b.network_bytes
-            a.index = len(merged)
-            merged.append(a)
-        metrics.iterations = merged
-        return metrics
-    dfs.ingest("/mp/state", matrixpower.matrix_to_state_records(matrix))
-    dfs.ingest("/mp/static", matrixpower.matrix_to_column_records(matrix))
-    job = matrixpower.build_imr_job(
-        state_path="/mp/state",
-        static_path="/mp/static",
-        output_path="/out/mp",
-        max_iterations=spec.iterations,
-        num_pairs=partitions,
-    )
-    return IMapReduceRuntime(cluster, dfs, cost=_cost_for(spec)).submit(job).metrics
+        its = metrics.iterations
+        metrics.iterations = [
+            replace(a, index=i, end=b.end, init_time=a.init_time + b.init_time,
+                    shuffle_bytes=a.shuffle_bytes + b.shuffle_bytes,
+                    network_bytes=a.network_bytes + b.network_bytes)
+            for i, (a, b) in enumerate(zip(its[0::2], its[1::2]))
+        ]
+    return metrics

@@ -173,8 +173,10 @@ def _run(entry: str, test: str, flags: frozenset, **kw) -> Cell:
 #: matrix; a new capability is a changed row here, not a new driver.
 SUPPORT: dict[tuple[str, str, bool, bool], Cell] = {
     # The simulated cluster runs classic jobs through the figure runner
-    # (RunSpec -> experiments.workloads.execute), which also builds the
-    # Hadoop-baseline twin; it is the one cell execute() cannot call.
+    # (RunSpec -> experiments.workloads.execute), which builds from the
+    # same workload table as every other cell (--engine mapreduce picks
+    # the table's Hadoop-baseline row); it is the one cell execute()
+    # cannot call.
     (ITERATIVE, "simulated", False, False): _run(
         "experiments.workloads.execute", "test_run_cell[classic-simulated]",
         _CLUSTER),

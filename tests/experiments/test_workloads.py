@@ -72,3 +72,37 @@ def test_kmeans_convergence_detection_stops_early():
         RunSpec("kmeans", "lastfm", "imapreduce", "local", 30, convergence_detection=True)
     )
     assert imr.num_iterations < 30
+
+
+def test_unknown_engine_rejected():
+    with pytest.raises(ValueError, match="'hadoop'.*imapreduce.*mapreduce"):
+        execute(RunSpec("sssp", "dblp", "hadoop", "local", 1))
+
+
+def test_baseline_combiner_is_honoured():
+    plain = execute(RunSpec("pagerank", "pagerank-s", "mapreduce", "local", 2))
+    combined = execute(
+        RunSpec("pagerank", "pagerank-s", "mapreduce", "local", 2, combiner=True)
+    )
+    assert combined.total_shuffle_bytes < plain.total_shuffle_bytes
+
+
+@pytest.mark.parametrize(
+    "algorithm, engine, flag",
+    [
+        ("kmeans", "imapreduce", "sync"),
+        ("kmeans", "mapreduce", "measure_distance"),
+        ("matrixpower", "imapreduce", "combiner"),
+        ("matrixpower", "mapreduce", "sync"),
+        ("matrixpower", "imapreduce", "measure_distance"),
+        ("sssp", "imapreduce", "convergence_detection"),
+        ("pagerank", "mapreduce", "convergence_detection"),
+        ("sssp", "mapreduce", "sync"),
+    ],
+)
+def test_flag_the_row_does_not_take_is_refused(algorithm, engine, flag):
+    dataset = {"sssp": "dblp", "pagerank": "pagerank-s", "kmeans": "lastfm",
+               "matrixpower": "matrix8"}[algorithm]
+    spec = RunSpec(algorithm, dataset, engine, "local", 1, **{flag: True})
+    with pytest.raises(ValueError, match=f"^{flag}: {algorithm} has no "):
+        execute(spec)

@@ -325,6 +325,8 @@ REFUSED = {
     "matrixpower-combiner": (
         ("matrixpower", "--backend", "serial", "--combiner"),
         "--combiner: matrixpower has no combiner"),
+    "kmeans-sync-on-cluster": (
+        ("kmeans", "--sync"), "--sync: kmeans has no sync"),
 }
 
 
