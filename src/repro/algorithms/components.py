@@ -13,16 +13,15 @@ the symmetrised adjacency (labels must flow both ways); the helper
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
 from ..imapreduce import MIN, AccumJob, AccumKernel, IterativeJob, Kernel
-from ..imapreduce.accum import TOP_FRACTION_KEY
+from ..imapreduce.columnar import adjacency_csr, csr_rows
 
 __all__ = [
     "initial_state",
@@ -90,14 +89,11 @@ class ComponentsKernel(Kernel):
     state_dtype = "int64"
 
     def prepare(self, pair, owned_keys, static_table):
-        neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in neigh], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
-        src_local = np.repeat(np.arange(owned_keys.size), counts)
+        counts, _, targets, _ = adjacency_csr(owned_keys, static_table)
         # The emission keys never change: the *same* array is returned
         # every iteration, so the shuffle plan is reused on an ``is``.
-        return np.concatenate([owned_keys, targets]), src_local
+        out_keys = np.concatenate([owned_keys, targets])
+        return out_keys, np.repeat(np.arange(owned_keys.size), counts)
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
         out_keys, src_local = prepared
@@ -119,13 +115,10 @@ def build_imr_job(
     num_pairs: int | None = None,
     use_kernel: bool = False,
 ) -> IterativeJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_iterations is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if converge:
-        conf.set_float(IterKeys.DIST_THRESH, 0.0)  # stop when no label moves
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_iterations,
+        threshold=0.0 if converge else None,  # stop when no label moves
+    )
     return IterativeJob.single_phase(
         "components",
         imr_map,
@@ -162,22 +155,11 @@ class ComponentsAccumKernel(AccumKernel):
     identity = np.iinfo(np.int64).max
 
     def prepare(self, pair, owned_keys, static_table):
-        neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in neigh], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return counts, indptr, targets
+        return adjacency_csr(owned_keys, static_table)[:3]
 
     def emit_deltas(self, pair, owned_keys, idx, deltas, states, prepared):
         counts, indptr, targets = prepared
-        c = counts[idx]
-        total = int(c.sum())
-        if total == 0:
-            return targets[:0], states[:0]
-        reps = np.repeat(np.arange(idx.size), c)
-        within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        flat = indptr[idx][reps] + within
+        reps, flat = csr_rows(counts, indptr, idx)
         return targets[flat], states[reps]
 
 
@@ -196,14 +178,10 @@ def build_accum_job(
     top_fraction: float | None = None,
     use_kernel: bool = False,
 ) -> AccumJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_rounds is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_rounds)
-    conf.set_float(IterKeys.DIST_THRESH, 0.0)  # min deltas drain exactly
-    if top_fraction is not None:
-        conf.set_float(TOP_FRACTION_KEY, top_fraction)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_rounds,
+        threshold=0.0, top_fraction=top_fraction,  # min deltas drain exactly
+    )
     return AccumJob(
         name="components-accum",
         accumulator=MIN,

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..imapreduce import IterativeJob, Kernel
 
@@ -147,14 +147,11 @@ def build_imr_job(
     num_pairs: int | None = None,
     use_kernel: bool = False,
 ) -> IterativeJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    conf.set(IterKeys.MAPPING, "one2all")  # §5.1: mappers need all of x
-    if max_iterations is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if threshold is not None:
-        conf.set_float(IterKeys.DIST_THRESH, threshold)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path,
+        mapping="one2all",  # §5.1: mappers need all of x
+        max_iterations=max_iterations, threshold=threshold,
+    )
     return IterativeJob.single_phase(
         "jacobi",
         imr_map,

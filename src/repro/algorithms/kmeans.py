@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..data.lastfm import LastFmDataset
 from ..imapreduce import AuxPhase, IterativeJob, Kernel
@@ -151,6 +151,31 @@ class KMeansImrMap:
         ctx.emit(best, ("pt", uid, ids, counts))
 
 
+def _fold_points(values: list) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
+    """One cluster's shuffled values folded: ``(keep, total, count,
+    uids)`` — the centroid offered by the maps, the dense sum and number
+    of its points (single ``"pt"`` points and combined ``"sum"``
+    partials alike), and their user ids in arrival order.  Every map
+    task offers ``("keep", centroid)``, so the dense length is known."""
+    keep = next(v[1] for v in values if v[0] == "keep")
+    total = np.zeros(len(keep))
+    count = 0
+    uids: list[int] = []
+    for value in values:
+        kind = value[0]
+        if kind == "pt":
+            _, uid, ids, counts = value
+            np.add.at(total, ids, counts)
+            count += 1
+            uids.append(uid)
+        elif kind == "sum":
+            _, vec, n, vuids = value
+            total[: len(vec)] += vec
+            count += n
+            uids.extend(vuids)
+    return keep, total, count, uids
+
+
 class KMeansImrReduce:
     """Centroid-recomputation reduce as a picklable callable."""
 
@@ -160,36 +185,12 @@ class KMeansImrReduce:
         self.track_membership = track_membership
 
     def __call__(self, cid: int, values: list, ctx) -> None:
-        # Every map offers ("keep", centroid), so the dense length is known.
-        keep = next(v[1] for v in values if v[0] == "keep")
-        total = np.zeros(len(keep))
-        count = 0
-        members: list[int] = []
-        for value in values:
-            kind = value[0]
-            if kind == "pt":
-                _, uid, ids, counts = value
-                np.add.at(total, ids, counts)
-                count += 1
-                members.append(uid)
-            elif kind == "sum":
-                _, vec, n, uids = value
-                total[: len(vec)] += vec
-                count += n
-                members.extend(uids)
+        keep, total, count, members = _fold_points(values)
         centroid = total / count if count else keep
         if self.track_membership:
             ctx.emit(cid, (centroid, tuple(sorted(members))))
         else:
             ctx.emit(cid, centroid)
-
-
-def make_imr_map(track_membership: bool):
-    return KMeansImrMap(track_membership)
-
-
-def make_imr_reduce(track_membership: bool):
-    return KMeansImrReduce(track_membership)
 
 
 def centroid_distance(cid: Any, prev: Any, curr: Any) -> float:
@@ -292,9 +293,10 @@ class KMeansKernel(Kernel):
         )
         from scipy import sparse  # runtime dep; keep module import light
 
-        indptr = np.concatenate([[0], np.cumsum(counts)])
+        # From (user, artist) coordinates: scipy orders each row's
+        # artists, which a Last.fm record's already are.
         plays_mat = sparse.csr_matrix(
-            (plays, aids, indptr), shape=(len(uids), self.num_artists)
+            (plays, (user_row, aids)), shape=(len(uids), self.num_artists)
         )
         return aids, plays, user_row, x_norm, plays_mat
 
@@ -355,21 +357,15 @@ def build_imr_job(
             raise ValueError(
                 "the kernel path does not track membership (tuple state)"
             )
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    conf.set(IterKeys.MAPPING, "one2all")  # §5.1.2
-    conf.set_boolean(IterKeys.SYNC, True)
-    if max_iterations is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if threshold is not None:
-        conf.set_float(IterKeys.DIST_THRESH, threshold)
-    if checkpoint_interval is not None:
-        conf.set_int(IterKeys.CHECKPOINT_INTERVAL, checkpoint_interval)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, mapping="one2all",  # §5.1.2
+        sync=True, max_iterations=max_iterations, threshold=threshold,
+        checkpoint_interval=checkpoint_interval,
+    )
     return IterativeJob.single_phase(
         "kmeans",
-        make_imr_map(track_membership),
-        make_imr_reduce(track_membership),
+        KMeansImrMap(track_membership),
+        KMeansImrReduce(track_membership),
         conf=conf,
         output_path=output_path,
         distance_fn=centroid_distance if threshold is not None else None,
@@ -404,40 +400,13 @@ class KMeansMapper:
 
 
 def mr_combiner(cid: int, values: list, ctx) -> None:
-    """Partial aggregation: points → ("sum", vec, count, uids).
-
-    Each map task emits a ("keep", …) for every cid, so one is always in
-    the group and fixes the dense length.  One keep is re-emitted so the
-    reduce side still sees the empty-cluster fallback.
-    """
-    keep = next(v[1] for v in values if v[0] == "keep")
-    total = np.zeros(len(keep))
-    count = 0
-    uids: list[int] = []
-    for value in values:
-        kind = value[0]
-        if kind == "pt":
-            _, uid, ids, counts = value
-            np.add.at(total, ids, counts)
-            count += 1
-            uids.append(uid)
-        elif kind == "sum":
-            _, vec, n, vuids = value
-            total[: len(vec)] += vec
-            count += n
-            uids.extend(vuids)
+    """Partial aggregation: points → ("sum", vec, count, uids).  One keep
+    is re-emitted so the reduce side still sees the empty-cluster
+    fallback."""
+    keep, total, count, uids = _fold_points(values)
     ctx.emit(cid, ("keep", keep))
     if count > 0:
         ctx.emit(cid, ("sum", total, count, tuple(uids)))
-
-
-def make_mr_reducer(track_membership: bool):
-    reduce_fn = make_imr_reduce(track_membership)
-
-    def mr_reducer(cid: int, values: list, ctx) -> None:
-        reduce_fn(cid, values, ctx)
-
-    return mr_reducer
 
 
 def build_mr_spec(
@@ -463,7 +432,7 @@ def build_mr_spec(
         return Job(
             name=f"kmeans-{iteration}",
             mapper=KMeansMapper(),
-            reducer=make_mr_reducer(track_membership or move_threshold is not None),
+            reducer=KMeansImrReduce(track_membership or move_threshold is not None),
             combiner=mr_combiner if combiner else None,
             input_paths=point_inputs,
             output_path=f"{output_prefix}/iter{iteration}",
@@ -487,12 +456,9 @@ def build_mr_spec(
             # the first occurrence of a cid is prev, the second is curr.
             seen: dict[int, tuple] = {}
             moved = 0
-            total = 0
             for cid, members in values:
                 if cid in seen:
-                    prev, curr = set(seen[cid]), set(members)
-                    total += len(curr)
-                    moved += len(curr - prev)
+                    moved += len(set(members) - set(seen[cid]))
                 else:
                     seen[cid] = members
             ctx.increment("moved", moved)

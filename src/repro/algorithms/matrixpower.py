@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf, stable_seed
+from ..common.config import iter_conf, stable_seed
 from ..imapreduce import IterativeJob, Phase
 from ..mapreduce import Job
 from ..mapreduce.driver import IterativeSpec
@@ -99,11 +99,8 @@ def build_imr_job(
     num_pairs: int | None = None,
     checkpoint_interval: int | None = None,
 ) -> IterativeJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if checkpoint_interval is not None:
-        conf.set_int(IterKeys.CHECKPOINT_INTERVAL, checkpoint_interval)
+    conf = iter_conf(state_path=state_path, max_iterations=max_iterations,
+                     checkpoint_interval=checkpoint_interval)
     phases = [
         Phase(map_fn=phase1_map, reduce_fn=phase1_reduce, name="rows"),
         Phase(

@@ -8,24 +8,22 @@ none; the generators default to min out-degree 1).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
 from ..imapreduce import AccumJob, AccumKernel, IterativeJob, Kernel, SUM
-from ..imapreduce.accum import TOP_FRACTION_KEY
-from ..mapreduce import Job
-from ..mapreduce.driver import IterativeSpec
+from ..imapreduce.columnar import adjacency_csr, csr_rows
+from ..mapreduce.driver import IterativeSpec, job_chain
 
 __all__ = [
     "DAMPING",
     "initial_state",
     "static_records",
-    "make_imr_map",
+    "PageRankMap",
     "imr_reduce",
     "manhattan_distance",
     "PageRankKernel",
@@ -83,16 +81,8 @@ class PageRankMap:
                 ctx.emit(v, share)
 
 
-def make_imr_map(num_nodes: int, damping: float = DAMPING):
-    return PageRankMap(num_nodes, damping)
-
-
 def imr_reduce(key: int, values: list, ctx) -> None:
-    ctx.emit(key, sum(values))
-
-
-def imr_combine(key: int, values: list, ctx) -> None:
-    """Sum is associative, so a map-side combiner is exact."""
+    """Sum is associative, so this is also the exact map-side combiner."""
     ctx.emit(key, sum(values))
 
 
@@ -123,10 +113,7 @@ class PageRankKernel(Kernel):
         self.damping = damping
 
     def prepare(self, pair, owned_keys, static_table):
-        neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in neigh], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
+        counts, _, targets, _ = adjacency_csr(owned_keys, static_table)
         src_local = np.repeat(np.arange(owned_keys.size), counts)
         # The emission keys and the retain column never change: built
         # once, and the *same* key array is returned every iteration, so
@@ -160,28 +147,20 @@ def build_imr_job(
     buffer_records: int | None = None,
     use_kernel: bool = False,
 ) -> IterativeJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_iterations is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if threshold is not None:
-        conf.set_float(IterKeys.DIST_THRESH, threshold)
-    if sync:
-        conf.set_boolean(IterKeys.SYNC, True)
-    if checkpoint_interval is not None:
-        conf.set_int(IterKeys.CHECKPOINT_INTERVAL, checkpoint_interval)
-    if buffer_records is not None:
-        conf.set_int(IterKeys.BUFFER_RECORDS, buffer_records)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_iterations,
+        threshold=threshold, sync=sync, checkpoint_interval=checkpoint_interval,
+        buffer_records=buffer_records,
+    )
     return IterativeJob.single_phase(
         "pagerank",
-        make_imr_map(graph_nodes, damping),
+        PageRankMap(graph_nodes, damping),
         imr_reduce,
         conf=conf,
         output_path=output_path,
         distance_fn=manhattan_distance if threshold is not None else None,
         partitioner=ModPartitioner(),
-        combiner=imr_combine if combiner else None,
+        combiner=imr_reduce if combiner else None,
         num_pairs=num_pairs,
         kernel=PageRankKernel(graph_nodes, damping) if use_kernel else None,
     )
@@ -228,30 +207,17 @@ class PageRankAccumKernel(AccumKernel):
         self.damping = damping
 
     def prepare(self, pair, owned_keys, static_table):
-        neigh = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in neigh], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(chain.from_iterable(neigh), dtype=np.int64, count=total)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return counts, indptr, targets
+        return adjacency_csr(owned_keys, static_table)[:3]
 
     def emit_deltas(self, pair, owned_keys, idx, deltas, states, prepared):
         counts, indptr, targets = prepared
-        c = counts[idx]
-        total = int(c.sum())
-        if total == 0:
-            return targets[:0], deltas[:0]
-        # Multi-range CSR gather: edge rows of the applied sources, in
-        # application order (matching the record update's emit order).
-        reps = np.repeat(np.arange(idx.size), c)
-        within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        flat = indptr[idx][reps] + within
-        shares = np.zeros(idx.size)
-        nonzero = c > 0
-        np.divide(
-            self.damping * deltas, c, out=shares, where=nonzero
-        )
-        return targets[flat], np.repeat(shares, c)
+        # Edge rows of the applied sources, in application order
+        # (matching the record update's emit order).
+        reps, flat = csr_rows(counts, indptr, idx)
+        # A row without edges gathers no share: max(·, 1) only spares it
+        # a division by zero.
+        shares = self.damping * deltas / np.maximum(counts[idx], 1)
+        return targets[flat], shares[reps]
 
 
 def accum_initial_deltas(
@@ -273,15 +239,10 @@ def build_accum_job(
     top_fraction: float | None = None,
     use_kernel: bool = False,
 ) -> AccumJob:
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_rounds is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_rounds)
-    if threshold is not None:
-        conf.set_float(IterKeys.DIST_THRESH, threshold)
-    if top_fraction is not None:
-        conf.set_float(TOP_FRACTION_KEY, top_fraction)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_rounds,
+        threshold=threshold, top_fraction=top_fraction,
+    )
     return AccumJob(
         name="pagerank-accum",
         accumulator=SUM,
@@ -337,15 +298,6 @@ def mr_combiner(key: int, values: list, ctx) -> None:
         ctx.emit(key, ("share", partial))
 
 
-def _diff_mapper(key, value, ctx):
-    rank = value[0] if isinstance(value, tuple) else value
-    ctx.emit(key, rank)
-
-
-def _diff_reducer(key, values, ctx):
-    ctx.increment("distance", abs(values[0] - values[-1]))
-
-
 def build_mr_spec(
     graph_nodes: int,
     *,
@@ -356,35 +308,11 @@ def build_mr_spec(
     damping: float = DAMPING,
     combiner: bool = False,
 ) -> IterativeSpec:
-    def job_factory(iteration: int, input_paths: list[str]) -> Job:
-        return Job(
-            name=f"pagerank-{iteration}",
-            mapper=make_mr_mapper(graph_nodes, damping),
-            reducer=mr_reducer,
-            combiner=mr_combiner if combiner else None,
-            input_paths=input_paths,
-            output_path=f"{output_prefix}/iter{iteration}",
-            num_reduces=num_reduces,
-            partitioner=ModPartitioner(),
-        )
-
-    def convergence_factory(iteration, prev_paths, curr_paths) -> Job:
-        return Job(
-            name=f"pagerank-check-{iteration}",
-            mapper=_diff_mapper,
-            reducer=_diff_reducer,
-            input_paths=list(prev_paths) + list(curr_paths),
-            output_path=f"{output_prefix}/check{iteration}",
-            num_reduces=num_reduces,
-            partitioner=ModPartitioner(),
-        )
-
-    return IterativeSpec(
-        name="pagerank",
-        job_factory=job_factory,
-        max_iterations=max_iterations,
-        threshold=threshold,
-        convergence_factory=convergence_factory if threshold is not None else None,
+    return job_chain(
+        "pagerank", make_mr_mapper(graph_nodes, damping), mr_reducer,
+        output_prefix=output_prefix, max_iterations=max_iterations, threshold=threshold,
+        num_reduces=num_reduces, combiner=mr_combiner if combiner else None,
+        distance_fn=manhattan_distance,
     )
 
 
@@ -398,7 +326,6 @@ def reference_iterations(
     degrees = np.maximum(graph.out_degree(), 1)
     sources = np.repeat(np.arange(n), np.diff(graph.indptr))
     targets = graph.targets
-    has_out = graph.out_degree() > 0
     for _ in range(iterations):
         shares = damping * rank[sources] / degrees[sources]
         new = np.full(n, (1.0 - damping) / n)
@@ -406,7 +333,6 @@ def reference_iterations(
         # Dangling nodes emit no shares (Eq. 1 leaks their rank),
         # mirroring the engine implementations exactly.
         rank = new
-        _ = has_out  # documented: no dangling redistribution
     return rank
 
 

@@ -18,19 +18,16 @@ Three implementations, all with identical per-iteration semantics:
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
-from ..common.config import IterKeys, JobConf
+from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
 from ..imapreduce import MIN, AccumJob, AccumKernel, IterativeJob, Kernel
-from ..imapreduce.accum import TOP_FRACTION_KEY
-from ..mapreduce import Job
-from ..mapreduce.driver import IterativeSpec
+from ..imapreduce.columnar import adjacency_csr, csr_rows
+from ..mapreduce.driver import IterativeSpec, job_chain
 
 __all__ = [
     "INFINITY",
@@ -80,11 +77,7 @@ def imr_map(key: int, distance: float, adjacency: tuple | None, ctx) -> None:
 
 
 def imr_reduce(key: int, values: list, ctx) -> None:
-    ctx.emit(key, min(values))
-
-
-def imr_combine(key: int, values: list, ctx) -> None:
-    """Min is associative, so a map-side combiner is exact."""
+    """Min is associative, so this is also the exact map-side combiner."""
     ctx.emit(key, min(values))
 
 
@@ -113,17 +106,8 @@ class SsspKernel(Kernel):
     merge = "min"
 
     def prepare(self, pair, owned_keys, static_table):
-        adj = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in adj], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(
-            map(itemgetter(0), chain.from_iterable(adj)), dtype=np.int64, count=total
-        )
-        weights = np.fromiter(
-            map(itemgetter(1), chain.from_iterable(adj)), dtype=np.float64, count=total
-        )
-        src_local = np.repeat(np.arange(owned_keys.size), counts)
-        return targets, weights, src_local
+        counts, _, targets, weights = adjacency_csr(owned_keys, static_table, weighted=True)
+        return targets, weights, np.repeat(np.arange(owned_keys.size), counts)
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
         targets, weights, src_local = prepared
@@ -159,19 +143,11 @@ def build_imr_job(
     use_kernel: bool = False,
 ) -> IterativeJob:
     """The paper's SSSP job on the iMapReduce engine."""
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_iterations is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_iterations)
-    if threshold is not None:
-        conf.set_float(IterKeys.DIST_THRESH, threshold)
-    if sync:
-        conf.set_boolean(IterKeys.SYNC, True)
-    if checkpoint_interval is not None:
-        conf.set_int(IterKeys.CHECKPOINT_INTERVAL, checkpoint_interval)
-    if buffer_records is not None:
-        conf.set_int(IterKeys.BUFFER_RECORDS, buffer_records)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_iterations,
+        threshold=threshold, sync=sync, checkpoint_interval=checkpoint_interval,
+        buffer_records=buffer_records,
+    )
     return IterativeJob.single_phase(
         "sssp",
         imr_map,
@@ -180,7 +156,7 @@ def build_imr_job(
         output_path=output_path,
         distance_fn=manhattan_distance if threshold is not None else None,
         partitioner=ModPartitioner(),
-        combiner=imr_combine if combiner else None,
+        combiner=imr_reduce if combiner else None,
         num_pairs=num_pairs,
         kernel=SsspKernel() if use_kernel else None,
     )
@@ -210,27 +186,11 @@ class SsspAccumKernel(AccumKernel):
     identity = np.inf
 
     def prepare(self, pair, owned_keys, static_table):
-        adj = [static_table.get(k) or () for k in owned_keys.tolist()]
-        counts = np.array([len(t) for t in adj], dtype=np.int64)
-        total = int(counts.sum())
-        targets = np.fromiter(
-            map(itemgetter(0), chain.from_iterable(adj)), dtype=np.int64, count=total
-        )
-        weights = np.fromiter(
-            map(itemgetter(1), chain.from_iterable(adj)), dtype=np.float64, count=total
-        )
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return counts, indptr, targets, weights
+        return adjacency_csr(owned_keys, static_table, weighted=True)
 
     def emit_deltas(self, pair, owned_keys, idx, deltas, states, prepared):
         counts, indptr, targets, weights = prepared
-        c = counts[idx]
-        total = int(c.sum())
-        if total == 0:
-            return targets[:0], weights[:0]
-        reps = np.repeat(np.arange(idx.size), c)
-        within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        flat = indptr[idx][reps] + within
+        reps, flat = csr_rows(counts, indptr, idx)
         return targets[flat], states[reps] + weights[flat]
 
 
@@ -255,14 +215,10 @@ def build_accum_job(
     the default threshold 0.0 stops exactly at the fixpoint, which is
     unique, so every schedule (sync, async, any worker count) produces
     bit-identical distances."""
-    conf = JobConf()
-    conf.set(IterKeys.STATE_PATH, state_path)
-    conf.set(IterKeys.STATIC_PATH, static_path)
-    if max_rounds is not None:
-        conf.set_int(IterKeys.MAX_ITER, max_rounds)
-    conf.set_float(IterKeys.DIST_THRESH, threshold)
-    if top_fraction is not None:
-        conf.set_float(TOP_FRACTION_KEY, top_fraction)
+    conf = iter_conf(
+        state_path=state_path, static_path=static_path, max_iterations=max_rounds,
+        threshold=threshold, top_fraction=top_fraction,
+    )
     return AccumJob(
         name="sssp-accum",
         accumulator=MIN,
@@ -322,15 +278,6 @@ def mr_combiner(key: int, values: list, ctx) -> None:
         ctx.emit(key, ("offer", best_offer))
 
 
-def _diff_mapper(key, value, ctx):
-    distance = value[0] if isinstance(value, tuple) else value
-    ctx.emit(key, distance)
-
-
-def _diff_reducer(key, values, ctx):
-    ctx.increment("distance", manhattan_distance(key, values[0], values[-1]))
-
-
 def build_mr_spec(
     *,
     output_prefix: str,
@@ -340,36 +287,10 @@ def build_mr_spec(
     combiner: bool = False,
 ) -> IterativeSpec:
     """The Hadoop baseline: one job per iteration (+ optional check job)."""
-
-    def job_factory(iteration: int, input_paths: list[str]) -> Job:
-        return Job(
-            name=f"sssp-{iteration}",
-            mapper=mr_mapper,
-            reducer=mr_reducer,
-            combiner=mr_combiner if combiner else None,
-            input_paths=input_paths,
-            output_path=f"{output_prefix}/iter{iteration}",
-            num_reduces=num_reduces,
-            partitioner=ModPartitioner(),
-        )
-
-    def convergence_factory(iteration, prev_paths, curr_paths) -> Job:
-        return Job(
-            name=f"sssp-check-{iteration}",
-            mapper=_diff_mapper,
-            reducer=_diff_reducer,
-            input_paths=list(prev_paths) + list(curr_paths),
-            output_path=f"{output_prefix}/check{iteration}",
-            num_reduces=num_reduces,
-            partitioner=ModPartitioner(),
-        )
-
-    return IterativeSpec(
-        name="sssp",
-        job_factory=job_factory,
-        max_iterations=max_iterations,
-        threshold=threshold,
-        convergence_factory=convergence_factory if threshold is not None else None,
+    return job_chain(
+        "sssp", mr_mapper, mr_reducer, output_prefix=output_prefix,
+        max_iterations=max_iterations, threshold=threshold, num_reduces=num_reduces,
+        combiner=mr_combiner if combiner else None, distance_fn=manhattan_distance,
     )
 
 

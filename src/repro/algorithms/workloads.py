@@ -13,6 +13,7 @@ Maiter delta formulation, :func:`build_accum_job`) or ``"baseline"``
 
 from __future__ import annotations
 
+import re
 from typing import Any, NamedTuple
 
 from . import kmeans, matrixpower, pagerank, sssp
@@ -29,6 +30,7 @@ __all__ = [
     "row_for",
     "run_options",
     "build_workload",
+    "check_dataset",
     "load_source",
 ]
 
@@ -249,12 +251,34 @@ def build_workload(
     return Workload(job, inputs, statics, *_INCREMENTAL.get(algorithm, ()))
 
 
+def check_dataset(algorithm: str, dataset: str) -> None:
+    """A ``ValueError`` unless ``dataset`` names source data
+    ``algorithm`` runs on: a Table 1 graph (sssp), a Table 2 graph
+    (pagerank), ``matrix<N>`` with N >= 1 (matrixpower) or ``lastfm``
+    (kmeans, whose data is generated)."""
+    from ..data import PAGERANK_DATASETS, SSSP_DATASETS
+
+    if algorithm == "matrixpower":
+        if re.fullmatch(r"matrix[0-9]+", dataset) and int(dataset[6:]) >= 1:
+            return
+        known = "matrix<N>, N >= 1"
+    else:
+        names = {"sssp": SSSP_DATASETS, "pagerank": PAGERANK_DATASETS,
+                 "kmeans": ("lastfm",)}.get(algorithm, ())
+        if dataset in names:
+            return
+        known = ", ".join(names)
+    raise ValueError(f"unknown {algorithm} dataset {dataset!r} (known: {known})")
+
+
 def load_source(algorithm: str, dataset: str, seed: int = 0):
     """``repro run``'s source data: the registry datasets the simulated
     engine uses (``seed`` salts the synthetic kmeans/matrix inputs; 0
     keeps the historical fixed draws)."""
     from ..common import stable_seed
     from ..data import load_graph, load_lastfm
+
+    check_dataset(algorithm, dataset)
 
     def salted(label: str, default: int) -> int:
         return stable_seed(seed, label) % (2**31) if seed else default

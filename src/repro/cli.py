@@ -245,7 +245,8 @@ def _plan_run(args):
     """
     import re
 
-    from .algorithms.workloads import FORMULATIONS, RUN_KMEANS_K, row_for, run_options
+    from .algorithms.workloads import (
+        FORMULATIONS, RUN_KMEANS_K, check_dataset, row_for, run_options)
     from .imapreduce import ProcFault
     from .imapreduce.plan import SUPPORT, ExecutionPlan, PlanError, resolve
 
@@ -259,6 +260,7 @@ def _plan_run(args):
     backend = args.backend or ("serial" if memoized else "simulated")
     try:
         row_for(args.algorithm, algebra)
+        check_dataset(args.algorithm, args.dataset or _DEFAULT_DATASETS[args.algorithm])
     except ValueError as exc:
         raise PlanError(str(exc)) from None
     for dest, low in _RUN_MINIMUM.items():

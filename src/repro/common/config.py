@@ -23,7 +23,7 @@ from typing import Any, Iterator, Mapping
 
 from .errors import ConfigError
 
-__all__ = ["JobConf", "IterKeys", "stable_seed"]
+__all__ = ["JobConf", "IterKeys", "iter_conf", "stable_seed"]
 
 
 class IterKeys:
@@ -48,6 +48,9 @@ class IterKeys:
     #: any other value makes the whole run a pure function of the seed —
     #: the replay contract the chaos harness depends on.
     SEED = "mapred.iterjob.seed"
+    #: Fraction of an accumulative pair's *active* pending keys drained
+    #: per async round (by descending priority).  1.0 degenerates to sync.
+    TOP_FRACTION = "mapred.accum.topfrac"
 
 
 _MISSING = object()
@@ -168,3 +171,29 @@ class JobConf:
     def _check_key(key: str) -> None:
         if not isinstance(key, str) or not key:
             raise ConfigError(f"configuration key must be a non-empty str, got {key!r}")
+
+
+#: :func:`iter_conf` keyword -> (parameter, typed setter).
+_ITER_SETTINGS = {
+    "state_path": (IterKeys.STATE_PATH, JobConf.set),
+    "static_path": (IterKeys.STATIC_PATH, JobConf.set),
+    "mapping": (IterKeys.MAPPING, JobConf.set),
+    "sync": (IterKeys.SYNC, JobConf.set_boolean),
+    "max_iterations": (IterKeys.MAX_ITER, JobConf.set_int),
+    "threshold": (IterKeys.DIST_THRESH, JobConf.set_float),
+    "checkpoint_interval": (IterKeys.CHECKPOINT_INTERVAL, JobConf.set_int),
+    "buffer_records": (IterKeys.BUFFER_RECORDS, JobConf.set_int),
+    "top_fraction": (IterKeys.TOP_FRACTION, JobConf.set_float),
+}
+
+
+def iter_conf(**settings: Any) -> JobConf:
+    """A job's ``JobConf`` from builder keywords, in keyword order: each
+    sets its ``mapred.*`` parameter through the typed setter, and a
+    ``None`` or ``False`` setting leaves the parameter unset."""
+    conf = JobConf()
+    for name, value in settings.items():
+        if value is not None and value is not False:
+            key, setter = _ITER_SETTINGS[name]
+            setter(conf, key, value)
+    return conf

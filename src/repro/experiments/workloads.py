@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from ..algorithms.workloads import FORMULATIONS, PATHS, build_workload
-from ..algorithms.workloads import load_source, run_options
+from ..algorithms.workloads import check_dataset, load_source, run_options
 from ..cluster import Cluster, ec2_cluster, local_cluster
 from ..common import stable_seed
 from ..data import load_lastfm
@@ -118,6 +118,7 @@ def _source(spec: RunSpec):
     the spec's seed."""
     if spec.algorithm != "kmeans":
         return load_source(spec.algorithm, spec.dataset, spec.seed)
+    check_dataset(spec.algorithm, spec.dataset)
     data = load_lastfm(num_users=KMEANS_USERS, num_artists=KMEANS_ARTISTS,
                        num_tastes=KMEANS_K)
     return data, KMEANS_K, stable_seed(spec.seed, "centroids") % (2**31) if spec.seed else 1

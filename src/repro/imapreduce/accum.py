@@ -103,14 +103,11 @@ __all__ = [
     "AccumRunResult",
     "SUM",
     "MIN",
-    "TOP_FRACTION_KEY",
     "DEFAULT_TOP_FRACTION",
     "partition_state",
 ]
 
-#: Conf key: fraction of a pair's *active* pending keys drained per
-#: async round (by descending priority).  1.0 degenerates to sync.
-TOP_FRACTION_KEY = "mapred.accum.topfrac"
+#: :data:`IterKeys.TOP_FRACTION` when the job leaves it unset.
 DEFAULT_TOP_FRACTION = 0.25
 
 #: ``update(key, delta, state, static_value, emit)`` — called once per
@@ -263,7 +260,7 @@ class AccumJob:
         frac = self.top_fraction
         if not 0.0 < frac <= 1.0:
             raise ConfigError(
-                f"job {self.name!r}: {TOP_FRACTION_KEY} must be in (0, 1], "
+                f"job {self.name!r}: {IterKeys.TOP_FRACTION} must be in (0, 1], "
                 f"got {frac!r}"
             )
 
@@ -289,7 +286,7 @@ class AccumJob:
 
     @property
     def top_fraction(self) -> float:
-        frac = self.conf.get_float(TOP_FRACTION_KEY, DEFAULT_TOP_FRACTION)
+        frac = self.conf.get_float(IterKeys.TOP_FRACTION, DEFAULT_TOP_FRACTION)
         return DEFAULT_TOP_FRACTION if frac is None else frac
 
     def part_path(self, pair: int) -> str:

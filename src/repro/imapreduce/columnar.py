@@ -119,6 +119,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
@@ -134,6 +135,8 @@ __all__ = [
     "KernelContractError",
     "encode_columnar",
     "decode_columnar",
+    "adjacency_csr",
+    "csr_rows",
     "route_columnar",
     "merge_columnar",
     "absorb_columnar",
@@ -304,6 +307,43 @@ def decode_columnar(
         cast = np.int64 if values.dtype.kind == "i" else np.float64
         return list(zip(keys, values.astype(cast, copy=False).tolist()))
     return [(k, values[i].copy()) for i, k in enumerate(keys)]
+
+
+# ---------------------------------------------------------- static CSR --
+def adjacency_csr(
+    owned_keys: np.ndarray, static_table: dict, weighted: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """A pair's static adjacency as CSR columns over ``owned_keys``, the
+    form a graph kernel's ``prepare`` keeps resident (§3.2):
+    ``(counts, indptr, targets, weights)``.  A table row is ``(v, …)``,
+    or ``((v, w), …)`` when ``weighted``; an owned key with no row has
+    no edges.  ``weights`` is float64 when ``weighted``, else ``None``."""
+    rows = [static_table.get(k) or () for k in owned_keys.tolist()]
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    total = int(counts.sum())
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    if not weighted:
+        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
+        return counts, indptr, targets, None
+    targets = np.fromiter(
+        map(itemgetter(0), chain.from_iterable(rows)), dtype=np.int64, count=total
+    )
+    weights = np.fromiter(
+        map(itemgetter(1), chain.from_iterable(rows)), dtype=np.float64, count=total
+    )
+    return counts, indptr, targets, weights
+
+
+def csr_rows(
+    counts: np.ndarray, indptr: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of CSR rows ``idx``, row by row in ``idx`` order, as one
+    multi-range gather: ``(reps, flat)`` — each edge's position in
+    ``idx`` and its index into the edge columns."""
+    c = counts[idx]
+    reps = np.repeat(np.arange(idx.size), c)
+    within = np.arange(reps.size) - np.repeat(np.cumsum(c) - c, c)
+    return reps, indptr[idx][reps] + within
 
 
 # ------------------------------------------------------------- routing --

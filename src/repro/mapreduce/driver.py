@@ -15,14 +15,16 @@ the per-iteration accounting the figures need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..common.errors import ConfigError
+from ..common.partition import ModPartitioner
 from ..metrics import IterationMetrics, RunMetrics
 from .job import Job, JobResult
 from .runtime import MapReduceRuntime
 
-__all__ = ["IterativeSpec", "IterativeResult", "IterativeDriver"]
+__all__ = ["IterativeSpec", "IterativeResult", "IterativeDriver", "job_chain"]
 
 
 @dataclass
@@ -51,6 +53,59 @@ class IterativeSpec:
             raise ConfigError("max_iterations must be >= 1")
         if self.threshold is not None and self.convergence_factory is None:
             raise ConfigError("a threshold needs a convergence_factory")
+
+
+def _state_of(key, value, ctx) -> None:
+    """Check-job map: a record's iterated value, without the static data
+    the baseline carries beside it."""
+    ctx.emit(key, value[0] if isinstance(value, tuple) else value)
+
+
+def _add_distance(distance_fn, key, values: list, ctx) -> None:
+    """Check-job reduce: adds the key's distance between the previous
+    and the current iteration's value to the ``distance`` counter."""
+    ctx.increment("distance", distance_fn(key, values[0], values[-1]))
+
+
+def job_chain(name: str, mapper, reducer, *, output_prefix: str, max_iterations: int,
+              threshold: float | None = None, num_reduces: int = 4, combiner=None,
+              distance_fn: Callable[[Any, Any, Any], float] | None = None) -> IterativeSpec:
+    """A graph algorithm's Hadoop baseline: job ``{name}-{i}`` reads the
+    previous iteration's output and writes ``{output_prefix}/iter{i}``;
+    with a ``threshold``, check job ``{name}-check-{i}`` measures
+    ``distance_fn`` between the two outputs (``{output_prefix}/check{i}``).
+    Every job partitions by key modulo its reduce count."""
+
+    def job_factory(iteration: int, input_paths: list[str]) -> Job:
+        return Job(
+            name=f"{name}-{iteration}",
+            mapper=mapper,
+            reducer=reducer,
+            combiner=combiner,
+            input_paths=input_paths,
+            output_path=f"{output_prefix}/iter{iteration}",
+            num_reduces=num_reduces,
+            partitioner=ModPartitioner(),
+        )
+
+    def convergence_factory(iteration, prev_paths, curr_paths) -> Job:
+        return Job(
+            name=f"{name}-check-{iteration}",
+            mapper=_state_of,
+            reducer=partial(_add_distance, distance_fn),
+            input_paths=list(prev_paths) + list(curr_paths),
+            output_path=f"{output_prefix}/check{iteration}",
+            num_reduces=num_reduces,
+            partitioner=ModPartitioner(),
+        )
+
+    return IterativeSpec(
+        name=name,
+        job_factory=job_factory,
+        max_iterations=max_iterations,
+        threshold=threshold,
+        convergence_factory=convergence_factory if threshold is not None else None,
+    )
 
 
 @dataclass

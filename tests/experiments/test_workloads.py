@@ -79,6 +79,11 @@ def test_unknown_engine_rejected():
         execute(RunSpec("sssp", "dblp", "hadoop", "local", 1))
 
 
+def test_dataset_the_algorithm_does_not_run_on_is_refused():
+    with pytest.raises(ValueError, match="unknown kmeans dataset 'google'"):
+        execute(RunSpec("kmeans", "google", "imapreduce", "local", 1))
+
+
 def test_baseline_combiner_is_honoured():
     plain = execute(RunSpec("pagerank", "pagerank-s", "mapreduce", "local", 2))
     combined = execute(

@@ -34,7 +34,9 @@ from repro.imapreduce import (
 )
 from repro.imapreduce.columnar import (
     ColumnarSync,
+    adjacency_csr,
     concat_broadcast,
+    csr_rows,
     decode_columnar,
     encode_columnar,
     merge_columnar,
@@ -174,6 +176,51 @@ def test_columnar_final_state_equals_sorted_records(keys, dtype, width, num_pair
 def test_encode_rejects_duplicate_keys():
     with pytest.raises(KernelContractError):
         encode_columnar([(3, 1.0), (3, 2.0)], "float64", 0)
+
+
+# ---------------------------------------------------------- static CSR --
+@st.composite
+def csr_cases(draw):
+    """A pair's owned keys, a static table over them (rows absent, empty
+    or not, plus rows the pair does not own) and rows to gather: any
+    subset of the owned rows in any order, including none."""
+    weighted = draw(st.booleans())
+    edge = st.integers(-(2**40), 2**40)
+    if weighted:
+        edge = st.tuples(edge, st.floats(allow_nan=False, width=64))
+    keys = draw(st.lists(st.integers(-50, 50), unique=True, max_size=12))
+    owned = sorted(keys[: draw(st.integers(0, len(keys)))])
+    table = {}
+    for k in keys:
+        row = draw(st.one_of(st.none(), st.lists(edge, max_size=4)))
+        if row is not None:
+            table[k] = tuple(row)
+    rows = draw(st.permutations(range(len(owned))))
+    idx = rows[: draw(st.integers(0, len(rows)))]
+    return weighted, owned, table, idx
+
+
+@given(csr_cases())
+def test_csr_build_and_row_gather_match_a_plain_reference(case):
+    weighted, owned, table, idx = case
+    rows = [table.get(k, ()) for k in owned]
+    counts = [len(r) for r in rows]
+    indptr = [sum(counts[:i]) for i in range(len(rows) + 1)]
+    edges = [e for r in rows for e in r]
+    got = adjacency_csr(np.array(owned, dtype=np.int64), table, weighted)
+    assert [a.tolist() for a in got[:2]] == [counts, indptr]
+    assert [a.dtype for a in got[:3]] == [np.int64] * 3
+    if weighted:
+        assert got[2].tolist() == [v for v, _ in edges]
+        assert got[3].dtype == np.float64
+        assert got[3].tolist() == [w for _, w in edges]
+    else:
+        assert got[2].tolist() == edges and got[3] is None
+
+    reps, flat = csr_rows(got[0], got[1], np.array(idx, dtype=np.int64))
+    assert reps.dtype == flat.dtype == np.int64
+    assert reps.tolist() == [p for p, i in enumerate(idx) for _ in range(counts[i])]
+    assert flat.tolist() == [indptr[i] + j for i in idx for j in range(counts[i])]
 
 
 # ------------------------------------------------------------- routing --

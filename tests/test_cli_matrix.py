@@ -327,6 +327,17 @@ REFUSED = {
         "--combiner: matrixpower has no combiner"),
     "kmeans-sync-on-cluster": (
         ("kmeans", "--sync"), "--sync: kmeans has no sync"),
+    "unknown-dataset": (
+        ("sssp", "--dataset", "nope"),
+        "unknown sssp dataset 'nope' (known: dblp, facebook, sssp-s, sssp-m, sssp-l)"),
+    "dataset-of-another-kind": (
+        ("pagerank", "--dataset", "dblp"), "unknown pagerank dataset 'dblp'"),
+    "kmeans-not-on-lastfm": (
+        ("kmeans", "--dataset", "google"),
+        "unknown kmeans dataset 'google' (known: lastfm)"),
+    "empty-matrix": (
+        ("matrixpower", "--dataset", "matrix0", "--backend", "serial"),
+        "unknown matrixpower dataset 'matrix0' (known: matrix<N>, N >= 1)"),
 }
 
 
