@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from typing import Any, NamedTuple
 
+from ..imapreduce.incremental import ChangeModel, change_model
 from . import kmeans, matrixpower, pagerank, sssp
 
 __all__ = [
@@ -70,23 +71,15 @@ class Workload(NamedTuple):
     state (iterative), the initial deltas (accumulative) or the paths
     the first job reads (baseline); ``statics`` maps each DFS path to
     its records: the static file, or every file a baseline chain reads.
-    ``planner`` holds the change-planner keywords a warm start of this
-    workload needs (``None``: no incremental support); ``algebra`` is
-    ``"min"`` / ``"sum"`` for jobs whose fixpoints the oracles compare
-    (min bit-exactly, sum within tolerance), else ``""``."""
+    ``change`` is the algorithm's change model — what a warm start needs,
+    and the algebra the oracles compare fixpoints under (min
+    bit-exactly, sum within tolerance) — for every algorithm with an
+    accumulative formulation, else ``None``."""
 
     job: Any
     inputs: list
     statics: dict
-    planner: dict | None = None
-    algebra: str = ""
-
-
-#: algorithm -> (change-planner keywords, algebra), both formulations.
-_INCREMENTAL = {
-    "sssp": ({"source": SOURCE}, "min"),
-    "pagerank": ({"damping": pagerank.DAMPING}, "sum"),
-}
+    change: ChangeModel | None = None
 
 
 def _parts(prefix: str, records: list, parts: int) -> dict:
@@ -248,7 +241,10 @@ def build_workload(
     )
     if formulation != "baseline":  # one static file
         statics = {paths["static_path"]: statics}
-    return Workload(job, inputs, statics, *_INCREMENTAL.get(algorithm, ()))
+    change = None
+    if (algorithm, "accumulative") in WORKLOADS:
+        change = change_model(algorithm, damping=pagerank.DAMPING, source=SOURCE)
+    return Workload(job, inputs, statics, change)
 
 
 def check_dataset(algorithm: str, dataset: str) -> None:

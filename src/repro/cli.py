@@ -434,8 +434,7 @@ def _memoize(memo, args, dataset, plan, workload, result, deltas) -> int:
     return memo.save(
         result.state, job_name=workload.job.name, num_pairs=plan.num_pairs,
         partitioner=workload.job.partitioner,
-        meta={"algorithm": args.algorithm, "dataset": dataset,
-              "deltas": deltas, **workload.planner},
+        meta={"algorithm": args.algorithm, "dataset": dataset, "deltas": deltas},
     )
 
 
@@ -447,7 +446,6 @@ def _refresh(args, dataset: str, plan, workload, memo) -> int:
     ``incremental-differential`` oracle's tolerance — memoize the
     refreshed state.  Disagreement exits 1 and memoizes nothing."""
     from .imapreduce import DataDelta, DeltaError, patch_static_table
-    from .imapreduce.incremental import ADJACENCY_KINDS
     from .imapreduce.plan import refresh_vs_cold
 
     job = workload.job
@@ -465,12 +463,10 @@ def _refresh(args, dataset: str, plan, workload, memo) -> int:
     table = dict(workload.statics[job.static_path])
     history = list(meta.get("deltas", ()))
     for applied in history:
-        patch_static_table(table, DataDelta.from_tuple(applied),
-                           ADJACENCY_KINDS[args.algorithm])
+        patch_static_table(table, DataDelta.from_tuple(applied), workload.change.kind)
     num_edges = sum(len(row) for row in table.values())
     delta, (warm, warm_wall), (cold, cold_wall), agree = refresh_vs_cold(
-        workload, args.algorithm, memo_records, table, args.delta,
-        args.delta_seed, plan,
+        workload, memo_records, table, args.delta, args.delta_seed, plan,
     )
     max_diff = max(
         (abs(a[1] - b[1]) for a, b in zip(warm.state, cold.state)

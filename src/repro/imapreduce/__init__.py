@@ -1,7 +1,7 @@
 """The iMapReduce engine — the paper's contribution."""
 
 from .accum import MIN, SUM, AccumJob, AccumPair, AccumRunResult, Accumulator
-from .channels import IterationMailbox, ReliableConfig, StopIteration_
+from .channels import IterationMailbox, StopIteration_
 from .checkpoint import CheckpointError, CheckpointStore, ProcFault
 from .columnar import AccumKernel, Kernel, KernelContractError
 from .failure_detector import FailureDetector, FailureDetectorConfig
@@ -38,7 +38,6 @@ from .plan import (
 
 __all__ = [
     "IterationMailbox",
-    "ReliableConfig",
     "StopIteration_",
     "CheckpointError",
     "CheckpointStore",

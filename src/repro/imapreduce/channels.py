@@ -24,29 +24,22 @@ Message vocabulary (tuples, first element is the kind):
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..simulation import Engine, Store
 
-__all__ = ["StopIteration_", "IterationMailbox", "ReliableConfig"]
+__all__ = ["StopIteration_", "IterationMailbox"]
 
-
-@dataclass(frozen=True, slots=True)
-class ReliableConfig:
-    """Stop-and-wait retransmission policy for cross-pair messages.
-
-    One message per flow is in flight at a time; an unacknowledged send
-    is retried after ``rto_initial``, doubling (``rto_backoff``) up to
-    ``rto_max`` per wait.  ``max_retries`` bounds a send whose receiver
-    is permanently unreachable — by then the failure detector has long
-    since confirmed the peer dead and recovery re-routes the flow.
-    """
-
-    rto_initial: float = 0.25
-    rto_backoff: float = 2.0
-    rto_max: float = 2.0
-    max_retries: int = 64
+# Stop-and-wait retransmission for cross-pair messages: one message per
+# flow is in flight at a time; an unacknowledged send is retried after
+# RTO_INITIAL seconds, doubling (RTO_BACKOFF) up to RTO_MAX per wait.
+# MAX_RETRIES bounds a send whose receiver is permanently unreachable —
+# by then the failure detector has long since confirmed the peer dead
+# and recovery re-routes the flow.
+RTO_INITIAL = 0.25
+RTO_BACKOFF = 2.0
+RTO_MAX = 2.0
+MAX_RETRIES = 64
 
 
 class StopIteration_(Exception):

@@ -61,7 +61,6 @@ class FailureDetectorConfig:
     small fraction of any iteration.
     """
 
-    enabled: bool = True
     #: Seconds between heartbeats (and between monitor passes).
     period: float = 0.5
     #: A worker silent for longer than this becomes *suspected*.  A

@@ -22,15 +22,20 @@ from the memo.  This module is that mode for all three executors:
   kernels' ``prepare`` CSR columns rebuilt from the patched table are
   bit-identical to ones built from scratch (the round-trip property
   test's contract).
-* :func:`plan_changes` — the change-propagation logic: from the delta
-  and the memoized state it derives the *dirty frontier* (keys that
-  receive perturbation deltas), the *reset set* (keys whose memoized
-  value may no longer be a valid fixpoint component), and the
-  perturbation deltas themselves.
+* :class:`ChangeModel` — one algorithm's change rules in one record,
+  built by :func:`change_model` from the ``_ALGORITHMS`` table: the
+  adjacency shape, the algebra and its identity, the keys a cold run
+  seeds (:meth:`~ChangeModel.seeds`) and the change-propagation logic
+  (:meth:`~ChangeModel.plan`): from the delta and the memoized state it
+  derives the *dirty frontier* (keys that receive perturbation deltas),
+  the *reset set* (keys whose memoized value may no longer be a valid
+  fixpoint component), and the perturbation deltas themselves.
+  :func:`plan_changes` is that call by algorithm name.
 * :func:`warm_sync_state` — the memo as a synchronous engine's initial
   state.  Warm-started *execution* — both algebras, every backend — is
   :func:`repro.imapreduce.plan.execute` with a
-  :class:`~repro.imapreduce.plan.WarmStart` in the plan.
+  :class:`~repro.imapreduce.plan.WarmStart` (a model and a delta) in
+  the plan.
 
 Change propagation per algebra
 ------------------------------
@@ -52,7 +57,7 @@ fixpoint; no keys are reset.
 *increases* are non-monotone — a memoized distance may have routed
 through the removed edge — so the plan conservatively *invalidates*
 the forward-reachable set (old graph) of every worsened edge's head:
-those keys restart at the identity, re-seeded by their initial deltas
+those keys restart at the identity, re-seeded by their cold-run seeds
 and by boundary offers from every surviving in-edge whose source kept
 its memo.  Keys outside the reset set cannot have routed through a
 worsened edge (they would be reachable from its head), so their memo
@@ -82,9 +87,10 @@ __all__ = [
     "ADJACENCY_KINDS",
     "MemoStore",
     "ChangePlan",
+    "ChangeModel",
+    "change_model",
     "patch_static_table",
     "plan_changes",
-    "cold_initial_deltas",
     "cold_rerun_inputs",
     "warm_sync_state",
     "random_edge_churn",
@@ -115,12 +121,24 @@ class AdjacencyKind:
     sorted_rows: bool = False
 
 
-#: The shipped graph algorithms' adjacency shapes.
-ADJACENCY_KINDS: dict[str, AdjacencyKind] = {
-    "pagerank": AdjacencyKind(),
-    "sssp": AdjacencyKind(weighted=True),
-    "components": AdjacencyKind(symmetric=True, sorted_rows=True),
+#: algorithm -> (adjacency shape, algebra, the planner parameter it
+#: takes).  The one table a :class:`ChangeModel` is built from.
+_ALGORITHMS = {
+    "pagerank": (AdjacencyKind(), "sum", "damping"),
+    "sssp": (AdjacencyKind(weighted=True), "min", "source"),
+    "components": (AdjacencyKind(symmetric=True, sorted_rows=True), "min", None),
 }
+
+#: The adjacency shapes by algorithm name: the lookup the benchmark
+#: imports.  The package itself reads ``ChangeModel.kind``.
+ADJACENCY_KINDS = {name: row[0] for name, row in _ALGORITHMS.items()}
+
+
+def _row(algorithm: str) -> tuple:
+    if algorithm not in _ALGORITHMS:
+        raise DeltaError(f"no incremental support for algorithm {algorithm!r} "
+                         f"(supported: {', '.join(_ALGORITHMS)})")
+    return _ALGORITHMS[algorithm]
 
 
 @dataclass(frozen=True)
@@ -314,16 +332,67 @@ class ChangePlan:
         }
 
 
+@dataclass(frozen=True)
+class ChangeModel:
+    """One algorithm's change rules: what a warm refresh needs to know.
+
+    ``kind`` is the adjacency shape a delta is patched into; ``algebra``
+    (``"sum"`` / ``"min"``) picks the planner and the identity a reset
+    key restarts at; :meth:`seeds` are the keys a cold run seeds;
+    ``damping`` (pagerank) and ``source`` (sssp) are the one parameter
+    each algorithm's rules read.  Built only by :func:`change_model`.
+    """
+
+    algorithm: str
+    kind: AdjacencyKind
+    algebra: str
+    damping: float | None = None
+    source: Any = None
+
+    @property
+    def identity(self) -> float:
+        return 0.0 if self.algebra == "sum" else math.inf
+
+    def seeds(self, table: dict) -> list:
+        """The initial deltas a cold accumulative run on ``table`` seeds
+        (and the offer a reset key re-seeds from)."""
+        if self.algorithm == "sssp":
+            return [(self.source, 0.0)]
+        keys = sorted(table)
+        if self.algorithm == "pagerank":
+            return [(u, (1.0 - self.damping) / len(keys)) for u in keys]
+        return [(u, u) for u in keys]  # components: every key its own label
+
+    def plan(self, table: dict, delta: DataDelta, memo_state: dict) -> ChangePlan:
+        """Patch ``table`` in place and derive the change-propagation
+        plan; ``memo_state`` is the prior run's converged state (a dict)."""
+        planner = _plan_pagerank if self.algebra == "sum" else _plan_min
+        return planner(self, table, delta, memo_state)
+
+
+def change_model(
+    algorithm: str, *, damping: float | None = None, source: Any = None
+) -> ChangeModel:
+    """``algorithm``'s :class:`ChangeModel`, keeping the one parameter it
+    takes (``damping`` for pagerank, ``source`` for sssp, none for
+    components).  :class:`DeltaError` for an algorithm without
+    incremental support or a missing parameter."""
+    kind, algebra, takes = _row(algorithm)
+    params = {takes: {"damping": damping, "source": source}[takes]} if takes else {}
+    if None in params.values():
+        raise DeltaError(f"{algorithm} change planning needs {takes}")
+    return ChangeModel(algorithm, kind, algebra, **params)
+
+
 def _plan_pagerank(
-    table: dict, delta: DataDelta, state: dict, *, damping: float
+    model: ChangeModel, table: dict, delta: DataDelta, state: dict
 ) -> ChangePlan:
     """Residual injection for the linear sum algebra (see module doc)."""
-    kind = ADJACENCY_KINDS["pagerank"]
     touched = {u for u, _v in delta.delete_edges}
     touched |= {u for u, _v in delta.insert_edges}
     old_rows = {u: table.get(u, ()) for u in touched}
     n_old = len(table)
-    dirty = patch_static_table(table, delta, kind)
+    dirty = patch_static_table(table, delta, model.kind)
     n_new = len(table)
 
     pert: dict[Any, float] = {}
@@ -340,26 +409,26 @@ def _plan_pagerank(
         if old_row == new_row:
             continue
         if old_row:
-            share = damping * x / len(old_row)
+            share = model.damping * x / len(old_row)
             for v in old_row:
                 add(v, -share)
         if new_row:
-            share = damping * x / len(new_row)
+            share = model.damping * x / len(new_row)
             for v in new_row:
                 add(v, share)
     if n_new != n_old:
         # The teleport vector b = (1−d)/n shifts for *every* node when
         # the universe grows — a full frontier, priced honestly.
-        db = (1.0 - damping) * (1.0 / n_new - 1.0 / n_old)
+        db = (1.0 - model.damping) * (1.0 / n_new - 1.0 / n_old)
         new_nodes = set(delta.insert_nodes)
         for u in sorted(table):
             if u in new_nodes:
-                add(u, (1.0 - damping) / n_new)
+                add(u, (1.0 - model.damping) / n_new)
             else:
                 add(u, db)
     perturbation = [(k, d) for k, d in pert.items() if d != 0.0]
     return ChangePlan(
-        algorithm="pagerank",
+        algorithm=model.algorithm,
         perturbation=perturbation,
         dirty_sources=frozenset(dirty),
         delta_size=delta.size,
@@ -382,15 +451,10 @@ def _reachable(adjacency: dict, roots: Iterable, weighted: bool) -> set:
 
 
 def _plan_min(
-    table: dict,
-    delta: DataDelta,
-    state: dict,
-    *,
-    algorithm: str,
-    initial_delta_fn,
+    model: ChangeModel, table: dict, delta: DataDelta, state: dict
 ) -> ChangePlan:
     """Invalidate-and-reseed for min algebras (see module doc)."""
-    kind = ADJACENCY_KINDS[algorithm]
+    kind = model.kind
     inf = math.inf
     old_table = dict(table)
     old_weight: dict[tuple, Any] = {}
@@ -425,11 +489,11 @@ def _plan_min(
         old = pert.get(key)
         pert[key] = value if old is None else min(old, value)
 
-    for k in sorted(reset, key=order_key):
-        seed = initial_delta_fn(k)
-        if seed is not None:
-            offer(k, seed)
     if reset:
+        seeds = dict(model.seeds(table))
+        for k in sorted(reset, key=order_key):
+            if k in seeds:
+                offer(k, seeds[k])
         # Boundary offers: every surviving in-edge from a non-reset
         # source re-seeds its reset target from the standing memo.
         for a in sorted(table, key=order_key):
@@ -455,7 +519,7 @@ def _plan_min(
         if candidate < state.get(v, inf):
             offer(v, candidate)
     return ChangePlan(
-        algorithm=algorithm,
+        algorithm=model.algorithm,
         perturbation=sort_records(pert.items()),
         reset_keys=frozenset(reset),
         dirty_sources=frozenset(dirty),
@@ -472,70 +536,26 @@ def plan_changes(
     damping: float | None = None,
     source: Any = None,
 ) -> ChangePlan:
-    """Patch ``table`` in place and derive the change-propagation plan.
-
-    ``memo_state`` is the prior run's converged state (a dict view);
-    ``damping`` parameterizes pagerank, ``source`` sssp.  Components
-    needs neither (every key re-offers its own id when reset).
-    """
-    if algorithm == "pagerank":
-        if damping is None:
-            raise DeltaError("pagerank change planning needs damping")
-        return _plan_pagerank(table, delta, memo_state, damping=damping)
-    if algorithm == "sssp":
-        if source is None:
-            raise DeltaError("sssp change planning needs the source node")
-        return _plan_min(
-            table,
-            delta,
-            memo_state,
-            algorithm="sssp",
-            initial_delta_fn=lambda k: 0.0 if k == source else None,
-        )
-    if algorithm == "components":
-        return _plan_min(
-            table,
-            delta,
-            memo_state,
-            algorithm="components",
-            initial_delta_fn=lambda k: k,
-        )
-    raise DeltaError(f"no incremental support for algorithm {algorithm!r}")
-
-
-def cold_initial_deltas(
-    algorithm: str,
-    table: dict,
-    *,
-    damping: float | None = None,
-    source: Any = None,
-) -> list:
-    """The full (cold-rerun) initial deltas for a static table — what a
-    from-scratch accumulative run of the same algorithm would seed."""
-    if algorithm == "pagerank":
-        n = len(table)
-        return [(u, (1.0 - damping) / n) for u in sorted(table)]
-    if algorithm == "sssp":
-        return [(source, 0.0)]
-    if algorithm == "components":
-        return [(u, u) for u in sorted(table)]
-    raise DeltaError(f"no incremental support for algorithm {algorithm!r}")
+    """:meth:`ChangeModel.plan` of ``change_model(algorithm, damping=…,
+    source=…)`` — the signature the benchmark calls."""
+    return change_model(algorithm, damping=damping, source=source).plan(
+        table, delta, memo_state)
 
 
 def cold_rerun_inputs(
-    algorithm: str, table: dict, delta: DataDelta, **planner
+    model: ChangeModel, table: dict, delta: DataDelta
 ) -> tuple[list, dict]:
     """``(initial deltas, mutated table)`` of the cold rerun a warm
     refresh is judged against; ``table`` itself is left untouched."""
     mutated = dict(table)
-    patch_static_table(mutated, delta, ADJACENCY_KINDS[algorithm])
-    return cold_initial_deltas(algorithm, mutated, **planner), mutated
+    patch_static_table(mutated, delta, model.kind)
+    return model.seeds(mutated), mutated
 
 
 def warm_sync_state(
     memo_state: Iterable[tuple[Any, Any]],
     plan: ChangePlan,
-    identity: Any,
+    model: ChangeModel,
 ) -> list:
     """Warm-start records for the *synchronous* engines: the memo with
     every reset key knocked back to the algebra identity (a stale min
@@ -547,8 +567,8 @@ def warm_sync_state(
     engine; the sync map recomputes contributions from the state each
     iteration, so the memo passes through untouched there."""
     reset = plan.reset_keys
-    state = [(k, identity if k in reset else v) for k, v in memo_state]
-    if plan.algorithm in ("sssp", "components"):
+    state = [(k, model.identity if k in reset else v) for k, v in memo_state]
+    if model.algebra == "min":
         offers = dict(plan.perturbation)
         known = {k for k, _v in state}
         state = [
@@ -683,9 +703,17 @@ def random_edge_churn(
     rewrites.  ``monotone=True`` turns deletions and weight increases
     into weight *decreases* — the improvement-only churn min-algebra
     serving workloads refresh fastest on (new/faster roads), used by
-    the sssp benchmark.  Deterministic per seed.
+    the sssp benchmark.  Deterministic per seed.  :class:`DeltaError`
+    for an algorithm without incremental support, or for ``update`` on
+    an unweighted kind or with ``monotone`` (which rewrites only the
+    ``delete`` draws).
     """
-    kind = ADJACENCY_KINDS[algorithm]
+    kind = _row(algorithm)[0]
+    if update and not kind.weighted:
+        raise DeltaError(f"update={update}: {algorithm} edges carry no weight")
+    if update and monotone:
+        raise DeltaError(f"update={update} with monotone=True: monotone churn "
+                         "rewrites only the delete draws' weights")
     rng = random.Random(seed)
     nodes = sorted(table)
     if len(nodes) < 2:
@@ -726,7 +754,7 @@ def random_edge_churn(
     mutated |= {(u, v) for u, v, _w in update_edges}
     if kind.symmetric:
         mutated |= {(v, u) for u, v in list(mutated)}
-    if update and kind.weighted and not monotone:
+    if update:
         pool = [
             (u, entry)
             for u, entry in existing

@@ -37,7 +37,6 @@ plan and calls :func:`execute`; ``repro modes`` prints the table.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -48,9 +47,10 @@ from .accum import AccumJob, AccumRunResult, check_mode, partition_state
 from .checkpoint import ProcFault
 from .engine import AccumVerdict, SyncVerdict, partition_inputs
 from .incremental import (
+    ChangeModel,
     DataDelta,
+    change_model,
     cold_rerun_inputs,
-    plan_changes,
     random_edge_churn,
     warm_sync_state,
 )
@@ -84,13 +84,12 @@ class PlanError(JobError):
 class WarmStart:
     """Refresh instead of rerun: ``execute``'s ``inputs`` are then the
     memoized converged state and ``statics`` the *pre-delta* input;
-    ``delta`` is patched in and ``algorithm``'s change planner
-    (``damping`` for pagerank, ``source`` for sssp) scopes the rerun."""
+    ``delta`` is patched in and ``model``'s change plan (a
+    :class:`~repro.imapreduce.incremental.ChangeModel`, from
+    ``change_model``) scopes the rerun."""
 
-    algorithm: str
+    model: ChangeModel
     delta: DataDelta
-    damping: float | None = None
-    source: Any = None
 
 
 @dataclass(frozen=True)
@@ -257,13 +256,9 @@ def _warm_inputs(job, memo_state, statics, warm: WarmStart, accumulative: bool):
     memo_state = list(memo_state)
     path = job.static_paths[0] or ""
     table = dict((statics or {}).get(path, {}))
-    change = plan_changes(
-        warm.algorithm, table, warm.delta, dict(memo_state),
-        damping=warm.damping, source=warm.source,
-    )
+    change = warm.model.plan(table, warm.delta, dict(memo_state))
     if not accumulative:
-        identity = 0.0 if warm.algorithm == "pagerank" else math.inf
-        return warm_sync_state(memo_state, change, identity), {path: table}, change, None
+        return warm_sync_state(memo_state, change, warm.model), {path: table}, change, None
     reset = change.reset_keys
     kept = [kv for kv in memo_state if kv[0] not in reset] if reset else memo_state
     return change.perturbation, {path: table}, change, kept
@@ -528,42 +523,43 @@ def run_incremental_accum(
     return execute(job, memo_state, static_records, ExecutionPlan(
         backend="serial" if backend == "local" else backend,
         num_pairs=num_pairs, mode=mode, keep_trace=keep_trace,
-        warm=WarmStart(algorithm, delta, damping=damping, source=source),
+        warm=WarmStart(change_model(algorithm, damping=damping, source=source), delta),
         **backend_kwargs,
     ))
 
 
-def refresh_vs_cold(workload, algorithm, memo_state, table, fraction, seed, plan):
+def refresh_vs_cold(workload, memo_state, table, fraction, seed, plan):
     """One incremental refresh and the cold rerun it is judged against
     — what ``repro run --delta`` prints.
 
     Draws a seeded churn touching ~``fraction`` of ``table``'s edges,
     warm-starts ``plan`` from ``memo_state`` (change propagation), and
     reruns cold on the mutated input.  ``workload`` is a
-    :class:`~repro.algorithms.workloads.Workload`.  Returns ``(delta,
+    :class:`~repro.algorithms.workloads.Workload`, whose ``change``
+    model names the algorithm and its algebra.  Returns ``(delta,
     (warm, seconds), (cold, seconds), agree)`` — ``agree`` at the
     ``incremental-differential`` oracle's bar (bit-exact for ``min``,
     tolerance-bounded for ``+``).
     """
     from ..testing.oracles import fixpoints_agree
 
-    job, _inputs, _statics, planner, algebra = workload
+    job, _inputs, _statics, model = workload
     edits = max(2, round(fraction * sum(len(row) for row in table.values())))
     # Min-algebra serving workloads refresh fastest on improvement-only
     # churn (new/faster roads); pagerank takes arbitrary insert+delete.
     delta = random_edge_churn(
-        table, algorithm, insert=edits // 2, delete=edits - edits // 2,
-        seed=seed, monotone=algebra == "min",
+        table, model.algorithm, insert=edits // 2, delete=edits - edits // 2,
+        seed=seed, monotone=model.algebra == "min",
     )
     started = time.perf_counter()
     warm = execute(job, memo_state, {job.static_path: table}, dataclasses.replace(
-        plan, warm=WarmStart(algorithm, delta, **planner)))
+        plan, warm=WarmStart(model, delta)))
     warm_seconds = time.perf_counter() - started
-    cold_deltas, mutated = cold_rerun_inputs(algorithm, table, delta, **planner)
+    cold_deltas, mutated = cold_rerun_inputs(model, table, delta)
     started = time.perf_counter()
     cold = execute(job, cold_deltas, {job.static_path: mutated}, plan)
     cold_seconds = time.perf_counter() - started
-    agree = fixpoints_agree(warm.state, cold.state, algebra == "min")
+    agree = fixpoints_agree(warm.state, cold.state, model.algebra == "min")
     return delta, (warm, warm_seconds), (cold, cold_seconds), agree
 
 

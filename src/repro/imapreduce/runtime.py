@@ -77,7 +77,8 @@ from ..mapreduce.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..metrics import IterationMetrics, RunMetrics
 from ..metrics.trace import Tracer
 from ..simulation import Store
-from .channels import IterationMailbox, ReliableConfig, StopIteration_
+from . import channels
+from .channels import IterationMailbox, StopIteration_
 from .engine import CONTINUE, merge_partials, sync_rule
 from .failure_detector import FailureDetector, FailureDetectorConfig
 from .job import AuxContext, IterativeJob, IterativeRunResult
@@ -91,11 +92,15 @@ from .localrun import (
 )
 
 __all__ = [
+    "PAIRS_PER_WORKER",
     "LoadBalanceConfig",
     "ChaosKnobs",
     "IMapReduceRuntime",
     "AuxContext",
 ]
+
+#: Task pairs one worker hosts at most: its map and reduce slots (§3.1.1).
+PAIRS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -180,18 +185,15 @@ class IMapReduceRuntime:
         cluster: Cluster,
         dfs: DFS,
         cost: CostModel = DEFAULT_COST_MODEL,
-        pairs_per_worker_limit: int = 2,
         load_balance: LoadBalanceConfig | None = None,
         trace: "Tracer | None" = None,
         chaos: ChaosKnobs | None = None,
         failure_detector: FailureDetectorConfig | None = None,
-        reliable: ReliableConfig | None = None,
     ):
         self.cluster = cluster
         self.dfs = dfs
         self.engine = cluster.engine
         self.cost = cost
-        self.pairs_limit = pairs_per_worker_limit
         self.lb = load_balance or LoadBalanceConfig()
         self.trace = trace
         self.chaos = chaos or ChaosKnobs()
@@ -201,7 +203,6 @@ class IMapReduceRuntime:
         #: failures only through heartbeat silence and recovers *pairs*,
         #: not whole generations.
         self.fd_config = failure_detector
-        self.reliable = reliable or ReliableConfig()
         self._detector: FailureDetector | None = None
 
     def _emit(self, kind: str, **fields) -> None:
@@ -221,7 +222,7 @@ class IMapReduceRuntime:
 
     # -------------------------------------------------------------- top level --
     def _run_proc(self, job: IterativeJob):
-        if self.fd_config is not None and self.fd_config.enabled:
+        if self.fd_config is not None:
             self._detector = FailureDetector(
                 self.cluster, self.fd_config, self._emit, self.chaos
             )
@@ -242,10 +243,10 @@ class IMapReduceRuntime:
 
         workers = self.cluster.alive_workers()
         num_pairs = job.num_pairs or len(workers)
-        if num_pairs > len(workers) * self.pairs_limit:
+        if num_pairs > len(workers) * PAIRS_PER_WORKER:
             raise SchedulingError(
                 f"{num_pairs} persistent pairs need more than the "
-                f"{len(workers)}×{self.pairs_limit} available task slots (§3.1.1)"
+                f"{len(workers)}×{PAIRS_PER_WORKER} available task slots (§3.1.1)"
             )
         assignment = {
             p: workers[p % len(workers)].name for p in range(num_pairs)
@@ -355,7 +356,7 @@ class IMapReduceRuntime:
         ]
         if not alive:
             raise SchedulingError("no alive workers left to recover onto")
-        if num_pairs > len(alive) * self.pairs_limit:
+        if num_pairs > len(alive) * PAIRS_PER_WORKER:
             raise SchedulingError("not enough task slots on surviving workers")
         load = {name: 0 for name in alive}
         for p in range(num_pairs):
@@ -490,7 +491,6 @@ class IMapReduceRuntime:
             part=bind_partitioner(job.partitioner, num_pairs),
             aux_part=bind_partitioner(job.partitioner, aux.num_tasks) if aux else None,
             aux_workers=[w.name for w in aux_workers],
-            reliable=self.reliable,
         )
 
         aux_procs = []
@@ -922,7 +922,6 @@ class _GenContext:
     aux_workers: list[str] = field(default_factory=list)
     procs: list = field(default_factory=list)
     map_procs: list = field(default_factory=list)
-    reliable: ReliableConfig = field(default_factory=ReliableConfig)
     #: (boxkind, phase, dest_pair) -> {iteration -> {dedup_key: (message,
     #: nbytes, always_wire)}} — cross-pair traffic kept for replay.
     replay_log: dict = field(default_factory=dict)
@@ -985,9 +984,8 @@ class _GenContext:
     def _reliable_send(
         self, boxkind, phase, dest_pair, message, nbytes, src_machine, key, always_wire
     ):
-        cfg = self.reliable
-        rto = cfg.rto_initial
-        for _attempt in range(cfg.max_retries):
+        rto = channels.RTO_INITIAL
+        for _attempt in range(channels.MAX_RETRIES):
             target = self.cluster[self._dest_worker(boxkind, dest_pair)]
             if nbytes or always_wire:
                 delivered = yield from self.cluster.transfer(src_machine, target, nbytes)
@@ -1003,11 +1001,11 @@ class _GenContext:
             if self.runtime.chaos.skip_retransmit:
                 return  # injected bug: fire-and-forget delivery
             yield self.engine.timeout(rto)
-            rto = min(rto * cfg.rto_backoff, cfg.rto_max)
+            rto = min(rto * channels.RTO_BACKOFF, channels.RTO_MAX)
         raise TaskFailure(
             f"{boxkind}{phase}.{dest_pair}",
             f"message {message[0]!r} for iteration {message[1]} undeliverable "
-            f"after {cfg.max_retries} retries",
+            f"after {channels.MAX_RETRIES} retries",
         )
 
     def _dest_worker(self, boxkind: str, dest_pair: int) -> str:

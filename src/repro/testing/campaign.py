@@ -28,16 +28,17 @@ from dataclasses import asdict, dataclass, replace
 
 from ..cluster.faults import FaultEvent, FaultSchedule
 from ..cluster.network import LinkFault
+from ..graph.generators import pagerank_graph, sssp_graph
+from ..imapreduce.runtime import PAIRS_PER_WORKER
 
-__all__ = ["WORKLOADS", "REPLICATION", "CampaignSpec", "generate_campaign"]
+__all__ = ["WORKLOADS", "GRAPHS", "REPLICATION", "CampaignSpec", "generate_campaign"]
 
 WORKLOADS = ("sssp", "pagerank", "kmeans")
+#: Graph workload -> the seeded generator of its campaign input.
+GRAPHS = {"sssp": sssp_graph, "pagerank": pagerank_graph}
 
 #: DFS replication every campaign uses; bounds concurrent failures.
 REPLICATION = 2
-
-#: Pairs-per-worker slot limit the runtime enforces (§3.1.1).
-PAIRS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from ..common import IterKeys, stable_seed
 from ..common.records import sort_records
 from ..data.lastfm import load_lastfm
 from ..dfs import DFS
-from ..graph.generators import pagerank_graph, sssp_graph
 from ..imapreduce import (
     ChaosKnobs,
     ExecutionPlan,
@@ -43,7 +42,7 @@ from ..imapreduce import (
 from ..imapreduce.incremental import cold_rerun_inputs
 from ..metrics.trace import TraceEvent, Tracer
 from ..simulation import Engine
-from .campaign import REPLICATION, WORKLOADS, CampaignSpec, generate_campaign
+from .campaign import GRAPHS, REPLICATION, WORKLOADS, CampaignSpec, generate_campaign
 from .oracles import CLUSTER, OracleViolation, Row, evaluate_oracles
 from .shrink import shrink
 
@@ -165,8 +164,7 @@ def _source(spec: CampaignSpec):
         )
         k = min(3, max(2, spec.num_pairs))
         return data, k, stable_seed(spec.seed, "centroids") % (2**31)
-    generator = sssp_graph if spec.workload == "sssp" else pagerank_graph
-    return generator(spec.input_size, seed=stable_seed(spec.seed, "graph"))
+    return GRAPHS[spec.workload](spec.input_size, seed=stable_seed(spec.seed, "graph"))
 
 
 def _build_iterative(spec: CampaignSpec, use_kernel: bool = False):
@@ -247,7 +245,9 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     the spec's churn applied to the campaign graph, a cold rerun on the
     mutated input, and every warm refresh of the base's memo.
     """
-    job, state, static_map = _build_iterative(spec)[:3]
+    job, state, static_map, change = _build_iterative(spec)
+    # Min-algebra fixpoints are bit-exact across schedules and executors.
+    exact = change is not None and change.algebra == "min"
     serial = ExecutionPlan(num_pairs=spec.num_pairs)
     rows = [
         Row(REFERENCE, job, state, static_map, serial, oracle="differential"),
@@ -260,7 +260,7 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     if spec.use_kernels:
         twin, mesh_job = "kernel", _build_iterative(spec, use_kernel=True).job
         rows.append(Row(twin, mesh_job, state, static_map, serial, REFERENCE,
-                        "kernel-differential", exact=spec.workload == "sssp"))
+                        "kernel-differential", exact=exact))
     if parallel_plan is not None:
         rows.append(Row("parallel", mesh_job, state, static_map,
                         _armed(spec, parallel_plan), twin,
@@ -271,13 +271,13 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     jobs = {False: _build_accumulative(spec)}
     if spec.use_kernels:
         jobs[True] = _build_accumulative(spec, use_kernel=True)
-    _job, deltas, static_map, planner, algebra = jobs[False]
+    _job, deltas, static_map, _change = jobs[False]
     sync = ExecutionPlan(num_pairs=spec.num_pairs, mode="sync")
 
     def accum(name, kernel, plan, inputs, statics, reference, oracle,
               seed_from=None):
         return Row(name, jobs[kernel].job, inputs, statics, plan, reference,
-                   oracle, exact=algebra == "min", progress=True,
+                   oracle, exact=exact, progress=True,
                    seed_from=seed_from)
 
     if spec.async_mode:
@@ -294,9 +294,8 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
         insert, delete, churn_seed = spec.input_delta
         delta = random_edge_churn(table, spec.workload, insert=insert,
                                   delete=delete, seed=churn_seed)
-        cold_deltas, mutated = cold_rerun_inputs(spec.workload, table, delta,
-                                                 **planner)
-        warm = WarmStart(spec.workload, delta, **planner)
+        cold_deltas, mutated = cold_rerun_inputs(change, table, delta)
+        warm = WarmStart(change, delta)
         rows += [
             accum("cold-base", False, sync, deltas, static_map, None, oracle),
             accum("cold-rerun", False, sync, cold_deltas,

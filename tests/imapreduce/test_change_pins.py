@@ -142,7 +142,8 @@ COLD_RERUN_PINS = {
 def test_cold_rerun_inputs_are_pinned(algorithm):
     _graph, table, delta, params = _setup(algorithm)
     before = dict(table)
-    seeds, mutated = incremental.cold_rerun_inputs(algorithm, table, delta, **params)
+    seeds, mutated = incremental.cold_rerun_inputs(
+        incremental.change_model(algorithm, **params), table, delta)
     assert table == before
     assert digest((seeds, sorted(mutated.items()))) == COLD_RERUN_PINS[algorithm]
 
@@ -167,7 +168,7 @@ def test_warm_iterative_execute_is_pinned(algorithm):
     graph, table, delta, params = _setup(algorithm)
     job, initial = _iterative(algorithm, graph)
     cold = run_local(job, initial, {"/st": table}, num_pairs=4)
-    warm_start = WarmStart(algorithm, delta, **params)
+    warm_start = WarmStart(incremental.change_model(algorithm, **params), delta)
     warm = execute(job, cold.state, {"/st": table},
                    ExecutionPlan(num_pairs=4, warm=warm_start))
     assert digest((

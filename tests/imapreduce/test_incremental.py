@@ -15,6 +15,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import components, pagerank, sssp
 from repro.algorithms.workloads import MAX_ROUNDS, build_workload
@@ -32,7 +34,7 @@ from repro.imapreduce import (
 )
 from repro.imapreduce.incremental import (
     ADJACENCY_KINDS,
-    cold_initial_deltas,
+    change_model,
     random_edge_churn,
 )
 from repro.imapreduce.plan import run_accum_local, run_local
@@ -213,6 +215,55 @@ def test_random_edge_churn_is_pinned(records, build, algorithm, kwargs, pin):
     patch_static_table(table, delta, ADJACENCY_KINDS[algorithm])
 
 
+@pytest.mark.parametrize(
+    "algorithm, kwargs, message",
+    [
+        pytest.param("pagerank", {"update": 5}, "carry no weight",
+                     id="update-unweighted"),
+        pytest.param("sssp", {"update": 5, "monotone": True}, "monotone=True",
+                     id="update-monotone"),
+        pytest.param("tsp", {"insert": 5}, "supported: pagerank, sssp, components",
+                     id="unknown-algorithm"),
+    ],
+)
+def test_random_edge_churn_refuses_what_it_cannot_draw(algorithm, kwargs, message):
+    """A churn it cannot draw is an error, not a smaller delta."""
+    if algorithm == "sssp":
+        table = dict(sssp.static_records(sssp_graph(40, seed=1)))
+    else:
+        table = dict(pagerank.static_records(pagerank_graph(40, seed=1)))
+    with pytest.raises(DeltaError, match=message):
+        random_edge_churn(table, algorithm, seed=5, **kwargs)
+
+
+# ------------------------------------------------------- the seed rule --
+#: algorithm -> (graph generator, static records, cold seeds for ``n``
+#: nodes from ``source``).
+COLD_SEEDS = {
+    "sssp": (sssp_graph, sssp.static_records,
+             lambda n, source: sssp.accum_initial_deltas(source)),
+    "pagerank": (pagerank_graph, pagerank.static_records,
+                 lambda n, source: pagerank.accum_initial_deltas(n, pagerank.DAMPING)),
+    "components": (pagerank_graph, components.static_records,
+                   lambda n, source: components.accum_initial_deltas(n)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(algorithm=st.sampled_from(sorted(COLD_SEEDS)),
+       n=st.integers(min_value=2, max_value=80), seed=st.integers(0, 2**16))
+def test_change_model_seeds_are_the_algorithm_cold_seeds(algorithm, n, seed):
+    """The seed rule's two homes agree.  The chaos ``cold-base`` row
+    seeds from the workload table (the algorithm's
+    ``accum_initial_deltas``), ``cold-rerun`` from the change model; a
+    drift would skew every warm-vs-cold verdict."""
+    generate, records, cold_seeds = COLD_SEEDS[algorithm]
+    source = seed % n
+    table = dict(records(generate(n, seed=seed)))
+    model = change_model(algorithm, damping=pagerank.DAMPING, source=source)
+    assert model.seeds(table) == cold_seeds(n, source)
+
+
 # ----------------------------------------------- warm-vs-cold: pagerank --
 def _pagerank_setup(n=120, seed=3, use_kernel=False):
     g = pagerank_graph(n, seed=seed)
@@ -236,7 +287,7 @@ def test_pagerank_warm_matches_cold_fixpoint(mode, use_kernel):
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     cold2 = run_accum_local(
-        job, cold_initial_deltas("pagerank", mutated, damping=pagerank.DAMPING),
+        job, change_model("pagerank", damping=pagerank.DAMPING).seeds(mutated),
         {"/st": mutated}, num_pairs=4, mode=mode,
     )
     warm = run_incremental_accum(
@@ -253,7 +304,7 @@ def test_pagerank_warm_touches_strictly_less():
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     cold2 = run_accum_local(
-        job, cold_initial_deltas("pagerank", mutated, damping=pagerank.DAMPING),
+        job, change_model("pagerank", damping=pagerank.DAMPING).seeds(mutated),
         {"/st": mutated}, num_pairs=4, mode="async",
     )
     warm = run_incremental_accum(
@@ -275,7 +326,7 @@ def test_pagerank_node_insert_corrects_teleport():
     mutated = dict(table)
     patch_static_table(mutated, delta, ADJACENCY_KINDS["pagerank"])
     cold2 = run_accum_local(
-        job, cold_initial_deltas("pagerank", mutated, damping=pagerank.DAMPING),
+        job, change_model("pagerank", damping=pagerank.DAMPING).seeds(mutated),
         {"/st": mutated}, num_pairs=4, mode="async",
     )
     warm = run_incremental_accum(
@@ -373,7 +424,7 @@ def test_refresh_vs_cold_across_churn_levels(algorithm):
     memo = run_accum_local(job, deltas, statics, num_pairs=8, mode="sync")
     for churn in (0.001, 0.01, 0.1):
         _delta, (warm, _), (cold, _), agree = refresh_vs_cold(
-            workload, algorithm, memo.state, table, churn, 13,
+            workload, memo.state, table, churn, 13,
             ExecutionPlan(num_pairs=8, mode="async"),
         )
         assert agree, churn
@@ -430,7 +481,7 @@ def test_sync_engine_warm_sssp_matches_cold():
         {"/st": mutated}, num_pairs=4,
     )
     warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
-        num_pairs=4, warm=WarmStart("sssp", delta, source=0)))
+        num_pairs=4, warm=WarmStart(change_model("sssp", source=0), delta)))
     assert dict(warm.state) == dict(ref.state)
 
 
@@ -450,7 +501,7 @@ def test_sync_engine_warm_converges_faster_on_monotone_churn():
         {"/st": mutated}, num_pairs=4,
     )
     warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
-        num_pairs=4, warm=WarmStart("sssp", delta, source=0)))
+        num_pairs=4, warm=WarmStart(change_model("sssp", source=0), delta)))
     assert dict(warm.state) == dict(ref.state)
     assert warm.iterations_run < ref.iterations_run
 
@@ -470,7 +521,7 @@ def test_sync_engine_warm_pagerank_threshold_bounded():
                     {"/st": mutated}, num_pairs=4)
     warm = execute(job, cold.state, {"/st": table}, ExecutionPlan(
         num_pairs=4,
-        warm=WarmStart("pagerank", delta, damping=pagerank.DAMPING)))
+        warm=WarmStart(change_model("pagerank", damping=pagerank.DAMPING), delta)))
     da, db = dict(warm.state), dict(ref.state)
     for k in db:
         assert da[k] == pytest.approx(db[k], rel=1e-6, abs=1e-8)

@@ -23,7 +23,7 @@ from repro.imapreduce import (
     random_edge_churn,
     run_incremental_accum,
 )
-from repro.imapreduce.incremental import ADJACENCY_KINDS
+from repro.imapreduce.incremental import ADJACENCY_KINDS, change_model
 from repro.imapreduce.plan import run_accum_local, run_local
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
@@ -105,7 +105,7 @@ def test_sync_engine_parallel_warm_matches_serial_warm():
     cold = run_local(job, sssp.initial_state(graph, 0), {STATIC: table},
                      num_pairs=4)
     delta = random_edge_churn(table, "sssp", insert=2, delete=2, seed=9)
-    warm = ExecutionPlan(num_pairs=4, warm=WarmStart("sssp", delta, source=0))
+    warm = ExecutionPlan(num_pairs=4, warm=WarmStart(change_model("sssp", source=0), delta))
     serial = execute(job, cold.state, {STATIC: table}, warm)
     par = execute(job, cold.state, {STATIC: table},
                   dataclasses.replace(warm, backend="parallel", num_workers=2))

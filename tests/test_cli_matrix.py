@@ -31,7 +31,11 @@ from repro.imapreduce import (
     WarmStart,
     execute,
 )
-from repro.imapreduce.incremental import cold_rerun_inputs, random_edge_churn
+from repro.imapreduce.incremental import (
+    change_model,
+    cold_rerun_inputs,
+    random_edge_churn,
+)
 from repro.imapreduce.plan import format_support, resolve
 
 _WALL = re.compile(r"\d+\.\d\ds(?= wall| \(frontier|$)", re.MULTILINE)
@@ -374,7 +378,7 @@ def test_every_refused_cell_raises_before_anything_runs(nothing_happens):
     for (algebra, backend, warm, armed), cell in refused.items():
         plan = ExecutionPlan(
             backend=backend,
-            warm=WarmStart("sssp", delta, source=0) if warm else None,
+            warm=WarmStart(change_model("sssp", source=0), delta) if warm else None,
             checkpoint_every=2 if armed else None,
         )
         with pytest.raises(PlanError, match=re.escape(cell.refusal)):
@@ -411,17 +415,17 @@ def _small(formulation, **options):
 
 def _warm_case(formulation, **options):
     """(job, memo state, statics, WarmStart, cold-rerun reference)."""
-    job, inputs, statics, planner, _ = _small(formulation, **options)
+    job, inputs, statics, change = _small(formulation, **options)
     plan = ExecutionPlan(num_pairs=4, mode="sync" if formulation == "accumulative" else None)
     memo = execute(job, inputs, statics, plan)
     (path, records), = statics.items()
     table = dict(records)
     delta = random_edge_churn(table, "sssp", insert=3, delete=3, seed=5)
-    cold_deltas, mutated = cold_rerun_inputs("sssp", table, delta, **planner)
+    cold_deltas, mutated = cold_rerun_inputs(change, table, delta)
     if formulation == "iterative":
         cold_deltas = [(u, 0.0 if u == 0 else float("inf")) for u in mutated]
     reference = execute(job, cold_deltas, {path: mutated}, plan)
-    return job, memo.state, statics, WarmStart("sssp", delta, **planner), reference
+    return job, memo.state, statics, WarmStart(change, delta), reference
 
 
 KILL = dict(checkpoint_every=2, heartbeat_interval=0.05,
