@@ -129,6 +129,7 @@ def build_imr_job(
         partitioner=ModPartitioner(),
         combiner=imr_reduce,  # min is associative: always exact
         num_pairs=num_pairs,
+        fold="min",
         kernel=ComponentsKernel() if use_kernel else None,
     )
 

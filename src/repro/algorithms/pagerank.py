@@ -162,6 +162,7 @@ def build_imr_job(
         partitioner=ModPartitioner(),
         combiner=imr_reduce if combiner else None,
         num_pairs=num_pairs,
+        fold="sum",
         kernel=PageRankKernel(graph_nodes, damping) if use_kernel else None,
     )
 

@@ -158,6 +158,7 @@ def build_imr_job(
         partitioner=ModPartitioner(),
         combiner=imr_reduce if combiner else None,
         num_pairs=num_pairs,
+        fold="min",
         kernel=SsspKernel() if use_kernel else None,
     )
 

@@ -343,20 +343,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _where(plan, result) -> str:
+def _where(plan, job, result) -> str:
+    """The host, then the pair executor it ran and why
+    (``select_executor``; the seeded simulated host always runs the
+    record executor)."""
+    from .imapreduce import select_executor
+
     pairs = f"{plan.num_pairs} pairs"
-    if plan.backend == "parallel":
-        return f"parallel ({result.num_workers} workers, {pairs})"
     if plan.backend == "simulated":
-        return f"simulated ({pairs}, seed {plan.seed})"
-    return f"serial ({pairs})"
+        return f"simulated ({pairs}, seed {plan.seed}), record: seeded host"
+    host = (f"parallel ({result.num_workers} workers, {pairs})"
+            if plan.backend == "parallel" else f"serial ({pairs})")
+    why = select_executor(job)[1]
+    if why is not None:
+        return f"{host}, record: {why}"
+    if job.kernel is None:
+        return f"{host}, columnar (declared {job.phases[0].fold} fold)"
+    return f"{host}, columnar (kernel)"
 
 
 def _format_result(title: str, plan, job, result, elapsed: float) -> str:
     """The one result formatter of every real-engine ``repro run``."""
     if plan.mode is None:
         lines = [
-            f"{title} [{_where(plan, result)}]: {result.iterations_run} "
+            f"{title} [{_where(plan, job, result)}]: {result.iterations_run} "
             f"iterations, terminated by {result.terminated_by}, "
             f"{len(result.state)} records, {elapsed:.2f}s wall"
         ]
@@ -376,7 +386,7 @@ def _format_result(title: str, plan, job, result, elapsed: float) -> str:
         ]
         return "\n".join(lines)
     return (
-        f"{title} [{_where(plan, result)}, accumulative {plan.mode}]: "
+        f"{title} [{_where(plan, job, result)}, accumulative {plan.mode}]: "
         f"{result.rounds} rounds, terminated by {result.terminated_by} "
         f"(pending mass {result.pending_mass:.3g} vs threshold "
         f"{job.threshold:.3g}), {len(result.state)} records, "
@@ -474,7 +484,7 @@ def _refresh(args, dataset: str, plan, workload, memo) -> int:
         default=0.0,
     )
     print(
-        f"{args.algorithm} on {dataset} [{_where(plan, warm)}, "
+        f"{args.algorithm} on {dataset} [{_where(plan, job, warm)}, "
         f"accumulative {plan.mode}, incremental refresh]: delta "
         f"{delta.size} edits (~{args.delta:.2%} of {num_edges:,} edges, "
         f"seed {args.delta_seed})"

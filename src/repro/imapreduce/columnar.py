@@ -87,13 +87,19 @@ plan-free forms (dynamic delta batches, and the reference the plan is
 tested against).
 
 Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
-the job must carry a kernel, have exactly one phase, no aux phase, a
-partitioner with ``bind_array``, and the phase mapping must match the
-kernel's ``needs_broadcast``.  Anything else falls back to the record
-executor — with the reason — on every backend, so all backends always
-agree on which path runs.  The two columnar pair executors at the end
-of this module (:class:`ColumnarSync`, :class:`ColumnarAccum`) are what
-the shared superstep driver runs, serially and on the mesh alike.
+the job must carry a kernel — or, kernel-less, declare its phase's fold
+(``Phase.fold``), which :class:`~repro.imapreduce.localrun.FoldKernel`
+adapts: the record map, the fold as the merge — have exactly one phase,
+no aux phase, a partitioner with ``bind_array``, and the phase mapping
+must match the kernel's ``needs_broadcast`` (a declared fold's is
+one2one).  A ``sum`` fold also needs its combiner: without one the
+record path sums each key's raw emissions in one pass, an order the
+sender-side combine does not reproduce.  Anything else falls back to
+the record executor — with the reason — on every backend, so all
+backends always agree on which path runs.  The two columnar pair
+executors at the end of this module (:class:`ColumnarSync`,
+:class:`ColumnarAccum`) are what the shared superstep driver runs,
+serially and on the mesh alike.
 
 Float-ordering caveat
 ---------------------
@@ -112,7 +118,11 @@ summing ``n`` floats in any order is bounded by ``(n-1)·eps·Σ|xᵢ|``
 six orders under the differential oracle's 1e-6 relative tolerance.
 Kernel-serial vs kernel-parallel stays bit-exact: the same executor
 builds the same plans and folds in the same ascending source-pair
-order on both transports.
+order on both transports.  A declared fold is bit-exact against the
+record path itself: its map emits in the record map's order, so each
+(source pair, key) sums in the order the record combiner sums it, and
+the receiver adds those partials in the same ascending source-pair
+order as the record reducer.
 """
 
 from __future__ import annotations
@@ -274,10 +284,11 @@ def _int_keys(keys: Iterable) -> np.ndarray:
 
 def encode_columnar(
     records: Iterable[tuple[int, Any]],
-    dtype: str = "float64",
+    dtype: str | None = "float64",
     width: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Records → ``(keys, values)`` arrays sorted by key.
+    """Records → ``(keys, values)`` arrays sorted by key, the values in
+    ``dtype`` (``None``: the one numpy infers from them).
 
     ``width == 0`` encodes scalar values into shape ``(n,)``; otherwise
     each value must be a length-``width`` vector and the result is
@@ -428,7 +439,12 @@ def _fold(merge: str, size: int, batches) -> np.ndarray:
     """The one columnar fold rule: an accumulator of ``size`` rows filled
     with the merge's identity, then ``ufunc.at(acc, idx, vals)`` for each
     ``(idx, vals)`` batch in order — so a float sum adds in arrival
-    order, ``((0+a₀)+a₁)+…``, like Python's ``sum``."""
+    order, ``((0+a₀)+a₁)+…``, like Python's ``sum``.  ``min`` folds the
+    batches, and each batch, backwards: of two equal values (``0.0`` and
+    ``-0.0``) ``np.minimum`` keeps the later, Python's ``min`` the
+    earlier."""
+    if merge == "min":
+        batches = [(idx[::-1], vals[::-1]) for idx, vals in reversed(list(batches))]
     acc = None
     for idx, vals in batches:
         vals = _canonical(vals)
@@ -437,6 +453,14 @@ def _fold(merge: str, size: int, batches) -> np.ndarray:
             acc = np.full((size,) + vals.shape[1:], identity, dtype=vals.dtype)
         ufunc.at(acc, idx, vals)
     return acc
+
+
+def fold_records(merge: str, values: list) -> list[tuple[int, Any]]:
+    """One key's ``values`` folded as the columnar executors fold them,
+    decoded as they decode it: ``[(0, fold(values))]``."""
+    vals = np.array(values)
+    acc = _fold(merge, 1, [(np.zeros(vals.size, dtype=np.intp), vals)])
+    return decode_columnar(np.zeros(1, dtype=np.int64), acc)
 
 
 def _canonical(a: np.ndarray) -> np.ndarray:
@@ -506,7 +530,10 @@ def concat_broadcast(
     """Assemble the one2all broadcast: concatenate per-pair state in
     ascending pair order, then sort globally by key.  Keys are unique,
     so the stable argsort is fully deterministic — the serial executor
-    and the parallel sorter worker produce identical arrays."""
+    and the parallel sorter worker produce identical arrays.  An empty
+    part is left out: its dtype (a declared fold infers one per pair)
+    must not promote the others'."""
+    parts = [p for p in parts if p[0].size] or parts[:1]
     keys = np.concatenate([p[0] for p in parts])
     values = np.concatenate([p[1] for p in parts])
     order = np.argsort(keys, kind="stable")
@@ -578,7 +605,12 @@ class ColumnarSync:
 
     def __init__(self, cfg, timings: dict):
         job = cfg.job
-        kernel = self.kernel = job.kernel
+        kernel = job.kernel
+        if kernel is None:  # a declared fold (select_executor)
+            from .localrun import FoldKernel  # imports this module
+
+            kernel = FoldKernel(job)
+        self.kernel = kernel
         self.timings = timings
         self.num_pairs = cfg.num_pairs
         self.pairs = sorted(cfg.state_parts)

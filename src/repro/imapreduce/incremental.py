@@ -700,8 +700,9 @@ def random_edge_churn(
 
     Samples ``delete`` existing edges to remove, ``insert`` absent
     pairs to add (weighted kinds draw a weight), and ``update`` weight
-    rewrites.  ``monotone=True`` turns deletions and weight increases
-    into weight *decreases* — the improvement-only churn min-algebra
+    rewrites — exactly that many, or :class:`DeltaError`.
+    ``monotone=True`` turns deletions and weight increases into weight
+    *decreases* — the improvement-only churn min-algebra
     serving workloads refresh fastest on (new/faster roads), used by
     the sssp benchmark.  Deterministic per seed.  :class:`DeltaError`
     for an algorithm without incremental support, or for ``update`` on
@@ -741,7 +742,9 @@ def random_edge_churn(
 
     delete_edges: list[tuple] = []
     update_edges: list[tuple] = []
-    doomed = rng.sample(existing, min(delete, len(existing))) if delete else []
+    if delete > len(existing):
+        raise DeltaError(f"delete={delete}: the table holds {len(existing)} edge(s)")
+    doomed = rng.sample(existing, delete) if delete else []
     if monotone and kind.weighted:
         for u, entry in doomed:
             v, ow = entry
@@ -760,7 +763,9 @@ def random_edge_churn(
             for u, entry in existing
             if (u, entry[0]) not in mutated
         ]
-        for u, entry in rng.sample(pool, min(update, len(pool))):
+        if update > len(pool):
+            raise DeltaError(f"update={update}: {len(pool)} edge(s) left to update")
+        for u, entry in rng.sample(pool, update):
             v, _ow = entry
             update_edges.append((u, v, weight()))
             mutated.add((u, v))
@@ -777,6 +782,8 @@ def random_edge_churn(
         mutated.add((u, v))
         if kind.symmetric:
             mutated.add((v, u))
+    if len(insert_edges) < insert:
+        raise DeltaError(f"insert={insert}: found only {len(insert_edges)} absent pairs")
     return DataDelta(
         insert_edges=tuple(insert_edges),
         delete_edges=tuple(delete_edges),

@@ -22,6 +22,7 @@ may signal termination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -31,6 +32,7 @@ from ..common.partition import HashPartitioner, Partitioner
 from ..common.records import group_by_key
 from ..mapreduce.api import Context
 from ..metrics import RunMetrics
+from .columnar import fold_records
 
 # Re-exported for discoverability: the accumulative (Maiter-mode) job
 # model extends this module's job surface but lives in accum.py.
@@ -69,6 +71,14 @@ class Phase:
     and its output stays in the partition it was grouped for (Hadoop's
     contract): it is delivered to that partition's reduce task on every
     backend, never re-partitioned by whatever key the combiner emitted.
+
+    ``fold`` — ``"sum"`` or ``"min"``, the ``merge`` vocabulary of
+    :class:`~repro.imapreduce.columnar.Kernel` — declares that the
+    reducer, and the combiner if there is one, emit ``(key,
+    fold(values))``; it is checked when the job is built.  A single-phase job without a kernel may then shuffle and
+    reduce in numpy (:func:`~repro.imapreduce.localrun.select_executor`),
+    which takes the columnar contract on: int keys, int or float state,
+    and every emission to a key the state holds, every state key fed.
     """
 
     map_fn: MapFn
@@ -77,10 +87,36 @@ class Phase:
     mapping: str = "one2one"
     combiner: ReduceFn | None = None
     name: str = ""
+    fold: str | None = None
 
     def __post_init__(self):
         if self.mapping not in ("one2one", "one2all"):
             raise ConfigError(f"unknown mapping {self.mapping!r}")
+        if self.fold not in (None, "sum", "min"):
+            raise ConfigError(f"unknown fold {self.fold!r}")
+
+    def check_fold(self) -> None:
+        """The declared fold must be what the reducer and the combiner
+        emit — bit for bit, as the columnar fold computes it — on every
+        sample group; raise ConfigError."""
+        for role, fn in (("reducer", self.reduce_fn), ("combiner", self.combiner)):
+            for values in _FOLD_SAMPLES if fn and self.fold else ():
+                ctx = Context()
+                fn(0, list(values), ctx)
+                got, want = list(zip(*ctx.take_columns())), fold_records(self.fold, values)
+                if repr(got) != repr(want):
+                    raise ConfigError(
+                        f"phase {self.name!r} declares fold={self.fold!r}, but its {role} "
+                        f"emits {got!r} for {values!r}, not {want!r}")
+
+
+#: The groups a declared fold is checked on: ints, and floats with both
+#: zeros in either order, an infinity and a cancellation — which tells
+#: the columnar left fold from a compensated sum (Python's float ``sum``
+#: compensates from 3.12 on, so there a ``sum(values)`` reducer is
+#: refused the declaration).
+_FOLD_SAMPLES = ([7], [3, -2, 5], [0, 4, 0], [0.1, 0.2, 0.3], [-0.0], [0.0, -0.0],
+                 [-0.0, 0.0], [math.inf, 1.5], [2.5, -1.25, math.inf], [1e16, 1.0, -1e16])
 
 
 @dataclass
@@ -169,6 +205,8 @@ class IterativeJob:
                 f"job {self.name!r}: set maxiter, disthresh or an aux phase "
                 "so the iteration can terminate"
             )
+        for phase in self.phases:
+            phase.check_fold()
 
     # -- paper-style conveniences -----------------------------------------------
     @classmethod
@@ -186,6 +224,7 @@ class IterativeJob:
         num_pairs: int | None = None,
         aux: AuxPhase | None = None,
         kernel: Any | None = None,
+        fold: str | None = None,
     ) -> "IterativeJob":
         """The common case: one map-reduce phase per iteration (§3)."""
         phase = Phase(
@@ -195,6 +234,7 @@ class IterativeJob:
             mapping=conf.get(IterKeys.MAPPING, "one2one"),
             combiner=combiner,
             name=name,
+            fold=fold,
         )
         return cls(
             name=name,

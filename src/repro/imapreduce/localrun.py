@@ -38,11 +38,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from ..common.partition import bind_partitioner
 from ..common.records import GroupPlan, group_by_dest, order_key, plannable, sort_records
 from ..mapreduce.api import Context
 from .accum import AccumJob, AccumPair
-from .columnar import AccumKernel, ColumnarAccum, ColumnarSync
+from .columnar import AccumKernel, ColumnarAccum, ColumnarSync, Kernel
 from .engine import (
     REPART,
     SHUFFLE,
@@ -462,14 +464,48 @@ class RecordAccum:
         }
 
 
+class FoldKernel(Kernel):
+    """The kernel :class:`~repro.imapreduce.columnar.ColumnarSync` runs a
+    kernel-less job with, once its phase declares a fold: the record
+    map (:func:`run_map`) over the pair's state, the fold as the merge
+    and :func:`distance_partial` over the key-ascending state — the
+    record path's own steps, so the run is the record run bit for bit.
+    The state dtype is the one numpy infers from the state values, and
+    emitted values take it."""
+
+    state_dtype = None
+
+    def __init__(self, job):
+        self.phase, self.distance_fn = job.phases[0], job.distance_fn
+        self.merge = self.phase.fold
+
+    def prepare(self, pair, owned_keys, static_table):
+        return static_table
+
+    def map_kernel(self, pair, keys, values, prepared, broadcast):
+        out_keys, out_values = run_map(
+            self.phase, zip(keys.tolist(), values.tolist()), prepared, None, None)
+        return (np.fromiter(out_keys, np.int64, len(out_keys)),
+                np.fromiter(out_values, values.dtype, len(out_values)))
+
+    def distance_partial(self, keys, prev, curr):
+        keys = keys.tolist()
+        return distance_partial(
+            self.distance_fn, dict(zip(keys, prev.tolist())), zip(keys, curr.tolist()))[0]
+
+
 # -------------------------------------------------------------- selection --
 def select_executor(job) -> tuple[type, str | None]:
-    """``(pair executor class, why the job's kernel is not used)``.
+    """``(pair executor class, why no columnar executor runs)``.
 
     Every backend calls this one function, so they always agree on the
     path; the reason is ``None`` exactly when a columnar executor runs.
-    Anything a kernel does not support falls back to the record
-    executor — the differential reference — and says why.  An
+    A job runs columnar with its kernel or — kernel-less, one phase —
+    with its declared fold (:class:`FoldKernel`), except a ``sum`` fold
+    without a combiner: the record path sums a key's uncombined
+    emissions in one pass, which no sender-side combine reproduces bit
+    for bit.  Anything a kernel does not support falls back to the
+    record executor — the differential reference — and says why.  An
     accumulative job's requirements are lighter (no phases or aux), but
     its key universe must be closed: every emission targets a
     static-table or initial-delta key.
@@ -478,7 +514,12 @@ def select_executor(job) -> tuple[type, str | None]:
     record = RecordAccum if accum else RecordSync
     kernel = getattr(job, "kernel", None)
     if kernel is None:
-        return record, "no kernel"
+        fold = None if accum else job.phases[0].fold
+        if fold is None:
+            return record, "no kernel"
+        if fold == "sum" and job.phases[0].combiner is None:
+            return record, "sum fold without a combiner"
+        kernel = FoldKernel  # its class attributes answer the checks below
     if getattr(job.partitioner, "bind_array", None) is None:
         return record, "partitioner has no bind_array"
     if accum:

@@ -360,11 +360,12 @@ def run_local(
     ``state_records`` is the initial state; ``static_records`` maps each
     phase's ``static_path`` to its records (the DFS is not involved).
 
-    Jobs carrying a vectorized kernel (``job.kernel``) run on the
-    columnar executor when the job shape supports it
+    Jobs carrying a vectorized kernel (``job.kernel``), or declaring
+    their phase's fold (``Phase.fold``), run on the columnar executor
+    when the job shape supports it
     (:func:`~repro.imapreduce.localrun.select_executor`) — same result
     surface, one ``map_kernel`` + merge per pair per iteration instead
-    of the per-record loops.
+    of the per-record combine and reduce loops.
     """
     return _execute(job, state_records, static_records, ExecutionPlan(
         num_pairs=num_pairs, keep_history=keep_history))

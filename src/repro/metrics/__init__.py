@@ -1,14 +1,13 @@
 """Metrics collected by both engines and consumed by the figure harness."""
 
 from .collector import IterationMetrics, RunMetrics
-from .report import compare_runs, format_run
+from .report import format_run
 from .trace import TraceEvent, Tracer, check_well_formed
 
 __all__ = [
     "check_well_formed",
     "IterationMetrics",
     "RunMetrics",
-    "compare_runs",
     "format_run",
     "TraceEvent",
     "Tracer",

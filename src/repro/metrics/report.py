@@ -1,15 +1,14 @@
 """Human-readable rendering of run metrics.
 
 ``format_run`` produces the per-iteration breakdown table used by the
-examples and by ad-hoc analysis; ``compare_runs`` lines up several runs
-(e.g. the four variants of Figs. 4–7) side by side.
+examples and by ad-hoc analysis.
 """
 
 from __future__ import annotations
 
 from .collector import RunMetrics
 
-__all__ = ["format_run", "compare_runs"]
+__all__ = ["format_run"]
 
 
 def _mb(nbytes: int) -> str:
@@ -40,18 +39,3 @@ def format_run(metrics: RunMetrics) -> str:
         lines.append(f"  recoveries: {metrics.extras['recoveries']}")
     return "\n".join(lines)
 
-
-def compare_runs(runs: dict[str, RunMetrics]) -> str:
-    """Side-by-side totals for several runs; first entry is the baseline."""
-    if not runs:
-        return "(no runs)"
-    names = list(runs)
-    base = runs[names[0]].total_time
-    lines = [f"  {'variant':<28} {'total':>10} {'vs baseline':>12} {'network':>12}"]
-    for name in names:
-        m = runs[name]
-        rel = base / m.total_time if m.total_time else float("inf")
-        lines.append(
-            f"  {name:<28} {m.total_time:>9.1f}s {rel:>11.2f}x {_mb(m.network_bytes):>12}"
-        )
-    return "\n".join(lines)

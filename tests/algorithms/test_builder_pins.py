@@ -13,8 +13,8 @@ Pinned per case:
 
 * every ``build_imr_job`` / ``build_accum_job`` and its options — the
   job name, the conf items in insertion order, each phase's static
-  path, mapping and combiner presence (and the distance function, aux
-  phase, kernel and partitioner);
+  path, mapping, combiner presence and declared fold, if any (and the
+  distance function, aux phase, kernel and partitioner);
 * the six graph kernels' ``prepare`` output on a seeded graph whose
   table lacks one owned key and holds one zero-degree node;
 * the three accumulative kernels' ``emit_deltas`` for a seeded ``idx``,
@@ -57,7 +57,7 @@ def _job(job):
            kind(job.partitioner), job.num_pairs]
     if hasattr(job, "phases"):
         out += [[(p.name, p.static_path, p.mapping, p.combiner is not None)
-                 for p in job.phases],
+                 + ((p.fold,) if p.fold else ()) for p in job.phases],
                 job.distance_fn is not None, kind(job.aux)]
     return out
 
@@ -231,9 +231,9 @@ PINS = {
     "build/components-accum-kernel": "46b1157b0ea48010",
     "build/components-accum-rounds": "ecde44b99b5ca34b",
     "build/components-accum-top-fraction": "c0a8d4cb86b5437d",
-    "build/components-bare": "508daa2873e30d6e",
-    "build/components-kernel": "182341d878a135fe",
-    "build/components-no-converge": "549f1dc68c19c9ff",
+    "build/components-bare": "f3a028c5b7aeb26f",
+    "build/components-kernel": "d5de420af2e18573",
+    "build/components-no-converge": "1439e1ba188a2e01",
     "build/jacobi-bare": "7efb7e0ac27225ca",
     "build/jacobi-kernel": "17750ec0cb7b12fc",
     "build/jacobi-threshold": "ce5a98505537e42a",
@@ -251,32 +251,32 @@ PINS = {
     "build/pagerank-accum-rounds": "2580c3e19c9e9fc0",
     "build/pagerank-accum-threshold": "ab6be9ac844bc56d",
     "build/pagerank-accum-top-fraction": "223c1d6fd6469a32",
-    "build/pagerank-bare": "9a1b376854851c91",
-    "build/pagerank-buffer": "2ab74c6c9b9d4ca8",
-    "build/pagerank-capped": "73021b44da9ec94a",
-    "build/pagerank-checkpoint": "66853755a20f5cb3",
-    "build/pagerank-combiner": "d7dc13f0925cd680",
-    "build/pagerank-damping": "9a1b376854851c91",
-    "build/pagerank-everything": "6f06e01fe5244bb9",
-    "build/pagerank-kernel": "7748305a7564d3e4",
-    "build/pagerank-sync": "06b08aa1ab4202cc",
-    "build/pagerank-threshold": "445427f4dea2d162",
-    "build/pagerank-zero-threshold": "8069413c3b1bbb49",
+    "build/pagerank-bare": "557c2477bd41cdbe",
+    "build/pagerank-buffer": "df636c38f696a4a8",
+    "build/pagerank-capped": "33b657120b16c723",
+    "build/pagerank-checkpoint": "1373b30f5bdeb523",
+    "build/pagerank-combiner": "63a2af679dde3039",
+    "build/pagerank-damping": "557c2477bd41cdbe",
+    "build/pagerank-everything": "67a4f72e4a1cc653",
+    "build/pagerank-kernel": "57196eaf9d3e1dc2",
+    "build/pagerank-sync": "c1544d6e82f7d871",
+    "build/pagerank-threshold": "4dfd9acb5e884d29",
+    "build/pagerank-zero-threshold": "717a2a8804dbbdfc",
     "build/sssp-accum-bare": "d73b93b0c5e81062",
     "build/sssp-accum-kernel": "ba2d132f1136c925",
     "build/sssp-accum-rounds": "55077ec3a6f59eaa",
     "build/sssp-accum-threshold": "5c8681ddd04151d7",
     "build/sssp-accum-top-fraction": "5568646a05a281f1",
-    "build/sssp-bare": "03f5efa4518e862f",
-    "build/sssp-buffer": "ced3933f6d73799c",
-    "build/sssp-capped": "397e1f8303063064",
-    "build/sssp-checkpoint": "6f9e8523d2bdf213",
-    "build/sssp-combiner": "677198288384af85",
-    "build/sssp-everything": "dbbe51aa720410ac",
-    "build/sssp-kernel": "f50bc6675d690d9d",
-    "build/sssp-sync": "c527bf06d6e8d19a",
-    "build/sssp-threshold": "f82aedf25682b8ce",
-    "build/sssp-zero-threshold": "963bc66bf0c2f877",
+    "build/sssp-bare": "6bb839119b298234",
+    "build/sssp-buffer": "8ec108dbb347a769",
+    "build/sssp-capped": "b72fff831721ce1e",
+    "build/sssp-checkpoint": "fbf5dea9a2f0ed4e",
+    "build/sssp-combiner": "db1976c1a444500c",
+    "build/sssp-everything": "246b2e538a269f7d",
+    "build/sssp-kernel": "5ebd3d5be3b113ff",
+    "build/sssp-sync": "4f56ef4ea4e3ba15",
+    "build/sssp-threshold": "f8a79d8158ac3c79",
+    "build/sssp-zero-threshold": "53bd687749718324",
     "emit/components-accum/empty": "ef6094fb870fca38",
     "emit/components-accum/seeded": "98b80233bdd6946f",
     "emit/components-accum/zero-degree": "ef6094fb870fca38",

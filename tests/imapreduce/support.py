@@ -6,6 +6,7 @@ to the protocol, not the host, so tier-1 pins them instead of bounding
 them.  A change that moves one names the new value in the test.
 """
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -33,3 +34,10 @@ def mesh_leftovers() -> tuple[list, int]:
     workers = [p for p in multiprocessing.active_children()
                if p.name.startswith("imr-worker")]
     return workers, len(os.listdir("/proc/self/fd"))
+
+
+def undeclared(job):
+    """``job`` with no phase declaring a fold: its record-executor twin,
+    the differential reference a declared job is held to."""
+    return dataclasses.replace(
+        job, phases=[dataclasses.replace(phase, fold=None) for phase in job.phases])

@@ -42,6 +42,7 @@ from repro.imapreduce.columnar import (
     merge_columnar,
     route_columnar,
 )
+from tests.imapreduce.support import undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -593,11 +594,11 @@ def test_kernel_enabled_dispatch_rules():
     assert job.distance_fn is not None  # the NoDistance check needs one
     assert kernel_enabled(job)
     assert select_executor(job)[1] is None
-    # No kernel → record path.
-    plain = pagerank.build_imr_job(
+    # No kernel, no declared fold → record path.
+    plain = undeclared(pagerank.build_imr_job(
         n, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=2,
-    )
+    ))
     assert not kernel_enabled(plain)
     assert select_executor(plain)[1] == "no kernel"
     # A partitioner without bind_array → record path.

@@ -34,6 +34,7 @@ from repro.imapreduce.workerproc import (
     read_frame,
 )
 from repro.testing.oracles import records_identical
+from tests.imapreduce.support import undeclared
 
 STATE = "/dp/state"
 OUT = "/dp/out"
@@ -192,10 +193,10 @@ def test_counters_and_profiler_surface_in_stats():
     graph = sssp_graph(20, seed=3)
     from repro.algorithms import sssp
 
-    job = sssp.build_imr_job(
+    job = undeclared(sssp.build_imr_job(
         state_path=STATE, static_path="/dp/static", output_path=OUT,
         max_iterations=3, num_pairs=4, combiner=True,
-    )
+    ))
     par = run_parallel(
         job, sssp.initial_state(graph, source=0),
         {"/dp/static": sssp.static_records(graph)},

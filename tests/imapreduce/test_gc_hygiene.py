@@ -27,6 +27,7 @@ from repro.imapreduce import (
 )
 from repro.imapreduce.engine import host_config, partition_inputs
 from repro.imapreduce.workerproc import read_frame, worker_main
+from tests.imapreduce.support import undeclared
 
 STATE, STATIC, OUT = "/gc/state", "/gc/static", "/gc/out"
 NODES = 40
@@ -44,10 +45,10 @@ def caller_gc(request):
 
 def _pagerank(iterations=3):
     graph = pagerank_graph(NODES, seed=5)
-    job = pagerank.build_imr_job(
+    job = undeclared(pagerank.build_imr_job(  # the record executor
         NODES, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=iterations, num_pairs=2, combiner=True,
-    )
+    ))
     return job, pagerank.initial_state(graph), {STATIC: pagerank.static_records(graph)}
 
 

@@ -32,6 +32,7 @@ from repro.imapreduce.engine import PHASE_COUNTERS, REPART, SHUFFLE, by_dest, ho
 from repro.imapreduce.localrun import RecordSync, map_pair
 from repro.mapreduce.api import Context
 from repro.simulation import Engine
+from tests.imapreduce.support import undeclared
 from tests.imapreduce.test_runtime_basic import read_final
 
 STATE, STATIC, OUT = "/gp/state", "/gp/static", "/gp/out"
@@ -228,11 +229,12 @@ def test_replay_takes_each_key_object_from_the_current_emission():
 
 # ---------------------------------------------------------- the counters --
 def _pagerank(nodes, iterations, num_pairs, combiner=True):
+    """The record executor's pagerank (its fold undeclared)."""
     graph = pagerank_graph(nodes, seed=3)
-    job = pagerank.build_imr_job(
+    job = undeclared(pagerank.build_imr_job(
         nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=iterations, num_pairs=num_pairs, combiner=combiner,
-    )
+    ))
     return job, pagerank.initial_state(graph), {STATIC: pagerank.static_records(graph)}
 
 
@@ -269,10 +271,10 @@ def test_sync_sssp_plans_nothing_while_its_frontier_grows():
     state = [(u, 0.0 if u < 2 else sssp.INFINITY) for u in range(2 * rungs)]
 
     def counters(iterations):
-        job = sssp.build_imr_job(
+        job = undeclared(sssp.build_imr_job(
             state_path=STATE, static_path=STATIC, output_path=OUT,
             max_iterations=iterations, num_pairs=2, combiner=True,
-        )
+        ))
         (stats,) = run_local(job, state, {STATIC: static}, num_pairs=2).worker_stats
         return stats["plans_built"], stats["plan_hits"]
 

@@ -236,6 +236,26 @@ def test_random_edge_churn_refuses_what_it_cannot_draw(algorithm, kwargs, messag
         random_edge_churn(table, algorithm, seed=5, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "algorithm, kwargs, message",
+    [
+        pytest.param("pagerank", {"delete": 3}, "delete=3: the table holds 2 edge\\(s\\)",
+                     id="delete"),
+        pytest.param("pagerank", {"insert": 5}, "found only 4 absent pairs", id="insert"),
+        pytest.param("sssp", {"delete": 1, "update": 2}, "update=2: 1 edge\\(s\\) left",
+                     id="update"),
+    ],
+)
+def test_random_edge_churn_refuses_a_shortfall(algorithm, kwargs, message):
+    """Three nodes and two edges (``0 -> 1``, ``1 -> 0``) hold fewer
+    edits than asked for: an error, not a smaller delta."""
+    weighted = algorithm == "sssp"
+    table = {0: ((1, 1.0),) if weighted else (1,),
+             1: ((0, 2.0),) if weighted else (0,), 2: ()}
+    with pytest.raises(DeltaError, match=message):
+        random_edge_churn(table, algorithm, seed=5, **kwargs)
+
+
 # ------------------------------------------------------- the seed rule --
 #: algorithm -> (graph generator, static records, cold seeds for ``n``
 #: nodes from ``source``).

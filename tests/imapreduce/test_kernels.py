@@ -29,7 +29,7 @@ from repro.data.lastfm import load_lastfm
 from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import kernel_enabled, run_local, run_parallel
 from repro.testing.oracles import records_identical, states_match
-from tests.imapreduce.support import assert_mesh_counters
+from tests.imapreduce.support import assert_mesh_counters, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -43,6 +43,7 @@ def _pagerank(use_kernel, nodes=40, seed=7, iterations=5, threshold=1e-4):
         max_iterations=iterations, threshold=threshold, combiner=True,
         use_kernel=use_kernel,
     )
+    job = job if use_kernel else undeclared(job)  # the record reference
     return job, pagerank.initial_state(graph), {
         STATIC: pagerank.static_records(graph)
     }
@@ -54,6 +55,7 @@ def _sssp(use_kernel):
         state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=6, combiner=True, use_kernel=use_kernel,
     )
+    job = job if use_kernel else undeclared(job)  # the record reference
     return job, sssp.initial_state(graph, source=0), {
         STATIC: sssp.static_records(graph)
     }
@@ -65,6 +67,7 @@ def _components(use_kernel):
         state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=25, use_kernel=use_kernel,
     )
+    job = job if use_kernel else undeclared(job)  # the record reference
     return job, components.initial_state(graph), {
         STATIC: components.static_records(graph)
     }

@@ -29,7 +29,7 @@ from repro.imapreduce import (
     run_parallel,
 )
 from repro.testing.oracles import records_identical
-from tests.imapreduce.support import assert_mesh_counters, mesh_counters
+from tests.imapreduce.support import assert_mesh_counters, mesh_counters, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -42,12 +42,15 @@ FAST = dict(heartbeat_interval=0.05, suspicion_timeout=8.0)
 
 def _pagerank_setup(n=30, seed=3, use_kernel=False, max_iterations=60,
                     threshold=1e-3, num_pairs=4):
+    """Without a kernel, the record executor's pagerank (its fold
+    undeclared: these pins are the record path's)."""
     graph = pagerank_graph(n, seed=seed)
     job = pagerank.build_imr_job(
         n, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=max_iterations, threshold=threshold,
         num_pairs=num_pairs, combiner=True, use_kernel=use_kernel,
     )
+    job = job if use_kernel else undeclared(job)
     return job, pagerank.initial_state(graph), {STATIC: pagerank.static_records(graph)}
 
 

@@ -1,6 +1,6 @@
 """Tests for the metrics pretty-printers."""
 
-from repro.metrics import IterationMetrics, RunMetrics, compare_runs, format_run
+from repro.metrics import IterationMetrics, RunMetrics, format_run
 
 
 def make_run(label="demo", total=30.0):
@@ -31,16 +31,3 @@ def test_format_run_shows_migrations_and_recoveries():
     assert "migration: pair 2 a -> b" in text
     assert "recoveries: 1" in text
 
-
-def test_compare_runs_relative_to_first():
-    text = compare_runs({
-        "MapReduce": make_run("mr", total=60.0),
-        "iMapReduce": make_run("imr", total=30.0),
-    })
-    assert "MapReduce" in text and "iMapReduce" in text
-    assert "1.00x" in text  # baseline vs itself
-    assert "2.00x" in text  # the speedup column
-
-
-def test_compare_runs_empty():
-    assert compare_runs({}) == "(no runs)"

@@ -65,30 +65,34 @@ CELLS = {
     ),
     "classic-serial": (
         (*SSSP, "--iterations", "2", "--backend", "serial", "--pairs", "3"),
-        ["sssp on dblp [serial (3 pairs)]: 2 iterations, terminated by "
+        ["sssp on dblp [serial (3 pairs), columnar (declared min fold)]: 2 "
+         "iterations, terminated by "
          "maxiter, 15527 records, <t>s wall"],
     ),
     "classic-parallel": (
         (*SSSP, "--iterations", "2", "--backend", "parallel", "--pairs", "4",
          "--workers", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs)]: 2 iterations, "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), columnar (declared min "
+         "fold)]: 2 iterations, "
          "terminated by maxiter, 15527 records, <t>s wall"],
     ),
     "classic-parallel-checkpoint": (
         (*SSSP, "--iterations", "4", "--backend", "parallel", "--pairs", "4",
          "--workers", "2", "--checkpoint-every", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs)]: 4 iterations, "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), columnar (declared min "
+         "fold)]: 4 iterations, "
          "terminated by maxiter, 15527 records, <t>s wall",
          "  checkpoints committed at iterations [1, 3] (4 spool writes, "
-         "434,732 bytes)"],
+         "498,108 bytes)"],
     ),
     "classic-parallel-kill": (
         (*SSSP, "--iterations", "6", "--backend", "parallel", "--pairs", "4",
          "--workers", "2", "--checkpoint-every", "2", "--kill-worker", "0@3"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs)]: 6 iterations, "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), columnar (declared min "
+         "fold)]: 6 iterations, "
          "terminated by maxiter, 15527 records, <t>s wall",
          "  checkpoints committed at iterations [1, 3, 5] (4 spool writes, "
-         "434,732 bytes)",
+         "498,108 bytes)",
          "  recovery #1: worker imr-worker-0 exited (code -9 (SIGKILL)) "
          "without a final report; restored checkpoint 1, resumed from "
          "iteration 2 (respawn)"],
@@ -97,54 +101,70 @@ CELLS = {
     "classic-serial-pagerank": (
         ("pagerank", "--dataset", "pagerank-s", "--backend", "serial",
          "--combiner", "--iterations", "2"),
-        ["pagerank on pagerank-s [serial (8 pairs)]: 2 iterations, "
+        ["pagerank on pagerank-s [serial (8 pairs), columnar (declared sum "
+         "fold)]: 2 iterations, "
          "terminated by maxiter, 10000 records, <t>s wall"],
+    ),
+    # Without the combiner a sum fold stays on the record executor.
+    "classic-serial-pagerank-no-combiner": (
+        ("pagerank", "--dataset", "pagerank-s", "--backend", "serial",
+         "--iterations", "2"),
+        ["pagerank on pagerank-s [serial (8 pairs), record: sum fold without a "
+         "combiner]: 2 iterations, terminated by maxiter, 10000 records, <t>s wall"],
     ),
     # Regression: NameError at the parent (ladder branch never imported).
     "classic-serial-matrixpower": (
         ("matrixpower", "--backend", "serial", "--iterations", "2"),
-        ["matrixpower on matrix40 [serial (8 pairs)]: 2 iterations, "
+        ["matrixpower on matrix40 [serial (8 pairs), record: no kernel]: 2 "
+         "iterations, "
          "terminated by maxiter, 1600 records, <t>s wall"],
     ),
     "classic-parallel-matrixpower": (
         ("matrixpower", "--backend", "parallel", "--workers", "2",
          "--pairs", "2", "--iterations", "1"),
-        ["matrixpower on matrix40 [parallel (2 workers, 2 pairs)]: 1 "
+        ["matrixpower on matrix40 [parallel (2 workers, 2 pairs), record: no "
+         "kernel]: 1 "
          "iterations, terminated by maxiter, 1600 records, <t>s wall"],
     ),
     # The --pairs 8 -> 4 clamp is said, not just visible in the banner.
     "classic-serial-kmeans-clamp": (
         ("kmeans", "--backend", "serial", "--pairs", "8", "--iterations", "2"),
         ["kmeans hosts at most k = 4 pairs: running 4, not 8",
-         "kmeans on lastfm [serial (4 pairs)]: 2 iterations, terminated by "
+         "kmeans on lastfm [serial (4 pairs), record: no kernel]: 2 iterations, "
+         "terminated by "
          "maxiter, 4 records, <t>s wall"],
     ),
     "sync-serial": (
         (*SSSP, "--mode", "sync", "--backend", "serial", "--pairs", "4"),
-        [f"sssp on dblp [serial (4 pairs), accumulative sync]: 21 rounds, {PROGRESS}",
+        ["sssp on dblp [serial (4 pairs), record: no kernel, accumulative sync]: "
+         f"21 rounds, {PROGRESS}",
          SYNC_TAIL],
     ),
     "sync-parallel": (
         (*SSSP, "--mode", "sync", "--backend", "parallel", "--pairs", "4",
          "--workers", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs), accumulative sync]: "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), record: no kernel, "
+         "accumulative sync]: "
          f"21 rounds, {PROGRESS}", SYNC_TAIL],
     ),
     "async-serial": (
         (*SSSP, "--mode", "async", "--backend", "serial", "--pairs", "4"),
-        [f"sssp on dblp [serial (4 pairs), accumulative async]: 87 rounds, {PROGRESS}",
+        ["sssp on dblp [serial (4 pairs), record: no kernel, accumulative async]: "
+         f"87 rounds, {PROGRESS}",
          ASYNC_TAIL],
     ),
     "async-parallel": (
         (*SSSP, "--mode", "async", "--backend", "parallel", "--pairs", "4",
          "--workers", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs), accumulative async]: "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), record: no kernel, "
+         "accumulative async]: "
          f"87 rounds, {PROGRESS}", ASYNC_TAIL],
     ),
     # An unset --backend stays simulated for unmemoized runs.
     "async-simulated": (
         (*SSSP, "--mode", "async", "--pairs", "4", "--seed", "3"),
-        ["sssp on dblp [simulated (4 pairs, seed 3), accumulative async]: "
+        ["sssp on dblp [simulated (4 pairs, seed 3), record: seeded host, "
+         "accumulative async]: "
          f"92 rounds, {PROGRESS}",
          "  48,429 updates, 235,130 deltas emitted, 176,530 shipped cross-pair"],
     ),
@@ -169,7 +189,8 @@ def test_chained_refreshes(backend, tmp_path, capsys):
     the serial leg: it resolves to serial, and the banner says so."""
     memo = str(tmp_path / "memo")
     where = "--backend parallel --workers 2".split() if backend == "parallel" else []
-    banner = "parallel (2 workers, 4 pairs)" if backend == "parallel" else "serial (4 pairs)"
+    banner = ("parallel (2 workers, 4 pairs)" if backend == "parallel"
+              else "serial (4 pairs)") + ", record: no kernel"
     base = (*SSSP, "--mode", "sync", "--pairs", "4", "--memo-dir", memo, *where)
     code, out, err = run_cli(capsys, *base)
     assert (code, err) == (0, "")
