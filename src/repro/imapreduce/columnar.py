@@ -73,7 +73,7 @@ arrays decoded from one frame are views of one shared region
 keeps the whole frame alive.  The executors here obey it: received keys
 become fresh row indices, received values are folded or scattered into
 owned arrays and dropped, and a restored checkpoint keeps *all* of its
-spool file's arrays.  An unpickled array also carries a fresh dtype
+spool file's value arrays.  An unpickled array also carries a fresh dtype
 instance, which keeps ``ufunc.at`` off numpy's fast path (25–30×
 slower) and spreads to whatever is computed from it, so received values
 and restored state are viewed with the canonical dtype as they enter
@@ -88,8 +88,8 @@ tested against).
 
 Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
 the job must carry a kernel — or, kernel-less, declare its phase's fold
-(``Phase.fold``), which :class:`~repro.imapreduce.localrun.FoldKernel`
-adapts: the record map, the fold as the merge — have exactly one phase,
+(``Phase.fold``), which :class:`~repro.imapreduce.localrun.FoldSync`
+runs: the record map, the fold as the merge — have exactly one phase,
 no aux phase, a partitioner with ``bind_array``, and the phase mapping
 must match the kernel's ``needs_broadcast`` (a declared fold's is
 one2one).  A ``sum`` fold also needs its combiner: without one the
@@ -144,6 +144,7 @@ __all__ = [
     "AccumKernel",
     "KernelContractError",
     "encode_columnar",
+    "state_keys",
     "decode_columnar",
     "adjacency_csr",
     "csr_rows",
@@ -306,6 +307,11 @@ def encode_columnar(
     return keys, values[order]
 
 
+def state_keys(records: Iterable[tuple[int, Any]]) -> np.ndarray:
+    """The key column :func:`encode_columnar` makes of ``records``."""
+    return np.sort(_int_keys(map(itemgetter(0), records)))
+
+
 def decode_columnar(
     keys: np.ndarray, values: np.ndarray
 ) -> list[tuple[int, Any]]:
@@ -455,14 +461,6 @@ def _fold(merge: str, size: int, batches) -> np.ndarray:
     return acc
 
 
-def fold_records(merge: str, values: list) -> list[tuple[int, Any]]:
-    """One key's ``values`` folded as the columnar executors fold them,
-    decoded as they decode it: ``[(0, fold(values))]``."""
-    vals = np.array(values)
-    acc = _fold(merge, 1, [(np.zeros(vals.size, dtype=np.intp), vals)])
-    return decode_columnar(np.zeros(1, dtype=np.int64), acc)
-
-
 def _canonical(a: np.ndarray) -> np.ndarray:
     """``a`` viewed with its dtype's canonical instance.  An array
     unpickled from a frame carries a fresh dtype object, which keeps
@@ -603,14 +601,9 @@ class ColumnarSync:
     report_lag = 1
     plan = [(SHUFFLE, 0)]
 
-    def __init__(self, cfg, timings: dict):
+    def __init__(self, cfg, timings: dict, kernel=None):
         job = cfg.job
-        kernel = job.kernel
-        if kernel is None:  # a declared fold (select_executor)
-            from .localrun import FoldKernel  # imports this module
-
-            kernel = FoldKernel(job)
-        self.kernel = kernel
+        kernel = self.kernel = kernel or job.kernel
         self.timings = timings
         self.num_pairs = cfg.num_pairs
         self.pairs = sorted(cfg.state_parts)
@@ -624,8 +617,9 @@ class ColumnarSync:
         self.rows: dict[int, dict[int, np.ndarray]] = {p: {} for p in self.pairs}
         #: dest pair → the contributing sources its coverage was judged on.
         self.sources: dict[int, tuple] = {}
-        # A restored checkpoint already holds the encoded arrays —
-        # loading them back is the ``recover`` phase.
+        # A restored checkpoint already holds the encoded values, and
+        # the coordinator adds each pair's keys — loading them back is
+        # the ``recover`` phase.
         started = time.perf_counter()
         self.owned: dict[int, np.ndarray] = {}
         self.values: dict[int, np.ndarray] = {}
@@ -737,10 +731,9 @@ class ColumnarSync:
         return report
 
     def snapshot(self) -> dict:
-        return {
-            "path": "kernel",
-            "pairs": {p: (self.owned[p], self.values[p]) for p in self.pairs},
-        }
+        # Values only: a pair's keys never change, so a restore takes
+        # them from its initial partition (:func:`state_keys`).
+        return {"path": "kernel", "pairs": dict(self.values)}
 
     def final_state(self) -> dict[int, tuple]:
         return {p: (self.owned[p], self.values[p]) for p in self.pairs}

@@ -137,7 +137,10 @@ REPART = "repart"
 #: durable-spool write path (§3.4.1) and ``recover`` the
 #: restore-from-checkpoint load after a respawn; both stay zero on an
 #: unfaulted run without checkpointing.  ``gc`` is the per-step
-#: young-generation collection :func:`run_supersteps` runs.
+#: young-generation collection :func:`run_supersteps` runs.  An
+#: in-process host's ``map`` also holds :func:`partition_inputs`, the
+#: routing of the inputs to their pairs, and its ``report`` the final
+#: state's assembly.
 PHASE_COUNTERS = (
     "map",
     "combine",

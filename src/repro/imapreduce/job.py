@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
@@ -32,7 +34,6 @@ from ..common.partition import HashPartitioner, Partitioner
 from ..common.records import group_by_key
 from ..mapreduce.api import Context
 from ..metrics import RunMetrics
-from .columnar import fold_records
 
 # Re-exported for discoverability: the accumulative (Maiter-mode) job
 # model extends this module's job surface but lives in accum.py.
@@ -75,10 +76,12 @@ class Phase:
     ``fold`` — ``"sum"`` or ``"min"``, the ``merge`` vocabulary of
     :class:`~repro.imapreduce.columnar.Kernel` — declares that the
     reducer, and the combiner if there is one, emit ``(key,
-    fold(values))``; it is checked when the job is built.  A single-phase job without a kernel may then shuffle and
-    reduce in numpy (:func:`~repro.imapreduce.localrun.select_executor`),
-    which takes the columnar contract on: int keys, int or float state,
-    and every emission to a key the state holds, every state key fed.
+    fold(values))``, and is checked against both when the phase is built
+    (:data:`FOLDS`).  A single-phase job without a kernel may then
+    shuffle and reduce in numpy
+    (:func:`~repro.imapreduce.localrun.select_executor`), which takes
+    the columnar contract on: int keys, int or float state, and every
+    emission to a key the state holds, every state key fed.
     """
 
     map_fn: MapFn
@@ -92,29 +95,29 @@ class Phase:
     def __post_init__(self):
         if self.mapping not in ("one2one", "one2all"):
             raise ConfigError(f"unknown mapping {self.mapping!r}")
-        if self.fold not in (None, "sum", "min"):
+        if self.fold not in (None, *FOLDS):
             raise ConfigError(f"unknown fold {self.fold!r}")
-
-    def check_fold(self) -> None:
-        """The declared fold must be what the reducer and the combiner
-        emit — bit for bit, as the columnar fold computes it — on every
-        sample group; raise ConfigError."""
+        # The declared fold must be what the reducer and the combiner
+        # emit, bit for bit, on every sample group.
         for role, fn in (("reducer", self.reduce_fn), ("combiner", self.combiner)):
             for values in _FOLD_SAMPLES if fn and self.fold else ():
                 ctx = Context()
                 fn(0, list(values), ctx)
-                got, want = list(zip(*ctx.take_columns())), fold_records(self.fold, values)
+                got, want = list(zip(*ctx.take_columns())), [(0, FOLDS[self.fold](values))]
                 if repr(got) != repr(want):
-                    raise ConfigError(
-                        f"phase {self.name!r} declares fold={self.fold!r}, but its {role} "
-                        f"emits {got!r} for {values!r}, not {want!r}")
+                    raise ConfigError(f"phase {self.name!r} declares fold={self.fold!r}, but "
+                                      f"its {role} emits {got!r} for {values!r}, not {want!r}")
 
+
+#: What a declared fold emits for one key's values, as the columnar
+#: executors fold them: ``sum`` left to right from ``0``,
+#: ``((0+a₀)+a₁)+…``; ``min`` the first of the least values.
+FOLDS = {"sum": lambda values: reduce(add, values, 0), "min": min}
 
 #: The groups a declared fold is checked on: ints, and floats with both
 #: zeros in either order, an infinity and a cancellation — which tells
-#: the columnar left fold from a compensated sum (Python's float ``sum``
-#: compensates from 3.12 on, so there a ``sum(values)`` reducer is
-#: refused the declaration).
+#: a left fold from a compensated sum (``math.fsum``, or Python's float
+#: ``sum`` from 3.12 on).
 _FOLD_SAMPLES = ([7], [3, -2, 5], [0, 4, 0], [0.1, 0.2, 0.3], [-0.0], [0.0, -0.0],
                  [-0.0, 0.0], [math.inf, 1.5], [2.5, -1.25, math.inf], [1e16, 1.0, -1e16])
 
@@ -205,8 +208,6 @@ class IterativeJob:
                 f"job {self.name!r}: set maxiter, disthresh or an aux phase "
                 "so the iteration can terminate"
             )
-        for phase in self.phases:
-            phase.check_fold()
 
     # -- paper-style conveniences -----------------------------------------------
     @classmethod

@@ -476,22 +476,28 @@ class FoldKernel(Kernel):
     state_dtype = None
 
     def __init__(self, job):
-        self.phase, self.distance_fn = job.phases[0], job.distance_fn
-        self.merge = self.phase.fold
+        self.job, self.merge = job, job.phases[0].fold
 
     def prepare(self, pair, owned_keys, static_table):
         return static_table
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
-        out_keys, out_values = run_map(
-            self.phase, zip(keys.tolist(), values.tolist()), prepared, None, None)
-        return (np.fromiter(out_keys, np.int64, len(out_keys)),
-                np.fromiter(out_values, values.dtype, len(out_values)))
+        out = run_map(self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared,
+                      None, None)
+        return np.array(out[0], np.int64), np.array(out[1], values.dtype)
 
     def distance_partial(self, keys, prev, curr):
         keys = keys.tolist()
         return distance_partial(
-            self.distance_fn, dict(zip(keys, prev.tolist())), zip(keys, curr.tolist()))[0]
+            self.job.distance_fn, dict(zip(keys, prev.tolist())), zip(keys, curr.tolist()))[0]
+
+
+class FoldSync(ColumnarSync):
+    """:class:`~repro.imapreduce.columnar.ColumnarSync` over a declared
+    fold's :class:`FoldKernel`."""
+
+    def __init__(self, cfg, timings: dict):
+        super().__init__(cfg, timings, FoldKernel(cfg.job))
 
 
 # -------------------------------------------------------------- selection --
@@ -501,7 +507,7 @@ def select_executor(job) -> tuple[type, str | None]:
     Every backend calls this one function, so they always agree on the
     path; the reason is ``None`` exactly when a columnar executor runs.
     A job runs columnar with its kernel or — kernel-less, one phase —
-    with its declared fold (:class:`FoldKernel`), except a ``sum`` fold
+    with its declared fold (:class:`FoldSync`), except a ``sum`` fold
     without a combiner: the record path sums a key's uncombined
     emissions in one pass, which no sender-side combine reproduces bit
     for bit.  Anything a kernel does not support falls back to the
@@ -512,14 +518,13 @@ def select_executor(job) -> tuple[type, str | None]:
     """
     accum = isinstance(job, AccumJob)
     record = RecordAccum if accum else RecordSync
-    kernel = getattr(job, "kernel", None)
-    if kernel is None:
-        fold = None if accum else job.phases[0].fold
-        if fold is None:
-            return record, "no kernel"
-        if fold == "sum" and job.phases[0].combiner is None:
+    kernel, columnar = getattr(job, "kernel", None), ColumnarSync
+    if kernel is None and not accum and job.phases[0].fold is not None:
+        if job.phases[0].fold == "sum" and job.phases[0].combiner is None:
             return record, "sum fold without a combiner"
-        kernel = FoldKernel  # its class attributes answer the checks below
+        kernel, columnar = FoldKernel, FoldSync  # the class answers the checks below
+    if kernel is None:
+        return record, "no kernel"
     if getattr(job.partitioner, "bind_array", None) is None:
         return record, "partitioner has no bind_array"
     if accum:
@@ -534,7 +539,7 @@ def select_executor(job) -> tuple[type, str | None]:
         return record, "broadcast mismatch"
     if job.distance_fn is not None and not hasattr(kernel, "distance_partial"):
         return record, "no distance_partial"
-    return ColumnarSync, None
+    return columnar, None
 
 
 def kernel_enabled(job) -> bool:

@@ -328,11 +328,19 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
             plan = dataclasses.replace(
                 plan, checkpoint_every=job.parallel_checkpoint_every)
     state_parts, static_parts = partition_inputs(job, inputs, statics, num_pairs, part)
+    partitioned = time.perf_counter() - started
     finals, mesh = _HOSTS[plan.backend](
         job, policy, state_parts, static_parts, plan, fields, **supervision)
+    clock = time.perf_counter()
     outcome = policy.outcome(finals)
     if mesh is not None:
         mesh["wall_seconds"] = time.perf_counter() - started
+    else:
+        # One in-process host: the setup and input partition were its
+        # map side's routing, the final state's assembly its last report.
+        phases = finals[0]["stats"]["phase_seconds"]
+        phases["map"] = round(phases["map"] + partitioned, 6)
+        phases["report"] = round(phases["report"] + time.perf_counter() - clock, 6)
     if not accumulative:
         if mesh is None:
             return LocalRunResult(**outcome)

@@ -10,6 +10,7 @@ state, distances and history.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from repro.algorithms import components, pagerank, sssp
 from repro.common.errors import ConfigError
 from repro.graph.digraph import Digraph
 from repro.imapreduce import Phase, run_local, run_parallel, select_executor
-from repro.imapreduce.columnar import _fold, fold_records
+from repro.imapreduce.columnar import _fold, decode_columnar
+from repro.imapreduce.job import _FOLD_SAMPLES, FOLDS
+from repro.mapreduce.api import Context
 from tests.imapreduce.support import undeclared
 
 PATHS = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
@@ -66,7 +69,7 @@ def test_declared_fold_is_its_record_twin_bit_for_bit(
     graph = Digraph.from_edges(n, edges, weights if algorithm == "sssp" else None)
     job, state, static = _build(algorithm, graph, combiner=combiner,
                                 converge=converge, pairs=pairs)
-    assert select_executor(job)[0].__name__ == "ColumnarSync"
+    assert select_executor(job)[0].__name__ == "FoldSync"
     twin = undeclared(job)
     assert select_executor(twin)[0].__name__ == "RecordSync"
     runs = []
@@ -93,9 +96,8 @@ def _pagerank_job(**options):
 def test_a_contradicted_declaration_is_refused(fold, combiner, role):
     """pagerank's reducer sums; a ``min`` combiner contradicts ``sum``."""
     job = _pagerank_job()
-    phase = dataclasses.replace(job.phases[0], fold=fold, combiner=combiner)
     with pytest.raises(ConfigError, match=f"declares fold={fold!r}, but its {role}"):
-        dataclasses.replace(job, phases=[phase])
+        dataclasses.replace(job.phases[0], fold=fold, combiner=combiner)
 
 
 def test_an_unknown_fold_is_refused():
@@ -111,17 +113,37 @@ def _dispatch(job):
 def test_dispatch_names_the_declared_fold():
     """A sum fold needs the combiner to run columnar; a min fold does
     not; an undeclared job has no kernel."""
-    assert _dispatch(_pagerank_job(combiner=True)) == ("ColumnarSync", None)
+    assert _dispatch(_pagerank_job(combiner=True)) == ("FoldSync", None)
     assert _dispatch(_pagerank_job()) == ("RecordSync", "sum fold without a combiner")
     assert _dispatch(undeclared(_pagerank_job(combiner=True))) == ("RecordSync", "no kernel")
-    assert _dispatch(sssp.build_imr_job(**PATHS, max_iterations=3)) == ("ColumnarSync", None)
+    assert _dispatch(sssp.build_imr_job(**PATHS, max_iterations=3)) == ("FoldSync", None)
 
 
-def test_min_fold_keeps_the_first_of_equal_values():
-    """``np.minimum`` keeps the later of two equal values; the columnar
-    fold keeps the earlier, like Python's ``min``, across batches too."""
-    for values in ([0.0, -0.0], [-0.0, 0.0], [3, 1, 1]):
-        assert repr(fold_records("min", values)) == repr([(0, min(values))])
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+def test_the_columnar_fold_is_the_declared_fold(fold):
+    """On every sample group the check runs, the columnar executors'
+    fold, decoded, is what the declaration promises — ``min`` keeps the
+    first of ``0.0``/``-0.0`` like Python's ``min``, though
+    ``np.minimum`` keeps the later, across batches too."""
+    for values in _FOLD_SAMPLES:
+        vals = np.array(values)
+        acc = _fold(fold, 1, [(np.zeros(vals.size, dtype=np.intp), vals)])
+        got = decode_columnar(np.zeros(1, dtype=np.int64), acc)
+        assert repr(got) == repr([(0, FOLDS[fold](values))])
     one = np.zeros(1, dtype=np.intp)
     acc = _fold("min", 1, [(one, np.array([0.0])), (one, np.array([-0.0]))])
     assert repr(acc.tolist()) == "[0.0]"
+
+
+def test_pagerank_sums_as_a_left_fold():
+    """On every interpreter — Python's float ``sum`` compensates from
+    3.12 on, and a compensated sum is refused the declaration."""
+    ctx = Context()
+    pagerank.imr_reduce(0, [1e16, 1.0, -1e16], ctx)
+    assert list(zip(*ctx.take_columns())) == [(0, 0.0)]
+
+    def fsum_reduce(key, values, ctx):
+        ctx.emit(key, math.fsum(values))
+
+    with pytest.raises(ConfigError, match="declares fold='sum', but its reducer"):
+        Phase(map_fn=sssp.imr_map, reduce_fn=fsum_reduce, fold="sum")

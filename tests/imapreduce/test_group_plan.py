@@ -228,14 +228,16 @@ def test_replay_takes_each_key_object_from_the_current_emission():
 
 
 # ---------------------------------------------------------- the counters --
-def _pagerank(nodes, iterations, num_pairs, combiner=True):
-    """The record executor's pagerank (its fold undeclared)."""
+def _pagerank(nodes, iterations, num_pairs, combiner=True, declared=False):
+    """The record executor's pagerank (its fold undeclared), or with
+    ``declared`` the job as built, its sum fold declared."""
     graph = pagerank_graph(nodes, seed=3)
-    job = undeclared(pagerank.build_imr_job(
+    job = pagerank.build_imr_job(
         nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=iterations, num_pairs=num_pairs, combiner=combiner,
-    ))
-    return job, pagerank.initial_state(graph), {STATIC: pagerank.static_records(graph)}
+    )
+    return (job if declared else undeclared(job), pagerank.initial_state(graph),
+            {STATIC: pagerank.static_records(graph)})
 
 
 def test_pagerank_builds_each_plan_once_at_step_1():
@@ -330,12 +332,14 @@ def test_combiner_output_stays_in_the_partition_it_was_grouped_for():
 
 
 # ------------------------------------------------- the profiler's coverage --
-def test_phase_seconds_cover_the_serial_wall():
-    """Routing, plan upkeep and the release of a step's records are all
-    charged to a phase: the profiler explains ≥ 95 % of ``run_local``'s
-    wall on the benchmark's record workload (scaled down; a ratio inside
-    one process, so host speed cancels)."""
-    job, state, static = _pagerank(10_000, 6, 8)
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "record"])
+def test_phase_seconds_cover_the_serial_wall(declared):
+    """Routing, the input partition, plan upkeep and the release of a
+    step's records are all charged to a phase: the profiler explains
+    ≥ 95 % of ``run_local``'s wall on the benchmark's record workload
+    (scaled down; a ratio inside one process, so host speed cancels) —
+    as built, its sum fold declared, and on its record twin."""
+    job, state, static = _pagerank(10_000, 6, 8, declared=declared)
     started = time.perf_counter()
     result = run_local(job, state, static, num_pairs=8)
     wall = time.perf_counter() - started

@@ -135,9 +135,9 @@ def test_kmeans_aux_kill_recovery():
 
 
 def test_kernel_path_kill_recovery_bit_exact():
-    """The columnar executor restores encoded (keys, values) arrays
-    directly from the spool — no record re-encode — and stays equal to
-    the serial reference."""
+    """The columnar executor restores its encoded value arrays directly
+    from the spool, and its keys from the initial partition — no record
+    re-encode — and stays equal to the serial reference."""
     job, state, static = _pagerank_setup(n=40, seed=7, use_kernel=True)
     par = assert_recovered_identical(
         job, state, static,

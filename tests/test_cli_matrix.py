@@ -83,7 +83,7 @@ CELLS = {
          "fold)]: 4 iterations, "
          "terminated by maxiter, 15527 records, <t>s wall",
          "  checkpoints committed at iterations [1, 3] (4 spool writes, "
-         "498,108 bytes)"],
+         "249,360 bytes)"],
     ),
     "classic-parallel-kill": (
         (*SSSP, "--iterations", "6", "--backend", "parallel", "--pairs", "4",
@@ -92,7 +92,7 @@ CELLS = {
          "fold)]: 6 iterations, "
          "terminated by maxiter, 15527 records, <t>s wall",
          "  checkpoints committed at iterations [1, 3, 5] (4 spool writes, "
-         "498,108 bytes)",
+         "249,360 bytes)",
          "  recovery #1: worker imr-worker-0 exited (code -9 (SIGKILL)) "
          "without a final report; restored checkpoint 1, resumed from "
          "iteration 2 (respawn)"],
