@@ -61,10 +61,10 @@ def graphs(draw):
 @settings(max_examples=30, deadline=None)
 @given(algorithm=st.sampled_from(["pagerank", "sssp", "components"]),
        drawn=graphs(), pairs=st.integers(1, 8), combiner=st.booleans(),
-       converge=st.booleans(), mesh=st.integers(0, 4))
+       converge=st.booleans(), mesh=st.integers(0, 7))
 def test_declared_fold_is_its_record_twin_bit_for_bit(
         algorithm, drawn, pairs, combiner, converge, mesh):
-    """Serially, and on a 2-worker fork mesh in one draw of five."""
+    """Serially, and on a 2-worker fork mesh in one draw of eight."""
     n, edges, weights = drawn
     graph = Digraph.from_edges(n, edges, weights if algorithm == "sssp" else None)
     job, state, static = _build(algorithm, graph, combiner=combiner,
