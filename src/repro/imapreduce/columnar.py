@@ -144,7 +144,7 @@ __all__ = [
     "AccumKernel",
     "KernelContractError",
     "encode_columnar",
-    "state_keys",
+    "restore_columns",
     "decode_columnar",
     "adjacency_csr",
     "csr_rows",
@@ -307,9 +307,12 @@ def encode_columnar(
     return keys, values[order]
 
 
-def state_keys(records: Iterable[tuple[int, Any]]) -> np.ndarray:
-    """The key column :func:`encode_columnar` makes of ``records``."""
-    return np.sort(_int_keys(map(itemgetter(0), records)))
+def restore_columns(state_parts, values: dict[int, np.ndarray]) -> dict[int, tuple]:
+    """A columnar checkpoint's ``pair → values`` as ``pair → (keys,
+    values)``: a pair's keys never change, so they are the ones
+    :func:`encode_columnar` made of its initial ``state_parts``."""
+    return {p: (np.sort(_int_keys(map(itemgetter(0), state_parts[p]))), v)
+            for p, v in values.items()}
 
 
 def decode_columnar(
@@ -731,8 +734,7 @@ class ColumnarSync:
         return report
 
     def snapshot(self) -> dict:
-        # Values only: a pair's keys never change, so a restore takes
-        # them from its initial partition (:func:`state_keys`).
+        # Values only: :func:`restore_columns` adds the keys back.
         return {"path": "kernel", "pairs": dict(self.values)}
 
     def final_state(self) -> dict[int, tuple]:

@@ -102,7 +102,7 @@ from typing import Any
 
 from ..common.errors import JobError
 from .checkpoint import CheckpointError, CheckpointStore
-from .columnar import state_keys
+from .columnar import restore_columns
 from .engine import host_config
 from .localrun import kernel_enabled
 from .workerproc import (
@@ -344,9 +344,8 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                     start_iteration, restored = 0, None
                 else:
                     start_iteration, restored = restore[0] + 1, restore[1]
-                    if columnar:  # a columnar checkpoint holds values only
-                        restored = {p: (state_keys(state_parts[p]), v)
-                                    for p, v in restored.items()}
+                    if columnar:
+                        restored = restore_columns(state_parts, restored)
                 mode = "respawn"
                 if reassign_on_failure and len(assignment) > 1:
                     assignment = _reassign(assignment, death.wid)
