@@ -8,9 +8,10 @@ case below hashes one run's final state, per-iteration distances,
 1, 3 and 8 pairs and on a 2-worker fork mesh at 3 pairs.  A digest that
 moves means a shuffle, a fold order or a state decode changed.
 
-Cases: pagerank with its combiner, with and without a distance
-threshold; sssp in sync mode (no combiner); components (its combiner is
-always on) in sync mode.
+Cases: pagerank with and without its combiner, each with and without a
+distance threshold; sssp in sync mode (no combiner); components (its
+combiner is always on) in sync mode.  One more run kills a mesh worker
+of the combiner-less pagerank and pins the recovered run.
 """
 
 import hashlib
@@ -20,15 +21,15 @@ import pytest
 from repro.algorithms import components, pagerank, sssp
 from repro.common.config import IterKeys
 from repro.graph.generators import pagerank_graph, sssp_graph
-from repro.imapreduce import run_local, run_parallel
+from repro.imapreduce import ProcFault, run_local, run_parallel
 
 PATHS = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
 
 
-def _pagerank(threshold):
+def _pagerank(threshold, combiner=True):
     graph = pagerank_graph(120, seed=3)
     job = pagerank.build_imr_job(
-        120, **PATHS, max_iterations=6, threshold=threshold, combiner=True,
+        120, **PATHS, max_iterations=6, threshold=threshold, combiner=combiner,
     )
     return job, pagerank.initial_state(graph), {"/st": pagerank.static_records(graph)}
 
@@ -51,6 +52,8 @@ def _components():
 CASES = {
     "pagerank": lambda: _pagerank(None),
     "pagerank-threshold": lambda: _pagerank(0.1),
+    "pagerank-no-combiner": lambda: _pagerank(None, combiner=False),
+    "pagerank-no-combiner-threshold": lambda: _pagerank(0.1, combiner=False),
     "sssp-sync": _sssp,
     "components-sync": _components,
 }
@@ -72,6 +75,14 @@ PINS = {
     ("pagerank-threshold", 3): "2784f2e25e49b654",
     ("pagerank-threshold", 8): "2930d26e9d378d82",
     ("pagerank-threshold", "mesh"): "2784f2e25e49b654",
+    ("pagerank-no-combiner", 1): "85fb4f7013dfb08b",
+    ("pagerank-no-combiner", 3): "0d5a0af6df6a0141",
+    ("pagerank-no-combiner", 8): "a77d7595e8368c7a",
+    ("pagerank-no-combiner", "mesh"): "0d5a0af6df6a0141",
+    ("pagerank-no-combiner-threshold", 1): "a0fdfb2042cf185c",
+    ("pagerank-no-combiner-threshold", 3): "d5588a3ab71d80f1",
+    ("pagerank-no-combiner-threshold", 8): "e1865ac4da6de797",
+    ("pagerank-no-combiner-threshold", "mesh"): "d5588a3ab71d80f1",
     ("sssp-sync", 1): "f808557b14cae873",
     ("sssp-sync", 3): "1762ffb7fa02a5bb",
     ("sssp-sync", 8): "25f1865243c0a370",
@@ -92,3 +103,16 @@ def test_fold_job_is_pinned(case, host):
     else:
         result = run_local(job, state, static, num_pairs=host, keep_history=True)
     assert digest(result) == PINS[case, host]
+
+
+def test_killed_mesh_worker_recovers_to_the_pin():
+    """A worker killed mid-run: the respawned mesh restores the last
+    checkpoint and replays to the unfaulted digest."""
+    job, state, static = _pagerank(0.1, combiner=False)
+    result = run_parallel(
+        job, state, static, num_pairs=3, num_workers=2, start_method="fork",
+        keep_history=True, checkpoint_every=2,
+        faults=[ProcFault(worker=1, iteration=4, action="kill")],
+    )
+    assert result.recoveries == 1
+    assert digest(result) == PINS["pagerank-no-combiner-threshold", "mesh"]
