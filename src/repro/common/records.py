@@ -10,10 +10,8 @@ the framework hands to an iMapReduce ``map()`` after the automatic join.
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
 
@@ -21,8 +19,8 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 __all__ = [
-    "KeyValue", "JoinedRecord", "group_by_key", "group_by_dest", "GroupPlan", "plannable",
-    "kv_pairs", "order_key", "sort_records",
+    "KeyValue", "JoinedRecord", "group_by_key", "group_by_dest", "kv_pairs", "order_key",
+    "sort_records",
 ]
 
 
@@ -120,85 +118,6 @@ def group_by_dest(
         parts[part(pair[0])].append(pair)
     for dest, dest_pairs in parts.items():
         yield dest, group_by_key(dest_pairs)
-
-
-def plannable(keys: list) -> bool:
-    """May a :class:`GroupPlan` stand in for this key sequence?  Only if
-    all keys share one exact type whose ``==`` is value identity."""
-    return set(map(type, keys)) in ({int}, {str})
-
-
-class GroupPlan:
-    """:func:`group_by_dest`'s answer for one remembered key sequence,
-    replayed on later emissions — a keys and a values column — that
-    carry exactly that sequence.
-
-    A map that walks a fixed static partition emits the same keys in the
-    same order every iteration (pagerank, jacobi; not kmeans, whose key
-    is the nearest centroid, until assignments settle; not sync sssp
-    while its frontier grows), so the map-output → reduce-input grouping
-    — the edges i2MapReduce preserves on disk, here in memory — is
-    loop-invariant, and iMapReduce's rule for loop-invariant work is to
-    do it once (§3.1, §3.2).  Three ``array`` columns of 4 bytes an
-    entry — ``order``, the permutation that puts the values in the
-    reference's order (destination by first appearance, then key, then
-    emission order); ``bounds``, each group's end in it; and ``firsts``,
-    each group's first emission position (its key's first occurrence)
-    — plus ``dests``, each destination with its number of groups.
-
-    The plan is *derived from the reference, not a second sort* — built
-    by running the partitioner and :func:`group_by_key` over ``(key,
-    position)`` pairs — and only ever an equal substitute for it:
-    :meth:`covers` demands the identical key list **and** one exact key
-    type whose ``==`` is value identity (:func:`plannable`), because
-    ``1 == 1.0 == True`` and ``0.0 == -0.0`` under ``list.__eq__`` while
-    the partitioners (``type(key) is int``, ``repr(float)``) tell them
-    apart.  Floats, tuples and mixed sequences always take the
-    reference, which stays the production path for every step whose
-    sequence does not repeat.  A plan is derived state: never
-    checkpointed, rebuilt after a respawn.
-    """
-
-    __slots__ = ("keys", "order", "bounds", "firsts", "dests")
-
-    def __init__(self, keys: list, part: Callable[[Any], int] | None = None):
-        self.keys = keys
-        # The reference's two steps — partition, then ``group_by_key``
-        # per destination — over positions; ``zip`` recycles its pair, so
-        # nothing the size of the emission is allocated but the columns.
-        if part is None:
-            parts = {None: range(len(keys))}
-        else:
-            parts = defaultdict(lambda: array("I"))
-            for position, key in enumerate(keys):
-                parts[part(key)].append(position)
-        self.order, self.firsts, sizes, self.dests = array("I"), array("I"), array("I"), []
-        for dest, where in parts.items():
-            groups = group_by_key(zip(map(keys.__getitem__, where), where))
-            positions = list(map(itemgetter(1), groups))
-            self.order.extend(chain.from_iterable(positions))
-            self.firsts.extend(map(itemgetter(0), positions))
-            sizes.extend(map(len, positions))
-            self.dests.append((dest, len(positions)))
-        self.bounds = array("I", accumulate(sizes))
-
-    def covers(self, keys: list) -> bool:
-        return keys == self.keys and plannable(keys)
-
-    def apply(self, keys: list, values: list):
-        """What ``group_by_dest(zip(keys, values), part)`` yields, given
-        that ``keys`` are covered: one gather from the values column,
-        then one slice (a fresh list) per group, each group's key object
-        taken from this emission's first occurrence, as ``setdefault``
-        does.  Consume each destination's groups before asking for the
-        next."""
-        gathered = list(map(values.__getitem__, self.order))
-        groups = zip(
-            map(keys.__getitem__, self.firsts),
-            map(gathered.__getitem__, map(slice, chain((0,), self.bounds), self.bounds)),
-        )
-        for dest, num_groups in self.dests:
-            yield dest, islice(groups, num_groups)
 
 
 def order_key(key: Any) -> Any:

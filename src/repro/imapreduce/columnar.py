@@ -92,11 +92,11 @@ the job must carry a kernel — or, kernel-less, declare its phase's fold
 runs: the record map, the fold as the merge — have exactly one phase,
 no aux phase, a partitioner with ``bind_array``, and the phase mapping
 must match the kernel's ``needs_broadcast`` (a declared fold's is
-one2one).  A ``sum`` fold also needs its combiner: without one the
-record path sums each key's raw emissions in one pass, an order the
-sender-side combine does not reproduce.  Anything else falls back to
-the record executor — with the reason — on every backend, so all
-backends always agree on which path runs.  The two columnar pair
+one2one).  A ``sum`` fold without a combiner ships its raw emissions
+uncombined (``Kernel.combine``), so the receiver adds each key's values
+in the record reducer's order.  Anything else falls back to the
+record executor — with the reason — on every backend, so all backends
+always agree on which path runs.  The two columnar pair
 executors at the end of this module (:class:`ColumnarSync`,
 :class:`ColumnarAccum`) are what the shared superstep driver runs,
 serially and on the mesh alike.
@@ -122,7 +122,9 @@ order on both transports.  A declared fold is bit-exact against the
 record path itself: its map emits in the record map's order, so each
 (source pair, key) sums in the order the record combiner sums it, and
 the receiver adds those partials in the same ascending source-pair
-order as the record reducer.
+order as the record reducer; without a combiner the receiver adds the
+raw emissions themselves, in ascending source pair, then emission
+order — the record reducer's own order.
 """
 
 from __future__ import annotations
@@ -183,6 +185,9 @@ class Kernel:
     state_dtype = "float64"
     #: 0 for scalar state; otherwise the number of value columns.
     state_width = 0
+    #: False: emissions ship uncombined, and the receiver folds each
+    #: key's values in ascending source pair, then emission order.
+    combine = True
 
     def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
         """Build per-pair static columns once at partition load (§3.2)."""
@@ -411,22 +416,27 @@ class ShufflePlan:
     distinct key, laid out by (destination, key); ``inverse`` maps each
     emission to its slot, so the §5 combiner — one value per key leaves
     the pair — is one ``ufunc.at`` into an array filled with the
-    identity.  ``dests`` holds, per non-empty destination, its slice of
-    the slots and the distinct ascending keys that slice is aligned with.
+    identity.  Uncombined (``combine=False``) every emission is a slot
+    of its own, laid out by destination in emission order — what
+    :func:`route_columnar` ships.  ``dests`` holds, per non-empty
+    destination, its slice of the slots and the keys that slice is
+    aligned with.
     """
 
     __slots__ = ("keys", "inverse", "size", "dests")
 
-    def __init__(self, keys: np.ndarray, part_array, num_pairs: int):
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        dest = part_array(distinct)
-        order = np.argsort(dest, kind="stable")  # keys stay ascending per dest
-        # A distinct key's slot is its rank in (destination, key) order.
-        self.keys, self.size = keys, distinct.size
+    def __init__(self, keys: np.ndarray, part_array, num_pairs: int, combine=True):
+        slot_keys, inverse = (
+            np.unique(keys, return_inverse=True) if combine else (keys, np.arange(keys.size))
+        )
+        dest = part_array(slot_keys)
+        order = np.argsort(dest, kind="stable")  # slots keep their order per dest
+        # A slot's rank in destination order is where it ships from.
+        self.keys, self.size = keys, slot_keys.size
         self.inverse = np.argsort(order)[inverse]
-        distinct = distinct[order]
+        slot_keys = slot_keys[order]
         self.dests = [
-            (q, lo, hi, distinct[lo:hi])
+            (q, lo, hi, slot_keys[lo:hi])
             for q, lo, hi in _dest_slices(dest[order], num_pairs)
         ]
 
@@ -591,15 +601,16 @@ def pending_priority(
 # whether or not the keys ride along.
 class ColumnarSync:
     """Synchronous iterations over per-pair ``(keys, values)`` arrays:
-    one ``map_kernel``, one sender-side combine and one indexed fold per
-    pair per iteration.  Each source pair keeps a :class:`ShufflePlan`
-    and each destination pair the row index of every source's shipped
-    keys; both are derived from the keys alone, rebuilt whenever a
-    kernel's emission keys change (keys then ride along for that step)
-    and never checkpointed.  Folds run in ascending source-pair order
-    and the broadcast sorts one unique key array, so results are
-    bit-equal on every transport.  Reports decode to records, so the
-    verdict policy is layout-agnostic."""
+    one ``map_kernel``, one sender-side combine (none if the kernel
+    ships uncombined) and one indexed fold per pair per iteration.  Each
+    source pair keeps a :class:`ShufflePlan` and each destination pair
+    the row index of every source's shipped keys; both are derived from
+    the keys alone, rebuilt whenever a kernel's emission keys change
+    (keys then ride along for that step) and never checkpointed.  Folds
+    run in ascending source-pair order and the broadcast sorts one
+    unique key array, so results are bit-equal on every transport.
+    Reports decode to records, so the verdict policy is
+    layout-agnostic."""
 
     report_lag = 1
     plan = [(SHUFFLE, 0)]
@@ -675,11 +686,15 @@ class ColumnarSync:
             replanned = plan is None or not plan.covers(out_keys)
             if replanned:
                 plan = self.shuffle_plans[p] = ShufflePlan(
-                    out_keys, self.part_array, self.num_pairs
+                    out_keys, self.part_array, self.num_pairs, self.kernel.combine
                 )
-            combined = _fold(self.kernel.merge, plan.size, [(plan.inverse, out_vals)])
+            if self.kernel.combine:
+                slots = _fold(self.kernel.merge, plan.size, [(plan.inverse, out_vals)])
+            else:
+                slots = np.empty_like(out_vals)
+                slots[plan.inverse] = out_vals
             for q, lo, hi, keys in plan.dests:
-                items.append((q, p, keys if replanned else None, combined[lo:hi]))
+                items.append((q, p, keys if replanned else None, slots[lo:hi]))
         self.timings["kernel"] += time.perf_counter() - started
         return items
 

@@ -19,15 +19,14 @@ Its uses:
 
 The multiprocess backend drives the same executors through the same
 driver over the pipe mesh, so it executes byte-for-byte the same
-user-code path (:func:`run_map`, ``group_by_dest`` or the
-``GroupPlan`` that replays it, ``AccumPair.apply``) and its
-differential oracle can demand record-for-record equality.  The
-simulated cluster's persistent tasks (:mod:`.runtime`) compute with the
-same functions — :func:`run_map`, :class:`Grouping`,
-:func:`reduce_groups`, :func:`route_columns`, :func:`distance_partial`
-— so its results equal them bit for bit as well; the Hadoop baseline's
-tasks (:mod:`repro.mapreduce.runtime`) use :func:`route_columns` and
-:func:`reduce_groups` too.
+user-code path (:func:`run_map`, ``group_by_dest``,
+``AccumPair.apply``) and its differential oracle can demand
+record-for-record equality.  The simulated cluster's persistent tasks
+(:mod:`.runtime`) compute with the same functions — :func:`run_map`,
+``group_by_dest``, :func:`reduce_groups`, :func:`route_columns`,
+:func:`distance_partial` — so its results equal them bit for bit as
+well; the Hadoop baseline's tasks (:mod:`repro.mapreduce.runtime`) use
+:func:`route_columns` and :func:`reduce_groups` too.
 :func:`select_executor` is the one dispatch rule both backends use.
 """
 
@@ -41,10 +40,10 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..common.partition import bind_partitioner
-from ..common.records import GroupPlan, group_by_dest, order_key, plannable, sort_records
+from ..common.records import group_by_dest, order_key, sort_records
 from ..mapreduce.api import Context
 from .accum import AccumJob, AccumPair
-from .columnar import AccumKernel, ColumnarAccum, ColumnarSync, Kernel
+from .columnar import AccumKernel, ColumnarAccum, ColumnarSync, Kernel, KernelContractError
 from .engine import (
     REPART,
     SHUFFLE,
@@ -108,9 +107,9 @@ def run_map(
 
 def reduce_groups(fn, grouped) -> Iterable[tuple[Any, tuple[list, list]]]:
     """Run a combiner or reducer over ``(destination, groups)`` — what
-    :func:`~repro.common.records.group_by_dest` or a ``GroupPlan``
-    yields — giving ``(destination, its output's (keys, values))``: a
-    combiner's output stays in the partition it was grouped for."""
+    :func:`~repro.common.records.group_by_dest` yields — giving
+    ``(destination, its output's (keys, values))``: a combiner's output
+    stays in the partition it was grouped for."""
     # One Context reused across all destinations: each take drains the
     # buffer between them, and no combiner reads the context counters.
     ctx = Context()
@@ -118,38 +117,6 @@ def reduce_groups(fn, grouped) -> Iterable[tuple[Any, tuple[list, list]]]:
         for key, values in groups:
             fn(key, values, ctx)
         yield dest, ctx.take_columns()
-
-
-class Grouping:
-    """``group_by_dest(zip(keys, values), part)`` per slot — replayed
-    from the slot's :class:`~repro.common.records.GroupPlan` when it
-    covers the key sequence.  A plan is built the first time a slot's
-    sequence equals its previous one, so keys that never repeat cost one
-    list compare per call.  Every host that groups records holds one:
-    :class:`RecordSync` per host, each simulated persistent task per
-    incarnation.  Derived state — never checkpointed, rebuilt after a
-    respawn."""
-
-    __slots__ = ("plans", "key_seqs", "built", "hits")
-
-    def __init__(self):
-        # At most one plan and one candidate key sequence per slot.
-        self.plans: dict[Any, GroupPlan] = {}
-        self.key_seqs: dict[Any, list] = {}
-        self.built = self.hits = 0
-
-    def __call__(self, slot, keys: list, values: list, part=None):
-        plan = self.plans.get(slot)
-        if plan is not None and plan.covers(keys):
-            self.hits += 1
-        elif keys == self.key_seqs.get(slot) and plannable(keys):
-            del self.key_seqs[slot]  # the plan holds the sequence now
-            plan = self.plans[slot] = GroupPlan(keys, part)
-            self.built += 1
-        else:
-            self.key_seqs[slot] = keys
-            return group_by_dest(zip(keys, values), part)
-        return plan.apply(keys, values)
 
 
 def distance_partial(distance_fn, prev: dict, records) -> tuple[float, dict]:
@@ -183,31 +150,21 @@ def map_pair(
     static_sorted: list[tuple[Any, Any]] | None,
     broadcast: list | None,
     part: Callable[[Any], int],
-    timings: dict[str, float] | None = None,
 ) -> list[tuple[Any, Any]]:
-    """:func:`run_map` plus the reference (unplanned) combine; returns
-    the pair's emissions as one flat list, destinations in order of
-    first appearance.
+    """:func:`run_map` plus the combine; returns the pair's emissions as
+    one flat list, destinations in order of first appearance.
 
     ``part`` is the pre-bound partitioner (combiner grouping only).
-    This is the function :class:`RecordSync`'s planned combine must
-    equal record for record *and in order* — the tests' reference and
-    the benchmark's probe, not what the executor calls.
-
-    ``timings`` is the host's phase profiler: when given, wall-time
-    accumulates into its ``map`` and ``combine`` counters.
+    :class:`RecordSync`'s column exchange must equal this record for
+    record *and in order* — the tests' reference and the benchmark's
+    probe, not what the executor calls.
     """
-    started = time.perf_counter()
     emitted = list(zip(*run_map(phase, records, static, static_sorted, broadcast)))
-    mapped = time.perf_counter()
     if phase.combiner is not None:
         grouped = group_by_dest(emitted, part)
         emitted = [
             rec for _q, out in reduce_groups(phase.combiner, grouped) for rec in zip(*out)
         ]
-    if timings is not None:
-        timings["map"] += mapped - started
-        timings["combine"] += time.perf_counter() - mapped
     return emitted
 
 
@@ -222,8 +179,7 @@ def sorted_static(static: dict) -> list[tuple[Any, Any]]:
 class RecordSync:
     """Synchronous iterations over per-pair record lists: one
     :func:`run_map`, one combine and one reduce per pair per phase
-    (§3.1), both over ``group_by_dest``'s grouping — replayed from a
-    ``GroupPlan`` once a pair's key sequence repeats; a non-final
+    (§3.1), both over ``group_by_dest``'s grouping; a non-final
     phase's reduce output is repartitioned to the next phase's maps
     (§5.2).  Emissions move as ``(keys, values)`` columns from the map
     to the reduce; state (``current``) is ``(key, value)`` records."""
@@ -257,8 +213,6 @@ class RecordSync:
             for hop in ((SHUFFLE, i), (REPART, i))
             if hop != (REPART, self.last)
         ]
-        # Loop-invariant groupings, per ("send" | "recv", phase, pair).
-        self.grouping = Grouping()
         # State load: the initial partitions, or — after a recovery
         # respawn — the restored checkpoint's records.  The distance
         # baseline ``prev`` is rebuilt from the same snapshot, which is
@@ -312,9 +266,9 @@ class RecordSync:
             self.timings["map"] += mapped - clock
             clock = mapped
             if combiner is not None:
-                # Plan check and build included.  The output is already
-                # per destination: nothing re-partitions it.
-                grouped = self.grouping(("send", phase, p), keys, values, self.part)
+                # The output is already per destination: nothing
+                # re-partitions it.
+                grouped = group_by_dest(zip(keys, values), self.part)
                 items.extend(
                     (q, p, ks, vs) for q, (ks, vs) in reduce_groups(combiner, grouped) if ks
                 )
@@ -333,7 +287,7 @@ class RecordSync:
                 keys += ks
                 values += vs
             if kind == SHUFFLE:
-                grouped = self.grouping(("recv", phase, q), keys, values)
+                grouped = group_by_dest(zip(keys, values))
                 ((_none, (keys, values)),) = reduce_groups(reduce_fn, grouped)
             out[q] = keys, values
         if kind == REPART or phase == self.last:
@@ -366,10 +320,7 @@ class RecordSync:
         return {p: self.current[p] for p in self.pairs}
 
     def final_stats(self) -> dict:
-        return {
-            "plans_built": self.grouping.built,
-            "plan_hits": self.grouping.hits,
-        }
+        return {}
 
 
 class RecordAccum:
@@ -470,21 +421,30 @@ class FoldKernel(Kernel):
     map (:func:`run_map`) over the pair's state, the fold as the merge
     and :func:`distance_partial` over the key-ascending state — the
     record path's own steps, so the run is the record run bit for bit.
-    The state dtype is the one numpy infers from the state values, and
-    emitted values take it."""
+    A ``sum`` fold without a combiner is not combined at the sender: the
+    receiver adds each key's raw emissions in ascending source pair,
+    then emission order, as the record reducer does.  The state dtype is
+    the one numpy infers from the state values; emitted values must
+    infer the same one."""
 
     state_dtype = None
 
     def __init__(self, job):
-        self.job, self.merge = job, job.phases[0].fold
+        phase = job.phases[0]
+        self.job, self.merge = job, phase.fold
+        self.combine = phase.fold != "sum" or phase.combiner is not None
 
     def prepare(self, pair, owned_keys, static_table):
         return static_table
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
-        out = run_map(self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared,
-                      None, None)
-        return np.array(out[0], np.int64), np.array(out[1], values.dtype)
+        out_keys, out_values = run_map(
+            self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared, None, None)
+        out_values = np.array(out_values) if out_values else values[:0]
+        if out_values.dtype != values.dtype:
+            raise KernelContractError(
+                f"the map emits {out_values.dtype} values into {values.dtype} state")
+        return np.array(out_keys, np.int64), out_values
 
     def distance_partial(self, keys, prev, curr):
         keys = keys.tolist()
@@ -507,10 +467,8 @@ def select_executor(job) -> tuple[type, str | None]:
     Every backend calls this one function, so they always agree on the
     path; the reason is ``None`` exactly when a columnar executor runs.
     A job runs columnar with its kernel or — kernel-less, one phase —
-    with its declared fold (:class:`FoldSync`), except a ``sum`` fold
-    without a combiner: the record path sums a key's uncombined
-    emissions in one pass, which no sender-side combine reproduces bit
-    for bit.  Anything a kernel does not support falls back to the
+    with its declared fold (:class:`FoldSync`).  Anything a kernel does
+    not support falls back to the
     record executor — the differential reference — and says why.  An
     accumulative job's requirements are lighter (no phases or aux), but
     its key universe must be closed: every emission targets a
@@ -520,8 +478,6 @@ def select_executor(job) -> tuple[type, str | None]:
     record = RecordAccum if accum else RecordSync
     kernel, columnar = getattr(job, "kernel", None), ColumnarSync
     if kernel is None and not accum and job.phases[0].fold is not None:
-        if job.phases[0].fold == "sum" and job.phases[0].combiner is None:
-            return record, "sum fold without a combiner"
         kernel, columnar = FoldKernel, FoldSync  # the class answers the checks below
     if kernel is None:
         return record, "no kernel"

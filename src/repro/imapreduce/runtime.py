@@ -32,10 +32,10 @@ built from, and price the result here.  A map task runs
 :func:`~repro.imapreduce.localrun.run_map` on each arriving chunk (a
 one2all task sorts its static partition once, with
 ``sorted_static``) and routes with the job's bound partitioner; the
-combine is ``reduce_groups(combiner, …)`` and the streaming reduce walks
-the groups of a :class:`~repro.imapreduce.localrun.Grouping` — the
-``GroupPlan`` replay ``RecordSync`` holds; a final-phase reduce measures
-its partial with ``distance_partial``; the aux tasks call
+combine is ``reduce_groups(combiner, …)`` over ``group_by_dest`` and the
+streaming reduce walks ``group_by_dest``'s groups, as ``RecordSync``
+does; a final-phase reduce measures its partial with
+``distance_partial``; the aux tasks call
 :meth:`AuxPhase.map_step` / :meth:`AuxPhase.reduce_step`; the master
 folds partials with ``merge_partials`` and decides through
 ``sync_rule`` (aux, then threshold), then the iteration budget; and
@@ -69,7 +69,7 @@ from typing import Any
 from ..cluster import Cluster, Machine
 from ..common.errors import SchedulingError, TaskFailure, WorkerFailure
 from ..common.partition import bind_partitioner
-from ..common.records import sort_records
+from ..common.records import group_by_dest, sort_records
 from ..common.serialization import sizeof_records
 from ..dfs import DFS
 from ..mapreduce.api import Context
@@ -83,7 +83,6 @@ from .engine import CONTINUE, merge_partials, sync_rule
 from .failure_detector import FailureDetector, FailureDetectorConfig
 from .job import AuxContext, IterativeJob, IterativeRunResult
 from .localrun import (
-    Grouping,
     distance_partial,
     reduce_groups,
     route_columns,
@@ -1097,7 +1096,6 @@ def _map_task(
     num_pairs = ctx.num_pairs
     one2all = phase.mapping == "one2all"
     start = ctx.start_iter if start is None else start
-    grouping = Grouping()
 
     yield engine.timeout(cost.task_launch)
 
@@ -1196,7 +1194,7 @@ def _map_task(
 
             # ---- combiner (map-side aggregation), then routing ----
             if phase.combiner is not None:
-                grouped = grouping("send", keys, values, ctx.part)
+                grouped = group_by_dest(zip(keys, values), ctx.part)
                 out = {
                     q: columns
                     for q, columns in reduce_groups(phase.combiner, grouped)
@@ -1268,7 +1266,6 @@ def _reduce_task(
     track_distance = is_last_phase and job.distance_fn is not None
     interval = job.checkpoint_interval
     start = ctx.start_iter if start is None else start
-    grouping = Grouping()
 
     yield engine.timeout(cost.task_launch)
 
@@ -1336,7 +1333,7 @@ def _reduce_task(
             output: list = []  # the records flushed so far
             charged_values = 0
             consumed = 0
-            ((_none, groups),) = grouping("recv", keys, values)
+            ((_none, groups),) = group_by_dest(zip(keys, values))
             for key, group in groups:
                 phase.reduce_fn(key, group, rctx)
                 consumed += len(group)

@@ -339,18 +339,18 @@ def test_concat_broadcast_is_key_sorted():
 class _Scripted(Kernel):
     """Emits what the test scripts next: ``script[pair] = (keys, values)``."""
 
-    def __init__(self, merge):
-        self.merge = merge
+    def __init__(self, merge, combine=True):
+        self.merge, self.combine = merge, combine
         self.script = {}
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
         return self.script[pair]
 
 
-def _planned_executor(merge, universe, num_pairs, partitioner=None):
+def _planned_executor(merge, universe, num_pairs, partitioner=None, combine=True):
     """A :class:`ColumnarSync` hosting every pair, whose owned sets are
     ``universe`` split by the partitioner, plus its scripted kernel."""
-    kernel = _Scripted(merge)
+    kernel = _Scripted(merge, combine)
     job = replace(
         pagerank.build_imr_job(
             1, state_path=STATE, static_path=STATIC, output_path=OUT,
@@ -518,9 +518,10 @@ def _left_fold(merge, owned, batches, dtype, row_shape):
     st.sampled_from([0, 3]),
     st.integers(min_value=1, max_value=5),
     st.booleans(),
+    st.booleans(),
 )
 def test_planned_shuffle_equals_unplanned_merge(
-    data, merge, dtype, width, num_pairs, ranged
+    data, merge, dtype, width, num_pairs, ranged, combine
 ):
     """Sender combine + indexed fold against two references, on the
     keyed step and on the values-only step after it:
@@ -534,14 +535,16 @@ def test_planned_shuffle_equals_unplanned_merge(
       ``(n−1)·eps·Σ|xᵢ|`` for float sums.
 
     Each plan's per-destination keys are ``route_columnar``'s distinct
-    keys."""
+    keys.  Uncombined, they are ``route_columnar``'s keys themselves, and
+    the fold is ``merge_columnar``'s bit for bit."""
     universe = 24
     keys = data.draw(st.lists(st.integers(0, universe - 1), min_size=1, max_size=60))
     srcs = data.draw(
         st.lists(st.integers(0, num_pairs - 1), min_size=len(keys), max_size=len(keys))
     )
     partitioner = RangePartitioner(universe) if ranged else ModPartitioner()
-    ex, kernel = _planned_executor(merge, sorted(set(keys)), num_pairs, partitioner)
+    ex, kernel = _planned_executor(merge, sorted(set(keys)), num_pairs, partitioner,
+                                   combine)
     shape = (len(keys), width) if width else (len(keys),)
     for _ in range(2):  # the second round reuses every plan
         if dtype == "int64":
@@ -563,17 +566,20 @@ def test_planned_shuffle_equals_unplanned_merge(
             routed = route_columnar(*kernel.script[p], ex.part_array, num_pairs)
             planned = ex.shuffle_plans[p].dests if p in ex.shuffle_plans else []
             assert [(q, ks.tolist()) for q, _lo, _hi, ks in planned] == [
-                (q, np.unique(ks).tolist()) for q, ks, _vs in routed
+                (q, (np.unique(ks) if combine else ks).tolist()) for q, ks, _vs in routed
             ]
             for q, ks, vs in routed:
                 inbox.setdefault(q, []).append((ks, vs))
         for q, batches in inbox.items():
-            assert ex.values[q].tobytes() == _left_fold(
-                merge, ex.owned[q], batches, vals.dtype, vals.shape[1:]
-            ).tobytes()
             want = merge_columnar(kernel, ex.owned[q], batches)
             got = ex.values[q]
             assert got.dtype == want.dtype and got.shape == want.shape
+            if not combine:
+                assert got.tobytes() == want.tobytes()
+                continue
+            assert got.tobytes() == _left_fold(
+                merge, ex.owned[q], batches, vals.dtype, vals.shape[1:]
+            ).tobytes()
             if merge == "min" or dtype == "int64":
                 assert np.array_equal(got, want)
             else:

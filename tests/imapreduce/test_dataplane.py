@@ -205,11 +205,6 @@ def test_counters_and_profiler_surface_in_stats():
     for stats in par.worker_stats:
         assert set(stats["phase_seconds"]) == set(PHASE_COUNTERS)
         assert all(v >= 0.0 for v in stats["phase_seconds"].values())
-    # Three steps on a frontier that grows through step 1: every slot's
-    # key sequence first repeats at step 2 — 4 send + 4 receive plans
-    # built, and no step left to replay them (test_group_plan.py pins
-    # the replays).
-    assert (par.counter("plans_built"), par.counter("plan_hits")) == (8, 0)
     assert set(par.phase_breakdown()) == set(PHASE_COUNTERS)
     assert par.counter("bytes_pickled") > 0
     assert par.counter("batches_sent") > 0

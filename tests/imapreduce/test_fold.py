@@ -3,10 +3,10 @@ for bit.
 
 A record job whose reducer and combiner are ``sum(values)`` or
 ``min(values)`` says so with ``Phase.fold``; ``select_executor`` then
-runs it on :class:`~repro.imapreduce.columnar.ColumnarSync` — except a
-``sum`` fold without a combiner — and the run must equal the same job
-with the declaration removed (the record executor) in every bit of its
-state, distances and history.
+runs it on :class:`~repro.imapreduce.columnar.ColumnarSync`, with or
+without a combiner, and the run must equal the same job with the
+declaration removed (the record executor) in every bit of its state,
+distances and history.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.algorithms import components, pagerank, sssp
 from repro.common.errors import ConfigError
 from repro.graph.digraph import Digraph
 from repro.imapreduce import Phase, run_local, run_parallel, select_executor
-from repro.imapreduce.columnar import _fold, decode_columnar
+from repro.imapreduce.columnar import KernelContractError, _fold, decode_columnar
 from repro.imapreduce.job import _FOLD_SAMPLES, FOLDS
 from repro.mapreduce.api import Context
 from tests.imapreduce.support import undeclared
@@ -30,12 +30,11 @@ PATHS = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
 
 
 def _build(algorithm, graph, *, combiner, converge, pairs):
-    """(job, initial state, static records) for one drawn case.  pagerank
-    always has its combiner (its sum fold runs columnar only with one);
-    components' builder always sets it."""
+    """(job, initial state, static records) for one drawn case;
+    components' builder always sets its combiner."""
     if algorithm == "pagerank":
         job = pagerank.build_imr_job(
-            graph.num_nodes, **PATHS, max_iterations=5, combiner=True,
+            graph.num_nodes, **PATHS, max_iterations=5, combiner=combiner,
             threshold=1e-3 if converge else None, num_pairs=pairs)
         return job, pagerank.initial_state(graph), pagerank.static_records(graph)
     if algorithm == "sssp":
@@ -111,12 +110,24 @@ def _dispatch(job):
 
 
 def test_dispatch_names_the_declared_fold():
-    """A sum fold needs the combiner to run columnar; a min fold does
-    not; an undeclared job has no kernel."""
+    """A declared fold runs columnar with or without its combiner; an
+    undeclared job has no kernel."""
     assert _dispatch(_pagerank_job(combiner=True)) == ("FoldSync", None)
-    assert _dispatch(_pagerank_job()) == ("RecordSync", "sum fold without a combiner")
+    assert _dispatch(_pagerank_job()) == ("FoldSync", None)
     assert _dispatch(undeclared(_pagerank_job(combiner=True))) == ("RecordSync", "no kernel")
     assert _dispatch(sssp.build_imr_job(**PATHS, max_iterations=3)) == ("FoldSync", None)
+
+
+def test_a_fold_refuses_emissions_of_another_dtype():
+    """Int state, float offers: the declared run names both dtypes
+    instead of truncating the offers, which its record twin keeps."""
+    job = sssp.build_imr_job(**PATHS, max_iterations=3, num_pairs=2, sync=True)
+    state = [(0, 0), (1, 10**9), (2, 10**9)]
+    static = {"/st": [(0, ((1, 0.5),)), (1, ((2, 0.25),)), (2, ())]}
+    twin = run_local(undeclared(job), state, static, num_pairs=2)
+    assert twin.state == [(0, 0), (1, 0.5), (2, 0.75)]
+    with pytest.raises(KernelContractError, match="float64 values into int64 state"):
+        run_local(job, state, static, num_pairs=2)
 
 
 @pytest.mark.parametrize("fold", sorted(FOLDS))

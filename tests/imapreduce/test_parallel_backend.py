@@ -36,7 +36,7 @@ from repro.imapreduce import (
     select_executor,
 )
 from repro.testing.oracles import records_identical
-from tests.imapreduce.support import mesh_leftovers
+from tests.imapreduce.support import mesh_leftovers, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -213,6 +213,7 @@ def test_loopback_and_mesh_agree_per_executor(executor):
             max_iterations=30, threshold=1e-4, num_pairs=4,
             use_kernel=use_kernel,
         )
+        job = job if use_kernel else undeclared(job)
         assert select_executor(job)[0].__name__ == executor
         par = assert_record_identical(
             job, pagerank.initial_state(graph), static_map,

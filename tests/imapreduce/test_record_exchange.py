@@ -1,30 +1,27 @@
-"""The record path's column data plane and its remembered shuffle
-grouping (``GroupPlan``).
+"""The record path's column data plane.
 
-``RecordSync`` moves emissions as ``(keys, values)`` columns and
-replays a slot's grouping only under exact key-sequence equality, so
-with or without a plan it must ship and reduce what the reference does
-— ``map_pair`` / ``group_by_dest`` over ``(key, value)`` tuples —
-record for record *and in order*.  The property test drives one
-executor, single-phase or two-phase (a ``REPART`` hop between), through
-sequences that repeat, change in one position and repeat again,
-comparing ``repr`` (which tells ``1`` / ``1.0`` / ``True`` and ``0.0`` /
-``-0.0`` apart where ``==`` does not); the rest pins ``Context.take``,
-the exact plan counters, the combiner-destination contract on all three
-backends and the profiler's coverage of the wall clock.
+``RecordSync`` moves emissions as ``(keys, values)`` columns, so it
+must ship and reduce what the reference does — ``map_pair`` /
+``group_by_dest`` over ``(key, value)`` tuples — record for record *and
+in order*.  The property test drives one executor, single-phase or
+two-phase (a ``REPART`` hop between), through sequences that repeat,
+change in one position and repeat again, comparing ``repr`` (which
+tells ``1`` / ``1.0`` / ``True`` and ``0.0`` / ``-0.0`` apart where
+``==`` does not); the rest pins ``Context.take``, the
+combiner-destination contract on all three backends and the profiler's
+coverage of the wall clock.
 """
 
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import pagerank, sssp
+from repro.algorithms import pagerank
 from repro.cluster import local_cluster
 from repro.common import IterKeys, JobConf
-from repro.common.partition import HashPartitioner, ModPartitioner, bind_partitioner
-from repro.common.records import GroupPlan, group_by_dest, group_by_key, plannable
+from repro.common.partition import HashPartitioner, ModPartitioner
+from repro.common.records import group_by_key
 from repro.dfs import DFS
 from repro.graph.generators import pagerank_graph
 from repro.imapreduce import IMapReduceRuntime, IterativeJob, Phase, run_local, run_parallel
@@ -78,7 +75,7 @@ def scripted_executor(partitioner, num_pairs, combiner, two_phase=False):
 
 
 def reference_exchange(kind, phase, part, inputs):
-    """The unplanned path over ``(key, value)`` tuples: per pair,
+    """The reference path over ``(key, value)`` tuples: per pair,
     ``map_pair`` (a ``SHUFFLE``) or the reduce output as it stands (a
     ``REPART``), routed by key in order of first appearance; then, at
     each destination over its batches in ascending source order,
@@ -146,7 +143,7 @@ def scripts(draw):
     combiner=st.booleans(),
     two_phase=st.booleans(),
 )
-def test_planned_equals_reference_in_order(steps, partitioner, combiner, two_phase):
+def test_exchange_equals_reference_in_order(steps, partitioner, combiner, two_phase):
     num_pairs = len(steps[0])
 
     def part(key):  # unbound, so a memo in ``bind`` is held to the traps
@@ -169,12 +166,6 @@ def test_planned_equals_reference_in_order(steps, partitioner, combiner, two_pha
             assert repr(as_records(items)) == repr(want_items)
             executor.absorb(kind, phase, by_dest(items))
         assert repr(executor.current) == repr(state)
-    stats = executor.final_stats()
-    # At most one plan and one candidate per (side, phase, pair).
-    slots = 2 * num_pairs * len(job.phases)
-    assert len(executor.grouping.plans) <= slots
-    assert len(executor.grouping.key_seqs) <= slots
-    assert stats["plans_built"] >= len(executor.grouping.plans)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,96 +184,6 @@ def test_context_take_returns_tuples_in_emission_order(emissions):
         ctx.emit(key, value)
     keys, values = ctx.take_columns()
     assert repr(list(zip(keys, values))) == repr(emissions)
-
-
-@pytest.mark.parametrize("other", [1.0, True])
-def test_a_plan_built_on_ints_is_not_replayed_on_equal_floats_or_bools(other):
-    """``[1, 2, 1] == [1.0, 2, 1] == [True, 2, 1]``, but ``ModPartitioner``
-    sends ``1`` to pair 1 and hashes the other two elsewhere."""
-    part = bind_partitioner(ModPartitioner(), 4)
-    plan = GroupPlan([1, 2, 1], part)
-    assert plan.covers([1, 2, 1])
-    trap = [other, 2, 1]
-    assert trap == plan.keys and not plan.covers(trap)
-    assert not plannable(trap)
-    # Not even a sequence of one such type is planned.
-    assert not plannable([1.0, 2.0]) and not plannable([(0, 1)])
-    assert plannable(["a", "b"]) and not plannable([])
-
-
-def test_replay_takes_each_key_object_from_the_current_emission():
-    big = 10**6  # ints this large are not interned: equal, not identical
-    plan = GroupPlan([big, 7, big + 0])
-    keys = [int("1000000"), 7, int("1000000")]
-    values = list(range(len(keys)))
-    records = list(zip(keys, values))
-    assert plan.covers(keys)
-    ((_dest, groups),) = plan.apply(keys, values)
-    groups = list(groups)
-    assert groups == group_by_key(records) == [(7, [1]), (big, [0, 2])]
-    assert groups[1][0] is keys[0]
-    # The same shape the reference yields, destination by destination.
-    part = bind_partitioner(ModPartitioner(), 2)
-    planned = [(d, list(g)) for d, g in GroupPlan(keys, part).apply(keys, values)]
-    assert planned == [(d, list(g)) for d, g in group_by_dest(records, part)]
-
-
-# ---------------------------------------------------------- the counters --
-def _pagerank(nodes, iterations, num_pairs, combiner=True, declared=False):
-    """The record executor's pagerank (its fold undeclared), or with
-    ``declared`` the job as built, its sum fold declared."""
-    graph = pagerank_graph(nodes, seed=3)
-    job = pagerank.build_imr_job(
-        nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
-        max_iterations=iterations, num_pairs=num_pairs, combiner=combiner,
-    )
-    return (job if declared else undeclared(job), pagerank.initial_state(graph),
-            {STATIC: pagerank.static_records(graph)})
-
-
-def test_pagerank_builds_each_plan_once_at_step_1():
-    """A pagerank map walks a fixed static partition: every slot's
-    sequence first repeats at step 1 — 4 send + 4 receive plans — and
-    steps 2–5 replay all eight.  Same counts on the mesh, summed."""
-    job, state, static = _pagerank(200, 6, 4)
-    ref = run_local(job, state, static, num_pairs=4)
-    (stats,) = ref.worker_stats
-    assert (stats["plans_built"], stats["plan_hits"]) == (8, 8 * 4)
-    par = run_parallel(job, state, static, num_pairs=4, num_workers=2)
-    assert par.state == ref.state
-    assert (par.counter("plans_built"), par.counter("plan_hits")) == (8, 8 * 4)
-    # Without a combiner only the receiving side groups.
-    job, state, static = _pagerank(200, 6, 4, combiner=False)
-    (stats,) = run_local(job, state, static, num_pairs=4).worker_stats
-    assert (stats["plans_built"], stats["plan_hits"]) == (4, 4 * 4)
-
-
-def test_sync_sssp_plans_nothing_while_its_frontier_grows():
-    """A ladder of six rungs, two pairs: each step the frontier reaches
-    the next rung — one node in each pair — and that rung starts
-    offering distances to the one after it, so every slot's key sequence
-    changes at steps 1–4 and nothing is planned.  The last rung has no
-    out-edges: step 5 repeats step 4 and builds the four plans, steps 6
-    and 7 replay them."""
-    rungs = 6
-    last = rungs - 1
-    static = [
-        (2 * r + side, () if r == last else ((2 * r + 2, 1.0), (2 * r + 3, 1.0)))
-        for r in range(rungs) for side in (0, 1)
-    ]
-    state = [(u, 0.0 if u < 2 else sssp.INFINITY) for u in range(2 * rungs)]
-
-    def counters(iterations):
-        job = undeclared(sssp.build_imr_job(
-            state_path=STATE, static_path=STATIC, output_path=OUT,
-            max_iterations=iterations, num_pairs=2, combiner=True,
-        ))
-        (stats,) = run_local(job, state, {STATIC: static}, num_pairs=2).worker_stats
-        return stats["plans_built"], stats["plan_hits"]
-
-    assert counters(5) == (0, 0)
-    assert counters(6) == (4, 0)
-    assert counters(8) == (4, 4 * 2)
 
 
 # ------------------------------------------- where combiner output lands --
@@ -332,10 +233,22 @@ def test_combiner_output_stays_in_the_partition_it_was_grouped_for():
 
 
 # ------------------------------------------------- the profiler's coverage --
+def _pagerank(nodes, iterations, num_pairs, declared):
+    """The record executor's pagerank (its fold undeclared), or with
+    ``declared`` the job as built, its sum fold declared."""
+    graph = pagerank_graph(nodes, seed=3)
+    job = pagerank.build_imr_job(
+        nodes, state_path=STATE, static_path=STATIC, output_path=OUT,
+        max_iterations=iterations, num_pairs=num_pairs, combiner=True,
+    )
+    return (job if declared else undeclared(job), pagerank.initial_state(graph),
+            {STATIC: pagerank.static_records(graph)})
+
+
 def test_phase_seconds_cover_the_serial_wall():
-    """Routing, the input partition, plan upkeep and the release of a
-    step's records are all charged to a phase: the profiler explains
-    ≥ 95 % of ``run_local``'s wall on the benchmark's record workload
+    """Routing, the input partition and the release of a step's records
+    are all charged to a phase: the profiler explains ≥ 95 % of
+    ``run_local``'s wall on the benchmark's record workload
     (scaled down; a ratio inside one process, so host speed cancels) —
     as built, its sum fold declared, and on its record twin."""
     for declared in (True, False):

@@ -105,12 +105,12 @@ CELLS = {
          "fold)]: 2 iterations, "
          "terminated by maxiter, 10000 records, <t>s wall"],
     ),
-    # Without the combiner a sum fold stays on the record executor.
+    # Without the combiner a sum fold runs columnar too, uncombined.
     "classic-serial-pagerank-no-combiner": (
         ("pagerank", "--dataset", "pagerank-s", "--backend", "serial",
          "--iterations", "2"),
-        ["pagerank on pagerank-s [serial (8 pairs), record: sum fold without a "
-         "combiner]: 2 iterations, terminated by maxiter, 10000 records, <t>s wall"],
+        ["pagerank on pagerank-s [serial (8 pairs), columnar (declared sum "
+         "fold)]: 2 iterations, terminated by maxiter, 10000 records, <t>s wall"],
     ),
     # Regression: NameError at the parent (ladder branch never imported).
     "classic-serial-matrixpower": (
