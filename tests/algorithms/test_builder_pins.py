@@ -14,7 +14,8 @@ Pinned per case:
 * every ``build_imr_job`` / ``build_accum_job`` and its options — the
   job name, the conf items in insertion order, each phase's static
   path, mapping, combiner presence and declared fold, if any (and the
-  distance function, aux phase, kernel and partitioner);
+  distance function, aux phase, kernel and partitioner) and each
+  ``build_accum_job``'s fold;
 * the six graph kernels' ``prepare`` output on a seeded graph whose
   table lacks one owned key and holds one zero-degree node;
 * the three accumulative kernels' ``emit_deltas`` for a seeded ``idx``,
@@ -59,6 +60,8 @@ def _job(job):
         out += [[(p.name, p.static_path, p.mapping, p.combiner is not None)
                  + ((p.fold,) if p.fold else ()) for p in job.phases],
                 job.distance_fn is not None, kind(job.aux)]
+    else:
+        out.append(job.accumulator.name)
     return out
 
 
@@ -227,10 +230,10 @@ PINS = {
     "baseline/sssp/bare": "4389dd7dbfd5c790",
     "baseline/sssp/combiner": "47ca85bc886f32cf",
     "baseline/sssp/threshold": "e4a8731cf3b7e657",
-    "build/components-accum-bare": "75abe3576c8008de",
-    "build/components-accum-kernel": "46b1157b0ea48010",
-    "build/components-accum-rounds": "ecde44b99b5ca34b",
-    "build/components-accum-top-fraction": "c0a8d4cb86b5437d",
+    "build/components-accum-bare": "695b9efcdbb4bc73",
+    "build/components-accum-kernel": "561d6049d9f46c56",
+    "build/components-accum-rounds": "1e314cc85b6b28f6",
+    "build/components-accum-top-fraction": "ed8a31d0990005c2",
     "build/components-bare": "f3a028c5b7aeb26f",
     "build/components-kernel": "d5de420af2e18573",
     "build/components-no-converge": "1439e1ba188a2e01",
@@ -246,11 +249,11 @@ PINS = {
     "build/kmeans-threshold": "420200433370d620",
     "build/matrixpower-bare": "2ec55bb4ed5f1a11",
     "build/matrixpower-checkpoint": "a0a3f733ccaacc8d",
-    "build/pagerank-accum-bare": "11305b4a8f0d78e3",
-    "build/pagerank-accum-kernel": "65dd4fbedbca482f",
-    "build/pagerank-accum-rounds": "2580c3e19c9e9fc0",
-    "build/pagerank-accum-threshold": "ab6be9ac844bc56d",
-    "build/pagerank-accum-top-fraction": "223c1d6fd6469a32",
+    "build/pagerank-accum-bare": "3f0f5fb74f330096",
+    "build/pagerank-accum-kernel": "398b84a44d3f6398",
+    "build/pagerank-accum-rounds": "7780f5c8073be592",
+    "build/pagerank-accum-threshold": "ecb7cae8e047f84a",
+    "build/pagerank-accum-top-fraction": "d716de0b659751b4",
     "build/pagerank-bare": "557c2477bd41cdbe",
     "build/pagerank-buffer": "df636c38f696a4a8",
     "build/pagerank-capped": "33b657120b16c723",
@@ -262,11 +265,11 @@ PINS = {
     "build/pagerank-sync": "c1544d6e82f7d871",
     "build/pagerank-threshold": "4dfd9acb5e884d29",
     "build/pagerank-zero-threshold": "717a2a8804dbbdfc",
-    "build/sssp-accum-bare": "d73b93b0c5e81062",
-    "build/sssp-accum-kernel": "ba2d132f1136c925",
-    "build/sssp-accum-rounds": "55077ec3a6f59eaa",
-    "build/sssp-accum-threshold": "5c8681ddd04151d7",
-    "build/sssp-accum-top-fraction": "5568646a05a281f1",
+    "build/sssp-accum-bare": "1ca2aa860132597b",
+    "build/sssp-accum-kernel": "44d34a1a2a7df14d",
+    "build/sssp-accum-rounds": "d049c5b501b84d13",
+    "build/sssp-accum-threshold": "cddc09b5cb8e2fb5",
+    "build/sssp-accum-top-fraction": "7811fcbcc471f786",
     "build/sssp-bare": "6bb839119b298234",
     "build/sssp-buffer": "8ec108dbb347a769",
     "build/sssp-capped": "b72fff831721ce1e",
