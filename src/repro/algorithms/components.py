@@ -20,7 +20,7 @@ import numpy as np
 from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
-from ..imapreduce import MIN, AccumJob, AccumKernel, IterativeJob, Kernel
+from ..imapreduce import AccumJob, AccumKernel, IterativeJob, Kernel
 from ..imapreduce.columnar import adjacency_csr, csr_rows
 
 __all__ = [
@@ -151,9 +151,7 @@ class ComponentsAccumKernel(AccumKernel):
 
     __slots__ = ()
 
-    merge = "min"
     state_dtype = "int64"
-    identity = np.iinfo(np.int64).max
 
     def prepare(self, pair, owned_keys, static_table):
         return adjacency_csr(owned_keys, static_table)[:3]
@@ -185,7 +183,7 @@ def build_accum_job(
     )
     return AccumJob(
         name="components-accum",
-        accumulator=MIN,
+        fold="min",
         update_fn=accum_update,
         output_path=output_path,
         conf=conf,

@@ -17,7 +17,7 @@ import numpy as np
 from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
-from ..imapreduce import AccumJob, AccumKernel, IterativeJob, Kernel, SUM
+from ..imapreduce import AccumJob, AccumKernel, IterativeJob, Kernel
 from ..imapreduce.columnar import adjacency_csr, csr_rows
 from ..mapreduce.driver import IterativeSpec, job_chain
 
@@ -204,9 +204,7 @@ class PageRankAccumKernel(AccumKernel):
 
     __slots__ = ("damping",)
 
-    merge = "sum"
     state_dtype = "float64"
-    identity = 0.0
 
     def __init__(self, damping: float = DAMPING):
         self.damping = damping
@@ -250,7 +248,7 @@ def build_accum_job(
     )
     return AccumJob(
         name="pagerank-accum",
-        accumulator=SUM,
+        fold="sum",
         update_fn=PageRankAccumUpdate(damping),
         output_path=output_path,
         conf=conf,

@@ -25,7 +25,7 @@ import numpy as np
 from ..common.config import iter_conf
 from ..common.partition import ModPartitioner
 from ..graph import Digraph
-from ..imapreduce import MIN, AccumJob, AccumKernel, IterativeJob, Kernel
+from ..imapreduce import AccumJob, AccumKernel, IterativeJob, Kernel
 from ..imapreduce.columnar import adjacency_csr, csr_rows
 from ..mapreduce.driver import IterativeSpec, job_chain
 
@@ -182,9 +182,7 @@ class SsspAccumKernel(AccumKernel):
 
     __slots__ = ()
 
-    merge = "min"
     state_dtype = "float64"
-    identity = np.inf
 
     def prepare(self, pair, owned_keys, static_table):
         return adjacency_csr(owned_keys, static_table, weighted=True)
@@ -222,7 +220,7 @@ def build_accum_job(
     )
     return AccumJob(
         name="sssp-accum",
-        accumulator=MIN,
+        fold="min",
         update_fn=accum_update,
         output_path=output_path,
         conf=conf,

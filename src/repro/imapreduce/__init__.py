@@ -1,6 +1,6 @@
 """The iMapReduce engine — the paper's contribution."""
 
-from .accum import MIN, SUM, AccumJob, AccumPair, AccumRunResult, Accumulator
+from .accum import AccumJob, AccumPair, AccumRunResult
 from .channels import IterationMailbox, StopIteration_
 from .checkpoint import CheckpointError, CheckpointStore, ProcFault
 from .columnar import AccumKernel, Kernel, KernelContractError
@@ -66,12 +66,9 @@ __all__ = [
     "IterativeJob",
     "IterativeRunResult",
     "Phase",
-    "Accumulator",
     "AccumJob",
     "AccumPair",
     "AccumRunResult",
-    "SUM",
-    "MIN",
     "LocalRunResult",
     "run_local",
     "run_accum_local",

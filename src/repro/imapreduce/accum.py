@@ -1,4 +1,4 @@
-"""Accumulative iteration (Maiter mode): delta propagation under an algebra.
+"""Accumulative iteration (Maiter mode): delta propagation under a fold.
 
 The synchronous engine ships and reprocesses *full* state every
 superstep even when most keys have converged.  Maiter (by the
@@ -13,16 +13,17 @@ cross the wire.
 
 This module holds the pieces every backend shares:
 
-* :class:`Accumulator` — the algebra: identity element, merge op, and
-  a priority measure (how much applying a pending delta would move the
-  state).  The algebra laws (identity, commutativity, associativity —
-  which subsumes delta-composition ``s ⊕ (d₁ ⊕ d₂) = (s ⊕ d₁) ⊕ d₂``)
-  are checked over sample values at job build time, so a
-  non-conforming merge op is a :class:`ConfigError`, not a silent
-  wrong fixpoint.
-* :class:`AccumJob` — the job model: an accumulator plus a
-  delta-emitting update function ``update(key, delta, state,
-  static_value, emit)`` called once per applied delta.
+* :data:`FOLDS` — the one table of algebras, ``sum`` and ``min``: each
+  entry's merge ``⊕``, record identity, idempotence, priority rule (how
+  much applying a pending delta would move the state) and the left fold
+  a declared reducer (``Phase.fold``) is checked against.  Both are
+  commutative monoids (identity, commutativity, associativity — which
+  subsumes delta-composition ``s ⊕ (d₁ ⊕ d₂) = (s ⊕ d₁) ⊕ d₂``), which
+  is all Maiter asks of ``⊕``; the columnar executors' numpy twins
+  (:func:`~repro.imapreduce.columnar._reduction`) go by the same names.
+* :class:`AccumJob` — the job model: a fold name plus a delta-emitting
+  update function ``update(key, delta, state, static_value, emit)``
+  called once per applied delta.
 * :class:`AccumPair` — one pair's engine state (state dict, pending
   delta queue, priority scheduling).  The record-accum pair executor
   (:class:`~repro.imapreduce.localrun.RecordAccum`, the same object on
@@ -54,10 +55,10 @@ marks the keys it touches dirty, and one refresh step re-scores those
 alone, never walking the queue.  ``priority_evals`` counts the
 evaluations: each is caused by at least one absorbed record.
 
-The queue holds live deltas only when the algebra is idempotent
-(:attr:`Accumulator.idempotent`: ``x ⊕ x = x`` on every sample, which
-with commutativity and associativity makes ``⊕`` a semilattice join —
-``min`` is one, ``+`` is not).  There ``absorb`` drops an offer ``d``
+The queue holds live deltas only when the fold is idempotent
+(:attr:`Fold.idempotent`: ``x ⊕ x = x``, which with commutativity and
+associativity makes ``⊕`` a semilattice join — ``min`` is one, ``+``
+is not).  There ``absorb`` drops an offer ``d``
 with ``s ⊕ d = s`` for the key's state ``s``: ``s`` only moves while
 the key is popped, to ``s' = s ⊕ p`` for some pending ``p``, and
 ``s ⊕ (p ⊕ d) = (s ⊕ d) ⊕ p = s'`` — with ``d`` or without, the same
@@ -84,11 +85,10 @@ deferral schedule both guarantee by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
@@ -97,12 +97,10 @@ from ..common.partition import HashPartitioner, Partitioner
 from ..common.records import sort_records
 
 __all__ = [
-    "Accumulator",
+    "FOLDS",
     "AccumJob",
     "AccumPair",
     "AccumRunResult",
-    "SUM",
-    "MIN",
     "DEFAULT_TOP_FRACTION",
     "partition_state",
 ]
@@ -116,80 +114,29 @@ DEFAULT_TOP_FRACTION = 0.25
 UpdateFn = Callable[[Any, Any, Any, Any, Callable[[Any, Any], None]], None]
 
 
-def _agree(a: Any, b: Any) -> bool:
-    """Law-check equality: exact for non-floats, tight isclose for
-    floats (so a genuine float ``+`` passes but ``mean`` cannot)."""
-    if a == b:
-        return True
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
-    return False
-
-
 @dataclass(frozen=True)
-class Accumulator:
-    """The accumulative algebra: ``(identity, ⊕)`` plus a priority.
-
-    ``samples`` feed the build-time law validation — pick values
-    representative of the job's state domain (include the identity and,
-    for ``min``, ``inf``).  ``priority_fn(state, delta)`` overrides the
-    default impact measure ``|state − (state ⊕ delta)|`` (0 when the
-    merge is a no-op, ``inf`` when it first reaches an infinite state).
-    """
+class Fold:
+    """One accumulative algebra ``(identity, ⊕)`` — an entry of
+    :data:`FOLDS`, the one place ``sum`` and ``min`` are defined."""
 
     name: str
-    identity: Any
+    #: ``⊕``: how a delta merges into a state and into a queued delta.
     merge: Callable[[Any, Any], Any]
-    samples: tuple = ()
-    priority_fn: Callable[[Any, Any], float] | None = None
-
-    def validate(self) -> None:
-        """Check the algebra laws over the samples; raise ConfigError.
-
-        Associativity subsumes the delta-composition law the pending
-        queues rely on: ``merge(s, d1 ⊕ d2) == merge(merge(s, d1), d2)``
-        is exactly associativity with ``s, d1, d2`` drawn from the same
-        sample set.  Idempotence is not a law: :attr:`idempotent` reads
-        it off the same samples.
-        """
-        samples = tuple(self.samples)
-        if len(samples) < 3:
-            raise ConfigError(
-                f"accumulator {self.name!r}: needs >= 3 sample values to "
-                "validate the algebra laws"
-            )
-        merge = self.merge
-        ident = self.identity
-        for x in samples:
-            if not _agree(merge(x, ident), x) or not _agree(merge(ident, x), x):
-                raise ConfigError(
-                    f"accumulator {self.name!r}: {ident!r} is not an "
-                    f"identity for sample {x!r}"
-                )
-        for a, b in itertools.product(samples, repeat=2):
-            if not _agree(merge(a, b), merge(b, a)):
-                raise ConfigError(
-                    f"accumulator {self.name!r}: merge is not commutative "
-                    f"on samples ({a!r}, {b!r})"
-                )
-        for a, b, c in itertools.product(samples, repeat=3):
-            if not _agree(merge(merge(a, b), c), merge(a, merge(b, c))):
-                raise ConfigError(
-                    f"accumulator {self.name!r}: merge is not associative "
-                    f"on samples ({a!r}, {b!r}, {c!r}) — pending deltas "
-                    "cannot be coalesced"
-                )
-
-    @cached_property
-    def idempotent(self) -> bool:
-        """``merge(x, x) == x`` exactly on every sample: a semilattice,
-        whose pending queue drops no-op offers (module docstring)."""
-        return bool(self.samples) and all(self.merge(x, x) == x for x in self.samples)
+    #: The state of a key no delta has reached.
+    identity: Any
+    #: ``x ⊕ x = x``: a semilattice, whose pending queue drops no-op
+    #: offers (module docstring).
+    idempotent: bool
+    #: The left fold of one key's values that a reducer declaring this
+    #: fold (``Phase.fold``) must emit, as the columnar executors fold
+    #: them: ``sum`` from ``0``, ``((0+a₀)+a₁)+…``; ``min`` the first
+    #: of the least values.
+    reduce: Callable[[list], Any]
 
     def priority(self, state: Any, delta: Any) -> float:
-        """Impact of applying ``delta`` to ``state`` (0 = no-op)."""
-        if self.priority_fn is not None:
-            return self.priority_fn(state, delta)
+        """Impact of applying ``delta`` to ``state``: ``|state − (state
+        ⊕ delta)|`` — 0 for a no-op, ``inf`` when a merge first leaves
+        an infinite state."""
         merged = self.merge(state, delta)
         if merged == state:
             return 0.0
@@ -199,8 +146,13 @@ class Accumulator:
             return 1.0  # non-numeric state: any change counts equally
 
 
-def _merge_sum(a, b):
-    return a + b
+#: The two folds, by the name a job declares (``AccumJob.fold``,
+#: ``Phase.fold``); :func:`~repro.imapreduce.columnar._reduction` keys
+#: their numpy twins by the same names.
+FOLDS = {
+    "sum": Fold("sum", add, 0.0, False, lambda values: reduce(add, values, 0)),
+    "min": Fold("min", min, math.inf, True, min),
+}
 
 
 def fold_mass(priorities) -> float:
@@ -210,18 +162,6 @@ def fold_mass(priorities) -> float:
         return math.fsum(priorities)
     except OverflowError:
         return math.inf
-
-
-#: The two algebras the shipped workloads use.  ``SUM`` samples are
-#: dyadic rationals (exact float addition) of comparable magnitude, so
-#: the associativity check is noise-free; ``MIN`` includes ``inf``
-#: because unreached sssp/components state starts there.
-SUM = Accumulator(
-    "sum", 0.0, _merge_sum, samples=(0.0, 1.0, -0.75, 0.5, 2.25, 0.125)
-)
-MIN = Accumulator(
-    "min", math.inf, min, samples=(math.inf, 0.0, 3.5, -2.0, 7.25, 1)
-)
 
 
 @dataclass
@@ -237,7 +177,8 @@ class AccumJob:
     """
 
     name: str
-    accumulator: Accumulator
+    #: ``"sum"`` or ``"min"``: the :data:`FOLDS` entry deltas merge by.
+    fold: str
     update_fn: UpdateFn
     output_path: str
     conf: JobConf = field(default_factory=JobConf)
@@ -249,7 +190,11 @@ class AccumJob:
     kernel: Any | None = None
 
     def __post_init__(self):
-        self.accumulator.validate()
+        if self.fold not in FOLDS:
+            raise ConfigError(
+                f"job {self.name!r}: unknown fold {self.fold!r}; "
+                f"expected one of {', '.join(FOLDS)}"
+            )
         if self.num_pairs is not None and self.num_pairs < 1:
             raise ConfigError(f"job {self.name!r}: num_pairs must be >= 1")
         if self.max_rounds is None and self.threshold is None:
@@ -339,7 +284,7 @@ class AccumPair:
 
     __slots__ = (
         "pair",
-        "acc",
+        "fold",
         "state",
         "pending",
         "static",
@@ -351,12 +296,12 @@ class AccumPair:
         "_mass",
     )
 
-    def __init__(self, pair: int, accumulator: Accumulator, static_table: dict,
+    def __init__(self, pair: int, fold: str, static_table: dict,
                  keys=(), initial_state=None):
         self.pair = pair
-        self.acc = accumulator
+        self.fold = FOLDS[fold]
         self.static = static_table
-        ident = accumulator.identity
+        ident = self.fold.identity
         #: Key universe materialized up front (static keys), so the
         #: final state covers unreached keys at the identity — matching
         #: the synchronous executors' full state records.
@@ -385,10 +330,10 @@ class AccumPair:
         """Coalesce arriving deltas into the pending queue with ``⊕``
         (exact by the delta-composition law); under an idempotent
         algebra an offer the state already absorbed is dropped."""
-        acc = self.acc
-        merge = acc.merge
-        ident = acc.identity
-        drop = acc.idempotent
+        fold = self.fold
+        merge = fold.merge
+        ident = fold.identity
+        drop = fold.idempotent
         state_get = self.state.get
         pending = self.pending
         get = pending.get
@@ -407,10 +352,10 @@ class AccumPair:
         """Score the dirty keys still pending and re-fold the mass."""
         if self._mass is not None:
             return
-        acc = self.acc
-        ident = acc.identity
+        fold = self.fold
+        ident = fold.identity
         state_get = self.state.get
-        priority = acc.priority
+        priority = fold.priority
         pending = self.pending
         prio = self._prio
         evals = 0
@@ -420,7 +365,7 @@ class AccumPair:
             p = priority(state_get(k, ident), pending[k])
             if not p >= 0:  # NaN or negative: the mass check could never fire
                 raise ConfigError(
-                    f"accumulator {acc.name!r}: priority of key {k!r} "
+                    f"fold {fold.name!r}: priority of key {k!r} "
                     f"is {p!r}; priorities must be >= 0"
                 )
             prio[k] = p
@@ -462,9 +407,9 @@ class AccumPair:
         """Pop and apply the selected pending deltas in order; emissions
         append to the ``(keys, values)`` columns ``outboxes[dest_pair]``
         in application order."""
-        acc = self.acc
-        merge = acc.merge
-        ident = acc.identity
+        fold = self.fold
+        merge = fold.merge
+        ident = fold.identity
         state = self.state
         pending = self.pending
         prio = self._prio

@@ -225,8 +225,8 @@ class AccumKernel:
     """Vectorized twin of the accumulative (Maiter-mode) engine.
 
     A pair's engine state is three aligned dense arrays over the owned
-    key set: ``state`` (starts at ``identity``), ``pending`` (the
-    coalesced delta queue, also at ``identity``) and an ``active``
+    key set: ``state`` (starts at the fold's identity), ``pending`` (the
+    coalesced delta queue, also at the identity) and an ``active``
     boolean mask marking keys that currently hold a pending delta.
     Per round the executor scores pending deltas vectorized
     (:func:`pending_priority`), selects the top-priority fraction,
@@ -234,18 +234,16 @@ class AccumKernel:
     the emissions of the *changed* subset.
 
     Like :class:`Kernel`, subclasses ship inside the job pickle — keep
-    them plain and picklable.  The algebra laws are still validated at
-    build time through the job's record-level :class:`Accumulator`; a
-    kernel must implement the same merge ("sum"/"min") it declares.
+    them plain and picklable.  The kernel declares no algebra: the
+    executor merges by the job's fold (``AccumJob.fold``, an entry of
+    :data:`~repro.imapreduce.accum.FOLDS`) and starts the arrays at that
+    fold's identity in ``state_dtype`` (:func:`_reduction`: ∞ or the
+    int64 max for ``min``, 0 for ``sum``), so a kernel cannot run
+    another fold than its job.
     """
 
-    #: ``"sum"`` (elementwise add) or ``"min"`` (elementwise minimum).
-    merge = "sum"
     #: dtype of the state/pending arrays.
     state_dtype = "float64"
-    #: The algebra identity in this dtype (``np.inf`` or the int64 max
-    #: sentinel for ``min``; 0 for ``sum``).
-    identity: Any = 0.0
 
     def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
         """Build per-pair CSR static columns once at partition load."""
@@ -446,7 +444,9 @@ class ShufflePlan:
 
 # --------------------------------------------------------------- merge --
 def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
-    """The merge's ufunc and the identity its accumulators start from."""
+    """The numpy twin of a :data:`~repro.imapreduce.accum.FOLDS` entry,
+    by the same name: its ufunc and the identity in ``dtype`` its
+    accumulators start from."""
     if merge == "sum":
         return np.add, 0
     if merge == "min":
@@ -577,8 +577,8 @@ def pending_priority(
     active: np.ndarray,
 ) -> np.ndarray:
     """Vectorized impact scores: ``|state − (state ⊕ pending)|`` as
-    float64, 0 where no delta is pending (``Accumulator.priority``'s
-    default, over the whole pair at once)."""
+    float64, 0 where no delta is pending (``Fold.priority``, over the
+    whole pair at once)."""
     if merge == "sum":
         pr = np.abs((state + pending) - state)
     else:
@@ -783,7 +783,9 @@ class ColumnarAccum:
         self.part_array = job.partitioner.bind_array(cfg.num_pairs)
         self.updates = self.emitted = self.shipped = 0
         started = time.perf_counter()
-        merge, dtype = kernel.merge, np.dtype(kernel.state_dtype)
+        fold = self.fold = job.fold
+        dtype = np.dtype(kernel.state_dtype)
+        self.ufunc, self.identity = _reduction(fold, dtype)
         warm = cfg.accum_initial_state or {}
         self.owned, self.state, self.pending, self.active = {}, {}, {}, {}
         self.prepared = {}
@@ -794,8 +796,8 @@ class ColumnarAccum:
                 {*table, *(k for k, _d in deltas), *(k for k, _v in preload)}
             ))
             self.owned[p] = ks
-            self.state[p] = np.full(ks.size, kernel.identity, dtype=dtype)
-            self.pending[p] = np.full(ks.size, kernel.identity, dtype=dtype)
+            self.state[p] = np.full(ks.size, self.identity, dtype=dtype)
+            self.pending[p] = np.full(ks.size, self.identity, dtype=dtype)
             self.active[p] = np.zeros(ks.size, dtype=bool)
             if preload:
                 # Memoized values are scattered in without marking them
@@ -806,7 +808,7 @@ class ColumnarAccum:
             if deltas:
                 dk = np.array([k for k, _d in deltas], dtype=np.int64)
                 dv = np.array([d for _k, d in deltas], dtype=dtype)
-                absorb_columnar(merge, ks, self.pending[p], self.active[p], dk, dv)
+                absorb_columnar(fold, ks, self.pending[p], self.active[p], dk, dv)
                 self._drop_dead(p)
             self.prepared[p] = kernel.prepare(p, ks, table)
         timings["kernel"] += time.perf_counter() - started
@@ -818,14 +820,14 @@ class ColumnarAccum:
         """``AccumPair.absorb``'s drop rule: under ``min`` an offer the
         state already absorbed is no delta, so a key stays active only
         while its pending value beats the state."""
-        if self.kernel.merge == "min":
+        if self.fold == "min":
             self.active[q] &= self.pending[q] < self.state[q]
 
     def progress(self, send_state: bool) -> dict:
         started = time.perf_counter()
         self.priorities = {
             p: pending_priority(
-                self.kernel.merge, self.state[p], self.pending[p], self.active[p]
+                self.fold, self.state[p], self.pending[p], self.active[p]
             )
             for p in self.pairs
         }
@@ -863,9 +865,9 @@ class ColumnarAccum:
             state, pending = self.state[p], self.pending[p]
             d = pending[idx].copy()
             old = state[idx]
-            merged = old + d if kernel.merge == "sum" else np.minimum(old, d)
+            merged = self.ufunc(old, d)
             state[idx] = merged
-            pending[idx] = kernel.identity
+            pending[idx] = self.identity
             self.active[p][idx] = False
             self.updates += int(idx.size)
             changed = merged != old
@@ -889,7 +891,7 @@ class ColumnarAccum:
         for q in self.pairs:
             for _q, _src, ks, vs in merged.get(q, ()):
                 absorb_columnar(
-                    self.kernel.merge, self.owned[q], self.pending[q],
+                    self.fold, self.owned[q], self.pending[q],
                     self.active[q], ks, vs,
                 )
             self._drop_dead(q)

@@ -78,6 +78,7 @@ from typing import Any, Iterable
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
 from ..common.records import order_key, sort_records
+from .accum import FOLDS
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -121,7 +122,7 @@ class AdjacencyKind:
     sorted_rows: bool = False
 
 
-#: algorithm -> (adjacency shape, algebra, the planner parameter it
+#: algorithm -> (adjacency shape, fold, the planner parameter it
 #: takes).  The one table a :class:`ChangeModel` is built from.
 _ALGORITHMS = {
     "pagerank": (AdjacencyKind(), "sum", "damping"),
@@ -336,22 +337,23 @@ class ChangePlan:
 class ChangeModel:
     """One algorithm's change rules: what a warm refresh needs to know.
 
-    ``kind`` is the adjacency shape a delta is patched into; ``algebra``
-    (``"sum"`` / ``"min"``) picks the planner and the identity a reset
-    key restarts at; :meth:`seeds` are the keys a cold run seeds;
-    ``damping`` (pagerank) and ``source`` (sssp) are the one parameter
-    each algorithm's rules read.  Built only by :func:`change_model`.
+    ``kind`` is the adjacency shape a delta is patched into; ``fold``
+    (``"sum"`` / ``"min"``, a :data:`~repro.imapreduce.accum.FOLDS`
+    name) picks the planner and the identity a reset key restarts at;
+    :meth:`seeds` are the keys a cold run seeds; ``damping`` (pagerank)
+    and ``source`` (sssp) are the one parameter each algorithm's rules
+    read.  Built only by :func:`change_model`.
     """
 
     algorithm: str
     kind: AdjacencyKind
-    algebra: str
+    fold: str
     damping: float | None = None
     source: Any = None
 
     @property
     def identity(self) -> float:
-        return 0.0 if self.algebra == "sum" else math.inf
+        return FOLDS[self.fold].identity
 
     def seeds(self, table: dict) -> list:
         """The initial deltas a cold accumulative run on ``table`` seeds
@@ -366,7 +368,7 @@ class ChangeModel:
     def plan(self, table: dict, delta: DataDelta, memo_state: dict) -> ChangePlan:
         """Patch ``table`` in place and derive the change-propagation
         plan; ``memo_state`` is the prior run's converged state (a dict)."""
-        planner = _plan_pagerank if self.algebra == "sum" else _plan_min
+        planner = _plan_pagerank if self.fold == "sum" else _plan_min
         return planner(self, table, delta, memo_state)
 
 
@@ -377,11 +379,11 @@ def change_model(
     takes (``damping`` for pagerank, ``source`` for sssp, none for
     components).  :class:`DeltaError` for an algorithm without
     incremental support or a missing parameter."""
-    kind, algebra, takes = _row(algorithm)
+    kind, fold, takes = _row(algorithm)
     params = {takes: {"damping": damping, "source": source}[takes]} if takes else {}
     if None in params.values():
         raise DeltaError(f"{algorithm} change planning needs {takes}")
-    return ChangeModel(algorithm, kind, algebra, **params)
+    return ChangeModel(algorithm, kind, fold, **params)
 
 
 def _plan_pagerank(
@@ -568,7 +570,7 @@ def warm_sync_state(
     iteration, so the memo passes through untouched there."""
     reset = plan.reset_keys
     state = [(k, model.identity if k in reset else v) for k, v in memo_state]
-    if model.algebra == "min":
+    if model.fold == "min":
         offers = dict(plan.perturbation)
         known = {k for k, _v in state}
         state = [

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
@@ -37,7 +35,7 @@ from ..metrics import RunMetrics
 
 # Re-exported for discoverability: the accumulative (Maiter-mode) job
 # model extends this module's job surface but lives in accum.py.
-from .accum import AccumJob, AccumRunResult, Accumulator  # noqa: E402
+from .accum import FOLDS, AccumJob, AccumRunResult  # noqa: E402
 
 __all__ = [
     "Phase",
@@ -47,7 +45,6 @@ __all__ = [
     "IterativeRunResult",
     "AccumJob",
     "AccumRunResult",
-    "Accumulator",
 ]
 
 #: map(key, state_value, static_value, ctx)
@@ -73,11 +70,11 @@ class Phase:
     contract): it is delivered to that partition's reduce task on every
     backend, never re-partitioned by whatever key the combiner emitted.
 
-    ``fold`` — ``"sum"`` or ``"min"``, the ``merge`` vocabulary of
-    :class:`~repro.imapreduce.columnar.Kernel` — declares that the
-    reducer, and the combiner if there is one, emit ``(key,
-    fold(values))``, and is checked against both when the phase is built
-    (:data:`FOLDS`).  A single-phase job without a kernel may then
+    ``fold`` — ``"sum"`` or ``"min"``, a name in
+    :data:`~repro.imapreduce.accum.FOLDS` — declares that the reducer,
+    and the combiner if there is one, emit ``(key, fold(values))``, and
+    is checked against both when the phase is built (the entry's
+    ``reduce``).  A single-phase job without a kernel may then
     shuffle and reduce in numpy
     (:func:`~repro.imapreduce.localrun.select_executor`), which takes
     the columnar contract on: int keys, int or float state, and every
@@ -103,16 +100,11 @@ class Phase:
             for values in _FOLD_SAMPLES if fn and self.fold else ():
                 ctx = Context()
                 fn(0, list(values), ctx)
-                got, want = list(zip(*ctx.take_columns())), [(0, FOLDS[self.fold](values))]
+                got, want = list(zip(*ctx.take_columns())), [(0, FOLDS[self.fold].reduce(values))]
                 if repr(got) != repr(want):
                     raise ConfigError(f"phase {self.name!r} declares fold={self.fold!r}, but "
                                       f"its {role} emits {got!r} for {values!r}, not {want!r}")
 
-
-#: What a declared fold emits for one key's values, as the columnar
-#: executors fold them: ``sum`` left to right from ``0``,
-#: ``((0+a₀)+a₁)+…``; ``min`` the first of the least values.
-FOLDS = {"sum": lambda values: reduce(add, values, 0), "min": min}
 
 #: The groups a declared fold is checked on: ints, and floats with both
 #: zeros in either order, an infinity and a cancellation — which tells

@@ -348,7 +348,7 @@ class RecordAccum:
         warm = cfg.accum_initial_state or {}
         self.engines = {
             p: AccumPair(
-                p, job.accumulator, tables[p], keys=tables[p],
+                p, job.fold, tables[p], keys=tables[p],
                 initial_state=warm.get(p),
             )
             for p in self.pairs
@@ -425,7 +425,8 @@ class FoldKernel(Kernel):
     receiver adds each key's raw emissions in ascending source pair,
     then emission order, as the record reducer does.  The state dtype is
     the one numpy infers from the state values; emitted values must
-    infer the same one."""
+    infer the same one, and emitted keys int64 (a float key would be
+    truncated onto an int one)."""
 
     state_dtype = None
 
@@ -440,11 +441,14 @@ class FoldKernel(Kernel):
     def map_kernel(self, pair, keys, values, prepared, broadcast):
         out_keys, out_values = run_map(
             self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared, None, None)
+        out_keys = np.array(out_keys) if out_keys else keys[:0]
         out_values = np.array(out_values) if out_values else values[:0]
+        if out_keys.dtype != np.int64:
+            raise KernelContractError(f"columnar keys must be ints, got {out_keys.dtype} keys")
         if out_values.dtype != values.dtype:
             raise KernelContractError(
                 f"the map emits {out_values.dtype} values into {values.dtype} state")
-        return np.array(out_keys, np.int64), out_values
+        return out_keys, out_values
 
     def distance_partial(self, keys, prev, curr):
         keys = keys.tolist()

@@ -558,7 +558,7 @@ def refresh_vs_cold(workload, memo_state, table, fraction, seed, plan):
     # churn (new/faster roads); pagerank takes arbitrary insert+delete.
     delta = random_edge_churn(
         table, model.algorithm, insert=edits // 2, delete=edits - edits // 2,
-        seed=seed, monotone=model.algebra == "min",
+        seed=seed, monotone=model.fold == "min",
     )
     started = time.perf_counter()
     warm = execute(job, memo_state, {job.static_path: table}, dataclasses.replace(
@@ -568,7 +568,7 @@ def refresh_vs_cold(workload, memo_state, table, fraction, seed, plan):
     started = time.perf_counter()
     cold = execute(job, cold_deltas, {job.static_path: mutated}, plan)
     cold_seconds = time.perf_counter() - started
-    agree = fixpoints_agree(warm.state, cold.state, model.algebra == "min")
+    agree = fixpoints_agree(warm.state, cold.state, model.fold == "min")
     return delta, (warm, warm_seconds), (cold, cold_seconds), agree
 
 

@@ -247,7 +247,7 @@ def campaign_rows(spec: CampaignSpec, parallel_plan=None) -> list[Row]:
     """
     job, state, static_map, change = _build_iterative(spec)
     # Min-algebra fixpoints are bit-exact across schedules and executors.
-    exact = change is not None and change.algebra == "min"
+    exact = change is not None and change.fold == "min"
     serial = ExecutionPlan(num_pairs=spec.num_pairs)
     rows = [
         Row(REFERENCE, job, state, static_map, serial, oracle="differential"),

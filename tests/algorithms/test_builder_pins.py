@@ -61,7 +61,7 @@ def _job(job):
                  + ((p.fold,) if p.fold else ()) for p in job.phases],
                 job.distance_fn is not None, kind(job.aux)]
     else:
-        out.append(job.accumulator.name)
+        out.append(job.fold)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Accumulative (Maiter-mode) iteration: algebra validation, the serial
+"""Accumulative (Maiter-mode) iteration: the fold table, the serial
 sync/async fixpoint equivalence, external references, and the counters
 the bench gates rest on."""
 
@@ -12,15 +12,12 @@ from repro.algorithms import components, pagerank, sssp
 from repro.common import ConfigError
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import (
-    MIN,
-    SUM,
-    Accumulator,
     AccumJob,
     ExecutionPlan,
     execute,
     run_accum_local,
 )
-from repro.imapreduce.accum import check_mode
+from repro.imapreduce.accum import FOLDS, check_mode
 from repro.imapreduce.plan import _execute
 from repro.testing.oracles import fixpoints_agree
 
@@ -60,41 +57,15 @@ def _components_case(n=80, seed=3, **kwargs):
     }
 
 
-# ------------------------------------------------------- algebra laws --
+# ------------------------------------------------------------- folds --
 def test_shipped_algebras_validate():
-    SUM.validate()
-    MIN.validate()
-
-
-def test_non_associative_merge_rejected_at_job_build():
-    """The deliberate-bug self-test: a plausible-looking but
-    non-associative merge (averaging) must be refused when the job is
-    built, not discovered as a wrong fixpoint."""
-    mean = Accumulator("mean", 0.0, lambda a, b: (a + b) / 2.0,
-                       samples=(0.0, 1.0, 2.0, 4.0))
-    with pytest.raises(ConfigError, match="not associative|not an identity"):
-        AccumJob(name="bad", accumulator=mean, update_fn=lambda *a: None,
-                 output_path=OUT, conf=_min_conf())
-
-
-def test_non_commutative_merge_rejected():
-    sub = Accumulator("sub", 0.0, lambda a, b: a - b,
-                      samples=(0.0, 1.0, 2.0, 3.0))
-    with pytest.raises(ConfigError, match="not commutative|not an identity"):
-        sub.validate()
-
-
-def test_wrong_identity_rejected():
-    acc = Accumulator("sum1", 1.0, lambda a, b: a + b,
-                      samples=(0.0, 1.0, 2.0))
-    with pytest.raises(ConfigError, match="identity"):
-        acc.validate()
-
-
-def test_too_few_samples_rejected():
-    acc = Accumulator("thin", 0.0, lambda a, b: a + b, samples=(0.0, 1.0))
-    with pytest.raises(ConfigError, match="sample"):
-        acc.validate()
+    """Each fold's declared idempotence is what its merge does — the
+    flag decides whether the pending queue drops no-op offers.  (The
+    monoid laws are hypothesis properties in test_accum_properties.py.)"""
+    samples = (math.inf, 0.0, 3.5, -2.0, 7.25, 1)
+    for fold in FOLDS.values():
+        assert fold.idempotent == all(fold.merge(a, a) == a for a in samples)
+    assert [name for name, fold in FOLDS.items() if fold.idempotent] == ["min"]
 
 
 def _min_conf():
@@ -106,28 +77,51 @@ def _min_conf():
     return conf
 
 
+@pytest.mark.parametrize("fold", ["mean", "max", "SUM", None])
+def test_unknown_fold_rejected_at_job_build(fold):
+    """Only the table's names build a job — a typo is refused before a
+    single delta flows, not run as some other algebra."""
+    with pytest.raises(ConfigError, match=f"unknown fold {fold!r}.*sum, min"):
+        AccumJob(name="bad", fold=fold, update_fn=lambda *a: None,
+                 output_path=OUT, conf=_min_conf())
+
+
+def test_a_kernel_runs_its_jobs_fold():
+    """The kernel declares no algebra of its own: a ``min`` job whose
+    kernel class still says ``merge = "sum"`` runs ``min``, to its
+    record twin's state."""
+
+    class SaysSum(sssp.SsspAccumKernel):
+        __slots__ = ()
+        merge = "sum"
+
+    _g, job, deltas, static = _sssp_case(n=30)
+    _g, kjob, _d, _s = _sssp_case(n=30, use_kernel=True)
+    kjob.kernel = SaysSum()
+    rec = run_accum_local(job, deltas, static, num_pairs=2)
+    assert run_accum_local(kjob, deltas, static, num_pairs=2).state == rec.state
+    assert rec.state[1][1] > 0.0
+
+
 def test_job_requires_termination_condition():
     from repro.common import IterKeys, JobConf
 
     conf = JobConf()
     conf.set(IterKeys.STATE_PATH, STATE)
     with pytest.raises(ConfigError, match="terminate"):
-        AccumJob(name="forever", accumulator=MIN,
+        AccumJob(name="forever", fold="min",
                  update_fn=lambda *a: None, output_path=OUT, conf=conf)
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("value", [math.nan], ids=["nan"])
 def test_bad_priority_is_refused_not_spun_on(value):
     """A NaN priority makes the pending mass NaN — never ``<=`` the
     threshold, never selected — so a threshold-only job would spin
-    forever; a negative one subtracts from the termination mass."""
-    _g, job, deltas, static = _sssp_case(n=20)
+    forever.  A NaN delta under ``sum`` scores one."""
+    _g, job, deltas, static = _pagerank_case(n=20)
     # max_rounds stays set so a lost check fails here instead of hanging.
-    job.accumulator = Accumulator(
-        "skewed", math.inf, min, samples=MIN.samples,
-        priority_fn=lambda state, delta: value,
-    )
-    with pytest.raises(ConfigError, match=r"'skewed'.*key 0\b.*>= 0"):
+    deltas[0] = (0, value)
+    with pytest.raises(ConfigError, match=r"'sum'.*key 0\b.*nan.*>= 0"):
         run_accum_local(job, deltas, static, num_pairs=2)
 
 

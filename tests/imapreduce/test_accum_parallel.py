@@ -21,7 +21,6 @@ from repro.common import ConfigError, IterKeys, JobConf
 from repro.common.partition import bind_partitioner
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import (
-    MIN,
     AccumJob,
     ExecutionPlan,
     ParallelExecutionError,
@@ -216,7 +215,7 @@ def test_worker_death_is_terminal_and_leaves_nothing_behind():
     """The one mesh supervisor runs accumulative jobs with recovery
     unarmed: a worker killed mid-run fails the run with an error naming
     it, and the fence leaves no worker process or pipe behind (fork)."""
-    job = AccumJob("die-at-victim", MIN, _die_at_victim, OUT, conf=JobConf(
+    job = AccumJob("die-at-victim", "min", _die_at_victim, OUT, conf=JobConf(
         {IterKeys.STATIC_PATH: STATIC, IterKeys.MAX_ITER: 100}))
     static = {STATIC: [(k, (k + 1,) if k < 9 else ()) for k in range(10)]}
     victim = bind_partitioner(job.partitioner, 4)(VICTIM) % 2  # round robin

@@ -1,14 +1,14 @@
-"""Property tests for the accumulative algebras (hypothesis).
+"""Property tests for the accumulative folds (hypothesis).
 
 The engine's core assumption is that ``⊕`` is a commutative monoid:
 pending deltas are coalesced with ``⊕`` while queued
 (:meth:`AccumPair.absorb`), applied in priority order rather than
-arrival order, and split arbitrarily across rounds.  Each shipped
-algebra therefore has to satisfy identity / commutativity /
-associativity not just on the build-time samples but over its whole
-state domain — and the *delta-composition* law the pending queue leans
-on, ``s ⊕ (d₁ ⊕ d₂) = (s ⊕ d₁) ⊕ d₂``, has to hold so coalescing a
-batch is indistinguishable from applying it delta by delta.
+arrival order, and split arbitrarily across rounds.  Each fold of the
+one table (``accum.FOLDS``) therefore has to satisfy identity /
+commutativity / associativity over its whole state domain — and the
+*delta-composition* law the pending queue leans on, ``s ⊕ (d₁ ⊕ d₂) =
+(s ⊕ d₁) ⊕ d₂``, has to hold so coalescing a batch is
+indistinguishable from applying it delta by delta.
 """
 
 import math
@@ -17,12 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import ConfigError, IterKeys, JobConf
+from repro.common import IterKeys, JobConf
 from repro.common.records import order_key
-from repro.imapreduce import MIN, SUM, Accumulator, AccumJob
-from repro.imapreduce.accum import AccumPair
-
-ALGEBRAS = {"sum": SUM, "min": MIN}
+from repro.imapreduce import AccumJob
+from repro.imapreduce.accum import FOLDS, AccumPair
 
 # SUM state space: dyadic rationals of bounded magnitude, so float
 # addition is exact and the laws can be asserted with == instead of a
@@ -44,43 +42,43 @@ def _values(name):
     return _VALUES[name]
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(FOLDS))
 class TestAlgebraLaws:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_identity(self, name, data):
-        acc = ALGEBRAS[name]
+        fold = FOLDS[name]
         x = data.draw(_values(name))
-        assert acc.merge(x, acc.identity) == x
-        assert acc.merge(acc.identity, x) == x
+        assert fold.merge(x, fold.identity) == x
+        assert fold.merge(fold.identity, x) == x
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_commutativity(self, name, data):
-        acc = ALGEBRAS[name]
+        fold = FOLDS[name]
         a, b = data.draw(_values(name)), data.draw(_values(name))
-        assert acc.merge(a, b) == acc.merge(b, a)
+        assert fold.merge(a, b) == fold.merge(b, a)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_associativity(self, name, data):
-        acc = ALGEBRAS[name]
+        fold = FOLDS[name]
         a = data.draw(_values(name))
         b = data.draw(_values(name))
         c = data.draw(_values(name))
-        assert acc.merge(acc.merge(a, b), c) == acc.merge(a, acc.merge(b, c))
+        assert fold.merge(fold.merge(a, b), c) == fold.merge(a, fold.merge(b, c))
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_delta_composition(self, name, data):
         """Coalescing two queued deltas then merging once must equal
         merging them one at a time — the law absorb() relies on."""
-        acc = ALGEBRAS[name]
+        fold = FOLDS[name]
         s = data.draw(_values(name))
         d1 = data.draw(_values(name))
         d2 = data.draw(_values(name))
-        coalesced = acc.merge(s, acc.merge(d1, d2))
-        one_by_one = acc.merge(acc.merge(s, d1), d2)
+        coalesced = fold.merge(s, fold.merge(d1, d2))
+        one_by_one = fold.merge(fold.merge(s, d1), d2)
         assert coalesced == one_by_one
 
     @given(data=st.data())
@@ -88,12 +86,12 @@ class TestAlgebraLaws:
     def test_priority_zero_iff_noop(self, name, data):
         """The scheduler skips priority-0 deltas; that must be exactly
         the deltas whose merge would not move the state."""
-        acc = ALGEBRAS[name]
+        fold = FOLDS[name]
         s = data.draw(_values(name))
         d = data.draw(_values(name))
-        p = acc.priority(s, d)
+        p = fold.priority(s, d)
         assert p >= 0.0
-        assert (p == 0.0) == (acc.merge(s, d) == s)
+        assert (p == 0.0) == (fold.merge(s, d) == s)
 
 
 @given(
@@ -108,9 +106,9 @@ def test_absorb_is_batch_split_invariant(deltas, splits):
     """Absorbing one big batch or the same records cut into arbitrary
     sub-batches yields the identical pending queue (keys and values) —
     the property that lets the mesh frame deltas however it likes."""
-    whole = AccumPair(0, SUM, {})
+    whole = AccumPair(0, "sum", {})
     whole.absorb(deltas)
-    cut = AccumPair(0, SUM, {})
+    cut = AccumPair(0, "sum", {})
     bounds = sorted(min(s, len(deltas)) for s in splits)
     prev = 0
     for b in bounds:
@@ -131,11 +129,11 @@ def test_absorb_is_batch_split_invariant(deltas, splits):
 def test_min_absorb_is_order_invariant(deltas, seed):
     """For ``min`` the pending queue is also permutation-invariant —
     the slack the simulated deferral schedule exploits."""
-    ordered = AccumPair(0, MIN, {})
+    ordered = AccumPair(0, "min", {})
     ordered.absorb(deltas)
     shuffled = list(deltas)
     seed.shuffle(shuffled)
-    permuted = AccumPair(0, MIN, {})
+    permuted = AccumPair(0, "min", {})
     permuted.absorb(shuffled)
     assert permuted.pending == ordered.pending
 
@@ -147,67 +145,27 @@ def _conf():
     return conf
 
 
-# ----------------------------------------------- deliberate-bug tests --
-@pytest.mark.parametrize("bad,pattern", [
-    # Averaging: commutative but not associative, and 0.0 is no identity.
-    (Accumulator("mean", 0.0, lambda a, b: (a + b) / 2.0,
-                 samples=(0.0, 1.0, 2.0, 4.0)),
-     "not associative|not an identity"),
-    # Subtraction: not commutative.
-    (Accumulator("sub", 0.0, lambda a, b: a - b,
-                 samples=(0.0, 1.0, 2.0, 3.0)),
-     "not commutative|not an identity"),
-    # max with the wrong identity.
-    (Accumulator("max0", 1.0, max, samples=(0.0, 1.0, 2.0)),
-     "not an identity"),
-])
-def test_broken_algebras_rejected_at_build(bad, pattern):
-    """Self-test: every class of law violation is caught when the job
-    is constructed, before a single delta flows."""
-    conf = _conf()
-    with pytest.raises(ConfigError, match=pattern):
-        AccumJob(name="broken", accumulator=bad,
-                 update_fn=lambda *a: None, output_path="/dfs/out",
-                 conf=conf)
-
-
-@given(data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_float_mean_never_sneaks_past_validation(data):
-    """hypothesis can't find a sample set that makes averaging look
-    associative to the validator (the check uses a tight tolerance
-    precisely so float noise can't blur a real violation)."""
-    samples = tuple(
-        data.draw(st.lists(_dyadic.filter(lambda x: x != 0.0), min_size=3,
-                           max_size=6, unique=True))
-    )
-    mean = Accumulator("mean", 0.0, lambda a, b: (a + b) / 2.0,
-                       samples=samples)
-    with pytest.raises(ConfigError):
-        mean.validate()
-
-
 # ------------------------------------- the scheduler's priority cache --
 class _FromScratch(AccumPair):
     """The reference scheduler: nothing remembered.  ``absorb`` drops an
-    offer the state already absorbed under an idempotent algebra and
+    offer the state already absorbed under an idempotent fold and
     queues everything else; ``mass`` and ``select`` re-score every
     pending key on every call, ``mass`` folding with ``fsum``."""
 
     __slots__ = ()
 
     def absorb(self, records):
-        acc = self.acc
+        fold = self.fold
         for k, d in records:
-            s = self.state.get(k, acc.identity)
-            if acc.idempotent and acc.merge(s, d) == s:
+            s = self.state.get(k, fold.identity)
+            if fold.idempotent and fold.merge(s, d) == s:
                 continue
-            self.pending[k] = acc.merge(self.pending.get(k, acc.identity), d)
+            self.pending[k] = fold.merge(self.pending.get(k, fold.identity), d)
 
     def _scored(self):
-        acc = self.acc
+        fold = self.fold
         return [
-            (acc.priority(self.state.get(k, acc.identity), d), k)
+            (fold.priority(self.state.get(k, fold.identity), d), k)
             for k, d in self.pending.items()
         ]
 
@@ -238,9 +196,9 @@ class _KeepsDead(_FromScratch):
     __slots__ = ()
 
     def absorb(self, records):
-        acc = self.acc
+        fold = self.fold
         for k, d in records:
-            self.pending[k] = acc.merge(self.pending.get(k, acc.identity), d)
+            self.pending[k] = fold.merge(self.pending.get(k, fold.identity), d)
 
 
 #: Mixed int/tuple/str keys, so the ``order_key`` tie-break is in play;
@@ -248,28 +206,23 @@ class _KeepsDead(_FromScratch):
 _KEYS = [0, 1, 2, 3, (0,), (1, 2), "a"]
 _STATIC = {k: [_KEYS[(i + 1) % 7], _KEYS[(i + 3) % 7]] for i, k in enumerate(_KEYS)}
 
-#: name -> (accumulator, value strategy, value an update emits).  Small
+#: fold name -> (value strategy, value an update emits).  Small
 #: value domains make equal priorities, dead offers (``min`` of a larger
 #: delta, a sum back at 0.0) and their later revival all common.
 _small_dyadic = st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0)
 _small_min = st.one_of(st.just(math.inf), st.integers(0, 12).map(float))
 _SCHEDULES = {
-    "sum": (SUM, _small_dyadic, lambda d, new: d / 2.0),
-    "min": (MIN, _small_min, lambda d, new: new + 1.0),
-    "custom": (
-        Accumulator("sum-by-delta", 0.0, SUM.merge, samples=SUM.samples,
-                    priority_fn=lambda state, delta: abs(delta) / (1.0 + abs(state))),
-        _small_dyadic, lambda d, new: d / 2.0,
-    ),
+    "sum": (_small_dyadic, lambda d, new: d / 2.0),
+    "min": (_small_min, lambda d, new: new + 1.0),
 }
 
 
-def _schedule_job(acc, emitted):
+def _schedule_job(fold, emitted):
     def update(key, delta, state, targets, emit):
         for dest in targets:
             emit(dest, emitted(delta, state))
 
-    return AccumJob(name="cache", accumulator=acc, update_fn=update,
+    return AccumJob(name="cache", fold=fold, update_fn=update,
                     output_path="/dfs/out", conf=_conf())
 
 
@@ -305,11 +258,11 @@ def test_cached_scheduler_matches_from_scratch(name, data):
     cached scheduler indistinguishable from re-scoring everything: the
     mass is the same float (``==`` and ``repr``), the selection the same
     list, ``pending`` (order included) and ``state`` the same dicts."""
-    acc, values, emitted = _SCHEDULES[name]
-    job = _schedule_job(acc, emitted)
+    values, emitted = _SCHEDULES[name]
+    job = _schedule_job(name, emitted)
     warm = data.draw(st.dictionaries(st.sampled_from(_KEYS), values, max_size=3))
     cached, scratch = (
-        cls(0, acc, _STATIC, keys=_STATIC, initial_state=warm)
+        cls(0, name, _STATIC, keys=_STATIC, initial_state=warm)
         for cls in (AccumPair, _FromScratch)
     )
     for step in data.draw(_steps(values)):
@@ -345,11 +298,11 @@ def test_dropping_dead_min_offers_changes_nothing(data):
     report the same mass; the live-only queue is exactly the other's
     live entries.  (A sync drain applies its whole selection: the old
     queue's includes its dead keys, whose application is a no-op.)"""
-    acc, values, emitted = _SCHEDULES["min"]
-    job = _schedule_job(acc, emitted)
+    values, emitted = _SCHEDULES["min"]
+    job = _schedule_job("min", emitted)
     warm = data.draw(st.dictionaries(st.sampled_from(_KEYS), values, max_size=3))
     live, dead = (
-        cls(0, acc, _STATIC, keys=_STATIC, initial_state=warm)
+        cls(0, "min", _STATIC, keys=_STATIC, initial_state=warm)
         for cls in (AccumPair, _KeepsDead)
     )
     for step in data.draw(_steps(values)):
@@ -382,7 +335,7 @@ def test_dead_offer_is_dropped_unscored_and_a_better_one_taken():
     """Under ``min`` an offer that does not improve the state never
     enters the queue — no entry, no evaluation, nothing to drain in
     either mode — and a later, better delta on the same key is taken."""
-    pair = AccumPair(0, MIN, {}, initial_state={"k": 5.0})
+    pair = AccumPair(0, "min", {}, initial_state={"k": 5.0})
     pair.absorb([("k", 7.0)])
     assert pair.pending == {} and pair.mass() == 0.0
     assert pair.select("async", 0.25) == [] and pair.select("sync", 1.0) == []
@@ -396,17 +349,17 @@ def test_dead_offer_is_dropped_unscored_and_a_better_one_taken():
 def test_sum_keeps_a_zero_offer():
     """``+`` is not idempotent: a zero-priority delta still queues (a
     later delta on the key adds to it, so it cannot be dropped)."""
-    pair = AccumPair(0, SUM, {}, initial_state={"k": 5.0})
+    pair = AccumPair(0, "sum", {}, initial_state={"k": 5.0})
     pair.absorb([("k", 0.0)])
     assert pair.pending == {"k": 0.0} and pair.mass() == 0.0
     assert pair.select("async", 1.0) == [] and pair.select("sync", 1.0) == ["k"]
-    assert SUM.idempotent is False and MIN.idempotent is True
+    assert FOLDS["sum"].idempotent is False and FOLDS["min"].idempotent is True
 
 
 def test_mass_overflow_is_inf():
     """Two finite priorities whose exact sum leaves the float range:
     ``fsum`` raises, the mass is ``inf`` — never a termination."""
-    pair = AccumPair(0, SUM, {})
+    pair = AccumPair(0, "sum", {})
     pair.absorb([("a", 1e308), ("b", 1e308)])
     assert pair.mass() == math.inf
     assert pair.select("async", 1.0) == ["a", "b"]
@@ -419,7 +372,7 @@ def test_select_orders_mixed_key_types_by_order_key(keys):
     """Keys of more than one type rank by ``order_key`` — type name
     first — even where a native sort would not raise (``True`` and
     ``0.5``: natively ``0.5 < True``, by type name ``bool < float``)."""
-    pair = AccumPair(0, MIN, {}, initial_state={k: 10.0 for k in keys})
+    pair = AccumPair(0, "min", {}, initial_state={k: 10.0 for k in keys})
     pair.absorb([(k, 3.0) for k in keys])  # one priority: all tie
     want = sorted(keys, key=order_key)
     assert pair.select("async", 1.0) == want

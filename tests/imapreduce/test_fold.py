@@ -18,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import components, pagerank, sssp
+from repro.common.config import iter_conf
 from repro.common.errors import ConfigError
+from repro.common.partition import ModPartitioner
 from repro.graph.digraph import Digraph
-from repro.imapreduce import Phase, run_local, run_parallel, select_executor
+from repro.imapreduce import IterativeJob, Phase, run_local, run_parallel, select_executor
+from repro.imapreduce.accum import FOLDS
 from repro.imapreduce.columnar import KernelContractError, _fold, decode_columnar
-from repro.imapreduce.job import _FOLD_SAMPLES, FOLDS
+from repro.imapreduce.job import _FOLD_SAMPLES
 from repro.mapreduce.api import Context
 from tests.imapreduce.support import undeclared
 
@@ -130,6 +133,29 @@ def test_a_fold_refuses_emissions_of_another_dtype():
         run_local(job, state, static, num_pairs=2)
 
 
+def test_a_fold_refuses_a_float_key():
+    """A map that also emits key ``2 / 2``: the record twin keeps the
+    float key apart, so the declared run refuses it rather than
+    truncating it onto key 1."""
+
+    def map_fn(key, value, static, ctx):
+        ctx.emit(key, value)
+        if key == 0:
+            ctx.emit(2 / 2, 3)
+
+    def reduce_fn(key, values, ctx):
+        ctx.emit(key, min(values))
+
+    job = IterativeJob.single_phase(
+        "float-key", map_fn, reduce_fn, output_path="/o", partitioner=ModPartitioner(),
+        conf=iter_conf(state_path="/s", static_path=None, max_iterations=1), fold="min")
+    state = [(0, 5), (1, 7), (2, 3)]
+    twin = run_local(undeclared(job), state, {}, num_pairs=2)
+    assert twin.state == [(1.0, 3), (0, 5), (1, 7), (2, 3)]
+    with pytest.raises(KernelContractError, match="keys must be ints, got float64"):
+        run_local(job, state, {}, num_pairs=2)
+
+
 @pytest.mark.parametrize("fold", sorted(FOLDS))
 def test_the_columnar_fold_is_the_declared_fold(fold):
     """On every sample group the check runs, the columnar executors'
@@ -140,7 +166,7 @@ def test_the_columnar_fold_is_the_declared_fold(fold):
         vals = np.array(values)
         acc = _fold(fold, 1, [(np.zeros(vals.size, dtype=np.intp), vals)])
         got = decode_columnar(np.zeros(1, dtype=np.int64), acc)
-        assert repr(got) == repr([(0, FOLDS[fold](values))])
+        assert repr(got) == repr([(0, FOLDS[fold].reduce(values))])
     one = np.zeros(1, dtype=np.intp)
     acc = _fold("min", 1, [(one, np.array([0.0])), (one, np.array([-0.0]))])
     assert repr(acc.tolist()) == "[0.0]"
