@@ -155,6 +155,13 @@ FOLDS = {
 }
 
 
+def bad_priority(fold: str, key, priority: float) -> ConfigError:
+    """The refusal of a NaN or negative priority, on either executor."""
+    return ConfigError(
+        f"fold {fold!r}: priority of key {key!r} is {priority!r}; priorities must be >= 0"
+    )
+
+
 def fold_mass(priorities) -> float:
     """The pending mass: ``math.fsum`` of non-negative priorities, ``inf``
     when the exact sum overflows."""
@@ -364,10 +371,7 @@ class AccumPair:
                 continue  # applied before it was scored
             p = priority(state_get(k, ident), pending[k])
             if not p >= 0:  # NaN or negative: the mass check could never fire
-                raise ConfigError(
-                    f"fold {fold.name!r}: priority of key {k!r} "
-                    f"is {p!r}; priorities must be >= 0"
-                )
+                raise bad_priority(fold.name, k, p)
             prio[k] = p
             evals += 1
         self._dirty.clear()

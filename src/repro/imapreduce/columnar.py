@@ -138,7 +138,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..common.errors import JobError
-from .accum import fold_mass
+from .accum import bad_priority, fold_mass
 from .engine import SHUFFLE
 
 __all__ = [
@@ -832,6 +832,10 @@ class ColumnarAccum:
             for p in self.pairs
         }
         masses = {p: fold_mass(pr[self.active[p]].tolist()) for p, pr in self.priorities.items()}
+        for p, mass in masses.items():
+            if not mass >= 0:  # a NaN priority: the mass check could never fire
+                i = np.flatnonzero(np.isnan(self.priorities[p]))[0]
+                raise bad_priority(self.fold, int(self.owned[p][i]), float(self.priorities[p][i]))
         self.timings["schedule"] += time.perf_counter() - started
         return {
             "mass": masses,

@@ -74,8 +74,12 @@ survives real worker death:
   recomputes bit-identical records, so a recovered run equals an
   unfaulted one record for record — the same differential oracle
   judges both.  Optionally (``reassign_on_failure``) the dead worker's
-  pairs are instead spread over the survivors, least-loaded first,
-  like the simulated runtime's localized recovery.
+  pairs instead move to the survivors, renumbered in worker order.
+* **Placement** — pairs start on workers by
+  :func:`.placement.round_robin`, and a reassignment moves them by
+  :func:`.placement.reassign`: the simulated runtime's rules, over the
+  same pair → worker list (``owner``), which :func:`_spawn_mesh` turns
+  into each worker's pairs.
 
 A worker that dies on a *deterministic exception* ships its traceback
 in an error frame and is never recovered (replay would die the same
@@ -105,6 +109,7 @@ from .checkpoint import CheckpointError, CheckpointStore
 from .columnar import restore_columns
 from .engine import host_config
 from .localrun import kernel_enabled
+from .placement import reassign, round_robin
 from .workerproc import (
     CKPT_REPORT,
     ERROR_REPORT,
@@ -227,13 +232,6 @@ def _pick_workers(num_workers: int | None, num_pairs: int) -> int:
     return min(num_workers, num_pairs)
 
 
-def _round_robin(num_pairs: int, num_workers: int) -> list[list[int]]:
-    return [
-        [p for p in range(num_pairs) if p % num_workers == w]
-        for w in range(num_workers)
-    ]
-
-
 #: Capacity asked for each worker→worker pipe (Linux's unprivileged
 #: ceiling).  At the default 64 KiB a feeder's write of one step's
 #: batch — hundreds of KB of column buffers — is a lock-step ping-pong
@@ -286,7 +284,8 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
     faults = tuple(plan.faults or ())
     recovery_armed = bool(faults) or checkpoint_every is not None
     columnar = kernel_enabled(job)
-    assignment = _round_robin(num_pairs, _pick_workers(plan.num_workers, num_pairs))
+    num_workers = _pick_workers(plan.num_workers, num_pairs)
+    owner = round_robin(num_pairs, range(num_workers))  # pair → worker index
 
     own_spool = False
     store: CheckpointStore | None = None
@@ -306,7 +305,7 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
         while True:
             mesh = _spawn_mesh(
                 _context(plan.start_method),
-                assignment,
+                owner,
                 state_parts if restored is None else restored,
                 static_parts,
                 timeout=plan.timeout,
@@ -347,8 +346,13 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                     if columnar:
                         restored = restore_columns(state_parts, restored)
                 mode = "respawn"
-                if reassign_on_failure and len(assignment) > 1:
-                    assignment = _reassign(assignment, death.wid)
+                if reassign_on_failure and num_workers > 1:
+                    # The survivors, renumbered in worker order, take
+                    # the dead worker's pairs.
+                    alive = [w for w in range(num_workers) if w != death.wid]
+                    survivor = {w: i for i, w in enumerate(alive)}
+                    owner = [survivor[w] for w in reassign(owner, alive)]
+                    num_workers -= 1
                     mode = "reassign"
                 policy.rollback(start_iteration)
                 recovery_events.append(
@@ -373,7 +377,7 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
             shutil.rmtree(spool_dir, ignore_errors=True)
 
     return finals, dict(
-        num_workers=len(assignment),
+        num_workers=num_workers,
         checkpoints=sorted(set(commits.iterations)),
         commit_seconds=round(commits.seconds, 6),
         recoveries=len(recovery_events),
@@ -406,7 +410,7 @@ class _Commits:
 
 def _spawn_mesh(
     ctx,
-    assignment: list[list[int]],
+    owner: list[int],
     state_parts,
     static_parts: list[list[dict]],
     *,
@@ -417,10 +421,11 @@ def _spawn_mesh(
     generation: int = 0,
     **shared,
 ) -> _Mesh:
-    """Wire the pipes, start one worker per ``assignment`` entry.
-    ``state_parts`` is indexable by pair (the partitioned input, or a
-    restored checkpoint); ``shared`` are the :class:`WorkerConfig`
-    fields every worker gets alike."""
+    """Wire the pipes, start one worker per worker index in ``owner``
+    (pair → worker), each hosting its pairs.  ``state_parts`` is
+    indexable by pair (the partitioned input, or a restored
+    checkpoint); ``shared`` are the :class:`WorkerConfig` fields every
+    worker gets alike."""
     # The job alone takes an explicit pickle round trip (bytes, not the
     # tables), first: every start method runs the job a spawned worker
     # would, and an unpicklable one fails here, before any pipe or
@@ -428,11 +433,10 @@ def _spawn_mesh(
     shared["job"] = pickle.loads(
         pickle.dumps(shared["job"], protocol=pickle.HIGHEST_PROTOCOL)
     )
-    num_workers = len(assignment)
-    owner_of = [0] * shared["num_pairs"]
-    for w, pairs in enumerate(assignment):
-        for p in pairs:
-            owner_of[p] = w
+    num_workers = max(owner) + 1
+    hosted: list[list[int]] = [[] for _ in range(num_workers)]
+    for p, w in enumerate(owner):
+        hosted[w].append(p)
 
     # ---- wire the pipe mesh: one pipe per ordered worker pair, plus a
     # verdict pipe to and a report pipe from every worker ----
@@ -476,11 +480,11 @@ def _spawn_mesh(
         for w in range(num_workers):
             cfg = host_config(
                 w,
-                assignment[w],
+                hosted[w],
                 state_parts,
                 static_parts,
                 num_workers=num_workers,
-                owner_of=owner_of,
+                owner_of=owner,
                 generation=generation,
                 faults=tuple(f for f in faults if f.worker == w),
                 **shared,
@@ -510,17 +514,6 @@ def _spawn_mesh(
         # shipped them (under fork and spawn alike).
         _close_all(worker_ends)
     return mesh
-
-
-def _reassign(assignment: list[list[int]], dead: int) -> list[list[int]]:
-    """Spread the dead worker's pairs over the survivors, least-loaded
-    first (ties to the lowest worker id) — the simulated runtime's
-    localized-recovery placement rule."""
-    survivors = [list(pairs) for w, pairs in enumerate(assignment) if w != dead]
-    for p in sorted(assignment[dead]):
-        target = min(range(len(survivors)), key=lambda w: (len(survivors[w]), w))
-        survivors[target].append(p)
-    return [sorted(pairs) for pairs in survivors]
 
 
 def _load_restore(

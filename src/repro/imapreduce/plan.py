@@ -419,7 +419,7 @@ def run_parallel(
     recovered — up to ``max_recoveries`` times — by restoring the
     newest committed checkpoint and respawning the mesh (or, with
     ``reassign_on_failure``, redistributing the dead worker's pairs to
-    the survivors, least-loaded first).  ``suspicion_timeout`` declares
+    the survivors by :func:`~repro.imapreduce.placement.reassign`).  ``suspicion_timeout`` declares
     a worker dead when its heartbeat (every ``heartbeat_interval``
     seconds) goes quiet — the only way to catch a SIGSTOPped worker.
     """

@@ -44,12 +44,14 @@ the engine's delivery-order rule.  The only user call left here is the
 streaming reduce's ``reduce_fn``, because its buffer flushes interleave
 with the groups.  What stays the simulator's own is the discrete-event
 part: mailboxes, chunk streaming, the virtual-time charges (a pure
-function of record and byte counts), the DFS, checkpoints, recovery
-and migration.  A run's final state, iteration count, termination
-reason and per-iteration distances therefore equal the serial
-backend's bit for bit (``test_random_job_equivalence.py``), except that
-an aux phase's stop lands up to an iteration late (it runs beside the
-main phase, §5.3).
+function of record and byte counts), the DFS, checkpoints and the
+recovery and migration protocols; where pairs go — the initial
+spread, the slot check, recovery placement and the migration decision
+— is :mod:`.placement`'s, as on the pipe mesh.  A run's final state,
+iteration count, termination reason and per-iteration distances
+therefore equal the serial backend's bit for bit
+(``test_random_job_equivalence.py``), except that an aux phase's stop
+lands up to an iteration late (it runs beside the main phase, §5.3).
 
 Consistency note: asynchronous tasks may run up to one iteration past
 the master's termination decision (a reduce cannot *complete* iteration
@@ -89,18 +91,14 @@ from .localrun import (
     run_map,
     sorted_static,
 )
+from .placement import check_slots, plan_migration, reassign, round_robin
 
 __all__ = [
-    "PAIRS_PER_WORKER",
     "LoadBalanceConfig",
     "ChaosKnobs",
     "IMapReduceRuntime",
     "AuxContext",
 ]
-
-#: Task pairs one worker hosts at most: its map and reduce slots (§3.1.1).
-PAIRS_PER_WORKER = 2
-
 
 @dataclass(frozen=True)
 class LoadBalanceConfig:
@@ -240,26 +238,22 @@ class IMapReduceRuntime:
         metrics.start = engine.now
         net_before = self.cluster.network_bytes
 
-        workers = self.cluster.alive_workers()
+        workers = [m.name for m in self.cluster.alive_workers()]
         num_pairs = job.num_pairs or len(workers)
-        if num_pairs > len(workers) * PAIRS_PER_WORKER:
-            raise SchedulingError(
-                f"{num_pairs} persistent pairs need more than the "
-                f"{len(workers)}×{PAIRS_PER_WORKER} available task slots (§3.1.1)"
-            )
-        assignment = {
-            p: workers[p % len(workers)].name for p in range(num_pairs)
-        }
+        check_slots(num_pairs, workers, "{pairs} persistent pairs need more than the "
+                    "{workers}×{per_worker} available task slots (§3.1.1)")
+        # pair → machine name; recovery and migration rewrite it in place.
+        owner = round_robin(num_pairs, workers)
 
         # ---- one-time initialization (§3.1: happens exactly once) ----
         self._lb_block_until = -(10**9)
         yield engine.timeout(self.cost.job_setup)
         while True:
             try:
-                checkpoint = yield from self._initial_load(job, assignment, num_pairs)
+                checkpoint = yield from self._initial_load(job, owner, num_pairs)
                 break
             except WorkerFailure:
-                self._reassign_failed(assignment, num_pairs)
+                self._reassign_failed(owner)
         metrics.setup_time = engine.now - metrics.start
 
         migrations: list[dict] = []
@@ -278,7 +272,7 @@ class IMapReduceRuntime:
                 recoveries=recoveries,
             )
             outcome = yield from self._generation(
-                job, assignment, num_pairs, checkpoint, metrics, accounts
+                job, owner, num_pairs, checkpoint, metrics, accounts
             )
             pair_recoveries += outcome.pair_recoveries
             if outcome.kind == "error":
@@ -287,7 +281,7 @@ class IMapReduceRuntime:
                 break
             if outcome.kind == "recover":
                 recoveries += 1
-                self._reassign_failed(assignment, num_pairs)
+                self._reassign_failed(owner)
                 self._emit(
                     "recovery",
                     worker=outcome.failed_worker,
@@ -296,7 +290,7 @@ class IMapReduceRuntime:
             elif outcome.kind == "migrate":
                 assert outcome.migration is not None
                 plan = outcome.migration
-                assignment[plan["pair"]] = plan["to"]
+                owner[plan["pair"]] = plan["to"]
                 plan["at_state"] = checkpoint.state_index
                 migrations.append(plan)
                 self._lb_block_until = outcome.last_iteration + self.lb.cooldown_iterations
@@ -335,39 +329,14 @@ class IMapReduceRuntime:
             dead |= self._detector.confirmed
         return dead
 
-    def _reassign_failed(
-        self,
-        assignment: dict[int, str],
-        num_pairs: int,
-        dead: set[str] | None = None,
-    ) -> None:
-        """Move dead workers' pairs to the least-loaded survivors (§3.4.1).
-
-        Placing each orphan on the survivor currently hosting the fewest
-        pairs keeps post-recovery load balanced — round-robin over the
-        survivor list could pile every orphan onto workers that were
-        already full.  Ties break toward cluster order, deterministically.
-        """
-        if dead is None:
-            dead = self._dead_workers()
-        alive = [
-            m.name for m in self.cluster.alive_workers() if m.name not in dead
-        ]
+    def _reassign_failed(self, owner: list[str], dead: set[str] | None = None) -> None:
+        """Move dead workers' pairs onto the survivors, in place (§3.4.1)."""
+        dead = self._dead_workers() if dead is None else dead
+        alive = [m.name for m in self.cluster.alive_workers() if m.name not in dead]
         if not alive:
             raise SchedulingError("no alive workers left to recover onto")
-        if num_pairs > len(alive) * PAIRS_PER_WORKER:
-            raise SchedulingError("not enough task slots on surviving workers")
-        load = {name: 0 for name in alive}
-        for p in range(num_pairs):
-            name = assignment[p]
-            if name in load:
-                load[name] += 1
-        rank = {name: i for i, name in enumerate(alive)}
-        for p in range(num_pairs):
-            if assignment[p] not in load:
-                target = min(alive, key=lambda name: (load[name], rank[name]))
-                assignment[p] = target
-                load[target] += 1
+        check_slots(len(owner), alive, "not enough task slots on surviving workers")
+        owner[:] = reassign(owner, alive)
 
     # ------------------------------------------------------- one-time loading --
     def _partition_file(self, path: str, job: IterativeJob, num_pairs: int):
@@ -377,7 +346,7 @@ class IMapReduceRuntime:
             parts[part(record[0])].append(record)
         return parts
 
-    def _initial_load(self, job: IterativeJob, assignment: dict[int, str], num_pairs: int):
+    def _initial_load(self, job: IterativeJob, owner: list[str], num_pairs: int):
         """Distributed partition-and-load of the state and static inputs.
 
         Each pair's loader reads its share of the raw input blocks,
@@ -398,7 +367,7 @@ class IMapReduceRuntime:
             share = total_bytes // num_pairs
 
             def loader(p: int, source=source, parts=parts, share=share):
-                worker = self.cluster[assignment[p]]
+                worker = self.cluster[owner[p]]
                 yield engine.timeout(cost.task_launch)
                 # Read this loader's share of the raw file.
                 yield from worker.disk_read(share)
@@ -410,7 +379,7 @@ class IMapReduceRuntime:
                 for q in range(num_pairs):
                     if q == p:
                         continue
-                    src = self.cluster[assignment[q]]
+                    src = self.cluster[owner[q]]
                     yield from self.cluster.reliable_transfer(
                         src, worker, my_bytes // num_pairs,
                         description=f"initial-load:{q}->{p}",
@@ -420,7 +389,7 @@ class IMapReduceRuntime:
                 )
 
             loaders = [
-                self.cluster[assignment[p]].spawn(loader(p), name=f"load:{p}")
+                self.cluster[owner[p]].spawn(loader(p), name=f"load:{p}")
                 for p in range(num_pairs)
             ]
             yield engine.all_of(loaders)
@@ -441,7 +410,7 @@ class IMapReduceRuntime:
     def _generation(
         self,
         job: IterativeJob,
-        assignment: dict[int, str],
+        owner: list[str],
         num_pairs: int,
         checkpoint: _Checkpoint,
         metrics: RunMetrics,
@@ -464,10 +433,7 @@ class IMapReduceRuntime:
         master_box = Store(engine)
 
         aux = job.aux
-        aux_workers: list[Machine] = []
-        if aux is not None:
-            alive = self.cluster.alive_workers()
-            aux_workers = [alive[t % len(alive)] for t in range(aux.num_tasks)]
+        aux_workers = round_robin(aux.num_tasks, self.cluster.alive_workers()) if aux else []
         aux_tasks = range(len(aux_workers))
         aux_map_boxes = [IterationMailbox(engine, f"auxmap.{t}") for t in aux_tasks]
         aux_reduce_boxes = [IterationMailbox(engine, f"auxred.{t}") for t in aux_tasks]
@@ -478,7 +444,7 @@ class IMapReduceRuntime:
             num_pairs=num_pairs,
             # Shared (not copied): localized pair recovery re-homes pairs
             # mid-generation and the next generation must see the moves.
-            assignment=assignment,
+            owner=owner,
             start_iter=start_iter,
             checkpoint=checkpoint,
             map_boxes=map_boxes,
@@ -505,7 +471,7 @@ class IMapReduceRuntime:
                     if kind == "auxmap":
                         ctx.map_procs.append(proc)
         except WorkerFailure as failure:
-            # A worker died between assignment and spawn: recover.
+            # A worker died between placement and spawn: recover.
             for proc in ctx.procs:
                 proc.interrupt("shutdown")
             yield engine.timeout(0.0)
@@ -635,7 +601,7 @@ class IMapReduceRuntime:
                     self._emit("worker-failure", worker=worker)
                     return _GenOutcome(kind="recover", failed_worker=worker)
                 affected = [
-                    p for p in range(num_pairs) if ctx.assignment[p] == worker
+                    p for p in range(num_pairs) if ctx.owner[p] == worker
                 ]
                 if not affected:
                     continue  # stale confirmation: pairs already moved on
@@ -648,7 +614,7 @@ class IMapReduceRuntime:
                 # machine crashed mid-operation): recover just that pair,
                 # in place if its worker is still usable.
                 pair = message[1]
-                self._emit("task-crash", pair=pair, worker=ctx.assignment[pair])
+                self._emit("task-crash", pair=pair, worker=ctx.owner[pair])
                 yield from self._recover_pairs(job, ctx, [pair], None, ckpt_acks)
                 continue
 
@@ -730,7 +696,8 @@ class IMapReduceRuntime:
                 and num_pairs >= 3
                 and ctx.checkpoint.state_index > 0
             ):
-                plan = self._plan_migration(ctx, pair_reports)
+                times = {p: t for p, (_d, t) in pair_reports.items()}
+                plan = plan_migration(ctx.owner, times, self.lb.deviation_threshold)
                 if plan is not None:
                     yield engine.timeout(self.cost.heartbeat)
                     self._emit("migration", **plan)
@@ -802,11 +769,11 @@ class IMapReduceRuntime:
                 ctx.map_boxes[j][p] = IterationMailbox(engine, f"map{j}.{p}")
                 ctx.reduce_boxes[j][p] = IterationMailbox(engine, f"red{j}.{p}")
 
-        # 4) Re-home the orphaned pairs onto the least-loaded survivors.
+        # 4) Re-home the orphaned pairs onto the survivors.
         dead = self._dead_workers()
         if failed_worker is not None:
             dead.add(failed_worker)
-        self._reassign_failed(ctx.assignment, ctx.num_pairs, dead=dead)
+        self._reassign_failed(ctx.owner, dead)
 
         # 5) Re-feed the logged cross-pair traffic for the iterations the
         #    replacements will re-run (live senders have moved on and
@@ -826,7 +793,7 @@ class IMapReduceRuntime:
                 "pair-recovery",
                 pair=p,
                 from_worker=failed_worker,
-                worker=ctx.assignment[p],
+                worker=ctx.owner[p],
                 resume_state=resume,
             )
 
@@ -846,7 +813,7 @@ class IMapReduceRuntime:
         """Spawn phase ``j``'s persistent map and reduce task of pair ``p``
         on its assigned worker and register them for fencing; returns
         both processes."""
-        worker = self.cluster[ctx.assignment[p]]
+        worker = self.cluster[ctx.owner[p]]
         procs = []
         for kind, task in (("map", _map_task), ("red", _reduce_task)):
             proc = worker.spawn(task(ctx, j, p, worker, start), name=f"{kind}{j}.{p}")
@@ -855,38 +822,6 @@ class IMapReduceRuntime:
             procs.append(proc)
         ctx.map_procs.append(procs[0])
         return procs
-
-    def _plan_migration(self, ctx: "_GenContext", pair_reports) -> dict | None:
-        """The paper's policy: average processing time excluding the
-        longest and shortest; migrate the slowest worker's laggard pair to
-        the fastest worker if its deviation exceeds the threshold."""
-        times = {p: t for p, (_, t) in pair_reports.items()}
-        worker_time: dict[str, float] = defaultdict(float)
-        for p, t in times.items():
-            name = ctx.assignment[p]
-            worker_time[name] = max(worker_time[name], t)
-        if len(worker_time) < 3:
-            return None
-        ordered = sorted(worker_time.values())
-        trimmed = ordered[1:-1]
-        avg = sum(trimmed) / len(trimmed)
-        if avg <= 0:
-            return None
-        slowest = max(worker_time, key=lambda w: worker_time[w])
-        fastest = min(worker_time, key=lambda w: worker_time[w])
-        deviation = (worker_time[slowest] - avg) / avg
-        if deviation <= self.lb.deviation_threshold or slowest == fastest:
-            return None
-        candidates = [p for p, w in ctx.assignment.items() if w == slowest]
-        if not candidates:
-            return None
-        pair = max(candidates, key=lambda p: times.get(p, 0.0))
-        return {
-            "pair": pair,
-            "from": slowest,
-            "to": fastest,
-            "deviation": deviation,
-        }
 
     def _drop_state_files(self, job: IterativeJob, state_index: int, num_pairs: int) -> None:
         prefix = self._state_prefix(job, state_index)
@@ -906,7 +841,7 @@ class _GenContext:
     runtime: IMapReduceRuntime
     job: IterativeJob
     num_pairs: int
-    assignment: dict[int, str]
+    owner: list[str]
     start_iter: int
     checkpoint: _Checkpoint
     map_boxes: list[list[IterationMailbox]]
@@ -1010,7 +945,7 @@ class _GenContext:
     def _dest_worker(self, boxkind: str, dest_pair: int) -> str:
         if boxkind in ("auxmap", "auxred"):
             return self.aux_workers[dest_pair]
-        return self.assignment[dest_pair]
+        return self.owner[dest_pair]
 
     def _box(self, boxkind: str, phase: int, dest_pair: int) -> IterationMailbox:
         if boxkind == "map":

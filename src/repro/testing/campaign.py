@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 from ..cluster.faults import FaultEvent, FaultSchedule
 from ..cluster.network import LinkFault
 from ..graph.generators import pagerank_graph, sssp_graph
-from ..imapreduce.runtime import PAIRS_PER_WORKER
+from ..imapreduce.placement import PAIRS_PER_WORKER
 
 __all__ = ["WORKLOADS", "GRAPHS", "REPLICATION", "CampaignSpec", "generate_campaign"]
 

@@ -113,14 +113,14 @@ def test_job_requires_termination_condition():
                  update_fn=lambda *a: None, output_path=OUT, conf=conf)
 
 
-@pytest.mark.parametrize("value", [math.nan], ids=["nan"])
-def test_bad_priority_is_refused_not_spun_on(value):
+@pytest.mark.parametrize("use_kernel", [False, True], ids=["record", "kernel"])
+def test_bad_priority_is_refused_not_spun_on(use_kernel):
     """A NaN priority makes the pending mass NaN — never ``<=`` the
     threshold, never selected — so a threshold-only job would spin
-    forever.  A NaN delta under ``sum`` scores one."""
-    _g, job, deltas, static = _pagerank_case(n=20)
+    forever.  A NaN delta under ``sum`` scores one, on either executor."""
     # max_rounds stays set so a lost check fails here instead of hanging.
-    deltas[0] = (0, value)
+    _g, job, deltas, static = _pagerank_case(n=20, max_rounds=500, use_kernel=use_kernel)
+    deltas[0] = (0, math.nan)
     with pytest.raises(ConfigError, match=r"'sum'.*key 0\b.*nan.*>= 0"):
         run_accum_local(job, deltas, static, num_pairs=2)
 

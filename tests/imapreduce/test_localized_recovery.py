@@ -8,12 +8,15 @@ pair simply holds at its barrier — no whole-generation rollback.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FaultSchedule, local_cluster
 from repro.common import IterKeys, JobConf
 from repro.common.errors import SchedulingError
 from repro.dfs import DFS
 from repro.imapreduce import FailureDetectorConfig, IMapReduceRuntime, IterativeJob
+from repro.imapreduce.placement import PAIRS_PER_WORKER, check_slots, reassign
 from repro.metrics.trace import Tracer
 from repro.simulation import Engine
 
@@ -158,44 +161,55 @@ def test_false_confirmation_of_partitioned_worker_is_survivable():
 
 
 # ------------------------------------------------- least-loaded reassign --
-def make_runtime(nodes=4):
-    engine = Engine()
-    cluster = local_cluster(engine, nodes)
-    dfs = DFS(cluster, block_size=4096, replication=2)
-    return IMapReduceRuntime(cluster, dfs)
-
-
 def test_reassign_picks_the_least_loaded_survivor():
-    runtime = make_runtime()
-    assignment = {0: "node0", 1: "node0", 2: "node1", 3: "node2"}
-    runtime._reassign_failed(assignment, 4, dead={"node1"})
+    owner = ["node0", "node0", "node1", "node2"]
     # node3 hosts nothing; round-robin order would have favoured node0.
-    assert assignment == {0: "node0", 1: "node0", 2: "node3", 3: "node2"}
+    assert reassign(owner, ["node0", "node2", "node3"]) == [
+        "node0", "node0", "node3", "node2"
+    ]
 
 
 def test_reassign_spreads_multiple_orphans():
-    runtime = make_runtime()
-    assignment = {0: "node1", 1: "node1", 2: "node2", 3: "node3"}
-    runtime._reassign_failed(assignment, 4, dead={"node1"})
+    owner = reassign(["node1", "node1", "node2", "node3"], ["node0", "node2", "node3"])
     # Both orphans land on distinct least-loaded survivors (node0 first,
     # then the tie among load-1 workers breaks toward cluster order).
-    assert assignment[0] == "node0"
-    assert assignment[1] in ("node0", "node2", "node3")
+    assert owner[0] == "node0"
+    assert owner[1] in ("node0", "node2", "node3")
     loads = {}
-    for worker in assignment.values():
+    for worker in owner:
         loads[worker] = loads.get(worker, 0) + 1
     assert max(loads.values()) <= 2
 
 
 def test_reassign_refuses_without_capacity():
-    runtime = make_runtime(nodes=2)
-    assignment = {p: "node1" for p in range(5)}
     with pytest.raises(SchedulingError):
-        runtime._reassign_failed(assignment, 5, dead={"node1"})
+        check_slots(5, ["node0"], "not enough task slots on surviving workers")
 
 
 def test_reassign_refuses_with_no_survivors():
-    runtime = make_runtime(nodes=2)
-    assignment = {0: "node1"}
     with pytest.raises(SchedulingError):
-        runtime._reassign_failed(assignment, 1, dead={"node0", "node1"})
+        check_slots(1, [], "not enough task slots on surviving workers")
+
+
+@st.composite
+def _placements(draw):
+    workers = list(range(draw(st.integers(1, 5))))
+    owner = draw(st.lists(st.sampled_from(workers), min_size=1, max_size=10))
+    dead = draw(st.sets(st.sampled_from(workers), max_size=len(workers) - 1))
+    return owner, [w for w in workers if w not in dead]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_placements())
+def test_reassign_properties(placement):
+    owner, alive = placement
+    placed = reassign(owner, alive)
+    assert placed == reassign(owner, alive)  # deterministic
+    assert all(w in alive for w in placed)
+    assert all(p == o for p, o in zip(placed, owner) if o in alive)
+    try:
+        check_slots(len(owner), alive, "")
+    except SchedulingError:
+        return
+    if all(owner.count(w) <= PAIRS_PER_WORKER for w in alive):
+        assert all(placed.count(w) <= PAIRS_PER_WORKER for w in alive)

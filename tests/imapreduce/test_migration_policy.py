@@ -1,53 +1,12 @@
 """Unit tests for the §3.4.2 migration policy (pure decision logic)."""
 
-import pytest
+from repro.imapreduce.placement import plan_migration
 
-from repro.cluster import heterogeneous_cluster
-from repro.dfs import DFS
-from repro.imapreduce import IMapReduceRuntime, LoadBalanceConfig
-from repro.imapreduce.runtime import _GenContext, _Checkpoint
-from repro.simulation import Engine, Store
-
-
-def make_runtime(threshold=0.5, speeds=(1.0, 1.0, 1.0, 1.0)):
-    engine = Engine()
-    cluster = heterogeneous_cluster(engine, list(speeds))
-    dfs = DFS(cluster, replication=2)
-    runtime = IMapReduceRuntime(
-        cluster, dfs,
-        load_balance=LoadBalanceConfig(enabled=True, deviation_threshold=threshold),
-    )
-    return runtime, cluster
-
-
-def make_ctx(runtime, assignment):
-    return _GenContext(
-        runtime=runtime,
-        job=None,
-        num_pairs=len(assignment),
-        assignment=dict(assignment),
-        start_iter=0,
-        checkpoint=_Checkpoint(1, "/x"),
-        map_boxes=[],
-        reduce_boxes=[],
-        master_box=Store(runtime.engine),
-        aux_map_boxes=[],
-        aux_reduce_boxes=[],
-        accounts={},
-    )
-
-
-ASSIGNMENT = {0: "hnode0", 1: "hnode1", 2: "hnode2", 3: "hnode3"}
-
-
-def reports(times):
-    return {p: (None, t) for p, t in times.items()}
+OWNER = ["hnode0", "hnode1", "hnode2", "hnode3"]
 
 
 def test_migrates_clear_straggler():
-    runtime, _ = make_runtime()
-    ctx = make_ctx(runtime, ASSIGNMENT)
-    plan = runtime._plan_migration(ctx, reports({0: 1.0, 1: 1.0, 2: 1.1, 3: 4.0}))
+    plan = plan_migration(OWNER, {0: 1.0, 1: 1.0, 2: 1.1, 3: 4.0}, 0.5)
     assert plan is not None
     assert plan["from"] == "hnode3"
     assert plan["pair"] == 3
@@ -56,38 +15,26 @@ def test_migrates_clear_straggler():
 
 
 def test_no_migration_when_balanced():
-    runtime, _ = make_runtime()
-    ctx = make_ctx(runtime, ASSIGNMENT)
-    assert runtime._plan_migration(
-        ctx, reports({0: 1.0, 1: 1.05, 2: 0.98, 3: 1.02})
-    ) is None
+    assert plan_migration(OWNER, {0: 1.0, 1: 1.05, 2: 0.98, 3: 1.02}, 0.5) is None
 
 
 def test_threshold_controls_sensitivity():
     times = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.4}
-    strict, _ = make_runtime(threshold=0.2)
-    loose, _ = make_runtime(threshold=1.0)
-    assert strict._plan_migration(make_ctx(strict, ASSIGNMENT), reports(times)) is not None
-    assert loose._plan_migration(make_ctx(loose, ASSIGNMENT), reports(times)) is None
+    assert plan_migration(OWNER, times, 0.2) is not None
+    assert plan_migration(OWNER, times, 1.0) is None
 
 
 def test_average_excludes_longest_and_shortest():
     """The paper's trimmed mean: one extreme fast worker must not drag
     the average down and trigger spurious migrations."""
-    runtime, _ = make_runtime(threshold=0.5)
-    ctx = make_ctx(runtime, ASSIGNMENT)
     # Times 0.1 / 1.0 / 1.0 / 1.3: trimmed avg = 1.0; deviation 0.3 < 0.5.
-    assert runtime._plan_migration(
-        ctx, reports({0: 0.1, 1: 1.0, 2: 1.0, 3: 1.3})
-    ) is None
+    assert plan_migration(OWNER, {0: 0.1, 1: 1.0, 2: 1.0, 3: 1.3}, 0.5) is None
 
 
 def test_picks_slowest_pair_on_slowest_worker():
-    runtime, _ = make_runtime()
-    assignment = {0: "hnode0", 1: "hnode0", 2: "hnode1", 3: "hnode2", 4: "hnode3", 5: "hnode3"}
-    ctx = make_ctx(runtime, assignment)
-    plan = runtime._plan_migration(
-        ctx, reports({0: 1.0, 1: 1.1, 2: 1.0, 3: 1.0, 4: 3.0, 5: 4.0})
+    owner = ["hnode0", "hnode0", "hnode1", "hnode2", "hnode3", "hnode3"]
+    plan = plan_migration(
+        owner, {0: 1.0, 1: 1.1, 2: 1.0, 3: 1.0, 4: 3.0, 5: 4.0}, 0.5
     )
     assert plan is not None
     assert plan["from"] == "hnode3"
@@ -95,6 +42,4 @@ def test_picks_slowest_pair_on_slowest_worker():
 
 
 def test_needs_at_least_three_workers():
-    runtime, _ = make_runtime(speeds=(1.0, 0.2))
-    ctx = make_ctx(runtime, {0: "hnode0", 1: "hnode1"})
-    assert runtime._plan_migration(ctx, reports({0: 1.0, 1: 5.0})) is None
+    assert plan_migration(["hnode0", "hnode1"], {0: 1.0, 1: 5.0}, 0.5) is None

@@ -22,14 +22,13 @@ the rules live; every expected value is a literal.
 
 import pytest
 
-from repro.cluster import heterogeneous_cluster, local_cluster
+from repro.cluster import local_cluster
 from repro.common import IterKeys, JobConf
 from repro.common.errors import SchedulingError
 from repro.dfs import DFS
-from repro.imapreduce import IMapReduceRuntime, IterativeJob, LoadBalanceConfig
-from repro.imapreduce.parallel import _reassign, _round_robin
-from repro.imapreduce.runtime import _Checkpoint, _GenContext
-from repro.simulation import Engine, Store
+from repro.imapreduce import IMapReduceRuntime, IterativeJob
+from repro.imapreduce.placement import plan_migration, reassign, round_robin
+from repro.simulation import Engine
 
 
 # ---------------------------------------------------------- adapters --
@@ -71,7 +70,8 @@ def initial_placement(nodes, num_pairs, failed=()):
 
 def mesh_placement(num_pairs, num_workers):
     """The mesh's initial worker → pairs lists."""
-    return _round_robin(num_pairs, num_workers)
+    owner = round_robin(num_pairs, range(num_workers))
+    return [[p for p, o in enumerate(owner) if o == w] for w in range(num_workers)]
 
 
 def recovery_placement(nodes, owner, dead):
@@ -80,32 +80,24 @@ def recovery_placement(nodes, owner, dead):
     engine = Engine()
     cluster = local_cluster(engine, nodes)
     runtime = IMapReduceRuntime(cluster, DFS(cluster, block_size=4096, replication=2))
-    assignment = dict(enumerate(owner))
-    runtime._reassign_failed(assignment, len(owner), dead=set(dead))
-    return [assignment[p] for p in range(len(owner))]
+    owner = list(owner)
+    runtime._reassign_failed(owner, set(dead))
+    return owner
 
 
 def mesh_recovery(assignment, dead):
-    """The mesh's worker → pairs lists after worker ``dead`` is lost."""
-    return _reassign(assignment, dead)
+    """The mesh's worker → pairs lists after worker ``dead`` is lost:
+    ``host_mesh``'s reassignment step (survivors renumbered in order)."""
+    owner = [w for _p, w in sorted((p, w) for w, ps in enumerate(assignment) for p in ps)]
+    alive = [w for w in range(len(assignment)) if w != dead]
+    survivor = {w: i for i, w in enumerate(alive)}
+    owner = [survivor[w] for w in reassign(owner, alive)]
+    return [[p for p, o in enumerate(owner) if o == w] for w in range(len(alive))]
 
 
 def migration(owner, times, threshold=0.5):
     """The §3.4.2 decision for per-pair times on a pair → machine list."""
-    engine = Engine()
-    cluster = heterogeneous_cluster(engine, [1.0] * 4)
-    runtime = IMapReduceRuntime(
-        cluster, DFS(cluster, replication=2),
-        load_balance=LoadBalanceConfig(enabled=True, deviation_threshold=threshold),
-    )
-    ctx = _GenContext(
-        runtime=runtime, job=None, num_pairs=len(owner),
-        assignment=dict(enumerate(owner)), start_iter=0,
-        checkpoint=_Checkpoint(1, "/x"), map_boxes=[], reduce_boxes=[],
-        master_box=Store(engine), aux_map_boxes=[], aux_reduce_boxes=[],
-        accounts={},
-    )
-    return runtime._plan_migration(ctx, {p: (None, t) for p, t in times.items()})
+    return plan_migration(owner, times, threshold)
 
 
 # ------------------------------------------------- initial placement --
