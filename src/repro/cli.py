@@ -347,7 +347,7 @@ def _where(plan, job, result) -> str:
     """The host, then the pair executor it ran and why
     (``select_executor``; the seeded simulated host always runs the
     record executor)."""
-    from .imapreduce import select_executor
+    from .imapreduce import AccumJob, select_executor
 
     pairs = f"{plan.num_pairs} pairs"
     if plan.backend == "simulated":
@@ -357,6 +357,8 @@ def _where(plan, job, result) -> str:
     why = select_executor(job)[1]
     if why is not None:
         return f"{host}, record: {why}"
+    if job.kernel is None and isinstance(job, AccumJob):
+        return f"{host}, columnar (update_fn over the {job.fold} fold)"
     if job.kernel is None:
         return f"{host}, columnar (declared {job.phases[0].fold} fold)"
     return f"{host}, columnar (kernel)"

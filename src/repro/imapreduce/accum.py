@@ -32,6 +32,17 @@ This module holds the pieces every backend shares:
   which is what makes serial/parallel runs record-for-record identical
   per mode.
 
+Kernel-less jobs run columnar: on the serial and the multiprocess
+backend a job whose partitioner has ``bind_array`` runs
+:class:`~repro.imapreduce.columnar.ColumnarAccum` — dense per-pair
+arrays, rounds that cost O(active keys) — through
+:class:`~repro.imapreduce.localrun.UpdateKernel`, which calls the job's
+``update_fn`` once per changed key in :class:`AccumPair`'s application
+order.  Its runs equal :class:`AccumPair`'s in state, rounds and work
+counters, and in the pending-mass trace wherever the state dtype can
+hold ∞ (int64 state stands its max in for it); :class:`AccumPair` stays
+the reference, and what the seeded simulated host runs.
+
 Scheduling and termination
 --------------------------
 

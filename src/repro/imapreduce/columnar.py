@@ -92,7 +92,10 @@ the job must carry a kernel — or, kernel-less, declare its phase's fold
 runs: the record map, the fold as the merge — have exactly one phase,
 no aux phase, a partitioner with ``bind_array``, and the phase mapping
 must match the kernel's ``needs_broadcast`` (a declared fold's is
-one2one).  A ``sum`` fold without a combiner ships its raw emissions
+one2one).  An accumulative job needs only the partitioner: kernel-less,
+it runs :class:`ColumnarAccum` through
+:class:`~repro.imapreduce.localrun.UpdateKernel`, its own
+``update_fn``.  A ``sum`` fold without a combiner ships its raw emissions
 uncombined (``Kernel.combine``), so the receiver adds each key's values
 in the record reducer's order.  Anything else falls back to the
 record executor — with the reason — on every backend, so all backends
@@ -242,7 +245,8 @@ class AccumKernel:
     another fold than its job.
     """
 
-    #: dtype of the state/pending arrays.
+    #: dtype of the state/pending arrays (``None``: inferred per pair,
+    #: see :class:`ColumnarAccum`).
     state_dtype = "float64"
 
     def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
@@ -284,6 +288,11 @@ def _int_keys(keys: Iterable) -> np.ndarray:
             f"columnar keys must be ints, got {type(first).__name__}"
         )
     return np.array(keys, dtype=np.int64)
+
+
+def _split(records) -> tuple[list, list]:
+    """``(key, value)`` records → their keys and their values, as lists."""
+    return list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
 
 
 def encode_columnar(
@@ -454,6 +463,19 @@ def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
     raise KernelContractError(f"unknown merge {merge!r}")
 
 
+def _state_values(declared, values: list) -> np.ndarray:
+    """An accumulative pair's initial-delta and warm-start ``values`` as
+    one array in its state dtype: the kernel's, or — declared ``None`` —
+    the one numpy infers from them, float64 when there are none; int64
+    and float64 only (the folds' identities are defined for those)."""
+    if declared is None and not values:
+        declared = np.float64
+    values = np.array(values, dtype=declared)
+    if values.dtype not in (np.int64, np.float64):
+        raise KernelContractError(f"state values must be int64 or float64, got {values.dtype}")
+    return values
+
+
 def _fold(merge: str, size: int, batches) -> np.ndarray:
     """The one columnar fold rule: an accumulator of ``size`` rows filled
     with the merge's identity, then ``ufunc.at(acc, idx, vals)`` for each
@@ -555,40 +577,37 @@ def concat_broadcast(
 def absorb_columnar(
     merge: str,
     owned_keys: np.ndarray,
+    state: np.ndarray,
     pending: np.ndarray,
     active: np.ndarray,
     in_keys: np.ndarray,
     in_values: np.ndarray,
 ) -> None:
     """Coalesce an arriving delta batch into the dense pending queue
-    (the vectorized twin of ``AccumPair.absorb``).  Emissions to keys
+    (the vectorized twin of ``AccumPair.absorb``, drop rule included:
+    under ``min`` a key stays active only while its pending value beats
+    its state).  Only the arriving rows are touched; emissions to keys
     outside the owned set violate the closed-universe contract."""
     if in_keys.size == 0:
         return
     idx = _locate(owned_keys, in_keys)
     _reduction(merge, pending.dtype)[0].at(pending, idx, _canonical(in_values))
+    if merge == "min":
+        idx = idx[pending[idx] < state[idx]]
     active[idx] = True
 
 
-def pending_priority(
-    merge: str,
-    state: np.ndarray,
-    pending: np.ndarray,
-    active: np.ndarray,
-) -> np.ndarray:
-    """Vectorized impact scores: ``|state − (state ⊕ pending)|`` as
-    float64, 0 where no delta is pending (``Fold.priority``, over the
-    whole pair at once)."""
+def pending_priority(merge: str, state: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """Vectorized impact scores of live pending deltas, ``|state −
+    (state ⊕ pending)|`` as float64 (``Fold.priority``, over many keys
+    at once).  Under ``min`` a live row's pending value beats its state
+    (:func:`absorb_columnar`'s drop rule), so the score is ``state −
+    pending``: positive, and ``inf`` for a first offer to an ∞ state."""
     if merge == "sum":
         pr = np.abs((state + pending) - state)
     else:
-        merged = np.minimum(state, pending)
-        improves = state > merged
-        with np.errstate(invalid="ignore"):
-            # np.where evaluates both branches: inf − inf is masked out.
-            pr = np.where(improves, state - merged, 0)
-    pr = pr.astype(np.float64, copy=False)
-    return np.where(active, pr, 0.0)
+        pr = state - pending
+    return pr.astype(np.float64, copy=False)
 
 
 # --------------------------------------------------------- pair executors --
@@ -766,15 +785,20 @@ class ColumnarAccum:
     ∪ warm-start keys).  The round protocol is the record executor's —
     mass before the round, pairs ascending, ascending-source absorption
     — so both layouts and both transports agree on ``rounds`` and every
-    work counter."""
+    work counter.  A round's bookkeeping is proportional to the live
+    rows: the mass, the refusal and the schedule score only the active
+    keys, and each pair absorbs its arriving batches in one indexed
+    fold.  A kernel whose ``state_dtype`` is ``None`` gets the dtype
+    numpy infers from each pair's initial-delta and warm-start values
+    (float64 when there are none)."""
 
     report_lag = 0
     plan = [(SHUFFLE, 0)]
     max_steps = 10**9  # the verdict policy enforces ``max_rounds``
 
-    def __init__(self, cfg, timings: dict):
+    def __init__(self, cfg, timings: dict, kernel=None):
         job = cfg.job
-        kernel = self.kernel = job.kernel
+        kernel = self.kernel = kernel or job.kernel
         self.timings = timings
         self.num_pairs = cfg.num_pairs
         self.pairs = sorted(cfg.state_parts)
@@ -784,58 +808,48 @@ class ColumnarAccum:
         self.updates = self.emitted = self.shipped = 0
         started = time.perf_counter()
         fold = self.fold = job.fold
-        dtype = np.dtype(kernel.state_dtype)
-        self.ufunc, self.identity = _reduction(fold, dtype)
         warm = cfg.accum_initial_state or {}
         self.owned, self.state, self.pending, self.active = {}, {}, {}, {}
-        self.prepared = {}
+        self.identity, self.prepared = {}, {}
         for p in self.pairs:
-            table, deltas = cfg.static_parts[0][p], cfg.state_parts[p]
-            preload = warm.get(p) or ()
-            ks = np.sort(_int_keys(
-                {*table, *(k for k, _d in deltas), *(k for k, _v in preload)}
-            ))
+            table = cfg.static_parts[0][p]
+            dk, dv = _split(cfg.state_parts[p])
+            wk, wv = _split(warm.get(p) or ())
+            ks = np.sort(_int_keys({*table, *dk, *wk}))
+            values = _state_values(kernel.state_dtype, dv + wv)
+            dtype = values.dtype
+            self.ufunc, identity = _reduction(fold, dtype)
+            self.identity[p] = identity
             self.owned[p] = ks
-            self.state[p] = np.full(ks.size, self.identity, dtype=dtype)
-            self.pending[p] = np.full(ks.size, self.identity, dtype=dtype)
+            self.state[p] = np.full(ks.size, identity, dtype=dtype)
+            self.pending[p] = np.full(ks.size, identity, dtype=dtype)
             self.active[p] = np.zeros(ks.size, dtype=bool)
-            if preload:
+            if wk:
                 # Memoized values are scattered in without marking them
                 # pending — the record engine's preload semantics.
-                wk = np.array([k for k, _v in preload], dtype=np.int64)
-                wv = np.array([v for _k, v in preload], dtype=dtype)
-                self.state[p][np.searchsorted(ks, wk)] = wv
-            if deltas:
-                dk = np.array([k for k, _d in deltas], dtype=np.int64)
-                dv = np.array([d for _k, d in deltas], dtype=dtype)
-                absorb_columnar(fold, ks, self.pending[p], self.active[p], dk, dv)
-                self._drop_dead(p)
+                wk = np.fromiter(wk, np.int64, len(wk))
+                self.state[p][np.searchsorted(ks, wk)] = values[len(dk):]
+            if dk:
+                absorb_columnar(fold, ks, self.state[p], self.pending[p], self.active[p],
+                                np.fromiter(dk, np.int64, len(dk)), values[:len(dk)])
             self.prepared[p] = kernel.prepare(p, ks, table)
         timings["kernel"] += time.perf_counter() - started
 
     def broadcast_items(self, phase: int):
         return None
 
-    def _drop_dead(self, q: int) -> None:
-        """``AccumPair.absorb``'s drop rule: under ``min`` an offer the
-        state already absorbed is no delta, so a key stays active only
-        while its pending value beats the state."""
-        if self.fold == "min":
-            self.active[q] &= self.pending[q] < self.state[q]
-
     def progress(self, send_state: bool) -> dict:
         started = time.perf_counter()
-        self.priorities = {
-            p: pending_priority(
-                self.fold, self.state[p], self.pending[p], self.active[p]
-            )
-            for p in self.pairs
-        }
-        masses = {p: fold_mass(pr[self.active[p]].tolist()) for p, pr in self.priorities.items()}
-        for p, mass in masses.items():
-            if not mass >= 0:  # a NaN priority: the mass check could never fire
-                i = np.flatnonzero(np.isnan(self.priorities[p]))[0]
-                raise bad_priority(self.fold, int(self.owned[p][i]), float(self.priorities[p][i]))
+        self.live = {}  # pair → (its active rows ascending, their priorities)
+        masses = {}
+        for p in self.pairs:
+            act = np.flatnonzero(self.active[p])
+            pr = pending_priority(self.fold, self.state[p][act], self.pending[p][act])
+            self.live[p] = act, pr
+            masses[p] = fold_mass(pr.tolist())
+            if not masses[p] >= 0:  # a NaN priority: the mass check could never fire
+                i = np.flatnonzero(np.isnan(pr))[0]
+                raise bad_priority(self.fold, int(self.owned[p][act[i]]), float(pr[i]))
         self.timings["schedule"] += time.perf_counter() - started
         return {
             "mass": masses,
@@ -845,16 +859,14 @@ class ColumnarAccum:
         }
 
     def _select(self, p: int) -> np.ndarray:
+        act, pr = self.live[p]
         if self.mode == "sync":
-            return np.flatnonzero(self.active[p])
-        pr = self.priorities[p]
-        act = np.flatnonzero(pr > 0)
-        if act.size == 0:
             return act
-        count = max(1, math.ceil(self.frac * act.size))
+        live = np.flatnonzero(pr > 0)
+        count = max(1, math.ceil(self.frac * live.size))
         # Stable argsort over −priority: ties keep ascending key order —
         # the record scheduler's exact tie-break.
-        return act[np.argsort(-pr[act], kind="stable")[:count]]
+        return act[live[np.argsort(-pr[live], kind="stable")[:count]]]
 
     def emit(self, kind, phase, broadcast) -> list[tuple]:
         kernel, perf = self.kernel, time.perf_counter
@@ -867,11 +879,11 @@ class ColumnarAccum:
                 continue
             started = perf()
             state, pending = self.state[p], self.pending[p]
-            d = pending[idx].copy()
+            d = pending[idx]
             old = state[idx]
             merged = self.ufunc(old, d)
             state[idx] = merged
-            pending[idx] = self.identity
+            pending[idx] = self.identity[p]
             self.active[p][idx] = False
             self.updates += int(idx.size)
             changed = merged != old
@@ -893,12 +905,16 @@ class ColumnarAccum:
     def absorb(self, kind, phase, merged) -> None:
         started = time.perf_counter()
         for q in self.pairs:
-            for _q, _src, ks, vs in merged.get(q, ()):
-                absorb_columnar(
-                    self.fold, self.owned[q], self.pending[q],
-                    self.active[q], ks, vs,
-                )
-            self._drop_dead(q)
+            items = merged.get(q, ())
+            if not items:
+                continue
+            # One indexed fold over the batches in ascending source-pair
+            # order: ``ufunc.at`` applies in index order, so a ``sum``
+            # adds in the sequence batch-by-batch folds would.
+            absorb_columnar(self.fold, self.owned[q], self.state[q],
+                            self.pending[q], self.active[q],
+                            np.concatenate([item[2] for item in items]),
+                            np.concatenate([item[3] for item in items]))
         self.timings["delta"] += time.perf_counter() - started
 
     def final_state(self) -> dict[int, tuple]:

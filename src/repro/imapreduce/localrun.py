@@ -415,6 +415,20 @@ class RecordAccum:
         }
 
 
+def _emission_columns(keys: list, values: list, state: np.ndarray):
+    """A kernel-less job's emitted ``keys``/``values`` lists as columns:
+    int64 keys (a float key would be truncated onto an int one) and
+    values numpy infers as the ``state`` array's own dtype."""
+    out_keys = np.array(keys) if keys else np.empty(0, np.int64)
+    out_values = np.array(values) if values else state[:0]
+    if out_keys.dtype != np.int64:
+        raise KernelContractError(f"columnar keys must be ints, got {out_keys.dtype} keys")
+    if out_values.dtype != state.dtype:
+        raise KernelContractError(
+            f"the job emits {out_values.dtype} values into {state.dtype} state")
+    return out_keys, out_values
+
+
 class FoldKernel(Kernel):
     """The kernel :class:`~repro.imapreduce.columnar.ColumnarSync` runs a
     kernel-less job with, once its phase declares a fold: the record
@@ -425,8 +439,7 @@ class FoldKernel(Kernel):
     receiver adds each key's raw emissions in ascending source pair,
     then emission order, as the record reducer does.  The state dtype is
     the one numpy infers from the state values; emitted values must
-    infer the same one, and emitted keys int64 (a float key would be
-    truncated onto an int one)."""
+    infer the same one, and emitted keys int64."""
 
     state_dtype = None
 
@@ -439,16 +452,9 @@ class FoldKernel(Kernel):
         return static_table
 
     def map_kernel(self, pair, keys, values, prepared, broadcast):
-        out_keys, out_values = run_map(
-            self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared, None, None)
-        out_keys = np.array(out_keys) if out_keys else keys[:0]
-        out_values = np.array(out_values) if out_values else values[:0]
-        if out_keys.dtype != np.int64:
-            raise KernelContractError(f"columnar keys must be ints, got {out_keys.dtype} keys")
-        if out_values.dtype != values.dtype:
-            raise KernelContractError(
-                f"the map emits {out_values.dtype} values into {values.dtype} state")
-        return out_keys, out_values
+        return _emission_columns(*run_map(
+            self.job.phases[0], zip(keys.tolist(), values.tolist()), prepared, None, None),
+            values)
 
     def distance_partial(self, keys, prev, curr):
         keys = keys.tolist()
@@ -464,24 +470,69 @@ class FoldSync(ColumnarSync):
         super().__init__(cfg, timings, FoldKernel(cfg.job))
 
 
+class UpdateKernel(AccumKernel):
+    """The kernel :class:`~repro.imapreduce.columnar.ColumnarAccum` runs
+    a kernel-less accumulative job with: the job's own ``update_fn``,
+    called once per changed row in ``idx`` (application) order with the
+    arguments :meth:`~repro.imapreduce.accum.AccumPair.apply` passes —
+    so the emissions, and the run, are the record executor's.  The state
+    dtype is the one numpy infers from each pair's initial-delta and
+    warm-start values (float64 when there are none); emitted values must
+    infer the same one, and emitted keys int64."""
+
+    state_dtype = None
+
+    def __init__(self, job):
+        self.update = job.update_fn
+
+    def prepare(self, pair, owned_keys, static_table):
+        return static_table
+
+    def emit_deltas(self, pair, owned_keys, idx, deltas, states, prepared):
+        keys: list = []
+        values: list = []
+
+        def emit(dest, delta):
+            keys.append(dest)
+            values.append(delta)
+
+        update, static_get = self.update, prepared.get
+        for k, d, s in zip(owned_keys[idx].tolist(), deltas.tolist(), states.tolist()):
+            update(k, d, s, static_get(k), emit)
+        return _emission_columns(keys, values, states)
+
+
+class UpdateAccum(ColumnarAccum):
+    """:class:`~repro.imapreduce.columnar.ColumnarAccum` over a
+    kernel-less job's :class:`UpdateKernel`."""
+
+    def __init__(self, cfg, timings: dict):
+        super().__init__(cfg, timings, UpdateKernel(cfg.job))
+
+
 # -------------------------------------------------------------- selection --
 def select_executor(job) -> tuple[type, str | None]:
     """``(pair executor class, why no columnar executor runs)``.
 
     Every backend calls this one function, so they always agree on the
     path; the reason is ``None`` exactly when a columnar executor runs.
-    A job runs columnar with its kernel or — kernel-less, one phase —
-    with its declared fold (:class:`FoldSync`).  Anything a kernel does
-    not support falls back to the
-    record executor — the differential reference — and says why.  An
+    A job runs columnar with its kernel or, kernel-less, through an
+    adapter: an accumulative job over its own ``update_fn``
+    (:class:`UpdateAccum`), a one-phase sync job with its declared fold
+    (:class:`FoldSync`).  Anything a kernel does not support falls back
+    to the record executor — the differential reference — and says why;
+    the seeded simulated host always runs the record executor.  An
     accumulative job's requirements are lighter (no phases or aux), but
     its key universe must be closed: every emission targets a
     static-table or initial-delta key.
     """
     accum = isinstance(job, AccumJob)
     record = RecordAccum if accum else RecordSync
-    kernel, columnar = getattr(job, "kernel", None), ColumnarSync
-    if kernel is None and not accum and job.phases[0].fold is not None:
+    kernel = getattr(job, "kernel", None)
+    columnar = ColumnarAccum if accum else ColumnarSync
+    if kernel is None and accum:
+        kernel, columnar = UpdateKernel(job), UpdateAccum
+    elif kernel is None and job.phases[0].fold is not None:
         kernel, columnar = FoldKernel, FoldSync  # the class answers the checks below
     if kernel is None:
         return record, "no kernel"
@@ -490,7 +541,7 @@ def select_executor(job) -> tuple[type, str | None]:
     if accum:
         if not isinstance(kernel, AccumKernel):
             return record, "not an AccumKernel"
-        return ColumnarAccum, None
+        return columnar, None
     if len(job.phases) != 1:
         return record, "multi-phase"
     if job.aux is not None:

@@ -460,8 +460,11 @@ def run_accum_local(
     (:class:`~repro.imapreduce.engine.AccumVerdict`) — the verdict
     protocol the multiprocess coordinator runs too, so serial and
     parallel runs of the same mode are record-for-record identical.
-    Jobs carrying a delta kernel (``job.kernel``) run on the columnar
-    executor — dense pending arrays with an active-key mask.
+    Every job whose partitioner has ``bind_array`` runs on the columnar
+    executor — dense pending arrays with an active-key mask — with its
+    delta kernel (``job.kernel``) or, kernel-less, through an adapter
+    that calls its own ``update_fn`` per changed key
+    (:class:`~repro.imapreduce.localrun.UpdateKernel`).
     """
     return _execute(job, delta_records, static_records, ExecutionPlan(
         num_pairs=num_pairs, mode=mode, keep_trace=keep_trace,
@@ -487,7 +490,7 @@ def run_accum_parallel(
     worker processes.
 
     Same semantics as :func:`run_accum_local` — partitioning, executor
-    selection (a job carrying a delta kernel runs columnar here too),
+    selection (columnar here too, kernel-less jobs included),
     scheduling, and the pre-round mass check follow the identical
     determinism contract, so for a given ``(job, deltas, num_pairs,
     mode)`` the parallel result is record-for-record identical to the

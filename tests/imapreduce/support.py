@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.common.partition import bind_partitioner
 from repro.imapreduce.engine import MESH_COUNTERS
 
 
@@ -41,3 +42,26 @@ def undeclared(job):
     the differential reference a declared job is held to."""
     return dataclasses.replace(
         job, phases=[dataclasses.replace(phase, fold=None) for phase in job.phases])
+
+
+class RecordOnly:
+    """Routes like ``inner`` but offers no ``bind_array``, so
+    ``select_executor`` keeps a job that uses it on the record executor
+    — on the serial host and on fork and spawn meshes alike (module
+    level, so it pickles)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, key, num_partitions):
+        return self.inner(key, num_partitions)
+
+    def bind(self, num_partitions):
+        return bind_partitioner(self.inner, num_partitions)
+
+
+def record_accum(job):
+    """``job`` without its kernel and with a :class:`RecordOnly`
+    partitioner: its ``RecordAccum`` twin, the differential reference
+    an accumulative job's columnar runs are held to."""
+    return dataclasses.replace(job, kernel=None, partitioner=RecordOnly(job.partitioner))

@@ -9,17 +9,21 @@ import numpy as np
 import pytest
 
 from repro.algorithms import components, pagerank, sssp
-from repro.common import ConfigError
+from repro.common import ConfigError, IterKeys
+from repro.common.partition import ModPartitioner
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import (
     AccumJob,
     ExecutionPlan,
+    KernelContractError,
     execute,
     run_accum_local,
+    select_executor,
 )
 from repro.imapreduce.accum import FOLDS, check_mode
 from repro.imapreduce.plan import _execute
 from repro.testing.oracles import fixpoints_agree
+from tests.imapreduce.support import record_accum
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
@@ -98,7 +102,7 @@ def test_a_kernel_runs_its_jobs_fold():
     _g, job, deltas, static = _sssp_case(n=30)
     _g, kjob, _d, _s = _sssp_case(n=30, use_kernel=True)
     kjob.kernel = SaysSum()
-    rec = run_accum_local(job, deltas, static, num_pairs=2)
+    rec = run_accum_local(record_accum(job), deltas, static, num_pairs=2)
     assert run_accum_local(kjob, deltas, static, num_pairs=2).state == rec.state
     assert rec.state[1][1] > 0.0
 
@@ -120,6 +124,7 @@ def test_bad_priority_is_refused_not_spun_on(use_kernel):
     forever.  A NaN delta under ``sum`` scores one, on either executor."""
     # max_rounds stays set so a lost check fails here instead of hanging.
     _g, job, deltas, static = _pagerank_case(n=20, max_rounds=500, use_kernel=use_kernel)
+    job = job if use_kernel else record_accum(job)
     deltas[0] = (0, math.nan)
     with pytest.raises(ConfigError, match=r"'sum'.*key 0\b.*nan.*>= 0"):
         run_accum_local(job, deltas, static, num_pairs=2)
@@ -198,7 +203,7 @@ def test_kernel_twin_parity(case, exact, mode):
     _g, job, deltas, static = case()
     _g, kjob, _d, _s = case(use_kernel=True)
     assert kjob.kernel is not None
-    rec = run_accum_local(job, deltas, static, num_pairs=4, mode=mode)
+    rec = run_accum_local(record_accum(job), deltas, static, num_pairs=4, mode=mode)
     ker = run_accum_local(kjob, deltas, static, num_pairs=4, mode=mode)
     assert ker.rounds == rec.rounds
     assert ker.deltas_shipped == rec.deltas_shipped
@@ -222,9 +227,13 @@ def test_min_kernel_twin_does_the_record_work(case, mode):
     traced ``pending_mass`` is the same float as well (both fold with
     ``fsum``).  Components' masses differ by construction: its kernel
     holds int64 labels with an int64-max stand-in for ∞, so a first
-    offer scores ``max − label`` where the record path scores ``inf``."""
+    offer scores ``max − label`` where the record path scores ``inf``.
+    The record side is the explicit ``RecordAccum`` twin: the bare job
+    would run columnar too, through its ``update_fn``."""
     _g, job, deltas, static = case()
     _g, kjob, _d, _s = case(use_kernel=True)
+    job = record_accum(job)
+    assert select_executor(job)[0].__name__ == "RecordAccum"
     rec = run_accum_local(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     ker = run_accum_local(kjob, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     assert ker.state == rec.state
@@ -234,6 +243,28 @@ def test_min_kernel_twin_does_the_record_work(case, mode):
         assert [r["pending_mass"] for r in ker.trace] == [
             r["pending_mass"] for r in rec.trace
         ]
+
+
+def _emit_outside(key, delta, state, successors, emit):
+    emit(99, state + 1.0)
+
+
+@pytest.mark.parametrize("update,deltas,match", [
+    # Key 99 is neither a static key nor an initial-delta key.
+    (_emit_outside, [(0, 0.0)], r"outside the owned set: \[99\]"),
+    # An int-seeded sssp: int64 state, float offers.
+    (sssp.accum_update, [(0, 0)], "emits float64 values into int64 state"),
+], ids=["unowned-key", "dtype"])
+def test_kernel_less_contract_is_refused(update, deltas, match):
+    """A kernel-less job runs columnar through its ``update_fn``, under
+    the columnar contract: a closed key universe and one state dtype.
+    The record executor ran both of these jobs; the twin still does."""
+    job = AccumJob("chain", "min", update, OUT, conf=_min_conf(), partitioner=ModPartitioner())
+    job.conf.set(IterKeys.STATIC_PATH, STATIC)
+    static = {STATIC: [(0, ((1, 0.5),)), (1, ())]}
+    with pytest.raises(KernelContractError, match=match):
+        run_accum_local(job, deltas, static, num_pairs=2)
+    assert run_accum_local(record_accum(job), deltas, static, num_pairs=2).rounds > 0
 
 
 # ------------------------------------------------- counters and trace --
@@ -300,6 +331,7 @@ def test_schedule_is_pinned_bit_for_bit(name):
     re-pins."""
     case, kwargs, mode, digest = PINNED[name]
     _g, job, deltas, static = case(**kwargs)
+    job = record_accum(job)  # the record executor's schedule on every host
     if isinstance(mode, dict):
         plan = ExecutionPlan(backend="simulated", num_pairs=4, keep_trace=True, **mode)
         # ``execute`` refuses --mode sync on the simulated backend (no

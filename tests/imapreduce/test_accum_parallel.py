@@ -27,20 +27,28 @@ from repro.imapreduce import (
     execute,
     run_accum_local,
     run_accum_parallel,
+    select_executor,
 )
-from tests.imapreduce.support import assert_mesh_counters, mesh_leftovers
+from tests.imapreduce.support import assert_mesh_counters, mesh_leftovers, record_accum
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
 
-#: Every workload as its record job and as its columnar-delta-kernel
-#: twin (the ``-kernel`` ids; the bare ids are the record jobs).
-WORKLOADS = ["sssp", "pagerank", "sssp-kernel", "pagerank-kernel"]
+#: Every workload on each executor: the bare ids are the record twins
+#: (:func:`~tests.imapreduce.support.record_accum`), the ``-kernel`` ids
+#: carry a columnar delta kernel and the ``-adapter`` ids are the
+#: kernel-less jobs, which run columnar through their ``update_fn``.
+WORKLOADS = ["sssp", "pagerank", "sssp-kernel", "pagerank-kernel",
+             "sssp-adapter", "pagerank-adapter"]
 
 
 def _case(workload, n=60, seed=11):
-    name, _, kernel = workload.partition("-")
-    use_kernel = kernel == "kernel"
+    name, _, executor = workload.partition("-")
+    job, deltas, static = _build(name, n, seed, executor == "kernel")
+    return (job if executor else record_accum(job)), deltas, static
+
+
+def _build(name, n, seed, use_kernel):
     if name == "sssp":
         graph = sssp_graph(n, seed=seed)
         job = sssp.build_accum_job(
@@ -65,11 +73,16 @@ def _ran_columnar(result) -> bool:
     return all(s["phase_seconds"]["kernel"] > 0 for s in result.worker_stats)
 
 
+def _columnar(job) -> bool:
+    return select_executor(job)[1] is None
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_parallel_replays_serial_bit_for_bit(workload, mode):
-    """Record executor on both transports, and — the cell the shared
-    executor selection fills — the columnar delta executor on both."""
+    """Record executor on both transports, and — the cells the shared
+    executor selection fills — the columnar delta executor, with a
+    kernel or through the job's ``update_fn``, on both."""
     job, deltas, static = _case(workload)
     serial = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
                              keep_trace=True)
@@ -84,7 +97,7 @@ def test_parallel_replays_serial_bit_for_bit(workload, mode):
     assert par.deltas_emitted == serial.deltas_emitted
     assert [row["pending_mass"] for row in par.trace] == \
         [row["pending_mass"] for row in serial.trace]
-    assert _ran_columnar(serial) == _ran_columnar(par) == (job.kernel is not None)
+    assert _ran_columnar(serial) == _ran_columnar(par) == _columnar(job)
 
 
 @pytest.mark.parametrize("num_workers", [1, 3])
@@ -114,7 +127,7 @@ def test_spawn_matches_fork(workload):
     assert spawn.pending_mass == fork.pending_mass
     assert spawn.updates_processed == fork.updates_processed
     assert spawn.deltas_shipped == fork.deltas_shipped
-    assert _ran_columnar(spawn) == _ran_columnar(fork) == (job.kernel is not None)
+    assert _ran_columnar(spawn) == _ran_columnar(fork) == _columnar(job)
 
 
 def test_priority_evals_bounded_by_absorbed_records():

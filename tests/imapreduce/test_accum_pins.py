@@ -8,12 +8,17 @@ per-round pending-mass trace (``repr`` keeps every float bit and every
 int/float type) on a seeded ~60-node graph.  A digest that moves means
 a merge, an identity, a priority or a drop rule changed.
 
-Cases: sssp and components (``min``), pagerank (``sum``), each on the
-record and the kernel executor, in sync and async, on 3 serial pairs;
-async on the seeded ``simulated`` backend (which always runs the record
-executor); and one 2-worker fork-mesh row per fold — pagerank on the
-kernel executor, sssp on the record one — which must equal its serial
-twin.
+Cases: sssp and components (``min``), pagerank (``sum``), each on three
+executors, in sync and async, on 3 serial pairs: ``record`` (the
+``RecordAccum`` twin, :func:`~tests.imapreduce.support.record_accum`),
+``kernel`` (the hand-written columnar delta kernel) and ``adapter``
+(the kernel-less job, columnar through its own ``update_fn``); async
+on the seeded ``simulated`` backend (which always runs the record
+executor); and 2-worker fork-mesh rows — pagerank on the kernel
+executor, sssp on the record and the adapter one — which must equal
+their serial twins.  Every ``adapter`` row equals its ``kernel`` row:
+the columnar executor does not count ``priority_evals``, and the rest
+of the run is the same bit for bit.
 """
 
 import hashlib
@@ -23,6 +28,7 @@ import pytest
 from repro.algorithms import components, pagerank, sssp
 from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import ExecutionPlan, execute
+from tests.imapreduce.support import record_accum
 
 PATHS = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
 NODES = 60
@@ -70,12 +76,16 @@ def _plan(host, mode):
 
 #: (case, executor, mode, host) -> digest.
 PINS = {
+    ("components", "adapter", "async", "serial"): "f073c14d64fd128d",
+    ("components", "adapter", "sync", "serial"): "bb51d8156fb41226",
     ("components", "kernel", "async", "serial"): "f073c14d64fd128d",
     ("components", "kernel", "async", "simulated"): "6fcffc9ff3666c63",
     ("components", "kernel", "sync", "serial"): "bb51d8156fb41226",
     ("components", "record", "async", "serial"): "f074667254464982",
     ("components", "record", "async", "simulated"): "6fcffc9ff3666c63",
     ("components", "record", "sync", "serial"): "9ee906166b5e0ed3",
+    ("pagerank", "adapter", "async", "serial"): "4975cf9f39bbdbb3",
+    ("pagerank", "adapter", "sync", "serial"): "6adeab977e22965c",
     ("pagerank", "kernel", "async", "mesh"): "4975cf9f39bbdbb3",
     ("pagerank", "kernel", "async", "serial"): "4975cf9f39bbdbb3",
     ("pagerank", "kernel", "async", "simulated"): "17392d848a8e6769",
@@ -83,6 +93,9 @@ PINS = {
     ("pagerank", "record", "async", "serial"): "86060cfbc693356f",
     ("pagerank", "record", "async", "simulated"): "17392d848a8e6769",
     ("pagerank", "record", "sync", "serial"): "9c42fe036928042d",
+    ("sssp", "adapter", "async", "mesh"): "d911a039c71c1c1c",
+    ("sssp", "adapter", "async", "serial"): "d911a039c71c1c1c",
+    ("sssp", "adapter", "sync", "serial"): "5921af85ae86647c",
     ("sssp", "kernel", "async", "serial"): "d911a039c71c1c1c",
     ("sssp", "kernel", "async", "simulated"): "3da4603c77b71f15",
     ("sssp", "kernel", "sync", "serial"): "5921af85ae86647c",
@@ -96,6 +109,7 @@ PINS = {
 @pytest.mark.parametrize("case,executor,mode,host", sorted(PINS), ids=str)
 def test_accum_run_is_pinned(case, executor, mode, host):
     job, deltas, static = CASES[case](executor == "kernel")
+    job = record_accum(job) if executor == "record" else job
     assert digest(execute(job, deltas, static, _plan(host, mode))) == PINS[
         case, executor, mode, host]
 
@@ -104,3 +118,9 @@ def test_mesh_rows_equal_their_serial_twins():
     for case, executor, mode, host in PINS:
         if host == "mesh":
             assert PINS[case, executor, mode, host] == PINS[case, executor, mode, "serial"]
+
+
+def test_adapter_rows_equal_their_kernel_twins():
+    for case, executor, mode, host in PINS:
+        if executor == "adapter":
+            assert PINS[case, executor, mode, host] == PINS[case, "kernel", mode, "serial"]

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import components, pagerank, sssp
 from repro.common import IterKeys, JobConf
 from repro.common.records import order_key
-from repro.imapreduce import AccumJob
+from repro.graph import pagerank_graph, sssp_graph
+from repro.imapreduce import AccumJob, run_accum_local, select_executor
 from repro.imapreduce.accum import FOLDS, AccumPair
+from tests.imapreduce.support import record_accum
 
 # SUM state space: dyadic rationals of bounded magnitude, so float
 # addition is exact and the laws can be asserted with == instead of a
@@ -380,3 +383,55 @@ def test_select_orders_mixed_key_types_by_order_key(keys):
     lead = want[-1]
     pair.absorb([(lead, 1.0)])  # a larger priority ranks first
     assert pair.select("async", 1.0) == [lead] + want[:-1]
+
+
+# ------------------------------------- the kernel-less columnar adapter --
+def _graph_job(name, n, seed):
+    """A seeded ≤ 40-node accumulative job, its initial deltas and its
+    static records; the value an i2MapReduce-style refresh offers."""
+    paths = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
+    if name == "pagerank":
+        graph = pagerank_graph(n, seed=seed)
+        return (pagerank.build_accum_job(**paths, threshold=1e-9, max_rounds=5_000),
+                pagerank.accum_initial_deltas(n), {"/st": pagerank.static_records(graph)},
+                _dyadic.map(lambda d: abs(d) / 2**20))
+    if name == "sssp":
+        graph = sssp_graph(n, seed=seed)
+        return (sssp.build_accum_job(**paths, max_rounds=5_000), sssp.accum_initial_deltas(0),
+                {"/st": sssp.static_records(graph)}, st.integers(0, 40).map(float))
+    graph = sssp_graph(n, mean_degree=1.5, seed=seed)
+    return (components.build_accum_job(**paths, max_rounds=5_000),
+            components.accum_initial_deltas(n), {"/st": components.static_records(graph)},
+            st.integers(0, n - 1))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_update_adapter_replays_the_record_twin(data):
+    """A kernel-less job runs columnar through its own ``update_fn``; its
+    ``RecordAccum`` twin is the reference.  Cold or warm-started (every
+    key preloaded with a converged value, a few keys offered a new
+    delta), on 1–4 pairs, sync or async, both hold the same final state
+    (value types included), ``rounds``, ``terminated_by``, work
+    counters and pending-mass trace.  One mass differs by construction:
+    components' int64 labels stand the int64 max in for ∞, so where the
+    record mass is ``inf`` the columnar one is merely huge."""
+    name = data.draw(st.sampled_from(["components", "pagerank", "sssp"]))
+    n = data.draw(st.integers(2, 40))
+    job, deltas, static, offers = _graph_job(name, n, data.draw(st.integers(0, 999)))
+    twin = record_accum(job)
+    kwargs = {"num_pairs": data.draw(st.integers(1, 4)),
+              "mode": data.draw(st.sampled_from(["sync", "async"])), "keep_trace": True}
+    if data.draw(st.booleans(), label="warm"):
+        kwargs["initial_state"] = run_accum_local(twin, deltas, static, **kwargs).state
+        deltas = data.draw(st.lists(st.tuples(st.integers(0, n - 1), offers), max_size=4))
+    assert select_executor(job)[0].__name__ == "UpdateAccum"
+    got = run_accum_local(job, deltas, static, **kwargs)
+    want = run_accum_local(twin, deltas, static, **kwargs)
+    assert repr(got.state) == repr(want.state)
+    for field in ("rounds", "terminated_by", "updates_processed", "deltas_emitted",
+                  "deltas_shipped"):
+        assert getattr(got, field) == getattr(want, field), field
+    for row, ref in zip(got.trace, want.trace, strict=True):
+        m, r = row["pending_mass"], ref["pending_mass"]
+        assert m == r or (name == "components" and r == math.inf and m >= 2.0**62), (m, r)

@@ -136,28 +136,30 @@ CELLS = {
     ),
     "sync-serial": (
         (*SSSP, "--mode", "sync", "--backend", "serial", "--pairs", "4"),
-        ["sssp on dblp [serial (4 pairs), record: no kernel, accumulative sync]: "
+        ["sssp on dblp [serial (4 pairs), columnar (update_fn over the min fold), "
+         "accumulative sync]: "
          f"21 rounds, {PROGRESS}",
          SYNC_TAIL],
     ),
     "sync-parallel": (
         (*SSSP, "--mode", "sync", "--backend", "parallel", "--pairs", "4",
          "--workers", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs), record: no kernel, "
-         "accumulative sync]: "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), columnar (update_fn over the "
+         "min fold), accumulative sync]: "
          f"21 rounds, {PROGRESS}", SYNC_TAIL],
     ),
     "async-serial": (
         (*SSSP, "--mode", "async", "--backend", "serial", "--pairs", "4"),
-        ["sssp on dblp [serial (4 pairs), record: no kernel, accumulative async]: "
+        ["sssp on dblp [serial (4 pairs), columnar (update_fn over the min fold), "
+         "accumulative async]: "
          f"87 rounds, {PROGRESS}",
          ASYNC_TAIL],
     ),
     "async-parallel": (
         (*SSSP, "--mode", "async", "--backend", "parallel", "--pairs", "4",
          "--workers", "2"),
-        ["sssp on dblp [parallel (2 workers, 4 pairs), record: no kernel, "
-         "accumulative async]: "
+        ["sssp on dblp [parallel (2 workers, 4 pairs), columnar (update_fn over the "
+         "min fold), accumulative async]: "
          f"87 rounds, {PROGRESS}", ASYNC_TAIL],
     ),
     # An unset --backend stays simulated for unmemoized runs.
@@ -190,7 +192,7 @@ def test_chained_refreshes(backend, tmp_path, capsys):
     memo = str(tmp_path / "memo")
     where = "--backend parallel --workers 2".split() if backend == "parallel" else []
     banner = ("parallel (2 workers, 4 pairs)" if backend == "parallel"
-              else "serial (4 pairs)") + ", record: no kernel"
+              else "serial (4 pairs)") + ", columnar (update_fn over the min fold)"
     base = (*SSSP, "--mode", "sync", "--pairs", "4", "--memo-dir", memo, *where)
     code, out, err = run_cli(capsys, *base)
     assert (code, err) == (0, "")
