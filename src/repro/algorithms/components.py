@@ -87,6 +87,7 @@ class ComponentsKernel(Kernel):
 
     merge = "min"
     state_dtype = "int64"
+    static_csr = "csr"
 
     def prepare(self, pair, owned_keys, static_table):
         counts, _, targets, _ = adjacency_csr(owned_keys, static_table)

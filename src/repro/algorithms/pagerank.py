@@ -111,6 +111,7 @@ class PageRankKernel(Kernel):
     __slots__ = ("num_nodes", "damping")
 
     merge = "sum"
+    static_csr = "csr"
 
     def __init__(self, num_nodes: int, damping: float = DAMPING):
         self.num_nodes = num_nodes

@@ -104,6 +104,7 @@ class SsspKernel(Kernel):
     __slots__ = ()
 
     merge = "min"
+    static_csr = "weighted"
 
     def prepare(self, pair, owned_keys, static_table):
         counts, _, targets, weights = adjacency_csr(owned_keys, static_table, weighted=True)

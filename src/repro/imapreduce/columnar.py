@@ -28,7 +28,11 @@ the per-record loops:
 
 * ``prepare(pair, owned_keys, static_table)`` runs once at partition
   load, building CSR-style static columns that stay resident across
-  iterations (§3.2.1 — the static data is never touched again);
+  iterations (§3.2.1 — the static data is never touched again).  What
+  ``static_table`` is, the kernel declares (``Kernel.static_csr``): a
+  graph kernel gets a :class:`PairCSR` — its owned keys' rows as CSR
+  columns, which :func:`adjacency_csr` hands back as they are — and any
+  other kernel the pair's ``key → row`` dict;
 * ``map_kernel(pair, keys, values, prepared, broadcast)`` returns the
   pair's whole emission set as ``(out_keys, out_values)`` arrays;
 * emissions are combined at the sender and folded at the owning pair
@@ -86,6 +90,16 @@ key array, which enforces exactly what checking every step did.
 plan-free forms (dynamic delta batches, and the reference the plan is
 tested against).
 
+Inputs are split once, in the coordinator, before any host starts
+(:meth:`ColumnarSync.split_inputs`, which
+:func:`~repro.imapreduce.engine.partition_inputs` calls for every job
+that runs on it): the whole state is encoded in one pass, routed by the
+partitioner's ``bind_array`` and one stable argsort, and a ``static_csr``
+kernel's rows are looked up once for every owned key and laid out as
+each pair's CSR.  A mesh worker inherits those arrays — the
+loop-invariant data already in the form the loop consumes — and never
+walks a Python record.
+
 Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
 the job must carry a kernel — or, kernel-less, declare its phase's fold
 (``Phase.fold``), which :class:`~repro.imapreduce.localrun.FoldSync`
@@ -135,7 +149,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -149,14 +163,15 @@ __all__ = [
     "AccumKernel",
     "KernelContractError",
     "encode_columnar",
-    "restore_columns",
     "decode_columnar",
+    "PairCSR",
     "adjacency_csr",
     "csr_rows",
     "route_columnar",
     "merge_columnar",
     "absorb_columnar",
     "pending_priority",
+    "accum_state_dtype",
     "concat_broadcast",
     "ShufflePlan",
     "ColumnarSync",
@@ -191,8 +206,13 @@ class Kernel:
     #: False: emissions ship uncombined, and the receiver folds each
     #: key's values in ascending source pair, then emission order.
     combine = True
+    #: The form ``prepare`` receives the pair's static table in: ``None``
+    #: — its ``key → row`` dict; ``"csr"`` (rows ``(v, …)``) or
+    #: ``"weighted"`` (rows ``((v, w), …)``) — a :class:`PairCSR` over
+    #: the owned keys, split once before any host starts.
+    static_csr: str | None = None
 
-    def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
+    def prepare(self, pair: int, owned_keys: np.ndarray, static_table):
         """Build per-pair static columns once at partition load (§3.2)."""
         return None
 
@@ -245,8 +265,8 @@ class AccumKernel:
     another fold than its job.
     """
 
-    #: dtype of the state/pending arrays (``None``: inferred per pair,
-    #: see :class:`ColumnarAccum`).
+    #: dtype of the state/pending arrays (``None``: inferred once per
+    #: job, :func:`accum_state_dtype`).
     state_dtype = "float64"
 
     def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
@@ -319,14 +339,6 @@ def encode_columnar(
     return keys, values[order]
 
 
-def restore_columns(state_parts, values: dict[int, np.ndarray]) -> dict[int, tuple]:
-    """A columnar checkpoint's ``pair → values`` as ``pair → (keys,
-    values)``: a pair's keys never change, so they are the ones
-    :func:`encode_columnar` made of its initial ``state_parts``."""
-    return {p: (np.sort(_int_keys(map(itemgetter(0), state_parts[p]))), v)
-            for p, v in values.items()}
-
-
 def decode_columnar(
     keys: np.ndarray, values: np.ndarray
 ) -> list[tuple[int, Any]]:
@@ -342,28 +354,57 @@ def decode_columnar(
 
 
 # ---------------------------------------------------------- static CSR --
+class PairCSR:
+    """A pair's static rows as CSR columns aligned with its owned keys —
+    ``counts`` per key, then their ``targets`` (and ``weights``) edge by
+    edge — what a ``static_csr`` kernel's ``prepare`` receives, built
+    before any host starts (:meth:`ColumnarSync.split_inputs`).
+    ``len()`` is the number of static records the pair received, rows
+    of keys it does not own included, as its dict table's would be."""
+
+    __slots__ = ("counts", "targets", "weights", "records")
+
+    def __init__(self, counts, targets, weights, records: int):
+        self.counts, self.targets, self.weights, self.records = counts, targets, weights, records
+
+    def __len__(self) -> int:
+        return self.records
+
+
 def adjacency_csr(
-    owned_keys: np.ndarray, static_table: dict, weighted: bool = False
+    owned_keys: np.ndarray, static_table, weighted: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """A pair's static adjacency as CSR columns over ``owned_keys``, the
     form a graph kernel's ``prepare`` keeps resident (§3.2):
-    ``(counts, indptr, targets, weights)``.  A table row is ``(v, …)``,
-    or ``((v, w), …)`` when ``weighted``; an owned key with no row has
-    no edges.  ``weights`` is float64 when ``weighted``, else ``None``."""
-    rows = [static_table.get(k) or () for k in owned_keys.tolist()]
-    counts = np.array([len(r) for r in rows], dtype=np.int64)
-    total = int(counts.sum())
+    ``(counts, indptr, targets, weights)``.  ``static_table`` is the
+    pair's :class:`PairCSR`, returned as it is, or a ``key → row`` dict:
+    its rows are looked up in ``owned_keys`` order and laid out by one
+    ``fromiter`` over the chained rows — the build
+    :meth:`ColumnarSync.split_inputs` runs once over every pair's owned
+    keys.  A row is ``(v, …)``, or ``((v, w), …)`` when ``weighted``;
+    an owned key with no row has no edges, and every row keeps its edge
+    order.  ``weights`` is float64 when ``weighted``, else ``None``."""
+    if isinstance(static_table, PairCSR):
+        counts, targets, weights = static_table.counts, static_table.targets, static_table.weights
+    else:
+        rows = [static_table.get(k) or () for k in owned_keys.tolist()]
+        counts, targets, weights = _rows_csr(rows, weighted)
     indptr = np.concatenate([[0], np.cumsum(counts)])
+    return counts, indptr, targets, weights if weighted else None
+
+
+def _rows_csr(rows: list, weighted: bool) -> tuple:
+    """Rows ``(v, …)`` — ``((v, w), …)`` when ``weighted`` — as
+    ``(counts, targets, weights)``: their lengths, then one ``fromiter``
+    over the chained rows per edge column."""
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    total = int(counts.sum())
     if not weighted:
-        targets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
-        return counts, indptr, targets, None
-    targets = np.fromiter(
-        map(itemgetter(0), chain.from_iterable(rows)), dtype=np.int64, count=total
+        return counts, np.fromiter(chain.from_iterable(rows), np.int64, total), None
+    return counts, *(
+        np.fromiter(map(itemgetter(i), chain.from_iterable(rows)), dtype, total)
+        for i, dtype in ((0, np.int64), (1, np.float64))
     )
-    weights = np.fromiter(
-        map(itemgetter(1), chain.from_iterable(rows)), dtype=np.float64, count=total
-    )
-    return counts, indptr, targets, weights
 
 
 def csr_rows(
@@ -463,17 +504,19 @@ def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
     raise KernelContractError(f"unknown merge {merge!r}")
 
 
-def _state_values(declared, values: list) -> np.ndarray:
-    """An accumulative pair's initial-delta and warm-start ``values`` as
-    one array in its state dtype: the kernel's, or — declared ``None`` —
-    the one numpy infers from them, float64 when there are none; int64
+def accum_state_dtype(kernel, state_parts, warm_parts) -> np.dtype:
+    """An accumulative job's state dtype, fixed once for every pair: the
+    kernel's, or — declared ``None`` — the one numpy infers from every
+    pair's initial-delta and warm-start values (float64 when there are
+    none), so a pair seeded with none still gets the job's dtype; int64
     and float64 only (the folds' identities are defined for those)."""
-    if declared is None and not values:
-        declared = np.float64
-    values = np.array(values, dtype=declared)
-    if values.dtype not in (np.int64, np.float64):
-        raise KernelContractError(f"state values must be int64 or float64, got {values.dtype}")
-    return values
+    dtype = kernel.state_dtype
+    if dtype is None:
+        values = [v for parts in (state_parts, warm_parts) for part in parts for _k, v in part]
+        dtype = np.array(values).dtype if values else np.float64
+    if np.dtype(dtype) not in (np.int64, np.float64):
+        raise KernelContractError(f"state values must be int64 or float64, got {dtype}")
+    return np.dtype(dtype)
 
 
 def _fold(merge: str, size: int, batches) -> np.ndarray:
@@ -602,12 +645,17 @@ def pending_priority(merge: str, state: np.ndarray, pending: np.ndarray) -> np.n
     (state ⊕ pending)|`` as float64 (``Fold.priority``, over many keys
     at once).  Under ``min`` a live row's pending value beats its state
     (:func:`absorb_columnar`'s drop rule), so the score is ``state −
-    pending``: positive, and ``inf`` for a first offer to an ∞ state."""
+    pending``: positive, and ``inf`` for a first offer to an ∞ state —
+    the int64 max included."""
     if merge == "sum":
-        pr = np.abs((state + pending) - state)
-    else:
-        pr = state - pending
-    return pr.astype(np.float64, copy=False)
+        return np.abs((state + pending) - state).astype(np.float64, copy=False)
+    pr = (state - pending).astype(np.float64, copy=False)
+    if state.dtype.kind == "i":
+        # The int64 max stands in for the record path's ∞ state, where
+        # a first offer scores ``inf`` — not ``max − pending``, which
+        # would rank unreached keys by their offers.
+        pr[state == np.iinfo(state.dtype).max] = np.inf
+    return pr
 
 
 # --------------------------------------------------------- pair executors --
@@ -629,14 +677,56 @@ class ColumnarSync:
     run in ascending source-pair order and the broadcast sorts one
     unique key array, so results are bit-equal on every transport.
     Reports decode to records, so the verdict policy is
-    layout-agnostic."""
+    layout-agnostic.  A pair's inputs arrive as arrays
+    (:meth:`split_inputs`): its state as ``(keys, values)``, a restored
+    checkpoint's likewise, and its static table in the form the kernel
+    declares."""
 
     report_lag = 1
     plan = [(SHUFFLE, 0)]
 
-    def __init__(self, cfg, timings: dict, kernel=None):
+    #: job → the kernel this executor runs it with.
+    kernel_for = attrgetter("kernel")
+
+    @classmethod
+    def split_inputs(cls, job, state_records, table, num_pairs: int, part):
+        """The job's inputs — its state records and its one static
+        table (a dict or records) — as per-pair arrays, in
+        :func:`~repro.imapreduce.engine.partition_inputs`' shape.  The
+        whole state is encoded once (:func:`encode_columnar`: the key
+        check, the duplicate refusal, one dtype for every pair), routed
+        by the partitioner's ``bind_array`` and split by one stable
+        argsort, so each pair's keys stay ascending; a pair's state is
+        a view of those arrays.  A ``static_csr`` kernel's rows are
+        looked up once for every owned key, the table dropped, and each
+        pair's rows laid out as its :class:`PairCSR` (:func:`adjacency_csr`'s
+        build).  Any other kernel gets ``key → row`` dicts routed by
+        ``part``."""
+        kernel, part_array = cls.kernel_for(job), job.partitioner.bind_array(num_pairs)
+        keys, values = encode_columnar(state_records, kernel.state_dtype, kernel.state_width)
+        dest = part_array(keys)
+        order = np.argsort(dest, kind="stable")
+        keys, values = keys[order], values[order]
+        bounds = np.searchsorted(dest[order], np.arange(num_pairs + 1)).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        state_parts = [(keys[lo:hi], values[lo:hi]) for lo, hi in spans]
+        tables: list = [{} for _ in range(num_pairs)]
+        table = dict(table)
+        if kernel.static_csr is None:
+            for key, row in table.items():
+                tables[part(key)][key] = row
+            return state_parts, [tables]
+        received = np.bincount(part_array(_int_keys(table)), minlength=num_pairs).tolist()
+        rows = [table.get(k) or () for k in keys.tolist()]  # adjacency_csr's lookup
+        del table  # its memory goes to the edge arrays below: the rows hold what they need
+        for p, (lo, hi) in enumerate(spans):
+            csr = _rows_csr(rows[lo:hi], kernel.static_csr == "weighted")
+            tables[p] = PairCSR(*csr, received[p])
+        return state_parts, [tables]
+
+    def __init__(self, cfg, timings: dict):
         job = cfg.job
-        kernel = self.kernel = kernel or job.kernel
+        kernel = self.kernel = self.kernel_for(job)
         self.timings = timings
         self.num_pairs = cfg.num_pairs
         self.pairs = sorted(cfg.state_parts)
@@ -650,21 +740,14 @@ class ColumnarSync:
         self.rows: dict[int, dict[int, np.ndarray]] = {p: {} for p in self.pairs}
         #: dest pair → the contributing sources its coverage was judged on.
         self.sources: dict[int, tuple] = {}
-        # A restored checkpoint already holds the encoded values, and
-        # the coordinator adds each pair's keys — loading them back is
-        # the ``recover`` phase.
+        # A restored checkpoint's values come with the keys the
+        # coordinator split — loading them back is the ``recover`` phase.
         started = time.perf_counter()
         self.owned: dict[int, np.ndarray] = {}
         self.values: dict[int, np.ndarray] = {}
         for p in self.pairs:
-            self.owned[p], self.values[p] = (
-                map(_canonical, cfg.state_parts[p])
-                if cfg.columnar_state
-                else encode_columnar(
-                    cfg.state_parts[p], kernel.state_dtype, kernel.state_width
-                )
-            )
-        timings["recover" if cfg.columnar_state else "kernel"] += (
+            self.owned[p], self.values[p] = map(_canonical, cfg.state_parts[p])
+        timings["recover" if cfg.start_iteration else "kernel"] += (
             time.perf_counter() - started
         )
         started = time.perf_counter()
@@ -768,7 +851,7 @@ class ColumnarSync:
         return report
 
     def snapshot(self) -> dict:
-        # Values only: :func:`restore_columns` adds the keys back.
+        # Values only: the coordinator adds the split keys back.
         return {"path": "kernel", "pairs": dict(self.values)}
 
     def final_state(self) -> dict[int, tuple]:
@@ -788,17 +871,17 @@ class ColumnarAccum:
     work counter.  A round's bookkeeping is proportional to the live
     rows: the mass, the refusal and the schedule score only the active
     keys, and each pair absorbs its arriving batches in one indexed
-    fold.  A kernel whose ``state_dtype`` is ``None`` gets the dtype
-    numpy infers from each pair's initial-delta and warm-start values
-    (float64 when there are none)."""
+    fold.  Every pair's arrays take the job's one state dtype,
+    ``cfg.state_dtype`` (:func:`accum_state_dtype`)."""
 
     report_lag = 0
     plan = [(SHUFFLE, 0)]
     max_steps = 10**9  # the verdict policy enforces ``max_rounds``
+    kernel_for = attrgetter("kernel")
 
-    def __init__(self, cfg, timings: dict, kernel=None):
+    def __init__(self, cfg, timings: dict):
         job = cfg.job
-        kernel = self.kernel = kernel or job.kernel
+        kernel = self.kernel = self.kernel_for(job)
         self.timings = timings
         self.num_pairs = cfg.num_pairs
         self.pairs = sorted(cfg.state_parts)
@@ -810,19 +893,18 @@ class ColumnarAccum:
         fold = self.fold = job.fold
         warm = cfg.accum_initial_state or {}
         self.owned, self.state, self.pending, self.active = {}, {}, {}, {}
-        self.identity, self.prepared = {}, {}
+        self.prepared = {}
+        dtype = np.dtype(kernel.state_dtype if cfg.state_dtype is None else cfg.state_dtype)
+        self.ufunc, self.identity = _reduction(fold, dtype)
         for p in self.pairs:
             table = cfg.static_parts[0][p]
             dk, dv = _split(cfg.state_parts[p])
             wk, wv = _split(warm.get(p) or ())
             ks = np.sort(_int_keys({*table, *dk, *wk}))
-            values = _state_values(kernel.state_dtype, dv + wv)
-            dtype = values.dtype
-            self.ufunc, identity = _reduction(fold, dtype)
-            self.identity[p] = identity
+            values = np.array(dv + wv, dtype=dtype)
             self.owned[p] = ks
-            self.state[p] = np.full(ks.size, identity, dtype=dtype)
-            self.pending[p] = np.full(ks.size, identity, dtype=dtype)
+            self.state[p] = np.full(ks.size, self.identity, dtype=dtype)
+            self.pending[p] = np.full(ks.size, self.identity, dtype=dtype)
             self.active[p] = np.zeros(ks.size, dtype=bool)
             if wk:
                 # Memoized values are scattered in without marking them
@@ -883,7 +965,7 @@ class ColumnarAccum:
             old = state[idx]
             merged = self.ufunc(old, d)
             state[idx] = merged
-            pending[idx] = self.identity[p]
+            pending[idx] = self.identity
             self.active[p][idx] = False
             self.updates += int(idx.size)
             changed = merged != old

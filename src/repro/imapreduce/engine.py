@@ -174,11 +174,13 @@ class WorkerConfig:
     num_workers: int
     num_pairs: int
     job: Any
-    #: pair → records (initial deltas for accumulative jobs; restored
-    #: columnar ``(keys, values)`` arrays when ``columnar_state``).
+    #: pair → records (initial deltas for accumulative jobs), or the
+    #: initial or restored ``(keys, values)`` arrays of a job that runs
+    #: on :class:`~repro.imapreduce.columnar.ColumnarSync`.
     state_parts: dict[int, Any]
-    #: [phase] → pair → key → static value.
-    static_parts: list[dict[int, dict]]
+    #: [phase] → pair → key → static value (or the pair's
+    #: :class:`~repro.imapreduce.columnar.PairCSR`).
+    static_parts: list[dict[int, Any]]
     send_state: bool
     wait_verdict: bool
     #: Incarnation of the whole mesh; bumped on every recovery so a
@@ -192,7 +194,6 @@ class WorkerConfig:
     spool_dir: str | None = None
     #: Seeded self-inflicted process faults (:class:`ProcFault`).
     faults: tuple = ()
-    columnar_state: bool = False
     #: Accumulative jobs: ``"sync"`` drains every pending delta per
     #: round, ``"async"`` the top-priority fraction.
     accum_mode: str = "async"
@@ -201,6 +202,10 @@ class WorkerConfig:
     #: propagation; ``state_parts`` then carries only the change-scoped
     #: perturbation deltas.
     accum_initial_state: dict[int, list] | None = None
+    #: A columnar accumulative job's state dtype, one for every pair
+    #: (:func:`~repro.imapreduce.columnar.accum_state_dtype`; ``None``:
+    #: the kernel's declared one, float64 if it declares none).
+    state_dtype: Any = None
 
 
 def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fields):
@@ -217,19 +222,28 @@ def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fie
 def partition_inputs(
     job, state_records: Iterable, static_records: dict | None, num_pairs: int,
     part=None,
-) -> tuple[list[list], list[list[dict]]]:
+) -> tuple[list, list[list]]:
     """Partition the state (an accumulative job's initial deltas) and the
     table at each of ``job.static_paths`` — one per phase, or an
     accumulative job's single one — with one loop, and therefore one
     insertion order, for every backend and both algebras (§3.2.1: the
     static data is partitioned with the function that shuffles state).
-    ``part`` is the job's bound partitioner, if the caller holds one."""
+    A job that runs on an executor taking arrays (``split_inputs``:
+    :class:`~repro.imapreduce.columnar.ColumnarSync`) is split by it
+    instead, once, vectorised.  ``part`` is the job's bound partitioner,
+    if the caller holds one."""
+    from .localrun import select_executor  # localrun imports this module
+
     if part is None:
         part = bind_partitioner(job.partitioner, num_pairs)
+    split = getattr(select_executor(job)[0], "split_inputs", None)
+    if split is not None:  # one phase, so one static path
+        table = (static_records or {}).get(job.static_paths[0] or "", ())
+        return split(job, state_records, table, num_pairs, part)
+    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
     state_parts: list[list] = [[] for _ in range(num_pairs)]
     for rec in state_records:
         state_parts[part(rec[0])].append(rec)
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
     static_parts: list[list[dict]] = []  # [phase][pair] -> key->static
     for path in job.static_paths:
         per_pair: list[dict] = [{} for _ in range(num_pairs)]

@@ -466,8 +466,7 @@ class FoldSync(ColumnarSync):
     """:class:`~repro.imapreduce.columnar.ColumnarSync` over a declared
     fold's :class:`FoldKernel`."""
 
-    def __init__(self, cfg, timings: dict):
-        super().__init__(cfg, timings, FoldKernel(cfg.job))
+    kernel_for = FoldKernel
 
 
 class UpdateKernel(AccumKernel):
@@ -506,8 +505,7 @@ class UpdateAccum(ColumnarAccum):
     """:class:`~repro.imapreduce.columnar.ColumnarAccum` over a
     kernel-less job's :class:`UpdateKernel`."""
 
-    def __init__(self, cfg, timings: dict):
-        super().__init__(cfg, timings, UpdateKernel(cfg.job))
+    kernel_for = UpdateKernel
 
 
 # -------------------------------------------------------------- selection --

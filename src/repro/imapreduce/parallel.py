@@ -106,7 +106,6 @@ from typing import Any
 
 from ..common.errors import JobError
 from .checkpoint import CheckpointError, CheckpointStore
-from .columnar import restore_columns
 from .engine import host_config
 from .localrun import kernel_enabled
 from .placement import reassign, round_robin
@@ -320,7 +319,6 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                 wait_verdict=policy.wait_verdict,
                 checkpoint_every=checkpoint_every,
                 spool_dir=spool_dir,
-                columnar_state=columnar and restored is not None,
                 **fields,
             )
             try:
@@ -343,8 +341,8 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                     start_iteration, restored = 0, None
                 else:
                     start_iteration, restored = restore[0] + 1, restore[1]
-                    if columnar:
-                        restored = restore_columns(state_parts, restored)
+                    if columnar:  # values only: a pair's keys never change
+                        restored = {p: (state_parts[p][0], v) for p, v in restored.items()}
                 mode = "respawn"
                 if reassign_on_failure and num_workers > 1:
                     # The survivors, renumbered in worker order, take

@@ -14,9 +14,12 @@ algebras, one place) and runs the cell as two halves composed:
 * the job's **algebra** — its verdict policy
   (:class:`~repro.imapreduce.engine.SyncVerdict` or
   :class:`~repro.imapreduce.engine.AccumVerdict`), the fields every host
-  of its pairs gets, and its result type.  One partition loop serves
-  both (:func:`~repro.imapreduce.engine.partition_inputs` over the job's
-  ``static_paths``: one per phase, or the accumulative job's one);
+  of its pairs gets — a columnar accumulative job's one state dtype
+  among them — and its result type.  One partition loop serves both
+  (:func:`~repro.imapreduce.engine.partition_inputs` over the job's
+  ``static_paths``: one per phase, or the accumulative job's one; a job
+  on :class:`~repro.imapreduce.columnar.ColumnarSync` is split into
+  arrays instead);
 * the plan's **host** (:data:`_HOSTS`) — every pair in this process over
   the loopback transport, the same over the seeded deferring loopback
   with per-round jitter (the simulated backend), or the pipe mesh under
@@ -45,6 +48,7 @@ from ..common.errors import JobError
 from ..common.partition import bind_partitioner
 from .accum import AccumJob, AccumRunResult, check_mode, partition_state
 from .checkpoint import ProcFault
+from .columnar import ColumnarAccum, accum_state_dtype
 from .engine import AccumVerdict, SyncVerdict, partition_inputs
 from .incremental import (
     ChangeModel,
@@ -55,7 +59,7 @@ from .incremental import (
     warm_sync_state,
 )
 from .job import IterativeJob
-from .localrun import LocalRunResult, host_loopback, host_simulated
+from .localrun import LocalRunResult, host_loopback, host_simulated, select_executor
 from .parallel import ParallelRunResult, host_mesh
 
 __all__ = [
@@ -328,9 +332,14 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
             plan = dataclasses.replace(
                 plan, checkpoint_every=job.parallel_checkpoint_every)
     state_parts, static_parts = partition_inputs(job, inputs, statics, num_pairs, part)
+    executor = select_executor(job)[0]
+    if plan.backend != "simulated" and issubclass(executor, ColumnarAccum):
+        fields["state_dtype"] = accum_state_dtype(
+            executor.kernel_for(job), state_parts, fields["warm"])
     partitioned = time.perf_counter() - started
     finals, mesh = _HOSTS[plan.backend](
         job, policy, state_parts, static_parts, plan, fields, **supervision)
+    del state_parts, static_parts, fields  # not held beside the final state
     clock = time.perf_counter()
     outcome = policy.outcome(finals)
     if mesh is not None:

@@ -76,11 +76,11 @@ def _plan(host, mode):
 
 #: (case, executor, mode, host) -> digest.
 PINS = {
-    ("components", "adapter", "async", "serial"): "f073c14d64fd128d",
-    ("components", "adapter", "sync", "serial"): "bb51d8156fb41226",
-    ("components", "kernel", "async", "serial"): "f073c14d64fd128d",
+    ("components", "adapter", "async", "serial"): "3d10c95bba1a0a43",
+    ("components", "adapter", "sync", "serial"): "8e726365fd24778f",
+    ("components", "kernel", "async", "serial"): "3d10c95bba1a0a43",
     ("components", "kernel", "async", "simulated"): "6fcffc9ff3666c63",
-    ("components", "kernel", "sync", "serial"): "bb51d8156fb41226",
+    ("components", "kernel", "sync", "serial"): "8e726365fd24778f",
     ("components", "record", "async", "serial"): "f074667254464982",
     ("components", "record", "async", "simulated"): "6fcffc9ff3666c63",
     ("components", "record", "sync", "serial"): "9ee906166b5e0ed3",

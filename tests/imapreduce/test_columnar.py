@@ -224,6 +224,84 @@ def test_csr_build_and_row_gather_match_a_plain_reference(case):
     assert flat.tolist() == [indptr[i] + j for i in idx for j in range(counts[i])]
 
 
+# ------------------------------------------------------ the input split --
+class _SplitKernel(Kernel):
+    """A kernel whose static form the test picks."""
+
+    def __init__(self, static_csr):
+        self.static_csr = static_csr
+
+
+@st.composite
+def split_cases(draw):
+    """A job's state and static table over 1–8 pairs: keys with state
+    and no row, rows (empty or not) for keys with no state, and pairs
+    that receive nothing."""
+    static_csr = draw(st.sampled_from([None, "csr", "weighted"]))
+    edge = st.integers(0, 59)
+    if static_csr == "weighted":
+        edge = st.tuples(edge, st.floats(allow_nan=False, width=64))
+    keys = draw(st.lists(st.integers(0, 59), unique=True, max_size=24))
+    state = [(k, draw(st.floats(allow_nan=False, width=64)))
+             for k in keys[: draw(st.integers(0, len(keys)))]]
+    table = [(k, tuple(draw(st.lists(edge, max_size=4))))
+             for k in draw(st.permutations(keys))[: draw(st.integers(0, len(keys)))]]
+    partitioner = draw(st.sampled_from([ModPartitioner(), RangePartitioner(60)]))
+    return static_csr, state, table, partitioner, draw(st.integers(1, 8))
+
+
+@given(split_cases())
+def test_split_inputs_equal_per_record_routing_encode_and_gather(case):
+    """One vectorised split gives every pair what routing one record at
+    a time, encoding each pair and looking up each owned key's row gave:
+    ascending keys, their values, and CSR rows aligned with them (a key
+    without a row has none, each row keeps its edge order) — or, for a
+    dict kernel, the routed dicts — and as many static records."""
+    static_csr, state, table, partitioner, num_pairs = case
+    job = replace(
+        pagerank.build_imr_job(1, state_path=STATE, static_path=STATIC, output_path=OUT,
+                               max_iterations=1),
+        kernel=_SplitKernel(static_csr), partitioner=partitioner,
+    )
+    state_parts, (tables,) = partition_inputs(job, state, {STATIC: table}, num_pairs)
+    part = partitioner.bind(num_pairs)
+    rows = dict(table)
+    for p in range(num_pairs):
+        mine = sorted((k, v) for k, v in state if part(k) == p)
+        keys, values = state_parts[p]
+        assert keys.dtype == np.int64 and values.dtype == np.float64
+        assert keys.tolist() == [k for k, _ in mine]
+        assert values.tolist() == [v for _, v in mine]
+        received = {k: row for k, row in table if part(k) == p}
+        assert len(tables[p]) == len(received)
+        if static_csr is None:
+            assert tables[p] == received
+            continue
+        weighted = static_csr == "weighted"
+        counts, indptr, targets, weights = adjacency_csr(keys, tables[p], weighted)
+        edges = [rows.get(k, ()) for k, _ in mine]
+        assert counts.tolist() == [len(r) for r in edges]
+        assert indptr.tolist() == [0, *np.cumsum(counts).tolist()]
+        flat = [e for r in edges for e in r]
+        assert [a.dtype for a in (counts, indptr, targets)] == [np.int64] * 3
+        if weighted:
+            assert targets.tolist() == [v for v, _w in flat]
+            assert weights.dtype == np.float64
+            assert weights.tolist() == [w for _v, w in flat]
+        else:
+            assert targets.tolist() == flat and weights is None
+
+
+@pytest.mark.parametrize("state", [[(True, 1.0)], [(2.0, 1.0)], [(3, 1.0), (3, 2.0)]],
+                         ids=["bool", "float", "duplicate"])
+def test_split_inputs_refuse_bad_state_keys(state):
+    job = pagerank.build_imr_job(
+        1, state_path=STATE, static_path=STATIC, output_path=OUT, max_iterations=1,
+        use_kernel=True)
+    with pytest.raises(KernelContractError):
+        partition_inputs(job, state, {STATIC: []}, 2)
+
+
 # ------------------------------------------------------------- routing --
 @given(
     st.lists(st.integers(min_value=0, max_value=199), max_size=80),

@@ -204,6 +204,26 @@ def test_spawn_kill_recovery():
     )
 
 
+def test_csr_kernel_spawn_kill_recovery():
+    """A graph kernel's pairs start from the coordinator's split — state
+    arrays and weighted ``PairCSR`` columns — which ``spawn`` pickles
+    to each worker.  Killed after a checkpoint, the respawned
+    mesh pairs the restored values with the split keys and still equals
+    the serial run bit for bit."""
+    graph = sssp_graph(24, seed=11)
+    job = sssp.build_imr_job(
+        state_path=STATE, static_path=STATIC, output_path=OUT,
+        max_iterations=6, num_pairs=4, use_kernel=True,
+    )
+    par = assert_recovered_identical(
+        job, sssp.initial_state(graph, source=0), {STATIC: sssp.static_records(graph)},
+        faults=[ProcFault(worker=1, iteration=3, action="kill")],
+        num_pairs=4, num_workers=2, start_method="spawn",
+        suspicion_timeout=30.0,  # spawn interpreter startup is slow
+    )
+    assert par.recovery_events[0]["restored_checkpoint"] is not None
+
+
 # ------------------------------------------------------------- SIGSTOP --
 def test_sigstop_detected_by_suspicion_and_recovered():
     """A frozen worker trips no sentinel; only the heartbeat silence
