@@ -148,6 +148,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable
@@ -171,7 +172,9 @@ __all__ = [
     "merge_columnar",
     "absorb_columnar",
     "pending_priority",
-    "accum_state_dtype",
+    "StateColumns",
+    "narrow_ints",
+    "widen_ints",
     "concat_broadcast",
     "ShufflePlan",
     "ColumnarSync",
@@ -311,7 +314,9 @@ def _int_keys(keys: Iterable) -> np.ndarray:
 
 
 def _split(records) -> tuple[list, list]:
-    """``(key, value)`` records → their keys and their values, as lists."""
+    """``(key, value)`` records (any iterable) → their keys and their
+    values, as lists."""
+    records = list(records)
     return list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
 
 
@@ -351,6 +356,70 @@ def decode_columnar(
         cast = np.int64 if values.dtype.kind == "i" else np.float64
         return list(zip(keys, values.astype(cast, copy=False).tolist()))
     return [(k, values[i].copy()) for i, k in enumerate(keys)]
+
+
+class StateColumns(Sequence):
+    """A columnar final state as the key-sorted record list it stands
+    for, kept as its ``keys`` and ``values`` arrays: records are decoded
+    (:func:`decode_columnar`'s value types) only as they are read, a
+    chunk at a time when iterated.  It equals that list under ``==``
+    in either direction, and its ``repr`` is the list's.  The arrays are
+    ``key_array``/``value_array`` (a ``keys`` attribute would make
+    ``dict()`` take it for a mapping)."""
+
+    __slots__ = ("key_array", "value_array")
+    #: Rows decoded per step of an iteration.
+    CHUNK = 4096
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self.key_array, self.value_array = keys, values
+
+    def __len__(self) -> int:
+        return int(self.key_array.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return decode_columnar(self.key_array[i], self.value_array[i])
+        i = range(len(self))[i]  # a list's IndexError and index rules
+        return decode_columnar(self.key_array[i:i + 1], self.value_array[i:i + 1])[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), self.CHUNK):
+            hi = lo + self.CHUNK
+            yield from decode_columnar(self.key_array[lo:hi], self.value_array[lo:hi])
+
+    def __eq__(self, other):
+        if isinstance(other, StateColumns):
+            return (np.array_equal(self.key_array, other.key_array)
+                    and self.value_array.shape == other.value_array.shape
+                    and bool((self.value_array == other.value_array).all()))
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # like the list it equals
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def narrow_ints(a: np.ndarray) -> np.ndarray:
+    """An int array in the narrowest signed dtype that holds its [min,
+    max] — what a spool stores; :func:`widen_ints` restores it."""
+    if a.dtype.kind != "i" or a.size == 0:
+        return a
+    lo, hi = a.min(), a.max()
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return a.astype(dtype)
+    return a
+
+
+def widen_ints(a: np.ndarray) -> np.ndarray:
+    """A spooled int array back as int64, bit for bit (the columnar
+    layout's int dtype); any other array as it is."""
+    return a.astype(np.int64, copy=False) if a.dtype.kind == "i" else a
 
 
 # ---------------------------------------------------------- static CSR --
@@ -431,6 +500,19 @@ def _dest_slices(sorted_dest: np.ndarray, num_pairs: int) -> list[tuple[int, int
     ]
 
 
+def _by_pair(route, num_pairs: int, keys: np.ndarray, *columns: np.ndarray) -> list[tuple]:
+    """``keys`` and the columns aligned with them, split by pair: routed
+    by ``route`` (a partitioner's bound ``bind_array``) and one stable
+    argsort, so each pair's keys keep their order.  One tuple of
+    ``(keys, *columns)`` per pair, an empty pair's included — the split
+    both columnar executors' ``split_inputs`` and the memo make."""
+    dest = route(keys)
+    order = np.argsort(dest, kind="stable")
+    bounds = np.searchsorted(dest[order], np.arange(num_pairs + 1)).tolist()
+    columns = [c[order] for c in (keys, *columns)]
+    return [tuple(c[lo:hi] for c in columns) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def route_columnar(
     out_keys: np.ndarray,
     out_values: np.ndarray,
@@ -504,16 +586,16 @@ def _reduction(merge: str, dtype) -> tuple[np.ufunc, Any]:
     raise KernelContractError(f"unknown merge {merge!r}")
 
 
-def accum_state_dtype(kernel, state_parts, warm_parts) -> np.dtype:
+def _accum_dtype(kernel, *values) -> np.dtype:
     """An accumulative job's state dtype, fixed once for every pair: the
-    kernel's, or — declared ``None`` — the one numpy infers from every
-    pair's initial-delta and warm-start values (float64 when there are
+    kernel's, or — declared ``None`` — the one numpy infers from the
+    initial-delta and warm-start ``values`` (float64 when there are
     none), so a pair seeded with none still gets the job's dtype; int64
     and float64 only (the folds' identities are defined for those)."""
     dtype = kernel.state_dtype
     if dtype is None:
-        values = [v for parts in (state_parts, warm_parts) for part in parts for _k, v in part]
-        dtype = np.array(values).dtype if values else np.float64
+        present = [np.asarray(v) for v in values if len(v)]
+        dtype = np.result_type(*present) if present else np.float64
     if np.dtype(dtype) not in (np.int64, np.float64):
         raise KernelContractError(f"state values must be int64 or float64, got {dtype}")
     return np.dtype(dtype)
@@ -689,27 +771,23 @@ class ColumnarSync:
     kernel_for = attrgetter("kernel")
 
     @classmethod
-    def split_inputs(cls, job, state_records, table, num_pairs: int, part):
+    def split_inputs(cls, job, state_records, table, num_pairs: int, part, warm=None):
         """The job's inputs — its state records and its one static
         table (a dict or records) — as per-pair arrays, in
-        :func:`~repro.imapreduce.engine.partition_inputs`' shape.  The
-        whole state is encoded once (:func:`encode_columnar`: the key
-        check, the duplicate refusal, one dtype for every pair), routed
-        by the partitioner's ``bind_array`` and split by one stable
-        argsort, so each pair's keys stay ascending; a pair's state is
-        a view of those arrays.  A ``static_csr`` kernel's rows are
+        :func:`~repro.imapreduce.engine.partition_inputs`' shape
+        (``warm`` stays ``None``: a synchronous warm start is its
+        state).  The whole state is encoded once
+        (:func:`encode_columnar`: the key check, the duplicate refusal,
+        one dtype for every pair) and split by :func:`_by_pair`, so each
+        pair's keys stay ascending; a pair's state is a view of those
+        arrays.  A ``static_csr`` kernel's rows are
         looked up once for every owned key, the table dropped, and each
         pair's rows laid out as its :class:`PairCSR` (:func:`adjacency_csr`'s
         build).  Any other kernel gets ``key → row`` dicts routed by
         ``part``."""
         kernel, part_array = cls.kernel_for(job), job.partitioner.bind_array(num_pairs)
         keys, values = encode_columnar(state_records, kernel.state_dtype, kernel.state_width)
-        dest = part_array(keys)
-        order = np.argsort(dest, kind="stable")
-        keys, values = keys[order], values[order]
-        bounds = np.searchsorted(dest[order], np.arange(num_pairs + 1)).tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        state_parts = [(keys[lo:hi], values[lo:hi]) for lo, hi in spans]
+        state_parts = _by_pair(part_array, num_pairs, keys, values)
         tables: list = [{} for _ in range(num_pairs)]
         table = dict(table)
         if kernel.static_csr is None:
@@ -717,11 +795,12 @@ class ColumnarSync:
                 tables[part(key)][key] = row
             return state_parts, [tables]
         received = np.bincount(part_array(_int_keys(table)), minlength=num_pairs).tolist()
-        rows = [table.get(k) or () for k in keys.tolist()]  # adjacency_csr's lookup
+        rows = [[table.get(k) or () for k in owned.tolist()]  # adjacency_csr's lookup
+                for owned, _values in state_parts]
         del table  # its memory goes to the edge arrays below: the rows hold what they need
-        for p, (lo, hi) in enumerate(spans):
-            csr = _rows_csr(rows[lo:hi], kernel.static_csr == "weighted")
-            tables[p] = PairCSR(*csr, received[p])
+        for p, pair_rows in enumerate(rows):
+            tables[p] = PairCSR(*_rows_csr(pair_rows, kernel.static_csr == "weighted"),
+                                received[p])
         return state_parts, [tables]
 
     def __init__(self, cfg, timings: dict):
@@ -851,8 +930,9 @@ class ColumnarSync:
         return report
 
     def snapshot(self) -> dict:
-        # Values only: the coordinator adds the split keys back.
-        return {"path": "kernel", "pairs": dict(self.values)}
+        # Values only, ints narrowed: the coordinator adds the split
+        # keys back and widens them.
+        return {"path": "kernel", "pairs": {p: narrow_ints(v) for p, v in self.values.items()}}
 
     def final_state(self) -> dict[int, tuple]:
         return {p: (self.owned[p], self.values[p]) for p in self.pairs}
@@ -871,13 +951,52 @@ class ColumnarAccum:
     work counter.  A round's bookkeeping is proportional to the live
     rows: the mass, the refusal and the schedule score only the active
     keys, and each pair absorbs its arriving batches in one indexed
-    fold.  Every pair's arrays take the job's one state dtype,
-    ``cfg.state_dtype`` (:func:`accum_state_dtype`)."""
+    fold.  A pair's arrays arrive built, in the job's one state dtype
+    (:meth:`split_inputs`)."""
 
     report_lag = 0
     plan = [(SHUFFLE, 0)]
     max_steps = 10**9  # the verdict policy enforces ``max_rounds``
     kernel_for = attrgetter("kernel")
+
+    @classmethod
+    def split_inputs(cls, job, delta_records, table, num_pairs: int, part, warm=None):
+        """The job's inputs — its initial deltas, its one static table
+        and ``warm``, a warm start's preloaded state (records or a
+        :class:`StateColumns`) — as each pair's engine arrays ``(owned
+        keys, state, pending, active)`` and ``key → row`` table, in
+        :func:`~repro.imapreduce.engine.partition_inputs`' shape.  The
+        owned universe is formed once, for the whole job, in the job's
+        one dtype (:func:`_accum_dtype`); the warm values are scattered
+        into the state without marking them pending (the record engine's
+        preload) and the deltas absorbed in record order
+        (:func:`absorb_columnar`, drop rule included) before one split
+        (:func:`_by_pair`), so a pair's arrays are views of the job's."""
+        table = table if isinstance(table, dict) else dict(table)
+        dk, dv = _split(delta_records)
+        wk, wv = ((warm.key_array, warm.value_array) if isinstance(warm, StateColumns)
+                  else _split(warm or ()))
+        dtype = _accum_dtype(cls.kernel_for(job), dv, wv)
+        static_keys, dk = _int_keys(table), _int_keys(dk)
+        wk = wk if isinstance(wk, np.ndarray) else _int_keys(wk)
+        owned = np.sort(np.concatenate([static_keys, dk, wk]))
+        first = np.ones(owned.size, dtype=bool)  # each key's first row: sorted unique
+        first[1:] = owned[1:] != owned[:-1]
+        owned = owned[first]
+        state = np.full(owned.size, _reduction(job.fold, dtype)[1], dtype=dtype)
+        pending, active = state.copy(), np.zeros(owned.size, dtype=bool)
+        state[np.searchsorted(owned, wk)] = np.asarray(wv, dtype=dtype)
+        absorb_columnar(job.fold, owned, state, pending, active, dk, np.asarray(dv, dtype=dtype))
+        has_row = np.zeros(owned.size, dtype=bool)
+        has_row[np.searchsorted(owned, static_keys)] = True
+        state_parts, tables = [], []
+        route = job.partitioner.bind_array(num_pairs)
+        for keys, *arrays, rows in _by_pair(route, num_pairs, owned, state, pending, active,
+                                            has_row):
+            state_parts.append((keys, *arrays))
+            rows = keys[rows].tolist()
+            tables.append(dict(zip(rows, map(table.__getitem__, rows))))
+        return state_parts, [tables]
 
     def __init__(self, cfg, timings: dict):
         job = cfg.job
@@ -890,31 +1009,15 @@ class ColumnarAccum:
         self.part_array = job.partitioner.bind_array(cfg.num_pairs)
         self.updates = self.emitted = self.shipped = 0
         started = time.perf_counter()
-        fold = self.fold = job.fold
-        warm = cfg.accum_initial_state or {}
+        self.fold = job.fold
         self.owned, self.state, self.pending, self.active = {}, {}, {}, {}
-        self.prepared = {}
-        dtype = np.dtype(kernel.state_dtype if cfg.state_dtype is None else cfg.state_dtype)
-        self.ufunc, self.identity = _reduction(fold, dtype)
         for p in self.pairs:
-            table = cfg.static_parts[0][p]
-            dk, dv = _split(cfg.state_parts[p])
-            wk, wv = _split(warm.get(p) or ())
-            ks = np.sort(_int_keys({*table, *dk, *wk}))
-            values = np.array(dv + wv, dtype=dtype)
-            self.owned[p] = ks
-            self.state[p] = np.full(ks.size, self.identity, dtype=dtype)
-            self.pending[p] = np.full(ks.size, self.identity, dtype=dtype)
-            self.active[p] = np.zeros(ks.size, dtype=bool)
-            if wk:
-                # Memoized values are scattered in without marking them
-                # pending — the record engine's preload semantics.
-                wk = np.fromiter(wk, np.int64, len(wk))
-                self.state[p][np.searchsorted(ks, wk)] = values[len(dk):]
-            if dk:
-                absorb_columnar(fold, ks, self.state[p], self.pending[p], self.active[p],
-                                np.fromiter(dk, np.int64, len(dk)), values[:len(dk)])
-            self.prepared[p] = kernel.prepare(p, ks, table)
+            self.owned[p], self.state[p], self.pending[p], self.active[p] = map(
+                _canonical, cfg.state_parts[p])
+        self.ufunc, self.identity = _reduction(self.fold, self.state[self.pairs[0]].dtype)
+        self.prepared = {
+            p: kernel.prepare(p, self.owned[p], cfg.static_parts[0][p]) for p in self.pairs
+        }
         timings["kernel"] += time.perf_counter() - started
 
     def broadcast_items(self, phase: int):

@@ -90,6 +90,7 @@ import gc
 import pickle
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -115,6 +116,7 @@ __all__ = [
     "partition_inputs",
     "host_config",
     "by_dest",
+    "gc_paused",
 ]
 
 #: The verdict that keeps the loop going; anything else names the
@@ -175,8 +177,11 @@ class WorkerConfig:
     num_pairs: int
     job: Any
     #: pair → records (initial deltas for accumulative jobs), or the
-    #: initial or restored ``(keys, values)`` arrays of a job that runs
-    #: on :class:`~repro.imapreduce.columnar.ColumnarSync`.
+    #: arrays a columnar executor's ``split_inputs`` made: the initial
+    #: or restored ``(keys, values)`` of
+    #: :class:`~repro.imapreduce.columnar.ColumnarSync`, the ``(owned
+    #: keys, state, pending, active)`` of
+    #: :class:`~repro.imapreduce.columnar.ColumnarAccum`.
     state_parts: dict[int, Any]
     #: [phase] → pair → key → static value (or the pair's
     #: :class:`~repro.imapreduce.columnar.PairCSR`).
@@ -197,15 +202,12 @@ class WorkerConfig:
     #: Accumulative jobs: ``"sync"`` drains every pending delta per
     #: round, ``"async"`` the top-priority fraction.
     accum_mode: str = "async"
-    #: Accumulative warm start (incremental mode): pair → memoized
-    #: converged records, preloaded into the pairs' state without
-    #: propagation; ``state_parts`` then carries only the change-scoped
-    #: perturbation deltas.
+    #: Accumulative warm start (incremental mode) on the record
+    #: executor: pair → memoized converged records, preloaded into the
+    #: pairs' state without propagation; ``state_parts`` then carries
+    #: only the change-scoped perturbation deltas.  A columnar
+    #: executor's warm start is already in its ``state_parts``.
     accum_initial_state: dict[int, list] | None = None
-    #: A columnar accumulative job's state dtype, one for every pair
-    #: (:func:`~repro.imapreduce.columnar.accum_state_dtype`; ``None``:
-    #: the kernel's declared one, float64 if it declares none).
-    state_dtype: Any = None
 
 
 def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fields):
@@ -221,25 +223,26 @@ def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fie
 
 def partition_inputs(
     job, state_records: Iterable, static_records: dict | None, num_pairs: int,
-    part=None,
+    part=None, *, executor=None, warm=None,
 ) -> tuple[list, list[list]]:
     """Partition the state (an accumulative job's initial deltas) and the
     table at each of ``job.static_paths`` — one per phase, or an
     accumulative job's single one — with one loop, and therefore one
     insertion order, for every backend and both algebras (§3.2.1: the
     static data is partitioned with the function that shuffles state).
-    A job that runs on an executor taking arrays (``split_inputs``:
-    :class:`~repro.imapreduce.columnar.ColumnarSync`) is split by it
-    instead, once, vectorised.  ``part`` is the job's bound partitioner,
-    if the caller holds one."""
+    A job whose ``executor`` (default: :func:`select_executor`'s) takes
+    arrays (``split_inputs``: the columnar executors) is split by it
+    instead, once, vectorised — a columnar accumulative warm start
+    (``warm``) with it.  ``part`` is the job's bound partitioner, if the
+    caller holds one."""
     from .localrun import select_executor  # localrun imports this module
 
     if part is None:
         part = bind_partitioner(job.partitioner, num_pairs)
-    split = getattr(select_executor(job)[0], "split_inputs", None)
+    split = getattr(executor or select_executor(job)[0], "split_inputs", None)
     if split is not None:  # one phase, so one static path
         table = (static_records or {}).get(job.static_paths[0] or "", ())
-        return split(job, state_records, table, num_pairs, part)
+        return split(job, state_records, table, num_pairs, part, warm)
     static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
     state_parts: list[list] = [[] for _ in range(num_pairs)]
     for rec in state_records:
@@ -263,18 +266,20 @@ def by_dest(items: Iterable[tuple]) -> dict[int, list[tuple]]:
     return {q: [by_src[s] for s in sorted(by_src)] for q, by_src in merged.items()}
 
 
-def _final_state(finals: list[dict], num_pairs: int) -> list[tuple[Any, Any]]:
+def _final_state(finals: list[dict], num_pairs: int):
     """The job's final records, key-sorted.  Columnar hosts hand over
-    ``(keys, values)`` per pair: one concatenate, one stable argsort on
-    the unique int keys (``sort_records``'s order) and one decode."""
+    ``(keys, values)`` per pair: one concatenate and one stable argsort
+    on the unique int keys (``sort_records``'s order) make a
+    :class:`~repro.imapreduce.columnar.StateColumns`, decoded only as it
+    is read.  Record hosts' lists are merged into one sorted list."""
     by_pair: dict[int, Any] = {}
     for final in finals:
         by_pair.update(final["state"])
     parts = [by_pair[p] for p in range(num_pairs) if p in by_pair]
     if parts and isinstance(parts[0], tuple):  # record hosts hand over lists
-        from .columnar import concat_broadcast, decode_columnar  # imports engine
+        from .columnar import StateColumns, concat_broadcast  # imports engine
 
-        return decode_columnar(*concat_broadcast(parts))
+        return StateColumns(*concat_broadcast(parts))
     return sort_records(rec for part in parts for rec in part)
 
 
@@ -599,9 +604,21 @@ def run_supersteps(cfg: WorkerConfig, executor_cls, transport) -> dict:
     caller's setting is restored however the run ends.
     """
     collect = gc.isenabled()
+    with gc_paused():
+        return _supersteps(cfg, executor_cls, transport, collect)
+
+
+@contextmanager
+def gc_paused():
+    """Automatic cyclic collection off for the block, the caller's
+    setting back on every exit path.  Besides the superstep loop, the
+    coordinator's one-pass input steps (a warm start's plan, the split)
+    run under it: they build large containers and no cycles, so a
+    collection there would only walk live objects."""
+    collect = gc.isenabled()
     gc.disable()
     try:
-        return _supersteps(cfg, executor_cls, transport, collect)
+        yield
     finally:
         if collect:
             gc.enable()

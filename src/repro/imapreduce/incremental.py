@@ -71,15 +71,20 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import ChainMap, deque
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
 from ..common.records import order_key, sort_records
+import numpy as np
+
 from .accum import FOLDS
 from .checkpoint import CheckpointStore
+from .columnar import StateColumns, _by_pair, concat_broadcast, decode_columnar
+from .columnar import encode_columnar, narrow_ints, widen_ints
 
 __all__ = [
     "DeltaError",
@@ -197,14 +202,13 @@ class DataDelta:
         if self.update_edges and not kind.weighted:
             raise DeltaError("weight updates need a weighted input")
         seen: set = set()
-        for u, v, *_w in (*self.insert_edges, *self.delete_edges,
-                          *self.update_edges):
-            key = (u, v)
+        for edge in (*self.insert_edges, *self.delete_edges, *self.update_edges):
+            key = (edge[0], edge[1])
             if key in seen:
                 raise DeltaError(f"edge {key!r} is mutated twice in one delta")
             seen.add(key)
             if kind.symmetric:
-                seen.add((v, u))
+                seen.add((edge[1], edge[0]))
         if len(set(self.insert_nodes)) != len(self.insert_nodes):
             raise DeltaError("duplicate keys in insert_nodes")
 
@@ -234,12 +238,11 @@ def _row_target(entry, weighted: bool):
 
 
 def _directed(edges, symmetric: bool):
-    """Expand undirected edge ops to both stored directions."""
-    for edge in edges:
-        u, v, *rest = edge
-        yield (u, v, *rest)
-        if symmetric:
-            yield (v, u, *rest)
+    """Expand undirected edge ops to both stored directions (directed
+    kinds store them as they are)."""
+    if not symmetric:
+        return edges
+    return (e for u, v, *rest in edges for e in ((u, v, *rest), (v, u, *rest)))
 
 
 def patch_static_table(
@@ -252,51 +255,58 @@ def patch_static_table(
     the mutated edge list would produce it — deletions keep survivors
     in position, insertions append, ``sorted_rows`` kinds re-sort —
     which is what makes rebuilt kernel ``prepare`` columns bit-equal to
-    from-scratch ones.
+    from-scratch ones.  The edits are grouped by source and checked in
+    delta order (deletes, updates, inserts) against their row's targets,
+    and each dirty row is rebuilt once; a refused delta — the message
+    names a refused edit — leaves ``table`` as it was.
     """
     delta.validate(kind)
-    dirty: set = set()
-    known = set(table) | set(delta.insert_nodes)
+    weighted = kind.weighted
     for u in delta.insert_nodes:
         if u in table:
             raise DeltaError(f"insert_nodes key {u!r} already exists")
-        table[u] = ()
-        dirty.add(u)
+    rows = {u: () for u in delta.insert_nodes}
+    known = set(table) | set(rows)
+    by_row: dict = {}  # source -> its edits, in delta order
     for u, v in _directed(delta.delete_edges, kind.symmetric):
-        row = table.get(u)
-        if row is None:
-            raise DeltaError(f"delete_edges names unknown source {u!r}")
-        kept = tuple(e for e in row if _row_target(e, kind.weighted) != v)
-        if len(kept) == len(row):
-            raise DeltaError(f"delete_edges edge ({u!r}, {v!r}) not present")
-        table[u] = kept
-        dirty.add(u)
+        by_row.setdefault(u, []).append(("delete_edges", v, None))
     for u, v, w in _directed(delta.update_edges, kind.symmetric):
-        row = table.get(u)
-        if row is None:
-            raise DeltaError(f"update_edges names unknown source {u!r}")
-        updated = tuple(
-            (t, w) if t == v else (t, ow) for t, ow in row
-        )
-        if updated == row and not any(t == v for t, _ow in row):
-            raise DeltaError(f"update_edges edge ({u!r}, {v!r}) not present")
-        table[u] = updated
-        dirty.add(u)
+        by_row.setdefault(u, []).append(("update_edges", v, w))
     for u, v, *rest in _directed(delta.insert_edges, kind.symmetric):
-        if u not in known:
-            raise DeltaError(f"insert_edges names unknown source {u!r}")
-        if v not in known:
-            raise DeltaError(f"insert_edges names unknown target {v!r}")
-        row = table.get(u, ())
-        if any(_row_target(e, kind.weighted) == v for e in row):
-            raise DeltaError(f"insert_edges edge ({u!r}, {v!r}) already present")
-        entry = (v, rest[0]) if kind.weighted else v
-        table[u] = row + (entry,)
-        dirty.add(u)
+        for end, key in (("source", u), ("target", v)):
+            if key not in known:
+                raise DeltaError(f"insert_edges names unknown {end} {key!r}")
+        by_row.setdefault(u, []).append(("insert_edges", v, rest[0] if weighted else None))
+    for u, edits in by_row.items():
+        row = rows.get(u, table.get(u))
+        if row is None:
+            raise DeltaError(f"{edits[0][0]} names unknown source {u!r}")
+        # One pass over the row while it is hot: its targets, then each
+        # edit checked against them in order, then one rebuild.
+        targets = set(map(itemgetter(0), row)) if weighted else set(row)
+        deleted, updated, appended = set(), {}, []
+        for name, v, w in edits:
+            present = v in targets
+            if present == (name == "insert_edges"):
+                raise DeltaError(f"{name} edge ({u!r}, {v!r}) "
+                                 f"{'already present' if present else 'not present'}")
+            if name == "insert_edges":
+                targets.add(v)
+                appended.append((v, w) if weighted else v)
+            elif name == "delete_edges":
+                targets.discard(v)
+                deleted.add(v)
+            else:
+                updated[v] = w
+        if deleted:
+            row = tuple(e for e in row if (e[0] if weighted else e) not in deleted)
+        if updated:  # an entry not re-weighted is kept, not rebuilt
+            row = tuple([e if e[0] not in updated else (e[0], updated[e[0]]) for e in row])
+        rows[u] = row + tuple(appended) if appended else row
     if kind.sorted_rows:
-        for u in dirty:
-            table[u] = tuple(sorted(table[u]))
-    return dirty
+        rows = {u: tuple(sorted(row)) for u, row in rows.items()}
+    table.update(rows)
+    return set(rows)
 
 
 # ---------------------------------------------------- change propagation --
@@ -365,9 +375,11 @@ class ChangeModel:
             return [(u, (1.0 - self.damping) / len(keys)) for u in keys]
         return [(u, u) for u in keys]  # components: every key its own label
 
-    def plan(self, table: dict, delta: DataDelta, memo_state: dict) -> ChangePlan:
+    def plan(self, table: dict, delta: DataDelta, memo_state) -> ChangePlan:
         """Patch ``table`` in place and derive the change-propagation
-        plan; ``memo_state`` is the prior run's converged state (a dict)."""
+        plan; ``memo_state`` is the prior run's converged state: a dict,
+        or a :class:`~repro.imapreduce.columnar.StateColumns` read
+        through its arrays (:func:`_lookup`)."""
         planner = _plan_pagerank if self.fold == "sum" else _plan_min
         return planner(self, table, delta, memo_state)
 
@@ -384,6 +396,22 @@ def change_model(
     if None in params.values():
         raise DeltaError(f"{algorithm} change planning needs {takes}")
     return ChangeModel(algorithm, kind, fold, **params)
+
+
+def _lookup(state, keys: list, default) -> list:
+    """``state``'s value at each of ``keys``, ``default`` where it has
+    none: a dict's ``get``, or one ``searchsorted`` over a
+    :class:`~repro.imapreduce.columnar.StateColumns`' arrays (the
+    values it would decode to)."""
+    if not isinstance(state, StateColumns):
+        return [state.get(k, default) for k in keys]
+    if not len(state):
+        return [default] * len(keys)
+    want = np.array(keys, dtype=np.int64)
+    idx = np.minimum(np.searchsorted(state.key_array, want), len(state) - 1)
+    found = (state.key_array[idx] == want).tolist()
+    values = decode_columnar(state.key_array[idx], state.value_array[idx])
+    return [v if hit else default for (_k, v), hit in zip(values, found)]
 
 
 def _plan_pagerank(
@@ -403,8 +431,8 @@ def _plan_pagerank(
         if value:
             pert[key] = pert.get(key, 0.0) + value
 
-    for u in sorted(old_rows):
-        x = state.get(u, 0.0)
+    touched = sorted(old_rows)
+    for u, x in zip(touched, _lookup(state, touched, 0.0)):
         if x == 0.0:
             continue
         old_row, new_row = old_rows[u], table[u]
@@ -458,20 +486,19 @@ def _plan_min(
     """Invalidate-and-reseed for min algebras (see module doc)."""
     kind = model.kind
     inf = math.inf
-    old_table = dict(table)
-    old_weight: dict[tuple, Any] = {}
+    # The pre-delta adjacency: the rows the patch replaces, over the
+    # patched table (read after the patch, while those rows are hot).
+    edited = (*delta.delete_edges, *delta.update_edges, *delta.insert_edges)
+    sources = {e[0] for e in edited} | ({e[1] for e in edited} if kind.symmetric else set())
+    old_rows = {u: table[u] for u in sources if u in table}
     worsened_heads: set = set()
     improvements: list[tuple] = []  # (u, v, offer-weight)
     for u, v in _directed(delta.delete_edges, kind.symmetric):
         worsened_heads.add(v)
-    for u, v, w in _directed(delta.update_edges, kind.symmetric):
-        row = old_table.get(u, ())
-        for t, ow in row:
-            if t == v:
-                old_weight[(u, v)] = ow
     dirty = patch_static_table(table, delta, kind)
+    old_table = ChainMap(old_rows, table)
     for u, v, w in _directed(delta.update_edges, kind.symmetric):
-        ow = old_weight.get((u, v))
+        ow = dict(old_rows.get(u, ())).get(v)
         if ow is not None and w > ow:
             worsened_heads.add(v)
         elif ow is not None and w < ow:
@@ -498,10 +525,8 @@ def _plan_min(
                 offer(k, seeds[k])
         # Boundary offers: every surviving in-edge from a non-reset
         # source re-seeds its reset target from the standing memo.
-        for a in sorted(table, key=order_key):
-            if a in reset:
-                continue
-            sa = state.get(a, inf)
+        sources = [a for a in sorted(table, key=order_key) if a not in reset]
+        for a, sa in zip(sources, _lookup(state, sources, inf)):
             if sa == inf:
                 continue
             for entry in table[a]:
@@ -511,14 +536,16 @@ def _plan_min(
                     b, w = entry, 0
                 if b in reset:
                     offer(b, sa + w)
-    for u, v, w in improvements:
-        if u in reset or v in reset:
-            continue  # covered by the reset recomputation / boundary
-        su = state.get(u, inf)
+    # An edge touching the reset set is covered by its recomputation
+    # and boundary offers.
+    improvements = [e for e in improvements if e[0] not in reset and e[1] not in reset]
+    at_u = _lookup(state, [u for u, _v, _w in improvements], inf)
+    at_v = _lookup(state, [v for _u, v, _w in improvements], inf)
+    for (_u, v, w), su, sv in zip(improvements, at_u, at_v):
         if su == inf:
             continue
         candidate = su + w
-        if candidate < state.get(v, inf):
+        if candidate < sv:
             offer(v, candidate)
     return ChangePlan(
         algorithm=model.algorithm,
@@ -584,6 +611,11 @@ def warm_sync_state(
 
 
 # ------------------------------------------------------------ memo store --
+#: The memo layout :meth:`MemoStore.save` writes and :meth:`MemoStore.load`
+#: reads: 2 spools each pair's state as its key and value arrays.
+MEMO_FORMAT = 2
+
+
 class MemoStore:
     """Converged-state memoization on the checkpoint spool plane.
 
@@ -594,8 +626,11 @@ class MemoStore:
     under a committed manifest.  Each ``save`` bumps the manifest
     iteration — the memo *version* — and prunes old versions through
     the store's retention GC, so the directory never grows unboundedly.
-    A trailing meta entry (worker id ``num_pairs``) records the job
-    name, pair count, and caller metadata, validated on load.
+    A pair's entry holds its ``keys`` and ``values`` arrays (format
+    :data:`MEMO_FORMAT`; ints in their narrowest signed dtype,
+    :func:`~repro.imapreduce.columnar.narrow_ints`), out of band in its
+    frame.  A trailing meta entry (worker id ``num_pairs``) records the
+    format, job name, pair count, and caller metadata, validated on load.
     """
 
     def __init__(self, root: str, *, keep: int = 2):
@@ -619,16 +654,25 @@ class MemoStore:
         partitioner,
         meta: dict | None = None,
     ) -> int:
-        """Persist one converged state; returns the new memo version."""
-        part = bind_partitioner(partitioner, num_pairs)
-        parts: list[list] = [[] for _ in range(num_pairs)]
-        for rec in state_records:
-            parts[part(rec[0])].append(rec)
+        """Persist one converged state — a
+        :class:`~repro.imapreduce.columnar.StateColumns` as it is, records
+        encoded once — split by pair with the partitioner's
+        ``bind_array`` (or, without one, its per-key function); returns
+        the new memo version."""
+        if isinstance(state_records, StateColumns):
+            keys, values = state_records.key_array, state_records.value_array
+        else:
+            keys, values = encode_columnar(state_records, None)
+        bind, part = getattr(partitioner, "bind_array", None), bind_partitioner(
+            partitioner, num_pairs)
+        route = bind(num_pairs) if bind else (
+            lambda ks: np.fromiter(map(part, ks.tolist()), np.int64, ks.size))
         manifests = self.store.manifests()
         version = manifests[0]["iteration"] + 1 if manifests else 0
         entries = [
-            self.store.write(0, version, p, {"pair": p, "state": parts[p]})
-            for p in range(num_pairs)
+            self.store.write(0, version, p, {"pair": p, "keys": narrow_ints(ks),
+                                             "values": narrow_ints(vs)})
+            for p, (ks, vs) in enumerate(_by_pair(route, num_pairs, keys, values))
         ]
         entries.append(
             self.store.write(
@@ -637,6 +681,7 @@ class MemoStore:
                 num_pairs,
                 {
                     "memo_meta": {
+                        "format": MEMO_FORMAT,
                         "job": job_name,
                         "num_pairs": num_pairs,
                         "meta": dict(meta or {}),
@@ -649,9 +694,11 @@ class MemoStore:
         return version
 
     def load(self, *, job_name: str | None = None) -> tuple[list, dict]:
-        """Newest memoized state as ``(records, meta)``; records arrive
-        globally key-sorted — the same order the engines emit final
-        state in, so a memo round-trip is record-for-record stable."""
+        """Newest memoized state as ``(state, meta)``: the state is a
+        :class:`~repro.imapreduce.columnar.StateColumns`, globally
+        key-sorted — the order the engines emit final state in, so a
+        memo round-trip is record-for-record stable.  A memo in an older
+        format is refused (:class:`DeltaError`): rerun cold."""
         manifests = self.store.manifests()
         if not manifests:
             raise DeltaError(f"no memoized state under {self.root!r}")
@@ -662,6 +709,9 @@ class MemoStore:
         }
         meta_entry = payloads.pop(max(payloads))
         inner = meta_entry["memo_meta"]
+        if inner.get("format") != MEMO_FORMAT:
+            raise DeltaError(f"memo under {self.root!r} is format {inner.get('format', 1)}, "
+                             f"not {MEMO_FORMAT}: rerun cold to memoize it again")
         # User meta keys surface at the top level beside the reserved
         # job/num_pairs/version bookkeeping.
         meta = dict(inner["meta"])
@@ -675,10 +725,9 @@ class MemoStore:
                 f"memo under {self.root!r} belongs to job {meta['job']!r}, "
                 f"not {job_name!r}"
             )
-        records: list = []
-        for p in sorted(payloads):
-            records.extend(payloads[p]["state"])
-        return sort_records(records), meta
+        parts = [(widen_ints(payloads[p]["keys"]), widen_ints(payloads[p]["values"]))
+                 for p in sorted(payloads)]
+        return StateColumns(*concat_broadcast(parts)), meta
 
     def has(self) -> bool:
         return bool(self.store.manifests())

@@ -106,6 +106,7 @@ from typing import Any
 
 from ..common.errors import JobError
 from .checkpoint import CheckpointError, CheckpointStore
+from .columnar import widen_ints
 from .engine import host_config
 from .localrun import kernel_enabled
 from .placement import reassign, round_robin
@@ -342,7 +343,8 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                 else:
                     start_iteration, restored = restore[0] + 1, restore[1]
                     if columnar:  # values only: a pair's keys never change
-                        restored = {p: (state_parts[p][0], v) for p, v in restored.items()}
+                        restored = {p: (state_parts[p][0], widen_ints(v))
+                                    for p, v in restored.items()}
                 mode = "respawn"
                 if reassign_on_failure and num_workers > 1:
                     # The survivors, renumbered in worker order, take

@@ -44,12 +44,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
 from .accum import AccumJob, AccumRunResult, check_mode, partition_state
 from .checkpoint import ProcFault
-from .columnar import ColumnarAccum, accum_state_dtype
-from .engine import AccumVerdict, SyncVerdict, partition_inputs
+from .columnar import StateColumns
+from .engine import AccumVerdict, SyncVerdict, gc_paused, partition_inputs
 from .incremental import (
     ChangeModel,
     DataDelta,
@@ -59,7 +61,7 @@ from .incremental import (
     warm_sync_state,
 )
 from .job import IterativeJob
-from .localrun import LocalRunResult, host_loopback, host_simulated, select_executor
+from .localrun import LocalRunResult, RecordAccum, host_loopback, host_simulated, select_executor
 from .parallel import ParallelRunResult, host_mesh
 
 __all__ = [
@@ -256,15 +258,22 @@ def _warm_inputs(job, memo_state, statics, warm: WarmStart, accumulative: bool):
     and turn the memo into the run's starting point: for accumulative
     jobs the perturbation deltas plus the memo minus its reset keys
     (preloaded, not propagated); for iterative jobs the memo with reset
-    keys at the identity and the min-algebra offers folded in."""
-    memo_state = list(memo_state)
+    keys at the identity and the min-algebra offers folded in.  A
+    :class:`~repro.imapreduce.columnar.StateColumns` memo is read and
+    cut through its arrays."""
+    columns = isinstance(memo_state, StateColumns)
+    memo_state = memo_state if columns else list(memo_state)
     path = job.static_paths[0] or ""
     table = dict((statics or {}).get(path, {}))
-    change = warm.model.plan(table, warm.delta, dict(memo_state))
+    change = warm.model.plan(table, warm.delta, memo_state if columns else dict(memo_state))
     if not accumulative:
         return warm_sync_state(memo_state, change, warm.model), {path: table}, change, None
-    reset = change.reset_keys
-    kept = [kv for kv in memo_state if kv[0] not in reset] if reset else memo_state
+    reset, kept = change.reset_keys, memo_state
+    if reset and columns:
+        keep = ~np.isin(kept.key_array, np.fromiter(reset, np.int64, len(reset)))
+        kept = StateColumns(kept.key_array[keep], kept.value_array[keep])
+    elif reset:
+        kept = [kv for kv in memo_state if kv[0] not in reset]
     return change.perturbation, {path: table}, change, kept
 
 
@@ -294,9 +303,10 @@ def execute(
         )
     if plan.warm is None:
         return _execute(job, inputs, statics, plan)
-    inputs, statics, change, kept = _warm_inputs(
-        job, inputs, statics, plan.warm, accumulative
-    )
+    with gc_paused():
+        inputs, statics, change, kept = _warm_inputs(
+            job, inputs, statics, plan.warm, accumulative
+        )
     result = _execute(job, inputs, statics, plan, initial_state=kept)
     if accumulative:
         result.counters.update(
@@ -320,22 +330,23 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
     num_pairs = plan.num_pairs
     part = bind_partitioner(job.partitioner, num_pairs)
     accumulative = isinstance(job, AccumJob)
+    # The seeded simulated host runs the record executor.
+    executor = RecordAccum if plan.backend == "simulated" else select_executor(job)[0]
     if accumulative:
         check_mode(plan.mode)
         policy = AccumVerdict(job, num_pairs, plan.keep_trace)
-        fields = {"accum_mode": plan.mode,
-                  "warm": partition_state(initial_state, num_pairs, part)}
+        fields = {"accum_mode": plan.mode}
+        if not hasattr(executor, "split_inputs"):  # a columnar split takes the warm start
+            fields["warm"] = partition_state(initial_state, num_pairs, part)
     else:
         policy = SyncVerdict(job, num_pairs, plan.keep_history)
         fields = {}
         if plan.checkpoint_every is None:  # the job's conf may arm them
             plan = dataclasses.replace(
                 plan, checkpoint_every=job.parallel_checkpoint_every)
-    state_parts, static_parts = partition_inputs(job, inputs, statics, num_pairs, part)
-    executor = select_executor(job)[0]
-    if plan.backend != "simulated" and issubclass(executor, ColumnarAccum):
-        fields["state_dtype"] = accum_state_dtype(
-            executor.kernel_for(job), state_parts, fields["warm"])
+    with gc_paused():
+        state_parts, static_parts = partition_inputs(
+            job, inputs, statics, num_pairs, part, executor=executor, warm=initial_state)
     partitioned = time.perf_counter() - started
     finals, mesh = _HOSTS[plan.backend](
         job, policy, state_parts, static_parts, plan, fields, **supervision)

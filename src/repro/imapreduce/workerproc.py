@@ -96,6 +96,8 @@ import traceback
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any
 
+import numpy as np
+
 from .engine import (
     MESH_COUNTERS,
     PHASE_COUNTERS,
@@ -178,6 +180,48 @@ def encode_frame(kind, iteration: int, phase: int, src: int, payload):
     if len(raws) > 1:
         raws = [b"".join(raws)]
     return [header, data, *raws], nbytes
+
+
+def _pack(payload):
+    """A columnar shuffle batch — wire items ``(dest, src, keys | None,
+    values)`` over arrays whose values share one dtype and row shape —
+    as one :class:`_Packed` region; any other payload as it is."""
+    if not (isinstance(payload, list) and payload and len(payload[0]) == 4
+            and isinstance(payload[0][3], np.ndarray)):
+        return payload
+    values = [item[3] for item in payload]
+    if len({(v.dtype.str, v.shape[1:]) for v in values}) > 1 or values[0].dtype.hasobject:
+        return payload
+    keys = [item[2] for item in payload if item[2] is not None]
+    head = np.array([x for d, s, k, v in payload for x in (d, s, len(v), k is not None)],
+                    np.int64)
+    region = bytearray().join(map(np.ascontiguousarray, (head, *keys, *values)))
+    return _Packed((len(payload), values[0].dtype.str, values[0].shape[1:], region))
+
+
+class _Packed(tuple):
+    """A packed columnar batch ``(n, dtype, row shape, region)``: the
+    region holds an ``(n, 4)`` int64 block of ``(dest, src, value count,
+    keys ride along)`` rows, then every item's keys, then every item's
+    values, and pickles as the frame's one out-of-band buffer — one copy
+    and a few opcodes however many items the batch holds.  Unpickling
+    rebuilds the wire items over views of the region (:func:`_unpack`)."""
+
+    def __reduce_ex__(self, protocol):
+        return _unpack, (*self[:3], pickle.PickleBuffer(self[3]))
+
+
+def _unpack(n: int, dtype: str, row: tuple, region) -> list[tuple]:
+    """The wire items of a :class:`_Packed` batch, as views of its region."""
+    head = np.frombuffer(region, np.int64, 4 * n).reshape(n, 4).tolist()
+    nkeys = sum(count for _d, _s, count, keyed in head if keyed)
+    keys = np.frombuffer(region, np.int64, nkeys, 32 * n)
+    values = np.frombuffer(region, dtype, offset=32 * n + 8 * nkeys).reshape((-1, *row))
+    items, k, v = [], 0, 0
+    for dest, src, count, keyed in head:
+        items.append((dest, src, keys[k:k + count] if keyed else None, values[v:v + count]))
+        k, v = k + count * keyed, v + count
+    return items
 
 
 def decode_frame(take):
@@ -402,7 +446,7 @@ class _PipeMesh:
     def _ship(self, kind: str, step: int, phase: int, dest: int, payload,
               records: int = 0) -> None:
         started = time.perf_counter()
-        parts, nbytes = encode_frame(kind, step, phase, self.wid, payload)
+        parts, nbytes = encode_frame(kind, step, phase, self.wid, _pack(payload))
         self.timings["serialize"] += time.perf_counter() - started
         counters = self.counters
         counters["bytes_pickled"] += nbytes

@@ -116,6 +116,63 @@ def test_frame_is_three_parts_however_many_arrays(count):
         decoded[victim][...] = arrays[victim]
 
 
+def _columnar_batch(dtype, lengths):
+    """Wire items ``(dest, src, keys | None, values)``: every other item
+    ships its keys, the rest ``None`` (a planned step)."""
+    rng = np.random.default_rng(len(lengths))
+    return [
+        (i % 3, i // 3, np.arange(n, dtype=np.int64) * 7 + i if i % 2 else None,
+         (rng.random(n) * 100).astype(dtype))
+        for i, n in enumerate(lengths)
+    ]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "int64"])
+@pytest.mark.parametrize("lengths", [[5], [0, 3, 0, 0, 9, 1], [4] * 16, [0, 0]])
+def test_packed_columnar_frame_is_three_parts_and_decodes_independent_arrays(dtype, lengths):
+    """The mesh packs a columnar batch (``_pack``) into one region: the
+    frame is still at most three pipe messages, and the items decode with
+    their keys and values — empty and non-empty, int and float — as
+    writable arrays that do not alias each other."""
+    from repro.imapreduce.workerproc import _pack
+
+    batch = _columnar_batch(dtype, lengths)
+    parts, nbytes = encode_frame("shuffle", 2, 0, 1, _pack(batch))
+    assert len(parts) <= 3 and nbytes == sum(len(memoryview(p).cast("B")) for p in parts)
+    *_, got, read_bytes = _pipe_roundtrip(parts)
+    assert read_bytes == nbytes and len(got) == len(batch)
+    arrays = []
+    for (dest, src, keys, values), (d, s, k, v) in zip(got, batch):
+        assert (dest, src) == (d, s) and (keys is None) == (k is None)
+        assert values.dtype == v.dtype and np.array_equal(values, v)
+        if k is not None:
+            assert keys.dtype == np.int64 and np.array_equal(keys, k)
+            arrays.append((keys, k))
+        arrays.append((values, v))
+    for mine, _theirs in arrays:
+        assert mine.flags.writeable
+    for victim, (mine, theirs) in enumerate(arrays):
+        mine[...] = 99  # one array written ...
+        assert all(  # ... every other one untouched
+            np.array_equal(a, b) for i, (a, b) in enumerate(arrays) if i != victim)
+        mine[...] = theirs
+
+
+def test_record_frames_are_not_packed():
+    """A record batch leaves the packer as it came, so its frame is the
+    same bytes it always was (digest pinned before packing existed)."""
+    import hashlib
+
+    from repro.imapreduce.workerproc import _pack
+
+    batch = [(1, 0, [3, 5, 7], [0.5, 1.25, -0.0]), (3, 2, [9], [2])]
+    assert _pack(batch) is batch
+    parts, nbytes = encode_frame("shuffle", 4, 0, 1, _pack(batch))
+    assert (nbytes, len(parts)) == (113, 2)
+    digest = hashlib.sha256(b"".join(bytes(p) for p in parts)).hexdigest()[:16]
+    assert digest == "d1eb36b642b861e0"
+
+
 def test_manifest_frame_is_header_only():
     from repro.imapreduce.workerproc import _NO_PAYLOAD
 
