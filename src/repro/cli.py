@@ -345,15 +345,15 @@ def _cmd_run(args) -> int:
 
 def _where(plan, job, result) -> str:
     """The host, then the pair executor it ran and why
-    (``select_executor``; the seeded simulated host always runs the
-    record executor)."""
+    (``select_executor``, the one rule of every host)."""
     from .imapreduce import AccumJob, select_executor
 
     pairs = f"{plan.num_pairs} pairs"
     if plan.backend == "simulated":
-        return f"simulated ({pairs}, seed {plan.seed}), record: seeded host"
-    host = (f"parallel ({result.num_workers} workers, {pairs})"
-            if plan.backend == "parallel" else f"serial ({pairs})")
+        host = f"simulated ({pairs}, seed {plan.seed})"
+    else:
+        host = (f"parallel ({result.num_workers} workers, {pairs})"
+                if plan.backend == "parallel" else f"serial ({pairs})")
     why = select_executor(job)[1]
     if why is not None:
         return f"{host}, record: {why}"

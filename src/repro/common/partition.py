@@ -54,7 +54,9 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, bool):
         return _fnv1a(b"b1" if key else b"b0")
     if isinstance(key, int):
-        return _fnv1a(b"i" + key.to_bytes(16, "little", signed=True))
+        if -(2**127) <= key < 2**127:
+            return _fnv1a(b"i" + key.to_bytes(16, "little", signed=True))
+        return _fnv1a(b"I" + key.to_bytes(key.bit_length() // 8 + 1, "little", signed=True))
     if isinstance(key, float):
         return _fnv1a(b"f" + repr(key).encode())
     if isinstance(key, str):
@@ -103,6 +105,32 @@ class HashPartitioner:
             return q
 
         return part
+
+    def bind_array(self, num_partitions: int):
+        """Vectorized form over an int64 key array (columnar kernels):
+        :func:`stable_hash` of an int is FNV-1a over ``b"i"`` and its 16
+        little-endian two's-complement bytes — an int64's 8 bytes, then
+        8 sign bytes — run here as uint64 xor/multiply steps, which numpy
+        wraps exactly as ``& _MASK`` does."""
+        if num_partitions <= 0:
+            raise ValueError("num_partitions must be positive")
+
+        def part_array(keys, _n: int = num_partitions):
+            import numpy as np
+
+            keys = np.asarray(keys, dtype=np.int64)
+            word, prime = keys.view(np.uint64), np.uint64(_FNV_PRIME)
+            h = np.full(keys.shape, (_FNV_OFFSET ^ ord("i")) * _FNV_PRIME & _MASK, np.uint64)
+            for shift in range(0, 64, 8):
+                h ^= (word >> np.uint64(shift)) & np.uint64(0xFF)
+                h *= prime
+            sign = np.where(keys < 0, np.uint64(0xFF), np.uint64(0))
+            for _ in range(8):
+                h ^= sign
+                h *= prime
+            return (h % np.uint64(_n)).astype(np.int64)
+
+        return part_array
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "HashPartitioner()"

@@ -1,6 +1,6 @@
 """The iMapReduce engine — the paper's contribution."""
 
-from .accum import AccumJob, AccumPair, AccumRunResult
+from .accum import AccumJob, AccumRunResult
 from .channels import IterationMailbox, StopIteration_
 from .checkpoint import CheckpointError, CheckpointStore, ProcFault
 from .columnar import AccumKernel, Kernel, KernelContractError
@@ -67,7 +67,6 @@ __all__ = [
     "IterativeRunResult",
     "Phase",
     "AccumJob",
-    "AccumPair",
     "AccumRunResult",
     "LocalRunResult",
     "run_local",

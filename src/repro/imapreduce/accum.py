@@ -11,7 +11,7 @@ order, and scheduled by impact — only keys whose pending delta would
 actually change the state need touching, and only nonzero deltas ever
 cross the wire.
 
-This module holds the pieces every backend shares:
+This module holds the job model every backend shares:
 
 * :data:`FOLDS` — the one table of algebras, ``sum`` and ``min``: each
   entry's merge ``⊕``, record identity, idempotence, priority rule (how
@@ -19,29 +19,22 @@ This module holds the pieces every backend shares:
   a declared reducer (``Phase.fold``) is checked against.  Both are
   commutative monoids (identity, commutativity, associativity — which
   subsumes delta-composition ``s ⊕ (d₁ ⊕ d₂) = (s ⊕ d₁) ⊕ d₂``), which
-  is all Maiter asks of ``⊕``; the columnar executors' numpy twins
+  is all Maiter asks of ``⊕``; the columnar executor's numpy twins
   (:func:`~repro.imapreduce.columnar._reduction`) go by the same names.
 * :class:`AccumJob` — the job model: a fold name plus a delta-emitting
   update function ``update(key, delta, state, static_value, emit)``
-  called once per applied delta.
-* :class:`AccumPair` — one pair's engine state (state dict, pending
-  delta queue, priority scheduling).  The record-accum pair executor
-  (:class:`~repro.imapreduce.localrun.RecordAccum`, the same object on
-  the serial and the multiprocess backend) and the simulated async
-  schedule drive the *same* class through the same call sequence,
-  which is what makes serial/parallel runs record-for-record identical
-  per mode.
+  called once per applied delta whose merge changed the state.
 
-Kernel-less jobs run columnar: on the serial and the multiprocess
-backend a job whose partitioner has ``bind_array`` runs
+One executor runs every accumulative job, on every host (serial, the
+seeded simulated one, the multiprocess mesh):
 :class:`~repro.imapreduce.columnar.ColumnarAccum` — dense per-pair
-arrays, rounds that cost O(active keys) — through
+``state``/``pending`` arrays and an active-key mask, rounds that cost
+O(active keys) — with the job's delta kernel or, kernel-less, through
 :class:`~repro.imapreduce.localrun.UpdateKernel`, which calls the job's
-``update_fn`` once per changed key in :class:`AccumPair`'s application
-order.  Its runs equal :class:`AccumPair`'s in state, rounds and work
-counters, and in the pending-mass trace wherever the state dtype can
-hold ∞ (int64 state stands its max in for it); :class:`AccumPair` stays
-the reference, and what the seeded simulated host runs.
+``update_fn`` once per changed key in application order.  Keys are
+ints and routed by the partitioner's ``bind_array``; int64 state stands
+its max in for ∞.  The tests hold it to a per-record reference
+implementation of the same schedule.
 
 Scheduling and termination
 --------------------------
@@ -50,37 +43,20 @@ Execution is *round-synchronized asynchronous*: rounds keep the
 all-to-all skip-empty exchange (the mesh's gather contract needs a
 frame or manifest from every peer), but within a round each pair
 drains only its highest-priority pending keys (``mode="async"``
-applies the top ``mapred.accum.topfrac`` fraction by priority;
-``mode="sync"`` drains everything — the synchronous reference the
-fixpoint-equivalence oracle compares against).  Termination is a
-global accumulated-progress check instead of the iteration-distance
-barrier: stop when the summed priority of every pending delta is at or
-below ``mapred.iterjob.disthresh``.
+applies the top ``mapred.accum.topfrac`` fraction of live keys by
+priority, ties by ascending key; ``mode="sync"`` drains everything —
+the synchronous reference the fixpoint-equivalence oracle compares
+against).  Termination is a global accumulated-progress check instead
+of the iteration-distance barrier: stop when the summed priority of
+every pending delta (:func:`fold_mass`) is at or below
+``mapred.iterjob.disthresh``.
 
-The priority queue is kept between rounds (Maiter's state table holds a
-priority field per key, updated when a delta is received).  Priority is
-a pure function of ``(state[k], pending[k])``; ``pending[k]`` changes
-only in ``absorb`` and ``state[k]`` only in ``apply``, which pops ``k``
-— so :class:`AccumPair` caches each pending key's priority, ``absorb``
-marks the keys it touches dirty, and one refresh step re-scores those
-alone, never walking the queue.  ``priority_evals`` counts the
-evaluations: each is caused by at least one absorbed record.
-
-The queue holds live deltas only when the fold is idempotent
-(:attr:`Fold.idempotent`: ``x ⊕ x = x``, which with commutativity and
-associativity makes ``⊕`` a semilattice join — ``min`` is one, ``+``
-is not).  There ``absorb`` drops an offer ``d``
-with ``s ⊕ d = s`` for the key's state ``s``: ``s`` only moves while
-the key is popped, to ``s' = s ⊕ p`` for some pending ``p``, and
-``s ⊕ (p ⊕ d) = (s ⊕ d) ⊕ p = s'`` — with ``d`` or without, the same
-state, so the same updates and the same default priorities.  Under a
-total order (``min``) the pending value itself is unchanged too: a live
-``p`` beats ``s``, hence beats ``d``.  Keeping ``d`` would only park a
-priority-0 entry that async rounds never pop (on sssp, four for every
-live one) and sync rounds drain for nothing.  The mass is
-``math.fsum`` over the cached priorities — exactly rounded, so it does
-not depend on the order keys entered the queue — and ``inf`` once the
-exact sum leaves the float range.
+Under an idempotent fold (:attr:`Fold.idempotent`: ``x ⊕ x = x`` —
+``min``, not ``+``) the pending queue holds live deltas only: an offer
+``d`` with ``s ⊕ d = s`` for the key's state ``s`` is dropped, which
+changes neither the state any schedule reaches nor the updates it
+fires, and saves parking a priority-0 entry that async rounds never
+pop.
 
 Correctness: for ``min`` algebras the fixpoint is unique and every
 schedule reaches it exactly, so async results are *bit-equal* to the
@@ -99,18 +75,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from typing import Any, Callable
 
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner
-from ..common.records import sort_records
 
 __all__ = [
     "FOLDS",
     "AccumJob",
-    "AccumPair",
     "AccumRunResult",
     "DEFAULT_TOP_FRACTION",
     "partition_state",
@@ -202,9 +176,9 @@ class AccumJob:
     conf: JobConf = field(default_factory=JobConf)
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     num_pairs: int | None = None
-    #: Optional columnar delta twin (see
-    #: :class:`~repro.imapreduce.columnar.AccumKernel`): dense pending
-    #: arrays with an active-key mask replace the per-record loops.
+    #: Optional vectorised delta kernel (see
+    #: :class:`~repro.imapreduce.columnar.AccumKernel`), run in place of
+    #: a per-key ``update_fn`` call.
     kernel: Any | None = None
 
     def __post_init__(self):
@@ -287,175 +261,6 @@ class AccumRunResult:
     def counter(self, name: str) -> int:
         """Sum a mesh counter over the parallel backend's workers."""
         return sum(int(s.get(name, 0)) for s in self.worker_stats)
-
-
-class AccumPair:
-    """One pair's accumulative engine: state, pending queue, scheduler.
-
-    Every backend drives this class through the identical sequence —
-    ``mass → select → apply → absorb`` per round, pairs in ascending
-    id, incoming batches in ascending source-pair order — so per-mode
-    results are bit-identical across serial and parallel runs (dict
-    iteration order is insertion order, and the insertion sequences
-    match by construction).
-    """
-
-    __slots__ = (
-        "pair",
-        "fold",
-        "state",
-        "pending",
-        "static",
-        "updates_processed",
-        "deltas_emitted",
-        "priority_evals",
-        "_prio",
-        "_dirty",
-        "_mass",
-    )
-
-    def __init__(self, pair: int, fold: str, static_table: dict,
-                 keys=(), initial_state=None):
-        self.pair = pair
-        self.fold = FOLDS[fold]
-        self.static = static_table
-        ident = self.fold.identity
-        #: Key universe materialized up front (static keys), so the
-        #: final state covers unreached keys at the identity — matching
-        #: the synchronous executors' full state records.
-        self.state: dict[Any, Any] = {k: ident for k in keys}
-        #: Warm start (incremental mode): memoized converged values are
-        #: *preloaded* — written into the state without running the
-        #: update function, so no propagation fires for them.  Feeding
-        #: them through ``absorb`` instead would re-emit every key's
-        #: downstream deltas (a full recomputation, and a wrong fixpoint
-        #: for non-idempotent algebras like ``+``).
-        if initial_state is not None:
-            self.state.update(initial_state)
-        self.pending: dict[Any, Any] = {}
-        #: The priority queue kept between rounds: the cached priority of
-        #: each scored pending delta, the keys ``absorb`` touched since
-        #: (an insertion-ordered set), and the mass (``None`` once
-        #: either changed).
-        self._prio: dict[Any, float] = {}
-        self._dirty: dict[Any, None] = {}
-        self._mass: float | None = 0.0
-        self.updates_processed = 0
-        self.deltas_emitted = 0
-        self.priority_evals = 0
-
-    def absorb(self, records) -> None:
-        """Coalesce arriving deltas into the pending queue with ``⊕``
-        (exact by the delta-composition law); under an idempotent
-        algebra an offer the state already absorbed is dropped."""
-        fold = self.fold
-        merge = fold.merge
-        ident = fold.identity
-        drop = fold.idempotent
-        state_get = self.state.get
-        pending = self.pending
-        get = pending.get
-        dirty = self._dirty
-        for k, d in records:
-            if drop:
-                s = state_get(k, ident)
-                if merge(s, d) == s:
-                    continue
-            pending[k] = merge(get(k, ident), d)
-            dirty[k] = None
-        if dirty:
-            self._mass = None
-
-    def _refresh(self) -> None:
-        """Score the dirty keys still pending and re-fold the mass."""
-        if self._mass is not None:
-            return
-        fold = self.fold
-        ident = fold.identity
-        state_get = self.state.get
-        priority = fold.priority
-        pending = self.pending
-        prio = self._prio
-        evals = 0
-        for k in self._dirty:
-            if k not in pending:
-                continue  # applied before it was scored
-            p = priority(state_get(k, ident), pending[k])
-            if not p >= 0:  # NaN or negative: the mass check could never fire
-                raise bad_priority(fold.name, k, p)
-            prio[k] = p
-            evals += 1
-        self._dirty.clear()
-        self.priority_evals += evals
-        self._mass = fold_mass(prio.values())
-
-    def mass(self) -> float:
-        """Summed priority of every pending delta — this pair's
-        contribution to the global accumulated-progress check."""
-        self._refresh()
-        return self._mass
-
-    def select(self, mode: str, top_fraction: float) -> list:
-        """Keys to drain this round.
-
-        ``sync``: every pending key, in key order.  ``async``: the top
-        ``top_fraction`` of *active* keys (priority > 0) by descending
-        priority, ties broken by key order — the per-pair priority
-        queue keyed by pending-delta magnitude.  Both sort like
-        :func:`~repro.common.records.sort_records`: natively when the
-        keys share one type, by ``order_key`` otherwise.
-        """
-        pending = self.pending
-        if not pending:
-            return []
-        if mode == "sync":
-            return [k for k, _d in sort_records(pending.items())]
-        self._refresh()
-        ranked = sort_records(kp for kp in self._prio.items() if kp[1] > 0)
-        if not ranked:
-            return []
-        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties stay in key order
-        count = max(1, math.ceil(top_fraction * len(ranked)))
-        return [k for k, _p in ranked[:count]]
-
-    def apply(self, job: AccumJob, selected: list, part, outboxes: list) -> int:
-        """Pop and apply the selected pending deltas in order; emissions
-        append to the ``(keys, values)`` columns ``outboxes[dest_pair]``
-        in application order."""
-        fold = self.fold
-        merge = fold.merge
-        ident = fold.identity
-        state = self.state
-        pending = self.pending
-        prio = self._prio
-        static_get = self.static.get
-        update = job.update_fn
-        before = sum(len(vs) for _ks, vs in outboxes)
-
-        def emit(dest, d):
-            keys, values = outboxes[part(dest)]
-            keys.append(dest)
-            values.append(d)
-
-        applied = 0
-        for k in selected:
-            d = pending.pop(k)
-            prio.pop(k, None)
-            old = state.get(k, ident)
-            new = merge(old, d)
-            state[k] = new
-            applied += 1
-            if new == old:
-                continue  # no-op delta: nothing to propagate
-            update(k, d, new, static_get(k), emit)
-        if applied:
-            self._mass = None
-        self.updates_processed += applied
-        self.deltas_emitted += sum(len(vs) for _ks, vs in outboxes) - before
-        return applied
-
-    def final_records(self) -> list:
-        return sort_records(self.state.items())
 
 
 def partition_state(records, num_pairs: int, part) -> list[list]:

@@ -106,13 +106,15 @@ the job must carry a kernel — or, kernel-less, declare its phase's fold
 runs: the record map, the fold as the merge — have exactly one phase,
 no aux phase, a partitioner with ``bind_array``, and the phase mapping
 must match the kernel's ``needs_broadcast`` (a declared fold's is
-one2one).  An accumulative job needs only the partitioner: kernel-less,
-it runs :class:`ColumnarAccum` through
+one2one).  An accumulative job needs only the partitioner, and has no
+other executor: kernel-less, it runs :class:`ColumnarAccum` through
 :class:`~repro.imapreduce.localrun.UpdateKernel`, its own
-``update_fn``.  A ``sum`` fold without a combiner ships its raw emissions
-uncombined (``Kernel.combine``), so the receiver adds each key's values
-in the record reducer's order.  Anything else falls back to the
-record executor — with the reason — on every backend, so all backends
+``update_fn``, and a partitioner without ``bind_array`` or a kernel that
+is not an :class:`AccumKernel` is refused.  A ``sum`` fold without a
+combiner ships its raw emissions uncombined (``Kernel.combine``), so the
+receiver adds each key's values in the record reducer's order.  A
+synchronous job that fits none of this falls back to the record
+executor — with the reason — on every backend, so all backends
 always agree on which path runs.  The two columnar pair
 executors at the end of this module (:class:`ColumnarSync`,
 :class:`ColumnarAccum`) are what the shared superstep driver runs,
@@ -308,7 +310,7 @@ def _int_keys(keys: Iterable) -> np.ndarray:
     if bad:
         first = next(k for k in keys if type(k) in bad)
         raise KernelContractError(
-            f"columnar keys must be ints, got {type(first).__name__}"
+            f"columnar keys must be ints, got {first!r} ({type(first).__name__})"
         )
     return np.array(keys, dtype=np.int64)
 
@@ -709,9 +711,9 @@ def absorb_columnar(
     in_values: np.ndarray,
 ) -> None:
     """Coalesce an arriving delta batch into the dense pending queue
-    (the vectorized twin of ``AccumPair.absorb``, drop rule included:
-    under ``min`` a key stays active only while its pending value beats
-    its state).  Only the arriving rows are touched; emissions to keys
+    with the drop rule of an idempotent fold (module docstring of
+    :mod:`.accum`): under ``min`` a key stays active only while its
+    pending value beats its state.  Only the arriving rows are touched; emissions to keys
     outside the owned set violate the closed-universe contract."""
     if in_keys.size == 0:
         return
@@ -945,14 +947,16 @@ class ColumnarAccum:
     """Accumulative (Maiter-mode) rounds over dense per-pair arrays:
     ``state``, the coalesced ``pending`` delta queue and an ``active``
     mask over the owned key universe (static keys ∪ initial-delta keys
-    ∪ warm-start keys).  The round protocol is the record executor's —
-    mass before the round, pairs ascending, ascending-source absorption
-    — so both layouts and both transports agree on ``rounds`` and every
-    work counter.  A round's bookkeeping is proportional to the live
-    rows: the mass, the refusal and the schedule score only the active
-    keys, and each pair absorbs its arriving batches in one indexed
-    fold.  A pair's arrays arrive built, in the job's one state dtype
-    (:meth:`split_inputs`)."""
+    ∪ warm-start keys) — the one accumulative executor, on every host.
+    The round protocol — mass before the round, pairs ascending,
+    ascending-source absorption — is the same on every transport, so all
+    of them agree on ``rounds`` and every work counter.  The async
+    schedule drains each pair's top :meth:`fraction` of live keys (the
+    seeded simulated host jitters it).  A round's bookkeeping is
+    proportional to the live rows: the mass, the refusal and the
+    schedule score only the active keys, and each pair absorbs its
+    arriving batches in one indexed fold.  A pair's arrays arrive
+    built, in the job's one state dtype (:meth:`split_inputs`)."""
 
     report_lag = 0
     plan = [(SHUFFLE, 0)]
@@ -968,8 +972,8 @@ class ColumnarAccum:
         :func:`~repro.imapreduce.engine.partition_inputs`' shape.  The
         owned universe is formed once, for the whole job, in the job's
         one dtype (:func:`_accum_dtype`); the warm values are scattered
-        into the state without marking them pending (the record engine's
-        preload) and the deltas absorbed in record order
+        into the state without marking them pending (a preload: nothing
+        propagates from them) and the deltas absorbed in record order
         (:func:`absorb_columnar`, drop rule included) before one split
         (:func:`_by_pair`), so a pair's arrays are views of the job's."""
         table = table if isinstance(table, dict) else dict(table)
@@ -1043,14 +1047,20 @@ class ColumnarAccum:
             "shipped": self.shipped,
         }
 
+    def fraction(self, pair: int) -> float:
+        """The top-priority fraction ``pair`` drains this round (async)."""
+        return self.frac
+
     def _select(self, p: int) -> np.ndarray:
         act, pr = self.live[p]
         if self.mode == "sync":
             return act
+        # Asked of every pair, an idle one too: the simulated host's
+        # jitter draws once per pair per round.
+        frac = self.fraction(p)
         live = np.flatnonzero(pr > 0)
-        count = max(1, math.ceil(self.frac * live.size))
-        # Stable argsort over −priority: ties keep ascending key order —
-        # the record scheduler's exact tie-break.
+        count = max(1, math.ceil(frac * live.size))
+        # Stable argsort over −priority: ties keep ascending key order.
         return act[live[np.argsort(-pr[live], kind="stable")[:count]]]
 
     def emit(self, kind, phase, broadcast) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""The superstep engine: one driver × four pair executors × three transports.
+"""The superstep engine: one driver × three pair executors × three transports.
 
 The paper's engine is one loop — persistent map/reduce pairs run
 compute → shuffle → reduce → termination check until the master says
@@ -25,10 +25,10 @@ do not depend on where the pairs live:
 The driver is parameterised by
 
 * a **pair executor**, which owns per-pair state and nothing about
-  processes.  Four exist, picked by
+  processes.  Three exist, picked by
   :func:`~repro.imapreduce.localrun.select_executor` on every backend:
-  record-sync and record-accum (:mod:`.localrun`), columnar-sync and
-  columnar-accum (:mod:`.columnar`).  Each is built from a
+  record-sync (:mod:`.localrun`), columnar-sync and columnar-accum
+  (:mod:`.columnar`) — the one accumulative executor.  Each is built from a
   :class:`WorkerConfig` (initial or restored state) and exposes
 
   ``report_lag``  1 when a report describes the step just finished
@@ -46,10 +46,9 @@ The driver is parameterised by
                   along.  Record-sync ships ``keys, values`` lists (the
                   map's emissions stay two columns from ``Context`` to
                   the reducer; only state is ``(key, value)`` records),
-                  record-accum ``keys, values`` lists of deltas, and the
-                  columnar executors ``keys | None, values`` arrays (the
-                  sync one ships ``None`` keys once the receiver holds
-                  them);
+                  the columnar executors ``keys | None, values`` arrays
+                  (the sync one ships ``None`` keys once the receiver
+                  holds them);
   ``absorb(kind, phase, merged)``  ``dest_pair → items`` in ascending
                   source-pair order (the determinism contract);
   ``progress(send_state)``  the report payload (distance partials or
@@ -58,7 +57,7 @@ The driver is parameterised by
 
   Executor methods run per host per step, never per record: the hot
   paths (``run_map``, ``group_by_dest``, ``map_kernel``, the planned
-  ``ufunc.at`` combine, ``AccumPair.apply``) are untouched;
+  ``ufunc.at`` combine, the delta kernel) are untouched;
 * a **transport**, which owns moving batches — and *when* they land —
   and nothing about algorithms: the two loopbacks here, the pipe mesh
   in :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,
@@ -176,12 +175,12 @@ class WorkerConfig:
     num_workers: int
     num_pairs: int
     job: Any
-    #: pair → records (initial deltas for accumulative jobs), or the
-    #: arrays a columnar executor's ``split_inputs`` made: the initial
-    #: or restored ``(keys, values)`` of
-    #: :class:`~repro.imapreduce.columnar.ColumnarSync`, the ``(owned
+    #: pair → records, or the arrays a columnar executor's
+    #: ``split_inputs`` made: the initial or restored ``(keys, values)``
+    #: of :class:`~repro.imapreduce.columnar.ColumnarSync`, the ``(owned
     #: keys, state, pending, active)`` of
-    #: :class:`~repro.imapreduce.columnar.ColumnarAccum`.
+    #: :class:`~repro.imapreduce.columnar.ColumnarAccum` — a warm
+    #: start's preloaded state included.
     state_parts: dict[int, Any]
     #: [phase] → pair → key → static value (or the pair's
     #: :class:`~repro.imapreduce.columnar.PairCSR`).
@@ -202,21 +201,14 @@ class WorkerConfig:
     #: Accumulative jobs: ``"sync"`` drains every pending delta per
     #: round, ``"async"`` the top-priority fraction.
     accum_mode: str = "async"
-    #: Accumulative warm start (incremental mode) on the record
-    #: executor: pair → memoized converged records, preloaded into the
-    #: pairs' state without propagation; ``state_parts`` then carries
-    #: only the change-scoped perturbation deltas.  A columnar
-    #: executor's warm start is already in its ``state_parts``.
-    accum_initial_state: dict[int, list] | None = None
 
 
-def host_config(worker_id, pairs, state_parts, static_parts, *, warm=None, **fields):
+def host_config(worker_id, pairs, state_parts, static_parts, **fields):
     """Slice the per-pair inputs down to the pairs one host runs."""
     return WorkerConfig(
         worker_id=worker_id,
         state_parts={p: state_parts[p] for p in pairs},
         static_parts=[{p: per_pair[p] for p in pairs} for per_pair in static_parts],
-        accum_initial_state=None if warm is None else {p: warm[p] for p in pairs},
         **fields,
     )
 
@@ -225,16 +217,15 @@ def partition_inputs(
     job, state_records: Iterable, static_records: dict | None, num_pairs: int,
     part=None, *, executor=None, warm=None,
 ) -> tuple[list, list[list]]:
-    """Partition the state (an accumulative job's initial deltas) and the
-    table at each of ``job.static_paths`` — one per phase, or an
-    accumulative job's single one — with one loop, and therefore one
-    insertion order, for every backend and both algebras (§3.2.1: the
-    static data is partitioned with the function that shuffles state).
-    A job whose ``executor`` (default: :func:`select_executor`'s) takes
-    arrays (``split_inputs``: the columnar executors) is split by it
-    instead, once, vectorised — a columnar accumulative warm start
-    (``warm``) with it.  ``part`` is the job's bound partitioner, if the
-    caller holds one."""
+    """Partition the state and the table at each of ``job.static_paths``
+    (one per phase) with one loop, and therefore one insertion order, for
+    every backend (§3.2.1: the static data is partitioned with the
+    function that shuffles state).  A job whose ``executor`` (default:
+    :func:`select_executor`'s) takes arrays (``split_inputs``: the
+    columnar executors, so every accumulative job) is split by it
+    instead, once, vectorised — an accumulative warm start (``warm``)
+    with it.  ``part`` is the job's bound partitioner, if the caller
+    holds one."""
     from .localrun import select_executor  # localrun imports this module
 
     if part is None:

@@ -1,4 +1,4 @@
-"""In-process hosts, the record-layout pair executors, and executor
+"""In-process hosts, the record-layout sync executor, and executor
 selection.
 
 :func:`host_loopback` hosts every pair in this process and drives
@@ -19,15 +19,15 @@ Its uses:
 
 The multiprocess backend drives the same executors through the same
 driver over the pipe mesh, so it executes byte-for-byte the same
-user-code path (:func:`run_map`, ``group_by_dest``,
-``AccumPair.apply``) and its differential oracle can demand
-record-for-record equality.  The simulated cluster's persistent tasks
-(:mod:`.runtime`) compute with the same functions — :func:`run_map`,
+user-code path (:func:`run_map`, ``group_by_dest``, an accumulative
+job's ``update_fn`` through :class:`UpdateKernel`) and its
+differential oracle can demand record-for-record equality.  The
+simulated cluster's persistent tasks (:mod:`.runtime`) compute with the same functions — :func:`run_map`,
 ``group_by_dest``, :func:`reduce_groups`, :func:`route_columns`,
 :func:`distance_partial` — so its results equal them bit for bit as
 well; the Hadoop baseline's tasks (:mod:`repro.mapreduce.runtime`) use
 :func:`route_columns` and :func:`reduce_groups` too.
-:func:`select_executor` is the one dispatch rule both backends use.
+:func:`select_executor` is the one dispatch rule every host uses.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from ..common.errors import ConfigError
 from ..common.partition import bind_partitioner
 from ..common.records import group_by_dest, order_key, sort_records
 from ..mapreduce.api import Context
-from .accum import AccumJob, AccumPair
+from .accum import AccumJob
 from .columnar import AccumKernel, ColumnarAccum, ColumnarSync, Kernel, KernelContractError
 from .engine import (
     REPART,
@@ -173,9 +174,9 @@ def sorted_static(static: dict) -> list[tuple[Any, Any]]:
     return sort_records(static.items())
 
 
-# --------------------------------------------------------- pair executors --
-# The record-layout pair executors (see :mod:`.engine` for the
-# interface and their wire items).
+# ---------------------------------------------------------- pair executor --
+# The record-layout pair executor (see :mod:`.engine` for the interface
+# and its wire items).
 class RecordSync:
     """Synchronous iterations over per-pair record lists: one
     :func:`run_map`, one combine and one reduce per pair per phase
@@ -323,98 +324,6 @@ class RecordSync:
         return {}
 
 
-class RecordAccum:
-    """Accumulative (Maiter-mode) rounds over one :class:`AccumPair` per
-    hosted pair: drain the priority queues (``accum_mode`` selects sync
-    or top-fraction async scheduling), apply, and exchange only the
-    nonzero delta batches, as ``(dest, src, keys, values)`` columns — a
-    silent pair costs the mesh one manifest frame.  Pairs ascending,
-    batches absorbed in ascending source-pair order: one operation
-    sequence on every transport."""
-
-    report_lag = 0
-    plan = [(SHUFFLE, 0)]
-    max_steps = 10**9  # the verdict policy enforces ``max_rounds``
-
-    def __init__(self, cfg, timings: dict):
-        self.job = job = cfg.job
-        self.timings = timings
-        self.num_pairs = cfg.num_pairs
-        self.pairs = sorted(cfg.state_parts)
-        self.mode = cfg.accum_mode
-        self.part = bind_partitioner(job.partitioner, cfg.num_pairs)
-        self.shipped = 0  # cumulative cross-pair delta records
-        tables = cfg.static_parts[0]
-        warm = cfg.accum_initial_state or {}
-        self.engines = {
-            p: AccumPair(
-                p, job.fold, tables[p], keys=tables[p],
-                initial_state=warm.get(p),
-            )
-            for p in self.pairs
-        }
-        for p in self.pairs:
-            self.engines[p].absorb(cfg.state_parts[p])
-
-    def broadcast_items(self, phase: int):
-        return None
-
-    def fraction(self, pair: int) -> float:
-        """The top-priority fraction ``pair`` drains this round (async)."""
-        return self.job.top_fraction
-
-    def progress(self, send_state: bool) -> dict:
-        started = time.perf_counter()
-        engines = self.engines.values()
-        masses = {p: self.engines[p].mass() for p in self.pairs}
-        self.timings["schedule"] += time.perf_counter() - started
-        return {
-            "mass": masses,
-            "updates": sum(e.updates_processed for e in engines),
-            "emitted": sum(e.deltas_emitted for e in engines),
-            "shipped": self.shipped,
-        }
-
-    def emit(self, kind, phase, broadcast) -> list[tuple]:
-        perf = time.perf_counter
-        started = perf()
-        selections = {
-            p: self.engines[p].select(self.mode, self.fraction(p)) for p in self.pairs
-        }
-        self.timings["schedule"] += perf() - started
-        started = perf()
-        items = []
-        for p in self.pairs:
-            outboxes = [([], []) for _ in range(self.num_pairs)]
-            self.engines[p].apply(self.job, selections[p], self.part, outboxes)
-            for q, (keys, values) in enumerate(outboxes):
-                if values:
-                    items.append((q, p, keys, values))
-                    if q != p:
-                        self.shipped += len(values)
-        self.timings["delta"] += perf() - started
-        return items
-
-    def absorb(self, kind, phase, merged) -> None:
-        started = time.perf_counter()
-        for q in self.pairs:
-            for _q, _src, keys, values in merged.get(q, ()):
-                self.engines[q].absorb(zip(keys, values))
-        self.timings["delta"] += time.perf_counter() - started
-
-    def final_state(self) -> dict[int, list]:
-        return {p: self.engines[p].final_records() for p in self.pairs}
-
-    def final_stats(self) -> dict:
-        engines = self.engines.values()
-        return {
-            "updates_processed": sum(e.updates_processed for e in engines),
-            "deltas_emitted": sum(e.deltas_emitted for e in engines),
-            "deltas_shipped": self.shipped,
-            "priority_evals": sum(e.priority_evals for e in engines),
-        }
-
-
 def _emission_columns(keys: list, values: list, state: np.ndarray):
     """A kernel-less job's emitted ``keys``/``values`` lists as columns:
     int64 keys (a float key would be truncated onto an int one) and
@@ -473,8 +382,8 @@ class UpdateKernel(AccumKernel):
     """The kernel :class:`~repro.imapreduce.columnar.ColumnarAccum` runs
     a kernel-less accumulative job with: the job's own ``update_fn``,
     called once per changed row in ``idx`` (application) order with the
-    arguments :meth:`~repro.imapreduce.accum.AccumPair.apply` passes —
-    so the emissions, and the run, are the record executor's.  The state
+    delta, the post-merge state and the key's static value — the update
+    rule :class:`~repro.imapreduce.accum.AccumJob` documents.  The state
     dtype is the one numpy infers from each pair's initial-delta and
     warm-start values (float64 when there are none); emitted values must
     infer the same one, and emitted keys int64."""
@@ -512,42 +421,46 @@ class UpdateAccum(ColumnarAccum):
 def select_executor(job) -> tuple[type, str | None]:
     """``(pair executor class, why no columnar executor runs)``.
 
-    Every backend calls this one function, so they always agree on the
+    Every host calls this one function, so they always agree on the
     path; the reason is ``None`` exactly when a columnar executor runs.
-    A job runs columnar with its kernel or, kernel-less, through an
-    adapter: an accumulative job over its own ``update_fn``
-    (:class:`UpdateAccum`), a one-phase sync job with its declared fold
-    (:class:`FoldSync`).  Anything a kernel does not support falls back
-    to the record executor — the differential reference — and says why;
-    the seeded simulated host always runs the record executor.  An
-    accumulative job's requirements are lighter (no phases or aux), but
-    its key universe must be closed: every emission targets a
-    static-table or initial-delta key.
+    An accumulative job always runs :class:`~repro.imapreduce.columnar.
+    ColumnarAccum` — with its kernel or, kernel-less, through its own
+    ``update_fn`` (:class:`UpdateAccum`) — and is refused with a
+    :class:`~repro.common.errors.ConfigError` when its partitioner has no
+    ``bind_array`` or its kernel is not an ``AccumKernel``; its keys must
+    be ints and its key universe closed (every emission targets a
+    static-table or initial-delta key).  A synchronous job runs columnar
+    with its kernel or, kernel-less, with its one phase's declared fold
+    (:class:`FoldSync`); anything a kernel does not support falls back
+    to the record executor and says why.
     """
-    accum = isinstance(job, AccumJob)
-    record = RecordAccum if accum else RecordSync
     kernel = getattr(job, "kernel", None)
-    columnar = ColumnarAccum if accum else ColumnarSync
-    if kernel is None and accum:
-        kernel, columnar = UpdateKernel(job), UpdateAccum
-    elif kernel is None and job.phases[0].fold is not None:
+    if isinstance(job, AccumJob):
+        if getattr(job.partitioner, "bind_array", None) is None:
+            raise ConfigError(
+                f"job {job.name!r}: partitioner {type(job.partitioner).__name__} has no "
+                "bind_array; an accumulative job runs columnar")
+        if kernel is None:
+            return UpdateAccum, None
+        if not isinstance(kernel, AccumKernel):
+            raise ConfigError(
+                f"job {job.name!r}: kernel {type(kernel).__name__} is not an AccumKernel")
+        return ColumnarAccum, None
+    columnar = ColumnarSync
+    if kernel is None and job.phases[0].fold is not None:
         kernel, columnar = FoldKernel, FoldSync  # the class answers the checks below
     if kernel is None:
-        return record, "no kernel"
+        return RecordSync, "no kernel"
     if getattr(job.partitioner, "bind_array", None) is None:
-        return record, "partitioner has no bind_array"
-    if accum:
-        if not isinstance(kernel, AccumKernel):
-            return record, "not an AccumKernel"
-        return columnar, None
+        return RecordSync, "partitioner has no bind_array"
     if len(job.phases) != 1:
-        return record, "multi-phase"
+        return RecordSync, "multi-phase"
     if job.aux is not None:
-        return record, "aux phase"
+        return RecordSync, "aux phase"
     if (job.phases[0].mapping == "one2all") != bool(kernel.needs_broadcast):
-        return record, "broadcast mismatch"
+        return RecordSync, "broadcast mismatch"
     if job.distance_fn is not None and not hasattr(kernel, "distance_partial"):
-        return record, "no distance_partial"
+        return RecordSync, "no distance_partial"
     return columnar, None
 
 
@@ -577,22 +490,24 @@ def host_loopback(job, policy, state_parts, static_parts, plan, fields,
 _JITTER = (0.5, 1.0, 1.5, 2.0)
 
 
-def host_simulated(job, policy, state_parts, static_parts, plan, fields):
+def host_simulated(job, policy, state_parts, static_parts, plan, fields, executor=None):
     """Accumulative execution under seeded network chaos: the loopback
-    host with the record executor over a
+    host with ``executor`` (default :func:`select_executor`'s) over a
     :class:`~repro.imapreduce.engine.DeferringLoopback` seeded by
     ``plan.seed``, which holds cross-pair delta batches in flight, with
     each pair's top-fraction knob jittered per round.  All randomness
-    flows from the transport's ``rng`` (jitter first, pairs ascending,
-    then the exchange's coins), so a chaos-campaign spec replays
+    flows from the transport's ``rng`` — jitter first, one draw per pair
+    ascending on every async round, a pair with nothing live included;
+    then the exchange's coins — so a chaos-campaign spec replays
     byte-identically.
     """
     transport = DeferringLoopback(policy, plan.seed)
+    executor = executor or select_executor(job)[0]
+    if plan.mode == "async":
+        class Jittered(executor):
+            def fraction(self, pair: int) -> float:
+                return min(1.0, super().fraction(pair) * transport.rng.choice(_JITTER))
 
-    class Jittered(RecordAccum):
-        def fraction(self, pair: int) -> float:
-            return min(1.0, self.job.top_fraction * transport.rng.choice(_JITTER))
-
-    executor = Jittered if plan.mode == "async" else RecordAccum
+        executor = Jittered
     return host_loopback(job, policy, state_parts, static_parts, plan, fields,
                          transport, executor)

@@ -646,11 +646,16 @@ class _CoordinatorInbox:
         header's readiness was established by ``wait()``); a writer
         SIGKILLed mid-frame never will — and under fork the pipe shows
         no EOF either, so liveness, not the pipe, is the stop
-        condition."""
+        condition.  A SIGSTOPped writer is alive but silent: past the
+        suspicion window since its last whole frame it is dead too."""
         while not conn.poll(0.05):
             proc = self._procs.get(wid)
             if proc is None or not proc.is_alive():
                 raise _TornFrame()
+            quiet = time.monotonic() - self._last_seen[wid]
+            if self._suspicion is not None and quiet > self._suspicion:
+                raise _WorkerDeath(wid, f"worker {proc.name} stalled mid-frame for "
+                                        f"{quiet:.1f}s (suspicion timeout {self._suspicion:.1f}s)")
 
     def mark_final(self, wid: int) -> None:
         """A worker's final report arrived: stop supervising it."""

@@ -14,12 +14,12 @@ algebras, one place) and runs the cell as two halves composed:
 * the job's **algebra** — its verdict policy
   (:class:`~repro.imapreduce.engine.SyncVerdict` or
   :class:`~repro.imapreduce.engine.AccumVerdict`), the fields every host
-  of its pairs gets — a columnar accumulative job's one state dtype
-  among them — and its result type.  One partition loop serves both
-  (:func:`~repro.imapreduce.engine.partition_inputs` over the job's
-  ``static_paths``: one per phase, or the accumulative job's one; a job
-  on :class:`~repro.imapreduce.columnar.ColumnarSync` is split into
-  arrays instead);
+  of its pairs gets and its result type.  One partition step serves
+  both (:func:`~repro.imapreduce.engine.partition_inputs` over the
+  job's ``static_paths``; a job on a columnar executor — every
+  accumulative job, whose one executor is
+  :class:`~repro.imapreduce.columnar.ColumnarAccum` — is split into
+  arrays, in the job's one state dtype);
 * the plan's **host** (:data:`_HOSTS`) — every pair in this process over
   the loopback transport, the same over the seeded deferring loopback
   with per-round jitter (the simulated backend), or the pipe mesh under
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..common.errors import JobError
 from ..common.partition import bind_partitioner
-from .accum import AccumJob, AccumRunResult, check_mode, partition_state
+from .accum import AccumJob, AccumRunResult, check_mode
 from .checkpoint import ProcFault
 from .columnar import StateColumns
 from .engine import AccumVerdict, SyncVerdict, gc_paused, partition_inputs
@@ -61,7 +61,7 @@ from .incremental import (
     warm_sync_state,
 )
 from .job import IterativeJob
-from .localrun import LocalRunResult, RecordAccum, host_loopback, host_simulated, select_executor
+from .localrun import LocalRunResult, host_loopback, host_simulated, select_executor
 from .parallel import ParallelRunResult, host_mesh
 
 __all__ = [
@@ -330,14 +330,13 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
     num_pairs = plan.num_pairs
     part = bind_partitioner(job.partitioner, num_pairs)
     accumulative = isinstance(job, AccumJob)
-    # The seeded simulated host runs the record executor.
-    executor = RecordAccum if plan.backend == "simulated" else select_executor(job)[0]
+    # One selection for every host; an accumulative job's split takes
+    # its warm start.
+    executor = select_executor(job)[0]
     if accumulative:
         check_mode(plan.mode)
         policy = AccumVerdict(job, num_pairs, plan.keep_trace)
         fields = {"accum_mode": plan.mode}
-        if not hasattr(executor, "split_inputs"):  # a columnar split takes the warm start
-            fields["warm"] = partition_state(initial_state, num_pairs, part)
     else:
         policy = SyncVerdict(job, num_pairs, plan.keep_history)
         fields = {}
@@ -480,8 +479,8 @@ def run_accum_local(
     (:class:`~repro.imapreduce.engine.AccumVerdict`) — the verdict
     protocol the multiprocess coordinator runs too, so serial and
     parallel runs of the same mode are record-for-record identical.
-    Every job whose partitioner has ``bind_array`` runs on the columnar
-    executor — dense pending arrays with an active-key mask — with its
+    Every job runs on the one accumulative executor — dense pending
+    arrays with an active-key mask — with its
     delta kernel (``job.kernel``) or, kernel-less, through an adapter
     that calls its own ``update_fn`` per changed key
     (:class:`~repro.imapreduce.localrun.UpdateKernel`).

@@ -27,8 +27,11 @@ Execution model (paper §3):
   threshold, its slowest pair migrates to the fastest worker.
 
 One copy of the per-pair code: the tasks compute with the functions the
-serial and multiprocess backends' record executor and verdict policy are
-built from, and price the result here.  A map task runs
+serial and multiprocess backends' record sync executor (``RecordSync``)
+and verdict policy are built from, and price the result here.  (This
+cluster runs iterative jobs; an accumulative job's simulated host is
+:func:`~repro.imapreduce.localrun.host_simulated`, on the one
+accumulative executor every host runs.)  A map task runs
 :func:`~repro.imapreduce.localrun.run_map` on each arriving chunk (a
 one2all task sorts its static partition once, with
 ``sorted_static``) and routes with the job's bound partitioner; the

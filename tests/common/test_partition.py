@@ -60,6 +60,15 @@ def test_stable_hash_known_types_distinct():
     assert len(hashes) == len(values)
 
 
+def test_stable_hash_takes_ints_past_128_bits():
+    """An int that does not fit the 16-byte form hashes by its own
+    length under another tag, so the fixed-width ints keep their hash."""
+    for key in (2**127, -(2**127) - 1, 10**60, (0, 2**200)):
+        assert stable_hash(key) == stable_hash(key)
+        assert 0 <= HashPartitioner()(key, 7) < 7
+    assert stable_hash(2**127) != stable_hash(2**127 - 1)
+
+
 def test_stable_hash_rejects_unsupported():
     with pytest.raises(TypeError):
         stable_hash(object())
@@ -140,3 +149,29 @@ def test_mod_bind_int_fast_path_excludes_bool():
     bound = bind_partitioner(part, 8)
     assert bound(True) == part(True, 8)
     assert bound(False) == part(False, 8)
+
+
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@given(st.lists(st.one_of(_INT64, st.sampled_from([-(2**63), 2**63 - 1, -1, 0])), max_size=50),
+       st.integers(min_value=1, max_value=16))
+def test_hash_bind_array_equals_bind_for_int64_keys(keys, n):
+    """``HashPartitioner.bind_array`` is ``stable_hash(k) % n`` over an
+    int64 array — negatives and both extremes included — so a columnar
+    split routes every key where the record path would."""
+    import numpy as np
+
+    from repro.common import bind_partitioner
+
+    got = HashPartitioner().bind_array(n)(np.array(keys, dtype=np.int64))
+    assert got.dtype == np.int64
+    bound = bind_partitioner(HashPartitioner(), n)
+    assert got.tolist() == [bound(k) for k in keys] == [HashPartitioner()(k, n) for k in keys]
+
+
+def test_bind_array_rejects_zero_partitions():
+    for part in (HashPartitioner(), ModPartitioner(), RangePartitioner(10)):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                part.bind_array(n)

@@ -45,10 +45,9 @@ def undeclared(job):
 
 
 class RecordOnly:
-    """Routes like ``inner`` but offers no ``bind_array``, so
-    ``select_executor`` keeps a job that uses it on the record executor
-    — on the serial host and on fork and spawn meshes alike (module
-    level, so it pickles)."""
+    """Routes like ``inner`` but offers no ``bind_array``: a synchronous
+    job that uses it stays on the record executor, an accumulative one
+    is refused (module level, so it pickles)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -58,10 +57,3 @@ class RecordOnly:
 
     def bind(self, num_partitions):
         return bind_partitioner(self.inner, num_partitions)
-
-
-def record_accum(job):
-    """``job`` without its kernel and with a :class:`RecordOnly`
-    partitioner: its ``RecordAccum`` twin, the differential reference
-    an accumulative job's columnar runs are held to."""
-    return dataclasses.replace(job, kernel=None, partitioner=RecordOnly(job.partitioner))

@@ -18,12 +18,10 @@ from repro.imapreduce import (
     KernelContractError,
     execute,
     run_accum_local,
-    select_executor,
 )
 from repro.imapreduce.accum import FOLDS, check_mode
-from repro.imapreduce.plan import _execute
 from repro.testing.oracles import fixpoints_agree
-from tests.imapreduce.support import record_accum
+from tests.imapreduce.oracle import run_oracle
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
@@ -92,8 +90,8 @@ def test_unknown_fold_rejected_at_job_build(fold):
 
 def test_a_kernel_runs_its_jobs_fold():
     """The kernel declares no algebra of its own: a ``min`` job whose
-    kernel class still says ``merge = "sum"`` runs ``min``, to its
-    record twin's state."""
+    kernel class still says ``merge = "sum"`` runs ``min``, to the
+    record oracle's state."""
 
     class SaysSum(sssp.SsspAccumKernel):
         __slots__ = ()
@@ -102,7 +100,7 @@ def test_a_kernel_runs_its_jobs_fold():
     _g, job, deltas, static = _sssp_case(n=30)
     _g, kjob, _d, _s = _sssp_case(n=30, use_kernel=True)
     kjob.kernel = SaysSum()
-    rec = run_accum_local(record_accum(job), deltas, static, num_pairs=2)
+    rec = run_oracle(job, deltas, static, num_pairs=2)
     assert run_accum_local(kjob, deltas, static, num_pairs=2).state == rec.state
     assert rec.state[1][1] > 0.0
 
@@ -124,10 +122,9 @@ def test_bad_priority_is_refused_not_spun_on(use_kernel):
     forever.  A NaN delta under ``sum`` scores one, on either executor."""
     # max_rounds stays set so a lost check fails here instead of hanging.
     _g, job, deltas, static = _pagerank_case(n=20, max_rounds=500, use_kernel=use_kernel)
-    job = job if use_kernel else record_accum(job)
     deltas[0] = (0, math.nan)
     with pytest.raises(ConfigError, match=r"'sum'.*key 0\b.*nan.*>= 0"):
-        run_accum_local(job, deltas, static, num_pairs=2)
+        (run_accum_local if use_kernel else run_oracle)(job, deltas, static, num_pairs=2)
 
 
 def test_top_fraction_bounds():
@@ -199,11 +196,11 @@ def test_pagerank_accum_matches_classic_iterative_fixpoint():
 ])
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_kernel_twin_parity(case, exact, mode):
-    """The columnar delta kernels replay the record path per mode."""
+    """The columnar delta kernels replay the record oracle per mode."""
     _g, job, deltas, static = case()
     _g, kjob, _d, _s = case(use_kernel=True)
     assert kjob.kernel is not None
-    rec = run_accum_local(record_accum(job), deltas, static, num_pairs=4, mode=mode)
+    rec = run_oracle(job, deltas, static, num_pairs=4, mode=mode)
     ker = run_accum_local(kjob, deltas, static, num_pairs=4, mode=mode)
     assert ker.rounds == rec.rounds
     assert ker.deltas_shipped == rec.deltas_shipped
@@ -221,20 +218,14 @@ def test_kernel_twin_parity(case, exact, mode):
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_min_kernel_twin_does_the_record_work(case, mode):
     """Both layouts hold live ``min`` deltas only — an offer the state
-    already absorbed is dropped by ``AccumPair.absorb`` and deactivated
-    by ``ColumnarAccum`` — so the kernel twin does exactly the record
-    path's work.  sssp's state is float64 in both layouts, so every
-    traced ``pending_mass`` is the same float as well (both fold with
-    ``fsum``).  Components' masses differ by construction: its kernel
-    holds int64 labels with an int64-max stand-in for ∞, so a first
-    offer scores ``max − label`` where the record path scores ``inf``.
-    The record side is the explicit ``RecordAccum`` twin: the bare job
-    would run columnar too, through its ``update_fn``."""
+    already absorbed is dropped by the oracle's ``AccumPair.absorb`` and
+    deactivated by ``ColumnarAccum`` — so the kernel does exactly the
+    record oracle's work.  sssp's state is float64 in both layouts, so
+    every traced ``pending_mass`` is the same float as well (both fold
+    with ``fsum``)."""
     _g, job, deltas, static = case()
     _g, kjob, _d, _s = case(use_kernel=True)
-    job = record_accum(job)
-    assert select_executor(job)[0].__name__ == "RecordAccum"
-    rec = run_accum_local(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
+    rec = run_oracle(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     ker = run_accum_local(kjob, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     assert ker.state == rec.state
     for name in ("rounds", "updates_processed", "deltas_emitted", "deltas_shipped"):
@@ -258,13 +249,13 @@ def _emit_outside(key, delta, state, successors, emit):
 def test_kernel_less_contract_is_refused(update, deltas, match):
     """A kernel-less job runs columnar through its ``update_fn``, under
     the columnar contract: a closed key universe and one state dtype.
-    The record executor ran both of these jobs; the twin still does."""
+    The record oracle runs both of these jobs."""
     job = AccumJob("chain", "min", update, OUT, conf=_min_conf(), partitioner=ModPartitioner())
     job.conf.set(IterKeys.STATIC_PATH, STATIC)
     static = {STATIC: [(0, ((1, 0.5),)), (1, ())]}
     with pytest.raises(KernelContractError, match=match):
         run_accum_local(job, deltas, static, num_pairs=2)
-    assert run_accum_local(record_accum(job), deltas, static, num_pairs=2).rounds > 0
+    assert run_oracle(job, deltas, static, num_pairs=2).rounds > 0
 
 
 # ------------------------------------------------- counters and trace --
@@ -331,16 +322,13 @@ def test_schedule_is_pinned_bit_for_bit(name):
     re-pins."""
     case, kwargs, mode, digest = PINNED[name]
     _g, job, deltas, static = case(**kwargs)
-    job = record_accum(job)  # the record executor's schedule on every host
+    # The record oracle's schedule, on the serial and the simulated host
+    # (which also takes the --mode sync no repro-run cell offers).
     if isinstance(mode, dict):
         plan = ExecutionPlan(backend="simulated", num_pairs=4, keep_trace=True, **mode)
-        # ``execute`` refuses --mode sync on the simulated backend (no
-        # repro-run cell offers it); the runner beneath it takes it.
-        run = _execute if plan.mode == "sync" else execute
-        result = run(job, deltas, static, plan)
+        result = run_oracle(job, deltas, static, plan)
     else:
-        result = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
-                                 keep_trace=True)
+        result = run_oracle(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     got = hashlib.sha256(repr((result.state, result.trace)).encode()).hexdigest()
     assert got == digest
 
@@ -394,8 +382,6 @@ def test_simulated_deferral_delivers_exactly_once():
         sim = _simulated(job, deltas, static, seed)
         assert sim.terminated_by == "progress"
         assert fixpoints_agree(sim.state, serial.state, exact=False)
-        # One worker_stats entry, in the workers' vocabulary.
-        assert sim.counter("priority_evals") > 0
 
 
 def test_state_covers_key_universe_at_identity():

@@ -2,12 +2,14 @@
 contract per mode, across start methods and worker counts.
 
 The engine promises more than tolerance-level agreement: for a given
-mode the parallel mesh replays the serial executor *record for record,
+mode the parallel mesh replays the serial run *record for record,
 floats included*, at any worker count and start method, because both
-drive the same :class:`AccumPair` sequence and the coordinator folds
-the pending mass pair-ascending exactly like the serial loop.  These
-tests pin that contract — it is what lets the chaos oracle use the
-serial run as the reference for parallel runs.
+drive the one accumulative executor (``ColumnarAccum``) through the
+same round sequence and the coordinator folds the pending mass
+pair-ascending exactly like the serial loop — and both replay the
+serial record oracle (:mod:`tests.imapreduce.oracle`) the same way.
+These tests pin that contract — it is what lets the chaos oracle use
+the serial run as the reference for parallel runs.
 """
 
 import multiprocessing
@@ -29,23 +31,24 @@ from repro.imapreduce import (
     run_accum_parallel,
     select_executor,
 )
-from tests.imapreduce.support import assert_mesh_counters, mesh_leftovers, record_accum
+from tests.imapreduce.oracle import run_oracle
+from tests.imapreduce.support import assert_mesh_counters, mesh_leftovers
 
 STATE, STATIC, OUT = "/dfs/deltas", "/dfs/static", "/dfs/out"
 
 
-#: Every workload on each executor: the bare ids are the record twins
-#: (:func:`~tests.imapreduce.support.record_accum`), the ``-kernel`` ids
-#: carry a columnar delta kernel and the ``-adapter`` ids are the
-#: kernel-less jobs, which run columnar through their ``update_fn``.
-WORKLOADS = ["sssp", "pagerank", "sssp-kernel", "pagerank-kernel",
-             "sssp-adapter", "pagerank-adapter"]
+#: The mesh workloads: the ``-kernel`` ids carry a columnar delta
+#: kernel and the ``-adapter`` ids are the kernel-less jobs, which run
+#: columnar through their ``update_fn``.
+MESH_WORKLOADS = ["sssp-kernel", "pagerank-kernel", "sssp-adapter", "pagerank-adapter"]
+#: Plus the bare ids: the kernel-less job's mesh run against the serial
+#: record oracle (:func:`~tests.imapreduce.oracle.run_oracle`).
+WORKLOADS = ["sssp", "pagerank", *MESH_WORKLOADS]
 
 
 def _case(workload, n=60, seed=11):
     name, _, executor = workload.partition("-")
-    job, deltas, static = _build(name, n, seed, executor == "kernel")
-    return (job if executor else record_accum(job)), deltas, static
+    return _build(name, n, seed, executor == "kernel")
 
 
 def _build(name, n, seed, use_kernel):
@@ -73,19 +76,15 @@ def _ran_columnar(result) -> bool:
     return all(s["phase_seconds"]["kernel"] > 0 for s in result.worker_stats)
 
 
-def _columnar(job) -> bool:
-    return select_executor(job)[1] is None
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("mode", ["sync", "async"])
 def test_parallel_replays_serial_bit_for_bit(workload, mode):
-    """Record executor on both transports, and — the cells the shared
-    executor selection fills — the columnar delta executor, with a
-    kernel or through the job's ``update_fn``, on both."""
+    """The columnar delta executor, with a kernel or through the job's
+    ``update_fn``, on both transports; and the kernel-less mesh run
+    against the serial record oracle."""
     job, deltas, static = _case(workload)
-    serial = run_accum_local(job, deltas, static, num_pairs=4, mode=mode,
-                             keep_trace=True)
+    serial_run = run_accum_local if "-" in workload else run_oracle
+    serial = serial_run(job, deltas, static, num_pairs=4, mode=mode, keep_trace=True)
     par = run_accum_parallel(job, deltas, static, num_pairs=4,
                              num_workers=2, mode=mode, keep_trace=True)
     assert par.state == serial.state  # floats included, no tolerance
@@ -97,7 +96,8 @@ def test_parallel_replays_serial_bit_for_bit(workload, mode):
     assert par.deltas_emitted == serial.deltas_emitted
     assert [row["pending_mass"] for row in par.trace] == \
         [row["pending_mass"] for row in serial.trace]
-    assert _ran_columnar(serial) == _ran_columnar(par) == _columnar(job)
+    assert select_executor(job)[1] is None and _ran_columnar(par)
+    assert _ran_columnar(serial) == (serial_run is run_accum_local)
 
 
 @pytest.mark.parametrize("num_workers", [1, 3])
@@ -110,7 +110,7 @@ def test_worker_count_is_invisible(num_workers):
     assert par.rounds == serial.rounds
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", MESH_WORKLOADS)
 def test_spawn_matches_fork(workload):
     """The pinned-seed parity CI leg's contract: both start methods
     produce the identical run (worker configs — inherited under fork,
@@ -127,25 +127,24 @@ def test_spawn_matches_fork(workload):
     assert spawn.pending_mass == fork.pending_mass
     assert spawn.updates_processed == fork.updates_processed
     assert spawn.deltas_shipped == fork.deltas_shipped
-    assert _ran_columnar(spawn) == _ran_columnar(fork) == _columnar(job)
+    assert _ran_columnar(spawn) and _ran_columnar(fork)
 
 
 def test_priority_evals_bounded_by_absorbed_records():
-    """The scheduler scores a pending delta when ``absorb`` changed it,
-    not every round: each ``priority()`` evaluation is caused by at
-    least one absorbed record, so the count cannot exceed the records
-    absorbed — and it is the same count on either transport.  (The
-    benchmark's ``--quick`` shape: sssp, 800 nodes, 8 pairs, async:
-    3,778 evaluations for 12,718 absorbed records.  Scoring the dead
-    offers too, before ``min`` dropped them, took 8,969; re-scoring
-    every pending key twice a round, before the cache, 47,656.)"""
+    """The record oracle's scheduler scores a pending delta when
+    ``absorb`` changed it, not every round: each ``priority()``
+    evaluation is caused by at least one absorbed record, so the count
+    cannot exceed the records absorbed.  (The benchmark's ``--quick``
+    shape: sssp, 800 nodes, 8 pairs, async: 3,778 evaluations for
+    12,718 absorbed records.  Scoring the dead offers too, before
+    ``min`` dropped them, took 8,969; re-scoring every pending key twice
+    a round, before the cache, 47,656.)  The columnar executor counts
+    none."""
     job, deltas, static = _case("sssp", n=800, seed=42)
-    serial = run_accum_local(job, deltas, static, num_pairs=8, mode="async")
-    par = run_accum_parallel(job, deltas, static, num_pairs=8,
-                             num_workers=2, mode="async")
-    evals = serial.counter("priority_evals")
-    assert 0 < evals <= serial.deltas_emitted + len(deltas)
-    assert par.counter("priority_evals") == evals
+    oracle = run_oracle(job, deltas, static, num_pairs=8, mode="async")
+    evals = oracle.counter("priority_evals")
+    assert 0 < evals <= oracle.deltas_emitted + len(deltas)
+    assert run_accum_local(job, deltas, static, num_pairs=8).counter("priority_evals") == 0
 
 
 def test_sparse_async_run_uses_manifests():
@@ -161,10 +160,11 @@ def test_sparse_async_run_uses_manifests():
 
 #: (workload, nodes, seed) -> ``(records_sent, batches_sent,
 #: manifest_frames, bytes_pickled)`` of the sync and of the async run
-#: at 4 pairs / 2 workers.
+#: at 4 pairs / 2 workers — the kernel-less job, on the columnar
+#: executor: the record executor's counts, in columnar frames' bytes.
 SYNC_VS_ASYNC = {
-    ("pagerank", 200, 11): ((28825, 172, 0, 355998), (13000, 304, 0, 211534)),
-    ("sssp", 300, 42): ((4346, 26, 2, 54658), (3189, 78, 2, 52993)),
+    ("pagerank", 200, 11): ((28825, 172, 0, 521623), (13000, 304, 0, 314528)),
+    ("sssp", 300, 42): ((4346, 26, 2, 78751), (3189, 78, 2, 77595)),
 }
 
 

@@ -1,8 +1,9 @@
 """Property tests for the accumulative folds (hypothesis).
 
 The engine's core assumption is that ``⊕`` is a commutative monoid:
-pending deltas are coalesced with ``⊕`` while queued
-(:meth:`AccumPair.absorb`), applied in priority order rather than
+pending deltas are coalesced with ``⊕`` while queued (the record
+oracle's :meth:`~tests.imapreduce.oracle.AccumPair.absorb`, and
+``ColumnarAccum``'s indexed fold), applied in priority order rather than
 arrival order, and split arbitrarily across rounds.  Each fold of the
 one table (``accum.FOLDS``) therefore has to satisfy identity /
 commutativity / associativity over its whole state domain — and the
@@ -22,8 +23,8 @@ from repro.common import IterKeys, JobConf
 from repro.common.records import order_key
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import AccumJob, run_accum_local, select_executor
-from repro.imapreduce.accum import FOLDS, AccumPair
-from tests.imapreduce.support import record_accum
+from repro.imapreduce.accum import FOLDS
+from tests.imapreduce.oracle import AccumPair, run_oracle
 
 # SUM state space: dyadic rationals of bounded magnitude, so float
 # addition is exact and the laws can be asserted with == instead of a
@@ -408,8 +409,8 @@ def _graph_job(name, n, seed):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_update_adapter_replays_the_record_twin(data):
-    """A kernel-less job runs columnar through its own ``update_fn``; its
-    ``RecordAccum`` twin is the reference.  Cold or warm-started (every
+    """A kernel-less job runs columnar through its own ``update_fn``; the
+    record oracle is the reference.  Cold or warm-started (every
     key preloaded with a converged value, a few keys offered a new
     delta), on 1–4 pairs, sync or async, both hold the same final state
     (value types included), ``rounds``, ``terminated_by``, work
@@ -419,15 +420,14 @@ def test_update_adapter_replays_the_record_twin(data):
     name = data.draw(st.sampled_from(["components", "pagerank", "sssp"]))
     n = data.draw(st.integers(2, 40))
     job, deltas, static, offers = _graph_job(name, n, data.draw(st.integers(0, 999)))
-    twin = record_accum(job)
     kwargs = {"num_pairs": data.draw(st.integers(1, 4)),
               "mode": data.draw(st.sampled_from(["sync", "async"])), "keep_trace": True}
     if data.draw(st.booleans(), label="warm"):
-        kwargs["initial_state"] = run_accum_local(twin, deltas, static, **kwargs).state
+        kwargs["initial_state"] = run_oracle(job, deltas, static, **kwargs).state
         deltas = data.draw(st.lists(st.tuples(st.integers(0, n - 1), offers), max_size=4))
     assert select_executor(job)[0].__name__ == "UpdateAccum"
     got = run_accum_local(job, deltas, static, **kwargs)
-    want = run_accum_local(twin, deltas, static, **kwargs)
+    want = run_oracle(job, deltas, static, **kwargs)
     assert repr(got.state) == repr(want.state)
     for field in ("rounds", "terminated_by", "updates_processed", "deltas_emitted",
                   "deltas_shipped"):
@@ -443,7 +443,7 @@ def test_int_labels_above_float_resolution_schedule_as_the_record_twin(data):
     unreached key scored that way ranks by its offer, and the mass is
     finite.  A small graph relabelled onto sparse keys above 10⁴ must
     run, on the kernel and the kernel-less columnar executor alike, as
-    its ``RecordAccum`` twin: state, rounds, counters and mass trace."""
+    the record oracle: state, rounds, counters and mass trace."""
     n = data.draw(st.integers(2, 12))
     graph = sssp_graph(n, mean_degree=1.5, seed=data.draw(st.integers(0, 999)))
     label = data.draw(st.permutations(data.draw(
@@ -456,7 +456,7 @@ def test_int_labels_above_float_resolution_schedule_as_the_record_twin(data):
     kwargs = {"num_pairs": data.draw(st.integers(1, 3)),
               "mode": data.draw(st.sampled_from(["sync", "async"])), "keep_trace": True}
     got = run_accum_local(job, deltas, static, **kwargs)
-    want = run_accum_local(record_accum(job), deltas, static, **kwargs)
+    want = run_oracle(job, deltas, static, **kwargs)
     assert repr(got.state) == repr(want.state)
     for field in ("rounds", "terminated_by", "updates_processed", "deltas_emitted",
                   "deltas_shipped"):
@@ -474,5 +474,4 @@ def test_a_pair_seeded_with_no_delta_takes_the_jobs_dtype():
     deltas = [(0, 0), (2, 2)]
     got = run_accum_local(job, deltas, static, num_pairs=2).state
     assert (1, 0) in got and repr(dict(got)[1]) == "0"
-    assert repr(got) == repr(run_accum_local(record_accum(job), deltas, static,
-                                             num_pairs=2).state)
+    assert repr(got) == repr(run_oracle(job, deltas, static, num_pairs=2).state)

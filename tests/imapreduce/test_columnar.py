@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algorithms import kmeans, pagerank, sssp
-from repro.common import HashPartitioner, ModPartitioner, RangePartitioner
+from repro.common import ConfigError, HashPartitioner, ModPartitioner, RangePartitioner
 from repro.common.records import group_by_key, sort_records
 from repro.imapreduce.engine import (
     PHASE_COUNTERS,
@@ -42,7 +42,7 @@ from repro.imapreduce.columnar import (
     merge_columnar,
     route_columnar,
 )
-from tests.imapreduce.support import undeclared
+from tests.imapreduce.support import RecordOnly, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -121,7 +121,7 @@ def test_int_keys_judges_key_types():
 
     ks, _vs = encode_columnar([(Key(3), 1.0), (1, 2.0)], "float64", 0)
     assert ks.tolist() == [1, 3]  # an int subclass other than bool is an int
-    with pytest.raises(KernelContractError, match="got str$"):
+    with pytest.raises(KernelContractError, match=r"got 'a' \(str\)$"):
         encode_columnar([(1, 1.0), ("a", 1.0), (2.5, 1.0)], "float64", 0)
 
 
@@ -292,13 +292,17 @@ def test_split_inputs_equal_per_record_routing_encode_and_gather(case):
             assert targets.tolist() == flat and weights is None
 
 
-@pytest.mark.parametrize("state", [[(True, 1.0)], [(2.0, 1.0)], [(3, 1.0), (3, 2.0)]],
-                         ids=["bool", "float", "duplicate"])
-def test_split_inputs_refuse_bad_state_keys(state):
+@pytest.mark.parametrize("state,match", [
+    ([(True, 1.0)], r"got True \(bool\)"),
+    ([(2.0, 1.0)], r"got 2\.0 \(float\)"),
+    ([(3, 1.0), (3, 2.0)], "duplicate"),
+    ([(4, 1.0), ("a", 1.0)], r"got 'a' \(str\)"),
+], ids=["bool", "float", "duplicate", "str"])
+def test_split_inputs_refuse_bad_state_keys(state, match):
     job = pagerank.build_imr_job(
         1, state_path=STATE, static_path=STATIC, output_path=OUT, max_iterations=1,
         use_kernel=True)
-    with pytest.raises(KernelContractError):
+    with pytest.raises(KernelContractError, match=match):
         partition_inputs(job, state, {STATIC: []}, 2)
 
 
@@ -686,9 +690,11 @@ def test_kernel_enabled_dispatch_rules():
     assert not kernel_enabled(plain)
     assert select_executor(plain)[1] == "no kernel"
     # A partitioner without bind_array → record path.
-    hashed = replace(job, partitioner=HashPartitioner())
+    hashed = replace(job, partitioner=RecordOnly(ModPartitioner()))
     assert not kernel_enabled(hashed)
     assert select_executor(hashed)[1] == "partitioner has no bind_array"
+    # HashPartitioner has one (FNV-1a over int64 keys): columnar.
+    assert select_executor(replace(job, partitioner=HashPartitioner()))[0] is ColumnarSync
     # Mapping / needs_broadcast mismatch → record path.
     o2a = replace(
         job, phases=[replace(job.phases[0], mapping="one2all")]
@@ -716,6 +722,14 @@ def test_kernel_enabled_dispatch_rules():
         select_executor(j)[0]
         for j in (plain, hashed, o2a, two_phase, with_aux, blind)
     }) == 1
+
+    # An accumulative job has no record fallback: each refusal names
+    # the job and the class at fault.
+    accum = sssp.build_accum_job(state_path=STATE, static_path=STATIC, output_path=OUT)
+    with pytest.raises(ConfigError, match=r"job 'sssp-accum'.*RecordOnly has no bind_array"):
+        select_executor(replace(accum, partitioner=RecordOnly(ModPartitioner())))
+    with pytest.raises(ConfigError, match=r"job 'sssp-accum'.*SsspKernel is not an AccumKernel"):
+        select_executor(replace(accum, kernel=sssp.SsspKernel()))
 
 
 def test_sssp_kernel_enabled():

@@ -1,8 +1,8 @@
 """Warm-started incremental runs on the multiprocess backend.
 
-The accumulative warm start ships each worker its pairs' memoized state
-slices (``accum_initial_state``), so the mesh preloads exactly the same
-``AccumPair`` state the serial executor does — the record-for-record
+The accumulative warm start ships each worker its pairs' arrays with the
+memoized state already scattered in (``ColumnarAccum.split_inputs``), so
+the mesh preloads exactly the state the serial host does — the record-for-record
 serial/parallel determinism contract must therefore hold for warm runs
 too, floats included.  The synchronous twin warm-starts
 :func:`run_parallel` from the reset-and-reseeded memo records.

@@ -36,7 +36,7 @@ from repro.imapreduce import (
     select_executor,
 )
 from repro.testing.oracles import records_identical
-from tests.imapreduce.support import mesh_leftovers, record_accum, undeclared
+from tests.imapreduce.support import mesh_leftovers, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -198,7 +198,7 @@ def test_pagerank_threshold_spawn():
 
 # ------------------------------------------------- executors × transports --
 @pytest.mark.parametrize(
-    "executor", ["RecordSync", "ColumnarSync", "RecordAccum", "ColumnarAccum", "UpdateAccum"]
+    "executor", ["RecordSync", "ColumnarSync", "ColumnarAccum", "UpdateAccum"]
 )
 def test_loopback_and_mesh_agree_per_executor(executor):
     """One driver, two transports: each pair executor gives the
@@ -225,7 +225,6 @@ def test_loopback_and_mesh_agree_per_executor(executor):
             state_path=STATE, static_path=STATIC, output_path=OUT,
             threshold=1e-9, max_rounds=100_000, use_kernel=use_kernel,
         )
-        job = record_accum(job) if executor == "RecordAccum" else job
         assert select_executor(job)[0].__name__ == executor
         deltas = pagerank.accum_initial_deltas(40, pagerank.DAMPING)
         ref = run_accum_local(job, deltas, static_map, num_pairs=4)

@@ -237,6 +237,46 @@ def test_sigstop_detected_by_suspicion_and_recovered():
     assert "no heartbeat" in par.recovery_events[0]["reason"]
 
 
+def test_writer_stopped_mid_frame_is_suspected_not_awaited():
+    """A worker SIGSTOPped between two parts of a frame is alive and
+    silent: the coordinator, waiting for the frame's next part, must
+    give it up as dead once the suspicion window passes, as it does a
+    worker stopped between frames.  No process: a real pipe holding
+    only a frame's header, and a stand-in for a stopped worker."""
+    import signal
+
+    from repro.imapreduce.parallel import _CoordinatorInbox, _WorkerDeath
+    from repro.imapreduce.workerproc import ITER_REPORT, encode_frame
+
+    recv, send = multiprocessing.Pipe(duplex=False)
+    never, _keep = multiprocessing.Pipe(duplex=False)
+
+    class Stopped:
+        name, exitcode, sentinel = "imr-worker-0", None, never
+
+        def is_alive(self):
+            return True
+
+    parts, _nbytes = encode_frame(ITER_REPORT, 3, 0, 0, {"mass": {0: 1.0}})
+    assert len(parts) > 1
+    send.send_bytes(parts[0])
+    inbox = _CoordinatorInbox({0: recv}, [Stopped()], suspicion=0.3)
+
+    def hung(_signum, _frame):
+        pytest.fail("the coordinator hung on a stopped writer's half-sent frame")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(_WorkerDeath, match="imr-worker-0 stalled mid-frame"):
+            inbox.recv(timeout=None)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        for conn in (recv, send, never, _keep):
+            conn.close()
+
+
 # ----------------------------------------------------------- reassign --
 def test_reassignment_spreads_pairs_and_stays_exact():
     job, state, static = _sssp_setup()

@@ -165,8 +165,8 @@ CELLS = {
     # An unset --backend stays simulated for unmemoized runs.
     "async-simulated": (
         (*SSSP, "--mode", "async", "--pairs", "4", "--seed", "3"),
-        ["sssp on dblp [simulated (4 pairs, seed 3), record: seeded host, "
-         "accumulative async]: "
+        ["sssp on dblp [simulated (4 pairs, seed 3), columnar (update_fn over the "
+         "min fold), accumulative async]: "
          f"92 rounds, {PROGRESS}",
          "  48,429 updates, 235,130 deltas emitted, 176,530 shipped cross-pair"],
     ),
