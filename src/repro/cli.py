@@ -345,7 +345,7 @@ def _cmd_run(args) -> int:
 
 def _where(plan, job, result) -> str:
     """The host, then the pair executor it ran and why
-    (``select_executor``, the one rule of every host)."""
+    (``select_executor``: the rule ``execute`` applied once)."""
     from .imapreduce import AccumJob, select_executor
 
     pairs = f"{plan.num_pairs} pairs"

@@ -15,7 +15,7 @@ from .incremental import (
     random_edge_churn,
 )
 from .job import AuxPhase, IterativeJob, IterativeRunResult, Phase
-from .localrun import LocalRunResult, kernel_enabled, select_executor
+from .localrun import LocalRunResult, select_executor
 from .parallel import ParallelExecutionError, ParallelRunResult
 from .runtime import (
     AuxContext,
@@ -45,7 +45,6 @@ __all__ = [
     "Kernel",
     "AccumKernel",
     "KernelContractError",
-    "kernel_enabled",
     "select_executor",
     "FailureDetector",
     "FailureDetectorConfig",

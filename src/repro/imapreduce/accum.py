@@ -88,6 +88,7 @@ __all__ = [
     "AccumRunResult",
     "DEFAULT_TOP_FRACTION",
     "partition_state",
+    "partition_table",
 ]
 
 #: :data:`IterKeys.TOP_FRACTION` when the job leaves it unset.
@@ -264,13 +265,23 @@ class AccumRunResult:
 
 
 def partition_state(records, num_pairs: int, part) -> list[list]:
-    """Partition warm-start state records with the same loop (and
-    therefore insertion order) as the initial deltas
-    (:func:`~repro.imapreduce.engine.partition_inputs`)."""
+    """``(key, value)`` records (``None``: none) split by ``part``, the
+    job's bound partitioner, in one loop — so each pair's records keep
+    their input order (the record executors' split)."""
     parts: list[list] = [[] for _ in range(num_pairs)]
     if records is not None:
         for rec in records:
             parts[part(rec[0])].append(rec)
+    return parts
+
+
+def partition_table(table: dict, num_pairs: int, part) -> list[dict]:
+    """A static table split by ``part`` into one ``key → row`` dict per
+    pair, in table order (§3.2.1: static data is partitioned with the
+    function that shuffles the state)."""
+    parts: list[dict] = [{} for _ in range(num_pairs)]
+    for key, row in table.items():
+        parts[part(key)][key] = row
     return parts
 
 

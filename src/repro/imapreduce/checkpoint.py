@@ -46,6 +46,7 @@ __all__ = [
     "CheckpointStore",
     "ProcFault",
     "fire_fault",
+    "snapshot_pairs",
 ]
 
 #: Length prefix per part: 8 bytes, big-endian.
@@ -88,6 +89,16 @@ def fire_fault(fault: ProcFault) -> None:
     simulated one; SIGKILL never returns."""
     sig = signal.SIGKILL if fault.action == "kill" else signal.SIGSTOP
     os.kill(os.getpid(), sig)
+
+
+def snapshot_pairs(snapshot: dict, layout: str) -> dict:
+    """The pair states in an executor's spooled snapshot, which a
+    ``layout`` executor wrote — or :class:`CheckpointError`: a record
+    checkpoint cannot restore a columnar run, nor the reverse."""
+    if snapshot.get("path") != layout:
+        raise CheckpointError(f"checkpoint path {snapshot.get('path')!r} does not "
+                              f"match the job's {layout!r} executor")
+    return snapshot["pairs"]
 
 
 def _read_parts(raw) -> list[memoryview]:

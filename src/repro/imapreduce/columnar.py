@@ -90,17 +90,20 @@ key array, which enforces exactly what checking every step did.
 plan-free forms (dynamic delta batches, and the reference the plan is
 tested against).
 
-Inputs are split once, in the coordinator, before any host starts
-(:meth:`ColumnarSync.split_inputs`, which
-:func:`~repro.imapreduce.engine.partition_inputs` calls for every job
-that runs on it): the whole state is encoded in one pass, routed by the
-partitioner's ``bind_array`` and one stable argsort, and a ``static_csr``
-kernel's rows are looked up once for every owned key and laid out as
-each pair's CSR.  A mesh worker inherits those arrays — the
+Each executor class owns its layout end to end: ``split_inputs`` (the
+job's inputs as per-pair arrays), ``restore`` (a checkpoint back into
+that layout) and ``join`` (the pairs' final state as one
+:class:`StateColumns`).  Inputs are split once, in the coordinator,
+before any host starts: the whole state is encoded in one pass, routed
+by the partitioner's ``bind_array`` and one stable argsort, and a
+``static_csr`` kernel's rows are looked up once for every owned key and
+laid out as each pair's CSR (:func:`_split_table`, the one static split
+of both executors).  A mesh worker inherits those arrays — the
 loop-invariant data already in the form the loop consumes — and never
 walks a Python record.
 
-Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`):
+Dispatch rules (:func:`~repro.imapreduce.localrun.select_executor`,
+called once per run):
 the job must carry a kernel — or, kernel-less, declare its phase's fold
 (``Phase.fold``), which :class:`~repro.imapreduce.localrun.FoldSync`
 runs: the record map, the fold as the merge — have exactly one phase,
@@ -114,9 +117,9 @@ is not an :class:`AccumKernel` is refused.  A ``sum`` fold without a
 combiner ships its raw emissions uncombined (``Kernel.combine``), so the
 receiver adds each key's values in the record reducer's order.  A
 synchronous job that fits none of this falls back to the record
-executor — with the reason — on every backend, so all backends
-always agree on which path runs.  The two columnar pair
-executors at the end of this module (:class:`ColumnarSync`,
+executor, with the reason; the one selection is handed to every host
+and mesh worker, so they cannot disagree on the path.  The two columnar
+pair executors at the end of this module (:class:`ColumnarSync`,
 :class:`ColumnarAccum`) are what the shared superstep driver runs,
 serially and on the mesh alike.
 
@@ -158,7 +161,8 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..common.errors import JobError
-from .accum import bad_priority, fold_mass
+from .accum import bad_priority, fold_mass, partition_table
+from .checkpoint import snapshot_pairs
 from .engine import SHUFFLE
 
 __all__ = [
@@ -271,10 +275,13 @@ class AccumKernel:
     """
 
     #: dtype of the state/pending arrays (``None``: inferred once per
-    #: job, :func:`accum_state_dtype`).
+    #: job, :func:`_accum_dtype`).
     state_dtype = "float64"
+    #: As :attr:`Kernel.static_csr`: the form ``prepare`` receives the
+    #: pair's static table in.
+    static_csr: str | None = None
 
-    def prepare(self, pair: int, owned_keys: np.ndarray, static_table: dict):
+    def prepare(self, pair: int, owned_keys: np.ndarray, static_table):
         """Build per-pair CSR static columns once at partition load."""
         return None
 
@@ -315,11 +322,11 @@ def _int_keys(keys: Iterable) -> np.ndarray:
     return np.array(keys, dtype=np.int64)
 
 
-def _split(records) -> tuple[list, list]:
-    """``(key, value)`` records (any iterable) → their keys and their
-    values, as lists."""
+def _split(records) -> tuple[np.ndarray, list]:
+    """``(key, value)`` records (any iterable) → their keys as an int64
+    array (:func:`_int_keys`) and their values as a list."""
     records = list(records)
-    return list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
+    return _int_keys(map(itemgetter(0), records)), list(map(itemgetter(1), records))
 
 
 def encode_columnar(
@@ -376,6 +383,12 @@ class StateColumns(Sequence):
     def __init__(self, keys: np.ndarray, values: np.ndarray):
         self.key_array, self.value_array = keys, values
 
+    @classmethod
+    def of(cls, state) -> "StateColumns":
+        """``state`` as it is, or its records encoded once
+        (:func:`encode_columnar`, the dtype numpy infers)."""
+        return state if isinstance(state, cls) else cls(*encode_columnar(state, None))
+
     def __len__(self) -> int:
         return int(self.key_array.size)
 
@@ -429,7 +442,7 @@ class PairCSR:
     """A pair's static rows as CSR columns aligned with its owned keys —
     ``counts`` per key, then their ``targets`` (and ``weights``) edge by
     edge — what a ``static_csr`` kernel's ``prepare`` receives, built
-    before any host starts (:meth:`ColumnarSync.split_inputs`).
+    before any host starts (:func:`_split_table`).
     ``len()`` is the number of static records the pair received, rows
     of keys it does not own included, as its dict table's would be."""
 
@@ -450,9 +463,9 @@ def adjacency_csr(
     ``(counts, indptr, targets, weights)``.  ``static_table`` is the
     pair's :class:`PairCSR`, returned as it is, or a ``key → row`` dict:
     its rows are looked up in ``owned_keys`` order and laid out by one
-    ``fromiter`` over the chained rows — the build
-    :meth:`ColumnarSync.split_inputs` runs once over every pair's owned
-    keys.  A row is ``(v, …)``, or ``((v, w), …)`` when ``weighted``;
+    ``fromiter`` over the chained rows — the build :func:`_split_table`
+    runs once over every pair's owned keys.  A row is ``(v, …)``, or
+    ``((v, w), …)`` when ``weighted``;
     an owned key with no row has no edges, and every row keeps its edge
     order.  ``weights`` is float64 when ``weighted``, else ``None``."""
     if isinstance(static_table, PairCSR):
@@ -513,6 +526,28 @@ def _by_pair(route, num_pairs: int, keys: np.ndarray, *columns: np.ndarray) -> l
     bounds = np.searchsorted(dest[order], np.arange(num_pairs + 1)).tolist()
     columns = [c[order] for c in (keys, *columns)]
     return [tuple(c[lo:hi] for c in columns) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _static_table(job, static_records) -> dict:
+    """The one phase's static table (a dict or records) from the
+    ``path → table`` inputs, as a dict."""
+    table = (static_records or {}).get(job.static_paths[0] or "", ())
+    return table if isinstance(table, dict) else dict(table)
+
+
+def _split_table(kernel, table: dict, state_parts: list, part, route) -> list:
+    """The static table as each pair's, in the form ``kernel`` declares
+    (``static_csr``): a ``key → row`` dict routed by ``part``, or a
+    :class:`PairCSR` whose rows are looked up once for every key the
+    pair owns (the first array of its ``state_parts`` entry) and laid
+    out by one ``fromiter`` per edge column — :func:`adjacency_csr`'s
+    build."""
+    if kernel.static_csr is None:
+        return partition_table(table, len(state_parts), part)
+    received = np.bincount(route(_int_keys(table)), minlength=len(state_parts)).tolist()
+    weighted = kernel.static_csr == "weighted"
+    return [PairCSR(*_rows_csr([table.get(k) or () for k in keys.tolist()], weighted), n)
+            for (keys, *_arrays), n in zip(state_parts, received)]
 
 
 def route_columnar(
@@ -691,7 +726,8 @@ def concat_broadcast(
     ascending pair order, then sort globally by key.  Keys are unique,
     so the stable argsort is fully deterministic — the serial executor
     and the parallel sorter worker produce identical arrays.  An empty
-    part is left out: its dtype (a declared fold infers one per pair)
+    part is left out: it holds no row, and its dtype — the split's,
+    which a kernel's ``finalize`` may have changed on the other pairs —
     must not promote the others'."""
     parts = [p for p in parts if p[0].size] or parts[:1]
     keys = np.concatenate([p[0] for p in parts])
@@ -763,47 +799,49 @@ class ColumnarSync:
     Reports decode to records, so the verdict policy is
     layout-agnostic.  A pair's inputs arrive as arrays
     (:meth:`split_inputs`): its state as ``(keys, values)``, a restored
-    checkpoint's likewise, and its static table in the form the kernel
-    declares."""
+    checkpoint's likewise (:meth:`restore`), and its static table in the
+    form the kernel declares."""
 
     report_lag = 1
     plan = [(SHUFFLE, 0)]
+    #: The ``path`` a snapshot of this layout is spooled under.
+    layout = "kernel"
 
     #: job → the kernel this executor runs it with.
     kernel_for = attrgetter("kernel")
 
     @classmethod
-    def split_inputs(cls, job, state_records, table, num_pairs: int, part, warm=None):
-        """The job's inputs — its state records and its one static
-        table (a dict or records) — as per-pair arrays, in
-        :func:`~repro.imapreduce.engine.partition_inputs`' shape
+    def split_inputs(cls, job, state_records, static_records, num_pairs: int, part,
+                     warm=None):
+        """The job's inputs — its state records and ``path → table``
+        statics — as ``(per-pair state, [per-pair static table])``
         (``warm`` stays ``None``: a synchronous warm start is its
         state).  The whole state is encoded once
         (:func:`encode_columnar`: the key check, the duplicate refusal,
         one dtype for every pair) and split by :func:`_by_pair`, so each
         pair's keys stay ascending; a pair's state is a view of those
-        arrays.  A ``static_csr`` kernel's rows are
-        looked up once for every owned key, the table dropped, and each
-        pair's rows laid out as its :class:`PairCSR` (:func:`adjacency_csr`'s
-        build).  Any other kernel gets ``key → row`` dicts routed by
-        ``part``."""
-        kernel, part_array = cls.kernel_for(job), job.partitioner.bind_array(num_pairs)
+        arrays.  Its one static table is split by :func:`_split_table`."""
+        kernel, route = cls.kernel_for(job), job.partitioner.bind_array(num_pairs)
         keys, values = encode_columnar(state_records, kernel.state_dtype, kernel.state_width)
-        state_parts = _by_pair(part_array, num_pairs, keys, values)
-        tables: list = [{} for _ in range(num_pairs)]
-        table = dict(table)
-        if kernel.static_csr is None:
-            for key, row in table.items():
-                tables[part(key)][key] = row
-            return state_parts, [tables]
-        received = np.bincount(part_array(_int_keys(table)), minlength=num_pairs).tolist()
-        rows = [[table.get(k) or () for k in owned.tolist()]  # adjacency_csr's lookup
-                for owned, _values in state_parts]
-        del table  # its memory goes to the edge arrays below: the rows hold what they need
-        for p, pair_rows in enumerate(rows):
-            tables[p] = PairCSR(*_rows_csr(pair_rows, kernel.static_csr == "weighted"),
-                                received[p])
-        return state_parts, [tables]
+        state_parts = _by_pair(route, num_pairs, keys, values)
+        table = _static_table(job, static_records)
+        return state_parts, [_split_table(kernel, table, state_parts, part, route)]
+
+    @classmethod
+    def restore(cls, snapshot: dict, state_parts: list) -> dict:
+        """A spooled :meth:`snapshot` back as pair → ``(keys, values)``:
+        the keys are the split's (a pair's never change), the values
+        widened back to int64 if they were ints and viewed with the
+        canonical dtype."""
+        return {p: (state_parts[p][0], _canonical(widen_ints(v)))
+                for p, v in snapshot_pairs(snapshot, cls.layout).items()}
+
+    @staticmethod
+    def join(parts: list) -> "StateColumns":
+        """The pairs' final ``(keys, values)``, in pair order, as the
+        job's key-sorted state: one concatenate and one stable argsort
+        on the unique int keys (``sort_records``' order)."""
+        return StateColumns(*concat_broadcast(parts))
 
     def __init__(self, cfg, timings: dict):
         job = cfg.job
@@ -932,9 +970,10 @@ class ColumnarSync:
         return report
 
     def snapshot(self) -> dict:
-        # Values only, ints narrowed: the coordinator adds the split
+        # Values only, ints narrowed: :meth:`restore` adds the split
         # keys back and widens them.
-        return {"path": "kernel", "pairs": {p: narrow_ints(v) for p, v in self.values.items()}}
+        return {"path": self.layout,
+                "pairs": {p: narrow_ints(v) for p, v in self.values.items()}}
 
     def final_state(self) -> dict[int, tuple]:
         return {p: (self.owned[p], self.values[p]) for p in self.pairs}
@@ -962,45 +1001,36 @@ class ColumnarAccum:
     plan = [(SHUFFLE, 0)]
     max_steps = 10**9  # the verdict policy enforces ``max_rounds``
     kernel_for = attrgetter("kernel")
+    join = staticmethod(ColumnarSync.join)
 
     @classmethod
-    def split_inputs(cls, job, delta_records, table, num_pairs: int, part, warm=None):
-        """The job's inputs — its initial deltas, its one static table
-        and ``warm``, a warm start's preloaded state (records or a
-        :class:`StateColumns`) — as each pair's engine arrays ``(owned
-        keys, state, pending, active)`` and ``key → row`` table, in
-        :func:`~repro.imapreduce.engine.partition_inputs`' shape.  The
-        owned universe is formed once, for the whole job, in the job's
-        one dtype (:func:`_accum_dtype`); the warm values are scattered
-        into the state without marking them pending (a preload: nothing
-        propagates from them) and the deltas absorbed in record order
-        (:func:`absorb_columnar`, drop rule included) before one split
-        (:func:`_by_pair`), so a pair's arrays are views of the job's."""
-        table = table if isinstance(table, dict) else dict(table)
+    def split_inputs(cls, job, delta_records, static_records, num_pairs: int, part,
+                     warm=None):
+        """The job's inputs — its initial deltas, its ``path → table``
+        statics and ``warm``, a warm start's preloaded state (a
+        :class:`StateColumns`, or ``None``) — as each pair's engine
+        arrays ``(owned keys, state, pending, active)`` and static
+        table.  The owned universe is formed once, for the whole job, in
+        the job's one dtype (:func:`_accum_dtype`); the warm values are
+        scattered into the state without marking them pending (a
+        preload: nothing propagates from them) and the deltas absorbed
+        in record order (:func:`absorb_columnar`, drop rule included)
+        before one split (:func:`_by_pair`), so a pair's arrays are
+        views of the job's.  Its one static table is split by
+        :func:`_split_table`."""
+        kernel, table = cls.kernel_for(job), _static_table(job, static_records)
         dk, dv = _split(delta_records)
-        wk, wv = ((warm.key_array, warm.value_array) if isinstance(warm, StateColumns)
-                  else _split(warm or ()))
-        dtype = _accum_dtype(cls.kernel_for(job), dv, wv)
-        static_keys, dk = _int_keys(table), _int_keys(dk)
-        wk = wk if isinstance(wk, np.ndarray) else _int_keys(wk)
-        owned = np.sort(np.concatenate([static_keys, dk, wk]))
-        first = np.ones(owned.size, dtype=bool)  # each key's first row: sorted unique
-        first[1:] = owned[1:] != owned[:-1]
-        owned = owned[first]
+        wk, wv = ((np.empty(0, np.int64), ()) if warm is None
+                  else (warm.key_array, warm.value_array))
+        dtype = _accum_dtype(kernel, dv, wv)
+        owned = np.unique(np.concatenate([_int_keys(table), dk, wk]))
         state = np.full(owned.size, _reduction(job.fold, dtype)[1], dtype=dtype)
         pending, active = state.copy(), np.zeros(owned.size, dtype=bool)
         state[np.searchsorted(owned, wk)] = np.asarray(wv, dtype=dtype)
         absorb_columnar(job.fold, owned, state, pending, active, dk, np.asarray(dv, dtype=dtype))
-        has_row = np.zeros(owned.size, dtype=bool)
-        has_row[np.searchsorted(owned, static_keys)] = True
-        state_parts, tables = [], []
         route = job.partitioner.bind_array(num_pairs)
-        for keys, *arrays, rows in _by_pair(route, num_pairs, owned, state, pending, active,
-                                            has_row):
-            state_parts.append((keys, *arrays))
-            rows = keys[rows].tolist()
-            tables.append(dict(zip(rows, map(table.__getitem__, rows))))
-        return state_parts, [tables]
+        state_parts = _by_pair(route, num_pairs, owned, state, pending, active)
+        return state_parts, [_split_table(kernel, table, state_parts, part, route)]
 
     def __init__(self, cfg, timings: dict):
         job = cfg.job

@@ -24,12 +24,26 @@ do not depend on where the pairs live:
 
 The driver is parameterised by
 
-* a **pair executor**, which owns per-pair state and nothing about
-  processes.  Three exist, picked by
-  :func:`~repro.imapreduce.localrun.select_executor` on every backend:
-  record-sync (:mod:`.localrun`), columnar-sync and columnar-accum
-  (:mod:`.columnar`) — the one accumulative executor.  Each is built from a
-  :class:`WorkerConfig` (initial or restored state) and exposes
+* a **pair executor**, which owns per-pair state and its layout, and
+  nothing about processes.  Three exist: record-sync (:mod:`.localrun`),
+  columnar-sync and columnar-accum (:mod:`.columnar`) — the one
+  accumulative executor.  :func:`~repro.imapreduce.plan.execute` picks
+  one per run (:func:`~repro.imapreduce.localrun.select_executor`) and
+  hands the class to the host, and the mesh host to every worker.  The
+  class owns the layout end to end:
+
+  ``split_inputs(job, state, statics, num_pairs, part, warm)``  the
+                  job's inputs as ``(per-pair state, [phase][pair]
+                  static table])``, once, in the coordinator (§3.2.1:
+                  the static data is partitioned with the function that
+                  shuffles state);
+  ``restore(snapshot, state_parts)``  a spooled :meth:`snapshot` back
+                  into that layout (the sync executors);
+  ``join(parts)``  the pairs' final states, in pair order, as the job's
+                  key-sorted state.
+
+  Each instance is built from a :class:`WorkerConfig` (initial or
+  restored state) and exposes
 
   ``report_lag``  1 when a report describes the step just finished
                   (sync), 0 when it precedes the step (accum);
@@ -63,7 +77,8 @@ The driver is parameterised by
   in :mod:`.workerproc`.  Each exposes ``exchange``, ``allgather``,
   ``report``, ``verdict``, ``finish``, its ``counters`` and the host's
   ``timings`` (one wall-time slot per :data:`PHASE_COUNTERS` entry,
-  which executor, transport and driver all charge).  The delivery-order
+  which executor, transport and driver all charge); the mesh, where
+  checkpoints and seeded faults run, also ``receipt`` and ``flush``.  The delivery-order
   rule, on every transport: a destination's batches arrive in ascending
   source-pair order; a transport that delivers late hands over the
   destination's own batch first, then the rest by ``(source pair, send
@@ -112,7 +127,6 @@ __all__ = [
     "Loopback",
     "DeferringLoopback",
     "run_supersteps",
-    "partition_inputs",
     "host_config",
     "by_dest",
     "gc_paused",
@@ -139,9 +153,9 @@ REPART = "repart"
 #: restore-from-checkpoint load after a respawn; both stay zero on an
 #: unfaulted run without checkpointing.  ``gc`` is the per-step
 #: young-generation collection :func:`run_supersteps` runs.  An
-#: in-process host's ``map`` also holds :func:`partition_inputs`, the
-#: routing of the inputs to their pairs, and its ``report`` the final
-#: state's assembly.
+#: in-process host's ``map`` also holds the executor's ``split_inputs``,
+#: the routing of the inputs to their pairs, and its ``report`` the
+#: final state's ``join``.
 PHASE_COUNTERS = (
     "map",
     "combine",
@@ -175,9 +189,9 @@ class WorkerConfig:
     num_workers: int
     num_pairs: int
     job: Any
-    #: pair → records, or the arrays a columnar executor's
-    #: ``split_inputs`` made: the initial or restored ``(keys, values)``
-    #: of :class:`~repro.imapreduce.columnar.ColumnarSync`, the ``(owned
+    #: pair → state in the executor's layout, as its ``split_inputs``
+    #: (or ``restore``) made it: records, the ``(keys, values)`` of
+    #: :class:`~repro.imapreduce.columnar.ColumnarSync`, the ``(owned
     #: keys, state, pending, active)`` of
     #: :class:`~repro.imapreduce.columnar.ColumnarAccum` — a warm
     #: start's preloaded state included.
@@ -213,40 +227,6 @@ def host_config(worker_id, pairs, state_parts, static_parts, **fields):
     )
 
 
-def partition_inputs(
-    job, state_records: Iterable, static_records: dict | None, num_pairs: int,
-    part=None, *, executor=None, warm=None,
-) -> tuple[list, list[list]]:
-    """Partition the state and the table at each of ``job.static_paths``
-    (one per phase) with one loop, and therefore one insertion order, for
-    every backend (§3.2.1: the static data is partitioned with the
-    function that shuffles state).  A job whose ``executor`` (default:
-    :func:`select_executor`'s) takes arrays (``split_inputs``: the
-    columnar executors, so every accumulative job) is split by it
-    instead, once, vectorised — an accumulative warm start (``warm``)
-    with it.  ``part`` is the job's bound partitioner, if the caller
-    holds one."""
-    from .localrun import select_executor  # localrun imports this module
-
-    if part is None:
-        part = bind_partitioner(job.partitioner, num_pairs)
-    split = getattr(executor or select_executor(job)[0], "split_inputs", None)
-    if split is not None:  # one phase, so one static path
-        table = (static_records or {}).get(job.static_paths[0] or "", ())
-        return split(job, state_records, table, num_pairs, part, warm)
-    static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
-    state_parts: list[list] = [[] for _ in range(num_pairs)]
-    for rec in state_records:
-        state_parts[part(rec[0])].append(rec)
-    static_parts: list[list[dict]] = []  # [phase][pair] -> key->static
-    for path in job.static_paths:
-        per_pair: list[dict] = [{} for _ in range(num_pairs)]
-        for key, value in static_by_path.get(path or "", {}).items():
-            per_pair[part(key)][key] = value
-        static_parts.append(per_pair)
-    return state_parts, static_parts
-
-
 def by_dest(items: Iterable[tuple]) -> dict[int, list[tuple]]:
     """``dest_pair → items`` in ascending source-pair order — not
     arrival order: float folds must see values in one fixed sequence on
@@ -257,21 +237,10 @@ def by_dest(items: Iterable[tuple]) -> dict[int, list[tuple]]:
     return {q: [by_src[s] for s in sorted(by_src)] for q, by_src in merged.items()}
 
 
-def _final_state(finals: list[dict], num_pairs: int):
-    """The job's final records, key-sorted.  Columnar hosts hand over
-    ``(keys, values)`` per pair: one concatenate and one stable argsort
-    on the unique int keys (``sort_records``'s order) make a
-    :class:`~repro.imapreduce.columnar.StateColumns`, decoded only as it
-    is read.  Record hosts' lists are merged into one sorted list."""
-    by_pair: dict[int, Any] = {}
-    for final in finals:
-        by_pair.update(final["state"])
-    parts = [by_pair[p] for p in range(num_pairs) if p in by_pair]
-    if parts and isinstance(parts[0], tuple):  # record hosts hand over lists
-        from .columnar import StateColumns, concat_broadcast  # imports engine
-
-        return StateColumns(*concat_broadcast(parts))
-    return sort_records(rec for part in parts for rec in part)
+def _pair_parts(finals: list[dict], num_pairs: int) -> list:
+    """Every host's final pair states, in pair order."""
+    by_pair = {p: state for final in finals for p, state in final["state"].items()}
+    return [by_pair[p] for p in range(num_pairs) if p in by_pair]
 
 
 # ------------------------------------------------------- verdict policies --
@@ -405,8 +374,9 @@ class SyncVerdict:
             ) = pickle.loads(blob)
         self.merged_through = start_iteration
 
-    def outcome(self, finals: list[dict]) -> dict:
-        """The result fields every synchronous backend shares."""
+    def outcome(self, finals: list[dict], executor) -> dict:
+        """The result fields every synchronous backend shares; the
+        state is ``executor``'s ``join``."""
         iterations_run = finals[0]["iterations_run"]
         terminated_by = finals[0]["terminated_by"] or "maxiter"
         # Free-running jobs with no distance to measure report nothing
@@ -414,7 +384,7 @@ class SyncVerdict:
         distances = list(self.distances)
         distances += [None] * (iterations_run - len(distances))
         return dict(
-            state=_final_state(finals, self.num_pairs),
+            state=executor.join(_pair_parts(finals, self.num_pairs)),
             iterations_run=iterations_run,
             converged=terminated_by == "threshold",
             terminated_by=terminated_by,
@@ -476,12 +446,13 @@ class AccumVerdict:
             return "maxrounds"
         return CONTINUE
 
-    def outcome(self, finals: list[dict]) -> dict:
-        """The result fields every accumulative backend shares."""
+    def outcome(self, finals: list[dict], executor) -> dict:
+        """The result fields every accumulative backend shares; the
+        state is ``executor``'s ``join``."""
         stats = [f["stats"] for f in finals]
         terminated_by = finals[0]["terminated_by"]
         return dict(
-            state=_final_state(finals, self.num_pairs),
+            state=executor.join(_pair_parts(finals, self.num_pairs)),
             rounds=finals[0]["iterations_run"],
             converged=terminated_by == "progress",
             terminated_by=terminated_by,
@@ -661,6 +632,9 @@ def _supersteps(cfg: WorkerConfig, executor_cls, transport, collect: bool) -> di
             if kind == SHUFFLE:
                 for fault in cfg.faults:
                     if fault.matches(cfg.generation, cfg.worker_id, step, phase):
+                        # The worker dies *at* this point: what it sent
+                        # before (a checkpoint receipt, say) is delivered.
+                        transport.flush()
                         fire_fault(fault)
                 mine = executor.broadcast_items(phase)
                 if mine is not None:

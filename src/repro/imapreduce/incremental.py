@@ -84,7 +84,7 @@ import numpy as np
 from .accum import FOLDS
 from .checkpoint import CheckpointStore
 from .columnar import StateColumns, _by_pair, concat_broadcast, decode_columnar
-from .columnar import encode_columnar, narrow_ints, widen_ints
+from .columnar import narrow_ints, widen_ints
 
 __all__ = [
     "DeltaError",
@@ -375,10 +375,9 @@ class ChangeModel:
             return [(u, (1.0 - self.damping) / len(keys)) for u in keys]
         return [(u, u) for u in keys]  # components: every key its own label
 
-    def plan(self, table: dict, delta: DataDelta, memo_state) -> ChangePlan:
+    def plan(self, table: dict, delta: DataDelta, memo_state: StateColumns) -> ChangePlan:
         """Patch ``table`` in place and derive the change-propagation
-        plan; ``memo_state`` is the prior run's converged state: a dict,
-        or a :class:`~repro.imapreduce.columnar.StateColumns` read
+        plan; ``memo_state`` is the prior run's converged state, read
         through its arrays (:func:`_lookup`)."""
         planner = _plan_pagerank if self.fold == "sum" else _plan_min
         return planner(self, table, delta, memo_state)
@@ -398,13 +397,10 @@ def change_model(
     return ChangeModel(algorithm, kind, fold, **params)
 
 
-def _lookup(state, keys: list, default) -> list:
-    """``state``'s value at each of ``keys``, ``default`` where it has
-    none: a dict's ``get``, or one ``searchsorted`` over a
-    :class:`~repro.imapreduce.columnar.StateColumns`' arrays (the
-    values it would decode to)."""
-    if not isinstance(state, StateColumns):
-        return [state.get(k, default) for k in keys]
+def _lookup(state: StateColumns, keys: list, default) -> list:
+    """``state``'s value at each of ``keys`` (the values it would decode
+    to), ``default`` where it has none: one ``searchsorted`` over its
+    arrays."""
     if not len(state):
         return [default] * len(keys)
     want = np.array(keys, dtype=np.int64)
@@ -415,7 +411,7 @@ def _lookup(state, keys: list, default) -> list:
 
 
 def _plan_pagerank(
-    model: ChangeModel, table: dict, delta: DataDelta, state: dict
+    model: ChangeModel, table: dict, delta: DataDelta, state: StateColumns
 ) -> ChangePlan:
     """Residual injection for the linear sum algebra (see module doc)."""
     touched = {u for u, _v in delta.delete_edges}
@@ -481,7 +477,7 @@ def _reachable(adjacency: dict, roots: Iterable, weighted: bool) -> set:
 
 
 def _plan_min(
-    model: ChangeModel, table: dict, delta: DataDelta, state: dict
+    model: ChangeModel, table: dict, delta: DataDelta, state: StateColumns
 ) -> ChangePlan:
     """Invalidate-and-reseed for min algebras (see module doc)."""
     kind = model.kind
@@ -566,9 +562,10 @@ def plan_changes(
     source: Any = None,
 ) -> ChangePlan:
     """:meth:`ChangeModel.plan` of ``change_model(algorithm, damping=…,
-    source=…)`` — the signature the benchmark calls."""
+    source=…)`` — the signature the benchmark calls, with the memo as a
+    ``key → value`` dict."""
     return change_model(algorithm, damping=damping, source=source).plan(
-        table, delta, memo_state)
+        table, delta, StateColumns.of(memo_state.items()))
 
 
 def cold_rerun_inputs(
@@ -659,10 +656,8 @@ class MemoStore:
         encoded once — split by pair with the partitioner's
         ``bind_array`` (or, without one, its per-key function); returns
         the new memo version."""
-        if isinstance(state_records, StateColumns):
-            keys, values = state_records.key_array, state_records.value_array
-        else:
-            keys, values = encode_columnar(state_records, None)
+        state = StateColumns.of(state_records)
+        keys, values = state.key_array, state.value_array
         bind, part = getattr(partitioner, "bind_array", None), bind_partitioner(
             partitioner, num_pairs)
         route = bind(num_pairs) if bind else (

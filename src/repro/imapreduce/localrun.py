@@ -27,7 +27,9 @@ simulated cluster's persistent tasks (:mod:`.runtime`) compute with the same fun
 :func:`distance_partial` — so its results equal them bit for bit as
 well; the Hadoop baseline's tasks (:mod:`repro.mapreduce.runtime`) use
 :func:`route_columns` and :func:`reduce_groups` too.
-:func:`select_executor` is the one dispatch rule every host uses.
+:func:`select_executor` is the one dispatch rule;
+:func:`~repro.imapreduce.plan.execute` applies it once per run and
+hands the class to the host.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from ..common.errors import ConfigError
 from ..common.partition import bind_partitioner
 from ..common.records import group_by_dest, order_key, sort_records
 from ..mapreduce.api import Context
-from .accum import AccumJob
+from .accum import AccumJob, partition_state, partition_table
+from .checkpoint import snapshot_pairs
 from .columnar import AccumKernel, ColumnarAccum, ColumnarSync, Kernel, KernelContractError
 from .engine import (
     REPART,
@@ -62,7 +65,6 @@ __all__ = [
     "map_pair",
     "order_key",
     "select_executor",
-    "kernel_enabled",
 ]
 
 
@@ -186,6 +188,29 @@ class RecordSync:
     to the reduce; state (``current``) is ``(key, value)`` records."""
 
     report_lag = 1
+    #: The ``path`` a snapshot of this layout is spooled under.
+    layout = "record"
+
+    @classmethod
+    def split_inputs(cls, job, state_records, static_records, num_pairs: int, part,
+                     warm=None):
+        """The job's state records and the table at each of
+        ``job.static_paths`` (one per phase), split by ``part`` with one
+        loop each — one insertion order on every backend (``warm`` stays
+        ``None``: a synchronous warm start is its state)."""
+        return partition_state(state_records, num_pairs, part), [
+            partition_table(dict((static_records or {}).get(path or "", {})), num_pairs, part)
+            for path in job.static_paths]
+
+    @classmethod
+    def restore(cls, snapshot: dict, state_parts: list) -> dict:
+        """A spooled :meth:`snapshot`'s pair → records, as they are."""
+        return snapshot_pairs(snapshot, cls.layout)
+
+    @staticmethod
+    def join(parts: list) -> list:
+        """The pairs' final records merged into one key-sorted list."""
+        return sort_records(rec for part in parts for rec in part)
 
     def __init__(self, cfg, timings: dict):
         job = cfg.job
@@ -315,7 +340,7 @@ class RecordSync:
         return report
 
     def snapshot(self) -> dict:
-        return {"path": "record", "pairs": self.final_state()}
+        return {"path": self.layout, "pairs": self.final_state()}
 
     def final_state(self) -> dict[int, list]:
         return {p: self.current[p] for p in self.pairs}
@@ -421,8 +446,10 @@ class UpdateAccum(ColumnarAccum):
 def select_executor(job) -> tuple[type, str | None]:
     """``(pair executor class, why no columnar executor runs)``.
 
-    Every host calls this one function, so they always agree on the
-    path; the reason is ``None`` exactly when a columnar executor runs.
+    :func:`~repro.imapreduce.plan.execute` calls it once per run and
+    hands the class to the host, and the mesh host to every worker, so
+    they cannot disagree on the path; the reason is ``None`` exactly
+    when a columnar executor runs.
     An accumulative job always runs :class:`~repro.imapreduce.columnar.
     ColumnarAccum` — with its kernel or, kernel-less, through its own
     ``update_fn`` (:class:`UpdateAccum`) — and is refused with a
@@ -464,24 +491,18 @@ def select_executor(job) -> tuple[type, str | None]:
     return columnar, None
 
 
-def kernel_enabled(job) -> bool:
-    """Does this job run on a columnar executor?"""
-    return select_executor(job)[1] is None
-
-
 # ------------------------------------------------------------------ hosts --
-def host_loopback(job, policy, state_parts, static_parts, plan, fields,
-                  transport=None, executor=None):
-    """Host every pair in this process and drive the supersteps over
-    ``transport`` (default :class:`~repro.imapreduce.engine.Loopback`)
-    with ``executor`` (default :func:`select_executor`'s).  Returns the
-    one final report and no mesh result fields."""
+def host_loopback(job, executor, policy, state_parts, static_parts, plan, fields,
+                  transport=None):
+    """Host every pair in this process and drive the supersteps with
+    ``executor`` over ``transport`` (default
+    :class:`~repro.imapreduce.engine.Loopback`).  Returns the one final
+    report and no mesh result fields."""
     cfg = host_config(
         0, range(plan.num_pairs), state_parts, static_parts,
         num_workers=1, num_pairs=plan.num_pairs, job=job,
         send_state=policy.send_state, wait_verdict=policy.wait_verdict, **fields,
     )
-    executor = executor or select_executor(job)[0]
     return [run_supersteps(cfg, executor, transport or Loopback(policy))], None
 
 
@@ -490,9 +511,9 @@ def host_loopback(job, policy, state_parts, static_parts, plan, fields,
 _JITTER = (0.5, 1.0, 1.5, 2.0)
 
 
-def host_simulated(job, policy, state_parts, static_parts, plan, fields, executor=None):
+def host_simulated(job, executor, policy, state_parts, static_parts, plan, fields):
     """Accumulative execution under seeded network chaos: the loopback
-    host with ``executor`` (default :func:`select_executor`'s) over a
+    host with ``executor`` over a
     :class:`~repro.imapreduce.engine.DeferringLoopback` seeded by
     ``plan.seed``, which holds cross-pair delta batches in flight, with
     each pair's top-fraction knob jittered per round.  All randomness
@@ -502,12 +523,11 @@ def host_simulated(job, policy, state_parts, static_parts, plan, fields, executo
     byte-identically.
     """
     transport = DeferringLoopback(policy, plan.seed)
-    executor = executor or select_executor(job)[0]
     if plan.mode == "async":
         class Jittered(executor):
             def fraction(self, pair: int) -> float:
                 return min(1.0, super().fraction(pair) * transport.rng.choice(_JITTER))
 
         executor = Jittered
-    return host_loopback(job, policy, state_parts, static_parts, plan, fields,
-                         transport, executor)
+    return host_loopback(job, executor, policy, state_parts, static_parts, plan, fields,
+                         transport)

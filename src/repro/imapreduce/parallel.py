@@ -106,9 +106,7 @@ from typing import Any
 
 from ..common.errors import JobError
 from .checkpoint import CheckpointError, CheckpointStore
-from .columnar import widen_ints
 from .engine import host_config
-from .localrun import kernel_enabled
 from .placement import reassign, round_robin
 from .workerproc import (
     CKPT_REPORT,
@@ -259,15 +257,16 @@ def _context(start_method: str | None):
         return multiprocessing.get_context(start_method)
 
 
-def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
+def host_mesh(job, executor, policy, state_parts, static_parts, plan, fields, *,
               max_recoveries: int = 2, reassign_on_failure: bool = False):
     """The mesh host: one supervisor for both algebras.
 
     Spawns one generation of ``plan.num_workers`` workers (default one
-    per CPU this process may run on, at most one per pair), folds their
+    per CPU this process may run on, at most one per pair), each running
+    the pair ``executor`` class it is handed, folds their
     reports through ``policy`` in :func:`_coordinate`, and on a confirmed
     worker death fences the generation, then restores and respawns (the
-    module docstring's recovery) — or raises
+    module docstring's recovery, through ``executor.restore``) — or raises
     :class:`ParallelExecutionError` when recovery is unarmed or its
     ``max_recoveries`` budget is spent.  The last generation is shut
     down (or fenced) however the run ends.  ``plan.checkpoint_every`` or
@@ -283,7 +282,6 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
     checkpoint_every, spool_dir = plan.checkpoint_every, plan.spool_dir
     faults = tuple(plan.faults or ())
     recovery_armed = bool(faults) or checkpoint_every is not None
-    columnar = kernel_enabled(job)
     num_workers = _pick_workers(plan.num_workers, num_pairs)
     owner = round_robin(num_pairs, range(num_workers))  # pair → worker index
 
@@ -308,6 +306,7 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                 owner,
                 state_parts if restored is None else restored,
                 static_parts,
+                executor=executor,
                 timeout=plan.timeout,
                 heartbeat_interval=plan.heartbeat_interval,
                 suspicion_timeout=plan.suspicion_timeout,
@@ -337,14 +336,9 @@ def host_mesh(job, policy, state_parts, static_parts, plan, fields, *,
                         f"{death.reason}; recovery budget exhausted after "
                         f"{len(recovery_events)} recoveries"
                     ) from None
-                restore, rejected = _load_restore(store, num_pairs, columnar)
-                if restore is None:
-                    start_iteration, restored = 0, None
-                else:
-                    start_iteration, restored = restore[0] + 1, restore[1]
-                    if columnar:  # values only: a pair's keys never change
-                        restored = {p: (state_parts[p][0], widen_ints(v))
-                                    for p, v in restored.items()}
+                restore, rejected = _load_restore(store, num_pairs, executor, state_parts)
+                start_iteration, restored = (0, None) if restore is None else (
+                    restore[0] + 1, restore[1])
                 mode = "respawn"
                 if reassign_on_failure and num_workers > 1:
                     # The survivors, renumbered in worker order, take
@@ -414,6 +408,7 @@ def _spawn_mesh(
     state_parts,
     static_parts: list[list[dict]],
     *,
+    executor,
     timeout: float | None,
     heartbeat_interval: float | None,
     suspicion_timeout: float | None,
@@ -424,8 +419,9 @@ def _spawn_mesh(
     """Wire the pipes, start one worker per worker index in ``owner``
     (pair → worker), each hosting its pairs.  ``state_parts`` is
     indexable by pair (the partitioned input, or a restored
-    checkpoint); ``shared`` are the :class:`WorkerConfig` fields every
-    worker gets alike."""
+    checkpoint); every worker runs the pair ``executor`` class;
+    ``shared`` are the :class:`WorkerConfig` fields every worker gets
+    alike."""
     # The job alone takes an explicit pickle round trip (bytes, not the
     # tables), first: every start method runs the job a spawned worker
     # would, and an unpicklable one fails here, before any pipe or
@@ -493,6 +489,7 @@ def _spawn_mesh(
                 target=worker_main,
                 args=(
                     cfg,
+                    executor,
                     peer_recv[w],
                     peer_send[w],
                     verdict_pipes[w][0],
@@ -517,27 +514,22 @@ def _spawn_mesh(
 
 
 def _load_restore(
-    store: CheckpointStore | None, num_pairs: int, columnar: bool
+    store: CheckpointStore | None, num_pairs: int, executor, state_parts=None
 ) -> tuple[tuple[int, dict[int, Any]] | None, list[tuple[int, str]]]:
     """Newest *valid* committed checkpoint as ``(iteration, pair →
-    state)`` — ``None`` when there is none — and the newer manifests it
-    was preferred to, as ``(iteration, reason)``: a torn or
-    path-mismatched manifest falls back to an older one, and says so."""
+    state)`` — restored by ``executor`` into its layout over the initial
+    ``state_parts``, ``None`` when there is none — and the newer
+    manifests it was preferred to, as ``(iteration, reason)``: a torn
+    manifest, or one another layout wrote, falls back to an older one,
+    and says so."""
     rejected: list[tuple[int, str]] = []
     if store is None:
         return None, rejected
-    expected = "kernel" if columnar else "record"
     for manifest in store.manifests():
         try:
             pairs: dict[int, Any] = {}
             for entry in manifest["entries"]:
-                payload = store.read_payload(entry)
-                if payload.get("path") != expected:
-                    raise CheckpointError(
-                        f"checkpoint path {payload.get('path')!r} does not "
-                        f"match the job's {expected!r} executor"
-                    )
-                pairs.update(payload["pairs"])
+                pairs.update(executor.restore(store.read_payload(entry), state_parts))
             if set(pairs) != set(range(num_pairs)):
                 raise CheckpointError(
                     f"manifest i{manifest['iteration']} covers pairs "
@@ -617,8 +609,10 @@ class _CoordinatorInbox:
     worker's report pipe *and* its process sentinel.  A frame wakes the
     coordinator immediately; a death wakes it just as fast, and any dead
     worker whose pipe holds no final report — a clean ``exit(0)``
-    included — raises :class:`_WorkerDeath` on the spot instead of
-    stalling until the run timeout.  Heartbeat frames refresh the
+    included — raises :class:`_WorkerDeath` instead of stalling until
+    the run timeout: once every frame already sent is read, the live
+    workers' included (one of them may be the checkpoint receipt that
+    commits what the recovery restores).  Heartbeat frames refresh the
     per-worker ``last_seen`` clock and are swallowed; a worker quiet for
     longer than ``suspicion`` (possible only for a frozen process — a
     dead one trips its sentinel first) raises :class:`_WorkerDeath` too.
@@ -695,6 +689,9 @@ class _CoordinatorInbox:
                     self._drain(wid)
                     self._procs.pop(wid, None)
                     self._dead[wid] = proc
+            if self._dead:  # frames before deaths: read what live pipes hold
+                while ready := _conn_wait(list(self._conns.values()), 0):
+                    self._file(ready)
             if self._frames:
                 return self._frames.popleft()
             if self._dead:
@@ -735,28 +732,29 @@ class _CoordinatorInbox:
                 raise ParallelExecutionError(
                     "all workers gone before the run completed"
                 )
-            ready = _conn_wait(waitables, wait_for)
-            for obj in ready:
-                wid = self._wid_of.get(obj)
-                if wid is None:
-                    continue  # a sentinel: handled at the top of the loop
-                try:
-                    frame = decode_frame(
-                        conn_parts(obj, partial(self._await_part, obj, wid))
-                    )
-                except _TornFrame:
-                    # Died mid-write: discard the pipe (its remaining
-                    # bytes are unframed garbage); the sentinel check at
-                    # the top of the loop reports the death itself.
-                    self._conns.pop(wid, None)
-                    self._wid_of.pop(obj, None)
-                    continue
-                except (EOFError, OSError):
-                    self._drain(wid)
-                    continue
-                self._last_seen[wid] = time.monotonic()
-                if frame[0] == HEARTBEAT:
-                    continue
+            self._file(_conn_wait(waitables, wait_for))
+
+    def _file(self, ready) -> None:
+        """Read one frame from each ready report pipe into the queue;
+        heartbeats only refresh their worker's clock."""
+        for obj in ready:
+            wid = self._wid_of.get(obj)
+            if wid is None:
+                continue  # a sentinel: handled at the top of recv's loop
+            try:
+                frame = decode_frame(conn_parts(obj, partial(self._await_part, obj, wid)))
+            except _TornFrame:
+                # Died mid-write: discard the pipe (its remaining bytes
+                # are unframed garbage); the sentinel check at the top of
+                # recv's loop reports the death itself.
+                self._conns.pop(wid, None)
+                self._wid_of.pop(obj, None)
+                continue
+            except (EOFError, OSError):
+                self._drain(wid)
+                continue
+            self._last_seen[wid] = time.monotonic()
+            if frame[0] != HEARTBEAT:
                 self._frames.append(frame)
 
 

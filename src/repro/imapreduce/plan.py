@@ -14,20 +14,22 @@ algebras, one place) and runs the cell as two halves composed:
 * the job's **algebra** — its verdict policy
   (:class:`~repro.imapreduce.engine.SyncVerdict` or
   :class:`~repro.imapreduce.engine.AccumVerdict`), the fields every host
-  of its pairs gets and its result type.  One partition step serves
-  both (:func:`~repro.imapreduce.engine.partition_inputs` over the
-  job's ``static_paths``; a job on a columnar executor — every
-  accumulative job, whose one executor is
-  :class:`~repro.imapreduce.columnar.ColumnarAccum` — is split into
-  arrays, in the job's one state dtype);
+  of its pairs gets and its result type — and its **executor**, picked
+  once (:func:`~repro.imapreduce.localrun.select_executor`), which owns
+  the layout: its ``split_inputs`` partitions the inputs over the job's
+  ``static_paths`` (a columnar executor — every accumulative job's
+  :class:`~repro.imapreduce.columnar.ColumnarAccum` included — into
+  arrays, in the job's one state dtype), and its ``join`` assembles the
+  final state;
 * the plan's **host** (:data:`_HOSTS`) — every pair in this process over
   the loopback transport, the same over the seeded deferring loopback
   with per-round jitter (the simulated backend), or the pipe mesh under
   its one supervisor (:func:`~repro.imapreduce.parallel.host_mesh`:
-  spawn → coordinate → on a worker death fence, then restore or raise →
-  shut down).  Accumulative runs pass through that supervisor with
-  recovery unarmed, since :data:`SUPPORT` refuses their fault-tolerant
-  cells.
+  spawn → coordinate → on a worker death fence, then restore through the
+  executor or raise → shut down).  Every host, and every mesh worker,
+  runs the executor class it is handed.  Accumulative runs pass through
+  that supervisor with recovery unarmed, since :data:`SUPPORT` refuses
+  their fault-tolerant cells.
 
 ``run_local``, ``run_parallel``, ``run_accum_local`` and
 ``run_accum_parallel`` are thin wrappers over the same runner, with the
@@ -51,7 +53,7 @@ from ..common.partition import bind_partitioner
 from .accum import AccumJob, AccumRunResult, check_mode
 from .checkpoint import ProcFault
 from .columnar import StateColumns
-from .engine import AccumVerdict, SyncVerdict, gc_paused, partition_inputs
+from .engine import AccumVerdict, SyncVerdict, gc_paused
 from .incremental import (
     ChangeModel,
     DataDelta,
@@ -253,27 +255,22 @@ def resolve(algebra: str, plan: ExecutionPlan, *, warm: bool | None = None) -> C
     return cell
 
 
-def _warm_inputs(job, memo_state, statics, warm: WarmStart, accumulative: bool):
+def _warm_inputs(job, memo: StateColumns, statics, warm: WarmStart, accumulative: bool):
     """Patch the delta into a copy of the static table, plan the change,
     and turn the memo into the run's starting point: for accumulative
     jobs the perturbation deltas plus the memo minus its reset keys
-    (preloaded, not propagated); for iterative jobs the memo with reset
-    keys at the identity and the min-algebra offers folded in.  A
-    :class:`~repro.imapreduce.columnar.StateColumns` memo is read and
-    cut through its arrays."""
-    columns = isinstance(memo_state, StateColumns)
-    memo_state = memo_state if columns else list(memo_state)
+    (preloaded, not propagated), cut through its arrays; for iterative
+    jobs the memo with reset keys at the identity and the min-algebra
+    offers folded in."""
     path = job.static_paths[0] or ""
     table = dict((statics or {}).get(path, {}))
-    change = warm.model.plan(table, warm.delta, memo_state if columns else dict(memo_state))
+    change = warm.model.plan(table, warm.delta, memo)
     if not accumulative:
-        return warm_sync_state(memo_state, change, warm.model), {path: table}, change, None
-    reset, kept = change.reset_keys, memo_state
-    if reset and columns:
+        return warm_sync_state(memo, change, warm.model), {path: table}, change, None
+    kept, reset = memo, change.reset_keys
+    if reset:
         keep = ~np.isin(kept.key_array, np.fromiter(reset, np.int64, len(reset)))
         kept = StateColumns(kept.key_array[keep], kept.value_array[keep])
-    elif reset:
-        kept = [kv for kv in memo_state if kv[0] not in reset]
     return change.perturbation, {path: table}, change, kept
 
 
@@ -305,7 +302,7 @@ def execute(
         return _execute(job, inputs, statics, plan)
     with gc_paused():
         inputs, statics, change, kept = _warm_inputs(
-            job, inputs, statics, plan.warm, accumulative
+            job, StateColumns.of(inputs), statics, plan.warm, accumulative
         )
     result = _execute(job, inputs, statics, plan, initial_state=kept)
     if accumulative:
@@ -315,8 +312,9 @@ def execute(
     return result
 
 
-#: backend -> host: ``(job, policy, state_parts, static_parts, plan,
-#: fields, **supervision) -> (final reports, mesh result fields | None)``.
+#: backend -> host: ``(job, executor, policy, state_parts, static_parts,
+#: plan, fields, **supervision) -> (final reports, mesh result fields |
+#: None)``.
 _HOSTS = {"serial": host_loopback, "simulated": host_simulated, "parallel": host_mesh}
 
 
@@ -330,8 +328,7 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
     num_pairs = plan.num_pairs
     part = bind_partitioner(job.partitioner, num_pairs)
     accumulative = isinstance(job, AccumJob)
-    # One selection for every host; an accumulative job's split takes
-    # its warm start.
+    # The run's one selection: every host and mesh worker runs this class.
     executor = select_executor(job)[0]
     if accumulative:
         check_mode(plan.mode)
@@ -344,14 +341,15 @@ def _execute(job, inputs, statics, plan: ExecutionPlan, *, initial_state=None,
             plan = dataclasses.replace(
                 plan, checkpoint_every=job.parallel_checkpoint_every)
     with gc_paused():
-        state_parts, static_parts = partition_inputs(
-            job, inputs, statics, num_pairs, part, executor=executor, warm=initial_state)
+        state_parts, static_parts = executor.split_inputs(
+            job, inputs, statics, num_pairs, part,
+            None if initial_state is None else StateColumns.of(initial_state))
     partitioned = time.perf_counter() - started
     finals, mesh = _HOSTS[plan.backend](
-        job, policy, state_parts, static_parts, plan, fields, **supervision)
+        job, executor, policy, state_parts, static_parts, plan, fields, **supervision)
     del state_parts, static_parts, fields  # not held beside the final state
     clock = time.perf_counter()
-    outcome = policy.outcome(finals)
+    outcome = policy.outcome(finals, executor)
     if mesh is not None:
         mesh["wall_seconds"] = time.perf_counter() - started
     else:

@@ -10,9 +10,10 @@ resident; only state batches cross process boundaries afterwards
 (§3.2's static/state separation).
 The loop it runs is the shared superstep driver
 (:func:`~repro.imapreduce.engine.run_supersteps`) with the pair
-executor :func:`~repro.imapreduce.localrun.select_executor` picks; this
-module contributes the transport (:class:`_PipeMesh`), which moves the
-executor's routed batches and knows nothing about what they hold.
+executor class the coordinator picked once for the run and handed over
+beside the config; this module contributes the transport
+(:class:`_PipeMesh`), which moves the executor's routed batches and
+knows nothing about what they hold.
 
 Data plane
 ----------
@@ -106,7 +107,6 @@ from .engine import (
     by_dest,
     run_supersteps,
 )
-from .localrun import select_executor
 
 __all__ = [
     "WorkerConfig",
@@ -512,6 +512,10 @@ class _PipeMesh:
     def verdict(self, index: int) -> str:
         return self.inbox.verdict(index, self.timeout)
 
+    def flush(self) -> None:
+        """Block until the feeder has written every frame sent so far."""
+        self.feeder.flush()
+
     def finish(self) -> None:
         self.feeder.flush()  # pick up the feeder's write time
         self.timings["send"] = self.feeder.seconds
@@ -519,6 +523,7 @@ class _PipeMesh:
 
 def worker_main(
     cfg: WorkerConfig,
+    executor,
     peer_recv: dict[int, Any],
     peer_send: dict[int, Any],
     verdict_conn,
@@ -526,13 +531,15 @@ def worker_main(
     timeout: float | None = None,
     heartbeat_interval: float | None = None,
 ) -> None:
-    """Process entry point: run every superstep for this worker's pairs.
+    """Process entry point: run every superstep for this worker's pairs
+    on the pair ``executor`` class.
 
-    ``cfg`` arrives as an object, like the pipes.  Under ``fork`` it is
-    the coordinator's own, read through copy-on-write pages: nothing was
-    serialised and there is nothing to unpickle.  Under ``spawn`` /
-    ``forkserver`` ``multiprocessing`` unpickled the arguments before
-    calling this function, so the liveness beacon starts after that —
+    ``cfg`` and ``executor`` arrive as objects, like the pipes.  Under
+    ``fork`` they are the coordinator's own, read through copy-on-write
+    pages: nothing was serialised and there is nothing to unpickle.
+    Under ``spawn`` / ``forkserver`` ``multiprocessing`` unpickled the
+    arguments (the executor class by reference: its module and name)
+    before calling this function, so the liveness beacon starts after that —
     the coordinator's suspicion clock covers interpreter start-up and
     the unpickle together.
     """
@@ -548,7 +555,7 @@ def worker_main(
         mesh = _PipeMesh(
             cfg, peer_recv, peer_send, verdict_conn, report_conn, feeder, timeout
         )
-        final = run_supersteps(cfg, select_executor(cfg.job)[0], mesh)
+        final = run_supersteps(cfg, executor, mesh)
         parts, _ = encode_frame(FINAL_REPORT, final["iterations_run"], 0, worker_id, final)
         feeder.send(report_conn, parts)
         feeder.flush()

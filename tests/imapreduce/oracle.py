@@ -53,9 +53,10 @@ from repro.imapreduce.accum import (
     bad_priority,
     fold_mass,
     partition_state,
+    partition_table,
 )
-from repro.imapreduce.engine import SHUFFLE, AccumVerdict, partition_inputs
-from repro.imapreduce.localrun import host_loopback, host_simulated
+from repro.imapreduce.engine import SHUFFLE, AccumVerdict
+from repro.imapreduce.localrun import RecordSync, host_loopback, host_simulated
 
 
 class AccumPair:
@@ -238,17 +239,18 @@ class RecordAccum:
     report_lag = 0
     plan = [(SHUFFLE, 0)]
     max_steps = 10**9  # the verdict policy enforces ``max_rounds``
+    join = staticmethod(RecordSync.join)
 
     @classmethod
-    def split_inputs(cls, job, delta_records, table, num_pairs: int, part, warm=None):
+    def split_inputs(cls, job, delta_records, static_records, num_pairs: int, part,
+                     warm=None):
         """Each pair's ``(initial deltas, warm-start records)`` and ``key
         → static value`` table, by the record partition loop (one
         insertion order: the deltas', the warm state's and the table's)."""
-        tables: list[dict] = [{} for _ in range(num_pairs)]
-        for key, value in dict(table).items():
-            tables[part(key)][key] = value
+        table = dict((static_records or {}).get(job.static_paths[0] or "", ()))
         deltas = partition_state(delta_records, num_pairs, part)
-        return list(zip(deltas, partition_state(warm, num_pairs, part))), [tables]
+        return (list(zip(deltas, partition_state(warm, num_pairs, part))),
+                [partition_table(table, num_pairs, part)])
 
     def __init__(self, cfg, timings: dict):
         self.job = job = cfg.job
@@ -338,10 +340,8 @@ def run_oracle(job: AccumJob, deltas, static=None, plan: ExecutionPlan | None = 
     plan = dataclasses.replace(plan, mode=plan.mode or "async")
     policy = AccumVerdict(job, plan.num_pairs, plan.keep_trace)
     part = bind_partitioner(job.partitioner, plan.num_pairs)
-    parts = partition_inputs(job, deltas, static, plan.num_pairs, part,
-                             executor=RecordAccum, warm=initial_state)
+    parts = RecordAccum.split_inputs(job, deltas, static, plan.num_pairs, part, initial_state)
     host = {"serial": host_loopback, "simulated": host_simulated}[plan.backend]
-    finals, _mesh = host(job, policy, *parts, plan, {"accum_mode": plan.mode},
-                         executor=RecordAccum)
+    finals, _mesh = host(job, RecordAccum, policy, *parts, plan, {"accum_mode": plan.mode})
     mode = "simulated" if plan.backend == "simulated" else plan.mode
-    return AccumRunResult(mode=mode, **policy.outcome(finals))
+    return AccumRunResult(mode=mode, **policy.outcome(finals, RecordAccum))

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.common.partition import bind_partitioner
+from repro.imapreduce import select_executor
 from repro.imapreduce.engine import MESH_COUNTERS
 
 
@@ -35,6 +36,15 @@ def mesh_leftovers() -> tuple[list, int]:
     workers = [p for p in multiprocessing.active_children()
                if p.name.startswith("imr-worker")]
     return workers, len(os.listdir("/proc/self/fd"))
+
+
+def split_inputs(job, inputs, statics, num_pairs, warm=None, executor=None):
+    """``(state_parts, static_parts)`` as ``execute`` splits them: by the
+    executor the run selects (or ``executor``), with the job's bound
+    partitioner — what a hand-built ``WorkerConfig`` takes."""
+    executor = executor or select_executor(job)[0]
+    return executor.split_inputs(job, inputs, statics, num_pairs,
+                                 bind_partitioner(job.partitioner, num_pairs), warm)
 
 
 def undeclared(job):

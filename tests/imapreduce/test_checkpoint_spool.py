@@ -11,15 +11,21 @@ committed manifest instead of restoring garbage.
 import hashlib
 import json
 import os
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imapreduce import CheckpointError, CheckpointStore
+from repro.algorithms import pagerank
+from repro.common.partition import bind_partitioner
+from repro.imapreduce import CheckpointError, CheckpointStore, Kernel
 from repro.imapreduce.checkpoint import _read_parts
-from repro.imapreduce.columnar import decode_columnar, encode_columnar
+from repro.imapreduce.columnar import ColumnarSync, decode_columnar, encode_columnar
+from repro.imapreduce.engine import PHASE_COUNTERS, host_config
+from repro.imapreduce.localrun import RecordSync
 from repro.imapreduce.parallel import _load_restore
 
 # Values exercise the float edge cases a distance fold can produce.
@@ -177,7 +183,7 @@ def test_restore_falls_back_to_previous_committed_checkpoint(tmp_path):
     # kill -9 after the rename but with a dirty page lost: truncate.
     with open(os.path.join(store.root, new["file"]), "r+b") as fh:
         fh.truncate(10)
-    restore, rejected = _load_restore(store, num_pairs=2, columnar=False)
+    restore, rejected = _load_restore(store, num_pairs=2, executor=RecordSync)
     assert restore == (1, {0: [(7, 1.5)], 1: []})
     # The fallback is not silent: the manifest it skipped, and why.
     assert [iteration for iteration, _ in rejected] == [3]
@@ -190,10 +196,10 @@ def test_restore_rejects_incomplete_pair_coverage(tmp_path):
     store = CheckpointStore(str(tmp_path))
     entry = store.write(0, 2, 0, {"path": "record", "pairs": {0: [(1, 1.0)]}})
     store.commit(2, 0, [entry])
-    restore, rejected = _load_restore(store, num_pairs=2, columnar=False)
+    restore, rejected = _load_restore(store, num_pairs=2, executor=RecordSync)
     assert restore is None
     assert rejected == [(2, "manifest i2 covers pairs [0] of 2")]
-    assert _load_restore(store, num_pairs=1, columnar=False) == (
+    assert _load_restore(store, num_pairs=1, executor=RecordSync) == (
         (2, {0: [(1, 1.0)]}), []
     )
 
@@ -203,10 +209,66 @@ def test_restore_rejects_wrong_executor_path(tmp_path):
     store = CheckpointStore(str(tmp_path))
     entry = store.write(0, 0, 0, {"path": "record", "pairs": {0: []}})
     store.commit(0, 0, [entry])
-    restore, rejected = _load_restore(store, num_pairs=1, columnar=True)
+    restore, rejected = _load_restore(store, num_pairs=1, executor=ColumnarSync)
     assert restore is None
     assert [iteration for iteration, _ in rejected] == [0]
     assert "does not match the job's 'kernel' executor" in rejected[0][1]
+
+
+def _bits(value):
+    """A state value as comparable bits: an array's dtype, shape and
+    bytes, a float's IEEE bytes (``0.0`` and ``-0.0`` differ), an int."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.integers(-2**40, 2**40), unique=True, max_size=24),
+    dtype=st.sampled_from(["int64", "float64"]),
+    width=st.sampled_from([0, 3]),
+    num_pairs=st.integers(1, 4),
+    executor=st.sampled_from([RecordSync, ColumnarSync]),
+    data=st.data(),
+)
+def test_snapshot_spool_restore_round_trip(tmp_path_factory, keys, dtype, width,
+                                           num_pairs, executor, data):
+    """An executor's ``snapshot()``, spooled and read back, restores
+    (its class's ``restore`` over the split's parts) to the pre-snapshot
+    pair states bit for bit: record values with their types, columnar
+    keys as the split's and values in their dtype — ints narrowed on
+    disk and widened back — viewed with the canonical dtype instance."""
+    n, cells = len(keys), len(keys) * max(width, 1)
+    elements = (st.integers(-2**62, 2**62) if dtype == "int64"
+                else st.floats(allow_nan=False, width=64))
+    values = np.array(data.draw(st.lists(elements, min_size=cells, max_size=cells)),
+                      dtype=dtype).reshape((n, width) if width else (n,))
+    kernel = Kernel()
+    kernel.state_dtype, kernel.state_width = dtype, width
+    job = replace(pagerank.build_imr_job(1, state_path="/s", static_path="/st",
+                                         output_path="/o", max_iterations=1),
+                  kernel=kernel)
+    part = bind_partitioner(job.partitioner, num_pairs)
+    records = decode_columnar(np.array(keys, dtype=np.int64), values)
+    state_parts, static_parts = executor.split_inputs(job, records, None, num_pairs, part)
+    cfg = host_config(0, range(num_pairs), state_parts, static_parts, num_workers=1,
+                      num_pairs=num_pairs, job=job, send_state=False, wait_verdict=False)
+    live = executor(cfg, dict.fromkeys(PHASE_COUNTERS, 0.0))
+    store = CheckpointStore(str(tmp_path_factory.mktemp("spool")))
+    entry = store.write(0, 0, 0, live.snapshot())
+    got, want = executor.restore(store.read_payload(entry), state_parts), live.final_state()
+    assert sorted(got) == sorted(want) == list(range(num_pairs))
+    for p, state in want.items():
+        if executor is RecordSync:
+            assert [(k, _bits(v)) for k, v in got[p]] == [(k, _bits(v)) for k, v in state]
+            continue
+        (got_keys, got_values), (keys_p, values_p) = got[p], state
+        assert got_keys is state_parts[p][0] and np.array_equal(got_keys, keys_p)
+        assert _bits(got_values) == _bits(values_p) and got_values.dtype == np.dtype(dtype)
+        assert got_values.dtype is np.dtype(got_values.dtype.str)
 
 
 def test_manifest_commit_is_atomic_and_torn_manifest_skipped(tmp_path):

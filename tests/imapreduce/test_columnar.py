@@ -21,15 +21,12 @@ from repro.common.records import group_by_key, sort_records
 from repro.imapreduce.engine import (
     PHASE_COUNTERS,
     SHUFFLE,
-    _final_state,
     by_dest,
     host_config,
-    partition_inputs,
 )
 from repro.imapreduce import (
     Kernel,
     KernelContractError,
-    kernel_enabled,
     select_executor,
 )
 from repro.imapreduce.columnar import (
@@ -42,7 +39,7 @@ from repro.imapreduce.columnar import (
     merge_columnar,
     route_columnar,
 )
-from tests.imapreduce.support import RecordOnly, undeclared
+from tests.imapreduce.support import RecordOnly, split_inputs, undeclared
 
 STATE = "/t/state"
 STATIC = "/t/static"
@@ -142,7 +139,7 @@ def _decode_per_element(keys, values):
     st.data(),
 )
 def test_columnar_final_state_equals_sorted_records(keys, dtype, width, num_pairs, data):
-    """``_final_state``'s columnar branch — concatenate, one stable
+    """The columnar executors' ``join`` — concatenate, one stable
     argsort, one decode — equals sorting the per-element decode of every
     pair's columns, value types included."""
     shape = (len(keys), width) if width else (len(keys),)
@@ -158,7 +155,8 @@ def test_columnar_final_state_equals_sorted_records(keys, dtype, width, num_pair
                    for p in range(num_pairs) if p % 2 == w}}
         for w in range(2)
     ]
-    got = _final_state(finals, num_pairs)
+    got = ColumnarSync.join([final["state"][p] for p in range(num_pairs)
+                             for final in finals if p in final["state"]])
     want = sort_records(
         rec for p in range(num_pairs)
         for final in finals if p in final["state"]
@@ -263,7 +261,7 @@ def test_split_inputs_equal_per_record_routing_encode_and_gather(case):
                                max_iterations=1),
         kernel=_SplitKernel(static_csr), partitioner=partitioner,
     )
-    state_parts, (tables,) = partition_inputs(job, state, {STATIC: table}, num_pairs)
+    state_parts, (tables,) = split_inputs(job, state, {STATIC: table}, num_pairs)
     part = partitioner.bind(num_pairs)
     rows = dict(table)
     for p in range(num_pairs):
@@ -303,7 +301,7 @@ def test_split_inputs_refuse_bad_state_keys(state, match):
         1, state_path=STATE, static_path=STATIC, output_path=OUT, max_iterations=1,
         use_kernel=True)
     with pytest.raises(KernelContractError, match=match):
-        partition_inputs(job, state, {STATIC: []}, 2)
+        split_inputs(job, state, {STATIC: []}, 2)
 
 
 # ------------------------------------------------------------- routing --
@@ -440,7 +438,7 @@ def _planned_executor(merge, universe, num_pairs, partitioner=None, combine=True
         ),
         kernel=kernel, partitioner=partitioner or ModPartitioner(),
     )
-    state_parts, static_parts = partition_inputs(
+    state_parts, static_parts = split_inputs(
         job, [(k, 0.0) for k in universe], None, num_pairs
     )
     cfg = host_config(
@@ -680,18 +678,15 @@ def test_kernel_enabled_dispatch_rules():
         max_iterations=2, threshold=1e-4, use_kernel=True,
     )
     assert job.distance_fn is not None  # the NoDistance check needs one
-    assert kernel_enabled(job)
     assert select_executor(job)[1] is None
     # No kernel, no declared fold → record path.
     plain = undeclared(pagerank.build_imr_job(
         n, state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=2,
     ))
-    assert not kernel_enabled(plain)
     assert select_executor(plain)[1] == "no kernel"
     # A partitioner without bind_array → record path.
     hashed = replace(job, partitioner=RecordOnly(ModPartitioner()))
-    assert not kernel_enabled(hashed)
     assert select_executor(hashed)[1] == "partitioner has no bind_array"
     # HashPartitioner has one (FNV-1a over int64 keys): columnar.
     assert select_executor(replace(job, partitioner=HashPartitioner()))[0] is ColumnarSync
@@ -699,14 +694,11 @@ def test_kernel_enabled_dispatch_rules():
     o2a = replace(
         job, phases=[replace(job.phases[0], mapping="one2all")]
     )
-    assert not kernel_enabled(o2a)
     assert select_executor(o2a)[1] == "broadcast mismatch"
     # More than one phase, or an aux phase → record path.
     two_phase = replace(job, phases=[job.phases[0], job.phases[0]])
-    assert not kernel_enabled(two_phase)
     assert select_executor(two_phase)[1] == "multi-phase"
     with_aux = replace(job, aux=kmeans.make_convergence_aux(move_threshold=1))
-    assert not kernel_enabled(with_aux)
     assert select_executor(with_aux)[1] == "aux phase"
 
     # distance_fn without distance_partial → record path.
@@ -715,7 +707,6 @@ def test_kernel_enabled_dispatch_rules():
             return keys, values
 
     blind = replace(job, kernel=NoDistance())
-    assert not kernel_enabled(blind)
     assert select_executor(blind)[1] == "no distance_partial"
     # Every fallback lands on one and the same record executor.
     assert len({
@@ -737,7 +728,7 @@ def test_sssp_kernel_enabled():
         state_path=STATE, static_path=STATIC, output_path=OUT,
         max_iterations=2, use_kernel=True,
     )
-    assert kernel_enabled(job)
+    assert select_executor(job)[1] is None
 
 
 # -------------------------------------------- group_by_key fast path --

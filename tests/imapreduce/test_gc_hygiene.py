@@ -25,9 +25,10 @@ from repro.imapreduce import (
     run_local,
     run_parallel,
 )
-from repro.imapreduce.engine import host_config, partition_inputs
+from repro.imapreduce.engine import host_config
+from repro.imapreduce.localrun import RecordSync
 from repro.imapreduce.workerproc import read_frame, worker_main
-from tests.imapreduce.support import undeclared
+from tests.imapreduce.support import split_inputs, undeclared
 
 STATE, STATIC, OUT = "/gc/state", "/gc/static", "/gc/out"
 NODES = 40
@@ -104,7 +105,7 @@ def test_a_worker_traceback_leaves_gc_as_found(caller_gc):
     map raises inside ``run_supersteps``, the error frame carries the traceback,
     and the worker's setting is back before it is sent."""
     job = _exploding_job()
-    state_parts, static_parts = partition_inputs(job, [(k, 1.0) for k in range(8)], {}, 2)
+    state_parts, static_parts = split_inputs(job, [(k, 1.0) for k in range(8)], {}, 2)
     cfg = host_config(
         0, range(2), state_parts, static_parts, num_workers=1, num_pairs=2,
         job=job, send_state=False, wait_verdict=False, owner_of=[0, 0],
@@ -112,7 +113,7 @@ def test_a_worker_traceback_leaves_gc_as_found(caller_gc):
     verdict_recv, verdict_send = Pipe(duplex=False)
     report_recv, report_send = Pipe(duplex=False)
     try:
-        worker_main(cfg, {}, {}, verdict_recv, report_send)
+        worker_main(cfg, RecordSync, {}, {}, verdict_recv, report_send)
         _assert_left_as_found(caller_gc)
         kind, *_, payload, _nbytes = read_frame(report_recv)
         assert kind == "error" and "boom from a user map" in payload

@@ -27,7 +27,7 @@ import pytest
 from repro.algorithms import components, jacobi, kmeans, pagerank, sssp
 from repro.data.lastfm import load_lastfm
 from repro.graph.generators import pagerank_graph, sssp_graph
-from repro.imapreduce import kernel_enabled, run_local, run_parallel
+from repro.imapreduce import run_local, run_parallel, select_executor
 from repro.testing.oracles import records_identical, states_match
 from tests.imapreduce.support import assert_mesh_counters, undeclared
 
@@ -115,8 +115,8 @@ def test_kernel_matches_record_serial(name, num_pairs):
     build, exact = WORKLOADS[name]
     rec_job, state, static = build(False)
     ker_job, _, _ = build(True)
-    assert not kernel_enabled(rec_job)
-    assert kernel_enabled(ker_job)
+    assert select_executor(rec_job)[1] is not None
+    assert select_executor(ker_job)[1] is None
 
     ref = run_local(rec_job, state, static, num_pairs=num_pairs)
     ker = run_local(ker_job, state, static, num_pairs=num_pairs)
@@ -273,7 +273,7 @@ def test_kernel_jobs_pickle(name):
     build, _ = WORKLOADS[name]
     ker_job, _, _ = build(True)
     clone = pickle.loads(pickle.dumps(ker_job))
-    assert kernel_enabled(clone)
+    assert select_executor(clone)[1] is None
     assert clone.kernel.merge == ker_job.kernel.merge
 
 

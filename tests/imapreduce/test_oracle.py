@@ -1,6 +1,6 @@
 """The seeded simulated host against the record oracle.
 
-The simulated host runs the executor :func:`select_executor` picks — the
+The simulated host runs the executor ``execute`` picks — the
 one accumulative executor, ``ColumnarAccum`` — under seeded delivery
 deferral and per-round schedule jitter, both drawn from one ``rng``.
 The record oracle (:mod:`tests.imapreduce.oracle`) run on the same host
@@ -14,9 +14,10 @@ import pytest
 from repro.algorithms import components, pagerank, sssp
 from repro.graph import pagerank_graph, sssp_graph
 from repro.imapreduce import ExecutionPlan, execute
-from repro.imapreduce.engine import AccumVerdict, partition_inputs
+from repro.imapreduce.engine import AccumVerdict
 from repro.imapreduce.localrun import UpdateAccum, host_simulated
 from tests.imapreduce.oracle import run_oracle
+from tests.imapreduce.support import split_inputs
 
 PATHS = {"state_path": "/s", "static_path": "/st", "output_path": "/o"}
 
@@ -71,8 +72,7 @@ def test_jitter_draws_once_per_pair_every_async_round():
             return super().fraction(pair)
 
     policy = AccumVerdict(job, plan.num_pairs, False)
-    parts = partition_inputs(job, deltas, static, plan.num_pairs)
-    (final,), _ = host_simulated(job, policy, *parts, plan, {"accum_mode": "async"},
-                                 executor=Spy)
+    parts = split_inputs(job, deltas, static, plan.num_pairs)
+    (final,), _ = host_simulated(job, Spy, policy, *parts, plan, {"accum_mode": "async"})
     rounds = final["iterations_run"]
     assert rounds > 1 and asked == [0, 1, 2, 3] * rounds

@@ -1,6 +1,6 @@
 """A columnar final state kept as arrays, and the memo that stores it.
 
-``engine._final_state`` hands a columnar run's state over as a
+A columnar executor's ``join`` hands a run's state over as a
 :class:`~repro.imapreduce.columnar.StateColumns` instead of decoding it:
 it must behave as the key-sorted record list :func:`decode_columnar`
 makes in every way a caller reads a state.  ``MemoStore`` (format 2)
