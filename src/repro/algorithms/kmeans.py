@@ -18,12 +18,19 @@ Record formats:
   experiment of §5.1.3.
 
 Squared Euclidean distances are computed as ‖c‖² − 2·c[ids]·counts + ‖x‖²
-in *every* implementation (engines and the numpy reference), so
-assignments agree bit-for-bit.
+in *every* record implementation (the iMapReduce map, the Hadoop
+baseline's mapper and the numpy reference all call :func:`_nearest`), so
+assignments agree bit-for-bit.  A user asks every centroid at once: one
+gather of its artists' columns and one stacked product of k dots, each
+summed as a per-centroid dot sums it; a reduce folds each run of
+consecutive points with one scatter.  Only :class:`KMeansKernel`
+reassociates (CSR matmul, ``bincount``) and is held to a tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -68,27 +75,40 @@ def _sq_norm(ids: np.ndarray, counts: np.ndarray) -> float:
 
 def _prepare_centroids(
     centroids: Sequence[tuple[int, np.ndarray]],
-) -> list[tuple[int, np.ndarray, float]]:
-    """What :func:`_nearest` needs of the centroids, computed once per set
-    rather than per user: ``(cid, vec, ‖vec‖²)`` in ascending cid."""
-    return [
-        (cid, vec, float(vec @ vec)) for cid, vec in sorted(centroids, key=lambda kv: kv[0])
-    ]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_distances` needs of the centroids, computed once per
+    set rather than per user: ``(cids, m2, c_norm)`` — the ascending
+    cids, one contiguous ``(k, A)`` matrix of −2·C and each ‖c‖²."""
+    ordered = sorted(centroids, key=lambda kv: kv[0])
+    cids = np.array([cid for cid, _ in ordered], dtype=np.int64)
+    m2 = -2.0 * np.array([vec for _, vec in ordered])
+    c_norm = np.array([float(vec @ vec) for _, vec in ordered])
+    return cids, m2, c_norm
+
+
+def _distances(
+    ids: np.ndarray, counts: np.ndarray, prepared: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """A user's squared distance to every centroid at once, ‖c‖² +
+    (−2·c[ids])·counts + ‖x‖², in ascending cid.  ``take`` gathers the
+    user's columns as a contiguous ``(k, n)`` block, and the stacked
+    ``(k, 1, n) @ (n, 1)`` product is k dots (numpy's ``dot`` kernel,
+    BLAS ddot), each summed as the per-centroid ``c[ids] @ counts`` sums
+    it; the −2 scaling is exact, so each distance is bit for bit ‖c‖² −
+    2·c[ids]·counts + ‖x‖².  A gemv (``counts @ (−2·Cᵀ)[ids]``) would
+    sum in another order and move the last bits."""
+    _cids, m2, c_norm = prepared
+    dots = m2.take(ids, axis=1)[:, None, :] @ counts[:, None]
+    return (c_norm + dots[:, 0, 0]) + _sq_norm(ids, counts)
 
 
 def _nearest(
-    ids: np.ndarray, counts: np.ndarray, prepared: list[tuple[int, np.ndarray, float]]
+    ids: np.ndarray, counts: np.ndarray, prepared: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> int:
-    """Nearest-centroid id over :func:`_prepare_centroids`' output; ties
-    break to the lowest cid."""
-    x_norm = _sq_norm(ids, counts)
-    best_cid = -1
-    best_dist = np.inf
-    for cid, vec, c_norm in prepared:
-        dist = c_norm - 2.0 * float(vec[ids] @ counts) + x_norm
-        if dist < best_dist:
-            best_cid, best_dist = cid, dist
-    return best_cid
+    """Nearest-centroid id over :func:`_prepare_centroids`' output;
+    ``argmin`` takes the first minimum, so ties break to the lowest
+    cid."""
+    return int(prepared[0][_distances(ids, counts, prepared).argmin()])
 
 
 def assign(
@@ -156,23 +176,27 @@ def _fold_points(values: list) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
     uids)`` — the centroid offered by the maps, the dense sum and number
     of its points (single ``"pt"`` points and combined ``"sum"``
     partials alike), and their user ids in arrival order.  Every map
-    task offers ``("keep", centroid)``, so the dense length is known."""
+    task offers ``("keep", centroid)``, so the dense length is known.
+
+    Each run of consecutive points is one ``np.add.at`` over their
+    concatenated ids and counts: ``ufunc.at`` applies in index order, so
+    every element gets the same additions in the same order as one
+    scatter per point, and a ``"sum"`` partial ends the run."""
     keep = next(v[1] for v in values if v[0] == "keep")
     total = np.zeros(len(keep))
     count = 0
     uids: list[int] = []
-    for value in values:
-        kind = value[0]
+    for kind, run in itertools.groupby(values, key=itemgetter(0)):
         if kind == "pt":
-            _, uid, ids, counts = value
-            np.add.at(total, ids, counts)
-            count += 1
-            uids.append(uid)
+            _, run_uids, ids, counts = zip(*run)
+            np.add.at(total, np.concatenate(ids), np.concatenate(counts))
+            count += len(run_uids)
+            uids.extend(run_uids)
         elif kind == "sum":
-            _, vec, n, vuids = value
-            total[: len(vec)] += vec
-            count += n
-            uids.extend(vuids)
+            for _, vec, n, vuids in run:
+                total[: len(vec)] += vec
+                count += n
+                uids.extend(vuids)
     return keep, total, count, uids
 
 
@@ -257,8 +281,10 @@ class KMeansKernel(Kernel):
     both paths (broadcast keys are ascending; ``argmin`` returns the
     first minimum).  Dot products run as one CSR sparse-dense matmul
     over the partition's play matrix (built once in ``prepare``, §3.2
-    static residency), reassociated vs the record path's per-user
-    ``vec[ids] @ counts`` — hence tolerance oracle.
+    static residency) and the partials as one ``bincount``; both sum in
+    another order than the record path's per-user dots
+    (:func:`_distances`) and per-run ``np.add.at`` — hence tolerance
+    oracle.
     """
 
     __slots__ = ("num_artists",)
@@ -383,7 +409,7 @@ class KMeansMapper:
 
     def __init__(self):
         self._centroids: list[tuple[int, np.ndarray]] = []
-        self._prepared: list[tuple[int, np.ndarray, float]] = []
+        self._prepared = None  # set by configure
 
     def configure(self, side_data: dict) -> None:
         centroids: list[tuple[int, np.ndarray]] = []

@@ -46,7 +46,14 @@ Shuffle payloads are a flat list of the executor's wire items
 record layouts, ``keys | None, values`` arrays for the columnar ones —
 one pickle per destination worker.  The values column is last in every layout and
 ``records_sent`` counts its length: the (key, value) contributions
-shipped, whether or not their keys ride along.
+shipped, whether or not their keys ride along.  A columnar batch
+crosses as one packed region (:func:`_pack`): its int64 keys as they
+are, an int values column in the narrowest signed dtype that holds the
+batch's values, widened back to the dtype it was sent in on arrival.
+The keys are not narrowed: a packed frame's fixed cost (header, payload
+pickle, a 32-byte row per item) already exceeds a small batch's keys,
+and narrowing them would make an accumulative async run, whose rounds
+ship many small batches, ship more bytes than its sync twin.
 
 The one2all broadcast (§5.1) is hoisted: every worker sends its state
 parts to pair-0's owner, which flattens in ascending pair order, sorts
@@ -99,6 +106,7 @@ from typing import Any
 
 import numpy as np
 
+from .columnar import narrow_ints
 from .engine import (
     MESH_COUNTERS,
     PHASE_COUNTERS,
@@ -184,19 +192,24 @@ def encode_frame(kind, iteration: int, phase: int, src: int, payload):
 
 def _pack(payload):
     """A columnar shuffle batch — wire items ``(dest, src, keys | None,
-    values)`` over arrays whose values share one dtype and row shape —
-    as one :class:`_Packed` region; any other payload as it is."""
+    values)`` over int64 keys and values that share one dtype and row
+    shape — as one :class:`_Packed` region; any other payload as it is."""
     if not (isinstance(payload, list) and payload and len(payload[0]) == 4
             and isinstance(payload[0][3], np.ndarray)):
         return payload
     values = [item[3] for item in payload]
-    if len({(v.dtype.str, v.shape[1:]) for v in values}) > 1 or values[0].dtype.hasobject:
-        return payload
     keys = [item[2] for item in payload if item[2] is not None]
+    if (len({(v.dtype.str, v.shape[1:]) for v in values}) > 1 or values[0].dtype.hasobject
+            or any(k.dtype != np.int64 for k in keys)):
+        return payload
     head = np.array([x for d, s, k, v in payload for x in (d, s, len(v), k is not None)],
                     np.int64)
+    dtype, row = values[0].dtype.str, values[0].shape[1:]
+    if values[0].dtype.kind == "i":  # an int values block travels narrowed
+        values = [narrow_ints(np.concatenate(values))]
+        dtype = dtype if values[0].dtype.str == dtype else (values[0].dtype.str, dtype)
     region = bytearray().join(map(np.ascontiguousarray, (head, *keys, *values)))
-    return _Packed((len(payload), values[0].dtype.str, values[0].shape[1:], region))
+    return _Packed((len(payload), dtype, row, region))
 
 
 class _Packed(tuple):
@@ -204,19 +217,26 @@ class _Packed(tuple):
     region holds an ``(n, 4)`` int64 block of ``(dest, src, value count,
     keys ride along)`` rows, then every item's keys, then every item's
     values, and pickles as the frame's one out-of-band buffer — one copy
-    and a few opcodes however many items the batch holds.  Unpickling
-    rebuilds the wire items over views of the region (:func:`_unpack`)."""
+    and a few opcodes however many items the batch holds.  An int values
+    block travels in the narrowest dtype that holds it
+    (:func:`~repro.imapreduce.columnar.narrow_ints`), and ``dtype`` is
+    then ``(as stored, as sent)``.  Unpickling rebuilds the wire items
+    over the region (:func:`_unpack`)."""
 
     def __reduce_ex__(self, protocol):
         return _unpack, (*self[:3], pickle.PickleBuffer(self[3]))
 
 
-def _unpack(n: int, dtype: str, row: tuple, region) -> list[tuple]:
-    """The wire items of a :class:`_Packed` batch, as views of its region."""
+def _unpack(n: int, dtype, row: tuple, region) -> list[tuple]:
+    """The wire items of a :class:`_Packed` batch, as views of its region
+    (a narrowed values block: one copy, widened to the dtype it was sent
+    in)."""
+    stored, sent = (dtype, dtype) if isinstance(dtype, str) else dtype
     head = np.frombuffer(region, np.int64, 4 * n).reshape(n, 4).tolist()
     nkeys = sum(count for _d, _s, count, keyed in head if keyed)
     keys = np.frombuffer(region, np.int64, nkeys, 32 * n)
-    values = np.frombuffer(region, dtype, offset=32 * n + 8 * nkeys).reshape((-1, *row))
+    values = np.frombuffer(region, stored, offset=32 * n + 8 * nkeys).reshape((-1, *row))
+    values = values.astype(sent, copy=False)
     items, k, v = [], 0, 0
     for dest, src, count, keyed in head:
         items.append((dest, src, keys[k:k + count] if keyed else None, values[v:v + count]))

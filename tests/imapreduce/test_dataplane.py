@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import IterKeys, JobConf
 from repro.common.partition import ModPartitioner
@@ -28,8 +30,11 @@ from repro.imapreduce import (
     run_local,
     run_parallel,
 )
+from repro.imapreduce.columnar import narrow_ints
 from repro.imapreduce.workerproc import (
     PHASE_COUNTERS,
+    _pack,
+    decode_frame,
     encode_frame,
     read_frame,
 )
@@ -156,6 +161,70 @@ def test_packed_columnar_frame_is_three_parts_and_decodes_independent_arrays(dty
         assert all(  # ... every other one untouched
             np.array_equal(a, b) for i, (a, b) in enumerate(arrays) if i != victim)
         mine[...] = theirs
+
+
+#: Ints on both sides of every narrowing boundary, and the int64 ends.
+_EDGES = sorted({0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)} | {
+    v for b in (8, 16, 32) for v in (2**(b - 1) - 1, 2**(b - 1), -(2**(b - 1)), -(2**(b - 1)) - 1)})
+
+
+def _ints(dtype):
+    info = np.iinfo(dtype)
+    edges = [v for v in _EDGES if info.min <= v <= info.max]
+    return st.sampled_from(edges) | st.integers(info.min, info.max)
+
+
+@st.composite
+def _wire_batches(draw):
+    """A columnar shuffle batch: keys at every narrowing boundary or
+    ``None``, empty items, int64 / float64 / int32 values, scalar or
+    ``(2,)`` rows — and now and then int32 keys, which do not pack."""
+    dtype = draw(st.sampled_from(["int64", "float64", "int32"]))
+    row = draw(st.sampled_from([(), (2,)]))
+    key_dtype = draw(st.sampled_from(["int64"] * 5 + ["int32"]))
+    scalars = (st.floats(width=64) | st.just(-0.0)) if dtype == "float64" else _ints(dtype)
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        count = draw(st.integers(0, 5))
+        keys = None
+        if draw(st.booleans()):
+            keys = np.array(draw(st.lists(_ints(key_dtype), min_size=count, max_size=count)),
+                            key_dtype)
+        flat = draw(st.lists(scalars, min_size=count * (row or (1,))[0],
+                             max_size=count * (row or (1,))[0]))
+        batch.append((draw(st.integers(0, 7)), draw(st.integers(0, 7)), keys,
+                      np.array(flat, dtype).reshape((count, *row))))
+    return batch
+
+
+def _parts_taker(parts):
+    """``decode_frame``'s ``take`` over an encoded frame's parts."""
+    rest = iter(parts)
+    return lambda size: bytes(next(rest)) if size is None else bytearray(next(rest))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_wire_batches())
+def test_packed_frame_round_trip_keeps_every_dtype_and_bit(batch):
+    """``_pack`` → ``encode_frame`` → ``decode_frame`` gives back every
+    item — keys, ``None`` keys, empty items — in its original dtype, bit
+    for bit; an int values block crosses in its narrowest dtype, and a
+    batch with non-int64 keys is shipped as it is."""
+    packed = _pack(batch)
+    keyed = [k for _d, _s, k, _v in batch if k is not None]
+    assert (packed is batch) == any(k.dtype != np.int64 for k in keyed)
+    parts, nbytes = encode_frame("shuffle", 3, 0, 1, packed)
+    *_, got, read_bytes = decode_frame(_parts_taker(parts))
+    assert read_bytes == nbytes and len(got) == len(batch)
+    for (d, s, k, v), (gd, gs, gk, gv) in zip(batch, got):
+        assert (gd, gs) == (d, s) and (gk is None) == (k is None)
+        if k is not None:
+            assert gk.dtype == k.dtype and gk.tobytes() == k.tobytes()
+        assert gv.dtype == v.dtype and gv.shape == v.shape and gv.tobytes() == v.tobytes()
+    values = np.concatenate([v for *_, v in batch])
+    if packed is not batch and values.dtype.kind == "i":
+        region = memoryview(parts[2]).nbytes
+        assert region == 32 * len(batch) + 8 * sum(map(len, keyed)) + narrow_ints(values).nbytes
 
 
 def test_record_frames_are_not_packed():

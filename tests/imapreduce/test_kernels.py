@@ -208,7 +208,7 @@ def test_replanned_shuffle_identical_on_mesh(name, start_method):
 #: A record twin's shuffle items are ``(dest, src, keys, values)``; a
 #: kernel's ship packed, one region per frame (``workerproc._pack``).
 MESH_PINS = {
-    "components": ((177, 6, 0, 1842), (177, 6, 0, 3772)),
+    "components": ((177, 6, 0, 1842), (177, 6, 0, 2577)),
     "jacobi": ((288, 16, 16, 6424), (288, 16, 16, 10080)),
     "kmeans": ((118, 16, 0, 19396), (40, 16, 0, 6412)),
     "pagerank": ((125, 10, 0, 3255), (125, 10, 0, 4332)),
