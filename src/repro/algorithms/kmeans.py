@@ -13,9 +13,11 @@ Record formats:
   on (the §5.3 convergence-detection variant), ``(cid, (centroid_vector,
   member_ids))`` so the auxiliary phase can count nodes that moved
   between clusters;
-* shuffle: ``(cid, ("pt", ids, counts))`` points, combinable into
-  ``(cid, ("sum", dense_sum, n))`` partial aggregates — the Combiner
-  experiment of §5.1.3.
+* shuffle: ``(cid, ("pt", uid, ids, counts))`` points and one
+  ``(cid, ("keep", centroid))`` offer per map task, combinable into
+  ``(cid, ("sum", dense_sum, n, uids))`` partial aggregates — the
+  Combiner experiment of §5.1.3.  Without a combiner the phase declares
+  that shape (:data:`WIRE`), so the mesh ships points as columns.
 
 Squared Euclidean distances are computed as ‖c‖² − 2·c[ids]·counts + ‖x‖²
 in *every* record implementation (the iMapReduce map, the Hadoop
@@ -361,6 +363,12 @@ class KMeansKernel(Kernel):
         return float(np.abs(prev - curr).sum())
 
 
+#: The map's two emissions, declared so the mesh ships a batch of them
+#: as columns: a centroid offer and a point.  The combiner's ``"sum"``
+#: partials carry a uid tuple, so a combining job declares nothing.
+WIRE = (("keep", np.float64), ("pt", int, np.int64, np.float64))
+
+
 def build_imr_job(
     *,
     state_path: str,
@@ -400,6 +408,7 @@ def build_imr_job(
         num_pairs=num_pairs,
         aux=aux,
         kernel=KMeansKernel(num_artists) if use_kernel else None,
+        wire=() if combiner else WIRE,
     )
 
 

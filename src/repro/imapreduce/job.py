@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from ..common.config import IterKeys, JobConf
 from ..common.errors import ConfigError
 from ..common.partition import HashPartitioner, Partitioner
@@ -79,6 +81,14 @@ class Phase:
     (:func:`~repro.imapreduce.localrun.select_executor`), which takes
     the columnar contract on: int keys, int or float state, and every
     emission to a key the state holds, every state key fed.
+
+    ``wire`` declares the shape of the values the map (or the combiner)
+    emits, as a tuple of variants ``(tag, *fields)``: a distinct ``str``
+    tag, then per field ``int``, ``float``, or a numpy dtype — a ragged
+    1-D array of it.  The mesh then ships the phase's shuffle batches as
+    columns (:func:`~repro.imapreduce.workerproc._pack`), and refuses a
+    record that does not fit; keys must be ``int``.  Other hosts ignore
+    it.
     """
 
     map_fn: MapFn
@@ -88,8 +98,21 @@ class Phase:
     combiner: ReduceFn | None = None
     name: str = ""
     fold: str | None = None
+    wire: tuple = ()
 
     def __post_init__(self):
+        try:  # (str tag, *fields) variants; a field is int, float or a native numeric dtype
+            self.wire = tuple(
+                (tag, *(f if f in (int, float) else np.dtype(f) for f in fields))
+                for tag, *fields in (v if type(v) is tuple else () for v in self.wire))
+            fields = [f for _tag, *fs in self.wire for f in fs]
+            if len({t for t, *_ in self.wire if type(t) is str}) < len(self.wire) or not all(
+                    f in (int, float) or f.kind in "biuf" and f.isnative for f in fields):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"phase {self.name!r}: wire must be (str tag, *fields) variants, "
+                              f"tags distinct, fields int, float or numeric dtypes, "
+                              f"not {self.wire!r}") from None
         if self.mapping not in ("one2one", "one2all"):
             raise ConfigError(f"unknown mapping {self.mapping!r}")
         if self.fold not in (None, *FOLDS):
@@ -218,6 +241,7 @@ class IterativeJob:
         aux: AuxPhase | None = None,
         kernel: Any | None = None,
         fold: str | None = None,
+        wire: tuple = (),
     ) -> "IterativeJob":
         """The common case: one map-reduce phase per iteration (§3)."""
         phase = Phase(
@@ -228,6 +252,7 @@ class IterativeJob:
             combiner=combiner,
             name=name,
             fold=fold,
+            wire=wire,
         )
         return cls(
             name=name,

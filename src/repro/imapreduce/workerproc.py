@@ -46,14 +46,36 @@ Shuffle payloads are a flat list of the executor's wire items
 record layouts, ``keys | None, values`` arrays for the columnar ones —
 one pickle per destination worker.  The values column is last in every layout and
 ``records_sent`` counts its length: the (key, value) contributions
-shipped, whether or not their keys ride along.  A columnar batch
-crosses as one packed region (:func:`_pack`): its int64 keys as they
-are, an int values column in the narrowest signed dtype that holds the
-batch's values, widened back to the dtype it was sent in on arrival.
-The keys are not narrowed: a packed frame's fixed cost (header, payload
-pickle, a 32-byte row per item) already exceeds a small batch's keys,
-and narrowing them would make an accumulative async run, whose rounds
-ship many small batches, ship more bytes than its sync twin.
+shipped, whether or not their keys ride along.
+
+Two kinds of shuffle batch cross as one packed *region* instead
+(:func:`_pack`), which the payload pickle refers to as its one
+out-of-band buffer, so a packed frame is a header, a 4-byte pickle and
+the region.  The region holds 1-D blocks, each aligned to its item
+size, and a JSON trailer naming every block's dtype and length and the
+batch's kind: the head rows ``(dest, src, count, keys ride along)``,
+then the keys, then the values.  Every int block but a ragged field's
+arrays travels in the narrowest signed dtype that holds it
+(:func:`~repro.imapreduce.columnar.narrow_ints`) and is widened on
+arrival, so a small batch's fixed cost is a few dozen bytes.
+
+* A *columnar* batch (int64 keys, values of one dtype and row shape):
+  its values are one block, back in the dtype they were sent in.
+* A *declared record* batch: a record batch of a phase that declares
+  the shape of the values it emits
+  (:attr:`~repro.imapreduce.job.Phase.wire`, variants ``(tag,
+  *fields)``).  Its values become a variant column, one block per
+  scalar field and, per ragged field, the lengths and one concatenated
+  array — per word, not per Python object: k-means' points cross as
+  five columns, not 3,000 pickled tuples with two arrays each.  The
+  receiver rebuilds the same items in the same order, with ``int``
+  keys, ``int``/``float`` scalars and every array a writable view of
+  its own slice of the region.  A record that does not fit its
+  declaration is a :class:`ConfigError` naming the phase and the
+  record, which fails the run; nothing falls back to pickle.
+
+Any other payload — an undeclared phase's records, ``REPART`` and
+broadcast frames, reports, the checkpoint spool — is pickled as it is.
 
 The one2all broadcast (§5.1) is hoisted: every worker sends its state
 parts to pair-0's owner, which flattens in ascending pair order, sorts
@@ -96,16 +118,21 @@ differential oracle can demand record-for-record equality.
 
 from __future__ import annotations
 
+import json
 import pickle
 import queue
+import re
 import threading
 import time
 import traceback
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any
 
 import numpy as np
 
+from ..common.errors import ConfigError
 from .columnar import narrow_ints
 from .engine import (
     MESH_COUNTERS,
@@ -190,58 +217,135 @@ def encode_frame(kind, iteration: int, phase: int, src: int, payload):
     return [header, data, *raws], nbytes
 
 
-def _pack(payload):
-    """A columnar shuffle batch — wire items ``(dest, src, keys | None,
-    values)`` over int64 keys and values that share one dtype and row
-    shape — as one :class:`_Packed` region; any other payload as it is."""
-    if not (isinstance(payload, list) and payload and len(payload[0]) == 4
-            and isinstance(payload[0][3], np.ndarray)):
+def _pack(payload, phase=None):
+    """A shuffle batch as one region (:func:`_region`), which pickles as
+    the frame's one out-of-band buffer; any other payload as it is.
+
+    Two batches pack: a columnar one — wire items ``(dest, src, keys |
+    None, values)`` over int64 keys and values that share one dtype and
+    row shape — and a record one of a ``phase`` that declares its wire
+    shape (:attr:`~repro.imapreduce.job.Phase.wire`), whose every record
+    must fit the declaration: a :class:`ConfigError` names the first
+    one that does not."""
+    if not (isinstance(payload, list) and payload and len(payload[0]) == 4):
         return payload
     values = [item[3] for item in payload]
     keys = [item[2] for item in payload if item[2] is not None]
-    if (len({(v.dtype.str, v.shape[1:]) for v in values}) > 1 or values[0].dtype.hasobject
-            or any(k.dtype != np.int64 for k in keys)):
+    if isinstance(values[0], np.ndarray):
+        dtype = values[0].dtype
+        if (len({(v.dtype, v.shape[1:]) for v in values}) > 1 or dtype.kind not in "biuf"
+                or not dtype.isnative or any(k.dtype != np.int64 for k in keys)):
+            return payload
+        meta = ["C", dtype.char, values[0].shape[1:]]
+        blocks = [np.concatenate([np.empty(0, np.int64), *keys]),
+                  np.concatenate(values).reshape(-1)]
+    elif phase is not None and phase.wire:
+        keys, records = list(chain.from_iterable(keys)), list(chain.from_iterable(values))
+        try:
+            blocks = _record_blocks(phase.wire, keys, records)
+        except (TypeError, ValueError, IndexError):
+            for r, record in enumerate(zip(keys, records)):
+                try:
+                    _record_blocks(phase.wire, *zip(record))
+                except (TypeError, ValueError, IndexError) as why:
+                    raise ConfigError(f"phase {phase.name!r} declares wire={phase.wire!r}, but "
+                                      f"record {r} {record!r:.200} does not fit: {why}") from None
+        meta = ["R", [[tag, *(getattr(f, "__name__", None) or f.char for f in fields)]
+                      for tag, *fields in phase.wire]]
+    else:
         return payload
-    head = np.array([x for d, s, k, v in payload for x in (d, s, len(v), k is not None)],
-                    np.int64)
-    dtype, row = values[0].dtype.str, values[0].shape[1:]
-    if values[0].dtype.kind == "i":  # an int values block travels narrowed
-        values = [narrow_ints(np.concatenate(values))]
-        dtype = dtype if values[0].dtype.str == dtype else (values[0].dtype.str, dtype)
-    region = bytearray().join(map(np.ascontiguousarray, (head, *keys, *values)))
-    return _Packed((len(payload), dtype, row, region))
+    head = np.array([x for d, s, k, v in payload for x in (d, s, len(v), k is not None)])
+    return pickle.PickleBuffer(_region([narrow_ints(b) for b in (head, *blocks)], meta))
 
 
-class _Packed(tuple):
-    """A packed columnar batch ``(n, dtype, row shape, region)``: the
-    region holds an ``(n, 4)`` int64 block of ``(dest, src, value count,
-    keys ride along)`` rows, then every item's keys, then every item's
-    values, and pickles as the frame's one out-of-band buffer — one copy
-    and a few opcodes however many items the batch holds.  An int values
-    block travels in the narrowest dtype that holds it
-    (:func:`~repro.imapreduce.columnar.narrow_ints`), and ``dtype`` is
-    then ``(as stored, as sent)``.  Unpickling rebuilds the wire items
-    over the region (:func:`_unpack`)."""
-
-    def __reduce_ex__(self, protocol):
-        return _unpack, (*self[:3], pickle.PickleBuffer(self[3]))
+def _fits(column, field) -> bool:
+    """Is every entry of ``column`` exactly of type ``field`` (an int in
+    int64's range), or a 1-D array of the dtype ``field``?"""
+    if isinstance(field, type):
+        return set(map(type, column)) <= {field} and (field is not int or (
+            -(2**63) <= min(column, default=0) <= max(column, default=0) < 2**63))
+    return (set(map(type, column)) <= {np.ndarray} and set(map(attrgetter("ndim"), column)) <= {1}
+            and set(map(attrgetter("dtype"), column)) <= {field})
 
 
-def _unpack(n: int, dtype, row: tuple, region) -> list[tuple]:
-    """The wire items of a :class:`_Packed` batch, as views of its region
-    (a narrowed values block: one copy, widened to the dtype it was sent
-    in)."""
-    stored, sent = (dtype, dtype) if isinstance(dtype, str) else dtype
-    head = np.frombuffer(region, np.int64, 4 * n).reshape(n, 4).tolist()
-    nkeys = sum(count for _d, _s, count, keyed in head if keyed)
-    keys = np.frombuffer(region, np.int64, nkeys, 32 * n)
-    values = np.frombuffer(region, stored, offset=32 * n + 8 * nkeys).reshape((-1, *row))
-    values = values.astype(sent, copy=False)
+def _record_blocks(wire, keys, records) -> list[np.ndarray]:
+    """A declared record batch's keys and values as columns: the keys,
+    every record's variant, then per variant, field by field, a scalar
+    field's values or a ragged field's lengths and concatenated arrays.
+    Raises, saying why, on the first column that does not fit ``wire``."""
+    tags = [tag for tag, *_fields in wire]
+    if not (_fits(keys, int) and _fits(records, tuple)
+            and _fits(heads := list(map(itemgetter(0), records)), str)):
+        raise TypeError("its key is no int, or its value no tuple that starts with a str tag")
+    which = list(map(tags.index, heads))
+    blocks = [np.array(keys, np.int64), np.array(which)]
+    for i, (tag, *fields) in enumerate(wire):
+        rows = list(compress(records, map(i.__eq__, which)))
+        if not set(map(len, rows)) <= {1 + len(fields)}:
+            raise ValueError(f"a {tag!r} value has {len(fields)} fields")
+        columns = list(zip(*rows))[1:] or [()] * len(fields)
+        for j, (field, column) in enumerate(zip(fields, columns), 1):
+            scalar = isinstance(field, type)
+            if not _fits(column, field):
+                want = field.__name__ if scalar else f"{field} in a 1-D array"
+                raise TypeError(f"field {j} of a {tag!r} value is {want}")
+            blocks += ([np.array(column, np.int64 if field is int else float)] if scalar else
+                       [np.array(list(map(len, column))),
+                        np.concatenate([np.empty(0, field), *column])])
+    return blocks
+
+
+def _region(blocks, meta) -> bytearray:
+    """1-D native ``blocks`` laid end to end, each at an offset aligned
+    to its item size, then a JSON trailer ``[blocks, *meta]`` — blocks
+    as ``"<dtype char><count>..."``, ``"b4h37d37"`` — and its length in
+    two bytes: all :func:`_unpack` needs."""
+    parts, at = [], 0
+    for block in blocks:
+        parts += [bytes(-at % block.itemsize), block]
+        at += -at % block.itemsize + block.nbytes
+    trailer = json.dumps(["".join(f"{b.dtype.char}{b.size}" for b in blocks), *meta],
+                         separators=(",", ":")).encode()
+    return bytearray().join([*parts, trailer, len(trailer).to_bytes(2, "little")])
+
+
+def _unpack(region) -> list[tuple]:
+    """The wire items of a packed batch, in the order they were packed.
+
+    A block is a view of the region, or, narrowed, widened back (one
+    copy).  Columnar items get int64 keys and values in the dtype they
+    were sent in; record items get ``int`` keys, ``(tag, *fields)``
+    values with ``int``/``float`` scalars and every ragged field a
+    writable view of its own slice of one block."""
+    size = int.from_bytes(region[-2:], "little")
+    desc, kind, *meta = json.loads(bytes(region[-2 - size:-2]))
+    blocks, at = [], 0
+    for char, count in re.findall(r"(\D)(\d+)", desc):
+        at += -at % np.dtype(char).itemsize
+        blocks.append(np.frombuffer(region, char, int(count), at))
+        at += blocks[-1].nbytes
+    head, keys, *rest = blocks
+    if kind == "C":
+        keys = keys.astype(np.int64, copy=False)
+        values = rest[0].astype(meta[0], copy=False).reshape(-1, *meta[1])
+    else:
+        runs, rest = [], iter(rest[1:])
+        for tag, *fields in meta[0]:
+            runs.append(zip(repeat(tag), *(
+                next(rest).tolist() if f in ("int", "float") else _split(next(rest), next(rest), f)
+                for f in fields)))
+        keys, values = keys.tolist(), list(map(next, map(runs.__getitem__, blocks[2].tolist())))
     items, k, v = [], 0, 0
-    for dest, src, count, keyed in head:
+    for dest, src, count, keyed in head.reshape(-1, 4).tolist():
         items.append((dest, src, keys[k:k + count] if keyed else None, values[v:v + count]))
         k, v = k + count * keyed, v + count
     return items
+
+
+def _split(lengths, flat, dtype) -> list[np.ndarray]:
+    """``flat`` in ``dtype``, cut into consecutive views of ``lengths``."""
+    ends, flat = np.cumsum(lengths).tolist(), flat.astype(dtype, copy=False)
+    return list(map(flat.__getitem__, map(slice, [0, *ends], ends)))
 
 
 def decode_frame(take):
@@ -256,7 +360,8 @@ def decode_frame(take):
     payload pickle); ``take(n)`` returns the ``n``-byte buffer region in
     *fresh writable* storage.  The out-of-band arrays are rebuilt over
     writable ``memoryview`` slices of that one region — no copy, and
-    writing one array never touches a neighbour.
+    writing one array never touches a neighbour.  A payload that is the
+    bare region is a packed batch, rebuilt by :func:`_unpack`.
 
     Retention rule: the arrays decoded from one frame share its region,
     so keeping one of them alive keeps the whole region alive.  A
@@ -282,6 +387,8 @@ def decode_frame(take):
             buffers.append(region[offset:offset + size])
             offset += size
     payload = pickle.loads(data, buffers=buffers)
+    if isinstance(payload, memoryview):  # a packed batch: the frame's one buffer
+        payload = _unpack(payload)
     return kind, iteration, phase, src, payload, nbytes
 
 
@@ -462,11 +569,13 @@ class _PipeMesh:
         self.timings = dict.fromkeys(PHASE_COUNTERS, 0.0)
         self.inbox = _Inbox([*peer_recv.values(), verdict_conn], self.timings)
         self.counters = dict.fromkeys(MESH_COUNTERS, 0)
+        self.phases = getattr(cfg.job, "phases", ())
 
     def _ship(self, kind: str, step: int, phase: int, dest: int, payload,
               records: int = 0) -> None:
         started = time.perf_counter()
-        parts, nbytes = encode_frame(kind, step, phase, self.wid, _pack(payload))
+        declared = self.phases[phase] if kind == SHUFFLE and self.phases else None
+        parts, nbytes = encode_frame(kind, step, phase, self.wid, _pack(payload, declared))
         self.timings["serialize"] += time.perf_counter() - started
         counters = self.counters
         counters["bytes_pickled"] += nbytes

@@ -1,6 +1,7 @@
-"""Hygiene every engine test is held to: a run that spawned a mesh has
-reaped its workers and removed the checkpoint spool it made by the time
-the test ends (the leak scan ``benchmarks/e2e`` runs per op, per test)."""
+"""Hygiene every test is held to — the engine's, the CLI's and the
+chaos harness's alike: a run that spawned a mesh has reaped its workers
+and removed the checkpoint spool it made by the time the test ends (the
+leak scan ``benchmarks/e2e`` runs per op, per test)."""
 
 import os
 import tempfile

@@ -163,8 +163,8 @@ def test_sparse_async_run_uses_manifests():
 #: at 4 pairs / 2 workers — the kernel-less job, on the columnar
 #: executor: the record executor's counts, in columnar frames' bytes.
 SYNC_VS_ASYNC = {
-    ("pagerank", 200, 11): ((28825, 172, 0, 521623), (13000, 304, 0, 314528)),
-    ("sssp", 300, 42): ((4346, 26, 2, 78751), (3189, 78, 2, 77595)),
+    ("pagerank", 200, 11): ((28825, 172, 0, 323227), (13000, 304, 0, 191621)),
+    ("sssp", 300, 42): ((4346, 26, 2, 49176), (3189, 78, 2, 47912)),
 }
 
 

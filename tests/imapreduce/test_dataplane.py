@@ -9,6 +9,7 @@ detection of a worker that dies with exit code 0 before its final
 report, and the phase-level profiler's counters.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -221,10 +222,21 @@ def test_packed_frame_round_trip_keeps_every_dtype_and_bit(batch):
         if k is not None:
             assert gk.dtype == k.dtype and gk.tobytes() == k.tobytes()
         assert gv.dtype == v.dtype and gv.shape == v.shape and gv.tobytes() == v.tobytes()
-    values = np.concatenate([v for *_, v in batch])
-    if packed is not batch and values.dtype.kind == "i":
-        region = memoryview(parts[2]).nbytes
-        assert region == 32 * len(batch) + 8 * sum(map(len, keyed)) + narrow_ints(values).nbytes
+    if packed is not batch:  # head, keys and values, each narrowed and aligned, then the trailer
+        def block(dtype, arrays):
+            flat = [a.reshape(-1) for a in arrays]
+            return narrow_ints(np.concatenate([np.empty(0, dtype), *flat]))
+
+        head = np.array([x for d, s, k, v in batch for x in (d, s, len(v), k is not None)])
+        blocks = [block(np.int64, [head]), block(np.int64, keyed),
+                  block(batch[0][3].dtype, [v for *_, v in batch])]
+        region = memoryview(parts[2]).cast("B")
+        trailer, at = int.from_bytes(region[-2:], "little"), 0
+        for block in blocks:
+            at += -at % block.itemsize + block.nbytes
+        assert len(region) == at + trailer + 2
+        assert json.loads(bytes(region[-2 - trailer:-2]))[0] == "".join(
+            f"{b.dtype.char}{b.size}" for b in blocks)
 
 
 def test_record_frames_are_not_packed():
@@ -240,6 +252,145 @@ def test_record_frames_are_not_packed():
     assert (nbytes, len(parts)) == (113, 2)
     digest = hashlib.sha256(b"".join(bytes(p) for p in parts)).hexdigest()[:16]
     assert digest == "d1eb36b642b861e0"
+
+
+# ----------------------------------------------- declared record batches --
+#: Wire fields a drawn declaration picks from: the two scalars and
+#: ragged arrays of four dtypes.
+_FIELDS = [int, float, np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.int32),
+           np.dtype(np.uint8)]
+
+
+def _field_values(field):
+    if field is int:
+        return _ints(np.int64)
+    if field is float:
+        return st.floats(width=64) | st.just(-0.0)
+    elements = _ints(field) if field.kind in "iu" else st.floats(width=64)
+    return st.lists(elements, max_size=4).map(lambda xs: np.array(xs, field))
+
+
+@st.composite
+def _declared_batches(draw):
+    """A declared wire shape and a record batch that fits it: one to
+    three variants of up to three fields, items with zero to five
+    records, empty ragged arrays, variants mixed in any order."""
+    wire = tuple(
+        (f"t{i}", *draw(st.lists(st.sampled_from(_FIELDS), max_size=3)))
+        for i in range(draw(st.integers(1, 3))))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        records = []
+        for _ in range(draw(st.integers(0, 5))):
+            tag, *fields = draw(st.sampled_from(wire))
+            records.append((draw(_ints(np.int64)),
+                            (tag, *(draw(_field_values(f)) for f in fields))))
+        batch.append((draw(st.integers(0, 7)), draw(st.integers(0, 7)),
+                      [k for k, _ in records], [v for _, v in records]))
+    return wire, batch
+
+
+def _declared(wire, name="tagged"):
+    from repro.imapreduce import Phase
+
+    return Phase(_hot_map, _sum_reduce, name=name, wire=wire)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_declared_batches())
+def test_declared_record_batch_round_trips_as_columns(case):
+    """A record batch of a declared phase crosses as one packed region
+    and decodes to the same items in the same order: ``int`` keys and
+    scalars (never ``np.int64``), ``float`` scalars, every ragged field
+    an array of its declared dtype, writable and independent of every
+    other."""
+    wire, batch = case
+    packed = _pack(batch, _declared(wire))
+    assert isinstance(packed, pickle.PickleBuffer)
+    parts, nbytes = encode_frame("shuffle", 1, 0, 0, packed)
+    assert len(parts) == 3
+    *_, got, read_bytes = decode_frame(_parts_taker(parts))
+    assert read_bytes == nbytes and len(got) == len(batch)
+    arrays = []
+    for (d, s, keys, values), (gd, gs, gkeys, gvalues) in zip(batch, got):
+        assert (gd, gs, gkeys) == (d, s, keys) and {type(k) for k in gkeys} <= {int}
+        assert len(gvalues) == len(values)
+        for value, gvalue in zip(values, gvalues):
+            assert type(gvalue) is tuple and len(gvalue) == len(value) and gvalue[0] == value[0]
+            for x, gx in zip(value[1:], gvalue[1:]):
+                assert type(gx) is type(x)
+                if isinstance(x, np.ndarray):
+                    assert gx.dtype == x.dtype and gx.tobytes() == x.tobytes()
+                    assert gx.flags.writeable
+                    arrays.append((gx, x))
+                else:
+                    assert repr(gx) == repr(x)  # -0.0 stays -0.0
+    for victim, (mine, theirs) in enumerate(arrays):
+        mine[...] = 1  # one array written ...
+        assert all(  # ... every other one untouched
+            a.tobytes() == b.tobytes() for i, (a, b) in enumerate(arrays) if i != victim)
+        mine[...] = theirs
+
+
+_POINT = ("pt", int, np.int64, np.float64)
+_GOOD = ("pt", 7, np.array([1, 2]), np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("record, says", [
+    ((3, ("sum", 7, np.array([1]), np.array([1.0]))), "'sum' is not in list"),
+    ((3, ["pt", 7, np.array([1]), np.array([1.0])]), "no tuple that starts with a str tag"),
+    ((3, ("pt", 7, np.array([1]))), "a 'pt' value has 3 fields"),
+    ((3, ("pt", np.int64(7), np.array([1]), np.array([1.0]))), "field 1 of a 'pt' value is int"),
+    ((3, ("pt", 7, np.array([1], np.int32), np.array([1.0]))),
+     "field 2 of a 'pt' value is int64 in a 1-D array"),
+    ((3, ("pt", 7, np.array([1]), np.ones((1, 1)))),
+     "field 3 of a 'pt' value is float64 in a 1-D array"),
+    ((np.int64(3), _GOOD), "its key is no int"),
+])
+def test_declared_batch_refuses_a_record_that_does_not_fit(record, says):
+    """No silent fallback: the first record that does not fit the
+    declaration is refused, by phase, index and reason."""
+    from repro.common.errors import ConfigError
+
+    key, value = record
+    batch = [(1, 0, [5, 6], [_GOOD, _GOOD]), (2, 0, [4, key], [_GOOD, value])]
+    with pytest.raises(ConfigError) as refused:
+        _pack(batch, _declared((_POINT, ("keep", np.float64)), name="points"))
+    message = str(refused.value)
+    assert message.startswith("phase 'points' declares wire=")
+    assert "record 3 (" in message and says in message.split("does not fit: ")[1]
+
+
+@pytest.mark.parametrize("wire", [
+    (("pt", "no-such-dtype"),), (("pt", object),), (("pt", np.dtype(">f8")),),
+    (("pt", int), ("pt", float)), ((7, int),), ("pt",), ((),),
+])
+def test_phase_refuses_a_malformed_wire(wire):
+    from repro.common.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="phase 'tagged'"):
+        _declared(wire)
+
+
+def _tagged_map(key, state, static, ctx):
+    ctx.emit((key + 1) % 8, ("v", state))  # every record crosses a pair
+
+
+def _tagged_reduce(key, values, ctx):
+    ctx.emit(key, sum(v for _tag, v in values))
+
+
+def test_mesh_run_of_a_wrong_declaration_fails_naming_it():
+    """A declaration the map does not keep fails the mesh run: the
+    sending worker's refusal is the run's error."""
+    job = IterativeJob.single_phase(
+        "tagged", _tagged_map, _tagged_reduce,
+        conf=JobConf({IterKeys.STATE_PATH: STATE, IterKeys.MAX_ITER: 2}),
+        output_path=OUT, partitioner=ModPartitioner(), wire=(("v", int),))
+    with pytest.raises(ParallelExecutionError,
+                       match=r"phase 'tagged' declares wire=.*field 1 of a 'v' value is int"):
+        run_parallel(job, [(i, 1.0) for i in range(8)], num_pairs=4, num_workers=2,
+                     start_method="fork")
 
 
 def test_manifest_frame_is_header_only():

@@ -205,14 +205,16 @@ def test_replanned_shuffle_identical_on_mesh(name, start_method):
 
 #: ``(records_sent, batches_sent, manifest_frames, bytes_pickled)`` of
 #: each builder above at 4 pairs / 2 workers: (record twin, kernel).
-#: A record twin's shuffle items are ``(dest, src, keys, values)``; a
-#: kernel's ship packed, one region per frame (``workerproc._pack``).
+#: A record twin's shuffle items are ``(dest, src, keys, values)``,
+#: pickled — but kmeans declares its wire shape, so its record twin
+#: ships columns too; a kernel's ship packed, one region per frame
+#: (``workerproc._pack``).
 MESH_PINS = {
-    "components": ((177, 6, 0, 1842), (177, 6, 0, 2577)),
+    "components": ((177, 6, 0, 1842), (177, 6, 0, 1204)),
     "jacobi": ((288, 16, 16, 6424), (288, 16, 16, 10080)),
-    "kmeans": ((118, 16, 0, 19396), (40, 16, 0, 6412)),
-    "pagerank": ((125, 10, 0, 3255), (125, 10, 0, 4332)),
-    "sssp": ((118, 11, 1, 2311), (118, 11, 1, 4044)),
+    "kmeans": ((118, 16, 0, 11320), (40, 16, 0, 5368)),
+    "pagerank": ((125, 10, 0, 3255), (125, 10, 0, 2644)),
+    "sssp": ((118, 11, 1, 2311), (118, 11, 1, 1962)),
 }
 
 
